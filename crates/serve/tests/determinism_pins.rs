@@ -1,22 +1,44 @@
 //! Golden determinism pins across the HashMap -> BTreeMap container
-//! swap (PR 10): each scenario below ran on the pre-swap tree and its
+//! swap: each scenario below ran on the pre-swap tree and its
 //! per-request floats were folded (via `to_bits`) into one FNV-1a
 //! checksum. The constants pin that the deterministic-container
 //! conversion in `fleet.rs` / `cluster.rs` / `deltazip.rs` /
 //! `predictor.rs` / `tiered.rs` changed **no** simulation result, and
 //! that future refactors keep every run replayable bit-for-bit.
 //!
+//! The `PIN_LOCKSTEP_*` constants are golden outputs of the retired
+//! lockstep cluster front end (`ClusterSim::run_lockstep_reference`) on
+//! the six small-fleet fixtures it was differentially tested against:
+//! plain, admission + prefetch, chaos with and without tracing,
+//! engine-level prefetch, and store-bound replicas. Each folds every
+//! field of the [`ClusterReport`] that the old differential suite
+//! compared, so the event-driven `ClusterSim::run` is held to exactly
+//! the oracle's output on those inputs.
+//!
 //! If a PR changes one of these values *on purpose* (a scheduling or
 //! cost-model change), re-pin deliberately: run with
 //! `DZ_PRINT_PINS=1 cargo test -p dz-serve --test determinism_pins -- --nocapture`
 //! and paste the printed hashes.
 
+use dz_compress::codec::{CodecId, PackedLayer};
+use dz_compress::pack::CompressedMatrix;
+use dz_compress::pipeline::{CompressedDelta, DeltaCompressConfig, SizeReport};
+use dz_compress::quant::{quantize_slice, QuantSpec};
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
-use dz_serve::cluster::{ClusterConfig, ClusterSim, PlacementAwareRouter, PlacementPlan};
+use dz_serve::cluster::{
+    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim, LeastLoadedRouter,
+    PlacementAwareRouter, PlacementPlan, RoundRobinRouter,
+};
 use dz_serve::fleet::{FleetConfig, FleetRouter, FleetSim};
-use dz_serve::{CostModel, DeltaZipConfig, Engine, EngineBuilder, Metrics, VariantCatalog};
+use dz_serve::{
+    ChaosConfig, CostModel, DeltaStoreBinding, DeltaZipConfig, Engine, EngineBuilder, FaultEvent,
+    FaultKind, FaultPlan, Metrics, PrefetchPolicy, SloPolicy, TraceConfig, VariantCatalog,
+};
+use dz_store::{sha256, ArtifactId, Registry, TieredDeltaStore};
+use dz_tensor::{Matrix, Rng};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
+use std::collections::BTreeMap;
 
 const N_MODELS: usize = 16;
 
@@ -49,6 +71,100 @@ impl Pin {
             self.f64(r.ttft_s);
             self.f64(r.queue_s);
             self.f64(r.load_s);
+        }
+    }
+    fn e2e_sum(&mut self, m: &Metrics) {
+        self.f64(m.records.iter().map(|r| r.e2e_s).sum::<f64>());
+    }
+    /// Folds every report field the retired lockstep differential suite
+    /// compared: per-record id, model, arrival, e2e, ttft, queue, load,
+    /// tokens and preemptions; per-replica lengths and e2e sums; shed
+    /// records; the routing counters; store stats; and chaos stats.
+    fn cluster_report(&mut self, rep: &ClusterReport) {
+        self.word(rep.merged.len() as u64);
+        self.e2e_sum(&rep.merged);
+        for r in &rep.merged.records {
+            self.word(r.id as u64);
+            self.word(r.model as u64);
+            self.f64(r.arrival);
+            self.f64(r.e2e_s);
+            self.f64(r.ttft_s);
+            self.f64(r.queue_s);
+            self.f64(r.load_s);
+            self.word(r.output_tokens as u64);
+            self.word(r.preemptions as u64);
+        }
+        self.word(rep.per_replica.len() as u64);
+        for m in &rep.per_replica {
+            self.word(m.len() as u64);
+            self.e2e_sum(m);
+        }
+        self.word(rep.shed.len() as u64);
+        for s in &rep.shed {
+            self.word(s.id as u64);
+            self.word(s.model as u64);
+            self.word(s.class as u64);
+            self.f64(s.arrival);
+        }
+        let routing = &rep.routing;
+        self.word(routing.per_replica_requests.len() as u64);
+        for &n in &routing.per_replica_requests {
+            self.word(n as u64);
+        }
+        for n in [
+            routing.warm_routed,
+            routing.cold_routed,
+            routing.placement_misses,
+            routing.defer_events,
+            routing.shed,
+            routing.prefetch_hints,
+            routing.prefetch_issued,
+            routing.prefetch_hits,
+        ] {
+            self.word(n as u64);
+        }
+        match &rep.store_stats {
+            None => self.word(0),
+            Some(stats) => {
+                self.word(1);
+                self.word(stats.len() as u64);
+                for s in stats {
+                    for n in [
+                        s.host_hits,
+                        s.disk_loads,
+                        s.host_bytes,
+                        s.disk_bytes,
+                        s.prefetch_loads,
+                        s.prefetch_bytes,
+                        s.prefetch_hits,
+                        s.object_fetches,
+                        s.object_bytes,
+                    ] {
+                        self.word(n);
+                    }
+                }
+            }
+        }
+        match &rep.chaos {
+            None => self.word(0),
+            Some(c) => {
+                self.word(1);
+                for n in [
+                    c.crashes,
+                    c.restarts,
+                    c.brownouts,
+                    c.lost_in_flight,
+                    c.shed_no_capacity,
+                    c.scale_ups,
+                    c.scale_downs,
+                    c.rollout_remapped,
+                    c.dropped_hints,
+                    c.min_live,
+                    c.max_live,
+                ] {
+                    self.word(n as u64);
+                }
+            }
         }
     }
 }
@@ -144,4 +260,231 @@ fn cluster_run_is_pinned() {
     pin.metrics(&report.merged);
     pin.word(report.routing.per_replica_requests.iter().sum::<usize>() as u64);
     check("cluster", pin.0, PIN_CLUSTER);
+}
+
+// -- Golden outputs of the retired lockstep front end ---------------------
+
+const PIN_LOCKSTEP_RR: u64 = 0xcf3435bc69860017;
+const PIN_LOCKSTEP_ADMISSION: u64 = 0xe0110c869f6a93a7;
+const PIN_LOCKSTEP_CHAOS: u64 = 0xda4c5cd31868b3bb;
+const PIN_LOCKSTEP_CHAOS_TRACED: u64 = 0x2d0ea6ddf266cf71;
+const PIN_LOCKSTEP_ENGINE_PREFETCH: u64 = 0x42bcd5c6b68cb3ac;
+const PIN_LOCKSTEP_STORE: u64 = 0x77be2329e2fb481b;
+
+/// Runs `sim` on `tr` and checks the report against a lockstep pin.
+fn check_cluster(tag: &str, mut sim: ClusterSim, tr: &Trace, pinned: u64) {
+    let report = sim.run_lockstep_reference(tr);
+    let mut pin = Pin::new();
+    pin.cluster_report(&report);
+    check(tag, pin.0, pinned);
+}
+
+#[test]
+fn plain_round_robin_is_pinned() {
+    let tr = trace(31, 3.0, 40.0);
+    let sim = ClusterSim::new(
+        vec![cost(); 2],
+        ClusterConfig {
+            n_replicas: 2,
+            ..ClusterConfig::default()
+        },
+        Box::new(RoundRobinRouter::new()),
+    );
+    check_cluster("lockstep_rr", sim, &tr, PIN_LOCKSTEP_RR);
+}
+
+/// The busiest healthy path: placement-aware routing with migrations,
+/// routing-time prefetch, and admission control (defer re-pushes ride
+/// the same heap as arrivals).
+#[test]
+fn placement_prefetch_admission_is_pinned() {
+    let tr = trace(37, 6.0, 50.0);
+    let sim = ClusterSim::new(
+        vec![cost(); 3],
+        ClusterConfig {
+            n_replicas: 3,
+            engine: DeltaZipConfig {
+                host_capacity_deltas: Some(5),
+                ..DeltaZipConfig::default()
+            },
+            admission: Some(AdmissionConfig {
+                defer_depth: 4,
+                defer_s: 2.0,
+                max_defers: 3,
+                shed_depth: 12,
+                ..AdmissionConfig::new(SloPolicy::tiered(N_MODELS, 4))
+            }),
+            prefetch: Some(ClusterPrefetch::default()),
+            ..ClusterConfig::default()
+        },
+        Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
+            PopularityDist::Zipf { alpha: 1.3 },
+            N_MODELS,
+            3,
+        ))),
+    );
+    check_cluster("lockstep_admission", sim, &tr, PIN_LOCKSTEP_ADMISSION);
+}
+
+fn chaos_config() -> ChaosConfig {
+    ChaosConfig::faults(
+        FaultPlan::scripted(vec![
+            FaultEvent {
+                at: 10.0,
+                kind: FaultKind::Crash {
+                    replica: 0,
+                    restart_after_s: Some(8.0),
+                },
+            },
+            FaultEvent {
+                at: 25.0,
+                kind: FaultKind::Crash {
+                    replica: 2,
+                    restart_after_s: None,
+                },
+            },
+        ]),
+        0xD1FF,
+    )
+}
+
+/// Crashes requeue in-flight work and schedule restarts: the
+/// chaos-before-arrival tie rule and the re-push ordering are pinned.
+#[test]
+fn chaos_is_pinned() {
+    let tr = trace(41, 4.0, 60.0);
+    let sim = ClusterSim::new(
+        vec![cost(); 3],
+        ClusterConfig {
+            n_replicas: 3,
+            ..ClusterConfig::default()
+        },
+        Box::new(RoundRobinRouter::new()),
+    )
+    .with_chaos(chaos_config());
+    check_cluster("lockstep_chaos", sim, &tr, PIN_LOCKSTEP_CHAOS);
+}
+
+/// Tracing rides the front end (gauges at every arrival) but must not
+/// perturb the simulation.
+#[test]
+fn chaos_with_tracing_is_pinned() {
+    let tr = trace(43, 4.0, 60.0);
+    let sim = ClusterSim::new(
+        vec![cost(); 2],
+        ClusterConfig {
+            n_replicas: 2,
+            ..ClusterConfig::default()
+        },
+        Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
+            PopularityDist::Zipf { alpha: 1.3 },
+            N_MODELS,
+            2,
+        ))),
+    )
+    .with_chaos(chaos_config())
+    .with_tracing(TraceConfig::default());
+    check_cluster("lockstep_chaos_traced", sim, &tr, PIN_LOCKSTEP_CHAOS_TRACED);
+}
+
+#[test]
+fn engine_prefetch_policy_is_pinned() {
+    let tr = trace(47, 3.0, 40.0);
+    let sim = ClusterSim::new(
+        vec![cost(); 2],
+        ClusterConfig {
+            n_replicas: 2,
+            prefetch_policy: Some(PrefetchPolicy::Popularity { top_k: 4 }),
+            ..ClusterConfig::default()
+        },
+        Box::new(LeastLoadedRouter::new()),
+    );
+    check_cluster(
+        "lockstep_engine_prefetch",
+        sim,
+        &tr,
+        PIN_LOCKSTEP_ENGINE_PREFETCH,
+    );
+}
+
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dz-pins-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+fn tiny_delta(seed: u64, d: usize) -> CompressedDelta {
+    let mut rng = Rng::seeded(seed);
+    let spec = QuantSpec::new(4, 8);
+    let wt = Matrix::randn(d, d, 0.05, &mut rng);
+    let mut levels = Vec::new();
+    let mut scales = Vec::new();
+    for r in 0..d {
+        let (l, s) = quantize_slice(wt.row(r), spec);
+        levels.extend(l);
+        scales.extend(s);
+    }
+    let cm = CompressedMatrix::from_dense(d, d, &levels, scales, spec);
+    let packed = cm.packed_bytes();
+    let mut layers = BTreeMap::new();
+    layers.insert("w".to_string(), PackedLayer::Quant(cm));
+    CompressedDelta {
+        layers,
+        rest: BTreeMap::new(),
+        codec: CodecId::SparseGptStar,
+        config: DeltaCompressConfig::starred(4),
+        report: SizeReport {
+            compressed_linear_bytes: packed,
+            uncompressed_rest_bytes: 0,
+            full_fp16_bytes: d * d * 2,
+            lossless_linear_bytes: None,
+        },
+    }
+}
+
+fn publish_zoo(registry: &Registry, n: usize) -> Vec<ArtifactId> {
+    (0..n)
+        .map(|i| {
+            registry
+                .publish_delta(
+                    &format!("variant-{i}"),
+                    sha256(b"base"),
+                    &tiny_delta(900 + i as u64, 16),
+                )
+                .expect("publish")
+        })
+        .collect()
+}
+
+/// Store-bound replicas charge real artifact bytes through a few-delta
+/// host budget: evictions, disk misses and store-side prefetch.
+#[test]
+fn store_bound_is_pinned() {
+    let tr = trace(53, 3.0, 30.0);
+    let dir = temp_dir("store");
+    let registry = Registry::open(&dir).expect("registry");
+    let artifacts = publish_zoo(&registry, N_MODELS);
+    let bindings: Vec<DeltaStoreBinding> = (0..2)
+        .map(|_| {
+            let store = TieredDeltaStore::new(Registry::open(&dir).expect("registry"), 64 << 10);
+            DeltaStoreBinding::new(store, artifacts.clone())
+        })
+        .collect();
+    let sim = ClusterSim::new(
+        vec![cost(); 2],
+        ClusterConfig {
+            n_replicas: 2,
+            prefetch: Some(ClusterPrefetch::default()),
+            ..ClusterConfig::default()
+        },
+        Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
+            PopularityDist::Zipf { alpha: 1.3 },
+            N_MODELS,
+            2,
+        ))),
+    )
+    .with_stores(bindings);
+    check_cluster("lockstep_store", sim, &tr, PIN_LOCKSTEP_STORE);
+    let _ = std::fs::remove_dir_all(&dir);
 }
