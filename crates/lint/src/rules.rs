@@ -31,7 +31,8 @@ pub const RULE_IDS: &[&str] = &[
 
 /// Crates whose simulation state must stay iteration-order- and
 /// float-comparison-deterministic: these feed the `to_bits` differential
-/// suites (fleet/lockstep, toppings/legacy, traced/untraced chaos).
+/// suites and golden pins (cluster pins, toppings/legacy,
+/// traced/untraced chaos).
 pub const SIM_STATE_CRATES: &[&str] = &["serve", "store", "gpusim", "workload", "trace"];
 
 /// The one crate allowed to read wall clocks freely: the bench harness

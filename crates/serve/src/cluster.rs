@@ -48,7 +48,7 @@ use crate::Engine;
 use dz_gpusim::{EventClass, EventQueue};
 use dz_trace::{GaugeSample, TraceConfig, TraceEvent, TraceTrack, Tracer};
 use dz_workload::{PopularityDist, Request, Trace, TraceSpec};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 // ---------------------------------------------------------------------------
 // Router-visible replica state.
@@ -877,17 +877,11 @@ struct Pending {
     req: Request,
     delay: f64,
     defers: usize,
-    seq: u64,
 }
 
 impl Pending {
     fn arrival(&self) -> f64 {
         self.req.arrival + self.delay
-    }
-    /// Heap key: earliest arrival first, then original order. Arrivals are
-    /// non-negative, so the IEEE-754 bit pattern orders them correctly.
-    fn key(&self) -> (u64, u64) {
-        (self.arrival().to_bits(), self.seq)
     }
 }
 
@@ -1067,7 +1061,7 @@ impl ClusterSim {
     }
 
     /// Builds the per-replica front-end states (predicted warm sets,
-    /// amortized service rates) shared by both front ends.
+    /// amortized service rates) for [`run`](Self::run).
     fn build_states(&self, trace: &Trace, initial_live: usize) -> Vec<ReplicaFrontendState> {
         (0..self.config.n_replicas)
             .map(|r| {
@@ -1118,18 +1112,17 @@ impl ClusterSim {
 
     /// Replays the trace through the router and the replica engines.
     ///
-    /// This is the **event-driven** front end: chaos actions and request
-    /// arrivals merge on one global [`EventQueue`] keyed by
-    /// `(time, class, seq)`, where the chaos class orders before the
-    /// arrival class at an equal timestamp (a restart at `t` is visible
-    /// to a request arriving at `t` — the lockstep reference's tie
-    /// rule). Cost is O(events) heap operations instead of two manually
-    /// merged queues with ad-hoc peeking.
+    /// The front end is event-driven: chaos actions and request arrivals
+    /// merge on one global [`EventQueue`] keyed by `(time, class, seq)`,
+    /// where the chaos class orders before the arrival class at an equal
+    /// timestamp (a restart at `t` is visible to a request arriving at
+    /// `t`). Cost is O(events) heap operations.
     ///
-    /// Differential oracle: the retained
-    /// [`run_lockstep_reference`](Self::run_lockstep_reference) must
-    /// produce a bit-identical [`ClusterReport`] on every configuration;
-    /// `crates/serve/tests/fleet_equivalence.rs` pins that.
+    /// `crates/serve/tests/determinism_pins.rs` holds golden checksums of
+    /// the full [`ClusterReport`] on six small fleets (plain, admission +
+    /// prefetch, chaos with and without tracing, engine prefetch,
+    /// store-bound), taken from the lockstep front end this loop
+    /// replaced; any change to event ordering shows up there.
     pub fn run(&mut self, trace: &Trace) -> ClusterReport {
         const CLASS_CHAOS: EventClass = 0;
         const CLASS_ARRIVAL: EventClass = 1;
@@ -1152,17 +1145,15 @@ impl ClusterSim {
         // Arrivals still pending (deferred/parked re-entries included):
         // the autoscaler keeps ticking only while work remains.
         let mut arrivals_pending = 0usize;
-        for (seq, req) in trace.requests.iter().enumerate() {
+        for req in &trace.requests {
             let p = Pending {
                 req: req.clone(),
                 delay: 0.0,
                 defers: 0,
-                seq: seq as u64,
             };
             events.push_class(p.arrival(), CLASS_ARRIVAL, FrontEvent::Arrival(p));
             arrivals_pending += 1;
         }
-        let mut next_seq = trace.len() as u64;
         let mut routing = RoutingStats {
             per_replica_requests: vec![0; n],
             ..RoutingStats::default()
@@ -1262,9 +1253,7 @@ impl ClusterSim {
                                         },
                                         delay: t - orig_arrival,
                                         defers: 0,
-                                        seq: next_seq,
                                     };
-                                    next_seq += 1;
                                     events.push_class(
                                         p.arrival(),
                                         CLASS_ARRIVAL,
@@ -1489,10 +1478,8 @@ impl ClusterSim {
                         let deferred = Pending {
                             delay: p.delay + adm.defer_s,
                             defers: p.defers + 1,
-                            seq: next_seq,
                             req: p.req,
                         };
-                        next_seq += 1;
                         events.push_class(
                             deferred.arrival(),
                             CLASS_ARRIVAL,
@@ -1548,10 +1535,8 @@ impl ClusterSim {
                     Some(t_up) if t_up > now => {
                         let parked = Pending {
                             delay: t_up - p.req.arrival,
-                            seq: next_seq,
                             ..p
                         };
-                        next_seq += 1;
                         events.push_class(
                             parked.arrival(),
                             CLASS_ARRIVAL,
@@ -1676,582 +1661,9 @@ impl ClusterSim {
         )
     }
 
-    /// The original lockstep front end — two manually merged time-ordered
-    /// queues (arrivals and chaos actions) with ad-hoc peeking — retained
-    /// **verbatim** as the executable oracle for the event-driven
-    /// [`run`](Self::run). Both share the state-building and replay
-    /// phases; the merge logic under differential test is exactly what
-    /// [`run`](Self::run) rewrote.
-    pub fn run_lockstep_reference(&mut self, trace: &Trace) -> ClusterReport {
-        let n = self.config.n_replicas;
-        let chaos = self.chaos.clone();
-        let initial_live = chaos
-            .as_ref()
-            .and_then(|c| c.initial_replicas)
-            .unwrap_or(n)
-            .clamp(1, n);
-        let mut states = self.build_states(trace, initial_live);
-
-        // Front-end loop: requests in time order, deferred ones re-queued.
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>> =
-            std::collections::BinaryHeap::new();
-        let mut pending: HashMap<u64, Pending> = HashMap::new();
-        for (seq, req) in trace.requests.iter().enumerate() {
-            let p = Pending {
-                req: req.clone(),
-                delay: 0.0,
-                defers: 0,
-                seq: seq as u64,
-            };
-            heap.push(std::cmp::Reverse(p.key()));
-            pending.insert(seq as u64, p);
-        }
-        let mut next_seq = trace.len() as u64;
-        let mut routing = RoutingStats {
-            per_replica_requests: vec![0; n],
-            ..RoutingStats::default()
-        };
-        let mut shed: Vec<ShedRecord> = Vec::new();
-        let mut frontend_tracer = match self.trace_config {
-            Some(cfg) => Tracer::enabled(cfg),
-            None => Tracer::disabled(),
-        };
-        let mut migrations_seen = self.router.migrations();
-
-        // Chaos machinery: an absolute-time action queue interleaved
-        // with the request stream (faults fire *between* arrivals, in
-        // time order), per-replica brownout schedules handed to the
-        // replay engines, and a seeded RNG for rollout coin flips. All
-        // of it is independent of tracing, so a traced chaos run stays
-        // bit-identical in metrics to an untraced one.
-        let mut chaos_stats = chaos.as_ref().map(|_| ChaosStats {
-            min_live: initial_live,
-            max_live: initial_live,
-            ..ChaosStats::default()
-        });
-        let mut replica_brownouts: Vec<Vec<Brownout>> = vec![Vec::new(); n];
-        let mut chaos_actions: Vec<ChaosAction> = Vec::new();
-        let mut chaos_q: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>> =
-            std::collections::BinaryHeap::new();
-        let mut chaos_seq = 0u64;
-        fn push_chaos(
-            q: &mut std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64, usize)>>,
-            actions: &mut Vec<ChaosAction>,
-            seq: &mut u64,
-            at: f64,
-            action: ChaosAction,
-        ) {
-            let idx = actions.len();
-            actions.push(action);
-            q.push(std::cmp::Reverse((at.max(0.0).to_bits(), *seq, idx)));
-            *seq += 1;
-        }
-        let horizon = trace
-            .requests
-            .iter()
-            .map(|r| r.arrival)
-            .fold(0.0f64, f64::max);
-        if let Some(c) = &chaos {
-            for ev in c.plan.events() {
-                match ev.kind {
-                    FaultKind::Crash {
-                        replica,
-                        restart_after_s,
-                    } => push_chaos(
-                        &mut chaos_q,
-                        &mut chaos_actions,
-                        &mut chaos_seq,
-                        ev.at,
-                        ChaosAction::Crash {
-                            replica,
-                            restart_after_s,
-                        },
-                    ),
-                    FaultKind::Degrade { replica, brownout } => {
-                        if replica < n {
-                            replica_brownouts[replica].push(brownout);
-                        }
-                        push_chaos(
-                            &mut chaos_q,
-                            &mut chaos_actions,
-                            &mut chaos_seq,
-                            ev.at,
-                            ChaosAction::Degrade { replica },
-                        );
-                    }
-                }
-            }
-            if let Some(scaler) = c.autoscaler {
-                push_chaos(
-                    &mut chaos_q,
-                    &mut chaos_actions,
-                    &mut chaos_seq,
-                    scaler.interval_s.max(1e-3),
-                    ChaosAction::Tick,
-                );
-            }
-            frontend_tracer.gauge(|| GaugeSample {
-                at: 0.0,
-                live_replicas: initial_live,
-                ..GaugeSample::default()
-            });
-        }
-        let n_rollouts = chaos.as_ref().map_or(0, |c| c.rollouts.len());
-        let mut rollout_started = vec![false; n_rollouts];
-        let mut rollout_done = vec![false; n_rollouts];
-        let mut chaos_rng =
-            dz_tensor::Rng::seeded(chaos.as_ref().map_or(0, |c| c.seed) ^ 0xD17E_C4A0);
-        let mut last_scale_at = f64::NEG_INFINITY;
-
-        loop {
-            // Fire every chaos action due before the next arrival, at
-            // its own timestamp (ties: chaos first, so a restart at t is
-            // visible to a request arriving at t).
-            let next_arrival = heap
-                .peek()
-                .map(|std::cmp::Reverse((bits, _))| f64::from_bits(*bits));
-            let next_chaos = chaos_q
-                .peek()
-                .map(|std::cmp::Reverse((bits, _, _))| f64::from_bits(*bits));
-            let fire_chaos = match (next_chaos, next_arrival) {
-                (Some(c), Some(a)) => c <= a,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if fire_chaos {
-                let std::cmp::Reverse((bits, _, idx)) = chaos_q.pop().expect("peeked above");
-                let t = f64::from_bits(bits);
-                let stats = chaos_stats.as_mut().expect("chaos actions imply config");
-                match chaos_actions[idx] {
-                    ChaosAction::Crash {
-                        replica,
-                        restart_after_s,
-                    } => {
-                        if replica < n && states[replica].alive {
-                            let lost = states[replica].crash(t);
-                            stats.crashes += 1;
-                            stats.lost_in_flight += lost.len();
-                            let lost_n = lost.len();
-                            frontend_tracer.emit(|| TraceEvent::ReplicaDown {
-                                replica,
-                                lost: lost_n,
-                                at: t,
-                            });
-                            // Lost in-flight requests re-enter the front
-                            // end at the crash instant; the wasted wait
-                            // becomes queue time from their viewpoint.
-                            for (req, global_id, delay, _) in lost {
-                                let orig_arrival = req.arrival - delay;
-                                let p = Pending {
-                                    req: Request {
-                                        arrival: orig_arrival,
-                                        id: global_id,
-                                        ..req
-                                    },
-                                    delay: t - orig_arrival,
-                                    defers: 0,
-                                    seq: next_seq,
-                                };
-                                next_seq += 1;
-                                heap.push(std::cmp::Reverse(p.key()));
-                                pending.insert(p.seq, p);
-                            }
-                            if let Some(d) = restart_after_s {
-                                states[replica].pending_restart = true;
-                                push_chaos(
-                                    &mut chaos_q,
-                                    &mut chaos_actions,
-                                    &mut chaos_seq,
-                                    t + d.max(0.0),
-                                    ChaosAction::Restart { replica },
-                                );
-                            }
-                            let live = states.iter().filter(|s| s.alive).count();
-                            stats.min_live = stats.min_live.min(live);
-                            frontend_tracer.gauge(|| GaugeSample {
-                                at: t,
-                                live_replicas: live,
-                                ..GaugeSample::default()
-                            });
-                        }
-                    }
-                    ChaosAction::Restart { replica } => {
-                        if replica < n && !states[replica].alive {
-                            states[replica].revive(t);
-                            stats.restarts += 1;
-                            frontend_tracer.emit(|| TraceEvent::ReplicaUp { replica, at: t });
-                            let live = states.iter().filter(|s| s.alive).count();
-                            stats.max_live = stats.max_live.max(live);
-                            frontend_tracer.gauge(|| GaugeSample {
-                                at: t,
-                                live_replicas: live,
-                                ..GaugeSample::default()
-                            });
-                        }
-                    }
-                    ChaosAction::Degrade { replica } => {
-                        if replica < n {
-                            stats.brownouts += 1;
-                        }
-                    }
-                    ChaosAction::Tick => {
-                        let scaler = chaos
-                            .as_ref()
-                            .and_then(|c| c.autoscaler)
-                            .expect("tick implies autoscaler");
-                        let live_ids: Vec<usize> = (0..n).filter(|&r| states[r].alive).collect();
-                        // An empty live set is infinite pressure: bring
-                        // anything available back immediately.
-                        let mean_backlog = if live_ids.is_empty() {
-                            f64::INFINITY
-                        } else {
-                            live_ids
-                                .iter()
-                                .map(|&r| (states[r].busy_until - t).max(0.0))
-                                .sum::<f64>()
-                                / live_ids.len() as f64
-                        };
-                        if t - last_scale_at >= scaler.cooldown_s {
-                            match scaler.decide(live_ids.len(), mean_backlog) {
-                                1 => {
-                                    let spare = (0..n)
-                                        .find(|&r| !states[r].alive && !states[r].pending_restart);
-                                    if let Some(r) = spare {
-                                        states[r].revive(t);
-                                        stats.scale_ups += 1;
-                                        last_scale_at = t;
-                                        frontend_tracer
-                                            .emit(|| TraceEvent::ScaleUp { replica: r, at: t });
-                                        let live = live_ids.len() + 1;
-                                        stats.max_live = stats.max_live.max(live);
-                                        frontend_tracer.gauge(|| GaugeSample {
-                                            at: t,
-                                            live_replicas: live,
-                                            ..GaugeSample::default()
-                                        });
-                                    }
-                                }
-                                -1 => {
-                                    // Drain the emptiest live replica: it
-                                    // stops receiving traffic but keeps
-                                    // (and finishes) its in-flight work.
-                                    let victim = live_ids.iter().copied().min_by(|&a, &b| {
-                                        states[a]
-                                            .busy_until
-                                            .total_cmp(&states[b].busy_until)
-                                            .then(a.cmp(&b))
-                                    });
-                                    if let Some(r) = victim {
-                                        states[r].alive = false;
-                                        stats.scale_downs += 1;
-                                        last_scale_at = t;
-                                        frontend_tracer
-                                            .emit(|| TraceEvent::ScaleDown { replica: r, at: t });
-                                        let live = live_ids.len() - 1;
-                                        stats.min_live = stats.min_live.min(live);
-                                        frontend_tracer.gauge(|| GaugeSample {
-                                            at: t,
-                                            live_replicas: live,
-                                            ..GaugeSample::default()
-                                        });
-                                    }
-                                }
-                                _ => {}
-                            }
-                        }
-                        // Keep ticking while there is work left to serve.
-                        if !heap.is_empty() || t < horizon {
-                            push_chaos(
-                                &mut chaos_q,
-                                &mut chaos_actions,
-                                &mut chaos_seq,
-                                t + scaler.interval_s.max(1e-3),
-                                ChaosAction::Tick,
-                            );
-                        }
-                    }
-                }
-                continue;
-            }
-
-            let Some(std::cmp::Reverse((_, seq))) = heap.pop() else {
-                break;
-            };
-            let mut p = match pending.remove(&seq) {
-                Some(p) => p,
-                None => continue,
-            };
-            let now = p.arrival();
-
-            // Rolling rollouts: a seeded, growing fraction of the v1
-            // model's traffic is remapped to its v2 delta.
-            if let Some(c) = &chaos {
-                for (i, ro) in c.rollouts.iter().enumerate() {
-                    let frac = ro.fraction_at(now);
-                    if frac > 0.0 && !rollout_started[i] {
-                        rollout_started[i] = true;
-                        frontend_tracer.emit(|| TraceEvent::Rollout {
-                            model: ro.model,
-                            v2: ro.v2,
-                            frac,
-                            at: now,
-                        });
-                    }
-                    if p.req.model == ro.model && frac > 0.0 && chaos_rng.bernoulli(frac) {
-                        p.req.model = ro.v2;
-                        chaos_stats
-                            .as_mut()
-                            .expect("rollouts imply chaos config")
-                            .rollout_remapped += 1;
-                    }
-                    if frac >= 1.0 && !rollout_done[i] {
-                        rollout_done[i] = true;
-                        frontend_tracer.emit(|| TraceEvent::Rollout {
-                            model: ro.model,
-                            v2: ro.v2,
-                            frac: 1.0,
-                            at: now,
-                        });
-                    }
-                }
-            }
-
-            for state in &mut states {
-                state.prune(now);
-            }
-            let mut views: Vec<ReplicaView> = states
-                .iter()
-                .enumerate()
-                .map(|(r, s)| {
-                    let mut v = s.view(r, now, p.req.model);
-                    // A browned-out channel inflates the router's load
-                    // estimates: cold loads ride disk, decode rides PCIe.
-                    let (disk_rate, pcie_rate) = brownout_rates(&replica_brownouts[r], now);
-                    v.cold_load_s /= disk_rate;
-                    v.warm_load_s /= pcie_rate;
-                    v
-                })
-                .collect();
-            if !self.model_needs_delta(p.req.model) {
-                // Non-delta variants (base weights, MB-scale adapters) are
-                // resident on every live replica: the router sees them as
-                // warm everywhere and charges no swap-in.
-                for v in &mut views {
-                    v.warm = true;
-                    v.decoded = true;
-                    v.cold_load_s = 0.0;
-                    v.warm_load_s = 0.0;
-                }
-            }
-            let live_now = views.iter().filter(|v| v.alive).count();
-            if let Some(stats) = chaos_stats.as_mut() {
-                stats.min_live = stats.min_live.min(live_now);
-                stats.max_live = stats.max_live.max(live_now);
-            }
-
-            // SLO-aware admission: Batch requests defer, then shed, when
-            // even the least-loaded *live* replica is saturated (a fleet
-            // with zero live capacity counts as infinitely deep).
-            if let Some(adm) = &self.config.admission {
-                if adm.slo.class_of(p.req.model) == SloClass::Batch {
-                    let min_depth = views
-                        .iter()
-                        .filter(|v| v.alive)
-                        .map(|v| v.queue_depth)
-                        .min()
-                        .unwrap_or(usize::MAX);
-                    if min_depth >= adm.defer_depth && p.defers < adm.max_defers {
-                        routing.defer_events += 1;
-                        frontend_tracer.emit(|| TraceEvent::Defer {
-                            id: p.req.id,
-                            model: p.req.model,
-                            at: now,
-                        });
-                        let deferred = Pending {
-                            delay: p.delay + adm.defer_s,
-                            defers: p.defers + 1,
-                            seq: next_seq,
-                            req: p.req,
-                        };
-                        next_seq += 1;
-                        heap.push(std::cmp::Reverse(deferred.key()));
-                        pending.insert(deferred.seq, deferred);
-                        continue;
-                    }
-                    if min_depth >= adm.shed_depth {
-                        routing.shed += 1;
-                        frontend_tracer.emit(|| TraceEvent::Shed {
-                            id: p.req.id,
-                            model: p.req.model,
-                            at: now,
-                        });
-                        shed.push(ShedRecord {
-                            id: p.req.id,
-                            model: p.req.model,
-                            arrival: p.req.arrival,
-                            class: SloClass::Batch,
-                        });
-                        continue;
-                    }
-                }
-            }
-
-            // Zero effective capacity (every replica down or draining):
-            // park the request until the next capacity event — a
-            // scheduled restart or an autoscaler tick that could
-            // activate a spare. If nothing will ever bring capacity
-            // back, shed instead of looping: graceful degradation, not
-            // a hang.
-            if live_now == 0 {
-                let can_scale_up = chaos
-                    .as_ref()
-                    .and_then(|c| c.autoscaler)
-                    .is_some_and(|s| s.max_replicas > 0)
-                    && states.iter().any(|s| !s.alive && !s.pending_restart);
-                let next_up = chaos_q
-                    .iter()
-                    .filter_map(
-                        |std::cmp::Reverse((bits, _, idx))| match chaos_actions[*idx] {
-                            ChaosAction::Restart { .. } => Some(f64::from_bits(*bits)),
-                            ChaosAction::Tick if can_scale_up => Some(f64::from_bits(*bits)),
-                            _ => None,
-                        },
-                    )
-                    .fold(None, |acc: Option<f64>, t| {
-                        Some(acc.map_or(t, |a| a.min(t)))
-                    });
-                match next_up {
-                    Some(t_up) if t_up > now => {
-                        let parked = Pending {
-                            delay: t_up - p.req.arrival,
-                            seq: next_seq,
-                            ..p
-                        };
-                        next_seq += 1;
-                        heap.push(std::cmp::Reverse(parked.key()));
-                        pending.insert(parked.seq, parked);
-                    }
-                    _ => {
-                        routing.shed += 1;
-                        if let Some(stats) = chaos_stats.as_mut() {
-                            stats.shed_no_capacity += 1;
-                        }
-                        frontend_tracer.emit(|| TraceEvent::Shed {
-                            id: p.req.id,
-                            model: p.req.model,
-                            at: now,
-                        });
-                        let class = self
-                            .config
-                            .admission
-                            .as_ref()
-                            .map(|a| a.slo.class_of(p.req.model))
-                            .unwrap_or(SloClass::Batch);
-                        shed.push(ShedRecord {
-                            id: p.req.id,
-                            model: p.req.model,
-                            arrival: p.req.arrival,
-                            class,
-                        });
-                    }
-                }
-                continue;
-            }
-
-            let r = self.router.route(&p.req, &views);
-            assert!(r < n, "router returned replica {r} of {n}");
-            assert!(views[r].alive, "router selected dead replica {r}");
-            let migrations_now = self.router.migrations();
-            if migrations_now > migrations_seen {
-                let count = migrations_now - migrations_seen;
-                frontend_tracer.emit(|| TraceEvent::Migrate { count, at: now });
-                migrations_seen = migrations_now;
-            }
-            let warm = views[r].warm;
-            if warm {
-                routing.warm_routed += 1;
-                // A warm hit on a prewarmed entry rewards the hint that
-                // placed it (counted once per prewarm).
-                if states[r].prefetched.remove(&p.req.model) {
-                    routing.prefetch_hits += 1;
-                }
-            } else {
-                routing.cold_routed += 1;
-                if views.iter().any(|v| v.warm) {
-                    routing.placement_misses += 1;
-                }
-            }
-            routing.per_replica_requests[r] += 1;
-            // Apply the router's prefetch hints: prewarm the predicted
-            // caches and, when store-bound, the real ones (budgeted).
-            if let Some(pf) = self.config.prefetch {
-                for hint in self
-                    .router
-                    .prefetch_hints(&p.req, &views, r)
-                    .into_iter()
-                    .take(pf.max_hints_per_decision)
-                {
-                    if hint.replica >= n {
-                        continue;
-                    }
-                    // Hint budget is for GB-scale deltas only; adapters
-                    // and base weights need no placement.
-                    if !self.model_needs_delta(hint.model) {
-                        continue;
-                    }
-                    // A hint aimed at a dead replica is dropped, not
-                    // leaked into its predicted (or real) cache.
-                    if !views[hint.replica].alive {
-                        if let Some(stats) = chaos_stats.as_mut() {
-                            stats.dropped_hints += 1;
-                        }
-                        continue;
-                    }
-                    routing.prefetch_hints += 1;
-                    if states[hint.replica].prefetch_warm(hint.model) {
-                        routing.prefetch_issued += 1;
-                        if let Some(bindings) = self.bindings.as_mut() {
-                            let binding = &mut bindings[hint.replica];
-                            if let Some(id) = binding.artifact_of(hint.model).copied() {
-                                let _ = binding.store_mut().prefetch(&[id], pf.budget_bytes);
-                            }
-                        }
-                    }
-                }
-            }
-            let state = &mut states[r];
-            let est = self.costs[r].prefill_time(p.req.prompt_tokens)
-                + p.req.output_tokens as f64 * state.per_token_s
-                + if warm { 0.0 } else { views[r].cold_load_s };
-            if self.model_needs_delta(p.req.model) {
-                // Adapter/base models must not occupy predicted
-                // delta-warm-set capacity.
-                state.touch_used(p.req.model);
-            }
-            state.charge(now, est);
-            let est_finish = state.busy_until;
-            let mut admitted = p.req.clone();
-            admitted.arrival = now;
-            state
-                .assigned
-                .push((admitted, p.req.id, p.delay, est_finish));
-        }
-
-        self.replay_and_report(
-            trace,
-            states,
-            routing,
-            shed,
-            chaos_stats,
-            frontend_tracer,
-            &replica_brownouts,
-        )
-    }
-
     /// Replays each replica's assignments on its own engine(s) and
-    /// assembles the [`ClusterReport`] — the deterministic back half
-    /// shared by [`run`](Self::run) and
-    /// [`run_lockstep_reference`](Self::run_lockstep_reference).
+    /// assembles the [`ClusterReport`] — the deterministic back half of
+    /// [`run`](Self::run).
     #[allow(clippy::too_many_arguments)]
     fn replay_and_report(
         &mut self,

@@ -273,7 +273,7 @@ const PIN_LOCKSTEP_STORE: u64 = 0x77be2329e2fb481b;
 
 /// Runs `sim` on `tr` and checks the report against a lockstep pin.
 fn check_cluster(tag: &str, mut sim: ClusterSim, tr: &Trace, pinned: u64) {
-    let report = sim.run_lockstep_reference(tr);
+    let report = sim.run(tr);
     let mut pin = Pin::new();
     pin.cluster_report(&report);
     check(tag, pin.0, pinned);
