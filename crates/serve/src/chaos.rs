@@ -3,7 +3,8 @@
 //!
 //! A fleet that only ever sees healthy replicas is a fleet nobody has
 //! operated. This module scripts the unhappy paths against
-//! [`ClusterSim`](crate::cluster::ClusterSim):
+//! [`ClusterSim`](crate::cluster::ClusterSim) and, for crashes and
+//! autoscaling, against the compact [`FleetSim`](crate::fleet::FleetSim):
 //!
 //! * [`FaultPlan`] — a deterministic, seeded schedule of
 //!   [`FaultEvent`]s: replica crashes (warm sets and in-flight requests

@@ -21,6 +21,13 @@
 //!   and consistent hashing route without touching all `R` replicas;
 //!   [`FleetRouter::GlobalLeastCost`] keeps the O(R) global scan as the
 //!   baseline that stops scaling.
+//! * **Chaos on the shared vocabulary**: crashes come from a
+//!   [`FaultPlan`] and elasticity from an [`Autoscaler`], the same types
+//!   [`ClusterSim`](crate::cluster::ClusterSim) takes, with the same
+//!   rules: each crash carries its own restart delay, a restart revives
+//!   only a replica that is still down, and scale-up never activates a
+//!   replica whose restart is pending. Brownouts ([`FaultKind::Degrade`])
+//!   are rejected: compact replicas have no load channels to slow.
 //! * **Determinism**: same seed → identical event sequence. The optional
 //!   event log ([`FleetReport::event_log`]) exists so tests can replay a
 //!   run and compare logs bit-for-bit.
@@ -29,6 +36,7 @@
 //! lands before departures before arrivals before ticks), then by
 //! insertion sequence — see [`EventQueue`] for the `(at, class, seq)` key.
 
+use crate::chaos::{Autoscaler, FaultKind, FaultPlan};
 use crate::cluster::PlacementPlan;
 use dz_gpusim::{EventClass, EventQueue};
 use dz_tensor::Rng;
@@ -195,34 +203,6 @@ fn splitmix64(mut x: u64) -> u64 {
 // Configuration.
 // ---------------------------------------------------------------------------
 
-/// One injected fault: `replica` dies at `at` (losing its warm set) and
-/// restarts `down_s` later with a cold cache but an intact disk.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetFault {
-    /// Simulation time of the failure (s).
-    pub at: f64,
-    /// Replica to kill.
-    pub replica: usize,
-    /// Seconds until the replica rejoins.
-    pub down_s: f64,
-}
-
-/// Reactive autoscaling on the fleet's event clock: every `interval_s`
-/// a tick samples mean live backlog and activates a dormant replica
-/// (above `hi_backlog_s`) or drains the highest-id live one (below
-/// `lo_backlog_s`, never under `min_live`).
-#[derive(Debug, Clone, Copy)]
-pub struct FleetAutoscale {
-    /// Seconds between scale ticks.
-    pub interval_s: f64,
-    /// Mean backlog (s) above which a dormant replica is activated.
-    pub hi_backlog_s: f64,
-    /// Mean backlog (s) below which a live replica is drained.
-    pub lo_backlog_s: f64,
-    /// Floor on live replicas.
-    pub min_live: usize,
-}
-
 /// Configuration for a [`FleetSim`] run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -240,10 +220,16 @@ pub struct FleetConfig {
     pub startup_s: f64,
     /// Seed for routing randomness (p2c sampling).
     pub seed: u64,
-    /// Injected faults, any order; applied on the event clock.
-    pub faults: Vec<FleetFault>,
-    /// Optional autoscaler driven by scale-tick events.
-    pub autoscale: Option<FleetAutoscale>,
+    /// Injected crashes, applied on the event clock. A crashed replica
+    /// loses its warm set but keeps its disk, and restarts cold after
+    /// its own `restart_after_s` (`None`: stays down until the
+    /// autoscaler activates it). Only [`FaultKind::Crash`] is allowed.
+    pub faults: FaultPlan,
+    /// Optional autoscaler, sampled every `interval_s` over the live
+    /// replicas' mean backlog: scale-up activates the lowest-id down
+    /// replica without a pending restart, scale-down drains the live
+    /// replica that empties first; `cooldown_s` spaces actions.
+    pub autoscale: Option<Autoscaler>,
     /// On an object-store pull, also replicate the delta to one other
     /// plan home's disk (prefetch-land event, off the critical path).
     pub prefetch_homes: bool,
@@ -265,7 +251,7 @@ impl FleetConfig {
             per_token_s: 0.0003,
             startup_s: 0.02,
             seed: 0x0F1E_E7F1,
-            faults: Vec::new(),
+            faults: FaultPlan::none(),
             autoscale: None,
             prefetch_homes: true,
             record_events: false,
@@ -371,8 +357,13 @@ enum FleetEvent {
     SwapLand { replica: usize, model: usize },
     /// An edge-replication prefetch landed on a replica's disk.
     PrefetchLand { replica: usize, model: usize },
-    /// A fault from the plan fires (kill), or a restart (rejoin).
-    Fault { replica: usize, restart: bool },
+    /// A crash from the fault plan fires.
+    Crash {
+        replica: usize,
+        restart_after_s: Option<f64>,
+    },
+    /// A crashed replica rejoins, cold.
+    Restart { replica: usize },
     /// Autoscale tick.
     Tick,
 }
@@ -383,10 +374,24 @@ struct FleetReplica {
     /// Simulation time the replica drains its queue (s).
     busy_until: f64,
     queue_depth: usize,
+    /// Down after a crash whose restart is scheduled: the autoscaler
+    /// must not activate it early.
+    pending_restart: bool,
     /// Warm set with LRU stamps (bounded by `warm_capacity`). Ordered so
     /// the eviction scan below is iteration-order-deterministic.
     warm: BTreeMap<usize, u64>,
     served: u64,
+}
+
+impl FleetReplica {
+    /// Brings the replica (back) up at `t` with an empty queue; its warm
+    /// set was cleared when it went down.
+    fn revive(&mut self, t: f64) {
+        self.alive = true;
+        self.pending_restart = false;
+        self.busy_until = t;
+        self.queue_depth = 0;
+    }
 }
 
 /// The fleet-scale event-driven simulator. See the module docs.
@@ -399,8 +404,21 @@ pub struct FleetSim {
 impl FleetSim {
     /// Creates a fleet; the placement plan seeds which replicas hold each
     /// delta on disk at t = 0 (everything else starts object-store-only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_replicas` is zero or the fault plan holds a
+    /// [`FaultKind::Degrade`] (compact replicas have no load channels).
     pub fn new(config: FleetConfig, plan: PlacementPlan, router: FleetRouter) -> Self {
         assert!(config.n_replicas > 0, "fleet needs at least one replica");
+        assert!(
+            config
+                .faults
+                .events()
+                .iter()
+                .all(|e| matches!(e.kind, FaultKind::Crash { .. })),
+            "fleet replicas have no load channels: Degrade faults are unsupported"
+        );
         FleetSim {
             config,
             plan,
@@ -452,27 +470,28 @@ impl FleetSim {
             });
             work_events += 1;
         }
-        for f in &cfg.faults {
-            if f.replica < n {
-                events.push_class(
-                    f.at.max(0.0),
-                    CLASS_FAULT,
-                    FleetEvent::Fault {
-                        replica: f.replica,
-                        restart: false,
-                    },
-                );
+        for ev in cfg.faults.events() {
+            if let FaultKind::Crash {
+                replica,
+                restart_after_s,
+            } = ev.kind
+            {
+                if replica < n {
+                    events.push_class(
+                        ev.at.max(0.0),
+                        CLASS_FAULT,
+                        FleetEvent::Crash {
+                            replica,
+                            restart_after_s,
+                        },
+                    );
+                }
             }
         }
-        let mut fault_down: HashMap<usize, f64> = cfg
-            .faults
-            .iter()
-            .filter(|f| f.replica < n)
-            .map(|f| (f.replica, f.down_s))
-            .collect();
-        if let Some(scale) = cfg.autoscale {
-            events.push_class(scale.interval_s.max(1e-3), CLASS_TICK, FleetEvent::Tick);
+        if let Some(scaler) = cfg.autoscale {
+            events.push_class(scaler.interval_s.max(1e-3), CLASS_TICK, FleetEvent::Tick);
         }
+        let mut last_scale_at = f64::NEG_INFINITY;
 
         let mut rng = Rng::seeded(cfg.seed ^ 0xF1EE_7517);
         let mut rr_cursor = 0usize;
@@ -515,36 +534,43 @@ impl FleetSim {
                     | FleetEvent::PrefetchLand { replica, model } => {
                         ((*replica as u64) << 32) | *model as u64
                     }
-                    FleetEvent::Fault { replica, .. } => *replica as u64,
+                    FleetEvent::Crash { replica, .. } | FleetEvent::Restart { replica } => {
+                        *replica as u64
+                    }
                     FleetEvent::Tick => 0,
                 };
                 log.push(FleetLogEntry { at: t, class, key });
             }
             match event {
-                FleetEvent::Fault { replica, restart } => {
-                    if restart {
-                        replicas[replica].alive = true;
-                        replicas[replica].busy_until = t;
-                        replicas[replica].queue_depth = 0;
-                        live_count += 1;
-                    } else if replicas[replica].alive {
+                FleetEvent::Crash {
+                    replica,
+                    restart_after_s,
+                } => {
+                    let r = &mut replicas[replica];
+                    if r.alive {
                         // Warm cache dies with the process; the disk (and
                         // its holder entries) survives the restart.
-                        replicas[replica].alive = false;
-                        replicas[replica].warm.clear();
+                        r.alive = false;
+                        r.warm.clear();
                         live_count -= 1;
-                        let down = fault_down.remove(&replica).unwrap_or(10.0);
-                        events.push_class(
-                            t + down.max(1e-3),
-                            CLASS_FAULT,
-                            FleetEvent::Fault {
-                                replica,
-                                restart: true,
-                            },
-                        );
+                        ring_dirty = true;
+                        if let Some(d) = restart_after_s {
+                            r.pending_restart = true;
+                            events.push_class(
+                                t + d.max(0.0),
+                                CLASS_FAULT,
+                                FleetEvent::Restart { replica },
+                            );
+                        }
                     }
-                    peak_live = peak_live.max(live_count);
-                    ring_dirty = true;
+                }
+                FleetEvent::Restart { replica } => {
+                    if !replicas[replica].alive {
+                        replicas[replica].revive(t);
+                        live_count += 1;
+                        peak_live = peak_live.max(live_count);
+                        ring_dirty = true;
+                    }
                 }
                 FleetEvent::SwapLand { replica, model } => {
                     inflight.remove(&(replica, model));
@@ -572,36 +598,56 @@ impl FleetSim {
                     makespan = makespan.max(t);
                 }
                 FleetEvent::Tick => {
-                    let scale = cfg.autoscale.expect("tick without autoscaler");
-                    let (mut backlog, mut live) = (0.0, 0usize);
-                    for r in replicas.iter().filter(|r| r.alive) {
-                        backlog += (r.busy_until - t).max(0.0);
-                        live += 1;
-                    }
-                    let mean = if live > 0 {
-                        backlog / live as f64
+                    let Some(scaler) = cfg.autoscale else {
+                        continue;
+                    };
+                    let backlog: f64 = replicas
+                        .iter()
+                        .filter(|r| r.alive)
+                        .map(|r| (r.busy_until - t).max(0.0))
+                        .sum();
+                    // An empty live set is infinite pressure.
+                    let mean = if live_count > 0 {
+                        backlog / live_count as f64
                     } else {
                         f64::INFINITY
                     };
-                    if mean > scale.hi_backlog_s {
-                        // Activate the lowest-id dormant replica.
-                        if let Some(i) = replicas.iter().position(|r| !r.alive) {
-                            replicas[i].alive = true;
-                            replicas[i].busy_until = t;
-                            replicas[i].queue_depth = 0;
-                            live_count += 1;
-                            ring_dirty = true;
-                        }
-                    } else if mean < scale.lo_backlog_s && live > scale.min_live {
-                        // Drain the highest-id live replica.
-                        if let Some(i) = replicas.iter().rposition(|r| r.alive) {
-                            replicas[i].alive = false;
-                            replicas[i].warm.clear();
-                            live_count -= 1;
-                            ring_dirty = true;
+                    if t - last_scale_at >= scaler.cooldown_s {
+                        match scaler.decide(live_count, mean) {
+                            1 => {
+                                // Activate the lowest-id down replica that
+                                // no restart will bring back anyway.
+                                let spare =
+                                    replicas.iter().position(|r| !r.alive && !r.pending_restart);
+                                if let Some(i) = spare {
+                                    replicas[i].revive(t);
+                                    live_count += 1;
+                                    peak_live = peak_live.max(live_count);
+                                    ring_dirty = true;
+                                    last_scale_at = t;
+                                }
+                            }
+                            -1 => {
+                                // Drain the live replica that empties
+                                // first; its in-flight work still departs.
+                                let victim =
+                                    (0..n).filter(|&i| replicas[i].alive).min_by(|&a, &b| {
+                                        replicas[a]
+                                            .busy_until
+                                            .total_cmp(&replicas[b].busy_until)
+                                            .then(a.cmp(&b))
+                                    });
+                                if let Some(i) = victim {
+                                    replicas[i].alive = false;
+                                    replicas[i].warm.clear();
+                                    live_count -= 1;
+                                    ring_dirty = true;
+                                    last_scale_at = t;
+                                }
+                            }
+                            _ => {}
                         }
                     }
-                    peak_live = peak_live.max(live_count);
                     tracer.gauge(|| GaugeSample {
                         at: t,
                         queue_depth: replicas.iter().map(|r| r.queue_depth).sum(),
@@ -615,7 +661,7 @@ impl FleetSim {
                         host_bytes: 0.0,
                         inflight_demand: inflight.len(),
                         inflight_prefetch: 0,
-                        live_replicas: live,
+                        live_replicas: live_count,
                     });
                     // Keep ticking while serving work remains; a heap
                     // holding only faults/ticks must not keep the run
@@ -623,7 +669,7 @@ impl FleetSim {
                     // the clock forever).
                     if work_events > 0 {
                         events.push_class(
-                            t + scale.interval_s.max(1e-3),
+                            t + scaler.interval_s.max(1e-3),
                             CLASS_TICK,
                             FleetEvent::Tick,
                         );
@@ -914,7 +960,28 @@ impl FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{Brownout, FaultEvent};
     use dz_workload::{PopularityDist, TraceSpec};
+
+    fn crash(at: f64, replica: usize, restart_after_s: Option<f64>) -> FaultEvent {
+        FaultEvent {
+            at,
+            kind: FaultKind::Crash {
+                replica,
+                restart_after_s,
+            },
+        }
+    }
+
+    fn fault_times(rep: &FleetReport) -> Vec<f64> {
+        rep.event_log
+            .as_ref()
+            .expect("recording enabled")
+            .iter()
+            .filter(|e| e.class == CLASS_FAULT)
+            .map(|e| e.at)
+            .collect()
+    }
 
     fn small_trace(seed: u64) -> Trace {
         Trace::generate_fast(TraceSpec {
@@ -1010,26 +1077,56 @@ mod tests {
     fn faults_lose_warmth_but_not_disk() {
         let tr = small_trace(13);
         let mut cfg = FleetConfig::new(4);
-        cfg.faults = vec![FleetFault {
-            at: 20.0,
-            replica: 0,
-            down_s: 5.0,
-        }];
+        cfg.faults = FaultPlan::scripted(vec![crash(20.0, 0, Some(5.0))]);
         cfg.record_events = true;
         let plan = plan_for(&tr, 4);
         let rep = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 3 }).run(&tr);
         assert_eq!(rep.served + rep.shed, tr.len());
         assert_eq!(rep.shed, 0, "three live replicas remain during the outage");
-        let log = rep.event_log.expect("recording enabled");
         // Kill and restart both appear, in order, at the right times.
-        let faults: Vec<&FleetLogEntry> = log.iter().filter(|e| e.class == CLASS_FAULT).collect();
+        let faults = fault_times(&rep);
         assert_eq!(faults.len(), 2);
-        assert!((faults[0].at - 20.0).abs() < 1e-9);
-        assert!((faults[1].at - 25.0).abs() < 1e-9);
+        assert!((faults[0] - 20.0).abs() < 1e-9);
+        assert!((faults[1] - 25.0).abs() < 1e-9);
     }
 
     #[test]
-    fn autoscaler_activates_dormant_capacity_under_load() {
+    fn each_crash_restarts_after_its_own_delay() {
+        let tr = small_trace(19);
+        let mut cfg = FleetConfig::new(4);
+        cfg.faults = FaultPlan::scripted(vec![crash(5.0, 0, Some(3.0)), crash(20.0, 0, Some(7.0))]);
+        cfg.record_events = true;
+        let plan = plan_for(&tr, 4);
+        let rep = FleetSim::new(cfg, plan, FleetRouter::RoundRobin).run(&tr);
+        assert_eq!(fault_times(&rep), vec![5.0, 8.0, 20.0, 27.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "Degrade faults are unsupported")]
+    fn degrade_faults_are_rejected() {
+        let mut cfg = FleetConfig::new(2);
+        cfg.faults = FaultPlan::scripted(vec![FaultEvent {
+            at: 1.0,
+            kind: FaultKind::Degrade {
+                replica: 0,
+                brownout: Brownout {
+                    start_s: 1.0,
+                    end_s: 5.0,
+                    disk_rate: 0.5,
+                    pcie_rate: 0.5,
+                },
+            },
+        }]);
+        let _ = FleetSim::new(
+            cfg,
+            PlacementPlan::from_weights(&[], 2),
+            FleetRouter::RoundRobin,
+        );
+    }
+
+    /// Eight replicas, 4..8 crashed at t=0 with `restart` as their
+    /// restart delay, at 40 rps under `autoscale`.
+    fn half_crashed_fleet(restart: Option<f64>, autoscale: Option<Autoscaler>) -> FleetReport {
         let tr = Trace::generate_fast(TraceSpec {
             n_models: 16,
             arrival_rate: 40.0,
@@ -1038,25 +1135,48 @@ mod tests {
             seed: 17,
         });
         let mut cfg = FleetConfig::new(8);
-        // Start with half the fleet drained via an immediate tick policy:
-        // high load must activate dormant replicas.
-        cfg.autoscale = Some(FleetAutoscale {
-            interval_s: 1.0,
-            hi_backlog_s: 0.5,
-            lo_backlog_s: 0.01,
-            min_live: 2,
-        });
-        cfg.faults = (4..8)
-            .map(|r| FleetFault {
-                at: 0.0,
-                replica: r,
-                down_s: 1e9, // never restarts on its own
-            })
-            .collect();
+        cfg.autoscale = autoscale;
+        cfg.faults = FaultPlan::scripted((4..8).map(|r| crash(0.0, r, restart)).collect());
+        cfg.record_events = true;
         let plan = plan_for(&tr, 8);
         let rep = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 5 }).run(&tr);
         assert_eq!(rep.served + rep.shed, tr.len());
+        rep
+    }
+
+    /// Scales up past 0.5 s of mean backlog, every 1 s, no cooldown.
+    fn eager_scaler(down_backlog_s: f64) -> Autoscaler {
+        Autoscaler {
+            min_replicas: 2,
+            max_replicas: 8,
+            up_backlog_s: 0.5,
+            down_backlog_s,
+            interval_s: 1.0,
+            cooldown_s: 0.0,
+        }
+    }
+
+    #[test]
+    fn autoscaler_activates_dormant_capacity_under_load() {
+        // No restarts: high load must activate the dormant replicas, and
+        // never count one twice.
+        let rep = half_crashed_fleet(None, Some(eager_scaler(0.01)));
         assert!(rep.peak_live > 4, "autoscaler must add capacity");
+        assert!(rep.peak_live <= 8, "peak_live {} > 8", rep.peak_live);
+    }
+
+    #[test]
+    fn autoscaler_leaves_pending_restarts_to_their_restart() {
+        // The crashed half restarts at t=10 on its own. Scale-up may not
+        // activate it early, and with scale-down disabled the autoscaler
+        // has nothing left to do: the run must equal one without it.
+        let scaled = half_crashed_fleet(Some(10.0), Some(eager_scaler(0.0)));
+        let fixed = half_crashed_fleet(Some(10.0), None);
+        assert_eq!(scaled.peak_live, 8);
+        assert_eq!(fault_times(&scaled), [vec![0.0; 4], vec![10.0; 4]].concat());
+        assert_eq!(scaled.mean_e2e_s.to_bits(), fixed.mean_e2e_s.to_bits());
+        assert_eq!(scaled.warm_hits, fixed.warm_hits);
+        assert_eq!(scaled.fetches.total(), fixed.fetches.total());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use dz_gpusim::EventQueue;
 use dz_serve::cluster::PlacementPlan;
-use dz_serve::{FleetAutoscale, FleetConfig, FleetFault, FleetRouter, FleetSim};
+use dz_serve::{Autoscaler, FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetRouter, FleetSim};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use proptest::prelude::*;
 
@@ -24,17 +24,20 @@ fn arb_router() -> impl Strategy<Value = FleetRouter> {
     ]
 }
 
-fn arb_faults(n_replicas: usize) -> impl Strategy<Value = Vec<FleetFault>> {
+fn arb_faults(n_replicas: usize) -> impl Strategy<Value = FaultPlan> {
     proptest::collection::vec(
         (0.0f64..40.0, 0..n_replicas as u32, 1.0f64..30.0).prop_map(|(at, replica, down_s)| {
-            FleetFault {
+            FaultEvent {
                 at,
-                replica: replica as usize,
-                down_s,
+                kind: FaultKind::Crash {
+                    replica: replica as usize,
+                    restart_after_s: Some(down_s),
+                },
             }
         }),
         0..4,
     )
+    .prop_map(FaultPlan::scripted)
 }
 
 proptest! {
@@ -121,11 +124,13 @@ proptest! {
             cfg.faults = faults.clone();
             cfg.record_events = true;
             if autoscale {
-                cfg.autoscale = Some(FleetAutoscale {
+                cfg.autoscale = Some(Autoscaler {
+                    min_replicas: 1,
+                    max_replicas: n_replicas,
+                    up_backlog_s: 1.0,
+                    down_backlog_s: 0.1,
                     interval_s: 5.0,
-                    hi_backlog_s: 1.0,
-                    lo_backlog_s: 0.1,
-                    min_live: 1,
+                    cooldown_s: 0.0,
                 });
             }
             let plan = PlacementPlan::from_weights(&weights, n_replicas);
