@@ -1,8 +1,7 @@
 //! One typed construction surface for every serving engine.
 //!
-//! [`EngineBuilder`] subsumes the historical per-engine constructors
-//! (`DeltaZipEngine::new` + `with_*` chains, `LoraEngine::new`): declare
-//! the cost model, the scheduler knobs, the variant catalog, and the
+//! [`EngineBuilder`] replaces per-engine `with_*` construction chains:
+//! declare the cost model, the scheduler knobs, the variant catalog, and the
 //! optional store/tracing/prefetch attachments in one place, then
 //! [`build`](EngineBuilder::build) the unified toppings engine — or
 //! [`build_adapter_only`](EngineBuilder::build_adapter_only) the legacy

@@ -292,13 +292,6 @@ impl DeltaZipEngine {
         }
     }
 
-    /// Installs a degraded-channel (disk/PCIe brownout) fault schedule,
-    /// in absolute simulation seconds, for subsequent runs.
-    pub fn with_brownouts(mut self, schedule: Vec<crate::swap::Brownout>) -> Self {
-        self.brownouts = schedule;
-        self
-    }
-
     /// Enables structured simulation-clock tracing for subsequent runs.
     pub fn with_tracing(mut self, config: TraceConfig) -> Self {
         self.tracer = Tracer::enabled(config);
@@ -309,22 +302,6 @@ impl DeltaZipEngine {
     /// budget (tune via the public `prefetch_config` field).
     pub fn with_prefetcher(mut self, prefetcher: Box<dyn Prefetcher>) -> Self {
         self.prefetcher = Some(prefetcher);
-        self
-    }
-
-    /// Attaches an artifact store: loads are charged by the bound
-    /// artifacts' real compressed byte sizes (host hit pays the PCIe hop
-    /// only; a miss pays disk plus PCIe).
-    #[deprecated(since = "0.6.0", note = "use `EngineBuilder::store` instead")]
-    pub fn with_delta_store(mut self, binding: DeltaStoreBinding) -> Self {
-        self.delta_store = Some(binding);
-        self
-    }
-
-    /// Attaches a variant catalog: requests are served per their model's
-    /// registered [`VariantKind`] instead of the delta-only default.
-    pub fn with_catalog(mut self, catalog: VariantCatalog) -> Self {
-        self.catalog = Some(catalog);
         self
     }
 

@@ -52,9 +52,9 @@ pub use chaos::{
     RandomFaultConfig, Rollout,
 };
 pub use cluster::{
-    AdmissionConfig, BasePartition, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim,
-    LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, PrefetchHint, ReplicaView,
-    RoundRobinRouter, Router, RoutingStats, ShedRecord,
+    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim, LeastLoadedRouter,
+    PlacementAwareRouter, PlacementPlan, PrefetchHint, ReplicaView, RoundRobinRouter, Router,
+    RoutingStats, ShedRecord,
 };
 pub use cost::{CostModel, ToppingsIterCost};
 pub use deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};

@@ -51,25 +51,13 @@ impl LoraServingConfig {
     }
 }
 
-/// The adapter-serving engine.
+/// The adapter-serving engine; build one with
+/// [`EngineBuilder::build_adapter_only`](crate::EngineBuilder::build_adapter_only).
 pub struct LoraEngine {
     /// Cost model.
     pub cost: CostModel,
     /// Configuration.
     pub config: LoraServingConfig,
-}
-
-impl LoraEngine {
-    /// Creates the engine.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `EngineBuilder::new(cost).adapters(config).build_adapter_only()` instead"
-    )]
-    pub fn new(cost: CostModel, config: LoraServingConfig) -> Self {
-        crate::builder::EngineBuilder::new(cost)
-            .adapters(config)
-            .build_adapter_only()
-    }
 }
 
 impl Engine for LoraEngine {
