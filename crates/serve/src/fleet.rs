@@ -380,12 +380,17 @@ struct FleetReplica {
     /// Warm set with LRU stamps (bounded by `warm_capacity`). Ordered so
     /// the eviction scan below is iteration-order-deterministic.
     warm: BTreeMap<usize, u64>,
-    served: u64,
 }
 
 impl FleetReplica {
-    /// Brings the replica (back) up at `t` with an empty queue; its warm
-    /// set was cleared when it went down.
+    /// Takes the replica out of routing. The warm cache dies with the
+    /// process; the disk (and its holder entries) survives.
+    fn stop(&mut self) {
+        self.alive = false;
+        self.warm.clear();
+    }
+
+    /// Brings the replica (back) up at `t` with an empty queue.
     fn revive(&mut self, t: f64) {
         self.alive = true;
         self.pending_restart = false;
@@ -548,10 +553,7 @@ impl FleetSim {
                 } => {
                     let r = &mut replicas[replica];
                     if r.alive {
-                        // Warm cache dies with the process; the disk (and
-                        // its holder entries) survives the restart.
-                        r.alive = false;
-                        r.warm.clear();
+                        r.stop();
                         live_count -= 1;
                         ring_dirty = true;
                         if let Some(d) = restart_after_s {
@@ -612,41 +614,34 @@ impl FleetSim {
                     } else {
                         f64::INFINITY
                     };
-                    if t - last_scale_at >= scaler.cooldown_s {
-                        match scaler.decide(live_count, mean) {
-                            1 => {
-                                // Activate the lowest-id down replica that
-                                // no restart will bring back anyway.
-                                let spare =
-                                    replicas.iter().position(|r| !r.alive && !r.pending_restart);
-                                if let Some(i) = spare {
-                                    replicas[i].revive(t);
-                                    live_count += 1;
-                                    peak_live = peak_live.max(live_count);
-                                    ring_dirty = true;
-                                    last_scale_at = t;
-                                }
-                            }
-                            -1 => {
-                                // Drain the live replica that empties
-                                // first; its in-flight work still departs.
-                                let victim =
-                                    (0..n).filter(|&i| replicas[i].alive).min_by(|&a, &b| {
-                                        replicas[a]
-                                            .busy_until
-                                            .total_cmp(&replicas[b].busy_until)
-                                            .then(a.cmp(&b))
-                                    });
-                                if let Some(i) = victim {
-                                    replicas[i].alive = false;
-                                    replicas[i].warm.clear();
-                                    live_count -= 1;
-                                    ring_dirty = true;
-                                    last_scale_at = t;
-                                }
-                            }
-                            _ => {}
+                    let action = if t - last_scale_at >= scaler.cooldown_s {
+                        scaler.decide(live_count, mean)
+                    } else {
+                        0
+                    };
+                    let target = match action {
+                        // Activate the lowest-id down replica that no
+                        // restart will bring back anyway.
+                        1 => replicas.iter().position(|r| !r.alive && !r.pending_restart),
+                        // Drain the live replica that empties first
+                        // (lowest id on ties); its in-flight work still
+                        // departs.
+                        -1 => (0..n).filter(|&i| replicas[i].alive).min_by(|&a, &b| {
+                            replicas[a].busy_until.total_cmp(&replicas[b].busy_until)
+                        }),
+                        _ => None,
+                    };
+                    if let Some(i) = target {
+                        if action > 0 {
+                            replicas[i].revive(t);
+                            live_count += 1;
+                            peak_live = peak_live.max(live_count);
+                        } else {
+                            replicas[i].stop();
+                            live_count -= 1;
                         }
+                        ring_dirty = true;
+                        last_scale_at = t;
                     }
                     tracer.gauge(|| GaugeSample {
                         at: t,
@@ -708,8 +703,7 @@ impl FleetSim {
                     // Miss cost: nearest holder wins; an in-flight fetch
                     // for the same delta is awaited, not re-pulled.
                     let mut fetch_s = 0.0;
-                    if let Some(&at) = r.warm.get(&req.model) {
-                        let _ = at;
+                    if r.warm.contains_key(&req.model) {
                         warm_hits += 1;
                         r.warm.insert(req.model, stamp);
                     } else if let Some(&land) = inflight.get(&(target, req.model)) {
@@ -780,7 +774,6 @@ impl FleetSim {
                     let r = &mut replicas[target];
                     r.busy_until = finish;
                     r.queue_depth += 1;
-                    r.served += 1;
                     served += 1;
                     e2e.add(finish - req.arrival);
                     events.push_class(
@@ -960,7 +953,7 @@ impl FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{Brownout, FaultEvent};
+    use crate::chaos::{FaultEvent, RandomFaultConfig};
     use dz_workload::{PopularityDist, TraceSpec};
 
     fn crash(at: f64, replica: usize, restart_after_s: Option<f64>) -> FaultEvent {
@@ -1105,18 +1098,12 @@ mod tests {
     #[should_panic(expected = "Degrade faults are unsupported")]
     fn degrade_faults_are_rejected() {
         let mut cfg = FleetConfig::new(2);
-        cfg.faults = FaultPlan::scripted(vec![FaultEvent {
-            at: 1.0,
-            kind: FaultKind::Degrade {
-                replica: 0,
-                brownout: Brownout {
-                    start_s: 1.0,
-                    end_s: 5.0,
-                    disk_rate: 0.5,
-                    pcie_rate: 0.5,
-                },
-            },
-        }]);
+        // One brownout, no crashes.
+        let only_brownouts = RandomFaultConfig {
+            crashes: 0,
+            ..RandomFaultConfig::default()
+        };
+        cfg.faults = FaultPlan::random(1, 10.0, 2, only_brownouts);
         let _ = FleetSim::new(
             cfg,
             PlacementPlan::from_weights(&[], 2),
