@@ -7,8 +7,9 @@
 //! that future refactors keep every run replayable bit-for-bit.
 //!
 //! The `PIN_LOCKSTEP_*` constants are golden outputs of the retired
-//! lockstep cluster front end (`ClusterSim::run_lockstep_reference`) on
-//! the six small-fleet fixtures it was differentially tested against:
+//! lockstep cluster front end (the two-queue loop that preceded the
+//! event heap) on the six small-fleet fixtures it was differentially
+//! tested against:
 //! plain, admission + prefetch, chaos with and without tracing,
 //! engine-level prefetch, and store-bound replicas. Each folds every
 //! field of the [`ClusterReport`] that the old differential suite
