@@ -10,10 +10,20 @@ use dz_kernels::{quant_gemm, sbmm_grouped, sbmm_naive};
 use dz_tensor::{Matrix, Rng};
 
 fn packed(d_in: usize, d_out: usize, bits: u32, sparse: bool, seed: u64) -> CompressedMatrix {
+    packed_grouped(d_in, d_out, QuantSpec::new(bits, 16), sparse, seed)
+}
+
+fn packed_grouped(
+    d_in: usize,
+    d_out: usize,
+    spec: QuantSpec,
+    sparse: bool,
+    seed: u64,
+) -> CompressedMatrix {
     let mut rng = Rng::seeded(seed);
     let w = Matrix::randn(d_in, d_out, 0.02, &mut rng);
     let cfg = ObsConfig {
-        spec: QuantSpec::new(bits, 16),
+        spec,
         sparse24: sparse,
         damp: 0.05,
     };
@@ -42,6 +52,28 @@ fn bench_gemm_formats(c: &mut Criterion) {
     group.finish();
 }
 
+/// `quant_gemm` on the served `llama-tiny-l` projection shapes (d=96,
+/// d_ff=192) with the starred sparsegpt configs: int4 and int2, 2:4,
+/// group size 128, at batch 1 (prefill and per-row path) and 8 (a full
+/// decode batch).
+fn bench_served_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("quant_gemm_served");
+    let mut rng = Rng::seeded(20);
+    for (d_in, d_out) in [(96usize, 96usize), (96, 192), (192, 96)] {
+        for bits in [4u32, 2] {
+            let cm = packed_grouped(d_in, d_out, QuantSpec::new(bits, 128), true, 21);
+            for m in [1usize, 8] {
+                let x = Matrix::randn(m, d_in, 1.0, &mut rng);
+                let id = format!("int{bits}_sparse24_{d_in}x{d_out}");
+                group.bench_with_input(BenchmarkId::new(id, m), &x, |b, x| {
+                    b.iter(|| quant_gemm(x, &cm))
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 fn bench_sbmm(c: &mut Criterion) {
     let mut group = c.benchmark_group("sbmm");
     let (d_in, d_out) = (128, 128);
@@ -64,5 +96,5 @@ fn bench_sbmm(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm_formats, bench_sbmm);
+criterion_group!(benches, bench_gemm_formats, bench_served_shapes, bench_sbmm);
 criterion_main!(benches);

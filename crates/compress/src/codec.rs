@@ -158,13 +158,21 @@ impl SignMatrix {
         }
     }
 
-    /// Dequantizes into the model's `(d_in, d_out)` weight orientation.
+    /// Dequantizes into the model's `(d_in, d_out)` weight orientation:
+    /// `scale_of_row(r) * sign_at(r, c)` per element, reading the sign
+    /// bits of each row sequentially.
     pub fn dequantize(&self) -> Matrix {
-        let mut w = Matrix::zeros(self.d_in, self.d_out);
-        for r in 0..self.d_out {
+        let (d_in, d_out) = (self.d_in, self.d_out);
+        let mut w = Matrix::zeros(d_in, d_out);
+        let out = w.data_mut();
+        for r in 0..d_out {
+            // The two products `a * sign_at(r, c)` can take.
             let a = self.scale_of_row(r);
-            for c in 0..self.d_in {
-                w.set(c, r, a * self.sign_at(r, c));
+            let [minus, plus] = [-1.0f32, 1.0].map(|s| a * s);
+            for c in 0..d_in {
+                let i = r * d_in + c;
+                let bit = (self.signs[i / 32] >> (i % 32)) & 1;
+                out[c * d_out + r] = if bit == 1 { plus } else { minus };
             }
         }
         w

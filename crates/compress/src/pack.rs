@@ -11,6 +11,12 @@
 //! transposed relative to the model's `(d_in, d_out)` weights, so that 2:4
 //! groups are contiguous exactly like the hardware layout. Scales are
 //! per-(row, group) and counted as FP16 in all byte accounting.
+//!
+//! [`CompressedMatrix::level_at`] / [`CompressedMatrix::scale_at`] are the
+//! per-element specification. Hot paths (the fused kernels, dequantize)
+//! instead decode a whole output row at once with
+//! [`CompressedMatrix::decode_row`], which reads the packed words
+//! sequentially and yields the same f32 bits.
 
 use crate::quant::{dequantize_value, QuantSpec};
 use dz_tensor::Matrix;
@@ -81,6 +87,68 @@ fn read_level(packed: &[u32], i: usize, bits: u32) -> u32 {
     (v & mask) as u32
 }
 
+/// Sequential reader of `bits`-wide biased levels, starting at level
+/// `first`: one shift and mask per level, one word load per 32 bits.
+struct LevelReader<'a> {
+    words: &'a [u32],
+    next: usize,
+    acc: u64,
+    avail: u32,
+    bits: u32,
+}
+
+impl<'a> LevelReader<'a> {
+    fn new(words: &'a [u32], first: usize, bits: u32) -> Self {
+        let bit = first * bits as usize;
+        let mut rd = LevelReader {
+            words,
+            next: bit / 32,
+            acc: 0,
+            avail: 0,
+            bits,
+        };
+        let off = (bit % 32) as u32;
+        if off > 0 {
+            rd.refill();
+            rd.acc >>= off;
+            rd.avail -= off;
+        }
+        rd
+    }
+
+    #[inline]
+    fn refill(&mut self) {
+        self.acc |= u64::from(self.words[self.next]) << self.avail;
+        self.next += 1;
+        self.avail += 32;
+    }
+
+    /// The next biased level (`bits <= 8`, so it fits a byte).
+    #[inline]
+    fn read(&mut self) -> u8 {
+        if self.avail < self.bits {
+            self.refill();
+        }
+        let v = (self.acc & ((1 << self.bits) - 1)) as u8;
+        self.acc >>= self.bits;
+        self.avail -= self.bits;
+        v
+    }
+}
+
+/// Caller-owned scratch for [`CompressedMatrix::decode_row`], reused across
+/// rows and calls so decoding allocates nothing per row.
+#[derive(Debug, Clone, Default)]
+pub struct RowScratch {
+    /// Dequantized weights of the row. Dense format: `d_in` values in
+    /// column order. 2:4 format: one value per kept slot in storage order
+    /// (two per 4-column group), `d_in / 2` in all.
+    pub weights: Vec<f32>,
+    /// 2:4 format only: the in-group position (`0..4`) of each kept slot,
+    /// parallel to `weights`. Empty for the dense format.
+    pub positions: Vec<u8>,
+}
+
 impl CompressedMatrix {
     /// Builds a dense-quantized matrix from levels in output-major order.
     ///
@@ -127,7 +195,9 @@ impl CompressedMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `d_in % 4 != 0` or the mask violates the 2:4 constraint.
+    /// Panics if `d_in % 4 != 0`, `spec.group_size % 4 != 0` (a scale
+    /// group must hold whole 4-column groups) or the mask violates the 2:4
+    /// constraint.
     pub fn from_sparse24(
         d_out: usize,
         d_in: usize,
@@ -137,6 +207,11 @@ impl CompressedMatrix {
         spec: QuantSpec,
     ) -> Self {
         assert_eq!(d_in % 4, 0, "2:4 needs d_in divisible by 4");
+        assert_eq!(
+            spec.group_size % 4,
+            0,
+            "2:4 needs group_size divisible by 4"
+        );
         assert_eq!(levels.len(), d_out * d_in);
         assert_eq!(mask.len(), d_out * d_in);
         let n_groups = d_in.div_ceil(spec.group_size);
@@ -210,14 +285,102 @@ impl CompressedMatrix {
         }
     }
 
+    /// Number of values stored per row and per scale group.
+    fn stored_per_row_and_group(&self) -> (usize, usize) {
+        match self.format {
+            MatrixFormat::QuantDense => (self.d_in, self.spec.group_size),
+            MatrixFormat::QuantSparse24 => (self.d_in / 2, self.spec.group_size / 2),
+        }
+    }
+
+    /// Decodes output row `r` into `row` (see [`RowScratch`] for the
+    /// layout of each format).
+    ///
+    /// Every weight has exactly the bits of the per-element spec:
+    /// `0.0` where [`level_at`](Self::level_at) is zero, otherwise
+    /// `dequantize_value(level_at(r, c), scale_at(r, c))`. The row's levels
+    /// are read sequentially from `qweight`; the scale advances every
+    /// `group_size` stored values (`group_size / 2` kept values for 2:4),
+    /// and each scale group dequantizes through a `2^bits`-entry table of
+    /// `(l - qmax) as f32 * scale`, the same f32 product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= d_out`, or for the 2:4 format if
+    /// `spec.group_size % 4 != 0` (rejected by every constructor and by
+    /// wire decode).
+    pub fn decode_row(&self, r: usize, row: &mut RowScratch) {
+        assert!(r < self.d_out, "row {r} out of range");
+        let sparse = self.format == MatrixFormat::QuantSparse24;
+        if sparse {
+            assert_eq!(
+                self.spec.group_size % 4,
+                0,
+                "2:4 needs group_size divisible by 4"
+            );
+        }
+        let (per_row, per_group) = self.stored_per_row_and_group();
+        let qmax = self.spec.qmax();
+        let n_levels = 1usize << self.spec.bits;
+        let gpr = self.groups_per_row();
+        let scales = &self.scales[r * gpr..(r + 1) * gpr];
+        let mut levels = LevelReader::new(&self.qweight, r * per_row, self.spec.bits);
+        let mut table = [0.0f32; 256];
+        row.weights.clear();
+        row.weights.resize(per_row, 0.0);
+        for (chunk, &scale) in row.weights.chunks_mut(per_group).zip(scales) {
+            for (l, t) in table[..n_levels].iter_mut().enumerate() {
+                *t = dequantize_value(l as i32 - qmax, scale);
+            }
+            table[qmax as usize] = 0.0;
+            for w in chunk {
+                *w = table[usize::from(levels.read())];
+            }
+        }
+        row.positions.clear();
+        if sparse {
+            // Four 2-bit positions per index byte. A row's first slot is
+            // even (two per 4-column group), so it starts at a byte
+            // boundary or halfway into a byte.
+            let unpack = |b: u8| [b & 0b11, (b >> 2) & 0b11, (b >> 4) & 0b11, b >> 6];
+            let first = r * per_row;
+            let mut byte = first / 4;
+            row.positions.resize(per_row, 0);
+            let mut out = &mut row.positions[..];
+            if first % 4 == 2 {
+                out[..2].copy_from_slice(&unpack(self.indices[byte])[2..]);
+                out = &mut out[2..];
+                byte += 1;
+            }
+            let mut quads = out.chunks_exact_mut(4);
+            for quad in &mut quads {
+                quad.copy_from_slice(&unpack(self.indices[byte]));
+                byte += 1;
+            }
+            if let [p0, p1] = quads.into_remainder() {
+                [*p0, *p1] = [self.indices[byte] & 0b11, (self.indices[byte] >> 2) & 0b11];
+            }
+        }
+    }
+
     /// Dequantizes into the model's `(d_in, d_out)` weight orientation.
     pub fn dequantize(&self) -> Matrix {
         let mut w = Matrix::zeros(self.d_in, self.d_out);
-        for r in 0..self.d_out {
-            for c in 0..self.d_in {
-                let q = self.level_at(r, c);
-                if q != 0 {
-                    w.set(c, r, dequantize_value(q, self.scale_at(r, c)));
+        let d_out = self.d_out;
+        let out = w.data_mut();
+        let mut row = RowScratch::default();
+        for r in 0..d_out {
+            self.decode_row(r, &mut row);
+            match self.format {
+                MatrixFormat::QuantDense => {
+                    for (c, &v) in row.weights.iter().enumerate() {
+                        out[c * d_out + r] = v;
+                    }
+                }
+                MatrixFormat::QuantSparse24 => {
+                    for (k, (&v, &p)) in row.weights.iter().zip(&row.positions).enumerate() {
+                        out[((k / 2) * 4 + usize::from(p)) * d_out + r] = v;
+                    }
                 }
             }
         }
@@ -259,19 +422,16 @@ impl CompressedMatrix {
         out
     }
 
-    /// Fraction of stored levels that are exactly zero.
+    /// Fraction of levels over the full `d_out × d_in` grid that are
+    /// exactly zero (2:4-pruned positions count as zero).
     pub fn zero_level_fraction(&self) -> f64 {
-        let mut zeros = 0usize;
-        let mut total = 0usize;
-        for r in 0..self.d_out {
-            for c in 0..self.d_in {
-                if self.level_at(r, c) == 0 {
-                    zeros += 1;
-                }
-                total += 1;
-            }
-        }
-        zeros as f64 / total.max(1) as f64
+        let (per_row, _) = self.stored_per_row_and_group();
+        let stored = self.d_out * per_row;
+        let zero = self.spec.qmax() as u8;
+        let mut levels = LevelReader::new(&self.qweight, 0, self.spec.bits);
+        let stored_zeros = (0..stored).filter(|_| levels.read() == zero).count();
+        let total = self.d_out * self.d_in;
+        (stored_zeros + total - stored) as f64 / total.max(1) as f64
     }
 }
 

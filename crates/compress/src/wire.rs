@@ -229,6 +229,13 @@ fn decode_matrix_body(
     if format == MatrixFormat::QuantSparse24 && d_in % 4 != 0 {
         return Err(WireError::BadField("sparse24 d_in not divisible by 4"));
     }
+    // A scale group must hold whole 4-column groups: the row decoder
+    // advances the scale every `group_size / 2` kept values.
+    if format == MatrixFormat::QuantSparse24 && group_size % 4 != 0 {
+        return Err(WireError::BadField(
+            "sparse24 group size not divisible by 4",
+        ));
+    }
     let n_qwords = r.len_u64()?;
     match expected_qwords(d_in, d_out, bits, format) {
         Some(want) if want == n_qwords => {}
@@ -252,6 +259,20 @@ fn decode_matrix_body(
     for b in indices.iter_mut() {
         *b = r.u8()?;
     }
+    // Each index byte holds two kept pairs, one per nibble (a trailing
+    // half byte is padding). A pair naming one position twice has no 2:4
+    // meaning, and the row decoder would read it differently from
+    // `level_at`.
+    if format == MatrixFormat::QuantSparse24 {
+        let mut pairs = indices.iter().flat_map(|&b| [b & 0xF, b >> 4]);
+        if pairs
+            .by_ref()
+            .take(d_in * d_out / 4)
+            .any(|p| p & 0b11 == p >> 2)
+        {
+            return Err(WireError::BadField("sparse24 kept pair repeats a position"));
+        }
+    }
     let n_scales = r.len_u64()?;
     if n_scales
         != d_out
@@ -263,7 +284,11 @@ fn decode_matrix_body(
     r.check_payload(n_scales, 4)?;
     let mut scales = Vec::with_capacity(n_scales);
     for _ in 0..n_scales {
-        scales.push(r.f32()?);
+        let s = r.f32()?;
+        if !s.is_finite() {
+            return Err(WireError::BadField("non-finite scale"));
+        }
+        scales.push(s);
     }
     Ok(CompressedMatrix {
         d_in,
@@ -672,6 +697,66 @@ mod tests {
             matrix_from_bytes(&bytes),
             Err(WireError::BadField("bits outside 2..=8"))
         );
+    }
+
+    /// Byte offset of the index section of a sparse matrix record.
+    fn index_offset(cm: &CompressedMatrix) -> usize {
+        1 + 4 + 8 * 3 + 8 + 4 * cm.qweight.len() + 8
+    }
+
+    #[test]
+    fn sparse_decode_rejects_repeated_positions_in_a_pair() {
+        // 3 rows x 12 inputs: 9 kept pairs, one per index nibble.
+        let cm = sparse_fixture(3, 12, 4, 17);
+        let at = index_offset(&cm);
+        for pair in 0..9 {
+            let (byte, shift) = (at + pair / 2, (pair % 2) * 4);
+            let mut bytes = matrix_to_bytes(&cm);
+            // Positions (2, 2).
+            bytes[byte] = (bytes[byte] & !(0xF << shift)) | (0b1010 << shift);
+            assert_eq!(
+                matrix_from_bytes(&bytes),
+                Err(WireError::BadField("sparse24 kept pair repeats a position")),
+                "pair {pair}"
+            );
+        }
+    }
+
+    #[test]
+    fn sparse_decode_ignores_the_padding_nibble() {
+        // 3 rows x 12 inputs = 18 kept slots = 9 pairs: the last byte's
+        // high nibble is padding and may hold anything.
+        let cm = sparse_fixture(3, 12, 4, 18);
+        let mut bytes = matrix_to_bytes(&cm);
+        let last = index_offset(&cm) + cm.indices.len() - 1;
+        bytes[last] |= 0xF0;
+        assert!(matrix_from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    fn sparse_decode_rejects_group_size_not_divisible_by_4() {
+        let mut bytes = matrix_to_bytes(&sparse_fixture(2, 16, 4, 19));
+        bytes[5..13].copy_from_slice(&6u64.to_le_bytes());
+        assert_eq!(
+            matrix_from_bytes(&bytes),
+            Err(WireError::BadField(
+                "sparse24 group size not divisible by 4"
+            ))
+        );
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_scales() {
+        let cm = dense_fixture(2, 8, 4, 20);
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut bytes = matrix_to_bytes(&cm);
+            let end = bytes.len();
+            bytes[end - 4..].copy_from_slice(&bad.to_le_bytes());
+            assert_eq!(
+                matrix_from_bytes(&bytes),
+                Err(WireError::BadField("non-finite scale"))
+            );
+        }
     }
 
     #[test]

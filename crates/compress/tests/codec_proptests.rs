@@ -53,6 +53,23 @@ proptest! {
     }
 
     #[test]
+    fn sign_dequantize_is_scale_times_sign_bit_for_bit(
+        d_in in 1usize..40,
+        d_out in 1usize..24,
+        seed in any::<u64>(),
+        per_row in any::<bool>(),
+    ) {
+        let sm = sign_layer(d_in, d_out, seed, per_row);
+        let rec = sm.dequantize();
+        for r in 0..d_out {
+            for c in 0..d_in {
+                let want = sm.scale_of_row(r) * sm.sign_at(r, c);
+                prop_assert_eq!(rec.get(c, r).to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
     fn sign_error_is_within_the_analytic_bound(
         d_in in 1usize..40,
         d_out in 1usize..24,

@@ -13,7 +13,7 @@
 //! and per-variant uncompressed parameters (biases, norms, embeddings) taken
 //! from each variant's delta artifact.
 
-use crate::qgemm::{dense_gemm, quant_gemm};
+use crate::qgemm::dense_gemm;
 use crate::runner::{argmax, attention_one, gelu_assign, layer_norm_row, Slot};
 use crate::sbmm::sbmm_grouped;
 use dz_compress::pack::CompressedMatrix;
@@ -165,61 +165,58 @@ impl<'a> DecoupledBatch<'a> {
         for li in 0..cfg.n_layers {
             let variants = &self.variants;
             let dense_layers = &self.dense_layers;
-            // Shared base GEMM + per-variant delta product. All-quant
-            // batches take the grouped SBMM path outright; in mixed
-            // batches, requests for quantized variants still run packed
-            // SBMM (naive per-row) and only the non-quant variants use
-            // their cached dense copies.
+            // Shared base GEMM + per-variant delta product. Requests for
+            // quantized variants share one grouped SBMM call, so each
+            // packed delta row is decoded once per call; per-row
+            // accumulation does not depend on the batch, so their output
+            // is bit-identical whichever variants share it. Non-quant
+            // variants use their cached dense copies.
             let linear = move |x: &Matrix, w_base: &Matrix, idx: &[usize], field: &str| {
                 let name = format!("layer{li}.{field}");
-                if dense_layers.iter().all(Option::is_none) {
-                    let deltas: Vec<&CompressedMatrix> = variants
-                        .iter()
-                        .map(|v| {
+                let mut y = dense_gemm(x, w_base);
+                let mut deltas: Vec<&CompressedMatrix> = Vec::new();
+                let mut delta_of = vec![None; variants.len()];
+                for (vi, v) in variants.iter().enumerate() {
+                    if dense_layers[vi].is_none() {
+                        delta_of[vi] = Some(deltas.len());
+                        deltas.push(
                             v.layers
                                 .get(&name)
-                                .expect("delta layer exists")
-                                .as_quant()
-                                .expect("all-quant batch")
-                        })
-                        .collect();
-                    return decoupled_linear(x, w_base, idx, &deltas);
+                                .and_then(|l| l.as_quant())
+                                .expect("quant variant has a packed layer"),
+                        );
+                    }
                 }
-                let mut y = dense_gemm(x, w_base);
-                for (bi, &v) in idx.iter().enumerate() {
-                    let xr = x.row(bi);
-                    let yr = y.row_mut(bi);
-                    match &dense_layers[v] {
-                        // Non-quant variant: dense row product against the
-                        // copy dequantized at construction.
-                        Some(dense) => {
-                            let d = dense.get(&name).expect("delta layer exists");
-                            for (k, &xv) in xr.iter().enumerate() {
-                                if xv == 0.0 {
-                                    continue;
-                                }
-                                let drow = d.row(k);
-                                for (j, yv) in yr.iter_mut().enumerate() {
-                                    *yv += xv * drow[j];
-                                }
-                            }
+                let (rows, qidx): (Vec<usize>, Vec<usize>) = idx
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(bi, &v)| delta_of[v].map(|d| (bi, d)))
+                    .unzip();
+                if !rows.is_empty() {
+                    let mut xq = Matrix::zeros(rows.len(), x.cols());
+                    for (qi, &bi) in rows.iter().enumerate() {
+                        xq.row_mut(qi).copy_from_slice(x.row(bi));
+                    }
+                    let yq = sbmm_grouped(&xq, &qidx, &deltas);
+                    for (qi, &bi) in rows.iter().enumerate() {
+                        for (yv, &d) in y.row_mut(bi).iter_mut().zip(yq.row(qi)) {
+                            *yv += d;
                         }
-                        // Quantized variant: the same fused quant_gemm the
-                        // grouped SBMM path runs, on this request's row —
-                        // per-row accumulation order is identical, so a
-                        // quant variant's output is bit-identical whether
-                        // or not non-quant variants share the batch.
-                        None => {
-                            let cm = variants[v]
-                                .layers
-                                .get(&name)
-                                .expect("delta layer exists")
-                                .as_quant()
-                                .expect("variant without dense copy is quant");
-                            let xi = Matrix::from_vec(1, xr.len(), xr.to_vec());
-                            let yi = quant_gemm(&xi, cm);
-                            for (j, yv) in yr.iter_mut().enumerate() {
-                                *yv += yi.get(0, j);
+                    }
+                }
+                for (bi, &v) in idx.iter().enumerate() {
+                    // Non-quant variant: dense row product against the copy
+                    // dequantized at construction.
+                    if let Some(dense) = &dense_layers[v] {
+                        let d = dense.get(&name).expect("delta layer exists");
+                        let xr = x.row(bi);
+                        let yr = y.row_mut(bi);
+                        for (k, &xv) in xr.iter().enumerate() {
+                            if xv == 0.0 {
+                                continue;
+                            }
+                            for (yv, &dv) in yr.iter_mut().zip(d.row(k)) {
+                                *yv += xv * dv;
                             }
                         }
                     }
@@ -230,14 +227,9 @@ impl<'a> DecoupledBatch<'a> {
             let mut h = Matrix::zeros(b, d);
             for (bi, &(slot, _)) in work.iter().enumerate() {
                 let variant = self.slots[slot].variant;
-                let g = self
-                    .rest_param(variant, &format!("layer{li}.ln1_g"))
-                    .clone();
-                let bb = self
-                    .rest_param(variant, &format!("layer{li}.ln1_b"))
-                    .clone();
-                let src: Vec<f32> = x.row(bi).to_vec();
-                layer_norm_row(&src, &g, &bb, h.row_mut(bi));
+                let g = self.rest_param(variant, &format!("layer{li}.ln1_g"));
+                let bb = self.rest_param(variant, &format!("layer{li}.ln1_b"));
+                layer_norm_row(x.row(bi), g, bb, h.row_mut(bi));
             }
             // Decoupled projections + per-variant biases.
             let base_l = &self.base.layers[li];
@@ -247,9 +239,7 @@ impl<'a> DecoupledBatch<'a> {
             for (bi, &(slot, _)) in work.iter().enumerate() {
                 let variant = self.slots[slot].variant;
                 for (name, m) in [("bq", &mut q), ("bk", &mut k), ("bv", &mut v)] {
-                    let bias = self
-                        .rest_param(variant, &format!("layer{li}.{name}"))
-                        .clone();
+                    let bias = self.rest_param(variant, &format!("layer{li}.{name}"));
                     for (c, val) in m.row_mut(bi).iter_mut().enumerate() {
                         *val += bias.get(0, c);
                     }
@@ -264,7 +254,7 @@ impl<'a> DecoupledBatch<'a> {
             let mut proj = linear(&attn, &base_l.wo, &delta_idx, "wo");
             for (bi, &(slot, _)) in work.iter().enumerate() {
                 let variant = self.slots[slot].variant;
-                let bias = self.rest_param(variant, &format!("layer{li}.bo")).clone();
+                let bias = self.rest_param(variant, &format!("layer{li}.bo"));
                 for (c, val) in proj.row_mut(bi).iter_mut().enumerate() {
                     *val += bias.get(0, c);
                 }
@@ -274,19 +264,14 @@ impl<'a> DecoupledBatch<'a> {
             let mut h2 = Matrix::zeros(b, d);
             for (bi, &(slot, _)) in work.iter().enumerate() {
                 let variant = self.slots[slot].variant;
-                let g = self
-                    .rest_param(variant, &format!("layer{li}.ln2_g"))
-                    .clone();
-                let bb = self
-                    .rest_param(variant, &format!("layer{li}.ln2_b"))
-                    .clone();
-                let src: Vec<f32> = x.row(bi).to_vec();
-                layer_norm_row(&src, &g, &bb, h2.row_mut(bi));
+                let g = self.rest_param(variant, &format!("layer{li}.ln2_g"));
+                let bb = self.rest_param(variant, &format!("layer{li}.ln2_b"));
+                layer_norm_row(x.row(bi), g, bb, h2.row_mut(bi));
             }
             let mut up = linear(&h2, &base_l.w1, &delta_idx, "w1");
             for (bi, &(slot, _)) in work.iter().enumerate() {
                 let variant = self.slots[slot].variant;
-                let bias = self.rest_param(variant, &format!("layer{li}.b1")).clone();
+                let bias = self.rest_param(variant, &format!("layer{li}.b1"));
                 for (c, val) in up.row_mut(bi).iter_mut().enumerate() {
                     *val += bias.get(0, c);
                 }
@@ -295,7 +280,7 @@ impl<'a> DecoupledBatch<'a> {
             let mut down = linear(&up, &base_l.w2, &delta_idx, "w2");
             for (bi, &(slot, _)) in work.iter().enumerate() {
                 let variant = self.slots[slot].variant;
-                let bias = self.rest_param(variant, &format!("layer{li}.b2")).clone();
+                let bias = self.rest_param(variant, &format!("layer{li}.b2"));
                 for (c, val) in down.row_mut(bi).iter_mut().enumerate() {
                     *val += bias.get(0, c);
                 }
@@ -306,11 +291,10 @@ impl<'a> DecoupledBatch<'a> {
         let mut out = Vec::with_capacity(b);
         for (bi, &(slot, _)) in work.iter().enumerate() {
             let variant = self.slots[slot].variant;
-            let g = self.rest_param(variant, "lnf_g").clone();
-            let bb = self.rest_param(variant, "lnf_b").clone();
+            let g = self.rest_param(variant, "lnf_g");
+            let bb = self.rest_param(variant, "lnf_b");
             let mut xf = vec![0.0f32; d];
-            let src: Vec<f32> = x.row(bi).to_vec();
-            layer_norm_row(&src, &g, &bb, &mut xf);
+            layer_norm_row(x.row(bi), g, bb, &mut xf);
             let head = self.rest_param(variant, "head");
             let mut logits = vec![0.0f32; self.base.config.vocab];
             for (c, l) in logits.iter_mut().enumerate() {

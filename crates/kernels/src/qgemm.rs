@@ -1,12 +1,42 @@
 //! Dense and fused-dequantize GEMM kernels.
 //!
 //! `quant_gemm` computes `y = x * W` directly from the packed
-//! representation, decoding each output row's levels on the fly — the CPU
-//! analog of a fused dequantization GEMM. For the 2:4 sparse format it only
-//! touches the kept values, the same work-skipping sparse tensor cores do.
+//! representation — the CPU analog of a fused dequantization GEMM. For the
+//! 2:4 sparse format it only touches the kept values, the same
+//! work-skipping sparse tensor cores do.
+//!
+//! # Row decode
+//!
+//! Each call decodes every output row of `W` exactly once, with
+//! [`CompressedMatrix::decode_row`]: the row's packed levels are read
+//! sequentially and dequantized through a per-scale-group table of
+//! `2^bits` entries, giving `d_in` weights (dense) or `d_in / 2`
+//! `(in-group position, weight)` pairs (2:4). The decoded row is then
+//! applied to every row of `x`. The activations are first transposed into
+//! blocks of `LANES` batch rows, one `[f32; LANES]` per input column, so
+//! the inner loop advances `LANES` independent accumulators at once.
+//!
+//! # Bit-exactness contract
+//!
+//! The output is bit-identical to the per-element definition
+//! (`level_at` × `scale_at` for every stored value). Each `(batch row,
+//! output)` accumulator starts at `0.0` and sums in a fixed order over the
+//! input dimension:
+//!
+//! * dense: `Σ_c x[c]·w[c]`, one product at a time in column order;
+//! * 2:4: `Σ_groups (x[c0]·v0 + x[c1]·v1)` over the 4-column groups, the
+//!   pair summed first, then added to the accumulator.
+//!
+//! No FMA, no reassociation over the input dimension: the lanes only run
+//! different batch rows side by side, so a row's result does not depend on
+//! the batch it shares a call with. `crates/kernels/tests/kernel_pins.rs`
+//! pins the output bits.
 
-use dz_compress::pack::{CompressedMatrix, MatrixFormat};
+use dz_compress::pack::{CompressedMatrix, MatrixFormat, RowScratch};
 use dz_tensor::Matrix;
+
+/// Batch rows one pass of the inner loop accumulates side by side.
+const LANES: usize = 8;
 
 /// Plain dense GEMM (the base-model path); thin alias over the tensor crate.
 pub fn dense_gemm(x: &Matrix, w: &Matrix) -> Matrix {
@@ -23,67 +53,63 @@ pub fn dense_gemm(x: &Matrix, w: &Matrix) -> Matrix {
 /// Panics if `x.cols() != cm.d_in`.
 pub fn quant_gemm(x: &Matrix, cm: &CompressedMatrix) -> Matrix {
     assert_eq!(x.cols(), cm.d_in, "input width mismatch");
-    let b = x.rows();
-    let mut y = Matrix::zeros(b, cm.d_out);
-    match cm.format {
-        MatrixFormat::QuantDense => quant_gemm_dense(x, cm, &mut y),
-        MatrixFormat::QuantSparse24 => quant_gemm_sparse(x, cm, &mut y),
+    let (b, d_in, d_out) = (x.rows(), cm.d_in, cm.d_out);
+    let mut y = Matrix::zeros(b, d_out);
+    // x in lane blocks: block k, column c holds batch rows
+    // k*LANES.. of column c (zero-padded past the batch).
+    let n_blocks = b.div_ceil(LANES);
+    let mut xt = vec![[0.0f32; LANES]; n_blocks * d_in];
+    for (i, xr) in x.data().chunks_exact(d_in.max(1)).enumerate() {
+        let block = &mut xt[(i / LANES) * d_in..][..d_in];
+        for (col, &v) in block.iter_mut().zip(xr) {
+            col[i % LANES] = v;
+        }
+    }
+    let yd = y.data_mut();
+    let mut row = RowScratch::default();
+    for r in 0..d_out {
+        cm.decode_row(r, &mut row);
+        for k in 0..n_blocks {
+            let xb = &xt[k * d_in..(k + 1) * d_in];
+            let acc = match cm.format {
+                MatrixFormat::QuantDense => dot_dense(xb, &row.weights),
+                MatrixFormat::QuantSparse24 => dot_sparse24(xb, &row),
+            };
+            let lanes = (b - k * LANES).min(LANES);
+            for (l, &a) in acc[..lanes].iter().enumerate() {
+                yd[(k * LANES + l) * d_out + r] = a;
+            }
+        }
     }
     y
 }
 
-fn quant_gemm_dense(x: &Matrix, cm: &CompressedMatrix, y: &mut Matrix) {
-    let b = x.rows();
-    let mut wrow = vec![0.0f32; cm.d_in];
-    for r in 0..cm.d_out {
-        // Decode output row r once.
-        for (c, w) in wrow.iter_mut().enumerate() {
-            let q = cm.level_at(r, c);
-            *w = if q == 0 {
-                0.0
-            } else {
-                q as f32 * cm.scale_at(r, c)
-            };
-        }
-        for bi in 0..b {
-            let xrow = x.row(bi);
-            let mut acc = 0.0f32;
-            for (xv, wv) in xrow.iter().zip(wrow.iter()) {
-                acc += xv * wv;
-            }
-            y.set(bi, r, acc);
+/// `Σ_c x[c]·w[c]` per lane, in column order.
+fn dot_dense(xb: &[[f32; LANES]], w: &[f32]) -> [f32; LANES] {
+    let mut acc = [0.0f32; LANES];
+    for (xc, &wv) in xb.iter().zip(w) {
+        for (a, &xv) in acc.iter_mut().zip(xc) {
+            *a += xv * wv;
         }
     }
+    acc
 }
 
-fn quant_gemm_sparse(x: &Matrix, cm: &CompressedMatrix, y: &mut Matrix) {
-    let b = x.rows();
-    // Walk only kept values: for each row, each 4-group stores 2 entries.
-    let groups4 = cm.d_in / 4;
-    for r in 0..cm.d_out {
-        // Collect the (column, weight) pairs of this row once.
-        let mut cols = [0usize; 2];
-        let mut vals = [0.0f32; 2];
-        for bi in 0..b {
-            y.set(bi, r, 0.0);
-        }
-        for g4 in 0..groups4 {
-            let kept_base = (r * cm.d_in) / 2 + g4 * 2;
-            for slot in 0..2 {
-                let i = kept_base + slot;
-                let pos = (cm.indices[i / 4] >> ((i % 4) * 2)) & 0b11;
-                let c = g4 * 4 + pos as usize;
-                cols[slot] = c;
-                let q = cm.level_at(r, c);
-                vals[slot] = q as f32 * cm.scale_at(r, c);
-            }
-            for bi in 0..b {
-                let xrow = x.row(bi);
-                let add = xrow[cols[0]] * vals[0] + xrow[cols[1]] * vals[1];
-                y.set(bi, r, y.get(bi, r) + add);
-            }
+/// `Σ_groups (x[c0]·v0 + x[c1]·v1)` per lane, in group order.
+fn dot_sparse24(xb: &[[f32; LANES]], row: &RowScratch) -> [f32; LANES] {
+    let mut acc = [0.0f32; LANES];
+    let pairs = row
+        .weights
+        .chunks_exact(2)
+        .zip(row.positions.chunks_exact(2));
+    for (xg, (v, p)) in xb.chunks_exact(4).zip(pairs) {
+        let x0 = &xg[usize::from(p[0] & 0b11)];
+        let x1 = &xg[usize::from(p[1] & 0b11)];
+        for ((a, &x0v), &x1v) in acc.iter_mut().zip(x0).zip(x1) {
+            *a += x0v * v[0] + x1v * v[1];
         }
     }
+    acc
 }
 
 #[cfg(test)]

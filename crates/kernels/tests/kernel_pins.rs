@@ -215,3 +215,75 @@ fn sbmm_grouped_outputs_are_pinned() {
         pin.0
     });
 }
+
+/// The per-element definition `quant_gemm` must match bit for bit:
+/// `level_at × scale_at` for every stored value, accumulated in the
+/// documented order (the 2:4 pair summed before it joins the
+/// accumulator). Zero levels enter the 2:4 sum as `0 × scale`.
+fn per_element_reference(x: &Matrix, cm: &CompressedMatrix) -> Matrix {
+    let mut y = Matrix::zeros(x.rows(), cm.d_out);
+    for bi in 0..x.rows() {
+        let xr = x.row(bi);
+        for r in 0..cm.d_out {
+            let mut acc = 0.0f32;
+            match cm.format {
+                MatrixFormat::QuantDense => {
+                    for (c, &xv) in xr.iter().enumerate() {
+                        let w = match cm.level_at(r, c) {
+                            0 => 0.0,
+                            q => q as f32 * cm.scale_at(r, c),
+                        };
+                        acc += xv * w;
+                    }
+                }
+                MatrixFormat::QuantSparse24 => {
+                    for g4 in 0..cm.d_in / 4 {
+                        let slot = |s: usize| {
+                            let i = (r * cm.d_in) / 2 + g4 * 2 + s;
+                            let c =
+                                g4 * 4 + usize::from((cm.indices[i / 4] >> ((i % 4) * 2)) & 0b11);
+                            (c, cm.level_at(r, c) as f32 * cm.scale_at(r, c))
+                        };
+                        let ((c0, v0), (c1, v1)) = (slot(0), slot(1));
+                        acc += xr[c0] * v0 + xr[c1] * v1;
+                    }
+                }
+            }
+            y.set(bi, r, acc);
+        }
+    }
+    y
+}
+
+#[test]
+fn quant_gemm_matches_the_per_element_reference_with_signed_scales() {
+    let mut rng = Rng::seeded(0xD1FF);
+    for &format in &FORMATS {
+        for bits in 2..=8u32 {
+            for &shape in &[(36, 20), (96, 24)] {
+                for &gs in &GROUP_SIZES {
+                    let mut cm = packed(format, bits, gs, shape, &mut rng);
+                    for s in cm.scales.iter_mut() {
+                        if rng.below(2) == 0 {
+                            *s = -*s;
+                        }
+                    }
+                    for &batch in &BATCHES {
+                        let x = activations(batch, shape.0, &mut rng);
+                        let got = quant_gemm(&x, &cm);
+                        let want = per_element_reference(&x, &cm);
+                        let same = got
+                            .data()
+                            .iter()
+                            .zip(want.data())
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(
+                            same,
+                            "{format:?} bits={bits} gs={gs} {shape:?} batch={batch}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
