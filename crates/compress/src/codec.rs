@@ -159,20 +159,20 @@ impl SignMatrix {
     }
 
     /// Dequantizes into the model's `(d_in, d_out)` weight orientation:
-    /// `scale_of_row(r) * sign_at(r, c)` per element, reading the sign
-    /// bits of each row sequentially.
+    /// `scale_of_row(r) * sign_at(r, c)` per element.
     pub fn dequantize(&self) -> Matrix {
         let (d_in, d_out) = (self.d_in, self.d_out);
         let mut w = Matrix::zeros(d_in, d_out);
-        let out = w.data_mut();
-        for r in 0..d_out {
-            // The two products `a * sign_at(r, c)` can take.
-            let a = self.scale_of_row(r);
-            let [minus, plus] = [-1.0f32, 1.0].map(|s| a * s);
-            for c in 0..d_in {
+        // The two products `a * sign_at(r, c)` can take, per stored row.
+        let products: Vec<[f32; 2]> = (0..d_out)
+            .map(|r| [-1.0f32, 1.0].map(|s| self.scale_of_row(r) * s))
+            .collect();
+        // Fill the output one contiguous row (input c) at a time; the
+        // strided sign-bit reads stay within a small packed array.
+        for (c, out) in w.data_mut().chunks_mut(d_out.max(1)).enumerate() {
+            for (r, (o, pm)) in out.iter_mut().zip(&products).enumerate() {
                 let i = r * d_in + c;
-                let bit = (self.signs[i / 32] >> (i % 32)) & 1;
-                out[c * d_out + r] = if bit == 1 { plus } else { minus };
+                *o = pm[((self.signs[i / 32] >> (i % 32)) & 1) as usize];
             }
         }
         w

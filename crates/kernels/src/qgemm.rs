@@ -29,8 +29,15 @@
 //!
 //! No FMA, no reassociation over the input dimension: the lanes only run
 //! different batch rows side by side, so a row's result does not depend on
-//! the batch it shares a call with. `crates/kernels/tests/kernel_pins.rs`
-//! pins the output bits.
+//! the batch it shares a call with.
+//!
+//! A zero level enters as `0.0` rather than `0 × scale`. The two differ at
+//! most in the sign of a zero product, and that never reaches the output:
+//! an accumulator that starts at `+0.0` can never become `-0.0`, so adding
+//! `±0.0` leaves it unchanged. Wire decode rejects non-finite scales, the
+//! only ones for which `0 × scale` is not zero.
+//! `crates/kernels/tests/kernel_pins.rs` pins the output bits and checks
+//! them against the per-element definition with signed scales.
 
 use dz_compress::pack::{CompressedMatrix, MatrixFormat, RowScratch};
 use dz_tensor::Matrix;
