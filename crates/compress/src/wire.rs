@@ -263,15 +263,14 @@ fn decode_matrix_body(
     // half byte is padding). A pair naming one position twice has no 2:4
     // meaning, and the row decoder would read it differently from
     // `level_at`.
-    if format == MatrixFormat::QuantSparse24 {
-        let mut pairs = indices.iter().flat_map(|&b| [b & 0xF, b >> 4]);
-        if pairs
-            .by_ref()
+    if format == MatrixFormat::QuantSparse24
+        && indices
+            .iter()
+            .flat_map(|&b| [b & 0xF, b >> 4])
             .take(d_in * d_out / 4)
-            .any(|p| p & 0b11 == p >> 2)
-        {
-            return Err(WireError::BadField("sparse24 kept pair repeats a position"));
-        }
+            .any(|pair| pair & 0b11 == pair >> 2)
+    {
+        return Err(WireError::BadField("sparse24 kept pair repeats a position"));
     }
     let n_scales = r.len_u64()?;
     if n_scales
