@@ -2,7 +2,7 @@
 //! DESIGN.md calls out: the scheduler's two mechanisms, the ΔCompress
 //! reconstruction step, SBMM strategies end-to-end, and the §5.4 N-tuner.
 
-use super::{md_table, Report, Scale};
+use super::{md_table, Report};
 use crate::experiments::quality::Zoo;
 use dz_compress::calib::calibration_set;
 use dz_compress::pipeline::{delta_compress, delta_compress_no_reconstruct, DeltaCompressConfig};
@@ -175,9 +175,6 @@ pub fn tuning_demo() -> Report {
         body,
     }
 }
-
-/// Keeps `Scale` in the public path for future ablation knobs.
-pub fn _scale_hint(_: Scale) {}
 
 #[cfg(test)]
 mod tests {

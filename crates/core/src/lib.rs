@@ -10,9 +10,9 @@
 //!   compression metadata ([`manager`]),
 //! * the **Serving Engine** — [`DeltaZip::generate_batch`] actually decodes
 //!   batched requests for *different* variants through the decoupled
-//!   base-plus-SBMM path on CPU, and [`DeltaZip::simulate`] replays traces
-//!   on the calibrated GPU performance model for the paper's end-to-end
-//!   serving experiments.
+//!   base-plus-SBMM (or SGMV, for adapters) path on CPU, and
+//!   [`DeltaZip::simulate`] replays traces on the calibrated GPU
+//!   performance model for the paper's end-to-end serving experiments.
 //!
 //! # Examples
 //!
@@ -55,9 +55,8 @@ use dz_compress::calib::calibration_set;
 pub use dz_compress::codec::{
     codec_zoo, BitDeltaCodec, CodecId, DeltaCodec, DeltaComeCodec, SparseGptCodec,
 };
-use dz_compress::pipeline::{delta_compress, CompressedDelta, DeltaCompressConfig, SizeReport};
-use dz_kernels::decoupled::DecoupledBatch;
-use dz_kernels::{AdapterBatch, AdapterView};
+use dz_compress::pipeline::{delta_compress, DeltaCompressConfig, SizeReport};
+use dz_kernels::{AdapterView, BatchRunner, Variant};
 use dz_model::lora::LoraAdapter;
 use dz_model::rosa::RosaAdapter;
 use dz_model::tasks::Corpus;
@@ -239,119 +238,63 @@ impl DeltaZip {
 
     /// Batched greedy generation across variants **of the same base**.
     ///
-    /// Delta variants run through the shared-base GEMM + SBMM decoupled
-    /// path (Eq. 2); LoRA/RoSA variants run through the SGMV adapter path.
-    /// Mirroring §8's coarse-grained co-serving, one batch must be all
-    /// deltas or all adapters — mixing returns
-    /// [`DzError::MixedServingPaths`].
+    /// Every request runs through one [`BatchRunner`]: a shared base GEMM
+    /// per projection plus each variant's product (Eq. 2). Delta variants
+    /// add SBMM over their packed layers (or a dense product for codecs
+    /// without an SBMM kernel); LoRA/RoSA variants add SGMV. Mirroring §8's
+    /// coarse-grained co-serving, one batch must be all deltas or all
+    /// adapters — mixing returns [`DzError::MixedServingPaths`].
     pub fn generate_batch(
         &self,
         requests: &[(VariantId, Vec<usize>)],
         max_new: usize,
     ) -> Result<Vec<Vec<usize>>, DzError> {
-        if requests.is_empty() {
+        let Some((first, _)) = requests.first() else {
             return Ok(Vec::new());
-        }
+        };
         let first_info = self
             .manager
-            .variant(requests[0].0)
+            .variant(*first)
             .ok_or(DzError::UnknownVariant)?;
-        let base_id = first_info.base;
-        let is_delta = matches!(first_info.artifact, VariantArtifact::Delta(_));
+        let is_delta = |info: &VariantInfo| matches!(info.artifact, VariantArtifact::Delta(_));
+        let mut infos = Vec::with_capacity(requests.len());
         for (vid, _) in requests {
             let info = self.manager.variant(*vid).ok_or(DzError::UnknownVariant)?;
-            if info.base != base_id {
+            if info.base != first_info.base {
                 return Err(DzError::ShapeMismatch);
             }
-            if matches!(info.artifact, VariantArtifact::Delta(_)) != is_delta {
+            if is_delta(info) != is_delta(first_info) {
                 return Err(DzError::MixedServingPaths);
             }
+            infos.push(info);
         }
-        if is_delta {
-            self.generate_batch_deltas(base_id, requests, max_new)
-        } else {
-            self.generate_batch_adapters(base_id, requests, max_new)
-        }
-    }
-
-    /// Delta-path batch: shared base GEMM plus SBMM over packed deltas.
-    fn generate_batch_deltas(
-        &self,
-        base_id: BaseId,
-        requests: &[(VariantId, Vec<usize>)],
-        max_new: usize,
-    ) -> Result<Vec<Vec<usize>>, DzError> {
         let base = self
             .manager
-            .base_params(base_id)
+            .base_params(first_info.base)
             .ok_or(DzError::UnknownBase)?;
-        let mut deltas: Vec<&CompressedDelta> = Vec::new();
-        let mut slot_of_variant: Vec<(VariantId, usize)> = Vec::new();
-        for (vid, _) in requests {
-            let info = self.manager.variant(*vid).ok_or(DzError::UnknownVariant)?;
-            let VariantArtifact::Delta(d) = &info.artifact else {
-                return Err(DzError::NotADelta);
-            };
-            if !slot_of_variant.iter().any(|(v, _)| v == vid) {
-                deltas.push(d);
-                slot_of_variant.push((*vid, deltas.len() - 1));
-            }
-        }
-        let mut batch = DecoupledBatch::new(base, deltas);
-        let mut slots = Vec::with_capacity(requests.len());
-        for (vid, prompt) in requests {
-            let delta_slot = slot_of_variant
-                .iter()
-                .find(|(v, _)| v == vid)
-                .map(|&(_, s)| s)
-                .expect("registered above");
-            slots.push(batch.admit(delta_slot, prompt));
-        }
-        for _ in 0..max_new {
-            batch.decode_step();
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| batch.generated(s).to_vec())
-            .collect())
-    }
-
-    /// Adapter-path batch: shared base GEMM plus grouped SGMV products.
-    fn generate_batch_adapters(
-        &self,
-        base_id: BaseId,
-        requests: &[(VariantId, Vec<usize>)],
-        max_new: usize,
-    ) -> Result<Vec<Vec<usize>>, DzError> {
-        let base = self
-            .manager
-            .base_params(base_id)
-            .ok_or(DzError::UnknownBase)?;
-        let mut views: Vec<AdapterView<'_>> = Vec::new();
-        let mut slot_of_variant: Vec<(VariantId, usize)> = Vec::new();
-        for (vid, _) in requests {
-            if slot_of_variant.iter().any(|(v, _)| v == vid) {
+        // One runner variant per distinct variant id, in first-use order.
+        let mut ids: Vec<VariantId> = Vec::new();
+        let mut variants = Vec::new();
+        let mut which = Vec::with_capacity(requests.len());
+        for ((vid, _), info) in requests.iter().zip(infos) {
+            if let Some(vi) = ids.iter().position(|v| v == vid) {
+                which.push(vi);
                 continue;
             }
-            let info = self.manager.variant(*vid).ok_or(DzError::UnknownVariant)?;
-            let view = match &info.artifact {
-                VariantArtifact::Lora(a) => AdapterView::from_lora(a),
-                VariantArtifact::Rosa(a) => AdapterView::from_rosa(a),
-                VariantArtifact::Delta(_) => return Err(DzError::MixedServingPaths),
-            };
-            views.push(view);
-            slot_of_variant.push((*vid, views.len() - 1));
+            which.push(ids.len());
+            ids.push(*vid);
+            variants.push(match &info.artifact {
+                VariantArtifact::Delta(d) => Variant::delta(d),
+                VariantArtifact::Lora(a) => Variant::adapter(AdapterView::from_lora(a)),
+                VariantArtifact::Rosa(a) => Variant::adapter(AdapterView::from_rosa(a)),
+            });
         }
-        let mut batch = AdapterBatch::new(base, views);
-        let mut slots = Vec::with_capacity(requests.len());
-        for (vid, prompt) in requests {
-            let adapter_slot = slot_of_variant
-                .iter()
-                .find(|(v, _)| v == vid)
-                .map(|&(_, s)| s)
-                .expect("registered above");
-            slots.push(batch.admit(adapter_slot, prompt));
-        }
+        let mut batch = BatchRunner::new(base, variants);
+        let slots: Vec<usize> = requests
+            .iter()
+            .zip(which)
+            .map(|((_, prompt), vi)| batch.admit(vi, prompt))
+            .collect();
         for _ in 0..max_new {
             batch.decode_step();
         }
@@ -824,6 +767,43 @@ mod tests {
             Err(DzError::Storage(msg)) => assert!(msg.contains("lineage"), "{msg}"),
             other => panic!("expected lineage error, got {other:?}"),
         }
+        std::fs::remove_dir_all(registry.root()).ok();
+    }
+
+    #[test]
+    fn misshaped_artifact_under_right_base_hash_is_rejected() {
+        let base = Params::init(test_config(), &mut Rng::seeded(1));
+        let mut wide_cfg = test_config();
+        wide_cfg.d_model = 24;
+        let mut rng = Rng::seeded(2);
+        let wide = Params::init(wide_cfg, &mut rng);
+        let mut wide_tuned = wide.clone();
+        wide_tuned.for_each_mut(|_, m| m.map_assign(|v| v + 0.01));
+        let calib = calibration_set(&Corpus::new(wide_cfg.max_seq), 4, 3);
+        let (wide_delta, _) =
+            delta_compress(&wide, &wide_tuned, &calib, DeltaCompressConfig::starred(4));
+        // Layers of the right shape, one `rest` tensor of the wrong shape.
+        let mut tuned = base.clone();
+        tuned.for_each_mut(|_, m| m.map_assign(|v| v + 0.01));
+        let (mut bad_rest, _) =
+            delta_compress(&base, &tuned, &calib, DeltaCompressConfig::starred(4));
+        bad_rest
+            .rest
+            .insert("lnf_g".into(), dz_tensor::Matrix::zeros(1, 24));
+
+        let registry = temp_registry("misshaped");
+        let base_hash = params_hash(&base);
+        let mut dz = DeltaZip::new();
+        let b = dz.register_base("base", base).unwrap();
+        for (name, delta) in [("wide", &wide_delta), ("bad-rest", &bad_rest)] {
+            let id = registry.publish_delta(name, base_hash, delta).unwrap();
+            assert_eq!(
+                dz.register_variant_from_artifact(b, &registry, &id),
+                Err(DzError::ShapeMismatch),
+                "{name}"
+            );
+        }
+        assert_eq!(dz.manager().n_variants(), 0);
         std::fs::remove_dir_all(registry.root()).ok();
     }
 

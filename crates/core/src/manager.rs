@@ -68,6 +68,20 @@ pub fn params_hash(params: &Params) -> Digest {
     h.finalize()
 }
 
+/// Whether `delta` fits `base`: every base linear layer has a delta layer
+/// of the same `(d_in, d_out)`, and every `rest` tensor has the shape of the
+/// base tensor of the same name.
+fn delta_fits(base: &Params, delta: &CompressedDelta) -> bool {
+    let layers_fit = base.linear_layer_names().iter().all(|name| {
+        delta.layers.get(name).map(|l| (l.d_in(), l.d_out())) == base.get(name).map(|w| w.shape())
+    });
+    layers_fit
+        && delta
+            .rest
+            .iter()
+            .all(|(name, m)| base.get(name).map(|b| b.shape()) == Some(m.shape()))
+}
+
 struct BaseEntry {
     name: String,
     params: Params,
@@ -178,6 +192,9 @@ impl ModelManager {
     /// Registers a variant from a stored `.dza` artifact, decoding the
     /// delta and verifying its recorded lineage against `base`'s content
     /// hash. The variant takes the name recorded in the manifest.
+    ///
+    /// A delta whose layers or `rest` tensors are shaped for another model
+    /// returns [`DzError::ShapeMismatch`], even under the right base hash.
     pub fn register_variant_from_artifact(
         &mut self,
         base: BaseId,
@@ -196,6 +213,10 @@ impl ModelManager {
         let delta = reader
             .read_delta()
             .map_err(|e| DzError::Storage(e.to_string()))?;
+        let params = self.base_params(base).ok_or(DzError::UnknownBase)?;
+        if !delta_fits(params, &delta) {
+            return Err(DzError::ShapeMismatch);
+        }
         self.add_variant(&name, base, VariantArtifact::Delta(Box::new(delta)))
     }
 

@@ -15,15 +15,22 @@
 //! CPU-side sanity check of Figure 6/7 shapes.
 //!
 //! The adapter side (Punica-style SGMV, extended with RoSA's sparse
-//! component per §8) lives in [`sgmv`], with [`sgmv::AdapterBatch`] as the
-//! adapter counterpart of [`decoupled::DecoupledBatch`].
+//! component per §8) lives in [`sgmv`].
+//!
+//! One batched decode runner, [`BatchRunner`], serves every variant kind
+//! through the same transformer step: packed deltas through SBMM,
+//! BitDelta/Delta-CoMe deltas through a dense fallback, and LoRA/RoSA
+//! adapters through SGMV, each on top of one shared base GEMM per
+//! projection. [`decoupled::DecoupledBatch::new`] and
+//! [`AdapterBatch::new`] build it over deltas or adapters alone.
 
 pub mod decoupled;
 pub mod qgemm;
-pub(crate) mod runner;
+mod runner;
 pub mod sbmm;
 pub mod sgmv;
 
 pub use qgemm::{dense_gemm, quant_gemm};
+pub use runner::{BatchRunner, Variant};
 pub use sbmm::{sbmm_grouped, sbmm_naive};
 pub use sgmv::{sgmv_grouped, AdapterBatch, AdapterView};

@@ -81,16 +81,6 @@ fn check_shapes(deltas: &[&CompressedMatrix]) {
     }
 }
 
-/// Number of distinct deltas actually referenced by a batch (the paper's
-/// `N` for kernel-launch accounting).
-pub fn distinct_deltas(delta_idx: &[usize]) -> usize {
-    let mut seen = std::collections::BTreeSet::new();
-    for &d in delta_idx {
-        seen.insert(d);
-    }
-    seen.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,7 +150,6 @@ mod tests {
         let idx = vec![4, 4, 4];
         let y = sbmm_grouped(&x, &idx, &refs);
         assert_eq!(y.rows(), 3);
-        assert_eq!(distinct_deltas(&idx), 1);
     }
 
     #[test]

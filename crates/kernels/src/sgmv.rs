@@ -4,12 +4,12 @@
 //! shared base GEMM plus a grouped per-adapter product — but the adapter
 //! product is two skinny matmuls `(x A) B` scaled by `alpha/r` (SGMV:
 //! segmented gather matrix-vector), plus an optional coordinate-format
-//! sparse term for RoSA. [`AdapterBatch`] mirrors
-//! [`crate::decoupled::DecoupledBatch`]: it decodes a batch of requests for
-//! different adapters of one base in lock-step with per-request KV caches.
+//! sparse term for RoSA. [`AdapterBatch::new`] builds the crate's one
+//! batch runner, [`BatchRunner`], over adapters, exactly as
+//! [`crate::decoupled::DecoupledBatch`] does over deltas.
 
 use crate::qgemm::dense_gemm;
-use crate::runner::{argmax, attention_one, gelu_assign, layer_norm_row, Slot};
+use crate::runner::{BatchRunner, Variant};
 use dz_model::lora::LoraAdapter;
 use dz_model::rosa::RosaAdapter;
 use dz_model::transformer::Params;
@@ -181,8 +181,7 @@ pub fn sgmv_grouped(
         let mut yg = dense_gemm(&xa, w.b);
         yg.scale_assign(w.scale);
         if let Some(sparse) = &w.sparse {
-            for (gr, &i) in rows.iter().enumerate() {
-                let _ = i;
+            for gr in 0..rows.len() {
                 sparse.accumulate_row(xg.row(gr), yg.row_mut(gr));
             }
         }
@@ -196,156 +195,18 @@ pub fn sgmv_grouped(
     y
 }
 
-/// A batched adapter decoder over one base model and many adapters.
+/// Builds a [`BatchRunner`] over one base model and many adapters.
 ///
-/// Unlike [`crate::decoupled::DecoupledBatch`], every non-projection
-/// parameter (embeddings, norms, biases, head) comes from the shared base —
-/// adapters only touch the linear projections.
-pub struct AdapterBatch<'a> {
-    base: &'a Params,
-    adapters: Vec<AdapterView<'a>>,
-    slots: Vec<Slot>,
-}
+/// Every non-projection parameter (embeddings, norms, biases, head) comes
+/// from the shared base: adapters only touch the linear projections.
+pub struct AdapterBatch;
 
-impl<'a> AdapterBatch<'a> {
-    /// Creates a runner over `base` and the given adapters.
-    pub fn new(base: &'a Params, adapters: Vec<AdapterView<'a>>) -> Self {
-        AdapterBatch {
-            base,
-            adapters,
-            slots: Vec::new(),
-        }
-    }
-
-    /// Admits a request for `adapter`, prefilling its prompt; returns the
-    /// slot index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the adapter index is out of range or the prompt is empty.
-    pub fn admit(&mut self, adapter: usize, prompt: &[usize]) -> usize {
-        assert!(adapter < self.adapters.len(), "adapter out of range");
-        assert!(!prompt.is_empty(), "empty prompt");
-        let last = *prompt.last().expect("non-empty");
-        self.slots
-            .push(Slot::new(adapter, self.base.config.n_layers, last));
-        let idx = self.slots.len() - 1;
-        for &tok in &prompt[..prompt.len() - 1] {
-            let _ = self.step_tokens(&[(idx, tok)]);
-        }
-        idx
-    }
-
-    /// Decodes one token for every active slot; returns `(slot, next)`.
-    pub fn decode_step(&mut self) -> Vec<(usize, usize)> {
-        let work: Vec<(usize, usize)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, s.last_token))
-            .collect();
-        let logits = self.step_tokens(&work);
-        let mut out = Vec::with_capacity(work.len());
-        for ((slot, _), row) in work.iter().zip(logits.iter()) {
-            let next = argmax(row);
-            self.slots[*slot].last_token = next;
-            self.slots[*slot].generated.push(next);
-            out.push((*slot, next));
-        }
-        out
-    }
-
-    /// Tokens generated so far by a slot.
-    pub fn generated(&self, slot: usize) -> &[usize] {
-        &self.slots[slot].generated
-    }
-
-    /// Shared base linear plus the grouped adapter product and base bias.
-    fn linear(
-        &self,
-        x: &Matrix,
-        w_base: &Matrix,
-        bias: &Matrix,
-        name: &str,
-        adapter_idx: &[usize],
-    ) -> Matrix {
-        let mut y = dense_gemm(x, w_base);
-        let views: Vec<Option<&AdapterWeights<'_>>> =
-            self.adapters.iter().map(|v| v.get(name)).collect();
-        if views.iter().any(Option::is_some) {
-            let ya = sgmv_grouped(x, adapter_idx, &views, w_base.cols());
-            y.add_assign(&ya);
-        }
-        for bi in 0..y.rows() {
-            for (c, v) in y.row_mut(bi).iter_mut().enumerate() {
-                *v += bias.get(0, c);
-            }
-        }
-        y
-    }
-
-    /// Core batched step (same wiring as the decoupled runner, base-only
-    /// non-projection parameters).
-    fn step_tokens(&mut self, work: &[(usize, usize)]) -> Vec<Vec<f32>> {
-        let cfg = &self.base.config;
-        let d = cfg.d_model;
-        let b = work.len();
-        let adapter_idx: Vec<usize> = work.iter().map(|(s, _)| self.slots[*s].variant).collect();
-
-        let mut x = Matrix::zeros(b, d);
-        for (bi, &(slot, token)) in work.iter().enumerate() {
-            let pos = self.slots[slot].cache.len();
-            assert!(pos < cfg.max_seq, "sequence overflow");
-            let row = x.row_mut(bi);
-            for (c, v) in row.iter_mut().enumerate() {
-                *v = self.base.tok_emb.get(token, c) + self.base.pos_emb.get(pos, c);
-            }
-        }
-
-        let heads = cfg.n_heads;
-        for li in 0..cfg.n_layers {
-            let l = &self.base.layers[li];
-            let mut h = Matrix::zeros(b, d);
-            for bi in 0..b {
-                let src: Vec<f32> = x.row(bi).to_vec();
-                layer_norm_row(&src, &l.ln1_g, &l.ln1_b, h.row_mut(bi));
-            }
-            let q = self.linear(&h, &l.wq, &l.bq, &format!("layer{li}.wq"), &adapter_idx);
-            let k = self.linear(&h, &l.wk, &l.bk, &format!("layer{li}.wk"), &adapter_idx);
-            let v = self.linear(&h, &l.wv, &l.bv, &format!("layer{li}.wv"), &adapter_idx);
-            let mut attn = Matrix::zeros(b, d);
-            for (bi, &(slot, _)) in work.iter().enumerate() {
-                let cache = &mut self.slots[slot].cache;
-                attention_one(&q, &k, &v, bi, cache, li, heads, &mut attn);
-            }
-            let proj = self.linear(&attn, &l.wo, &l.bo, &format!("layer{li}.wo"), &adapter_idx);
-            x.add_assign(&proj);
-            let mut h2 = Matrix::zeros(b, d);
-            for bi in 0..b {
-                let src: Vec<f32> = x.row(bi).to_vec();
-                layer_norm_row(&src, &l.ln2_g, &l.ln2_b, h2.row_mut(bi));
-            }
-            let mut up = self.linear(&h2, &l.w1, &l.b1, &format!("layer{li}.w1"), &adapter_idx);
-            gelu_assign(&mut up);
-            let down = self.linear(&up, &l.w2, &l.b2, &format!("layer{li}.w2"), &adapter_idx);
-            x.add_assign(&down);
-        }
-        let mut out = Vec::with_capacity(b);
-        for bi in 0..b {
-            let mut xf = vec![0.0f32; d];
-            let src: Vec<f32> = x.row(bi).to_vec();
-            layer_norm_row(&src, &self.base.lnf_g, &self.base.lnf_b, &mut xf);
-            let mut logits = vec![0.0f32; cfg.vocab];
-            for (c, lg) in logits.iter_mut().enumerate() {
-                let mut acc = 0.0f32;
-                for (r, xv) in xf.iter().enumerate() {
-                    acc += xv * self.base.head.get(r, c);
-                }
-                *lg = acc;
-            }
-            out.push(logits);
-        }
-        out
+impl AdapterBatch {
+    /// Creates a runner over `base` and the given adapters; variant `i` of
+    /// the runner is `adapters[i]`.
+    #[allow(clippy::new_ret_no_self)] // builds the shared runner type
+    pub fn new<'a>(base: &'a Params, adapters: Vec<AdapterView<'a>>) -> BatchRunner<'a> {
+        BatchRunner::new(base, adapters.into_iter().map(Variant::adapter).collect())
     }
 }
 

@@ -703,9 +703,9 @@ impl FleetSim {
                     // Miss cost: nearest holder wins; an in-flight fetch
                     // for the same delta is awaited, not re-pulled.
                     let mut fetch_s = 0.0;
-                    if r.warm.contains_key(&req.model) {
+                    if let Some(last) = r.warm.get_mut(&req.model) {
                         warm_hits += 1;
-                        r.warm.insert(req.model, stamp);
+                        *last = stamp;
                     } else if let Some(&land) = inflight.get(&(target, req.model)) {
                         fetch_s = (land - start).max(0.0);
                         Self::warm_insert(r, req.model, stamp, cfg.warm_capacity);
