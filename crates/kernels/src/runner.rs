@@ -190,6 +190,8 @@ impl<'a> BatchRunner<'a> {
         add_grouped(&mut y, x, idx, &packed_of, |xg, gi| {
             sbmm_grouped(xg, gi, &packed)
         });
+        // Skipped when no adapter adapts this projection: its rows then
+        // keep the base output untouched.
         if adapters.iter().any(Option::is_some) {
             add_grouped(&mut y, x, idx, &adapter_of, |xg, gi| {
                 sgmv_grouped(xg, gi, &adapters, w_base.cols())
