@@ -33,8 +33,9 @@ use dz_serve::cluster::{
 };
 use dz_serve::fleet::{FleetConfig, FleetRouter, FleetSim};
 use dz_serve::{
-    ChaosConfig, CostModel, DeltaStoreBinding, DeltaZipConfig, Engine, EngineBuilder, FaultEvent,
-    FaultKind, FaultPlan, Metrics, PrefetchPolicy, SloPolicy, TraceConfig, VariantCatalog,
+    Autoscaler, Brownout, ChaosConfig, CostModel, DeltaStoreBinding, DeltaZipConfig, Engine,
+    EngineBuilder, FaultEvent, FaultKind, FaultPlan, Metrics, PrefetchPolicy, SloPolicy,
+    TraceConfig, TraceEvent, VariantCatalog,
 };
 use dz_store::{sha256, ArtifactId, Registry, TieredDeltaStore};
 use dz_tensor::{Matrix, Rng};
@@ -488,4 +489,140 @@ fn store_bound_is_pinned() {
     .with_stores(bindings);
     check_cluster("lockstep_store", sim, &tr, PIN_LOCKSTEP_STORE);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// -- Elastic membership: crashes, restarts and autoscaling together -------
+
+const PIN_CLUSTER_ELASTIC: u64 = 0x5d40f98c01a9c8d9;
+const PIN_FLEET_CHAOS: u64 = 0xb05fbdc14a92fcbb;
+
+fn crash(at: f64, replica: usize, restart_after_s: Option<f64>) -> FaultEvent {
+    FaultEvent {
+        at,
+        kind: FaultKind::Crash {
+            replica,
+            restart_after_s,
+        },
+    }
+}
+
+/// One cold spare activated at a time and drained again once idle,
+/// around a crash that restarts, a crash that does not, and a
+/// brownout: every membership rule of the cluster front end at once.
+#[test]
+fn cluster_elastic_run_is_pinned() {
+    let tr = trace(59, 3.0, 60.0);
+    let plan = FaultPlan::scripted(vec![
+        crash(12.0, 0, Some(6.0)),
+        crash(30.0, 1, None),
+        FaultEvent {
+            at: 20.0,
+            kind: FaultKind::Degrade {
+                replica: 2,
+                brownout: Brownout {
+                    start_s: 20.0,
+                    end_s: 32.0,
+                    disk_rate: 0.25,
+                    pcie_rate: 0.5,
+                },
+            },
+        },
+    ]);
+    let chaos = ChaosConfig {
+        autoscaler: Some(Autoscaler {
+            up_backlog_s: 4.0,
+            down_backlog_s: 1.0,
+            interval_s: 2.0,
+            cooldown_s: 4.0,
+            ..Autoscaler::new(1, 4)
+        }),
+        initial_replicas: Some(1),
+        ..ChaosConfig::faults(plan, 0xE1A5)
+    };
+    let mut sim = ClusterSim::new(
+        vec![cost(); 4],
+        ClusterConfig {
+            n_replicas: 4,
+            ..ClusterConfig::default()
+        },
+        Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
+            PopularityDist::Zipf { alpha: 1.3 },
+            N_MODELS,
+            4,
+        ))),
+    )
+    .with_chaos(chaos)
+    .with_tracing(TraceConfig::default());
+    let report = sim.run(&tr);
+    let stats = report.chaos.clone().expect("chaos stats");
+    assert_eq!((stats.crashes, stats.brownouts), (2, 1), "{stats:?}");
+    assert!(stats.restarts >= 1, "{stats:?}");
+    assert!(stats.scale_ups > 0 && stats.scale_downs > 0, "{stats:?}");
+    let mut pin = Pin::new();
+    pin.cluster_report(&report);
+    let tracks = sim.take_trace();
+    assert_eq!(tracks[0].name, "frontend");
+    for ev in tracks[0].log.events() {
+        let (kind, replica) = match *ev {
+            TraceEvent::ReplicaDown { replica, .. } => (1, replica),
+            TraceEvent::ReplicaUp { replica, .. } => (2, replica),
+            TraceEvent::ScaleUp { replica, .. } => (3, replica),
+            TraceEvent::ScaleDown { replica, .. } => (4, replica),
+            TraceEvent::Migrate { count, .. } => (5, count),
+            TraceEvent::Defer { id, .. } => (6, id),
+            TraceEvent::Shed { id, .. } => (7, id),
+            TraceEvent::Rollout { model, .. } => (8, model),
+            _ => (0, 0),
+        };
+        pin.word(kind);
+        pin.word(replica as u64);
+        pin.f64(ev.at());
+    }
+    check("cluster_elastic", pin.0, PIN_CLUSTER_ELASTIC);
+}
+
+/// Compact-replica chaos: a crash that restarts, one that does not, a
+/// repeat crash on the replica already down, and an autoscaler that
+/// drains and reactivates. The whole event log is folded.
+#[test]
+fn fleet_chaos_run_is_pinned() {
+    let tr = trace(61, 30.0, 40.0);
+    let weights = PopularityDist::Zipf { alpha: 1.3 }.weights(N_MODELS);
+    let mut cfg = FleetConfig::new(6);
+    cfg.warm_capacity = 4;
+    cfg.record_events = true;
+    cfg.faults = FaultPlan::scripted(vec![
+        crash(5.0, 1, Some(4.0)),
+        crash(11.5, 2, None),
+        crash(11.75, 2, Some(3.0)),
+    ]);
+    cfg.autoscale = Some(Autoscaler {
+        min_replicas: 2,
+        max_replicas: 6,
+        up_backlog_s: 0.3,
+        down_backlog_s: 0.05,
+        interval_s: 1.0,
+        cooldown_s: 2.0,
+    });
+    let plan = PlacementPlan::from_weights(&weights, 6);
+    let report = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 7 }).run(&tr);
+    let mut pin = Pin::new();
+    for e in report.event_log.as_deref().expect("recording enabled") {
+        pin.f64(e.at);
+        pin.word(e.class as u64);
+        pin.word(e.key);
+    }
+    for n in [report.served, report.shed, report.peak_live, report.events] {
+        pin.word(n as u64);
+    }
+    pin.word(report.warm_hits);
+    for q in [
+        report.mean_e2e_s,
+        report.p50_e2e_s,
+        report.p99_e2e_s,
+        report.max_e2e_s,
+    ] {
+        pin.f64(q);
+    }
+    check("fleet_chaos", pin.0, PIN_FLEET_CHAOS);
 }
