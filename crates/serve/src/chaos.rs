@@ -22,6 +22,12 @@
 //!   [`Registry::supersede`](dz_store::Registry::supersede),
 //!   which records the v2 → v1 lineage).
 //!
+//! Both simulators apply crashes, restarts and autoscaler ticks through
+//! one crate-private `Membership`, so they share one set of rules: a
+//! crash of a down replica does nothing, a restart revives only a down
+//! replica, and scale-up never activates a replica whose restart is
+//! pending. Each event loop adds only its own side effects.
+//!
 //! Everything is driven by **one recorded seed** ([`ChaosConfig::seed`])
 //! so a chaos run is exactly reproducible: the random fault schedule,
 //! the rollout coin flips, and nothing else consume randomness.
@@ -168,6 +174,35 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+
+    /// The plan's crashes as membership events, with their fire times.
+    pub(crate) fn crashes(&self) -> impl Iterator<Item = (f64, MemberEvent)> + '_ {
+        self.events.iter().filter_map(|ev| match ev.kind {
+            FaultKind::Crash {
+                replica,
+                restart_after_s,
+            } => Some((
+                ev.at.max(0.0),
+                MemberEvent::Crash {
+                    replica,
+                    restart_after_s,
+                },
+            )),
+            FaultKind::Degrade { .. } => None,
+        })
+    }
+
+    /// Panics if an event names a replica `>= n_replicas`.
+    pub(crate) fn assert_replicas_below(&self, n_replicas: usize) {
+        for ev in &self.events {
+            let (FaultKind::Crash { replica, .. } | FaultKind::Degrade { replica, .. }) = ev.kind;
+            assert!(
+                replica < n_replicas,
+                "fault at {}s names replica {replica} of {n_replicas}",
+                ev.at
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -178,12 +213,11 @@ impl FaultPlan {
 /// `interval_s` of simulation time over the *live* fleet's mean
 /// estimated backlog.
 ///
-/// * mean backlog > `up_backlog_s` → activate one cold spare (a replica
-///   slot above the currently live set), if any remain under
-///   `max_replicas`;
-/// * mean backlog < `down_backlog_s` → drain the emptiest live replica
-///   (it stops receiving traffic but finishes what it has), down to
-///   `min_replicas`.
+/// * mean backlog > `up_backlog_s` → activate the lowest-id down replica
+///   with no pending restart, if any, under `max_replicas`;
+/// * mean backlog < `down_backlog_s` → drain the live replica that
+///   empties first, lowest id on ties (it stops receiving traffic but
+///   finishes what it has), down to `min_replicas`.
 ///
 /// `cooldown_s` suppresses flapping: after any scale action the loop
 /// holds for that long. New replicas start **cold** — empty predicted
@@ -232,6 +266,147 @@ impl Autoscaler {
         } else {
             0
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Replica membership.
+// ---------------------------------------------------------------------------
+
+/// A membership change scheduled on a simulator's event heap.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MemberEvent {
+    /// A crash from the fault plan fires.
+    Crash {
+        replica: usize,
+        restart_after_s: Option<f64>,
+    },
+    /// A crashed replica rejoins, cold.
+    Restart { replica: usize },
+    /// Autoscaler control-loop sample.
+    Tick,
+}
+
+/// The replica an autoscaler tick activated or drained.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Scale {
+    Up(usize),
+    Down(usize),
+}
+
+/// Which replicas are live, and the rules that change it.
+#[derive(Debug)]
+pub(crate) struct Membership {
+    alive: Vec<bool>,
+    /// Down with a restart scheduled: scale-up must not activate it.
+    pending_restart: Vec<bool>,
+    live: usize,
+    /// Fewest and most live replicas so far.
+    pub(crate) min_live: usize,
+    pub(crate) max_live: usize,
+    last_scale_at: f64,
+}
+
+impl Membership {
+    /// `n` replicas, of which ids `0..initial_live` start live.
+    pub(crate) fn new(n: usize, initial_live: usize) -> Self {
+        Membership {
+            alive: (0..n).map(|r| r < initial_live).collect(),
+            pending_restart: vec![false; n],
+            live: initial_live,
+            min_live: initial_live,
+            max_live: initial_live,
+            last_scale_at: f64::NEG_INFINITY,
+        }
+    }
+
+    pub(crate) fn is_alive(&self, r: usize) -> bool {
+        self.alive[r]
+    }
+
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// What scale-up activates: the lowest-id down replica that no
+    /// scheduled restart will bring back.
+    pub(crate) fn spare(&self) -> Option<usize> {
+        (0..self.alive.len()).find(|&r| !self.alive[r] && !self.pending_restart[r])
+    }
+
+    /// Crashes replica `r` at `t`: `None` when it is already down (the
+    /// crash does nothing), else `Some` of when its restart fires, if
+    /// it has one.
+    pub(crate) fn crash(
+        &mut self,
+        r: usize,
+        t: f64,
+        restart_after_s: Option<f64>,
+    ) -> Option<Option<f64>> {
+        if !self.alive[r] {
+            return None;
+        }
+        self.down(r);
+        self.pending_restart[r] = restart_after_s.is_some();
+        Some(restart_after_s.map(|d| t + d.max(0.0)))
+    }
+
+    /// Brings replica `r` back up; `false` when it is already live.
+    pub(crate) fn restart(&mut self, r: usize) -> bool {
+        if self.alive[r] {
+            return false;
+        }
+        self.up(r);
+        true
+    }
+
+    /// One autoscaler sample at `t` over the live replicas' mean
+    /// backlog, where `busy_until(r)` is when replica `r` drains its
+    /// queue.
+    pub(crate) fn autoscale(
+        &mut self,
+        t: f64,
+        scaler: &Autoscaler,
+        busy_until: impl Fn(usize) -> f64,
+    ) -> Option<Scale> {
+        if t - self.last_scale_at < scaler.cooldown_s {
+            return None;
+        }
+        let live_ids = (0..self.alive.len()).filter(|&r| self.alive[r]);
+        // An empty live set is infinite pressure.
+        let mean_backlog = if self.live == 0 {
+            f64::INFINITY
+        } else {
+            live_ids
+                .clone()
+                .map(|r| (busy_until(r) - t).max(0.0))
+                .sum::<f64>()
+                / self.live as f64
+        };
+        let scale = match scaler.decide(self.live, mean_backlog) {
+            1 => Scale::Up(self.spare()?),
+            -1 => Scale::Down(live_ids.min_by(|&a, &b| busy_until(a).total_cmp(&busy_until(b)))?),
+            _ => return None,
+        };
+        match scale {
+            Scale::Up(r) => self.up(r),
+            Scale::Down(r) => self.down(r),
+        }
+        self.last_scale_at = t;
+        Some(scale)
+    }
+
+    fn up(&mut self, r: usize) {
+        self.alive[r] = true;
+        self.pending_restart[r] = false;
+        self.live += 1;
+        self.max_live = self.max_live.max(self.live);
+    }
+
+    fn down(&mut self, r: usize) {
+        self.alive[r] = false;
+        self.live -= 1;
+        self.min_live = self.min_live.min(self.live);
     }
 }
 
@@ -332,9 +507,9 @@ pub struct ChaosStats {
     pub rollout_remapped: usize,
     /// Prefetch hints dropped because they targeted a dead replica.
     pub dropped_hints: usize,
-    /// Fewest live replicas observed at any routing decision.
+    /// Fewest live replicas at any point of the run.
     pub min_live: usize,
-    /// Most live replicas observed at any routing decision.
+    /// Most live replicas at any point of the run.
     pub max_live: usize,
 }
 
@@ -406,5 +581,66 @@ mod tests {
         assert_eq!(a.decide(3, 0.5), -1, "idle scales down");
         assert_eq!(a.decide(1, 0.0), 0, "floored at min");
         assert_eq!(a.decide(2, 10.0), 0, "hysteresis band holds");
+    }
+
+    /// Up past 1 s of mean backlog, down under 0.5 s, between 1 and 4
+    /// live replicas.
+    fn scaler(cooldown_s: f64) -> Autoscaler {
+        Autoscaler {
+            up_backlog_s: 1.0,
+            down_backlog_s: 0.5,
+            cooldown_s,
+            ..Autoscaler::new(1, 4)
+        }
+    }
+
+    #[test]
+    fn membership_drains_the_lowest_id_among_equal_backlogs() {
+        let mut m = Membership::new(4, 4);
+        let busy = [0.4, 0.1, 0.1, 0.4];
+        assert_eq!(
+            m.autoscale(0.0, &scaler(0.0), |r| busy[r]),
+            Some(Scale::Down(1))
+        );
+        assert!(!m.is_alive(1) && m.is_alive(2));
+        assert_eq!((m.live(), m.min_live), (3, 3));
+    }
+
+    #[test]
+    fn membership_scale_up_skips_a_pending_restart() {
+        let mut m = Membership::new(3, 3);
+        assert_eq!(m.crash(0, 2.0, Some(10.0)), Some(Some(12.0)));
+        assert_eq!(m.crash(1, 2.0, None), Some(None));
+        assert_eq!(m.autoscale(3.0, &scaler(0.0), |_| 8.0), Some(Scale::Up(1)));
+        assert!(!m.is_alive(0), "replica 0 waits for its own restart");
+        assert!(m.restart(0));
+        assert_eq!((m.live(), m.min_live, m.max_live), (3, 1, 3));
+    }
+
+    #[test]
+    fn membership_crash_of_a_down_replica_schedules_nothing() {
+        let mut m = Membership::new(2, 2);
+        assert_eq!(m.crash(0, 1.0, None), Some(None));
+        assert_eq!(m.crash(0, 2.0, Some(3.0)), None);
+        assert_eq!(m.spare(), Some(0), "no restart was recorded");
+        assert_eq!(m.live(), 1);
+    }
+
+    #[test]
+    fn membership_restart_of_a_live_replica_is_a_no_op() {
+        let mut m = Membership::new(2, 1);
+        assert!(!m.restart(0));
+        assert_eq!((m.live(), m.max_live), (1, 1));
+        assert!(m.restart(1));
+        assert_eq!((m.live(), m.max_live), (2, 2));
+    }
+
+    #[test]
+    fn membership_cooldown_blocks_a_second_action() {
+        let mut m = Membership::new(4, 2);
+        let busy = |_| 10.0;
+        assert_eq!(m.autoscale(0.0, &scaler(5.0), busy), Some(Scale::Up(2)));
+        assert_eq!(m.autoscale(4.0, &scaler(5.0), busy), None);
+        assert_eq!(m.autoscale(5.0, &scaler(5.0), busy), Some(Scale::Up(3)));
     }
 }

@@ -33,7 +33,7 @@
 //! engine, so reported latencies include the true cold/warm load charges
 //! their routed request mix produced.
 
-use crate::chaos::{ChaosConfig, ChaosStats, FaultKind};
+use crate::chaos::{ChaosConfig, ChaosStats, FaultKind, MemberEvent, Membership, Scale};
 use crate::cost::CostModel;
 use crate::deltazip::{DeltaStoreBinding, DeltaZipConfig};
 use crate::metrics::{Metrics, RequestRecord, SwapStats};
@@ -731,20 +731,65 @@ impl ClusterReport {
     }
 }
 
+/// A replica's warm set: the deltas it holds in host memory, evicting
+/// the least recently touched one past its capacity. Both simulators'
+/// compact replica states keep one.
+#[derive(Debug, Clone)]
+pub(crate) struct WarmSet {
+    /// Model -> stamp of its last touch. Stamps are unique, so the
+    /// eviction scan has exactly one answer.
+    stamps: BTreeMap<usize, u64>,
+    clock: u64,
+    capacity: usize,
+}
+
+impl WarmSet {
+    /// An empty set holding at most `capacity` (at least one) deltas.
+    pub(crate) fn new(capacity: usize) -> Self {
+        WarmSet {
+            stamps: BTreeMap::new(),
+            clock: 0,
+            capacity: capacity.max(1),
+        }
+    }
+
+    pub(crate) fn contains(&self, model: usize) -> bool {
+        self.stamps.contains_key(&model)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.stamps.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.stamps.clear();
+    }
+
+    /// Marks `model` most recently used, inserting it if absent, and
+    /// returns the model evicted to stay within capacity.
+    pub(crate) fn touch(&mut self, model: usize) -> Option<usize> {
+        self.clock += 1;
+        self.stamps.insert(model, self.clock);
+        if self.stamps.len() <= self.capacity {
+            return None;
+        }
+        let (&victim, _) = self.stamps.iter().min_by_key(|&(_, &stamp)| stamp)?;
+        self.stamps.remove(&victim);
+        Some(victim)
+    }
+}
+
 /// Estimated-state bookkeeping for one replica, maintained by the
 /// front-end as it routes.
 struct ReplicaFrontendState {
-    /// Predicted host-cache contents: model -> LRU stamp. Ordered so the
-    /// eviction scan in `touch_warm` is iteration-order-deterministic.
-    warm: BTreeMap<usize, u64>,
+    /// Predicted host-cache contents.
+    warm: WarmSet,
     /// Models whose *decoded* copy is predicted resident (subset of
     /// `warm`): a demand use decodes and caches, a prefetch does not.
     decoded: BTreeSet<usize>,
     /// Warm entries established by a prefetch hint and not yet rewarded
     /// by a warm-routed request.
     prefetched: BTreeSet<usize>,
-    warm_cap: usize,
-    clock: u64,
     /// Estimated time the replica drains everything routed to it.
     busy_until: f64,
     /// Estimated finish times of outstanding requests (monotone).
@@ -756,11 +801,6 @@ struct ReplicaFrontendState {
     /// replays on its own fresh (cold) engine: a restarted replica has
     /// no host cache.
     sealed: Vec<Vec<(Request, usize, f64, f64)>>,
-    /// Whether the replica is live and routable.
-    alive: bool,
-    /// Down because of a crash with a scheduled restart — the
-    /// autoscaler must not "activate" it early.
-    pending_restart: bool,
     /// Cost-model-derived estimates.
     per_token_s: f64,
     cold_load_s: f64,
@@ -774,8 +814,8 @@ impl ReplicaFrontendState {
         }
     }
 
-    fn view(&self, id: usize, now: f64, model: usize) -> ReplicaView {
-        let warm = self.warm.contains_key(&model);
+    fn view(&self, id: usize, now: f64, model: usize, alive: bool) -> ReplicaView {
+        let warm = self.warm.contains(model);
         ReplicaView {
             id,
             queue_depth: self.finishes.len(),
@@ -784,38 +824,29 @@ impl ReplicaFrontendState {
             decoded: warm && self.decoded.contains(&model),
             cold_load_s: self.cold_load_s,
             warm_load_s: self.warm_load_s,
-            alive: self.alive,
+            alive,
         }
     }
 
-    /// Crash at `t`: the warm set is gone, estimated work is gone, and
-    /// requests whose estimated finish lies beyond `t` are lost —
-    /// returned to the caller for re-queueing. Finished work seals into
-    /// an epoch (it replays on its own engine; the post-restart epoch
-    /// starts cold).
+    /// Crash at `t`: requests whose estimated finish lies beyond `t`
+    /// are lost — returned to the caller for re-queueing — and the rest
+    /// seal into the epoch [`start_epoch`](Self::start_epoch) closes.
     fn crash(&mut self, t: f64) -> Vec<(Request, usize, f64, f64)> {
-        self.alive = false;
-        self.warm.clear();
-        self.decoded.clear();
-        self.prefetched.clear();
-        self.busy_until = t;
-        self.finishes.clear();
         let epoch = std::mem::take(&mut self.assigned);
         let (done, lost): (Vec<_>, Vec<_>) = epoch.into_iter().partition(|a| a.3 <= t);
-        self.sealed.push(done);
+        self.assigned = done;
+        self.start_epoch(t);
         lost
     }
 
-    /// Bring the replica (back) up cold at `t`. For a graceful
-    /// reactivation after a scale-down the drained epoch seals here; a
-    /// crash already sealed it.
-    fn revive(&mut self, t: f64) {
+    /// Seals the current epoch (it replays on its own engine) and starts
+    /// a cold one at `t`: every estimate empties. A restart or scale-up
+    /// brings the replica back this way.
+    fn start_epoch(&mut self, t: f64) {
         if !self.assigned.is_empty() {
             let epoch = std::mem::take(&mut self.assigned);
             self.sealed.push(epoch);
         }
-        self.alive = true;
-        self.pending_restart = false;
         self.warm.clear();
         self.decoded.clear();
         self.prefetched.clear();
@@ -824,22 +855,9 @@ impl ReplicaFrontendState {
     }
 
     fn touch_warm(&mut self, model: usize) {
-        self.clock += 1;
-        self.warm.insert(model, self.clock);
-        while self.warm.len() > self.warm_cap.max(1) {
-            let victim = self
-                .warm
-                .iter()
-                .min_by_key(|(_, &stamp)| stamp)
-                .map(|(&m, _)| m);
-            match victim {
-                Some(v) => {
-                    self.warm.remove(&v);
-                    self.decoded.remove(&v);
-                    self.prefetched.remove(&v);
-                }
-                None => break,
-            }
+        if let Some(victim) = self.warm.touch(model) {
+            self.decoded.remove(&victim);
+            self.prefetched.remove(&victim);
         }
     }
 
@@ -853,7 +871,7 @@ impl ReplicaFrontendState {
     /// A prefetch hint landed: warm (compressed bytes only) — returns
     /// whether the entry was newly prewarmed.
     fn prefetch_warm(&mut self, model: usize) -> bool {
-        if self.warm.contains_key(&model) {
+        if self.warm.contains(model) {
             return false;
         }
         self.touch_warm(model);
@@ -958,7 +976,18 @@ impl ClusterSim {
     /// apply rolling rollouts; the report carries
     /// [`ClusterReport::chaos`]. All chaos randomness flows from
     /// [`ChaosConfig::seed`], so a run is exactly reproducible.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a fault names a replica `>= n_replicas`, or if
+    /// [`ChaosConfig::initial_replicas`] is outside `1..=n_replicas`.
     pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
+        let n = self.config.n_replicas;
+        chaos.plan.assert_replicas_below(n);
+        assert!(
+            chaos.initial_replicas.is_none_or(|k| (1..=n).contains(&k)),
+            "initial_replicas must be in 1..={n}"
+        );
         self.chaos = Some(chaos);
         self
     }
@@ -1057,22 +1086,18 @@ impl ClusterSim {
 
     /// Builds the per-replica front-end states (predicted warm sets,
     /// amortized service rates) for [`run`](Self::run).
-    fn build_states(&self, trace: &Trace, initial_live: usize) -> Vec<ReplicaFrontendState> {
+    fn build_states(&self, trace: &Trace) -> Vec<ReplicaFrontendState> {
         (0..self.config.n_replicas)
             .map(|r| {
                 let cost = &self.costs[r];
                 let mut state = ReplicaFrontendState {
-                    warm: BTreeMap::new(),
+                    warm: WarmSet::new(self.warm_capacity(r)),
                     decoded: BTreeSet::new(),
                     prefetched: BTreeSet::new(),
-                    warm_cap: self.warm_capacity(r),
-                    clock: 0,
                     busy_until: 0.0,
                     finishes: std::collections::VecDeque::new(),
                     assigned: Vec::new(),
                     sealed: Vec::new(),
-                    alive: r < initial_live,
-                    pending_restart: false,
                     // Amortized over a representative batch: the replica
                     // engine batches concurrent requests, so charging the
                     // batch-1 iteration per request would inflate backlog
@@ -1107,11 +1132,12 @@ impl ClusterSim {
 
     /// Replays the trace through the router and the replica engines.
     ///
-    /// The front end is event-driven: chaos actions and request arrivals
-    /// merge on one global [`EventQueue`] keyed by `(time, class, seq)`,
-    /// where the chaos class orders before the arrival class at an equal
-    /// timestamp (a restart at `t` is visible to a request arriving at
-    /// `t`). Cost is O(events) heap operations.
+    /// The front end is event-driven: membership events (crashes,
+    /// restarts, autoscaler ticks) and request arrivals merge on one
+    /// global [`EventQueue`] keyed by `(time, class, seq)`, where the
+    /// chaos class orders before the arrival class at an equal timestamp
+    /// (a restart at `t` is visible to a request arriving at `t`). Cost
+    /// is O(events) heap operations.
     ///
     /// `crates/serve/tests/determinism_pins.rs` holds golden checksums of
     /// the full [`ClusterReport`] on six small fleets (plain, admission +
@@ -1122,19 +1148,17 @@ impl ClusterSim {
         const CLASS_CHAOS: EventClass = 0;
         const CLASS_ARRIVAL: EventClass = 1;
         enum FrontEvent {
-            /// Index into the action table.
-            Chaos(usize),
+            /// A crash, restart or autoscaler tick.
+            Member(MemberEvent),
             /// A request (re-)entering the front end.
             Arrival(Pending),
         }
         let n = self.config.n_replicas;
         let chaos = self.chaos.clone();
-        let initial_live = chaos
-            .as_ref()
-            .and_then(|c| c.initial_replicas)
-            .unwrap_or(n)
-            .clamp(1, n);
-        let mut states = self.build_states(trace, initial_live);
+        let autoscaler = chaos.as_ref().and_then(|c| c.autoscaler);
+        let initial_live = chaos.as_ref().and_then(|c| c.initial_replicas).unwrap_or(n);
+        let mut members = Membership::new(n, initial_live);
+        let mut states = self.build_states(trace);
 
         let mut events: EventQueue<FrontEvent> = EventQueue::new();
         // Arrivals still pending (deferred/parked re-entries included):
@@ -1160,46 +1184,26 @@ impl ClusterSim {
         };
         let mut migrations_seen = self.router.migrations();
 
-        let mut chaos_stats = chaos.as_ref().map(|_| ChaosStats {
-            min_live: initial_live,
-            max_live: initial_live,
-            ..ChaosStats::default()
-        });
+        // Reported only for chaos runs.
+        let mut stats = ChaosStats::default();
         let mut replica_brownouts: Vec<Vec<Brownout>> = vec![Vec::new(); n];
-        let mut chaos_actions: Vec<ChaosAction> = Vec::new();
-        let horizon = trace
-            .requests
-            .iter()
-            .map(|r| r.arrival)
-            .fold(0.0f64, f64::max);
         if let Some(c) = &chaos {
-            for ev in c.plan.events() {
-                let action = match ev.kind {
-                    FaultKind::Crash {
-                        replica,
-                        restart_after_s,
-                    } => ChaosAction::Crash {
-                        replica,
-                        restart_after_s,
-                    },
-                    FaultKind::Degrade { replica, brownout } => {
-                        if replica < n {
-                            replica_brownouts[replica].push(brownout);
-                        }
-                        ChaosAction::Degrade { replica }
-                    }
-                };
-                let idx = chaos_actions.len();
-                chaos_actions.push(action);
-                events.push_class(ev.at.max(0.0), CLASS_CHAOS, FrontEvent::Chaos(idx));
+            for (at, ev) in c.plan.crashes() {
+                events.push_class(at, CLASS_CHAOS, FrontEvent::Member(ev));
             }
-            if let Some(scaler) = c.autoscaler {
-                let idx = chaos_actions.len();
-                chaos_actions.push(ChaosAction::Tick);
+            // A brownout needs no event: the router's estimates and the
+            // replay engines read the window directly.
+            for ev in c.plan.events() {
+                if let FaultKind::Degrade { replica, brownout } = ev.kind {
+                    replica_brownouts[replica].push(brownout);
+                    stats.brownouts += 1;
+                }
+            }
+            if let Some(scaler) = autoscaler {
                 events.push_class(
                     scaler.interval_s.max(1e-3),
                     CLASS_CHAOS,
-                    FrontEvent::Chaos(idx),
+                    FrontEvent::Member(MemberEvent::Tick),
                 );
             }
             frontend_tracer.gauge(|| GaugeSample {
@@ -1213,169 +1217,107 @@ impl ClusterSim {
         let mut rollout_done = vec![false; n_rollouts];
         let mut chaos_rng =
             dz_tensor::Rng::seeded(chaos.as_ref().map_or(0, |c| c.seed) ^ 0xD17E_C4A0);
-        let mut last_scale_at = f64::NEG_INFINITY;
 
         while let Some((t, _class, event)) = events.pop_classed() {
             let mut p = match event {
-                FrontEvent::Chaos(idx) => {
-                    let stats = chaos_stats.as_mut().expect("chaos actions imply config");
-                    match chaos_actions[idx] {
-                        ChaosAction::Crash {
+                FrontEvent::Member(ev) => {
+                    let changed = match ev {
+                        MemberEvent::Crash {
                             replica,
                             restart_after_s,
                         } => {
-                            if replica < n && states[replica].alive {
-                                let lost = states[replica].crash(t);
-                                stats.crashes += 1;
-                                stats.lost_in_flight += lost.len();
-                                let lost_n = lost.len();
-                                frontend_tracer.emit(|| TraceEvent::ReplicaDown {
-                                    replica,
-                                    lost: lost_n,
-                                    at: t,
-                                });
-                                // Lost in-flight requests re-enter the
-                                // front end at the crash instant; the
-                                // wasted wait becomes queue time from
-                                // their viewpoint.
-                                for (req, global_id, delay, _) in lost {
-                                    let orig_arrival = req.arrival - delay;
-                                    let p = Pending {
-                                        req: Request {
-                                            arrival: orig_arrival,
-                                            id: global_id,
-                                            ..req
-                                        },
-                                        delay: t - orig_arrival,
-                                        defers: 0,
-                                    };
-                                    events.push_class(
-                                        p.arrival(),
-                                        CLASS_ARRIVAL,
-                                        FrontEvent::Arrival(p),
-                                    );
-                                    arrivals_pending += 1;
-                                }
-                                if let Some(d) = restart_after_s {
-                                    states[replica].pending_restart = true;
-                                    let idx = chaos_actions.len();
-                                    chaos_actions.push(ChaosAction::Restart { replica });
-                                    events.push_class(
-                                        t + d.max(0.0),
-                                        CLASS_CHAOS,
-                                        FrontEvent::Chaos(idx),
-                                    );
-                                }
-                                let live = states.iter().filter(|s| s.alive).count();
-                                stats.min_live = stats.min_live.min(live);
-                                frontend_tracer.gauge(|| GaugeSample {
-                                    at: t,
-                                    live_replicas: live,
-                                    ..GaugeSample::default()
-                                });
+                            let Some(restart_at) = members.crash(replica, t, restart_after_s)
+                            else {
+                                continue;
+                            };
+                            let lost = states[replica].crash(t);
+                            stats.crashes += 1;
+                            stats.lost_in_flight += lost.len();
+                            let lost_n = lost.len();
+                            frontend_tracer.emit(|| TraceEvent::ReplicaDown {
+                                replica,
+                                lost: lost_n,
+                                at: t,
+                            });
+                            // Lost in-flight requests re-enter the front
+                            // end at the crash instant; the wasted wait
+                            // becomes queue time from their viewpoint.
+                            for (req, global_id, delay, _) in lost {
+                                let orig_arrival = req.arrival - delay;
+                                let p = Pending {
+                                    req: Request {
+                                        arrival: orig_arrival,
+                                        id: global_id,
+                                        ..req
+                                    },
+                                    delay: t - orig_arrival,
+                                    defers: 0,
+                                };
+                                events.push_class(
+                                    p.arrival(),
+                                    CLASS_ARRIVAL,
+                                    FrontEvent::Arrival(p),
+                                );
+                                arrivals_pending += 1;
                             }
+                            if let Some(at) = restart_at {
+                                events.push_class(
+                                    at,
+                                    CLASS_CHAOS,
+                                    FrontEvent::Member(MemberEvent::Restart { replica }),
+                                );
+                            }
+                            true
                         }
-                        ChaosAction::Restart { replica } => {
-                            if replica < n && !states[replica].alive {
-                                states[replica].revive(t);
+                        MemberEvent::Restart { replica } => {
+                            let up = members.restart(replica);
+                            if up {
+                                states[replica].start_epoch(t);
                                 stats.restarts += 1;
                                 frontend_tracer.emit(|| TraceEvent::ReplicaUp { replica, at: t });
-                                let live = states.iter().filter(|s| s.alive).count();
-                                stats.max_live = stats.max_live.max(live);
-                                frontend_tracer.gauge(|| GaugeSample {
-                                    at: t,
-                                    live_replicas: live,
-                                    ..GaugeSample::default()
-                                });
                             }
+                            up
                         }
-                        ChaosAction::Degrade { replica } => {
-                            if replica < n {
-                                stats.brownouts += 1;
-                            }
-                        }
-                        ChaosAction::Tick => {
-                            let scaler = chaos
-                                .as_ref()
-                                .and_then(|c| c.autoscaler)
-                                .expect("tick implies autoscaler");
-                            let live_ids: Vec<usize> =
-                                (0..n).filter(|&r| states[r].alive).collect();
-                            // An empty live set is infinite pressure:
-                            // bring anything available back immediately.
-                            let mean_backlog = if live_ids.is_empty() {
-                                f64::INFINITY
-                            } else {
-                                live_ids
-                                    .iter()
-                                    .map(|&r| (states[r].busy_until - t).max(0.0))
-                                    .sum::<f64>()
-                                    / live_ids.len() as f64
+                        MemberEvent::Tick => {
+                            let Some(scaler) = autoscaler else {
+                                continue;
                             };
-                            if t - last_scale_at >= scaler.cooldown_s {
-                                match scaler.decide(live_ids.len(), mean_backlog) {
-                                    1 => {
-                                        let spare = (0..n).find(|&r| {
-                                            !states[r].alive && !states[r].pending_restart
-                                        });
-                                        if let Some(r) = spare {
-                                            states[r].revive(t);
-                                            stats.scale_ups += 1;
-                                            last_scale_at = t;
-                                            frontend_tracer
-                                                .emit(|| TraceEvent::ScaleUp { replica: r, at: t });
-                                            let live = live_ids.len() + 1;
-                                            stats.max_live = stats.max_live.max(live);
-                                            frontend_tracer.gauge(|| GaugeSample {
-                                                at: t,
-                                                live_replicas: live,
-                                                ..GaugeSample::default()
-                                            });
-                                        }
-                                    }
-                                    -1 => {
-                                        // Drain the emptiest live replica:
-                                        // it stops receiving traffic but
-                                        // keeps (and finishes) its
-                                        // in-flight work.
-                                        let victim = live_ids.iter().copied().min_by(|&a, &b| {
-                                            states[a]
-                                                .busy_until
-                                                .total_cmp(&states[b].busy_until)
-                                                .then(a.cmp(&b))
-                                        });
-                                        if let Some(r) = victim {
-                                            states[r].alive = false;
-                                            stats.scale_downs += 1;
-                                            last_scale_at = t;
-                                            frontend_tracer.emit(|| TraceEvent::ScaleDown {
-                                                replica: r,
-                                                at: t,
-                                            });
-                                            let live = live_ids.len() - 1;
-                                            stats.min_live = stats.min_live.min(live);
-                                            frontend_tracer.gauge(|| GaugeSample {
-                                                at: t,
-                                                live_replicas: live,
-                                                ..GaugeSample::default()
-                                            });
-                                        }
-                                    }
-                                    _ => {}
+                            let scale = members.autoscale(t, &scaler, |r| states[r].busy_until);
+                            match scale {
+                                Some(Scale::Up(r)) => {
+                                    states[r].start_epoch(t);
+                                    stats.scale_ups += 1;
+                                    frontend_tracer
+                                        .emit(|| TraceEvent::ScaleUp { replica: r, at: t });
                                 }
+                                // A drained replica stops receiving
+                                // traffic but keeps (and finishes) its
+                                // in-flight work.
+                                Some(Scale::Down(r)) => {
+                                    stats.scale_downs += 1;
+                                    frontend_tracer
+                                        .emit(|| TraceEvent::ScaleDown { replica: r, at: t });
+                                }
+                                None => {}
                             }
                             // Keep ticking while there is work left to
                             // serve.
-                            if arrivals_pending > 0 || t < horizon {
-                                let idx = chaos_actions.len();
-                                chaos_actions.push(ChaosAction::Tick);
+                            if arrivals_pending > 0 {
                                 events.push_class(
                                     t + scaler.interval_s.max(1e-3),
                                     CLASS_CHAOS,
-                                    FrontEvent::Chaos(idx),
+                                    FrontEvent::Member(MemberEvent::Tick),
                                 );
                             }
+                            scale.is_some()
                         }
+                    };
+                    if changed {
+                        frontend_tracer.gauge(|| GaugeSample {
+                            at: t,
+                            live_replicas: members.live(),
+                            ..GaugeSample::default()
+                        });
                     }
                     continue;
                 }
@@ -1402,10 +1344,7 @@ impl ClusterSim {
                     }
                     if p.req.model == ro.model && frac > 0.0 && chaos_rng.bernoulli(frac) {
                         p.req.model = ro.v2;
-                        chaos_stats
-                            .as_mut()
-                            .expect("rollouts imply chaos config")
-                            .rollout_remapped += 1;
+                        stats.rollout_remapped += 1;
                     }
                     if frac >= 1.0 && !rollout_done[i] {
                         rollout_done[i] = true;
@@ -1426,7 +1365,7 @@ impl ClusterSim {
                 .iter()
                 .enumerate()
                 .map(|(r, s)| {
-                    let mut v = s.view(r, now, p.req.model);
+                    let mut v = s.view(r, now, p.req.model, members.is_alive(r));
                     // A browned-out channel inflates the router's load
                     // estimates: cold loads ride disk, decode rides PCIe.
                     let (disk_rate, pcie_rate) = brownout_rates(&replica_brownouts[r], now);
@@ -1445,11 +1384,6 @@ impl ClusterSim {
                     v.cold_load_s = 0.0;
                     v.warm_load_s = 0.0;
                 }
-            }
-            let live_now = views.iter().filter(|v| v.alive).count();
-            if let Some(stats) = chaos_stats.as_mut() {
-                stats.min_live = stats.min_live.min(live_now);
-                stats.max_live = stats.max_live.max(live_now);
             }
 
             // SLO-aware admission: Batch requests defer, then shed, when
@@ -1507,20 +1441,14 @@ impl ClusterSim {
             // activate a spare. If nothing will ever bring capacity
             // back, shed instead of looping: graceful degradation, not
             // a hang.
-            if live_now == 0 {
-                let can_scale_up = chaos
-                    .as_ref()
-                    .and_then(|c| c.autoscaler)
-                    .is_some_and(|s| s.max_replicas > 0)
-                    && states.iter().any(|s| !s.alive && !s.pending_restart);
+            if members.live() == 0 {
+                let can_scale_up =
+                    autoscaler.is_some_and(|s| s.max_replicas > 0) && members.spare().is_some();
                 let next_up = events
                     .iter()
                     .filter_map(|(at, _, ev)| match ev {
-                        FrontEvent::Chaos(idx) => match chaos_actions[*idx] {
-                            ChaosAction::Restart { .. } => Some(at),
-                            ChaosAction::Tick if can_scale_up => Some(at),
-                            _ => None,
-                        },
+                        FrontEvent::Member(MemberEvent::Restart { .. }) => Some(at),
+                        FrontEvent::Member(MemberEvent::Tick) if can_scale_up => Some(at),
                         _ => None,
                     })
                     .fold(None, |acc: Option<f64>, t| {
@@ -1541,9 +1469,7 @@ impl ClusterSim {
                     }
                     _ => {
                         routing.shed += 1;
-                        if let Some(stats) = chaos_stats.as_mut() {
-                            stats.shed_no_capacity += 1;
-                        }
+                        stats.shed_no_capacity += 1;
                         frontend_tracer.emit(|| TraceEvent::Shed {
                             id: p.req.id,
                             model: p.req.model,
@@ -1610,9 +1536,7 @@ impl ClusterSim {
                     // A hint aimed at a dead replica is dropped, not
                     // leaked into its predicted (or real) cache.
                     if !views[hint.replica].alive {
-                        if let Some(stats) = chaos_stats.as_mut() {
-                            stats.dropped_hints += 1;
-                        }
+                        stats.dropped_hints += 1;
                         continue;
                     }
                     routing.prefetch_hints += 1;
@@ -1645,6 +1569,11 @@ impl ClusterSim {
                 .push((admitted, p.req.id, p.delay, est_finish));
         }
 
+        let chaos_stats = chaos.is_some().then_some(ChaosStats {
+            min_live: members.min_live,
+            max_live: members.max_live,
+            ..stats
+        });
         self.replay_and_report(
             trace,
             states,
@@ -1835,23 +1764,6 @@ impl ClusterSim {
             chaos: chaos_stats,
         }
     }
-}
-
-/// Internal chaos action queued on the front end's absolute-time line.
-#[derive(Debug, Clone, Copy)]
-enum ChaosAction {
-    /// Kill a replica; optionally schedule its cold restart.
-    Crash {
-        replica: usize,
-        restart_after_s: Option<f64>,
-    },
-    /// Bring a crashed replica back up, cold.
-    Restart { replica: usize },
-    /// A brownout window starts (the window itself lives in the
-    /// per-replica schedule handed to the replay engines).
-    Degrade { replica: usize },
-    /// Autoscaler control-loop sample.
-    Tick,
 }
 
 /// Effective (disk, PCIe) rate factors at `now` under a brownout

@@ -23,11 +23,10 @@
 //!   baseline that stops scaling.
 //! * **Chaos on the shared vocabulary**: crashes come from a
 //!   [`FaultPlan`] and elasticity from an [`Autoscaler`], the same types
-//!   [`ClusterSim`](crate::cluster::ClusterSim) takes, with the same
-//!   rules: each crash carries its own restart delay, a restart revives
-//!   only a replica that is still down, and scale-up never activates a
-//!   replica whose restart is pending. Brownouts ([`FaultKind::Degrade`])
-//!   are rejected: compact replicas have no load channels to slow.
+//!   [`ClusterSim`](crate::cluster::ClusterSim) takes, applied by the
+//!   same crate-private `chaos::Membership` (see [`crate::chaos`]). Brownouts
+//!   ([`FaultKind::Degrade`]) are rejected: compact replicas have no
+//!   load channels to slow.
 //! * **Determinism**: same seed → identical event sequence. The optional
 //!   event log ([`FleetReport::event_log`]) exists so tests can replay a
 //!   run and compare logs bit-for-bit.
@@ -36,13 +35,13 @@
 //! lands before departures before arrivals before ticks), then by
 //! insertion sequence — see [`EventQueue`] for the `(at, class, seq)` key.
 
-use crate::chaos::{Autoscaler, FaultKind, FaultPlan};
-use crate::cluster::PlacementPlan;
+use crate::chaos::{Autoscaler, FaultKind, FaultPlan, MemberEvent, Membership, Scale};
+use crate::cluster::{PlacementPlan, WarmSet};
 use dz_gpusim::{EventClass, EventQueue};
 use dz_tensor::Rng;
 use dz_trace::{GaugeSample, StreamingQuantiles, TraceConfig, TraceEvent, TraceTrack, Tracer};
 use dz_workload::{Request, Trace};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
 // Topology.
@@ -226,9 +225,7 @@ pub struct FleetConfig {
     /// autoscaler activates it). Only [`FaultKind::Crash`] is allowed.
     pub faults: FaultPlan,
     /// Optional autoscaler, sampled every `interval_s` over the live
-    /// replicas' mean backlog: scale-up activates the lowest-id down
-    /// replica without a pending restart, scale-down drains the live
-    /// replica that empties first; `cooldown_s` spaces actions.
+    /// replicas' mean backlog.
     pub autoscale: Option<Autoscaler>,
     /// On an object-store pull, also replicate the delta to one other
     /// plan home's disk (prefetch-land event, off the critical path).
@@ -357,43 +354,22 @@ enum FleetEvent {
     SwapLand { replica: usize, model: usize },
     /// An edge-replication prefetch landed on a replica's disk.
     PrefetchLand { replica: usize, model: usize },
-    /// A crash from the fault plan fires.
-    Crash {
-        replica: usize,
-        restart_after_s: Option<f64>,
-    },
-    /// A crashed replica rejoins, cold.
-    Restart { replica: usize },
-    /// Autoscale tick.
-    Tick,
+    /// A crash, restart or autoscale tick.
+    Member(MemberEvent),
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct FleetReplica {
-    alive: bool,
     /// Simulation time the replica drains its queue (s).
     busy_until: f64,
     queue_depth: usize,
-    /// Down after a crash whose restart is scheduled: the autoscaler
-    /// must not activate it early.
-    pending_restart: bool,
-    /// Warm set with LRU stamps (bounded by `warm_capacity`). Ordered so
-    /// the eviction scan below is iteration-order-deterministic.
-    warm: BTreeMap<usize, u64>,
+    /// Host-cache warm set, bounded by `warm_capacity`.
+    warm: WarmSet,
 }
 
 impl FleetReplica {
-    /// Takes the replica out of routing. The warm cache dies with the
-    /// process; the disk (and its holder entries) survives.
-    fn stop(&mut self) {
-        self.alive = false;
-        self.warm.clear();
-    }
-
     /// Brings the replica (back) up at `t` with an empty queue.
     fn revive(&mut self, t: f64) {
-        self.alive = true;
-        self.pending_restart = false;
         self.busy_until = t;
         self.queue_depth = 0;
     }
@@ -412,10 +388,12 @@ impl FleetSim {
     ///
     /// # Panics
     ///
-    /// Panics if `n_replicas` is zero or the fault plan holds a
-    /// [`FaultKind::Degrade`] (compact replicas have no load channels).
+    /// Panics if `n_replicas` is zero, a fault names a replica
+    /// `>= n_replicas`, or the fault plan holds a [`FaultKind::Degrade`]
+    /// (compact replicas have no load channels).
     pub fn new(config: FleetConfig, plan: PlacementPlan, router: FleetRouter) -> Self {
         assert!(config.n_replicas > 0, "fleet needs at least one replica");
+        config.faults.assert_replicas_below(config.n_replicas);
         assert!(
             config
                 .faults
@@ -439,12 +417,15 @@ impl FleetSim {
         let n_models = trace.spec.n_models.max(1);
 
         // Replica state. Everyone starts live and idle.
-        let mut replicas: Vec<FleetReplica> = (0..n)
-            .map(|_| FleetReplica {
-                alive: true,
-                ..FleetReplica::default()
-            })
-            .collect();
+        let mut members = Membership::new(n, n);
+        let mut replicas = vec![
+            FleetReplica {
+                busy_until: 0.0,
+                queue_depth: 0,
+                warm: WarmSet::new(cfg.warm_capacity),
+            };
+            n
+        ];
         // Disk residency index: disk_holders[m] = replicas whose disk has
         // delta m, kept sorted for deterministic nearest-holder scans.
         // Seeded from the placement plan; grows as pulls edge-replicate.
@@ -475,28 +456,16 @@ impl FleetSim {
             });
             work_events += 1;
         }
-        for ev in cfg.faults.events() {
-            if let FaultKind::Crash {
-                replica,
-                restart_after_s,
-            } = ev.kind
-            {
-                if replica < n {
-                    events.push_class(
-                        ev.at.max(0.0),
-                        CLASS_FAULT,
-                        FleetEvent::Crash {
-                            replica,
-                            restart_after_s,
-                        },
-                    );
-                }
-            }
+        for (at, ev) in cfg.faults.crashes() {
+            events.push_class(at, CLASS_FAULT, FleetEvent::Member(ev));
         }
         if let Some(scaler) = cfg.autoscale {
-            events.push_class(scaler.interval_s.max(1e-3), CLASS_TICK, FleetEvent::Tick);
+            events.push_class(
+                scaler.interval_s.max(1e-3),
+                CLASS_TICK,
+                FleetEvent::Member(MemberEvent::Tick),
+            );
         }
-        let mut last_scale_at = f64::NEG_INFINITY;
 
         let mut rng = Rng::seeded(cfg.seed ^ 0xF1EE_7517);
         let mut rr_cursor = 0usize;
@@ -504,8 +473,6 @@ impl FleetSim {
         // lazily after membership changes (fault, restart, scale event).
         let mut ring: Vec<(u64, u32)> = Vec::new();
         let mut ring_dirty = true;
-        let mut live_count = n;
-        let mut peak_live = n;
 
         let mut e2e = StreamingQuantiles::new();
         let mut warm_hits = 0u64;
@@ -522,13 +489,7 @@ impl FleetSim {
 
         while let Some((t, class, event)) = events.pop_classed() {
             popped += 1;
-            if matches!(
-                event,
-                FleetEvent::Arrival(_)
-                    | FleetEvent::Depart { .. }
-                    | FleetEvent::SwapLand { .. }
-                    | FleetEvent::PrefetchLand { .. }
-            ) {
+            if !matches!(event, FleetEvent::Member(_)) {
                 work_events -= 1;
             }
             if let Some(log) = log.as_mut() {
@@ -539,38 +500,35 @@ impl FleetSim {
                     | FleetEvent::PrefetchLand { replica, model } => {
                         ((*replica as u64) << 32) | *model as u64
                     }
-                    FleetEvent::Crash { replica, .. } | FleetEvent::Restart { replica } => {
-                        *replica as u64
-                    }
-                    FleetEvent::Tick => 0,
+                    FleetEvent::Member(
+                        MemberEvent::Crash { replica, .. } | MemberEvent::Restart { replica },
+                    ) => *replica as u64,
+                    FleetEvent::Member(MemberEvent::Tick) => 0,
                 };
                 log.push(FleetLogEntry { at: t, class, key });
             }
             match event {
-                FleetEvent::Crash {
+                // The warm cache dies with the process; the disk (and its
+                // holder entries) survives.
+                FleetEvent::Member(MemberEvent::Crash {
                     replica,
                     restart_after_s,
-                } => {
-                    let r = &mut replicas[replica];
-                    if r.alive {
-                        r.stop();
-                        live_count -= 1;
+                }) => {
+                    if let Some(restart_at) = members.crash(replica, t, restart_after_s) {
+                        replicas[replica].warm.clear();
                         ring_dirty = true;
-                        if let Some(d) = restart_after_s {
-                            r.pending_restart = true;
+                        if let Some(at) = restart_at {
                             events.push_class(
-                                t + d.max(0.0),
+                                at,
                                 CLASS_FAULT,
-                                FleetEvent::Restart { replica },
+                                FleetEvent::Member(MemberEvent::Restart { replica }),
                             );
                         }
                     }
                 }
-                FleetEvent::Restart { replica } => {
-                    if !replicas[replica].alive {
+                FleetEvent::Member(MemberEvent::Restart { replica }) => {
+                    if members.restart(replica) {
                         replicas[replica].revive(t);
-                        live_count += 1;
-                        peak_live = peak_live.max(live_count);
                         ring_dirty = true;
                     }
                 }
@@ -599,64 +557,25 @@ impl FleetSim {
                     r.queue_depth = r.queue_depth.saturating_sub(1);
                     makespan = makespan.max(t);
                 }
-                FleetEvent::Tick => {
+                FleetEvent::Member(MemberEvent::Tick) => {
                     let Some(scaler) = cfg.autoscale else {
                         continue;
                     };
-                    let backlog: f64 = replicas
-                        .iter()
-                        .filter(|r| r.alive)
-                        .map(|r| (r.busy_until - t).max(0.0))
-                        .sum();
-                    // An empty live set is infinite pressure.
-                    let mean = if live_count > 0 {
-                        backlog / live_count as f64
-                    } else {
-                        f64::INFINITY
-                    };
-                    let action = if t - last_scale_at >= scaler.cooldown_s {
-                        scaler.decide(live_count, mean)
-                    } else {
-                        0
-                    };
-                    let target = match action {
-                        // Activate the lowest-id down replica that no
-                        // restart will bring back anyway.
-                        1 => replicas.iter().position(|r| !r.alive && !r.pending_restart),
-                        // Drain the live replica that empties first
-                        // (lowest id on ties); its in-flight work still
-                        // departs.
-                        -1 => (0..n).filter(|&i| replicas[i].alive).min_by(|&a, &b| {
-                            replicas[a].busy_until.total_cmp(&replicas[b].busy_until)
-                        }),
-                        _ => None,
-                    };
-                    if let Some(i) = target {
-                        if action > 0 {
-                            replicas[i].revive(t);
-                            live_count += 1;
-                            peak_live = peak_live.max(live_count);
-                        } else {
-                            replicas[i].stop();
-                            live_count -= 1;
-                        }
-                        ring_dirty = true;
-                        last_scale_at = t;
+                    let scale = members.autoscale(t, &scaler, |r| replicas[r].busy_until);
+                    match scale {
+                        Some(Scale::Up(i)) => replicas[i].revive(t),
+                        // A drained replica's in-flight work still departs.
+                        Some(Scale::Down(i)) => replicas[i].warm.clear(),
+                        None => {}
                     }
+                    ring_dirty |= scale.is_some();
                     tracer.gauge(|| GaugeSample {
                         at: t,
                         queue_depth: replicas.iter().map(|r| r.queue_depth).sum(),
-                        batch: 0,
-                        blocked: 0,
-                        gpu_resident: 0,
-                        warmth_disk: 0,
                         warmth_host: replicas.iter().map(|r| r.warm.len()).sum(),
-                        warmth_host_decoded: 0,
-                        gpu_bytes: 0.0,
-                        host_bytes: 0.0,
                         inflight_demand: inflight.len(),
-                        inflight_prefetch: 0,
-                        live_replicas: live_count,
+                        live_replicas: members.live(),
+                        ..GaugeSample::default()
                     });
                     // Keep ticking while serving work remains; a heap
                     // holding only faults/ticks must not keep the run
@@ -666,7 +585,7 @@ impl FleetSim {
                         events.push_class(
                             t + scaler.interval_s.max(1e-3),
                             CLASS_TICK,
-                            FleetEvent::Tick,
+                            FleetEvent::Member(MemberEvent::Tick),
                         );
                     }
                 }
@@ -683,7 +602,7 @@ impl FleetSim {
                         work_events += 1;
                     }
                     let req = &trace.requests[idx];
-                    if live_count == 0 {
+                    if members.live() == 0 {
                         shed += 1;
                         continue;
                     }
@@ -691,24 +610,22 @@ impl FleetSim {
                         req,
                         t,
                         &replicas,
+                        &members,
                         &on_disk,
                         &mut rng,
                         &mut rr_cursor,
                         &mut ring,
                         &mut ring_dirty,
                     );
-                    let stamp = popped as u64;
                     let r = &mut replicas[target];
                     let start = r.busy_until.max(t);
                     // Miss cost: nearest holder wins; an in-flight fetch
                     // for the same delta is awaited, not re-pulled.
                     let mut fetch_s = 0.0;
-                    if let Some(last) = r.warm.get_mut(&req.model) {
+                    if r.warm.contains(req.model) {
                         warm_hits += 1;
-                        *last = stamp;
                     } else if let Some(&land) = inflight.get(&(target, req.model)) {
                         fetch_s = (land - start).max(0.0);
-                        Self::warm_insert(r, req.model, stamp, cfg.warm_capacity);
                     } else {
                         let tier = Self::nearest_tier(&topo, target, &disk_holders[req.model]);
                         fetch_s = topo.fetch_time_s(tier, cfg.delta_bytes);
@@ -744,7 +661,6 @@ impl FleetSim {
                             let pos = disk_holders[req.model].partition_point(|&h| h < r32);
                             disk_holders[req.model].insert(pos, r32);
                         }
-                        Self::warm_insert(r, req.model, stamp, cfg.warm_capacity);
                         // Object-store pulls optionally replicate the
                         // delta to one more plan home off the critical
                         // path (the popular-delta edge-spread story).
@@ -772,6 +688,7 @@ impl FleetSim {
                         + (req.prompt_tokens + req.output_tokens) as f64 * { cfg.per_token_s };
                     let finish = start + fetch_s + service;
                     let r = &mut replicas[target];
+                    r.warm.touch(req.model);
                     r.busy_until = finish;
                     r.queue_depth += 1;
                     served += 1;
@@ -819,23 +736,9 @@ impl FleetSim {
             max_e2e_s: e2e.quantile(1.0).unwrap_or(0.0),
             makespan_s: makespan,
             events: popped,
-            peak_live,
+            peak_live: members.max_live,
             event_log: log,
             tracks,
-        }
-    }
-
-    /// LRU-insert `model` into the warm set, evicting the stalest entry
-    /// over capacity (the disk copy survives eviction).
-    fn warm_insert(r: &mut FleetReplica, model: usize, stamp: u64, capacity: usize) {
-        r.warm.insert(model, stamp);
-        while r.warm.len() > capacity.max(1) {
-            let (&victim, _) = r
-                .warm
-                .iter()
-                .min_by_key(|&(&m, &s)| (s, m))
-                .expect("non-empty warm set");
-            r.warm.remove(&victim);
         }
     }
 
@@ -864,6 +767,7 @@ impl FleetSim {
         req: &Request,
         now: f64,
         replicas: &[FleetReplica],
+        members: &Membership,
         on_disk: &[Vec<bool>],
         rng: &mut Rng,
         rr_cursor: &mut usize,
@@ -874,7 +778,7 @@ impl FleetSim {
         let cost = |r: usize| -> f64 {
             let rep = &replicas[r];
             let backlog = (rep.busy_until - now).max(0.0);
-            let miss = if rep.warm.contains_key(&req.model) {
+            let miss = if rep.warm.contains(req.model) {
                 0.0
             } else if on_disk[r][req.model] {
                 self.config
@@ -894,7 +798,7 @@ impl FleetSim {
                 for _ in 0..n {
                     let r = *rr_cursor % n;
                     *rr_cursor += 1;
-                    if replicas[r].alive {
+                    if members.is_alive(r) {
                         return r;
                     }
                 }
@@ -905,13 +809,12 @@ impl FleetSim {
                 let pick = |rng: &mut Rng| -> usize {
                     for _ in 0..64 {
                         let r = (rng.next_u64() % n as u64) as usize;
-                        if replicas[r].alive {
+                        if members.is_alive(r) {
                             return r;
                         }
                     }
-                    replicas
-                        .iter()
-                        .position(|r| r.alive)
+                    (0..n)
+                        .find(|&r| members.is_alive(r))
                         .expect("route_one requires a live replica")
                 };
                 let a = pick(rng);
@@ -926,10 +829,7 @@ impl FleetSim {
                 let vnodes = (*vnodes).max(1);
                 if *ring_dirty {
                     ring.clear();
-                    for (r, rep) in replicas.iter().enumerate() {
-                        if !rep.alive {
-                            continue;
-                        }
+                    for r in (0..n).filter(|&r| members.is_alive(r)) {
                         for v in 0..vnodes {
                             ring.push((splitmix64((r as u64) << 20 | v as u64), r as u32));
                         }
@@ -943,7 +843,7 @@ impl FleetSim {
                 ring[i % ring.len()].1 as usize
             }
             FleetRouter::GlobalLeastCost => (0..n)
-                .filter(|&r| replicas[r].alive)
+                .filter(|&r| members.is_alive(r))
                 .min_by(|&a, &b| cost(a).total_cmp(&cost(b)).then(a.cmp(&b)))
                 .expect("route_one requires a live replica"),
         }
@@ -1091,6 +991,18 @@ mod tests {
             ..RandomFaultConfig::default()
         };
         cfg.faults = FaultPlan::random(1, 10.0, 2, only_brownouts);
+        let _ = FleetSim::new(
+            cfg,
+            PlacementPlan::from_weights(&[], 2),
+            FleetRouter::RoundRobin,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "names replica 2 of 2")]
+    fn faults_beyond_the_fleet_are_rejected() {
+        let mut cfg = FleetConfig::new(2);
+        cfg.faults = FaultPlan::scripted(vec![crash(1.0, 2, None)]);
         let _ = FleetSim::new(
             cfg,
             PlacementPlan::from_weights(&[], 2),

@@ -181,6 +181,32 @@ fn zero_capacity_forever_sheds_gracefully_instead_of_hanging() {
     }
 }
 
+#[test]
+#[should_panic(expected = "names replica 2 of 2")]
+fn chaos_rejects_a_fault_beyond_the_fleet() {
+    let plan = FaultPlan::scripted(vec![crash(1.0, 2, None)]);
+    let sim = ClusterSim::new(
+        vec![cost(); 2],
+        config(2),
+        Box::new(RoundRobinRouter::new()),
+    );
+    let _ = sim.with_chaos(ChaosConfig::faults(plan, 0));
+}
+
+#[test]
+#[should_panic(expected = "initial_replicas must be in 1..=2")]
+fn chaos_rejects_initial_replicas_outside_the_fleet() {
+    let sim = ClusterSim::new(
+        vec![cost(); 2],
+        config(2),
+        Box::new(RoundRobinRouter::new()),
+    );
+    let _ = sim.with_chaos(ChaosConfig {
+        initial_replicas: Some(0),
+        ..ChaosConfig::default()
+    });
+}
+
 // -- router liveness (satellite) ------------------------------------------
 
 fn live_view(id: usize, alive: bool, warm: bool) -> ReplicaView {

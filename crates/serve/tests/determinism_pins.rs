@@ -328,24 +328,22 @@ fn placement_prefetch_admission_is_pinned() {
     check_cluster("lockstep_admission", sim, &tr, PIN_LOCKSTEP_ADMISSION);
 }
 
-fn chaos_config() -> ChaosConfig {
+/// Replica 0 crashes at 10 s and restarts 8 s later; replica 2 crashes
+/// at 25 s for good. A fleet of `n_replicas` keeps only the faults that
+/// name one of its replicas: the two-replica pin was taken when an
+/// out-of-range crash was silently ignored, and such a plan is now
+/// rejected.
+fn chaos_config(n_replicas: usize) -> ChaosConfig {
+    let crashes = [crash(10.0, 0, Some(8.0)), crash(25.0, 2, None)];
     ChaosConfig::faults(
-        FaultPlan::scripted(vec![
-            FaultEvent {
-                at: 10.0,
-                kind: FaultKind::Crash {
-                    replica: 0,
-                    restart_after_s: Some(8.0),
-                },
-            },
-            FaultEvent {
-                at: 25.0,
-                kind: FaultKind::Crash {
-                    replica: 2,
-                    restart_after_s: None,
-                },
-            },
-        ]),
+        FaultPlan::scripted(
+            crashes
+                .into_iter()
+                .filter(
+                    |e| matches!(e.kind, FaultKind::Crash { replica, .. } if replica < n_replicas),
+                )
+                .collect(),
+        ),
         0xD1FF,
     )
 }
@@ -363,7 +361,7 @@ fn chaos_is_pinned() {
         },
         Box::new(RoundRobinRouter::new()),
     )
-    .with_chaos(chaos_config());
+    .with_chaos(chaos_config(3));
     check_cluster("lockstep_chaos", sim, &tr, PIN_LOCKSTEP_CHAOS);
 }
 
@@ -384,7 +382,7 @@ fn chaos_with_tracing_is_pinned() {
             2,
         ))),
     )
-    .with_chaos(chaos_config())
+    .with_chaos(chaos_config(2))
     .with_tracing(TraceConfig::default());
     check_cluster("lockstep_chaos_traced", sim, &tr, PIN_LOCKSTEP_CHAOS_TRACED);
 }

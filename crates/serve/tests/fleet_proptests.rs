@@ -118,6 +118,15 @@ proptest! {
             seed,
         });
         let weights = PopularityDist::Zipf { alpha: 1.2 }.weights(32);
+        // The fleet rejects faults on replicas it does not have.
+        let faults = FaultPlan::scripted(
+            faults
+                .events()
+                .iter()
+                .copied()
+                .filter(|e| matches!(e.kind, FaultKind::Crash { replica, .. } if replica < n_replicas))
+                .collect(),
+        );
         let run = || {
             let mut cfg = FleetConfig::new(n_replicas);
             cfg.seed = seed;
