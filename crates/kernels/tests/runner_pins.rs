@@ -7,7 +7,8 @@
 //! too). Delta scenarios compress the variants with SparseGPT 4-bit and
 //! 2-bit 2:4, BitDelta, Delta-CoMe and a mix of all four codecs; adapter
 //! scenarios serve seeded LoRA and RoSA adapters (one attention-only, so
-//! some projections carry no adapter) and a LoRA+RoSA mix. Every cell runs
+//! some projections carry no adapter) and a LoRA+RoSA mix. A last scenario
+//! batches two deltas with an attention-only LoRA adapter. Every cell runs
 //! batch sizes 1, 3 and 8 with uneven prompt lengths, admits half of the
 //! requests after decoding has started, and decodes at least 4 steps.
 //!
@@ -20,7 +21,7 @@ use dz_compress::calib::calibration_set;
 use dz_compress::codec::{BitDeltaCodec, DeltaCodec, DeltaComeCodec, SparseGptCodec};
 use dz_compress::pipeline::CompressedDelta;
 use dz_kernels::decoupled::DecoupledBatch;
-use dz_kernels::{AdapterBatch, AdapterView};
+use dz_kernels::{AdapterBatch, AdapterView, BatchRunner, Variant};
 use dz_model::lora::{LoraAdapter, LoraConfig, LoraTargets};
 use dz_model::rosa::{RosaAdapter, RosaConfig};
 use dz_model::tasks::Corpus;
@@ -288,5 +289,27 @@ fn lora_rosa_mix_streams_are_pinned() {
         [0xa076aa293ff885f1, 0xfcb71e9fbcbacb34, 0xcb4bb17bc4b0d970],
         &base,
         || vec![AdapterView::from_lora(&l), AdapterView::from_rosa(&r)],
+    );
+}
+
+#[test]
+fn delta_lora_mix_streams_are_pinned() {
+    let base = base();
+    let variants = deltas(&base, &SparseGptCodec::starred(4), 90);
+    let l = lora(&base, LoraTargets::AttentionQv, 92);
+    check(
+        "delta-lora-mix",
+        [0x15f1d98a7b9d446d, 0x4cbbf28c99088390, 0x45a2ac3cd3992738],
+        |batch| {
+            let mut runner = BatchRunner::new(
+                &base,
+                vec![
+                    Variant::delta(&variants[0]),
+                    Variant::adapter(AdapterView::from_lora(&l)),
+                    Variant::delta(&variants[1]),
+                ],
+            );
+            run_cell!(runner, batch, 3)
+        },
     );
 }

@@ -579,31 +579,14 @@ fn cluster_elastic_run_is_pinned() {
     check("cluster_elastic", pin.0, PIN_CLUSTER_ELASTIC);
 }
 
-/// Compact-replica chaos: a crash that restarts, one that does not, a
-/// repeat crash on the replica already down, and an autoscaler that
-/// drains and reactivates. The whole event log is folded.
+/// Compact-replica chaos: p2c on the elastic fleet. The whole event log
+/// is folded.
 #[test]
 fn fleet_chaos_run_is_pinned() {
     let tr = trace(61, 30.0, 40.0);
     let weights = PopularityDist::Zipf { alpha: 1.3 }.weights(N_MODELS);
-    let mut cfg = FleetConfig::new(6);
-    cfg.warm_capacity = 4;
-    cfg.record_events = true;
-    cfg.faults = FaultPlan::scripted(vec![
-        crash(5.0, 1, Some(4.0)),
-        crash(11.5, 2, None),
-        crash(11.75, 2, Some(3.0)),
-    ]);
-    cfg.autoscale = Some(Autoscaler {
-        min_replicas: 2,
-        max_replicas: 6,
-        up_backlog_s: 0.3,
-        down_backlog_s: 0.05,
-        interval_s: 1.0,
-        cooldown_s: 2.0,
-    });
     let plan = PlacementPlan::from_weights(&weights, 6);
-    let report = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 7 }).run(&tr);
+    let report = FleetSim::new(elastic_fleet(), plan, FleetRouter::PowerOfTwo { seed: 7 }).run(&tr);
     let mut pin = Pin::new();
     for e in report.event_log.as_deref().expect("recording enabled") {
         pin.f64(e.at);
@@ -623,4 +606,73 @@ fn fleet_chaos_run_is_pinned() {
         pin.f64(q);
     }
     check("fleet_chaos", pin.0, PIN_FLEET_CHAOS);
+}
+
+/// Six replicas with a crash that restarts, one that does not, a repeat
+/// crash on the replica already down, and an autoscaler that drains and
+/// reactivates, recording the event log.
+fn elastic_fleet() -> FleetConfig {
+    let mut cfg = FleetConfig::new(6);
+    cfg.warm_capacity = 4;
+    cfg.record_events = true;
+    cfg.faults = FaultPlan::scripted(vec![
+        crash(5.0, 1, Some(4.0)),
+        crash(11.5, 2, None),
+        crash(11.75, 2, Some(3.0)),
+    ]);
+    cfg.autoscale = Some(Autoscaler {
+        min_replicas: 2,
+        max_replicas: 6,
+        up_backlog_s: 0.3,
+        down_backlog_s: 0.05,
+        interval_s: 1.0,
+        cooldown_s: 2.0,
+    });
+    cfg
+}
+
+const PIN_FLEET_ROUTERS: u64 = 0x2df16a07004e7cb4;
+
+/// Round-robin, the hash ring and the global scan on the elastic fleet:
+/// every crash, restart and scale event rebuilds the ring.
+#[test]
+fn fleet_routers_are_pinned() {
+    let tr = trace(61, 30.0, 40.0);
+    let weights = PopularityDist::Zipf { alpha: 1.3 }.weights(N_MODELS);
+    let mut pin = Pin::new();
+    for router in [
+        FleetRouter::RoundRobin,
+        FleetRouter::ConsistentHash { vnodes: 16 },
+        FleetRouter::GlobalLeastCost,
+    ] {
+        let plan = PlacementPlan::from_weights(&weights, 6);
+        let report = FleetSim::new(elastic_fleet(), plan, router).run(&tr);
+        assert_eq!(report.served + report.shed, tr.len(), "{}", report.router);
+        for e in report.event_log.as_deref().expect("recording enabled") {
+            pin.f64(e.at);
+            pin.word(e.class as u64);
+            pin.word(e.key);
+        }
+        let f = report.fetches;
+        for n in [
+            report.served as u64,
+            report.warm_hits,
+            f.local_disk,
+            f.peer_rack,
+            f.peer_region,
+            f.cross_region,
+            f.object_store,
+        ] {
+            pin.word(n);
+        }
+        for q in [
+            report.mean_e2e_s,
+            report.p50_e2e_s,
+            report.p99_e2e_s,
+            report.max_e2e_s,
+        ] {
+            pin.f64(q);
+        }
+    }
+    check("fleet_routers", pin.0, PIN_FLEET_ROUTERS);
 }
