@@ -22,7 +22,10 @@
 
 use super::{json_provenance, md_table, Report, Scale};
 use dz_serve::cluster::PlacementPlan;
-use dz_serve::{FleetConfig, FleetRouter, FleetSim, TraceConfig, TraceTrack};
+use dz_serve::{
+    ConsistentHashRouter, FleetConfig, FleetSim, LeastCostRouter, PowerOfTwoRouter,
+    RoundRobinRouter, Router, TraceConfig, TraceTrack,
+};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use std::time::Instant;
 
@@ -47,13 +50,17 @@ fn fleet_sizes() -> [usize; 3] {
     [10, 100, 1000]
 }
 
-fn routers() -> Vec<FleetRouter> {
+fn routers() -> Vec<Box<dyn Router>> {
     vec![
-        FleetRouter::RoundRobin,
-        FleetRouter::ConsistentHash { vnodes: 32 },
-        FleetRouter::PowerOfTwo { seed: FLEET_SEED },
-        FleetRouter::GlobalLeastCost,
+        Box::new(RoundRobinRouter::new()),
+        Box::new(ConsistentHashRouter::new(32)),
+        p2c(),
+        Box::new(LeastCostRouter::default()),
     ]
+}
+
+fn p2c() -> Box<dyn Router> {
+    Box::new(PowerOfTwoRouter::new(FLEET_SEED))
 }
 
 fn sweep_trace(n_replicas: usize, scale: Scale) -> Trace {
@@ -66,9 +73,8 @@ fn sweep_trace(n_replicas: usize, scale: Scale) -> Trace {
     })
 }
 
-fn sim_for(n_replicas: usize, router: FleetRouter, trace_cfg: Option<TraceConfig>) -> FleetSim {
+fn sim_for(n_replicas: usize, router: Box<dyn Router>, trace_cfg: Option<TraceConfig>) -> FleetSim {
     let mut cfg = FleetConfig::new(n_replicas);
-    cfg.seed = FLEET_SEED;
     cfg.trace = trace_cfg;
     // The operator provisioned edge disks for the Zipf head only: the
     // long tail starts object-store-only and must pull (then
@@ -93,7 +99,7 @@ struct Cell {
 
 fn run_cell(
     n_replicas: usize,
-    router: FleetRouter,
+    router: Box<dyn Router>,
     trace: &Trace,
     trace_cfg: Option<TraceConfig>,
 ) -> (Cell, Vec<TraceTrack>) {
@@ -136,9 +142,7 @@ pub fn bench_fleet(
         for router in routers() {
             // Trace only the smallest p2c cell: a bounded lane that shows
             // the event taxonomy without dilating the big cells' wall.
-            let want_trace = n == fleet_sizes()[0]
-                && matches!(router, FleetRouter::PowerOfTwo { .. })
-                && trace.is_some();
+            let want_trace = n == fleet_sizes()[0] && router.name() == "p2c" && trace.is_some();
             let cfg = want_trace.then(TraceConfig::default);
             let (cell, tracks) = run_cell(n, router, &tr, cfg);
             if want_trace {
@@ -262,7 +266,7 @@ fn write_json(cells: &[Cell], scale: Scale, dir: &std::path::Path) -> std::io::R
 pub fn smoke_fleet_metrics() -> (f64, f64) {
     let n = fleet_sizes()[2];
     let tr = sweep_trace(n, Scale::Quick);
-    let (cell, _) = run_cell(n, FleetRouter::PowerOfTwo { seed: FLEET_SEED }, &tr, None);
+    let (cell, _) = run_cell(n, p2c(), &tr, None);
     (cell.wall_s, cell.p99_e2e_s)
 }
 
@@ -273,8 +277,8 @@ mod tests {
     #[test]
     fn quick_cells_are_deterministic_in_simulated_time() {
         let tr = sweep_trace(10, Scale::Quick);
-        let (a, _) = run_cell(10, FleetRouter::PowerOfTwo { seed: FLEET_SEED }, &tr, None);
-        let (b, _) = run_cell(10, FleetRouter::PowerOfTwo { seed: FLEET_SEED }, &tr, None);
+        let (a, _) = run_cell(10, p2c(), &tr, None);
+        let (b, _) = run_cell(10, p2c(), &tr, None);
         assert_eq!(a.p50_e2e_s.to_bits(), b.p50_e2e_s.to_bits());
         assert_eq!(a.p99_e2e_s.to_bits(), b.p99_e2e_s.to_bits());
         assert_eq!(a.events, b.events);
@@ -287,8 +291,8 @@ mod tests {
         // O(1) router's p99 stays within a small factor of the O(R)
         // global scan's.
         let tr = sweep_trace(100, Scale::Quick);
-        let (p2c, _) = run_cell(100, FleetRouter::PowerOfTwo { seed: FLEET_SEED }, &tr, None);
-        let (global, _) = run_cell(100, FleetRouter::GlobalLeastCost, &tr, None);
+        let (p2c, _) = run_cell(100, p2c(), &tr, None);
+        let (global, _) = run_cell(100, Box::new(LeastCostRouter::default()), &tr, None);
         assert!(
             p2c.p99_e2e_s <= global.p99_e2e_s * 3.0 + 0.5,
             "p2c p99 {:.3} vs global {:.3}",

@@ -93,9 +93,6 @@ pub enum DzError {
     ShapeMismatch,
     /// The requested operation needs a delta variant, not an adapter.
     NotADelta,
-    /// One batch mixed delta and adapter variants; the paper serves the
-    /// two paths in separate batches (§8).
-    MixedServingPaths,
     /// The artifact store failed (I/O, corruption, or lineage mismatch).
     Storage(String),
 }
@@ -108,9 +105,6 @@ impl std::fmt::Display for DzError {
             DzError::UnknownVariant => write!(f, "unknown variant"),
             DzError::ShapeMismatch => write!(f, "variant shape does not match base"),
             DzError::NotADelta => write!(f, "operation requires a compressed-delta variant"),
-            DzError::MixedServingPaths => {
-                write!(f, "deltas and adapters must be served in separate batches")
-            }
             DzError::Storage(msg) => write!(f, "artifact store: {msg}"),
         }
     }
@@ -241,9 +235,8 @@ impl DeltaZip {
     /// Every request runs through one [`BatchRunner`]: a shared base GEMM
     /// per projection plus each variant's product (Eq. 2). Delta variants
     /// add SBMM over their packed layers (or a dense product for codecs
-    /// without an SBMM kernel); LoRA/RoSA variants add SGMV. Mirroring §8's
-    /// coarse-grained co-serving, one batch must be all deltas or all
-    /// adapters — mixing returns [`DzError::MixedServingPaths`].
+    /// without an SBMM kernel); LoRA/RoSA variants add SGMV. Deltas and
+    /// adapters may share one batch.
     pub fn generate_batch(
         &self,
         requests: &[(VariantId, Vec<usize>)],
@@ -256,15 +249,11 @@ impl DeltaZip {
             .manager
             .variant(*first)
             .ok_or(DzError::UnknownVariant)?;
-        let is_delta = |info: &VariantInfo| matches!(info.artifact, VariantArtifact::Delta(_));
         let mut infos = Vec::with_capacity(requests.len());
         for (vid, _) in requests {
             let info = self.manager.variant(*vid).ok_or(DzError::UnknownVariant)?;
             if info.base != first_info.base {
                 return Err(DzError::ShapeMismatch);
-            }
-            if is_delta(info) != is_delta(first_info) {
-                return Err(DzError::MixedServingPaths);
             }
             infos.push(info);
         }
@@ -821,7 +810,7 @@ mod tests {
     }
 
     #[test]
-    fn mixed_delta_adapter_batch_rejected() {
+    fn mixed_delta_adapter_batch_matches_each_request_alone() {
         let (base, tuned) = trained();
         let mut dz = DeltaZip::new();
         let b = dz.register_base("base", base.clone()).unwrap();
@@ -829,11 +818,20 @@ mod tests {
             .register_fmt_variant("delta", b, &tuned, DeltaCompressConfig::starred(4))
             .unwrap();
         let mut rng = Rng::seeded(14);
-        let adapter = LoraAdapter::init(&base, dz_model::lora::LoraConfig::rank(2), &mut rng);
+        let mut adapter = LoraAdapter::init(&base, dz_model::lora::LoraConfig::rank(2), &mut rng);
+        for p in &mut adapter.pairs {
+            p.b = dz_tensor::Matrix::randn(p.b.rows(), p.b.cols(), 0.05, &mut rng);
+        }
         let v_lora = dz.register_lora("adapter", b, adapter).unwrap();
-        assert_eq!(
-            dz.generate_batch(&[(v_delta, vec![1, 2]), (v_lora, vec![1, 2])], 1),
-            Err(DzError::MixedServingPaths)
-        );
+        let requests = [
+            (v_delta, vec![1, 2]),
+            (v_lora, vec![3, 1, 4]),
+            (v_delta, vec![5]),
+            (v_lora, vec![2, 7]),
+        ];
+        let mixed = dz.generate_batch(&requests, 6).unwrap();
+        for ((vid, prompt), got) in requests.iter().zip(&mixed) {
+            assert_eq!(got, &dz.generate(*vid, prompt, 6).unwrap());
+        }
     }
 }

@@ -301,6 +301,9 @@ pub(crate) struct Membership {
     /// Down with a restart scheduled: scale-up must not activate it.
     pending_restart: Vec<bool>,
     live: usize,
+    /// Bumped whenever the live set changes; routers that cache
+    /// membership (the hash ring) rebuild when it moves.
+    epoch: u64,
     /// Fewest and most live replicas so far.
     pub(crate) min_live: usize,
     pub(crate) max_live: usize,
@@ -314,6 +317,7 @@ impl Membership {
             alive: (0..n).map(|r| r < initial_live).collect(),
             pending_restart: vec![false; n],
             live: initial_live,
+            epoch: 0,
             min_live: initial_live,
             max_live: initial_live,
             last_scale_at: f64::NEG_INFINITY,
@@ -326,6 +330,10 @@ impl Membership {
 
     pub(crate) fn live(&self) -> usize {
         self.live
+    }
+
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// What scale-up activates: the lowest-id down replica that no
@@ -400,12 +408,14 @@ impl Membership {
         self.alive[r] = true;
         self.pending_restart[r] = false;
         self.live += 1;
+        self.epoch += 1;
         self.max_live = self.max_live.max(self.live);
     }
 
     fn down(&mut self, r: usize) {
         self.alive[r] = false;
         self.live -= 1;
+        self.epoch += 1;
         self.min_live = self.min_live.min(self.live);
     }
 }
@@ -623,16 +633,16 @@ mod tests {
         assert_eq!(m.crash(0, 1.0, None), Some(None));
         assert_eq!(m.crash(0, 2.0, Some(3.0)), None);
         assert_eq!(m.spare(), Some(0), "no restart was recorded");
-        assert_eq!(m.live(), 1);
+        assert_eq!((m.live(), m.epoch()), (1, 1), "the no-op keeps the epoch");
     }
 
     #[test]
     fn membership_restart_of_a_live_replica_is_a_no_op() {
         let mut m = Membership::new(2, 1);
         assert!(!m.restart(0));
-        assert_eq!((m.live(), m.max_live), (1, 1));
+        assert_eq!((m.live(), m.max_live, m.epoch()), (1, 1, 0));
         assert!(m.restart(1));
-        assert_eq!((m.live(), m.max_live), (2, 2));
+        assert_eq!((m.live(), m.max_live, m.epoch()), (2, 2, 1));
     }
 
     #[test]
@@ -641,6 +651,7 @@ mod tests {
         let busy = |_| 10.0;
         assert_eq!(m.autoscale(0.0, &scaler(5.0), busy), Some(Scale::Up(2)));
         assert_eq!(m.autoscale(4.0, &scaler(5.0), busy), None);
+        assert_eq!(m.epoch(), 1, "a blocked sample keeps the epoch");
         assert_eq!(m.autoscale(5.0, &scaler(5.0), busy), Some(Scale::Up(3)));
     }
 }

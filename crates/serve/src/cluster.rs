@@ -11,10 +11,13 @@
 //!   (optionally) its own [`TieredDeltaStore`](dz_store::TieredDeltaStore)
 //!   budget via a [`DeltaStoreBinding`] — and replays a trace through a
 //!   front-end router,
-//! * [`Router`] is the pluggable routing policy; three are provided:
-//!   [`RoundRobinRouter`] (baseline), [`LeastLoadedRouter`] (queue-depth
-//!   only), and [`PlacementAwareRouter`] (scores replicas by delta warmth
-//!   — a host-cache hit beats a disk miss — combined with backlog),
+//! * [`Router`] is the pluggable routing policy, shared with
+//!   [`FleetSim`](crate::fleet::FleetSim): [`RoundRobinRouter`]
+//!   (baseline), [`LeastLoadedRouter`] (queue-depth only),
+//!   [`PlacementAwareRouter`] (scores replicas by delta warmth — a
+//!   host-cache hit beats a disk miss — combined with backlog), and the
+//!   fleet-scale [`PowerOfTwoRouter`], [`ConsistentHashRouter`] and
+//!   [`LeastCostRouter`],
 //! * [`PlacementPlan`] turns popularity skew
 //!   ([`dz_workload::PopularityDist`]) into delta replication decisions:
 //!   hot deltas get homes on several replicas, cold deltas get exactly
@@ -41,6 +44,7 @@ use crate::slo::{SloClass, SloPolicy};
 use crate::swap::{Brownout, PrefetchPolicy};
 use crate::Engine;
 use dz_gpusim::{EventClass, EventQueue};
+use dz_tensor::Rng;
 use dz_trace::{GaugeSample, TraceConfig, TraceEvent, TraceTrack, Tracer};
 use dz_workload::{PopularityDist, Request, Trace, TraceSpec};
 use std::collections::{BTreeMap, BTreeSet};
@@ -79,13 +83,67 @@ pub struct ReplicaView {
     pub alive: bool,
 }
 
+/// The fleet as a router sees it for one request: a [`ReplicaView`] per
+/// replica id, built on demand, plus a membership epoch.
+///
+/// Views are lazy so an O(1) router stays O(1) on a thousand-replica
+/// [`FleetSim`](crate::fleet::FleetSim): only the replicas it asks about
+/// are looked at. The epoch changes exactly when the live set does (a
+/// crash, restart or scale event), so a router may cache what it derives
+/// from membership until the epoch moves.
+pub trait ReplicaViews {
+    /// Number of replicas, live or not (ids `0..len()`).
+    fn len(&self) -> usize;
+    /// Whether there are no replicas at all.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+    /// The view of replica `r < len()`.
+    fn view(&self, r: usize) -> ReplicaView;
+    /// Membership epoch these views were taken in.
+    fn epoch(&self) -> u64;
+}
+
+impl dyn ReplicaViews + '_ {
+    /// Every replica's view, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = ReplicaView> + '_ {
+        (0..self.len()).map(|r| self.view(r))
+    }
+}
+
+/// [`ReplicaViews`] over views already built, stamped with the epoch they
+/// were built in: what [`ClusterSim`] hands its router.
+#[derive(Debug, Clone, Copy)]
+pub struct ViewSlice<'a> {
+    /// One view per replica, indexed by id.
+    pub views: &'a [ReplicaView],
+    /// Membership epoch the views were built in.
+    pub epoch: u64,
+}
+
+impl ReplicaViews for ViewSlice<'_> {
+    fn len(&self) -> usize {
+        self.views.len()
+    }
+
+    fn view(&self, r: usize) -> ReplicaView {
+        self.views[r]
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+}
+
 /// A pluggable routing policy: given a request and a view of every
-/// replica, pick the replica to serve it.
+/// replica, pick the replica to serve it. [`ClusterSim`] and
+/// [`FleetSim`](crate::fleet::FleetSim) both route through it.
 ///
 /// The view for a request `r` has `warm` evaluated for `r.model` on each
 /// replica. Implementations may keep internal state (round-robin cursors,
-/// observed popularity counts); [`ClusterSim`] calls `route` exactly once
-/// per admitted request, in arrival order.
+/// observed popularity counts, a sampling seed, a hash ring); both
+/// simulators call `route` exactly once per routed request, in arrival
+/// order, and only while at least one replica is live.
 ///
 /// # Examples
 ///
@@ -93,7 +151,7 @@ pub struct ReplicaView {
 /// backlog, ignoring warmth:
 ///
 /// ```
-/// use dz_serve::cluster::{ReplicaView, Router};
+/// use dz_serve::cluster::{ReplicaViews, Router};
 /// use dz_workload::Request;
 ///
 /// struct ShortestBacklog;
@@ -101,7 +159,7 @@ pub struct ReplicaView {
 ///     fn name(&self) -> String {
 ///         "shortest-backlog".into()
 ///     }
-///     fn route(&mut self, _req: &Request, views: &[ReplicaView]) -> usize {
+///     fn route(&mut self, _req: &Request, views: &dyn ReplicaViews) -> usize {
 ///         views
 ///             .iter()
 ///             .filter(|v| v.alive) // never route to a dead replica
@@ -114,8 +172,8 @@ pub struct ReplicaView {
 pub trait Router {
     /// Human-readable policy name for reports.
     fn name(&self) -> String;
-    /// Chooses a replica id (must be `< views.len()`) for the request.
-    fn route(&mut self, req: &Request, views: &[ReplicaView]) -> usize;
+    /// Chooses a live replica id (`< views.len()`) for the request.
+    fn route(&mut self, req: &Request, views: &dyn ReplicaViews) -> usize;
     /// Prefetch hints to emit alongside this routing decision: replicas
     /// that should prewarm a delta disk→host because the policy expects
     /// traffic for it there soon. Called by [`ClusterSim`] right after
@@ -124,7 +182,7 @@ pub trait Router {
     fn prefetch_hints(
         &mut self,
         _req: &Request,
-        _views: &[ReplicaView],
+        _views: &dyn ReplicaViews,
         _routed: usize,
     ) -> Vec<PrefetchHint> {
         Vec::new()
@@ -165,13 +223,13 @@ impl Router for RoundRobinRouter {
         "round-robin".into()
     }
 
-    fn route(&mut self, _req: &Request, views: &[ReplicaView]) -> usize {
+    fn route(&mut self, _req: &Request, views: &dyn ReplicaViews) -> usize {
         // Cycle, skipping dead replicas: the cursor still advances one
         // step per probe so the rotation stays fair among the live set.
         for _ in 0..views.len() {
             let r = self.next % views.len();
             self.next = self.next.wrapping_add(1);
-            if views[r].alive {
+            if views.view(r).alive {
                 return r;
             }
         }
@@ -196,7 +254,7 @@ impl Router for LeastLoadedRouter {
         "least-loaded".into()
     }
 
-    fn route(&mut self, _req: &Request, views: &[ReplicaView]) -> usize {
+    fn route(&mut self, _req: &Request, views: &dyn ReplicaViews) -> usize {
         views
             .iter()
             .filter(|v| v.alive)
@@ -364,14 +422,8 @@ pub struct PlacementAwareRouter {
     /// Live mask observed at the last routing decision; a change (crash,
     /// restart, scale event) forces an immediate re-replication.
     last_live: Vec<bool>,
-    /// Per-replica score scratch, reused across routing decisions so the
-    /// hot path computes each replica's score exactly once per request
-    /// (the old path re-evaluated it inside two `min_by` comparators).
-    /// Scores are only valid within one `route` call — backlog and
-    /// warmth predictions change between requests — so the buffer is
-    /// rewritten, and thereby invalidated, on every decision; the
-    /// plan-derived home sets it is combined with are invalidated on
-    /// placement (rebalance) and fault (live-mask change) events above.
+    /// Per-replica scores of the current decision (see
+    /// [`cheapest_live`](Self::cheapest_live)), rewritten every request.
     score_buf: Vec<f64>,
 }
 
@@ -413,6 +465,30 @@ impl PlacementAwareRouter {
                 0.0
             }
     }
+
+    /// The globally cheapest live replica and its score. One pass
+    /// memoizes every replica's score into `scores` (dead replicas score
+    /// infinity so they can never win); strict `<` keeps the first —
+    /// lowest-id — replica on score ties, exactly like a
+    /// `total_cmp(..).then(id.cmp(..))` comparator.
+    fn cheapest_live(views: &dyn ReplicaViews, scores: &mut Vec<f64>) -> (usize, f64) {
+        scores.clear();
+        scores.reserve(views.len());
+        let mut best: Option<(usize, f64)> = None;
+        for v in views.iter() {
+            debug_assert_eq!(v.id, scores.len(), "views must be positional");
+            let s = if v.alive {
+                Self::score(&v)
+            } else {
+                f64::INFINITY
+            };
+            scores.push(s);
+            if v.alive && best.is_none_or(|(_, b)| s < b) {
+                best = Some((v.id, s));
+            }
+        }
+        best.expect("at least one live replica")
+    }
 }
 
 impl Router for PlacementAwareRouter {
@@ -420,7 +496,7 @@ impl Router for PlacementAwareRouter {
         "placement-aware".into()
     }
 
-    fn route(&mut self, req: &Request, views: &[ReplicaView]) -> usize {
+    fn route(&mut self, req: &Request, views: &dyn ReplicaViews) -> usize {
         if req.model >= self.counts.len() {
             self.counts.resize(req.model + 1, 0);
         }
@@ -442,33 +518,13 @@ impl Router for PlacementAwareRouter {
             self.plan = next;
         }
         self.last_live = live;
-        // One pass memoizes every replica's score (dead replicas score
-        // infinity so they can never win) and finds the global best;
-        // strict `<` keeps the first — lowest-id — replica on score
-        // ties, exactly like the old `total_cmp(..).then(id.cmp(..))`
-        // comparator.
-        self.score_buf.clear();
-        self.score_buf.reserve(views.len());
-        let mut overall: Option<(usize, f64)> = None;
-        for v in views {
-            debug_assert_eq!(v.id, self.score_buf.len(), "views must be positional");
-            let s = if v.alive {
-                Self::score(v)
-            } else {
-                f64::INFINITY
-            };
-            self.score_buf.push(s);
-            if v.alive && overall.is_none_or(|(_, best)| s < best) {
-                overall = Some((v.id, s));
-            }
-        }
-        let overall = overall.expect("at least one live replica");
+        let overall = Self::cheapest_live(views, &mut self.score_buf);
         // Home lookup is O(homes) against the memoized scores instead of
         // re-scanning (and re-scoring) every view with a membership test.
         let homes = self.plan.homes(req.model);
         let mut home: Option<(usize, f64)> = None;
         for &h in homes {
-            if h >= views.len() || !views[h].alive {
+            if h >= views.len() || !views.view(h).alive {
                 continue;
             }
             let s = self.score_buf[h];
@@ -486,7 +542,7 @@ impl Router for PlacementAwareRouter {
     fn prefetch_hints(
         &mut self,
         req: &Request,
-        views: &[ReplicaView],
+        views: &dyn ReplicaViews,
         routed: usize,
     ) -> Vec<PrefetchHint> {
         // The model just saw traffic: prewarm its *other* home replicas
@@ -497,7 +553,8 @@ impl Router for PlacementAwareRouter {
             .homes(req.model)
             .iter()
             .copied()
-            .filter(|&h| h != routed && h < views.len() && views[h].alive && !views[h].warm)
+            .filter(|&h| h != routed && h < views.len())
+            .filter(|&h| matches!(views.view(h), v if v.alive && !v.warm))
             .take(2)
             .map(|replica| PrefetchHint {
                 replica,
@@ -508,6 +565,134 @@ impl Router for PlacementAwareRouter {
 
     fn migrations(&self) -> usize {
         self.migrations
+    }
+}
+
+/// Power-of-two-choices: sample two live replicas and keep the cheaper by
+/// [`PlacementAwareRouter`]'s score (backlog plus the predicted load
+/// penalty). O(1) per request with near-least-loaded tails.
+#[derive(Debug)]
+pub struct PowerOfTwoRouter {
+    rng: Rng,
+}
+
+impl PowerOfTwoRouter {
+    /// Creates the policy; `seed` drives the sampling and is independent
+    /// of the workload seed.
+    pub fn new(seed: u64) -> Self {
+        PowerOfTwoRouter {
+            rng: Rng::seeded(seed ^ 0xF1EE_7517),
+        }
+    }
+
+    /// A live replica by bounded rejection sampling, else the lowest
+    /// live id.
+    fn pick(&mut self, views: &dyn ReplicaViews) -> ReplicaView {
+        for _ in 0..64 {
+            let v = views.view((self.rng.next_u64() % views.len() as u64) as usize);
+            if v.alive {
+                return v;
+            }
+        }
+        views
+            .iter()
+            .find(|v| v.alive)
+            .expect("at least one live replica")
+    }
+}
+
+impl Router for PowerOfTwoRouter {
+    fn name(&self) -> String {
+        "p2c".into()
+    }
+
+    fn route(&mut self, _req: &Request, views: &dyn ReplicaViews) -> usize {
+        let a = self.pick(views);
+        let b = self.pick(views);
+        if PlacementAwareRouter::score(&b) < PlacementAwareRouter::score(&a) {
+            b.id
+        } else {
+            a.id
+        }
+    }
+}
+
+/// Consistent hashing: each model hashes onto a ring of virtual nodes of
+/// the live replicas — affinity without per-model state. O(log R) per
+/// request; the ring is rebuilt only when the membership epoch moves.
+#[derive(Debug)]
+pub struct ConsistentHashRouter {
+    vnodes: usize,
+    /// `(hash, replica)`, sorted by hash.
+    ring: Vec<(u64, u32)>,
+    /// Epoch the ring was built in; `None` before the first request.
+    ring_epoch: Option<u64>,
+}
+
+impl ConsistentHashRouter {
+    /// Creates the policy with `vnodes` virtual nodes per replica (more
+    /// smooths the balance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vnodes` is zero.
+    pub fn new(vnodes: usize) -> Self {
+        assert!(vnodes > 0, "hash ring needs a vnode per replica");
+        ConsistentHashRouter {
+            vnodes,
+            ring: Vec::new(),
+            ring_epoch: None,
+        }
+    }
+}
+
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E3779B97F4A7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
+    x ^ (x >> 31)
+}
+
+impl Router for ConsistentHashRouter {
+    fn name(&self) -> String {
+        "consistent-hash".into()
+    }
+
+    fn route(&mut self, req: &Request, views: &dyn ReplicaViews) -> usize {
+        if self.ring_epoch != Some(views.epoch()) {
+            self.ring.clear();
+            for v in views.iter().filter(|v| v.alive) {
+                for i in 0..self.vnodes {
+                    let key = (v.id as u64) << 20 | i as u64;
+                    self.ring.push((splitmix64(key), v.id as u32));
+                }
+            }
+            self.ring.sort_unstable();
+            self.ring_epoch = Some(views.epoch());
+        }
+        let h = splitmix64(0xC0FF_EE00 ^ req.model as u64);
+        let i = self.ring.partition_point(|&(rh, _)| rh < h);
+        self.ring[i % self.ring.len()].1 as usize
+    }
+}
+
+/// The global scan: score every live replica like
+/// [`PlacementAwareRouter`] and take the cheapest (lowest id on ties),
+/// ignoring placement. O(R) per request — the baseline that stops
+/// scaling.
+#[derive(Debug, Default)]
+pub struct LeastCostRouter {
+    /// Per-replica score scratch, reused across requests.
+    scores: Vec<f64>,
+}
+
+impl Router for LeastCostRouter {
+    fn name(&self) -> String {
+        "global-least-cost".into()
+    }
+
+    fn route(&mut self, _req: &Request, views: &dyn ReplicaViews) -> usize {
+        PlacementAwareRouter::cheapest_live(views, &mut self.scores).0
     }
 }
 
@@ -1221,7 +1406,8 @@ impl ClusterSim {
         while let Some((t, _class, event)) = events.pop_classed() {
             let mut p = match event {
                 FrontEvent::Member(ev) => {
-                    let changed = match ev {
+                    let epoch = members.epoch();
+                    match ev {
                         MemberEvent::Crash {
                             replica,
                             restart_after_s,
@@ -1267,16 +1453,13 @@ impl ClusterSim {
                                     FrontEvent::Member(MemberEvent::Restart { replica }),
                                 );
                             }
-                            true
                         }
                         MemberEvent::Restart { replica } => {
-                            let up = members.restart(replica);
-                            if up {
+                            if members.restart(replica) {
                                 states[replica].start_epoch(t);
                                 stats.restarts += 1;
                                 frontend_tracer.emit(|| TraceEvent::ReplicaUp { replica, at: t });
                             }
-                            up
                         }
                         MemberEvent::Tick => {
                             let Some(scaler) = autoscaler else {
@@ -1309,10 +1492,9 @@ impl ClusterSim {
                                     FrontEvent::Member(MemberEvent::Tick),
                                 );
                             }
-                            scale.is_some()
                         }
-                    };
-                    if changed {
+                    }
+                    if members.epoch() != epoch {
                         frontend_tracer.gauge(|| GaugeSample {
                             at: t,
                             live_replicas: members.live(),
@@ -1492,7 +1674,11 @@ impl ClusterSim {
                 continue;
             }
 
-            let r = self.router.route(&p.req, &views);
+            let stamped = ViewSlice {
+                views: &views,
+                epoch: members.epoch(),
+            };
+            let r = self.router.route(&p.req, &stamped);
             assert!(r < n, "router returned replica {r} of {n}");
             assert!(views[r].alive, "router selected dead replica {r}");
             let migrations_now = self.router.migrations();
@@ -1521,7 +1707,7 @@ impl ClusterSim {
             if let Some(pf) = self.config.prefetch {
                 for hint in self
                     .router
-                    .prefetch_hints(&p.req, &views, r)
+                    .prefetch_hints(&p.req, &stamped, r)
                     .into_iter()
                     .take(pf.max_hints_per_decision)
                 {
@@ -1815,6 +2001,11 @@ mod tests {
         }
     }
 
+    /// `views` at membership epoch 0.
+    fn at(views: &[ReplicaView]) -> ViewSlice<'_> {
+        ViewSlice { views, epoch: 0 }
+    }
+
     fn req(model: usize) -> Request {
         Request {
             id: 0,
@@ -1831,7 +2022,7 @@ mod tests {
     fn round_robin_cycles() {
         let mut r = RoundRobinRouter::new();
         let views = vec![view(0, 0, 0.0, false), view(1, 0, 0.0, false)];
-        let picks: Vec<usize> = (0..4).map(|_| r.route(&req(0), &views)).collect();
+        let picks: Vec<usize> = (0..4).map(|_| r.route(&req(0), &at(&views))).collect();
         assert_eq!(picks, vec![0, 1, 0, 1]);
     }
 
@@ -1839,7 +2030,7 @@ mod tests {
     fn least_loaded_prefers_shallow_queue() {
         let mut r = LeastLoadedRouter::new();
         let views = vec![view(0, 5, 10.0, true), view(1, 2, 4.0, false)];
-        assert_eq!(r.route(&req(0), &views), 1);
+        assert_eq!(r.route(&req(0), &at(&views)), 1);
     }
 
     #[test]
@@ -1850,10 +2041,10 @@ mod tests {
         let plan = PlacementPlan::from_weights(&[1.0; 4], 2);
         let mut r = PlacementAwareRouter::new(plan).pinned();
         let views = vec![view(0, 1, 0.5, false), view(1, 2, 1.0, true)];
-        assert_eq!(r.route(&req(2), &views), 1);
+        assert_eq!(r.route(&req(2), &at(&views)), 1);
         // With no warm copy anywhere, lower backlog wins.
         let views = vec![view(0, 1, 0.5, false), view(1, 2, 1.0, false)];
-        assert_eq!(r.route(&req(2), &views), 0);
+        assert_eq!(r.route(&req(2), &at(&views)), 0);
     }
 
     #[test]
@@ -1867,10 +2058,10 @@ mod tests {
         let mut views = vec![view(0, 1, 1.0, true), view(1, 1, 1.0, true)];
         views[0].decoded = false;
         views[1].decoded = true;
-        assert_eq!(r.route(&req(2), &views), 1);
+        assert_eq!(r.route(&req(2), &at(&views)), 1);
         // ...and a large-enough backlog gap still outweighs the decode.
         views[1].backlog_s = views[0].backlog_s + views[0].warm_load_s + 1.0;
-        assert_eq!(r.route(&req(2), &views), 0);
+        assert_eq!(r.route(&req(2), &at(&views)), 0);
     }
 
     #[test]
@@ -1974,7 +2165,7 @@ mod tests {
         views[homes[0]].warm = true;
         views[spare].backlog_s = 0.0;
         views[spare].queue_depth = 0;
-        assert_eq!(r.route(&req(0), &views), spare);
+        assert_eq!(r.route(&req(0), &at(&views)), spare);
     }
 
     /// Frozen copy of the pre-memoization routing decision: two
@@ -2048,7 +2239,7 @@ mod tests {
                 let model = (rng() % 20) as usize; // sometimes beyond the plan
                 let expect = reference_placement_route(&plan, router.spill_margin_s, model, &views);
                 assert_eq!(
-                    router.route(&req(model), &views),
+                    router.route(&req(model), &at(&views)),
                     expect,
                     "n={n} trial={trial} model={model} views={views:?}"
                 );
@@ -2100,7 +2291,7 @@ mod tests {
         r.rebalance_every = Some(64);
         let views: Vec<ReplicaView> = (0..4).map(|i| view(i, 0, 0.0, false)).collect();
         for i in 0..256 {
-            let _ = r.route(&req(i % 8), &views);
+            let _ = r.route(&req(i % 8), &at(&views));
         }
         assert!(r.migrations > 0, "uniform drift must migrate deltas");
     }

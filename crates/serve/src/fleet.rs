@@ -17,10 +17,11 @@
 //!   rack peer beats a region peer beats cross-region — and falls back to
 //!   the shared **object store** below every disk ([`FetchTier`]). Pulled
 //!   deltas replicate onto the edge disk, so popular deltas spread.
-//! * **O(1)-per-request routing** ([`FleetRouter`]): power-of-two-choices
-//!   and consistent hashing route without touching all `R` replicas;
-//!   [`FleetRouter::GlobalLeastCost`] keeps the O(R) global scan as the
-//!   baseline that stops scaling.
+//! * **O(1)-per-request routing** through the [`Router`] trait
+//!   [`ClusterSim`](crate::cluster::ClusterSim) also takes, over lazy
+//!   [`ReplicaViews`]: p2c and consistent hashing route without touching
+//!   all `R` replicas; the O(R) global least-cost scan is the baseline
+//!   that stops scaling.
 //! * **Chaos on the shared vocabulary**: crashes come from a
 //!   [`FaultPlan`] and elasticity from an [`Autoscaler`], the same types
 //!   [`ClusterSim`](crate::cluster::ClusterSim) takes, applied by the
@@ -36,11 +37,10 @@
 //! insertion sequence — see [`EventQueue`] for the `(at, class, seq)` key.
 
 use crate::chaos::{Autoscaler, FaultKind, FaultPlan, MemberEvent, Membership, Scale};
-use crate::cluster::{PlacementPlan, WarmSet};
+use crate::cluster::{PlacementPlan, ReplicaView, ReplicaViews, Router, WarmSet};
 use dz_gpusim::{EventClass, EventQueue};
-use dz_tensor::Rng;
 use dz_trace::{GaugeSample, StreamingQuantiles, TraceConfig, TraceEvent, TraceTrack, Tracer};
-use dz_workload::{Request, Trace};
+use dz_workload::Trace;
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
@@ -118,8 +118,8 @@ impl Default for FleetTopology {
 impl FleetTopology {
     /// `(region, rack)` of a replica id.
     pub fn location(&self, replica: usize) -> (usize, usize) {
-        let rack = replica / self.nodes_per_rack.max(1);
-        (rack / self.racks_per_region.max(1), rack)
+        let rack = replica / self.nodes_per_rack;
+        (rack / self.racks_per_region, rack)
     }
 
     /// The cheapest tier at which `from` can pull from `holder`.
@@ -147,55 +147,8 @@ impl FleetTopology {
             FetchTier::CrossRegion => (self.inter_region_gbps, self.peer_latency_s),
             FetchTier::ObjectStore => (self.object_store_gbps, self.object_store_latency_s),
         };
-        latency + bytes as f64 / (gbps.max(1e-9) * 1e9)
+        latency + bytes as f64 / (gbps * 1e9)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Routing.
-// ---------------------------------------------------------------------------
-
-/// Fleet routing policy. The two O(1) policies are the tentpole: routing
-/// must not touch all `R` replicas per request or the front end itself
-/// stops scaling (see `exp bench-fleet`).
-#[derive(Debug, Clone)]
-pub enum FleetRouter {
-    /// Ignore state, cycle replicas. O(1), placement-blind.
-    RoundRobin,
-    /// Power-of-two-choices: sample two live replicas, take the cheaper
-    /// (backlog + predicted miss penalty). O(1) with near-least-loaded
-    /// tail behavior.
-    PowerOfTwo {
-        /// Sampling seed (independent of the workload seed).
-        seed: u64,
-    },
-    /// Hash the model onto a virtual-node ring: affinity without state.
-    /// O(log R) ring lookup, rebuilt only on membership changes.
-    ConsistentHash {
-        /// Virtual nodes per replica (more → smoother balance).
-        vnodes: usize,
-    },
-    /// Score every live replica (the old `PlacementAwareRouter`-style
-    /// global scan). O(R) per request — the scaling baseline.
-    GlobalLeastCost,
-}
-
-impl FleetRouter {
-    fn name(&self) -> &'static str {
-        match self {
-            FleetRouter::RoundRobin => "round-robin",
-            FleetRouter::PowerOfTwo { .. } => "p2c",
-            FleetRouter::ConsistentHash { .. } => "consistent-hash",
-            FleetRouter::GlobalLeastCost => "global-least-cost",
-        }
-    }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -217,8 +170,6 @@ pub struct FleetConfig {
     pub per_token_s: f64,
     /// Fixed per-request service floor (s).
     pub startup_s: f64,
-    /// Seed for routing randomness (p2c sampling).
-    pub seed: u64,
     /// Injected crashes, applied on the event clock. A crashed replica
     /// loses its warm set but keeps its disk, and restarts cold after
     /// its own `restart_after_s` (`None`: stays down until the
@@ -247,7 +198,6 @@ impl FleetConfig {
             delta_bytes: 850 << 20,
             per_token_s: 0.0003,
             startup_s: 0.02,
-            seed: 0x0F1E_E7F1,
             faults: FaultPlan::none(),
             autoscale: None,
             prefetch_homes: true,
@@ -375,11 +325,64 @@ impl FleetReplica {
     }
 }
 
+/// The router's view of the fleet for one request: built per replica on
+/// demand, so p2c and the hash ring never touch all `R` replicas.
+struct FleetViews<'a> {
+    replicas: &'a [FleetReplica],
+    members: &'a Membership,
+    on_disk: &'a [Vec<bool>],
+    model: usize,
+    now: f64,
+    /// Miss penalties: the delta on local disk, else a flat object-store
+    /// pull (cheap to compute, pessimistic enough to prefer any holder).
+    local_disk_s: f64,
+    object_store_s: f64,
+}
+
+impl ReplicaViews for FleetViews<'_> {
+    fn len(&self) -> usize {
+        self.replicas.len()
+    }
+
+    fn view(&self, r: usize) -> ReplicaView {
+        let rep = &self.replicas[r];
+        let warm = rep.warm.contains(self.model);
+        ReplicaView {
+            id: r,
+            queue_depth: rep.queue_depth,
+            backlog_s: (rep.busy_until - self.now).max(0.0),
+            warm,
+            decoded: warm,
+            cold_load_s: if self.on_disk[r][self.model] {
+                self.local_disk_s
+            } else {
+                self.object_store_s
+            },
+            warm_load_s: 0.0,
+            alive: self.members.is_alive(r),
+        }
+    }
+
+    fn epoch(&self) -> u64 {
+        self.members.epoch()
+    }
+}
+
+/// Records that `replica`'s disk holds `model`, keeping the holder list
+/// sorted for deterministic nearest-holder scans.
+fn put_on_disk(on_disk: &mut [Vec<bool>], holders: &mut [Vec<u32>], replica: usize, model: usize) {
+    if !std::mem::replace(&mut on_disk[replica][model], true) {
+        let r = replica as u32;
+        let pos = holders[model].partition_point(|&h| h < r);
+        holders[model].insert(pos, r);
+    }
+}
+
 /// The fleet-scale event-driven simulator. See the module docs.
 pub struct FleetSim {
     config: FleetConfig,
     plan: PlacementPlan,
-    router: FleetRouter,
+    router: Box<dyn Router>,
 }
 
 impl FleetSim {
@@ -390,9 +393,27 @@ impl FleetSim {
     ///
     /// Panics if `n_replicas` is zero, a fault names a replica
     /// `>= n_replicas`, or the fault plan holds a [`FaultKind::Degrade`]
-    /// (compact replicas have no load channels).
-    pub fn new(config: FleetConfig, plan: PlacementPlan, router: FleetRouter) -> Self {
+    /// (compact replicas have no load channels). Panics if the topology
+    /// has zero nodes per rack or racks per region, or a bandwidth that
+    /// is not finite and positive.
+    pub fn new(config: FleetConfig, plan: PlacementPlan, router: Box<dyn Router>) -> Self {
         assert!(config.n_replicas > 0, "fleet needs at least one replica");
+        let t = &config.topology;
+        assert!(
+            t.nodes_per_rack > 0 && t.racks_per_region > 0,
+            "fleet topology needs at least one node per rack and one rack per region"
+        );
+        let gbps = [
+            t.local_disk_gbps,
+            t.intra_rack_gbps,
+            t.inter_rack_gbps,
+            t.inter_region_gbps,
+            t.object_store_gbps,
+        ];
+        assert!(
+            gbps.iter().all(|g| g.is_finite() && *g > 0.0),
+            "fleet bandwidths {gbps:?} GB/s must be finite and positive"
+        );
         config.faults.assert_replicas_below(config.n_replicas);
         assert!(
             config
@@ -433,11 +454,8 @@ impl FleetSim {
         let mut on_disk: Vec<Vec<bool>> = Vec::with_capacity(n);
         on_disk.resize_with(n, || vec![false; n_models]);
         for m in 0..n_models {
-            for &h in self.plan.homes(m) {
-                if h < n && !on_disk[h][m] {
-                    on_disk[h][m] = true;
-                    disk_holders[m].push(h as u32);
-                }
+            for &h in self.plan.homes(m).iter().filter(|&&h| h < n) {
+                put_on_disk(&mut on_disk, &mut disk_holders, h, m);
             }
         }
         // In-flight demand fetches: a request routed to a replica whose
@@ -467,13 +485,8 @@ impl FleetSim {
             );
         }
 
-        let mut rng = Rng::seeded(cfg.seed ^ 0xF1EE_7517);
-        let mut rr_cursor = 0usize;
-        // Consistent-hash ring: (hash, replica), sorted by hash. Rebuilt
-        // lazily after membership changes (fault, restart, scale event).
-        let mut ring: Vec<(u64, u32)> = Vec::new();
-        let mut ring_dirty = true;
-
+        let local_disk_s = topo.fetch_time_s(FetchTier::LocalDisk, cfg.delta_bytes);
+        let object_store_s = topo.fetch_time_s(FetchTier::ObjectStore, cfg.delta_bytes);
         let mut e2e = StreamingQuantiles::new();
         let mut warm_hits = 0u64;
         let mut fetches = FetchCounts::default();
@@ -516,7 +529,6 @@ impl FleetSim {
                 }) => {
                     if let Some(restart_at) = members.crash(replica, t, restart_after_s) {
                         replicas[replica].warm.clear();
-                        ring_dirty = true;
                         if let Some(at) = restart_at {
                             events.push_class(
                                 at,
@@ -529,7 +541,6 @@ impl FleetSim {
                 FleetEvent::Member(MemberEvent::Restart { replica }) => {
                     if members.restart(replica) {
                         replicas[replica].revive(t);
-                        ring_dirty = true;
                     }
                 }
                 FleetEvent::SwapLand { replica, model } => {
@@ -541,12 +552,7 @@ impl FleetSim {
                     });
                 }
                 FleetEvent::PrefetchLand { replica, model } => {
-                    if !on_disk[replica][model] {
-                        on_disk[replica][model] = true;
-                        let r32 = replica as u32;
-                        let pos = disk_holders[model].partition_point(|&h| h < r32);
-                        disk_holders[model].insert(pos, r32);
-                    }
+                    put_on_disk(&mut on_disk, &mut disk_holders, replica, model);
                     tracer.emit(|| TraceEvent::PrefetchLand {
                         delta: model,
                         at: t,
@@ -568,7 +574,6 @@ impl FleetSim {
                         Some(Scale::Down(i)) => replicas[i].warm.clear(),
                         None => {}
                     }
-                    ring_dirty |= scale.is_some();
                     tracer.gauge(|| GaugeSample {
                         at: t,
                         queue_depth: replicas.iter().map(|r| r.queue_depth).sum(),
@@ -606,17 +611,16 @@ impl FleetSim {
                         shed += 1;
                         continue;
                     }
-                    let target = self.route_one(
-                        req,
-                        t,
-                        &replicas,
-                        &members,
-                        &on_disk,
-                        &mut rng,
-                        &mut rr_cursor,
-                        &mut ring,
-                        &mut ring_dirty,
-                    );
+                    let views = FleetViews {
+                        replicas: &replicas,
+                        members: &members,
+                        on_disk: &on_disk,
+                        model: req.model,
+                        now: t,
+                        local_disk_s,
+                        object_store_s,
+                    };
+                    let target = self.router.route(req, &views);
                     let r = &mut replicas[target];
                     let start = r.busy_until.max(t);
                     // Miss cost: nearest holder wins; an in-flight fetch
@@ -655,12 +659,7 @@ impl FleetSim {
                             solo_s: fetch_s,
                         });
                         // The pull lands on the edge disk too.
-                        if !on_disk[target][req.model] {
-                            on_disk[target][req.model] = true;
-                            let r32 = target as u32;
-                            let pos = disk_holders[req.model].partition_point(|&h| h < r32);
-                            disk_holders[req.model].insert(pos, r32);
-                        }
+                        put_on_disk(&mut on_disk, &mut disk_holders, target, req.model);
                         // Object-store pulls optionally replicate the
                         // delta to one more plan home off the critical
                         // path (the popular-delta edge-spread story).
@@ -672,8 +671,7 @@ impl FleetSim {
                                 .find(|&&h| h < n && h != target && !on_disk[h][req.model])
                             {
                                 events.push_class(
-                                    land + topo
-                                        .fetch_time_s(FetchTier::ObjectStore, cfg.delta_bytes),
+                                    land + object_store_s,
                                     CLASS_LAND,
                                     FleetEvent::PrefetchLand {
                                         replica: home,
@@ -758,102 +756,15 @@ impl FleetSim {
         }
         best
     }
-
-    /// Routes one request. O(1) for round-robin / p2c, O(log R) for the
-    /// hash ring, O(R) for the global scan.
-    #[allow(clippy::too_many_arguments)]
-    fn route_one(
-        &mut self,
-        req: &Request,
-        now: f64,
-        replicas: &[FleetReplica],
-        members: &Membership,
-        on_disk: &[Vec<bool>],
-        rng: &mut Rng,
-        rr_cursor: &mut usize,
-        ring: &mut Vec<(u64, u32)>,
-        ring_dirty: &mut bool,
-    ) -> usize {
-        let n = replicas.len();
-        let cost = |r: usize| -> f64 {
-            let rep = &replicas[r];
-            let backlog = (rep.busy_until - now).max(0.0);
-            let miss = if rep.warm.contains(req.model) {
-                0.0
-            } else if on_disk[r][req.model] {
-                self.config
-                    .topology
-                    .fetch_time_s(FetchTier::LocalDisk, self.config.delta_bytes)
-            } else {
-                // Flat remote penalty: cheap to compute, pessimistic
-                // enough to prefer any disk holder.
-                self.config
-                    .topology
-                    .fetch_time_s(FetchTier::ObjectStore, self.config.delta_bytes)
-            };
-            backlog + miss
-        };
-        match &mut self.router {
-            FleetRouter::RoundRobin => {
-                for _ in 0..n {
-                    let r = *rr_cursor % n;
-                    *rr_cursor += 1;
-                    if members.is_alive(r) {
-                        return r;
-                    }
-                }
-                unreachable!("route_one requires a live replica");
-            }
-            FleetRouter::PowerOfTwo { .. } => {
-                // Rejection-sample two live replicas (bounded), compare.
-                let pick = |rng: &mut Rng| -> usize {
-                    for _ in 0..64 {
-                        let r = (rng.next_u64() % n as u64) as usize;
-                        if members.is_alive(r) {
-                            return r;
-                        }
-                    }
-                    (0..n)
-                        .find(|&r| members.is_alive(r))
-                        .expect("route_one requires a live replica")
-                };
-                let a = pick(rng);
-                let b = pick(rng);
-                if cost(b) < cost(a) {
-                    b
-                } else {
-                    a
-                }
-            }
-            FleetRouter::ConsistentHash { vnodes } => {
-                let vnodes = (*vnodes).max(1);
-                if *ring_dirty {
-                    ring.clear();
-                    for r in (0..n).filter(|&r| members.is_alive(r)) {
-                        for v in 0..vnodes {
-                            ring.push((splitmix64((r as u64) << 20 | v as u64), r as u32));
-                        }
-                    }
-                    ring.sort_unstable();
-                    *ring_dirty = false;
-                }
-                debug_assert!(!ring.is_empty(), "ring rebuilt with live replicas");
-                let h = splitmix64(0xC0FF_EE00 ^ req.model as u64);
-                let i = ring.partition_point(|&(rh, _)| rh < h);
-                ring[i % ring.len()].1 as usize
-            }
-            FleetRouter::GlobalLeastCost => (0..n)
-                .filter(|&r| members.is_alive(r))
-                .min_by(|&a, &b| cost(a).total_cmp(&cost(b)).then(a.cmp(&b)))
-                .expect("route_one requires a live replica"),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos::{FaultEvent, RandomFaultConfig};
+    use crate::cluster::{
+        ConsistentHashRouter, LeastCostRouter, PowerOfTwoRouter, RoundRobinRouter,
+    };
     use dz_workload::{PopularityDist, TraceSpec};
 
     fn crash(at: f64, replica: usize, restart_after_s: Option<f64>) -> FaultEvent {
@@ -920,20 +831,21 @@ mod tests {
     #[test]
     fn fleet_serves_every_request_and_is_deterministic() {
         let tr = small_trace(7);
-        for router in [
-            FleetRouter::RoundRobin,
-            FleetRouter::PowerOfTwo { seed: 1 },
-            FleetRouter::ConsistentHash { vnodes: 16 },
-            FleetRouter::GlobalLeastCost,
-        ] {
-            let run = |router: FleetRouter| {
+        let routers: [fn() -> Box<dyn Router>; 4] = [
+            || Box::new(RoundRobinRouter::new()),
+            || Box::new(PowerOfTwoRouter::new(1)),
+            || Box::new(ConsistentHashRouter::new(16)),
+            || Box::new(LeastCostRouter::default()),
+        ];
+        for router in routers {
+            let run = || {
                 let mut cfg = FleetConfig::new(8);
                 cfg.record_events = true;
                 let plan = plan_for(&tr, 8);
-                FleetSim::new(cfg, plan, router).run(&tr)
+                FleetSim::new(cfg, plan, router()).run(&tr)
             };
-            let a = run(router.clone());
-            let b = run(router);
+            let a = run();
+            let b = run();
             assert_eq!(a.served + a.shed, tr.len(), "{}", a.router);
             assert_eq!(a.shed, 0);
             assert!(a.p99_e2e_s >= a.p50_e2e_s && a.p50_e2e_s > 0.0);
@@ -954,7 +866,7 @@ mod tests {
         let mut cfg = FleetConfig::new(1);
         cfg.prefetch_homes = false;
         let plan = PlacementPlan::from_weights(&[], 1);
-        let rep = FleetSim::new(cfg, plan, FleetRouter::RoundRobin).run(&tr);
+        let rep = FleetSim::new(cfg, plan, Box::new(RoundRobinRouter::new())).run(&tr);
         assert!(rep.fetches.object_store > 0);
         assert_eq!(
             rep.fetches.peer_rack + rep.fetches.peer_region + rep.fetches.cross_region,
@@ -974,7 +886,7 @@ mod tests {
         cfg.faults = FaultPlan::scripted(vec![crash(5.0, 0, Some(3.0)), crash(20.0, 0, Some(7.0))]);
         cfg.record_events = true;
         let plan = plan_for(&tr, 4);
-        let rep = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 3 }).run(&tr);
+        let rep = FleetSim::new(cfg, plan, Box::new(PowerOfTwoRouter::new(3))).run(&tr);
         assert_eq!(rep.served + rep.shed, tr.len());
         assert_eq!(rep.shed, 0, "three live replicas remain during the outage");
         // Kills and restarts all appear, in order, at the right times.
@@ -994,7 +906,7 @@ mod tests {
         let _ = FleetSim::new(
             cfg,
             PlacementPlan::from_weights(&[], 2),
-            FleetRouter::RoundRobin,
+            Box::new(RoundRobinRouter::new()),
         );
     }
 
@@ -1006,7 +918,7 @@ mod tests {
         let _ = FleetSim::new(
             cfg,
             PlacementPlan::from_weights(&[], 2),
-            FleetRouter::RoundRobin,
+            Box::new(RoundRobinRouter::new()),
         );
     }
 
@@ -1025,7 +937,7 @@ mod tests {
         cfg.faults = FaultPlan::scripted((4..8).map(|r| crash(0.0, r, restart)).collect());
         cfg.record_events = true;
         let plan = plan_for(&tr, 8);
-        let rep = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 5 }).run(&tr);
+        let rep = FleetSim::new(cfg, plan, Box::new(PowerOfTwoRouter::new(5))).run(&tr);
         assert_eq!(rep.served + rep.shed, tr.len());
         rep
     }
@@ -1071,14 +983,14 @@ mod tests {
         let mut cfg = FleetConfig::new(16);
         cfg.prefetch_homes = false;
         let plan = PlacementPlan::from_weights(&[], 16);
-        let rep = FleetSim::new(cfg, plan, FleetRouter::ConsistentHash { vnodes: 32 }).run(&tr);
+        let rep = FleetSim::new(cfg, plan, Box::new(ConsistentHashRouter::new(32))).run(&tr);
         // Affinity: each model lands on exactly one replica, so total
         // misses are bounded by models + warm evictions, far below the
         // round-robin scatter.
         let mut cfg2 = FleetConfig::new(16);
         cfg2.prefetch_homes = false;
         let plan2 = PlacementPlan::from_weights(&[], 16);
-        let rr = FleetSim::new(cfg2, plan2, FleetRouter::RoundRobin).run(&tr);
+        let rr = FleetSim::new(cfg2, plan2, Box::new(RoundRobinRouter::new())).run(&tr);
         assert!(
             rep.fetches.total() < rr.fetches.total(),
             "hash affinity {} must out-hit round-robin {}",

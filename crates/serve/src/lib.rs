@@ -52,15 +52,15 @@ pub use chaos::{
     RandomFaultConfig, Rollout,
 };
 pub use cluster::{
-    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim, LeastLoadedRouter,
-    PlacementAwareRouter, PlacementPlan, PrefetchHint, ReplicaView, RoundRobinRouter, Router,
-    RoutingStats, ShedRecord,
+    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim,
+    ConsistentHashRouter, LeastCostRouter, LeastLoadedRouter, PlacementAwareRouter, PlacementPlan,
+    PowerOfTwoRouter, PrefetchHint, ReplicaView, ReplicaViews, RoundRobinRouter, Router,
+    RoutingStats, ShedRecord, ViewSlice,
 };
 pub use cost::{CostModel, ToppingsIterCost};
 pub use deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};
 pub use fleet::{
-    FetchCounts, FetchTier, FleetConfig, FleetLogEntry, FleetReport, FleetRouter, FleetSim,
-    FleetTopology,
+    FetchCounts, FetchTier, FleetConfig, FleetLogEntry, FleetReport, FleetSim, FleetTopology,
 };
 pub use lora::{LoraEngine, LoraServingConfig};
 pub use metrics::{Metrics, SloWindow, SwapStats, ToppingsStats};

@@ -5,8 +5,9 @@
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::cluster::{
-    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterSim, LeastLoadedRouter,
-    PlacementAwareRouter, PlacementPlan, ReplicaView, RoundRobinRouter, Router,
+    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterSim, ConsistentHashRouter,
+    LeastCostRouter, LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, PowerOfTwoRouter,
+    ReplicaView, ReplicaViews, RoundRobinRouter, Router, ViewSlice,
 };
 use dz_serve::{
     Autoscaler, ChaosConfig, CostModel, DeltaZipConfig, FaultEvent, FaultKind, FaultPlan, Rollout,
@@ -107,6 +108,49 @@ fn crash_without_restart_leaves_the_survivors_serving() {
         share < 1.0 / 3.0,
         "dead replica kept receiving traffic: {share}"
     );
+}
+
+/// Delegates to `inner` and fails the run on any pick of a dead replica.
+struct LiveOnly(Box<dyn Router>);
+
+impl Router for LiveOnly {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+    fn route(&mut self, req: &Request, views: &dyn ReplicaViews) -> usize {
+        let r = self.0.route(req, views);
+        assert!(
+            views.view(r).alive,
+            "{} routed to dead replica {r}",
+            self.name()
+        );
+        r
+    }
+}
+
+#[test]
+fn fleet_routers_route_around_a_crash_in_the_cluster() {
+    // The fleet-scale routers on the full-engine cluster: a crash that
+    // restarts and one that does not move the membership epoch, so p2c
+    // resamples and the hash ring rebuilds around the dead replicas.
+    let tr = trace(19, 3.0, 50.0);
+    let routers: [Box<dyn Router>; 2] = [
+        Box::new(PowerOfTwoRouter::new(5)),
+        Box::new(ConsistentHashRouter::new(8)),
+    ];
+    for router in routers {
+        let plan = FaultPlan::scripted(vec![crash(10.0, 0, Some(12.0)), crash(18.0, 2, None)]);
+        let mut sim = ClusterSim::new(vec![cost(); 3], config(3), Box::new(LiveOnly(router)))
+            .with_chaos(ChaosConfig::faults(plan, 5));
+        let report = sim.run(&tr);
+        let chaos = report.chaos.expect("chaos stats");
+        assert_eq!((chaos.crashes, chaos.restarts), (2, 1));
+        assert_eq!(
+            report.merged.len() + report.shed.len(),
+            tr.len(),
+            "every request is served or shed"
+        );
+    }
 }
 
 #[test]
@@ -232,11 +276,18 @@ fn no_router_ever_selects_a_dead_replica() {
         live_view(2, true, false),
         live_view(3, false, true),
     ];
+    let slice = ViewSlice {
+        views: &views,
+        epoch: 0,
+    };
     let plan = PlacementPlan::from_weights(&[1.0; 16], 4);
     let mut routers: Vec<Box<dyn Router>> = vec![
         Box::new(RoundRobinRouter::new()),
         Box::new(LeastLoadedRouter::new()),
         Box::new(PlacementAwareRouter::new(plan)),
+        Box::new(PowerOfTwoRouter::new(3)),
+        Box::new(ConsistentHashRouter::new(8)),
+        Box::new(LeastCostRouter::default()),
     ];
     for router in &mut routers {
         for m in 0..64 {
@@ -247,13 +298,41 @@ fn no_router_ever_selects_a_dead_replica() {
                 prompt_tokens: 16,
                 output_tokens: 16,
             };
-            let r = router.route(&req, &views);
+            let r = router.route(&req, &slice);
             assert!(
                 views[r].alive,
                 "{} routed to dead replica {r}",
                 router.name()
             );
         }
+    }
+}
+
+#[test]
+fn hash_ring_is_rebuilt_only_when_the_epoch_moves() {
+    let mut router = ConsistentHashRouter::new(4);
+    let mut views: Vec<ReplicaView> = (0..4).map(|id| live_view(id, true, false)).collect();
+    let route = |router: &mut ConsistentHashRouter, model, views: &[ReplicaView], epoch| {
+        let req = Request {
+            id: 0,
+            model,
+            arrival: 0.0,
+            prompt_tokens: 16,
+            output_tokens: 16,
+        };
+        router.route(&req, &ViewSlice { views, epoch })
+    };
+    let homes: Vec<usize> = (0..32).map(|m| route(&mut router, m, &views, 0)).collect();
+    // A replica drops out but the epoch stands still: the cached ring
+    // keeps routing to it.
+    let lost = homes[0];
+    views[lost].alive = false;
+    assert_eq!(route(&mut router, 0, &views, 0), lost);
+    // The epoch moves: the ring drops the replica, and only its models
+    // move.
+    for (m, &home) in homes.iter().enumerate() {
+        let now = route(&mut router, m, &views, 1);
+        assert!(now != lost && (home == lost || now == home), "model {m}");
     }
 }
 
@@ -276,8 +355,12 @@ fn placement_hints_never_target_dead_replicas() {
         prompt_tokens: 16,
         output_tokens: 16,
     };
-    let routed = router.route(&req, &views);
-    let hints = router.prefetch_hints(&req, &views, routed);
+    let slice = ViewSlice {
+        views: &views,
+        epoch: 0,
+    };
+    let routed = router.route(&req, &slice);
+    let hints = router.prefetch_hints(&req, &slice, routed);
     for h in &hints {
         assert!(
             views[h.replica].alive,
@@ -296,13 +379,13 @@ fn cluster_counts_dropped_hints_to_dead_replicas() {
         fn name(&self) -> String {
             "bad-hinter".into()
         }
-        fn route(&mut self, _req: &Request, views: &[ReplicaView]) -> usize {
+        fn route(&mut self, _req: &Request, views: &dyn ReplicaViews) -> usize {
             views.iter().find(|v| v.alive).expect("live replica").id
         }
         fn prefetch_hints(
             &mut self,
             req: &Request,
-            views: &[ReplicaView],
+            views: &dyn ReplicaViews,
             routed: usize,
         ) -> Vec<dz_serve::cluster::PrefetchHint> {
             // Hint every replica except the routed one, dead or not.

@@ -28,10 +28,11 @@ use dz_compress::quant::{quantize_slice, QuantSpec};
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::cluster::{
-    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim, LeastLoadedRouter,
-    PlacementAwareRouter, PlacementPlan, RoundRobinRouter,
+    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim,
+    ConsistentHashRouter, LeastCostRouter, LeastLoadedRouter, PlacementAwareRouter, PlacementPlan,
+    PowerOfTwoRouter, RoundRobinRouter, Router,
 };
-use dz_serve::fleet::{FleetConfig, FleetRouter, FleetSim};
+use dz_serve::fleet::{FleetConfig, FleetSim};
 use dz_serve::{
     Autoscaler, Brownout, ChaosConfig, CostModel, DeltaStoreBinding, DeltaZipConfig, Engine,
     EngineBuilder, FaultEvent, FaultKind, FaultPlan, Metrics, PrefetchPolicy, SloPolicy,
@@ -201,6 +202,10 @@ const PIN_FLEET: u64 = 0x12c99df2cbd0593c;
 const PIN_TOPPINGS: u64 = 0x01e21a5090efc51a;
 const PIN_CLUSTER: u64 = 0xafbf0b924db84839;
 
+/// The p2c seed both fleet pins ran with: `FleetConfig`'s old default
+/// routing seed, in effect before the router owned its seed.
+const FLEET_P2C_SEED: u64 = 0x0F1E_E7F1;
+
 /// Fleet-scale event core: p2c routing over 24 replicas exercises the
 /// per-replica warm-set LRU (`FleetReplica::warm`) on every request.
 #[test]
@@ -210,7 +215,8 @@ fn fleet_run_is_pinned() {
     let plan = PlacementPlan::from_weights(&weights, 24);
     let mut cfg = FleetConfig::new(24);
     cfg.warm_capacity = 3; // small cap => constant LRU eviction churn
-    let report = FleetSim::new(cfg, plan, FleetRouter::PowerOfTwo { seed: 99 }).run(&tr);
+    let router = Box::new(PowerOfTwoRouter::new(FLEET_P2C_SEED));
+    let report = FleetSim::new(cfg, plan, router).run(&tr);
     let mut pin = Pin::new();
     pin.word(report.served as u64);
     pin.word(report.warm_hits);
@@ -586,7 +592,8 @@ fn fleet_chaos_run_is_pinned() {
     let tr = trace(61, 30.0, 40.0);
     let weights = PopularityDist::Zipf { alpha: 1.3 }.weights(N_MODELS);
     let plan = PlacementPlan::from_weights(&weights, 6);
-    let report = FleetSim::new(elastic_fleet(), plan, FleetRouter::PowerOfTwo { seed: 7 }).run(&tr);
+    let router = Box::new(PowerOfTwoRouter::new(FLEET_P2C_SEED));
+    let report = FleetSim::new(elastic_fleet(), plan, router).run(&tr);
     let mut pin = Pin::new();
     for e in report.event_log.as_deref().expect("recording enabled") {
         pin.f64(e.at);
@@ -640,11 +647,12 @@ fn fleet_routers_are_pinned() {
     let tr = trace(61, 30.0, 40.0);
     let weights = PopularityDist::Zipf { alpha: 1.3 }.weights(N_MODELS);
     let mut pin = Pin::new();
-    for router in [
-        FleetRouter::RoundRobin,
-        FleetRouter::ConsistentHash { vnodes: 16 },
-        FleetRouter::GlobalLeastCost,
-    ] {
+    let routers: [Box<dyn Router>; 3] = [
+        Box::new(RoundRobinRouter::new()),
+        Box::new(ConsistentHashRouter::new(16)),
+        Box::new(LeastCostRouter::default()),
+    ];
+    for router in routers {
         let plan = PlacementPlan::from_weights(&weights, 6);
         let report = FleetSim::new(elastic_fleet(), plan, router).run(&tr);
         assert_eq!(report.served + report.shed, tr.len(), "{}", report.router);

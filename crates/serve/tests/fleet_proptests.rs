@@ -5,7 +5,10 @@
 
 use dz_gpusim::EventQueue;
 use dz_serve::cluster::PlacementPlan;
-use dz_serve::{Autoscaler, FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetRouter, FleetSim};
+use dz_serve::{
+    Autoscaler, ConsistentHashRouter, FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetSim,
+    LeastCostRouter, PowerOfTwoRouter, RoundRobinRouter, Router,
+};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use proptest::prelude::*;
 
@@ -15,13 +18,19 @@ fn arb_schedule() -> impl Strategy<Value = Vec<(f64, u8)>> {
     proptest::collection::vec((0.0f64..1e6, 0u8..5), 1..64)
 }
 
-fn arb_router() -> impl Strategy<Value = FleetRouter> {
-    prop_oneof![
-        Just(FleetRouter::RoundRobin),
-        (1usize..64).prop_map(|vnodes| FleetRouter::ConsistentHash { vnodes }),
-        any::<u64>().prop_map(|seed| FleetRouter::PowerOfTwo { seed }),
-        Just(FleetRouter::GlobalLeastCost),
-    ]
+/// A router choice: `(kind, vnodes)`, built fresh for every replay by
+/// [`router`] because a boxed router cannot be cloned.
+fn arb_router() -> impl Strategy<Value = (u8, usize)> {
+    (0u8..4, 1usize..64)
+}
+
+fn router((kind, vnodes): (u8, usize), seed: u64) -> Box<dyn Router> {
+    match kind {
+        0 => Box::new(RoundRobinRouter::new()),
+        1 => Box::new(ConsistentHashRouter::new(vnodes)),
+        2 => Box::new(PowerOfTwoRouter::new(seed)),
+        _ => Box::new(LeastCostRouter::default()),
+    }
 }
 
 fn arb_faults(n_replicas: usize) -> impl Strategy<Value = FaultPlan> {
@@ -106,7 +115,7 @@ proptest! {
         seed in any::<u64>(),
         n_replicas in 2usize..8,
         rate in 1.0f64..8.0,
-        router in arb_router(),
+        choice in arb_router(),
         faults in arb_faults(8),
         autoscale in any::<bool>(),
     ) {
@@ -129,7 +138,6 @@ proptest! {
         );
         let run = || {
             let mut cfg = FleetConfig::new(n_replicas);
-            cfg.seed = seed;
             cfg.faults = faults.clone();
             cfg.record_events = true;
             if autoscale {
@@ -143,7 +151,7 @@ proptest! {
                 });
             }
             let plan = PlacementPlan::from_weights(&weights, n_replicas);
-            FleetSim::new(cfg, plan, router.clone()).run(&trace)
+            FleetSim::new(cfg, plan, router(choice, seed)).run(&trace)
         };
         let a = run();
         let b = run();
