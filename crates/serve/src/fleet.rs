@@ -368,16 +368,6 @@ impl ReplicaViews for FleetViews<'_> {
     }
 }
 
-/// Records that `replica`'s disk holds `model`, keeping the holder list
-/// sorted for deterministic nearest-holder scans.
-fn put_on_disk(on_disk: &mut [Vec<bool>], holders: &mut [Vec<u32>], replica: usize, model: usize) {
-    if !std::mem::replace(&mut on_disk[replica][model], true) {
-        let r = replica as u32;
-        let pos = holders[model].partition_point(|&h| h < r);
-        holders[model].insert(pos, r);
-    }
-}
-
 /// The fleet-scale event-driven simulator. See the module docs.
 pub struct FleetSim {
     config: FleetConfig,
@@ -454,8 +444,11 @@ impl FleetSim {
         let mut on_disk: Vec<Vec<bool>> = Vec::with_capacity(n);
         on_disk.resize_with(n, || vec![false; n_models]);
         for m in 0..n_models {
-            for &h in self.plan.homes(m).iter().filter(|&&h| h < n) {
-                put_on_disk(&mut on_disk, &mut disk_holders, h, m);
+            for &h in self.plan.homes(m) {
+                if h < n && !on_disk[h][m] {
+                    on_disk[h][m] = true;
+                    disk_holders[m].push(h as u32);
+                }
             }
         }
         // In-flight demand fetches: a request routed to a replica whose
@@ -552,7 +545,12 @@ impl FleetSim {
                     });
                 }
                 FleetEvent::PrefetchLand { replica, model } => {
-                    put_on_disk(&mut on_disk, &mut disk_holders, replica, model);
+                    if !on_disk[replica][model] {
+                        on_disk[replica][model] = true;
+                        let r32 = replica as u32;
+                        let pos = disk_holders[model].partition_point(|&h| h < r32);
+                        disk_holders[model].insert(pos, r32);
+                    }
                     tracer.emit(|| TraceEvent::PrefetchLand {
                         delta: model,
                         at: t,
@@ -621,6 +619,10 @@ impl FleetSim {
                         object_store_s,
                     };
                     let target = self.router.route(req, &views);
+                    assert!(
+                        members.is_alive(target),
+                        "router selected dead replica {target}"
+                    );
                     let r = &mut replicas[target];
                     let start = r.busy_until.max(t);
                     // Miss cost: nearest holder wins; an in-flight fetch
@@ -659,7 +661,12 @@ impl FleetSim {
                             solo_s: fetch_s,
                         });
                         // The pull lands on the edge disk too.
-                        put_on_disk(&mut on_disk, &mut disk_holders, target, req.model);
+                        if !on_disk[target][req.model] {
+                            on_disk[target][req.model] = true;
+                            let r32 = target as u32;
+                            let pos = disk_holders[req.model].partition_point(|&h| h < r32);
+                            disk_holders[req.model].insert(pos, r32);
+                        }
                         // Object-store pulls optionally replicate the
                         // delta to one more plan home off the critical
                         // path (the popular-delta edge-spread story).

@@ -10,8 +10,8 @@ use dz_serve::cluster::{
     ReplicaView, ReplicaViews, RoundRobinRouter, Router, ViewSlice,
 };
 use dz_serve::{
-    Autoscaler, ChaosConfig, CostModel, DeltaZipConfig, FaultEvent, FaultKind, FaultPlan, Rollout,
-    SloClass, SloPolicy, TraceConfig,
+    Autoscaler, ChaosConfig, CostModel, DeltaZipConfig, FaultEvent, FaultKind, FaultPlan,
+    FleetConfig, FleetSim, Rollout, SloClass, SloPolicy, TraceConfig,
 };
 use dz_workload::{PopularityDist, Request, Trace, TraceSpec};
 
@@ -110,7 +110,8 @@ fn crash_without_restart_leaves_the_survivors_serving() {
     );
 }
 
-/// Delegates to `inner` and fails the run on any pick of a dead replica.
+/// Delegates to the wrapped router and fails the run on any pick of a
+/// dead replica.
 struct LiveOnly(Box<dyn Router>);
 
 impl Router for LiveOnly {
@@ -306,6 +307,24 @@ fn no_router_ever_selects_a_dead_replica() {
             );
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "router selected dead replica 0")]
+fn fleet_refuses_a_route_to_a_dead_replica() {
+    struct AlwaysZero;
+    impl Router for AlwaysZero {
+        fn name(&self) -> String {
+            "always-zero".into()
+        }
+        fn route(&mut self, _req: &Request, _views: &dyn ReplicaViews) -> usize {
+            0
+        }
+    }
+    let mut cfg = FleetConfig::new(2);
+    cfg.faults = FaultPlan::scripted(vec![crash(0.0, 0, None)]);
+    let plan = PlacementPlan::from_weights(&[], 2);
+    FleetSim::new(cfg, plan, Box::new(AlwaysZero)).run(&trace(3, 2.0, 5.0));
 }
 
 #[test]
