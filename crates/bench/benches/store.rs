@@ -92,7 +92,12 @@ fn bench_registry_and_tiered(c: &mut Criterion) {
         .publish_delta("bench-variant", sha256(b"base"), &delta)
         .expect("publish");
     group.bench_function("load_delta", |b| {
-        b.iter(|| registry.load_delta(&id).expect("load"));
+        b.iter(|| {
+            registry
+                .open_artifact(&id)
+                .and_then(|mut reader| reader.read_delta())
+                .expect("load")
+        });
     });
 
     let mut store = TieredDeltaStore::new(registry, 1 << 30);

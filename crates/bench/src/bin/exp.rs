@@ -25,99 +25,83 @@ use dz_serve::{write_chrome_trace, TraceTrack};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-fn available() -> Vec<&'static str> {
-    vec![
-        "fig1",
-        "fig2",
-        "fig3",
-        "fig5",
-        "fig6",
-        "fig7",
-        "table1",
-        "table2",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "fig19",
-        "ablation-scheduler",
-        "ablation-sbmm",
-        "ablation-reconstruct",
-        "tuning-n",
-        "ext-peft",
-        "ablation-resume",
-        "ablation-length-aware",
-        "ablation-slo",
-        "ablation-dynamic-n",
-        "ext-scalability",
-        "bench-lossless",
-        "bench-chaos",
-        "bench-cluster",
-        "bench-fleet",
-        "bench-compress",
-        "bench-swap",
-        "bench-toppings",
-        "bench-smoke",
-    ]
+/// What an experiment may draw on while it runs.
+struct Ctx<'a> {
+    zoo: &'a mut quality::Zoo,
+    scale: Scale,
+    out_dir: &'a Path,
+    trace: Option<&'a mut Vec<TraceTrack>>,
+    /// Set by `bench-smoke`, for the `--check` gate.
+    smoke: Option<smoke::SmokeMetrics>,
 }
 
-/// Runs one experiment; `bench-smoke` additionally returns its metrics so
-/// the `--check` gate can compare them against a baseline.
-fn run_one(
-    id: &str,
-    zoo: &mut quality::Zoo,
-    scale: Scale,
-    out_dir: &Path,
-    trace: Option<&mut Vec<TraceTrack>>,
-) -> Option<(Report, Option<smoke::SmokeMetrics>)> {
-    let report = match id {
-        "fig1" => workloads::fig1(),
-        "fig2" => quality::fig2(zoo),
-        "fig3" => quality::fig3(zoo),
-        "fig5" => quality::fig5(zoo),
-        "fig6" => kernels::fig6(),
-        "fig7" => kernels::fig7(),
-        "table1" => quality::table1(zoo),
-        "table2" => quality::table2(zoo),
-        "fig10" => serving::fig10(),
-        "fig11" => serving::fig11(),
-        "fig12" => serving::fig12(),
-        "fig13" => serving::fig13(),
-        "fig14" => serving::fig14(),
-        "fig15" => serving::fig15(),
-        "fig16" => serving::fig16(),
-        "fig17" => kernels::fig17(),
-        "fig18" => serving::fig18(),
-        "fig19" => serving::fig19(),
-        "ablation-scheduler" => ablations::ablation_scheduler(),
-        "ablation-sbmm" => ablations::ablation_sbmm(),
-        "ablation-reconstruct" => ablations::ablation_reconstruct(zoo),
-        "tuning-n" => ablations::tuning_demo(),
-        "ext-peft" => extensions::ext_peft(zoo, scale),
-        "ablation-resume" => extensions::ablation_resume(),
-        "ablation-length-aware" => extensions::ablation_length_aware(),
-        "ablation-slo" => extensions::ablation_slo(),
-        "ablation-dynamic-n" => extensions::ablation_dynamic_n(),
-        "ext-scalability" => extensions::ext_scalability(),
-        "bench-lossless" => codec::bench_lossless(scale, out_dir),
-        "bench-chaos" => chaos::bench_chaos(scale, out_dir, trace),
-        "bench-cluster" => cluster::bench_cluster(scale, out_dir, trace),
-        "bench-fleet" => fleet::bench_fleet(scale, out_dir, trace),
-        "bench-compress" => compress::bench_compress(zoo, scale, out_dir),
-        "bench-swap" => swap::bench_swap(scale, out_dir, trace),
-        "bench-toppings" => toppings::bench_toppings(scale, out_dir, trace),
-        "bench-smoke" => {
-            let (report, metrics) = smoke::bench_smoke(out_dir, trace);
-            return Some((report, Some(metrics)));
-        }
-        _ => return None,
-    };
-    Some((report, None))
+/// An experiment driver.
+type Run = fn(&mut Ctx) -> Report;
+
+/// Every experiment id with its driver, in `all` order.
+const EXPERIMENTS: &[(&str, Run)] = &[
+    ("fig1", |_| workloads::fig1()),
+    ("fig2", |c| quality::fig2(c.zoo)),
+    ("fig3", |c| quality::fig3(c.zoo)),
+    ("fig5", |c| quality::fig5(c.zoo)),
+    ("fig6", |_| kernels::fig6()),
+    ("fig7", |_| kernels::fig7()),
+    ("table1", |c| quality::table1(c.zoo)),
+    ("table2", |c| quality::table2(c.zoo)),
+    ("fig10", |_| serving::fig10()),
+    ("fig11", |_| serving::fig11()),
+    ("fig12", |_| serving::fig12()),
+    ("fig13", |_| serving::fig13()),
+    ("fig14", |_| serving::fig14()),
+    ("fig15", |_| serving::fig15()),
+    ("fig16", |_| serving::fig16()),
+    ("fig17", |_| kernels::fig17()),
+    ("fig18", |_| serving::fig18()),
+    ("fig19", |_| serving::fig19()),
+    ("ablation-scheduler", |_| ablations::ablation_scheduler()),
+    ("ablation-sbmm", |_| ablations::ablation_sbmm()),
+    ("ablation-reconstruct", |c| {
+        ablations::ablation_reconstruct(c.zoo)
+    }),
+    ("tuning-n", |_| ablations::tuning_demo()),
+    ("ext-peft", |c| extensions::ext_peft(c.zoo, c.scale)),
+    ("ablation-resume", |_| extensions::ablation_resume()),
+    ("ablation-length-aware", |_| {
+        extensions::ablation_length_aware()
+    }),
+    ("ablation-slo", |_| extensions::ablation_slo()),
+    ("ablation-dynamic-n", |_| extensions::ablation_dynamic_n()),
+    ("ext-scalability", |_| extensions::ext_scalability()),
+    ("bench-lossless", |c| {
+        codec::bench_lossless(c.scale, c.out_dir)
+    }),
+    ("bench-chaos", |c| {
+        chaos::bench_chaos(c.scale, c.out_dir, c.trace.as_deref_mut())
+    }),
+    ("bench-cluster", |c| {
+        cluster::bench_cluster(c.scale, c.out_dir, c.trace.as_deref_mut())
+    }),
+    ("bench-fleet", |c| {
+        fleet::bench_fleet(c.scale, c.out_dir, c.trace.as_deref_mut())
+    }),
+    ("bench-compress", |c| {
+        compress::bench_compress(c.zoo, c.scale, c.out_dir)
+    }),
+    ("bench-swap", |c| {
+        swap::bench_swap(c.scale, c.out_dir, c.trace.as_deref_mut())
+    }),
+    ("bench-toppings", |c| {
+        toppings::bench_toppings(c.scale, c.out_dir, c.trace.as_deref_mut())
+    }),
+    ("bench-smoke", |c| {
+        let (report, metrics) = smoke::bench_smoke(c.out_dir, c.trace.as_deref_mut());
+        c.smoke = Some(metrics);
+        report
+    }),
+];
+
+fn available() -> Vec<&'static str> {
+    EXPERIMENTS.iter().map(|(id, _)| *id).collect()
 }
 
 fn unknown_id_exit(id: &str) -> ! {
@@ -217,15 +201,21 @@ fn main() -> std::io::Result<()> {
     std::fs::create_dir_all(&out_dir)?;
     let mut zoo = quality::Zoo::new(scale);
     let mut combined = String::new();
-    let mut smoke_metrics: Option<smoke::SmokeMetrics> = None;
     let mut trace_tracks: Option<Vec<TraceTrack>> = trace_path.as_ref().map(|_| Vec::new());
+    let mut ctx = Ctx {
+        zoo: &mut zoo,
+        scale,
+        out_dir: &out_dir,
+        trace: trace_tracks.as_mut(),
+        smoke: None,
+    };
     for id in targets {
         let start = std::time::Instant::now();
-        let (report, metrics) = run_one(id, &mut zoo, scale, &out_dir, trace_tracks.as_mut())
+        let (_, run) = EXPERIMENTS
+            .iter()
+            .find(|(known, _)| *known == id)
             .expect("id validated above");
-        if let Some(m) = metrics {
-            smoke_metrics = Some(m);
-        }
+        let report = run(&mut ctx);
         let rendered = report.render();
         println!("{rendered}");
         println!("[{} done in {:.1?}]\n", report.id, start.elapsed());
@@ -235,6 +225,7 @@ fn main() -> std::io::Result<()> {
         let mut f = std::fs::File::create(&path)?;
         f.write_all(rendered.as_bytes())?;
     }
+    let smoke_metrics = ctx.smoke;
     let mut f = std::fs::File::create(out_dir.join("all.md"))?;
     f.write_all(combined.as_bytes())?;
 

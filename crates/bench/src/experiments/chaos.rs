@@ -24,16 +24,13 @@
 //! be reproduced bit-for-bit.
 
 use super::cluster::POLICIES;
-use super::{json_provenance, md_table, Report, Scale};
-use dz_gpusim::shapes::ModelShape;
-use dz_gpusim::spec::NodeSpec;
-use dz_serve::cluster::{
-    ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim, LeastLoadedRouter,
-    PlacementAwareRouter, PlacementPlan, RoundRobinRouter, Router,
+use super::{
+    cluster_engine_config, cluster_router, json_provenance, md_table, rtx3090_7b, Report, Scale,
 };
+use dz_serve::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use dz_serve::{
-    Autoscaler, ChaosConfig, CostModel, DeltaZipConfig, FaultEvent, FaultKind, FaultPlan, Metrics,
-    Rollout, TraceConfig, TraceTrack,
+    Autoscaler, ChaosConfig, FaultEvent, FaultKind, FaultPlan, Metrics, Rollout, TraceConfig,
+    TraceTrack,
 };
 use dz_workload::{Nonstationarity, PopularityDist, Trace, TraceSpec};
 
@@ -45,30 +42,6 @@ pub const CHAOS_SEED: u64 = 0xC405;
 const ATTAIN_THRESHOLD: f64 = 0.9;
 /// Windowed-attainment bucket width (s).
 const WINDOW_S: f64 = 5.0;
-
-fn cost() -> CostModel {
-    CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b())
-}
-
-fn engine_config() -> DeltaZipConfig {
-    DeltaZipConfig {
-        max_concurrent_deltas: 4,
-        max_batch: 32,
-        host_capacity_deltas: Some(6),
-        ..DeltaZipConfig::default()
-    }
-}
-
-fn router_for(policy: &str, popularity: PopularityDist, n_replicas: usize) -> Box<dyn Router> {
-    match policy {
-        "round-robin" => Box::new(RoundRobinRouter::new()),
-        "least-loaded" => Box::new(LeastLoadedRouter::new()),
-        "placement-aware" => Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
-            popularity, N_MODELS, n_replicas,
-        ))),
-        other => panic!("unknown policy {other}"),
-    }
-}
 
 /// Runs one chaos cell: `policy` over `trace`, with optional chaos
 /// config and tracing. Placement-aware cells get routing-time prefetch
@@ -84,14 +57,14 @@ fn run_cell(
     let popularity = trace.spec.popularity;
     let config = ClusterConfig {
         n_replicas,
-        engine: engine_config(),
-        prefetch: (policy == "placement-aware").then(ClusterPrefetch::default),
+        engine: cluster_engine_config(),
+        prefetch: policy == "placement-aware",
         ..ClusterConfig::default()
     };
     let mut sim = ClusterSim::new(
-        vec![cost(); n_replicas],
+        vec![rtx3090_7b(); n_replicas],
         config,
-        router_for(policy, popularity, n_replicas),
+        cluster_router(policy, popularity, N_MODELS, n_replicas),
     );
     if let Some(c) = chaos {
         sim = sim.with_chaos(c);

@@ -9,42 +9,17 @@
 //! `BENCH_cluster.json`; the headline number is placement-aware routing
 //! beating round-robin p99 latency under skewed delta popularity.
 
-use super::{json_provenance, md_table, Report, Scale};
-use dz_gpusim::shapes::ModelShape;
-use dz_gpusim::spec::NodeSpec;
-use dz_serve::cluster::{
-    AdmissionConfig, ClusterConfig, ClusterReport, ClusterSim, LeastLoadedRouter,
-    PlacementAwareRouter, PlacementPlan, RoundRobinRouter, Router,
+use super::{
+    cluster_engine_config, cluster_router, json_provenance, md_table, rtx3090_7b, Report, Scale,
 };
-use dz_serve::{
-    CauseBreakdown, CostModel, DeltaZipConfig, SloClass, SloPolicy, TraceConfig, TraceTrack,
-};
+use dz_serve::cluster::{AdmissionConfig, ClusterConfig, ClusterReport, ClusterSim};
+use dz_serve::{CauseBreakdown, SloClass, SloPolicy, TraceConfig, TraceTrack};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use serde::Serialize;
 
 const N_MODELS: usize = 24;
 /// Routing policy ids swept by the experiment.
 pub const POLICIES: [&str; 3] = ["round-robin", "least-loaded", "placement-aware"];
-
-fn router_for(policy: &str, popularity: PopularityDist, n_replicas: usize) -> Box<dyn Router> {
-    match policy {
-        "round-robin" => Box::new(RoundRobinRouter::new()),
-        "least-loaded" => Box::new(LeastLoadedRouter::new()),
-        "placement-aware" => Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
-            popularity, N_MODELS, n_replicas,
-        ))),
-        other => panic!("unknown policy {other}"),
-    }
-}
-
-fn engine_config() -> DeltaZipConfig {
-    DeltaZipConfig {
-        max_concurrent_deltas: 4,
-        max_batch: 32,
-        host_capacity_deltas: Some(6),
-        ..DeltaZipConfig::default()
-    }
-}
 
 /// Runs one cluster cell (also reused by the `bench-smoke` perf gate).
 pub fn run_cluster(
@@ -92,17 +67,17 @@ pub fn run_cluster_traced(
     // deltas, so routing decides how often each replica re-loads from
     // disk (on the big A800 node every delta stays GPU-resident and all
     // policies converge).
-    let cost = CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b());
+    let cost = rtx3090_7b();
     let config = ClusterConfig {
         n_replicas,
-        engine: engine_config(),
+        engine: cluster_engine_config(),
         admission,
         ..ClusterConfig::default()
     };
     let mut sim = ClusterSim::new(
         vec![cost; n_replicas],
         config,
-        router_for(policy, popularity, n_replicas),
+        cluster_router(policy, popularity, N_MODELS, n_replicas),
     );
     if let Some(cfg) = trace_cfg {
         sim = sim.with_tracing(cfg);

@@ -21,6 +21,48 @@ pub mod swap;
 pub mod toppings;
 pub mod workloads;
 
+use dz_gpusim::shapes::ModelShape;
+use dz_gpusim::spec::NodeSpec;
+use dz_serve::cluster::{
+    LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, RoundRobinRouter, Router,
+};
+use dz_serve::{CostModel, DeltaZipConfig};
+use dz_workload::PopularityDist;
+
+/// The single RTX 3090 node serving Llama-7B that the cluster, chaos,
+/// swap and toppings benches share.
+fn rtx3090_7b() -> CostModel {
+    CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b())
+}
+
+/// Per-replica engine settings of the cluster and chaos benches.
+fn cluster_engine_config() -> DeltaZipConfig {
+    DeltaZipConfig {
+        max_concurrent_deltas: 4,
+        max_batch: 32,
+        host_capacity_deltas: Some(6),
+        ..DeltaZipConfig::default()
+    }
+}
+
+/// The router behind one of [`cluster::POLICIES`] over `n_models`
+/// models.
+fn cluster_router(
+    policy: &str,
+    popularity: PopularityDist,
+    n_models: usize,
+    n_replicas: usize,
+) -> Box<dyn Router> {
+    match policy {
+        "round-robin" => Box::new(RoundRobinRouter::new()),
+        "least-loaded" => Box::new(LeastLoadedRouter::new()),
+        "placement-aware" => Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
+            popularity, n_models, n_replicas,
+        ))),
+        other => panic!("unknown policy {other}"),
+    }
+}
+
 /// A rendered experiment artifact.
 #[derive(Debug, Clone)]
 pub struct Report {

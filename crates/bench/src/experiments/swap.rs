@@ -19,13 +19,11 @@
 //! the serialized baseline pollutes with other models' swap-in waits.
 //! Emits `BENCH_swap.json`; two smoke metrics feed the CI perf gate.
 
-use super::{json_provenance, md_table, Report, Scale};
-use dz_gpusim::shapes::ModelShape;
-use dz_gpusim::spec::NodeSpec;
+use super::{json_provenance, md_table, rtx3090_7b, Report, Scale};
 use dz_serve::swap::{PopularityPrefetch, QueueLookahead};
 use dz_serve::{
-    CauseBreakdown, CostModel, DeltaZipConfig, DeltaZipEngine, Engine, Metrics, TraceConfig,
-    TraceLog, TraceTrack, CAUSE_NAMES,
+    CauseBreakdown, DeltaZipConfig, DeltaZipEngine, Engine, Metrics, TraceConfig, TraceLog,
+    TraceTrack, CAUSE_NAMES,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use serde::Serialize;
@@ -66,7 +64,7 @@ pub fn run_swap_traced(
 ) -> (Metrics, Option<TraceLog>) {
     // The small node: GPU holds only a few deltas next to the base and
     // the host cache is bounded, so swap traffic never stops.
-    let cost = CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b());
+    let cost = rtx3090_7b();
     let trace = swap_trace(duration_s);
     let config = DeltaZipConfig {
         max_concurrent_deltas: 2,

@@ -18,11 +18,9 @@
 //! makespan) and TTFT p99. Emits `BENCH_toppings.json`; two smoke metrics
 //! feed the CI perf gate.
 
-use super::{json_provenance, md_table, Report, Scale};
-use dz_gpusim::shapes::ModelShape;
-use dz_gpusim::spec::NodeSpec;
+use super::{json_provenance, md_table, rtx3090_7b, Report, Scale};
 use dz_serve::{
-    CostModel, DeltaZipConfig, Engine, EngineBuilder, Metrics, TraceConfig, TraceLog, TraceTrack,
+    DeltaZipConfig, Engine, EngineBuilder, Metrics, TraceConfig, TraceLog, TraceTrack,
     VariantCatalog,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
@@ -49,13 +47,9 @@ fn toppings_trace(duration_s: f64) -> Trace {
 
 /// Runs one toppings-bench mode (also reused by the `bench-smoke` perf
 /// gate). The catalog interleaves all four variant kinds across
-/// `N_MODELS` models; only the pool policy differs between modes.
-pub fn run_toppings(mode: &str, duration_s: f64) -> Metrics {
-    run_toppings_traced(mode, duration_s, None).0
-}
-
-/// [`run_toppings`] with optional event tracing: when `trace_cfg` is set
-/// the engine records its event log, returned alongside the metrics.
+/// `N_MODELS` models; only the pool policy differs between modes. When
+/// `trace_cfg` is set the engine records its event log, returned
+/// alongside the metrics.
 pub fn run_toppings_traced(
     mode: &str,
     duration_s: f64,
@@ -63,7 +57,7 @@ pub fn run_toppings_traced(
 ) -> (Metrics, Option<TraceLog>) {
     // The small node: GPU holds only a few deltas next to the base, so
     // delta-backed toppings churn while adapters are always resident.
-    let cost = CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b());
+    let cost = rtx3090_7b();
     let trace = toppings_trace(duration_s);
     let cap = match mode {
         "mixed" | "segregated" => Some(TOPPINGS_CAP),
@@ -264,8 +258,8 @@ mod tests {
     fn mixed_pool_beats_segregated_on_goodput() {
         // The acceptance gate: co-batching adapters with swapping deltas
         // must not lose goodput against the segregated-pool baseline.
-        let mixed = run_toppings("mixed", 60.0);
-        let segregated = run_toppings("segregated", 60.0);
+        let mixed = run_toppings_traced("mixed", 60.0, None).0;
+        let segregated = run_toppings_traced("segregated", 60.0, None).0;
         assert_eq!(mixed.len(), segregated.len());
         let (gm, gs) = (goodput(&mixed), goodput(&segregated));
         assert!(
@@ -281,7 +275,7 @@ mod tests {
     #[test]
     fn capped_modes_respect_the_toppings_cap() {
         for mode in ["mixed", "segregated"] {
-            let m = run_toppings(mode, 60.0);
+            let m = run_toppings_traced(mode, 60.0, None).0;
             assert!(
                 m.toppings.max_toppings_in_batch <= TOPPINGS_CAP,
                 "{mode}: {} toppings over cap {TOPPINGS_CAP}",
@@ -289,13 +283,13 @@ mod tests {
             );
         }
         // The uncapped pool actually uses the freedom the cap removes.
-        let uncapped = run_toppings("mixed-uncapped", 60.0);
+        let uncapped = run_toppings_traced("mixed-uncapped", 60.0, None).0;
         assert!(uncapped.toppings.max_toppings_in_batch > TOPPINGS_CAP);
     }
 
     #[test]
     fn all_kinds_receive_traffic_and_kernel_charges_split() {
-        let m = run_toppings("mixed", 60.0);
+        let m = run_toppings_traced("mixed", 60.0, None).0;
         let t = &m.toppings;
         assert_eq!(t.total_reqs(), m.len());
         assert!(t.base_reqs > 0 && t.lora_reqs > 0);

@@ -149,6 +149,7 @@ impl SignMatrix {
 
     /// Sign (`±1.0`) of `(row r, input c)`.
     #[inline]
+    // dz-lint: allow(dead-pub, "reference sign lookup the dequantize proptest checks bit-for-bit against")
     pub fn sign_at(&self, r: usize, c: usize) -> f32 {
         let i = r * self.d_in + c;
         if (self.signs[i / 32] >> (i % 32)) & 1 == 1 {
@@ -692,6 +693,7 @@ impl DeltaCodec for DeltaComeCodec {
 
 /// The default method zoo swept by `exp bench-compress`: every codec at
 /// two bit budgets.
+// dz-lint: allow(dead-pub, "the canonical six-codec method zoo; its unit test pins the ids and budgets")
 pub fn codec_zoo() -> Vec<Box<dyn DeltaCodec>> {
     vec![
         Box::new(SparseGptCodec::starred(4)),

@@ -27,17 +27,6 @@ pub struct ObsConfig {
     pub damp: f32,
 }
 
-impl ObsConfig {
-    /// The paper's default configuration for a given bit width.
-    pub fn with_bits(bits: u32) -> Self {
-        ObsConfig {
-            spec: QuantSpec::new(bits, 16),
-            sparse24: true,
-            damp: 0.05,
-        }
-    }
-}
-
 /// Result of compressing one matrix.
 #[derive(Debug, Clone)]
 pub struct ObsResult {
@@ -315,7 +304,11 @@ mod tests {
         let xs = random_inputs(3, 16, 32, 8);
         let refs: Vec<&Matrix> = xs.iter().collect();
         let h = hessian_from_inputs(&refs);
-        let cfg = ObsConfig::with_bits(4);
+        let cfg = ObsConfig {
+            spec: QuantSpec::new(4, 16),
+            sparse24: true,
+            damp: 0.05,
+        };
         let res = compress_matrix(&delta, &h, &cfg);
         let rel = output_mse(&delta, &res.reconstructed, &refs)
             / output_mse(&delta, &Matrix::zeros(32, 16), &refs);
@@ -336,7 +329,11 @@ mod tests {
     fn sparse_requires_divisible_width() {
         let w = Matrix::zeros(6, 4);
         let h = Matrix::identity(6);
-        let cfg = ObsConfig::with_bits(4);
+        let cfg = ObsConfig {
+            spec: QuantSpec::new(4, 16),
+            sparse24: true,
+            damp: 0.05,
+        };
         let _ = compress_matrix(&w, &h, &cfg);
     }
 }

@@ -258,11 +258,13 @@ impl CompressedMatrix {
 
     /// Scale of input column `c` in output row `r`.
     #[inline]
+    // dz-lint: allow(dead-pub, "reference scale lookup the row-decode proptests compare against")
     pub fn scale_at(&self, r: usize, c: usize) -> f32 {
         self.scales[r * self.groups_per_row() + c / self.spec.group_size]
     }
 
     /// The signed level of `(row r, input c)`, resolving sparsity.
+    // dz-lint: allow(dead-pub, "reference level lookup the row-decode proptests compare against")
     pub fn level_at(&self, r: usize, c: usize) -> i32 {
         let qmax = self.spec.qmax();
         match self.format {

@@ -89,6 +89,7 @@ pub fn dequantize_slice(levels: &[i32], scales: &[f32], group_size: usize) -> Ve
 }
 
 /// Mean squared quantization error of round-to-nearest on a slice.
+// dz-lint: allow(dead-pub, "reference round-to-nearest error the quantizer tests compare against")
 pub fn rtn_mse(values: &[f32], spec: QuantSpec) -> f64 {
     let (levels, scales) = quantize_slice(values, spec);
     let rec = dequantize_slice(&levels, &scales, spec.group_size);

@@ -1,8 +1,8 @@
 //! Explicit little-endian wire encoding for compressed artifacts.
 //!
-//! [`CompressedMatrix`] and [`CompressedDelta`] were in-memory-only structs;
-//! this module gives them a stable byte representation so deltas can be
-//! persisted in `.dza` containers (see the `dz-store` crate) and shipped
+//! [`CompressedMatrix`] and the other packed layers were in-memory-only
+//! structs; this module gives them a stable byte representation so deltas
+//! can be persisted in `.dza` containers (see the `dz-store` crate) and shipped
 //! between processes. All integers are little-endian; all decodes are
 //! bounds-checked and return typed errors — corrupt input must never panic
 //! or silently produce wrong tensors.
@@ -15,24 +15,12 @@
 //! n_index  u64 | indices u8 x n_index
 //! n_scales u64 | scales f32 x n_scales
 //! ```
-//!
-//! A delta record is a versioned header (config + size report) followed by
-//! name-keyed matrix records for the compressed linears and dense FP32
-//! records for the uncompressed rest.
 
-use crate::codec::{
-    CodecId, LowRankBand, LowRankMatrix, PackedLayer, SignMatrix, SignScope, MAX_BANDS,
-};
+use crate::codec::{LowRankBand, LowRankMatrix, PackedLayer, SignMatrix, SignScope, MAX_BANDS};
 use crate::pack::{CompressedMatrix, MatrixFormat};
-use crate::pipeline::{CompressedDelta, DeltaCompressConfig, SizeReport};
+use crate::pipeline::{DeltaCompressConfig, SizeReport};
 use crate::quant::QuantSpec;
 use dz_tensor::Matrix;
-use std::collections::BTreeMap;
-
-/// Current version of the delta record layout. Version 2 added the
-/// method-zoo codec id and the sign / low-rank layer records; version-1
-/// records (quantized layers only) still decode.
-pub const DELTA_WIRE_VERSION: u16 = 2;
 
 const FORMAT_DENSE: u8 = 0;
 const FORMAT_SPARSE24: u8 = 1;
@@ -46,8 +34,6 @@ const FORMAT_LOWRANK: u8 = 3;
 pub enum WireError {
     /// Input ended before the record did.
     Truncated,
-    /// Unsupported record version.
-    BadVersion(u16),
     /// An enum tag byte had no meaning.
     BadTag(u8),
     /// A declared length is inconsistent with the record's dimensions.
@@ -64,7 +50,6 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Truncated => write!(f, "record truncated"),
-            WireError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
             WireError::BadTag(t) => write!(f, "invalid tag byte {t}"),
             WireError::LengthMismatch(what) => write!(f, "length mismatch in {what}"),
             WireError::BadName => write!(f, "name is not valid utf-8"),
@@ -86,11 +71,6 @@ impl<'a> Reader<'a> {
     /// Wraps a slice.
     pub fn new(bytes: &'a [u8]) -> Self {
         Reader { bytes, pos: 0 }
-    }
-
-    /// Bytes consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.pos
     }
 
     /// True when every byte has been consumed.
@@ -516,71 +496,8 @@ pub fn decode_report(r: &mut Reader<'_>) -> Result<SizeReport, WireError> {
     })
 }
 
-/// Serializes a whole compressed delta to wire bytes (current version).
-pub fn encode_delta(cd: &CompressedDelta) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&DELTA_WIRE_VERSION.to_le_bytes());
-    out.push(cd.codec.as_u8());
-    encode_config(&cd.config, &mut out);
-    encode_report(&cd.report, &mut out);
-    out.extend_from_slice(&(cd.layers.len() as u32).to_le_bytes());
-    for (name, layer) in &cd.layers {
-        put_name(&mut out, name);
-        encode_layer(layer, &mut out);
-    }
-    out.extend_from_slice(&(cd.rest.len() as u32).to_le_bytes());
-    for (name, m) in &cd.rest {
-        put_name(&mut out, name);
-        encode_dense(m, &mut out);
-    }
-    out
-}
-
-/// Deserializes a compressed delta from wire bytes, requiring the record
-/// to span the input exactly. Both version-2 records and pre-method-zoo
-/// version-1 records (no codec byte; quantized layers only) decode; v1
-/// deltas report [`CodecId::SparseGptStar`].
-pub fn decode_delta(bytes: &[u8]) -> Result<CompressedDelta, WireError> {
-    let mut r = Reader::new(bytes);
-    let version = r.u16()?;
-    let codec = match version {
-        1 => CodecId::SparseGptStar,
-        2 => CodecId::from_u8(r.u8()?).ok_or(WireError::BadField("unknown codec id"))?,
-        v => return Err(WireError::BadVersion(v)),
-    };
-    let config = decode_config(&mut r)?;
-    let report = decode_report(&mut r)?;
-    let n_layers = r.u32()? as usize;
-    let mut layers = BTreeMap::new();
-    for _ in 0..n_layers {
-        let name = r.name()?;
-        let layer = if version == 1 {
-            PackedLayer::Quant(decode_matrix(&mut r)?)
-        } else {
-            decode_layer(&mut r)?
-        };
-        layers.insert(name, layer);
-    }
-    let n_rest = r.u32()? as usize;
-    let mut rest = BTreeMap::new();
-    for _ in 0..n_rest {
-        let name = r.name()?;
-        let m = decode_dense(&mut r)?;
-        rest.insert(name, m);
-    }
-    if !r.is_done() {
-        return Err(WireError::TrailingBytes);
-    }
-    Ok(CompressedDelta {
-        layers,
-        rest,
-        codec,
-        config,
-        report,
-    })
-}
-
 /// Convenience: encodes one matrix as a standalone record.
+// dz-lint: allow(dead-pub, "standalone matrix record, the entry point the wire-format unit tests drive")
 pub fn matrix_to_bytes(cm: &CompressedMatrix) -> Vec<u8> {
     let mut out = Vec::new();
     encode_matrix(cm, &mut out);
@@ -589,6 +506,7 @@ pub fn matrix_to_bytes(cm: &CompressedMatrix) -> Vec<u8> {
 
 /// Convenience: decodes one standalone matrix record, requiring it to span
 /// the input exactly.
+// dz-lint: allow(dead-pub, "standalone matrix record, the entry point the wire-format unit tests drive")
 pub fn matrix_from_bytes(bytes: &[u8]) -> Result<CompressedMatrix, WireError> {
     let mut r = Reader::new(bytes);
     let cm = decode_matrix(&mut r)?;

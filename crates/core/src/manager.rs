@@ -136,32 +136,9 @@ impl ModelManager {
         self.bases.get(id.0).map(|b| &b.params)
     }
 
-    /// Base name, if valid.
-    pub fn base_name(&self, id: BaseId) -> Option<&str> {
-        self.bases.get(id.0).map(|b| b.name.as_str())
-    }
-
     /// Variant info, if valid.
     pub fn variant(&self, id: VariantId) -> Option<&VariantInfo> {
         self.variants.get(id.0)
-    }
-
-    /// Looks a variant up by name.
-    pub fn variant_by_name(&self, name: &str) -> Option<VariantId> {
-        self.variants
-            .iter()
-            .position(|v| v.name == name)
-            .map(VariantId)
-    }
-
-    /// All variants of a base (the "delta zoo" view).
-    pub fn variants_of(&self, base: BaseId) -> Vec<VariantId> {
-        self.variants
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.base == base)
-            .map(|(i, _)| VariantId(i))
-            .collect()
     }
 
     /// Content hash of a base's parameters (its lineage identity).
@@ -220,11 +197,6 @@ impl ModelManager {
         self.add_variant(&name, base, VariantArtifact::Delta(Box::new(delta)))
     }
 
-    /// Number of registered bases.
-    pub fn n_bases(&self) -> usize {
-        self.bases.len()
-    }
-
     /// Number of registered variants.
     pub fn n_variants(&self) -> usize {
         self.variants.len()
@@ -245,9 +217,7 @@ mod tests {
     fn base_registration_and_lookup() {
         let mut m = ModelManager::default();
         let b = m.add_base("llama", params()).unwrap();
-        assert_eq!(m.base_name(b), Some("llama"));
         assert!(m.base_params(b).is_some());
-        assert_eq!(m.n_bases(), 1);
         assert!(m.base_params(BaseId(5)).is_none());
     }
 
@@ -266,10 +236,7 @@ mod tests {
             .add_variant("vicuna-lora", b1, VariantArtifact::Lora(Box::new(adapter)))
             .unwrap();
         assert_eq!(m.variant(v).unwrap().base, b1);
-        assert_eq!(m.variants_of(b1), vec![v]);
-        assert!(m.variants_of(b2).is_empty());
-        assert_eq!(m.variant_by_name("vicuna-lora"), Some(v));
-        assert_eq!(m.variant_by_name("nope"), None);
+        assert_ne!(m.variant(v).unwrap().base, b2);
     }
 
     #[test]

@@ -108,6 +108,7 @@ impl<T> EventQueue<T> {
     }
 
     /// Schedules `payload` after a relative delay.
+    // dz-lint: allow(dead-pub, "relative-delay scheduling with its own clock test")
     pub fn push_after(&mut self, delay: SimTime, payload: T) {
         let at = self.now + delay.max(0.0);
         self.push(at, payload);

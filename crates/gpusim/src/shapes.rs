@@ -44,18 +44,6 @@ impl ModelShape {
         }
     }
 
-    /// Llama-2 70B (attention treated as MHA; GQA ignored, which only
-    /// shifts constants).
-    pub fn llama70b() -> Self {
-        ModelShape {
-            name: "llama-70b",
-            n_layers: 80,
-            d_model: 8192,
-            d_ff: 28672,
-            vocab: 32000,
-        }
-    }
-
     /// Per-layer linear shapes `(k, n)`: q, k, v, o projections plus the
     /// SwiGLU MLP (gate, up, down).
     pub fn layer_linears(&self) -> Vec<(usize, usize)> {
@@ -121,13 +109,8 @@ mod tests {
     fn param_counts_land_near_nameplate() {
         let b7 = ModelShape::llama7b().total_params() as f64 / 1e9;
         let b13 = ModelShape::llama13b().total_params() as f64 / 1e9;
-        let b70 = ModelShape::llama70b().total_params() as f64 / 1e9;
         assert!((6.0..8.0).contains(&b7), "7b -> {b7}");
         assert!((11.5..14.5).contains(&b13), "13b -> {b13}");
-        assert!(
-            (60.0..80.0).contains(&b70),
-            "70b -> {b70} (MHA approximation, no GQA)"
-        );
     }
 
     #[test]
@@ -151,7 +134,7 @@ mod tests {
     #[test]
     fn kv_bytes_scale_with_depth_and_width() {
         assert!(
-            ModelShape::llama70b().kv_bytes_per_token()
+            ModelShape::llama13b().kv_bytes_per_token()
                 > ModelShape::llama7b().kv_bytes_per_token()
         );
     }

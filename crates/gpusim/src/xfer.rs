@@ -13,11 +13,6 @@ pub enum Tier {
     Device,
 }
 
-/// Time to read `bytes` from storage into host memory.
-pub fn disk_to_host_s(storage: StorageKind, bytes: f64) -> f64 {
-    storage.latency_s() + disk_channel_s(storage, bytes)
-}
-
 /// Solo seconds of disk-channel work for `bytes` (no latency head): the
 /// unit a bandwidth-shared transfer timeline divides among concurrent
 /// loads on the disk link.
@@ -57,6 +52,7 @@ pub fn load_to_device_s(node: &NodeSpec, from: Tier, bytes: f64) -> f64 {
 ///
 /// Returns the end-to-end time for loading `raw_bytes` whose compressed
 /// form is `compressed_bytes`.
+// dz-lint: allow(dead-pub, "the GPU-decompression load model whose crossover the transfer tests pin")
 pub fn load_compressed_s(
     node: &NodeSpec,
     raw_bytes: f64,

@@ -243,10 +243,12 @@ mod tests {
         let mut rng = Rng::seeded(3);
         let dense = Matrix::randn(6, 5, 1.0, &mut rng);
         let mut mask = Matrix::zeros(6, 5);
+        let mut masked = Matrix::zeros(6, 5);
         for i in 0..6 {
-            mask.set(i, (i * 2) % 5, 1.0);
+            let c = (i * 2) % 5;
+            mask.set(i, c, 1.0);
+            masked.set(i, c, dense.get(i, c));
         }
-        let masked = dense.hadamard(&mask);
         let coo = SparseCoo::from_masked(&masked, &mask);
         assert_eq!(coo.nnz(), 6);
         let x: Vec<f32> = (0..6).map(|i| i as f32 + 0.5).collect();

@@ -10,8 +10,9 @@
 //! rule engine pattern-matches what remains.
 //!
 //! Rules: `wall-clock`, `hash-iter`, `float-eq`, `unwrap-budget`,
-//! `thread-spawn`, `bench-provenance` — see [`rules`] for the full
-//! taxonomy. Any individual site can be suppressed with a justification:
+//! `thread-spawn`, `bench-provenance`, `dead-pub` — see [`rules`] for
+//! the full taxonomy. Any individual site can be suppressed with a
+//! justification:
 //!
 //! ```text
 //! // dz-lint: allow(wall-clock, "decode throughput is measured in real time by design")
@@ -33,7 +34,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use lexer::LexedFile;
-use rules::{FileMeta, RawFinding, UnwrapSite, RULE_IDS};
+use rules::{FileMeta, PubItem, RawFinding, UnwrapSite, RULE_IDS};
 use serde::value::{Number, Value};
 
 /// Directory components never descended into.
@@ -373,13 +374,25 @@ fn check_budget(opts: &Options, counts: &BTreeMap<String, usize>, findings: &mut
 // Entry points.
 // ---------------------------------------------------------------------------
 
-/// Lints one file's source text. Exposed for tests; [`lint_workspace`]
-/// is the real driver.
+/// Lints one file's source text with the per-file rules. Exposed for
+/// tests; [`lint_workspace`] is the real driver and the only one that
+/// runs `dead-pub`.
+// dz-lint: allow(dead-pub, "single-file entry point the rule tests and the dzbench source test lint through")
 pub fn lint_source(src: &str, meta: &FileMeta) -> (Vec<Finding>, Vec<UnwrapSite>) {
-    let lexed = LexedFile::lex(src);
-    let (raw, mut sites) = rules::check_file(&lexed, meta);
+    lint_lexed(&LexedFile::lex(src), meta, Vec::new())
+}
+
+/// Lints one lexed file: the per-file rules plus `extra` workspace-level
+/// findings, all matched against the file's suppressions.
+fn lint_lexed(
+    lexed: &LexedFile,
+    meta: &FileMeta,
+    extra: Vec<RawFinding>,
+) -> (Vec<Finding>, Vec<UnwrapSite>) {
+    let (mut raw, mut sites) = rules::check_file(lexed, meta);
+    raw.extend(extra);
     let mut findings = Vec::new();
-    let mut sups = collect_suppressions(&lexed, &meta.rel_path, &mut findings);
+    let mut sups = collect_suppressions(lexed, &meta.rel_path, &mut findings);
 
     let mut keep: Vec<RawFinding> = Vec::new();
     for f in raw {
@@ -430,9 +443,14 @@ pub fn lint_source(src: &str, meta: &FileMeta) -> (Vec<Finding>, Vec<UnwrapSite>
 /// [`Options::update_budget`]).
 pub fn lint_workspace(opts: &Options) -> io::Result<Report> {
     let mut report = Report::default();
+    let mut files = Vec::new();
     for (path, meta) in collect_files(&opts.root)? {
-        let src = fs::read_to_string(&path)?;
-        let (findings, sites) = lint_source(&src, &meta);
+        files.push((LexedFile::lex(&fs::read_to_string(&path)?), meta));
+    }
+    let mut dead = dead_pub_findings(&opts.root, &files)?;
+    for (lexed, meta) in files {
+        let extra = dead.remove(&meta.rel_path).unwrap_or_default();
+        let (findings, sites) = lint_lexed(&lexed, &meta, extra);
         report.findings.extend(findings);
         report.files_scanned += 1;
         if !meta.is_test_file {
@@ -448,6 +466,58 @@ pub fn lint_workspace(opts: &Options) -> io::Result<Report> {
         .findings
         .sort_by(|a, b| (&a.path, a.line, &a.rule).cmp(&(&b.path, b.line, &b.rule)));
     Ok(report)
+}
+
+/// Whether a file defines items `dead-pub` checks: library code under
+/// `crates/*/src`, binaries excluded.
+fn defines_pub_items(meta: &FileMeta) -> bool {
+    !meta.is_test_file
+        && meta.rel_path.starts_with("crates/")
+        && !meta.rel_path.contains("/src/bin/")
+}
+
+/// Whether a file's code counts as a user of `pub` items: `src/` code,
+/// binaries included, and examples. Tests and benches do not count.
+fn uses_pub_items(meta: &FileMeta) -> bool {
+    !meta.is_test_file
+        || meta.rel_path.starts_with("examples/")
+        || meta.rel_path.contains("/examples/")
+}
+
+/// Runs `dead-pub` over the workspace, keyed by file. The out-of-tree
+/// `dzbench/src`, when present, counts as a user but is never linted.
+fn dead_pub_findings(
+    root: &Path,
+    files: &[(LexedFile, FileMeta)],
+) -> io::Result<BTreeMap<String, Vec<RawFinding>>> {
+    let mut uses = BTreeMap::new();
+    for (lexed, meta) in files {
+        if uses_pub_items(meta) {
+            rules::count_idents(lexed, &mut uses);
+        }
+    }
+    let dzbench = root.join("dzbench/src");
+    if dzbench.is_dir() {
+        let mut paths = Vec::new();
+        walk_rs(&dzbench, &mut paths)?;
+        for path in paths {
+            rules::count_idents(&LexedFile::lex(&fs::read_to_string(path)?), &mut uses);
+        }
+    }
+    let items: Vec<(&str, Vec<PubItem>)> = files
+        .iter()
+        .filter(|(_, meta)| defines_pub_items(meta))
+        .map(|(lexed, meta)| (meta.rel_path.as_str(), rules::pub_items(lexed)))
+        .collect();
+    let mut defs = BTreeMap::new();
+    for item in items.iter().flat_map(|(_, items)| items) {
+        *defs.entry(item.name.clone()).or_insert(0) += 1;
+    }
+    Ok(items
+        .iter()
+        .map(|(path, items)| (path.to_string(), rules::dead_pub(items, &uses, &defs)))
+        .filter(|(_, found)| !found.is_empty())
+        .collect())
 }
 
 /// Renders a report as machine-readable JSON (`--json`).

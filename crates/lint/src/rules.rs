@@ -13,9 +13,15 @@
 //! | `unwrap-budget` | `.unwrap()` / `.expect()` / `panic!` growth | all library code, vs `ci/unwrap-budget.json` |
 //! | `thread-spawn` | `thread::spawn` / `thread::scope` | everywhere except the decode modules |
 //! | `bench-provenance` | writing `BENCH_*.json` without `json_provenance` | all library code |
+//! | `dead-pub` | `pub` items no non-test code names outside `use` lines | library `crates/*/src` (whole-workspace pass) |
+//!
+//! Every rule but `dead-pub` looks at one file at a time; `dead-pub`
+//! needs the whole tree, so [`crate::lint_workspace`] runs it.
 //!
 //! Any individual site can be suppressed with
 //! `// dz-lint: allow(<rule>, "<justification>")` on or above the line.
+
+use std::collections::BTreeMap;
 
 use crate::lexer::{word_at, LexedFile};
 
@@ -27,6 +33,7 @@ pub const RULE_IDS: &[&str] = &[
     "unwrap-budget",
     "thread-spawn",
     "bench-provenance",
+    "dead-pub",
 ];
 
 /// Crates whose simulation state must stay iteration-order- and
@@ -565,4 +572,124 @@ fn unwrap_sites(lexed: &LexedFile, exempt: &dyn Fn(usize) -> bool, out: &mut Vec
         }
     }
     out.sort_by_key(|s| s.line);
+}
+
+// ---------------------------------------------------------------------------
+// dead-pub
+// ---------------------------------------------------------------------------
+
+/// Item kinds a `dead-pub` definition can have.
+const ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// Words that may sit between `pub` and the item kind.
+const ITEM_QUALIFIERS: &[&str] = &["unsafe", "async", "extern"];
+
+/// One `pub` item definition outside test regions.
+#[derive(Debug, Clone)]
+pub(crate) struct PubItem {
+    /// The item's identifier.
+    pub name: String,
+    /// Item kind (an [`ITEM_KINDS`] entry).
+    pub kind: &'static str,
+    /// 1-based line of the `pub` keyword.
+    pub line: usize,
+}
+
+/// The identifier starting at byte `i` of `code`, if one does.
+fn ident_at(code: &str, i: usize) -> Option<&str> {
+    let rest = &code[i..];
+    let len = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    (len > 0 && !rest.starts_with(|c: char| c.is_ascii_digit())).then(|| &rest[..len])
+}
+
+/// Every `pub` item (not `pub(crate)` and friends) outside test regions.
+pub(crate) fn pub_items(lexed: &LexedFile) -> Vec<PubItem> {
+    let code = &lexed.code;
+    let bytes = code.as_bytes();
+    let mut out = Vec::new();
+    for i in word_positions(code, "pub") {
+        let line = lexed.line_of(i);
+        if lexed.is_test_line(line) {
+            continue;
+        }
+        let mut j = skip_ws(bytes, i + 3);
+        let kind = loop {
+            let Some(word) = ident_at(code, j) else {
+                break None;
+            };
+            j = skip_ws(bytes, j + word.len());
+            let next = ident_at(code, j);
+            match word {
+                // `pub const fn` is a function; `pub const X` a constant.
+                "const" if next.is_some_and(|w| w == "fn" || ITEM_QUALIFIERS.contains(&w)) => {}
+                "static" if next == Some("mut") => {
+                    j = skip_ws(bytes, j + 3);
+                    break Some("static");
+                }
+                w if ITEM_QUALIFIERS.contains(&w) => {}
+                w => break ITEM_KINDS.iter().find(|k| **k == w).copied(),
+            }
+        };
+        if let (Some(kind), Some(name)) = (kind, ident_at(code, j)) {
+            out.push(PubItem {
+                name: name.to_string(),
+                kind,
+                line,
+            });
+        }
+    }
+    out
+}
+
+/// Adds every identifier in the non-test code of `lexed` to `counts`,
+/// skipping `use` declarations: a re-export names an item without
+/// using it.
+pub(crate) fn count_idents(lexed: &LexedFile, counts: &mut BTreeMap<String, usize>) {
+    let code = &lexed.code;
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut i = 0usize;
+    while let Some(c) = code[i..].chars().next() {
+        if !is_ident(c) {
+            i += c.len_utf8();
+            continue;
+        }
+        let rest = &code[i..];
+        let len = rest.find(|c| !is_ident(c)).unwrap_or(rest.len());
+        let word = &rest[..len];
+        if word == "use" {
+            i += code[i..].find(';').unwrap_or(code.len() - i);
+            continue;
+        }
+        if !word.starts_with(|c: char| c.is_ascii_digit()) && !lexed.is_test_line(lexed.line_of(i))
+        {
+            *counts.entry(word.to_string()).or_insert(0) += 1;
+        }
+        i += len;
+    }
+}
+
+/// The `dead-pub` findings for one file's definitions, given the
+/// workspace-wide identifier counts and per-name definition counts. An
+/// item is dead when its name occurs no more often than it is defined:
+/// two items sharing a name can hide a dead one, never flag a live one.
+pub(crate) fn dead_pub(
+    items: &[PubItem],
+    uses: &BTreeMap<String, usize>,
+    defs: &BTreeMap<String, usize>,
+) -> Vec<RawFinding> {
+    items
+        .iter()
+        .filter(|it| uses.get(&it.name) <= defs.get(&it.name))
+        .map(|it| RawFinding {
+            rule: "dead-pub",
+            line: it.line,
+            message: format!(
+                "`pub {} {}` is named by no non-test code outside `use` lines — delete it, \
+                 or keep it with a justified allow(dead-pub, …)",
+                it.kind, it.name
+            ),
+        })
+        .collect()
 }

@@ -1,7 +1,8 @@
 //! Seeded rule violations for the dz-lint self-test. Every construct
 //! below must produce a finding, and `dz-lint --check --root <here>`
 //! must exit nonzero — CI asserts exactly that, mirroring the
-//! perf-gate's perturbed-baseline self-test.
+//! perf-gate's perturbed-baseline self-test. Nothing in this tree calls
+//! the `pub fn`s, so `dead-pub` flags them too.
 
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;

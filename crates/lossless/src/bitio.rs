@@ -159,11 +159,6 @@ impl<'a> BitReader<'a> {
     pub fn read_bit(&mut self) -> Result<u32, OutOfBits> {
         self.read_bits(1)
     }
-
-    /// Total bits remaining (including buffered ones).
-    pub fn bits_remaining(&self) -> usize {
-        (self.data.len() - self.pos) * 8 + self.nbits as usize
-    }
 }
 
 #[cfg(test)]
@@ -224,7 +219,6 @@ mod tests {
         let mut r = BitReader::new(&[]);
         assert_eq!(r.read_bits(0).unwrap(), 0);
         assert_eq!(r.read_bits(1), Err(OutOfBits));
-        assert_eq!(r.bits_remaining(), 0);
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl Encoder {
         assert!(len > 0, "symbol {sym} has no code");
         w.write_bits(code, len);
     }
-
-    /// Code length of `sym` in bits (0 when absent).
-    pub fn len_of(&self, sym: usize) -> u32 {
-        self.codes[sym].1
-    }
 }
 
 /// Canonical Huffman decoder.

@@ -49,33 +49,3 @@ pub use page::{
     compress, compress_with_page_size, decompress, decompress_reference, decompress_with_threads,
     CodecError, DEFAULT_PAGE_SIZE,
 };
-
-/// Compression statistics for reporting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ratio {
-    /// Bytes in.
-    pub raw: usize,
-    /// Bytes out.
-    pub compressed: usize,
-}
-
-impl Ratio {
-    /// `raw / compressed`; `1.0` for empty input.
-    pub fn factor(&self) -> f64 {
-        if self.compressed == 0 {
-            1.0
-        } else {
-            self.raw as f64 / self.compressed as f64
-        }
-    }
-}
-
-/// Compresses and reports the ratio in one call.
-pub fn compress_stats(data: &[u8]) -> (Vec<u8>, Ratio) {
-    let out = compress(data);
-    let ratio = Ratio {
-        raw: data.len(),
-        compressed: out.len(),
-    };
-    (out, ratio)
-}

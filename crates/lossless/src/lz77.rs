@@ -113,6 +113,7 @@ pub fn tokenize(data: &[u8]) -> Vec<Token> {
 /// Expands a token stream back into bytes.
 ///
 /// Returns `None` if a match refers before the start of the output.
+// dz-lint: allow(dead-pub, "reference token decoder the LZ77 round-trip tests check tokenization against")
 pub fn expand(tokens: &[Token]) -> Option<Vec<u8>> {
     let mut out = Vec::new();
     for t in tokens {

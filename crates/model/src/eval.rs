@@ -2,7 +2,7 @@
 
 use crate::tasks::Task;
 use crate::transformer::{forward_full, forward_infer, KvCache, Params};
-use dz_tensor::{Matrix, Rng};
+use dz_tensor::Rng;
 
 /// Index of the row-wise argmax.
 fn argmax(row: &[f32]) -> usize {
@@ -79,6 +79,7 @@ pub fn perplexity(params: &Params, seqs: &[Vec<usize>]) -> f64 {
 ///
 /// Stops after `max_new` tokens (there is no EOS in the synthetic vocab; in
 /// the serving simulator output lengths come from the workload model).
+// dz-lint: allow(dead-pub, "reference single-sequence decoder the batched decode tests compare against")
 pub fn greedy_generate(params: &Params, prompt: &[usize], max_new: usize) -> Vec<usize> {
     assert!(!prompt.is_empty(), "prompt must be non-empty");
     let mut cache = KvCache::new(params.config.n_layers);
@@ -99,6 +100,7 @@ pub fn greedy_generate(params: &Params, prompt: &[usize], max_new: usize) -> Vec
 }
 
 /// Convenience: batch accuracy over a fixed evaluation set.
+// dz-lint: allow(dead-pub, "fixed-set accuracy with its own determinism test")
 pub fn accuracy_on(params: &Params, examples: &[(Vec<usize>, usize)]) -> f64 {
     if examples.is_empty() {
         return 0.0;
@@ -108,32 +110,6 @@ pub fn accuracy_on(params: &Params, examples: &[(Vec<usize>, usize)]) -> f64 {
         .filter(|(toks, alen)| example_correct(params, toks, *alen))
         .count();
     correct as f64 / examples.len() as f64
-}
-
-/// Logit margin statistics on answer tokens (diagnostic for compression).
-pub fn answer_margin(params: &Params, task: &dyn Task, n: usize, rng: &mut Rng) -> f64 {
-    let mut total = 0.0f64;
-    let mut count = 0usize;
-    for _ in 0..n {
-        let ex = task.sample(rng);
-        let t = ex.tokens.len();
-        let logits: Matrix = forward_full(params, &ex.tokens[..t - 1]);
-        for k in 0..ex.answer_len {
-            let pos = t - 1 - ex.answer_len + k;
-            let row = logits.row(pos);
-            let target = ex.tokens[pos + 1];
-            let target_logit = row[target];
-            let best_other = row
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != target)
-                .map(|(_, &v)| v)
-                .fold(f32::NEG_INFINITY, f32::max);
-            total += (target_logit - best_other) as f64;
-            count += 1;
-        }
-    }
-    total / count.max(1) as f64
 }
 
 #[cfg(test)]

@@ -120,16 +120,6 @@ impl LoraAdapter {
         }
         out
     }
-
-    /// The dense delta the adapter represents (for size accounting).
-    pub fn dense_delta_bytes_fp16(&self, base: &Params) -> usize {
-        let mut total = 0usize;
-        for p in &self.pairs {
-            let w = base.get(&p.name).expect("target exists");
-            total += w.len() * 2;
-        }
-        total
-    }
 }
 
 /// Adam over a flat list of matrices (used for adapter training).
@@ -320,7 +310,12 @@ mod tests {
         let mut rng = Rng::seeded(2);
         let base = Params::init(cfg, &mut rng);
         let adapter = LoraAdapter::init(&base, LoraConfig::rank(2), &mut rng);
-        assert!(adapter.fp16_bytes() * 2 < adapter.dense_delta_bytes_fp16(&base));
+        let dense_fp16_bytes: usize = adapter
+            .pairs
+            .iter()
+            .map(|p| base.get(&p.name).expect("target exists").len() * 2)
+            .sum();
+        assert!(adapter.fp16_bytes() * 2 < dense_fp16_bytes);
     }
 
     #[test]

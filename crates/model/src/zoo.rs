@@ -130,6 +130,7 @@ pub fn preset(name: &str) -> Option<ModelPreset> {
 }
 
 /// Fraction of parameters in embedding tables (not compressed by ΔCompress).
+// dz-lint: allow(dead-pub, "embedding share of a preset, pinned by the zoo unit test")
 pub fn embedding_fraction(config: &ModelConfig) -> f64 {
     let emb = (config.vocab + config.max_seq + config.vocab) * config.d_model;
     emb as f64 / config.param_count() as f64

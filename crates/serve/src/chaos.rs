@@ -18,9 +18,7 @@
 //!   prefetch races traffic to warm them),
 //! * [`Rollout`] — a rolling delta-version upgrade: over a window, an
 //!   increasing fraction of one model's traffic is remapped to its v2
-//!   delta (the registry-side counterpart is
-//!   [`Registry::supersede`](dz_store::Registry::supersede),
-//!   which records the v2 → v1 lineage).
+//!   delta.
 //!
 //! Both simulators apply crashes, restarts and autoscaler ticks through
 //! one crate-private `Membership`, so they share one set of rules: a
@@ -129,6 +127,7 @@ impl FaultPlan {
     /// A seeded random schedule over `[0, duration_s)` against
     /// `n_replicas` replicas. Deterministic: the same `(seed, duration,
     /// n_replicas, cfg)` always produces the same plan.
+    // dz-lint: allow(dead-pub, "seeded random fault schedules; the chaos unit tests pin their determinism")
     pub fn random(seed: u64, duration_s: f64, n_replicas: usize, cfg: RandomFaultConfig) -> Self {
         let mut rng = Rng::seeded(seed ^ 0xC4A0_5EED);
         let mut events = Vec::new();
@@ -253,6 +252,16 @@ impl Autoscaler {
             interval_s: 5.0,
             cooldown_s: 15.0,
         }
+    }
+
+    /// Panics unless `interval_s` is finite and positive: a zero or NaN
+    /// interval would tick the control loop forever at one instant.
+    pub(crate) fn assert_interval(&self) {
+        assert!(
+            self.interval_s.is_finite() && self.interval_s > 0.0,
+            "autoscaler interval_s {} must be finite and positive",
+            self.interval_s
+        );
     }
 
     /// The control decision for one tick: `+1` (scale up), `-1` (scale

@@ -443,6 +443,7 @@ impl CostModel {
     /// Time to swap in a host-resident **decoded** delta copy of
     /// `raw_bytes`: a pure PCIe transfer of the raw bytes, with no decode
     /// stage (the store's cached decoded copy skips the pipeline).
+    // dz-lint: allow(dead-pub, "scalar charge the decoded-copy load profile must match in the cost tests")
     pub fn decoded_load_time_bytes(&self, raw_bytes: f64) -> f64 {
         xfer::load_to_device_s(
             &self.node,

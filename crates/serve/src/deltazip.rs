@@ -147,15 +147,9 @@ impl DeltaStoreBinding {
 
     /// Mutable access to the underlying store, so callers (e.g. a
     /// [`ClusterSim`](crate::cluster::ClusterSim) replica) can record
-    /// loads, evict, or pre-warm artifacts without dismantling the
-    /// binding via [`into_store`](Self::into_store).
+    /// loads, evict, or pre-warm artifacts.
     pub fn store_mut(&mut self) -> &mut TieredDeltaStore {
         &mut self.store
-    }
-
-    /// Unwraps the store.
-    pub fn into_store(self) -> TieredDeltaStore {
-        self.store
     }
 
     /// The per-model artifact mapping (`artifacts[model_id]`).
@@ -191,10 +185,10 @@ impl DeltaStoreBinding {
     }
 
     /// Prewarms a model's artifact disk→host through the store's
-    /// bandwidth-budgeted [`TieredDeltaStore::prefetch`] API.
+    /// [`TieredDeltaStore::prefetch`] API.
     fn prefetch_model(&mut self, model: usize) {
         if let Some(id) = self.artifacts.get(model).copied() {
-            let _ = self.store.prefetch(&[id], u64::MAX);
+            let _ = self.store.prefetch(&[id]);
         }
     }
 
@@ -652,16 +646,8 @@ impl Engine for DeltaZipEngine {
                                 FetchTier::HostHit => {
                                     cost.delta_load_profile_measured(outcome.bytes as f64, gbps)
                                 }
-                                FetchTier::DiskMiss => {
-                                    let mut p = cost.delta_cold_load_profile_measured(
-                                        outcome.bytes as f64,
-                                        gbps,
-                                    );
-                                    // Object-store-only artifact: the edge
-                                    // pull serializes ahead of the disk read.
-                                    p.head_s += outcome.object_wait_s;
-                                    p
-                                }
+                                FetchTier::DiskMiss => cost
+                                    .delta_cold_load_profile_measured(outcome.bytes as f64, gbps),
                             }
                         }
                         // Synthetic path: shape-model bytes, warm/cold
@@ -717,7 +703,6 @@ impl Engine for DeltaZipEngine {
                                 }
                                 FetchTier::DiskMiss => {
                                     cost.delta_cold_load_time_measured(outcome.bytes as f64, gbps)
-                                        + outcome.object_wait_s
                                 }
                             }
                         }

@@ -155,6 +155,13 @@ impl FleetTopology {
 // Configuration.
 // ---------------------------------------------------------------------------
 
+/// Compressed delta size (bytes); uniform across models.
+const DELTA_BYTES: u64 = 850 << 20;
+/// Decode seconds per token (prompt + output) of service time.
+const PER_TOKEN_S: f64 = 0.0003;
+/// Fixed per-request service floor (s).
+const STARTUP_S: f64 = 0.02;
+
 /// Configuration for a [`FleetSim`] run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -164,12 +171,6 @@ pub struct FleetConfig {
     pub topology: FleetTopology,
     /// Deltas each replica keeps warm (host cache) before LRU eviction.
     pub warm_capacity: usize,
-    /// Compressed delta size (bytes); uniform across models.
-    pub delta_bytes: u64,
-    /// Decode seconds per token (prompt + output) of service time.
-    pub per_token_s: f64,
-    /// Fixed per-request service floor (s).
-    pub startup_s: f64,
     /// Injected crashes, applied on the event clock. A crashed replica
     /// loses its warm set but keeps its disk, and restarts cold after
     /// its own `restart_after_s` (`None`: stays down until the
@@ -178,9 +179,6 @@ pub struct FleetConfig {
     /// Optional autoscaler, sampled every `interval_s` over the live
     /// replicas' mean backlog.
     pub autoscale: Option<Autoscaler>,
-    /// On an object-store pull, also replicate the delta to one other
-    /// plan home's disk (prefetch-land event, off the critical path).
-    pub prefetch_homes: bool,
     /// Record the `(time, class, key)` event log for replay tests.
     pub record_events: bool,
     /// Emit simulation-clock trace events (Chrome-trace exportable).
@@ -195,12 +193,8 @@ impl FleetConfig {
             n_replicas,
             topology: FleetTopology::default(),
             warm_capacity: 12,
-            delta_bytes: 850 << 20,
-            per_token_s: 0.0003,
-            startup_s: 0.02,
             faults: FaultPlan::none(),
             autoscale: None,
-            prefetch_homes: true,
             record_events: false,
             trace: None,
         }
@@ -385,9 +379,13 @@ impl FleetSim {
     /// `>= n_replicas`, or the fault plan holds a [`FaultKind::Degrade`]
     /// (compact replicas have no load channels). Panics if the topology
     /// has zero nodes per rack or racks per region, or a bandwidth that
-    /// is not finite and positive.
+    /// is not finite and positive. Panics if the autoscaler's
+    /// `interval_s` is not finite and positive.
     pub fn new(config: FleetConfig, plan: PlacementPlan, router: Box<dyn Router>) -> Self {
         assert!(config.n_replicas > 0, "fleet needs at least one replica");
+        if let Some(scaler) = &config.autoscale {
+            scaler.assert_interval();
+        }
         let t = &config.topology;
         assert!(
             t.nodes_per_rack > 0 && t.racks_per_region > 0,
@@ -472,14 +470,14 @@ impl FleetSim {
         }
         if let Some(scaler) = cfg.autoscale {
             events.push_class(
-                scaler.interval_s.max(1e-3),
+                scaler.interval_s,
                 CLASS_TICK,
                 FleetEvent::Member(MemberEvent::Tick),
             );
         }
 
-        let local_disk_s = topo.fetch_time_s(FetchTier::LocalDisk, cfg.delta_bytes);
-        let object_store_s = topo.fetch_time_s(FetchTier::ObjectStore, cfg.delta_bytes);
+        let local_disk_s = topo.fetch_time_s(FetchTier::LocalDisk, DELTA_BYTES);
+        let object_store_s = topo.fetch_time_s(FetchTier::ObjectStore, DELTA_BYTES);
         let mut e2e = StreamingQuantiles::new();
         let mut warm_hits = 0u64;
         let mut fetches = FetchCounts::default();
@@ -586,7 +584,7 @@ impl FleetSim {
                     // the clock forever).
                     if work_events > 0 {
                         events.push_class(
-                            t + scaler.interval_s.max(1e-3),
+                            t + scaler.interval_s,
                             CLASS_TICK,
                             FleetEvent::Member(MemberEvent::Tick),
                         );
@@ -634,7 +632,7 @@ impl FleetSim {
                         fetch_s = (land - start).max(0.0);
                     } else {
                         let tier = Self::nearest_tier(&topo, target, &disk_holders[req.model]);
-                        fetch_s = topo.fetch_time_s(tier, cfg.delta_bytes);
+                        fetch_s = topo.fetch_time_s(tier, DELTA_BYTES);
                         match tier {
                             FetchTier::LocalDisk => fetches.local_disk += 1,
                             FetchTier::PeerRack => fetches.peer_rack += 1,
@@ -667,10 +665,10 @@ impl FleetSim {
                             let pos = disk_holders[req.model].partition_point(|&h| h < r32);
                             disk_holders[req.model].insert(pos, r32);
                         }
-                        // Object-store pulls optionally replicate the
-                        // delta to one more plan home off the critical
-                        // path (the popular-delta edge-spread story).
-                        if tier == FetchTier::ObjectStore && cfg.prefetch_homes {
+                        // Object-store pulls also replicate the delta to
+                        // one more plan home off the critical path (the
+                        // popular-delta edge-spread story).
+                        if tier == FetchTier::ObjectStore {
                             if let Some(&home) = self
                                 .plan
                                 .homes(req.model)
@@ -689,8 +687,8 @@ impl FleetSim {
                             }
                         }
                     }
-                    let service = cfg.startup_s
-                        + (req.prompt_tokens + req.output_tokens) as f64 * { cfg.per_token_s };
+                    let service =
+                        STARTUP_S + (req.prompt_tokens + req.output_tokens) as f64 * PER_TOKEN_S;
                     let finish = start + fetch_s + service;
                     let r = &mut replicas[target];
                     r.warm.touch(req.model);
@@ -870,8 +868,7 @@ mod tests {
         // One replica, tiny plan covering no models: every first touch is
         // an object-store pull, repeats are warm or local-disk.
         let tr = small_trace(11);
-        let mut cfg = FleetConfig::new(1);
-        cfg.prefetch_homes = false;
+        let cfg = FleetConfig::new(1);
         let plan = PlacementPlan::from_weights(&[], 1);
         let rep = FleetSim::new(cfg, plan, Box::new(RoundRobinRouter::new())).run(&tr);
         assert!(rep.fetches.object_store > 0);
@@ -987,15 +984,13 @@ mod tests {
     #[test]
     fn consistent_hash_gives_affinity() {
         let tr = small_trace(23);
-        let mut cfg = FleetConfig::new(16);
-        cfg.prefetch_homes = false;
+        let cfg = FleetConfig::new(16);
         let plan = PlacementPlan::from_weights(&[], 16);
         let rep = FleetSim::new(cfg, plan, Box::new(ConsistentHashRouter::new(32))).run(&tr);
         // Affinity: each model lands on exactly one replica, so total
         // misses are bounded by models + warm evictions, far below the
         // round-robin scatter.
-        let mut cfg2 = FleetConfig::new(16);
-        cfg2.prefetch_homes = false;
+        let cfg2 = FleetConfig::new(16);
         let plan2 = PlacementPlan::from_weights(&[], 16);
         let rr = FleetSim::new(cfg2, plan2, Box::new(RoundRobinRouter::new())).run(&tr);
         assert!(

@@ -52,10 +52,10 @@ pub use chaos::{
     RandomFaultConfig, Rollout,
 };
 pub use cluster::{
-    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim,
-    ConsistentHashRouter, LeastCostRouter, LeastLoadedRouter, PlacementAwareRouter, PlacementPlan,
-    PowerOfTwoRouter, PrefetchHint, ReplicaView, ReplicaViews, RoundRobinRouter, Router,
-    RoutingStats, ShedRecord, ViewSlice,
+    AdmissionConfig, ClusterConfig, ClusterReport, ClusterSim, ConsistentHashRouter,
+    LeastCostRouter, LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, PowerOfTwoRouter,
+    PrefetchHint, ReplicaView, ReplicaViews, RoundRobinRouter, Router, RoutingStats, ShedRecord,
+    ViewSlice,
 };
 pub use cost::{CostModel, ToppingsIterCost};
 pub use deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};

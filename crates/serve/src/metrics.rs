@@ -132,11 +132,6 @@ impl ToppingsStats {
         self.base_reqs + self.lora_reqs + self.delta_reqs + self.stacked_reqs
     }
 
-    /// Total decode kernel seconds across all kinds.
-    pub fn kernel_total_s(&self) -> f64 {
-        self.base_gemm_s + self.sbmm_s + self.sgmv_s
-    }
-
     /// Field-wise accumulation (for cluster-level aggregation; the
     /// high-water mark takes the max).
     pub fn merge(&mut self, other: &ToppingsStats) {
@@ -275,15 +270,6 @@ impl Metrics {
         }
     }
 
-    /// Output tokens per second over the makespan.
-    pub fn throughput_tps(&self) -> f64 {
-        if self.makespan_s <= 0.0 {
-            0.0
-        } else {
-            self.records.iter().map(|r| r.output_tokens).sum::<usize>() as f64 / self.makespan_s
-        }
-    }
-
     /// Fraction of requests with E2E latency within `slo_s`.
     pub fn slo_attainment_e2e(&self, slo_s: f64) -> f64 {
         fraction_within(self.records.iter().map(|r| r.e2e_s), slo_s)
@@ -292,23 +278,6 @@ impl Metrics {
     /// Fraction of requests with TTFT within `slo_s`.
     pub fn slo_attainment_ttft(&self, slo_s: f64) -> f64 {
         fraction_within(self.records.iter().map(|r| r.ttft_s), slo_s)
-    }
-
-    /// Attainment curve over a threshold grid: `(threshold, fraction)`.
-    pub fn slo_curve(&self, thresholds: &[f64], ttft: bool) -> Vec<(f64, f64)> {
-        thresholds
-            .iter()
-            .map(|&s| {
-                (
-                    s,
-                    if ttft {
-                        self.slo_attainment_ttft(s)
-                    } else {
-                        self.slo_attainment_e2e(s)
-                    },
-                )
-            })
-            .collect()
     }
 
     /// Percentile of E2E latency (q in 0..=1); `0.0` when no requests
@@ -445,6 +414,7 @@ impl Metrics {
     /// Renders the run as a Prometheus text-exposition snapshot
     /// (counter/summary families labelled by engine), mirroring what the
     /// real deployment scrapes.
+    // dz-lint: allow(dead-pub, "the ROADMAP metric-name schema item builds on this snapshot")
     pub fn prometheus_snapshot(&self) -> String {
         let labels: &[(&str, &str)] = &[("engine", &self.engine)];
         let mut p = PromSnapshot::new();
@@ -558,7 +528,6 @@ mod tests {
         assert_eq!(a.total_reqs(), 8);
         assert_eq!(a.batches, 8);
         assert_eq!(a.max_toppings_in_batch, 7, "high-water takes the max");
-        assert!((a.kernel_total_s() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -567,7 +536,6 @@ mod tests {
         assert!((m.mean_e2e() - 3.0).abs() < 1e-9);
         assert!((m.mean_ttft() - 1.0).abs() < 1e-9);
         assert!((m.throughput_rps() - 0.2).abs() < 1e-9);
-        assert!((m.throughput_tps() - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -579,8 +547,7 @@ mod tests {
         ]);
         assert!((m.slo_attainment_e2e(5.0) - 2.0 / 3.0).abs() < 1e-9);
         assert!((m.slo_attainment_ttft(0.5) - 1.0 / 3.0).abs() < 1e-9);
-        let curve = m.slo_curve(&[1.0, 10.0], false);
-        assert!(curve[1].1 >= curve[0].1, "attainment must be monotone");
+        assert!(m.slo_attainment_e2e(10.0) >= m.slo_attainment_e2e(1.0));
     }
 
     #[test]

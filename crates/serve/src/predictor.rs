@@ -52,11 +52,6 @@ impl MeanPredictor {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Total observations across all models.
-    pub fn observations(&self) -> usize {
-        self.global_n
-    }
 }
 
 impl LengthPredictor for MeanPredictor {

@@ -83,6 +83,7 @@ pub fn profile_best_n(
 /// The heuristic fallback the paper describes when profiling is impossible:
 /// few requests per delta -> allow more deltas; many requests per delta ->
 /// fewer to limit memory pressure.
+// dz-lint: allow(dead-pub, "the paper's profiling-free fallback for N, bounded by its unit test")
 pub fn heuristic_n(expected_reqs_per_delta: f64, capacity: usize) -> usize {
     let n = if expected_reqs_per_delta < 2.0 {
         12

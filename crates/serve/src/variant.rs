@@ -154,22 +154,9 @@ pub struct VariantCatalog {
 
 impl VariantCatalog {
     /// Builds a catalog from per-model specs (index = trace model id).
+    // dz-lint: allow(dead-pub, "general catalog constructor the VariantCatalog doc example and tests build with")
     pub fn from_specs(specs: Vec<VariantSpec>) -> Self {
         VariantCatalog { specs }
-    }
-
-    /// All `n` models are deltas — the legacy delta-only world.
-    pub fn all_delta(n: usize) -> Self {
-        VariantCatalog {
-            specs: vec![VariantSpec::delta(); n],
-        }
-    }
-
-    /// All `n` models are rank-`rank` adapters — the legacy LoRA world.
-    pub fn all_lora(n: usize, rank: usize) -> Self {
-        VariantCatalog {
-            specs: vec![VariantSpec::lora(rank); n],
-        }
     }
 
     /// A heterogeneous mix cycling lora/delta/stacked across `n` models
@@ -231,6 +218,7 @@ impl VariantCatalog {
     /// factors for `Lora`, both for `Stacked`, nothing for `Base`. This
     /// is the warmth asymmetry in one number — placement and swap
     /// decisions only matter for kinds where it is GBs, not MBs.
+    // dz-lint: allow(dead-pub, "per-kind residency cost, pinned by the warmth-asymmetry unit test")
     pub fn residency_bytes(&self, model: usize, cost: &CostModel) -> f64 {
         let kind = self.kind_of(model);
         let delta = if kind.needs_delta() {

@@ -1,10 +1,14 @@
 //! Settings that used to be clamped silently are rejected when the
-//! object is built: a hash ring without virtual nodes, and a fleet
-//! topology with an empty rack or region or a bandwidth that is not
-//! finite and positive.
+//! object is built: a hash ring without virtual nodes, a fleet topology
+//! with an empty rack or region or a bandwidth that is not finite and
+//! positive, and an autoscaler interval that is not finite and positive.
 
+use dz_gpusim::{ModelShape, NodeSpec};
 use dz_serve::cluster::PlacementPlan;
-use dz_serve::{ConsistentHashRouter, FleetConfig, FleetSim, FleetTopology, RoundRobinRouter};
+use dz_serve::{
+    Autoscaler, ChaosConfig, ClusterConfig, ClusterSim, ConsistentHashRouter, CostModel,
+    FleetConfig, FleetSim, FleetTopology, RoundRobinRouter,
+};
 
 #[test]
 #[should_panic(expected = "needs a vnode")]
@@ -55,4 +59,37 @@ fn non_finite_bandwidth_is_rejected() {
         object_store_gbps: f64::NAN,
         ..FleetTopology::default()
     });
+}
+
+fn scaler_every(interval_s: f64) -> Autoscaler {
+    Autoscaler {
+        interval_s,
+        ..Autoscaler::new(1, 2)
+    }
+}
+
+#[test]
+#[should_panic(expected = "autoscaler interval_s 0 must be finite and positive")]
+fn cluster_zero_autoscaler_interval_is_rejected() {
+    let cost = CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b());
+    let sim = ClusterSim::new(
+        vec![cost; 2],
+        ClusterConfig::replicas(2),
+        Box::new(RoundRobinRouter::new()),
+    );
+    let _ = sim.with_chaos(ChaosConfig {
+        autoscaler: Some(scaler_every(0.0)),
+        ..ChaosConfig::default()
+    });
+}
+
+#[test]
+#[should_panic(expected = "autoscaler interval_s NaN must be finite and positive")]
+fn fleet_non_finite_autoscaler_interval_is_rejected() {
+    let cfg = FleetConfig {
+        autoscale: Some(scaler_every(f64::NAN)),
+        ..FleetConfig::new(2)
+    };
+    let plan = PlacementPlan::from_weights(&[], 2);
+    FleetSim::new(cfg, plan, Box::new(RoundRobinRouter::new()));
 }

@@ -5,9 +5,9 @@
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::cluster::{
-    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterSim, ConsistentHashRouter,
-    LeastCostRouter, LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, PowerOfTwoRouter,
-    ReplicaView, ReplicaViews, RoundRobinRouter, Router, ViewSlice,
+    AdmissionConfig, ClusterConfig, ClusterSim, ConsistentHashRouter, LeastCostRouter,
+    LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, PowerOfTwoRouter, ReplicaView,
+    ReplicaViews, RoundRobinRouter, Router, ViewSlice,
 };
 use dz_serve::{
     Autoscaler, ChaosConfig, CostModel, DeltaZipConfig, FaultEvent, FaultKind, FaultPlan,
@@ -423,7 +423,7 @@ fn cluster_counts_dropped_hints_to_dead_replicas() {
     let mut sim = ClusterSim::new(
         vec![cost(); 2],
         ClusterConfig {
-            prefetch: Some(ClusterPrefetch::default()),
+            prefetch: true,
             ..config(2)
         },
         Box::new(BadHinter),

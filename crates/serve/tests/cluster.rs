@@ -13,7 +13,7 @@ use dz_serve::cluster::{
     ClusterConfig, ClusterSim, PlacementAwareRouter, PlacementPlan, RoundRobinRouter, Router,
 };
 use dz_serve::{CostModel, DeltaStoreBinding, DeltaZipConfig};
-use dz_store::{sha256, ArtifactId, Registry, TieredDeltaStore};
+use dz_store::{sha256, ArtifactId, LoadStats, Registry, TieredDeltaStore};
 use dz_tensor::{Matrix, Rng};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use std::collections::BTreeMap;
@@ -69,6 +69,15 @@ fn publish_zoo(registry: &Registry, n: usize) -> Vec<ArtifactId> {
         .collect()
 }
 
+/// Aggregate host-cache hit rate across replica stores: host hits /
+/// (host hits + disk loads).
+fn host_hit_rate(stats: &[LoadStats]) -> f64 {
+    let (hits, loads) = stats.iter().fold((0u64, 0u64), |(h, l), s| {
+        (h + s.host_hits, l + s.host_hits + s.disk_loads)
+    });
+    dz_trace::stats::ratio_or(hits as f64, loads as f64, 1.0)
+}
+
 /// Runs a 3-replica store-bound cluster under `router`; returns
 /// (served, total disk loads, aggregate cache hit rate).
 fn run_store_cluster(dir: &PathBuf, router: Box<dyn Router>, trace: &Trace) -> (usize, u64, f64) {
@@ -107,11 +116,7 @@ fn run_store_cluster(dir: &PathBuf, router: Box<dyn Router>, trace: &Trace) -> (
     let stats = report.store_stats.as_ref().expect("store-bound run");
     assert_eq!(stats.len(), N_REPLICAS);
     let disk: u64 = stats.iter().map(|s| s.disk_loads).sum();
-    (
-        report.merged.len(),
-        disk,
-        report.cache_hit_rate().expect("store-bound run"),
-    )
+    (report.merged.len(), disk, host_hit_rate(stats))
 }
 
 #[test]
@@ -188,7 +193,7 @@ fn routing_prefetch_hints_move_real_bytes_in_store_bound_clusters() {
             max_batch: 8,
             ..DeltaZipConfig::default()
         },
-        prefetch: Some(dz_serve::ClusterPrefetch::default()),
+        prefetch: true,
         ..ClusterConfig::default()
     };
     let plan = PlacementPlan::from_popularity(trace.spec.popularity, 12, N_REPLICAS);

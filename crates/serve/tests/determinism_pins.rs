@@ -28,9 +28,9 @@ use dz_compress::quant::{quantize_slice, QuantSpec};
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::cluster::{
-    AdmissionConfig, ClusterConfig, ClusterPrefetch, ClusterReport, ClusterSim,
-    ConsistentHashRouter, LeastCostRouter, LeastLoadedRouter, PlacementAwareRouter, PlacementPlan,
-    PowerOfTwoRouter, RoundRobinRouter, Router,
+    AdmissionConfig, ClusterConfig, ClusterReport, ClusterSim, ConsistentHashRouter,
+    LeastCostRouter, LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, PowerOfTwoRouter,
+    RoundRobinRouter, Router,
 };
 use dz_serve::fleet::{FleetConfig, FleetSim};
 use dz_serve::{
@@ -140,8 +140,11 @@ impl Pin {
                         s.prefetch_loads,
                         s.prefetch_bytes,
                         s.prefetch_hits,
-                        s.object_fetches,
-                        s.object_bytes,
+                        // Two words the store once carried for an
+                        // object-store tier no binding ever enabled; they
+                        // were always zero, and the pin keeps folding them.
+                        0,
+                        0,
                     ] {
                         self.word(n);
                     }
@@ -322,7 +325,7 @@ fn placement_prefetch_admission_is_pinned() {
                 shed_depth: 12,
                 ..AdmissionConfig::new(SloPolicy::tiered(N_MODELS, 4))
             }),
-            prefetch: Some(ClusterPrefetch::default()),
+            prefetch: true,
             ..ClusterConfig::default()
         },
         Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
@@ -481,7 +484,7 @@ fn store_bound_is_pinned() {
         vec![cost(); 2],
         ClusterConfig {
             n_replicas: 2,
-            prefetch: Some(ClusterPrefetch::default()),
+            prefetch: true,
             ..ClusterConfig::default()
         },
         Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(

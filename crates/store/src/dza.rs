@@ -123,11 +123,6 @@ impl Manifest {
         self.tensors.iter().find(|t| t.name == name)
     }
 
-    /// Total compressed payload bytes across all tensor pages.
-    pub fn payload_bytes(&self) -> u64 {
-        self.tensors.iter().map(|t| t.comp_len).sum()
-    }
-
     /// Checks the recorded lineage against the base model the caller
     /// intends to patch.
     pub fn verify_base(&self, expected: &Digest) -> Result<(), StoreError> {
@@ -384,13 +379,6 @@ impl DecodeStats {
             .then(|| self.compressed_bytes as f64 / 1e9 / self.wall_s)
     }
 
-    /// Decompression core rate: raw bytes produced per decode-CPU-second,
-    /// in GB/s (per-thread figure; independent of read overlap).
-    pub fn decode_core_gbps(&self) -> Option<f64> {
-        (self.decode_s > 0.0 && self.raw_bytes > 0)
-            .then(|| self.raw_bytes as f64 / 1e9 / self.decode_s)
-    }
-
     /// Folds another load's stats into cumulative totals.
     pub fn accumulate(&mut self, other: &DecodeStats) {
         self.tensors += other.tensors;
@@ -522,6 +510,7 @@ impl<R: Read + Seek> ArtifactReader<R> {
     }
 
     /// Reads one packed linear-layer delta (any method-zoo format).
+    // dz-lint: allow(dead-pub, "single-tensor random access into a .dza container, checked by the store tests")
     pub fn read_packed(&mut self, name: &str) -> Result<PackedLayer, StoreError> {
         let entry = self
             .manifest
@@ -535,6 +524,7 @@ impl<R: Read + Seek> ArtifactReader<R> {
     }
 
     /// Reads one dense FP32 rest tensor.
+    // dz-lint: allow(dead-pub, "single-tensor random access into a .dza container, checked by the store tests")
     pub fn read_dense(&mut self, name: &str) -> Result<Matrix, StoreError> {
         let entry = self
             .manifest

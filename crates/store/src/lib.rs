@@ -50,6 +50,6 @@ pub use error::StoreError;
 pub use hash::{sha256, Digest, Sha256};
 pub use registry::{ArtifactId, Registry};
 pub use tiered::{
-    DecodeThroughput, DecodedFetch, FetchOutcome, FetchTier, LoadStats, ObjectStoreConfig,
-    PrefetchOutcome, TieredDeltaStore, Warmth,
+    DecodeThroughput, DecodedFetch, FetchOutcome, FetchTier, LoadStats, PrefetchOutcome,
+    TieredDeltaStore, Warmth,
 };

@@ -13,7 +13,7 @@
 
 use crate::dza::{self, ArtifactReader};
 use crate::error::StoreError;
-use crate::hash::{sha256, Digest, Sha256};
+use crate::hash::{Digest, Sha256};
 use dz_compress::pipeline::CompressedDelta;
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -47,7 +47,6 @@ pub struct Registry {
 }
 
 const REFS_FILE: &str = "refs.tsv";
-const LINEAGE_FILE: &str = "lineage.tsv";
 
 /// Process-wide counter making temp file names collision-free.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -158,11 +157,6 @@ impl Registry {
         }
     }
 
-    /// Loads and reassembles a whole delta.
-    pub fn load_delta(&self, id: &ArtifactId) -> Result<CompressedDelta, StoreError> {
-        self.open_artifact(id)?.read_delta()
-    }
-
     /// Re-hashes an artifact's bytes and compares with its name; detects
     /// on-disk rot or tampering.
     pub fn verify(&self, id: &ArtifactId) -> Result<(), StoreError> {
@@ -177,6 +171,7 @@ impl Registry {
     }
 
     /// Every artifact currently stored, sorted by id.
+    // dz-lint: allow(dead-pub, "registry inventory the store tests audit publishes and deduplication with")
     pub fn list(&self) -> Result<Vec<ArtifactId>, StoreError> {
         let mut out = Vec::new();
         for entry in fs::read_dir(&self.root)? {
@@ -225,6 +220,7 @@ impl Registry {
     }
 
     /// Resolves a ref name to an artifact id.
+    // dz-lint: allow(dead-pub, "ref-name lookup the TieredDeltaStore doc example and the store tests resolve variants with")
     pub fn resolve(&self, name: &str) -> Result<ArtifactId, StoreError> {
         self.read_refs()?
             .into_iter()
@@ -236,106 +232,6 @@ impl Registry {
     /// All refs, sorted by name.
     pub fn refs(&self) -> Result<Vec<(String, ArtifactId)>, StoreError> {
         self.read_refs()
-    }
-
-    /// Re-points `name` at `new_id`, recording the ref's previous target
-    /// (if any) as `new_id`'s lineage parent — the bookkeeping behind a
-    /// rolling delta-version rollout ("v2 of this variant replaces v1").
-    /// Returns the superseded artifact id.
-    pub fn supersede(
-        &self,
-        name: &str,
-        new_id: &ArtifactId,
-    ) -> Result<Option<ArtifactId>, StoreError> {
-        let previous = match self.resolve(name) {
-            Ok(id) => Some(id),
-            Err(StoreError::UnknownArtifact(_)) => None,
-            Err(e) => return Err(e),
-        };
-        if let Some(prev) = previous.filter(|p| p != new_id) {
-            self.record_lineage(new_id, &prev)?;
-        }
-        self.tag(name, new_id)?;
-        Ok(previous)
-    }
-
-    /// Records that `child` supersedes `parent` in the version lineage.
-    /// A child has at most one parent; re-recording replaces it.
-    pub fn record_lineage(
-        &self,
-        child: &ArtifactId,
-        parent: &ArtifactId,
-    ) -> Result<(), StoreError> {
-        let _guard = self.refs_lock.lock().expect("refs lock poisoned");
-        let mut lineage = self.read_lineage()?;
-        lineage.retain(|(c, _)| c != child);
-        lineage.push((*child, *parent));
-        lineage.sort();
-        let tmp = self.root.join(format!(
-            ".lineage-{}-{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let mut f = BufWriter::new(File::create(&tmp)?);
-            for (c, p) in &lineage {
-                writeln!(f, "{}\t{}", c.hex(), p.hex())?;
-            }
-            f.into_inner()
-                .map_err(|e| StoreError::Io(e.into_error()))?
-                .sync_all()?;
-        }
-        fs::rename(&tmp, self.root.join(LINEAGE_FILE))?;
-        Ok(())
-    }
-
-    /// The artifact this one directly supersedes, if recorded.
-    pub fn parent_of(&self, id: &ArtifactId) -> Result<Option<ArtifactId>, StoreError> {
-        Ok(self
-            .read_lineage()?
-            .into_iter()
-            .find(|(c, _)| c == id)
-            .map(|(_, p)| p))
-    }
-
-    /// The full ancestor chain of an artifact, nearest parent first.
-    /// Cycles (only possible via hand-edited lineage files) terminate
-    /// the walk instead of looping.
-    pub fn lineage_of(&self, id: &ArtifactId) -> Result<Vec<ArtifactId>, StoreError> {
-        let lineage = self.read_lineage()?;
-        let mut out = Vec::new();
-        let mut cur = *id;
-        while let Some((_, p)) = lineage.iter().find(|(c, _)| *c == cur) {
-            if out.contains(p) || *p == *id {
-                break;
-            }
-            out.push(*p);
-            cur = *p;
-        }
-        Ok(out)
-    }
-
-    fn read_lineage(&self) -> Result<Vec<(ArtifactId, ArtifactId)>, StoreError> {
-        let path = self.root.join(LINEAGE_FILE);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e.into()),
-        };
-        let mut out = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let Some((child, parent)) = line.split_once('\t') else {
-                return Err(StoreError::Corrupt("malformed lineage line"));
-            };
-            let (Some(c), Some(p)) = (Digest::from_hex(child), Digest::from_hex(parent)) else {
-                return Err(StoreError::Corrupt("malformed lineage hash"));
-            };
-            out.push((ArtifactId(c), ArtifactId(p)));
-        }
-        Ok(out)
     }
 
     fn read_refs(&self) -> Result<Vec<(String, ArtifactId)>, StoreError> {
@@ -417,9 +313,4 @@ fn hash_file(path: &Path) -> Result<Digest, StoreError> {
         hasher.update(&buf[..n]);
     }
     Ok(hasher.finalize())
-}
-
-/// One-shot content hash of in-memory artifact bytes.
-pub fn hash_bytes(bytes: &[u8]) -> Digest {
-    sha256(bytes)
 }

@@ -59,41 +59,6 @@ pub struct PrefetchOutcome {
     pub bytes: u64,
     /// Ids skipped because they were already host-resident.
     pub skipped_resident: usize,
-    /// Ids skipped because they did not fit the byte budget.
-    pub skipped_budget: usize,
-}
-
-/// A shared object-store tier **below** every node's disk: the fleet's
-/// source of truth for delta artifacts (S3-style). An artifact marked
-/// *remote* is not yet on this node's edge disk, so its first disk miss
-/// additionally pays one object-store fetch (`latency_s + bytes/gbps`),
-/// after which the artifact is edge-disk-resident and later misses pay
-/// only the local disk read — the CDN-style replication of popular
-/// deltas to the edge.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ObjectStoreConfig {
-    /// Object-store fetch bandwidth in GB/s (shared backbone, well below
-    /// local NVMe).
-    pub gbps: f64,
-    /// Per-fetch latency floor in seconds (request + first byte).
-    pub latency_s: f64,
-}
-
-impl Default for ObjectStoreConfig {
-    fn default() -> Self {
-        // S3-like: ~2.5 GB/s effective single-stream, ~80 ms first byte.
-        ObjectStoreConfig {
-            gbps: 2.5,
-            latency_s: 0.08,
-        }
-    }
-}
-
-impl ObjectStoreConfig {
-    /// Simulated wall time to pull `bytes` from the object store.
-    pub fn fetch_time_s(&self, bytes: u64) -> f64 {
-        self.latency_s + bytes as f64 / (self.gbps * 1e9)
-    }
 }
 
 /// The result of one fetch.
@@ -103,10 +68,6 @@ pub struct FetchOutcome {
     pub tier: FetchTier,
     /// Artifact size in bytes (what the interconnect moves).
     pub bytes: u64,
-    /// Simulated object-store wait paid by this fetch: nonzero only on
-    /// the first disk miss of an artifact marked remote (it is
-    /// edge-replicated afterwards).
-    pub object_wait_s: f64,
     /// The artifact's raw `.dza` bytes.
     pub data: Arc<Vec<u8>>,
 }
@@ -129,11 +90,6 @@ pub struct LoadStats {
     /// Host hits whose residency was established by a prefetch (each
     /// prefetched artifact counts at most once, on its first demand hit).
     pub prefetch_hits: u64,
-    /// Fetches that had to go all the way to the shared object store
-    /// (the artifact was not yet edge-disk-resident).
-    pub object_fetches: u64,
-    /// Total bytes pulled from the object store.
-    pub object_bytes: u64,
 }
 
 impl LoadStats {
@@ -149,8 +105,6 @@ impl LoadStats {
             prefetch_loads: self.prefetch_loads.saturating_sub(earlier.prefetch_loads),
             prefetch_bytes: self.prefetch_bytes.saturating_sub(earlier.prefetch_bytes),
             prefetch_hits: self.prefetch_hits.saturating_sub(earlier.prefetch_hits),
-            object_fetches: self.object_fetches.saturating_sub(earlier.object_fetches),
-            object_bytes: self.object_bytes.saturating_sub(earlier.object_bytes),
         }
     }
 
@@ -177,9 +131,6 @@ pub struct DecodedFetch {
     pub tier: FetchTier,
     /// Artifact size in bytes (what the interconnect moves).
     pub bytes: u64,
-    /// Simulated object-store wait paid by this fetch (see
-    /// [`FetchOutcome::object_wait_s`]).
-    pub object_wait_s: f64,
     /// Raw (decompressed) size of the delta in bytes — what a
     /// decode-free swap-in of the cached decoded copy would move.
     pub raw_bytes: u64,
@@ -244,7 +195,7 @@ impl Resident {
 /// assert_eq!(store.warmth(&id), Warmth::Host); // compressed bytes resident
 /// let _ = store.fetch_decoded(&id)?; // decodes and caches the delta
 /// assert_eq!(store.warmth(&id), Warmth::HostDecoded); // decode-free hit
-/// assert!(store.occupancy() > 0.0 && store.resident_count() == 1);
+/// assert!(store.resident_bytes() > 0);
 /// # Ok(()) }
 /// ```
 pub struct TieredDeltaStore {
@@ -261,13 +212,6 @@ pub struct TieredDeltaStore {
     ///
     /// [`prefetch`]: Self::prefetch
     prefetched: BTreeSet<ArtifactId>,
-    /// The shared object-store tier, when modeled.
-    object_store: Option<ObjectStoreConfig>,
-    /// Artifacts not yet replicated to this node's edge disk: their next
-    /// disk miss pays an object-store fetch, then leaves this set.
-    remote_only: BTreeSet<ArtifactId>,
-    /// Cumulative simulated object-store wait across all demand fetches.
-    object_wait_total_s: f64,
 }
 
 impl TieredDeltaStore {
@@ -283,48 +227,7 @@ impl TieredDeltaStore {
             total: LoadStats::default(),
             decode: DecodeThroughput::default(),
             prefetched: BTreeSet::new(),
-            object_store: None,
-            remote_only: BTreeSet::new(),
-            object_wait_total_s: 0.0,
         }
-    }
-
-    /// Models a shared object-store tier below this node's disk: the
-    /// listed artifacts start *remote* (their first disk miss pays an
-    /// object-store fetch before becoming edge-disk-resident).
-    pub fn with_object_store(
-        mut self,
-        config: ObjectStoreConfig,
-        remote: impl IntoIterator<Item = ArtifactId>,
-    ) -> Self {
-        self.object_store = Some(config);
-        self.remote_only = remote.into_iter().collect();
-        self
-    }
-
-    /// The object-store tier configuration, when modeled.
-    pub fn object_store_config(&self) -> Option<ObjectStoreConfig> {
-        self.object_store
-    }
-
-    /// Marks an artifact as evicted from this node's edge disk (back to
-    /// object-store only) — the inverse of the replication a fetch
-    /// performs. No-op unless an object store is configured.
-    pub fn mark_remote(&mut self, id: ArtifactId) {
-        if self.object_store.is_some() {
-            self.remote_only.insert(id);
-        }
-    }
-
-    /// Whether the artifact is on this node's edge disk (true whenever no
-    /// object store is modeled).
-    pub fn is_edge_resident(&self, id: &ArtifactId) -> bool {
-        !self.remote_only.contains(id)
-    }
-
-    /// Cumulative simulated object-store wait across all demand fetches.
-    pub fn object_wait_total_s(&self) -> f64 {
-        self.object_wait_total_s
     }
 
     /// The underlying registry.
@@ -369,28 +272,6 @@ impl TieredDeltaStore {
         self.resident.get(id).is_some_and(|r| r.decoded.is_some())
     }
 
-    /// Number of artifacts currently host-resident.
-    pub fn resident_count(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// Ids of the host-resident artifacts in sorted (deterministic)
-    /// order — lets a router seed its predicted warm set from real
-    /// residency.
-    pub fn resident_ids(&self) -> impl Iterator<Item = &ArtifactId> {
-        self.resident.keys()
-    }
-
-    /// Fraction of the host byte budget in use (`0.0` when the budget is
-    /// zero): the occupancy signal for placement decisions.
-    pub fn occupancy(&self) -> f64 {
-        if self.budget_bytes == 0 {
-            0.0
-        } else {
-            self.resident_bytes as f64 / self.budget_bytes as f64
-        }
-    }
-
     /// Fetches an artifact's bytes, reading disk only on a host miss.
     pub fn fetch(&mut self, id: &ArtifactId) -> Result<FetchOutcome, StoreError> {
         self.clock += 1;
@@ -399,7 +280,6 @@ impl TieredDeltaStore {
             let outcome = FetchOutcome {
                 tier: FetchTier::HostHit,
                 bytes: r.data.len() as u64,
-                object_wait_s: 0.0,
                 data: Arc::clone(&r.data),
             };
             self.record(id, FetchTier::HostHit, outcome.bytes);
@@ -411,14 +291,11 @@ impl TieredDeltaStore {
         }
         let data = Arc::new(self.registry.read_bytes(id)?);
         let bytes = data.len() as u64;
-        let object_wait_s = self.pull_from_object_store(id, bytes);
-        self.object_wait_total_s += object_wait_s;
         self.admit(*id, Arc::clone(&data));
         self.record(id, FetchTier::DiskMiss, bytes);
         Ok(FetchOutcome {
             tier: FetchTier::DiskMiss,
             bytes,
-            object_wait_s,
             data,
         })
     }
@@ -439,7 +316,6 @@ impl TieredDeltaStore {
                 return Ok(DecodedFetch {
                     tier: outcome.tier,
                     bytes: outcome.bytes,
-                    object_wait_s: outcome.object_wait_s,
                     raw_bytes: resident.decoded_bytes,
                     delta: Arc::clone(delta),
                     decode: None,
@@ -479,47 +355,33 @@ impl TieredDeltaStore {
         Ok(DecodedFetch {
             tier: outcome.tier,
             bytes: outcome.bytes,
-            object_wait_s: outcome.object_wait_s,
             raw_bytes: stats.raw_bytes,
             delta,
             decode: Some(stats),
         })
     }
 
-    /// Prewarms artifacts disk→host under a **byte budget** without
-    /// touching demand-load accounting: each non-resident id is read from
-    /// disk and admitted into the host cache (compressed bytes only — the
-    /// decode still runs at swap-in) while the cumulative prefetched bytes
-    /// stay within `budget_bytes`. Ids are taken in order, so callers pass
-    /// them highest-priority first; an id that would overflow the budget is
-    /// skipped (later, smaller ids may still fit). Prefetched artifacts are
+    /// Prewarms artifacts disk→host without touching demand-load
+    /// accounting: each non-resident id is read from disk and admitted
+    /// into the host cache (compressed bytes only — the decode still runs
+    /// at swap-in). Ids are taken in order, so callers pass them
+    /// highest-priority first; an id larger than the whole host cache is
+    /// skipped, since admission would refuse it. Prefetched artifacts are
     /// tracked, and their first demand hit counts as a
     /// [`LoadStats::prefetch_hits`].
-    pub fn prefetch(
-        &mut self,
-        ids: &[ArtifactId],
-        budget_bytes: u64,
-    ) -> Result<PrefetchOutcome, StoreError> {
+    pub fn prefetch(&mut self, ids: &[ArtifactId]) -> Result<PrefetchOutcome, StoreError> {
         let mut outcome = PrefetchOutcome::default();
         for id in ids {
             if self.is_resident(id) {
                 outcome.skipped_resident += 1;
                 continue;
             }
-            let size = self.registry.size_of(id)?;
-            if outcome.bytes.saturating_add(size) > budget_bytes || size > self.budget_bytes {
-                // Over the caller's budget, or larger than the whole host
-                // cache (admit would refuse it anyway): skip.
-                outcome.skipped_budget += 1;
+            if self.registry.size_of(id)? > self.budget_bytes {
                 continue;
             }
             self.clock += 1;
             let data = Arc::new(self.registry.read_bytes(id)?);
             let bytes = data.len() as u64;
-            // A remote artifact prefetched ahead of demand still pulls
-            // from the object store (and edge-replicates), but off the
-            // critical path: the wait is accounted, not charged.
-            let _ = self.pull_from_object_store(id, bytes);
             self.admit(*id, data);
             let per = self.per_artifact.entry(*id).or_default();
             per.prefetch_loads += 1;
@@ -581,24 +443,6 @@ impl TieredDeltaStore {
     /// Aggregate load accounting.
     pub fn total_stats(&self) -> LoadStats {
         self.total
-    }
-
-    /// If `id` is still object-store-only, records the object fetch,
-    /// replicates it to the edge disk, and returns the simulated wait;
-    /// returns `0.0` for edge-resident artifacts.
-    fn pull_from_object_store(&mut self, id: &ArtifactId, bytes: u64) -> f64 {
-        let Some(config) = self.object_store else {
-            return 0.0;
-        };
-        if !self.remote_only.remove(id) {
-            return 0.0;
-        }
-        let per = self.per_artifact.entry(*id).or_default();
-        per.object_fetches += 1;
-        per.object_bytes += bytes;
-        self.total.object_fetches += 1;
-        self.total.object_bytes += bytes;
-        config.fetch_time_s(bytes)
     }
 
     fn record(&mut self, id: &ArtifactId, tier: FetchTier, bytes: u64) {

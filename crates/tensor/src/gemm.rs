@@ -115,6 +115,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `v.len() != self.cols()`.
+    // dz-lint: allow(dead-pub, "reference matrix-vector product the GEMM and triangular-solve tests check against")
     pub fn matvec(&self, v: &[f32]) -> Vec<f32> {
         assert_eq!(v.len(), self.cols(), "matvec length mismatch");
         let mut out = vec![0.0f32; self.rows()];

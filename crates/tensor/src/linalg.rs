@@ -166,6 +166,7 @@ impl Svd {
     /// Reconstructs the best rank-`r` approximation `U_r diag(S_r) V_r^T`.
     ///
     /// `r` is clamped to the decomposition rank.
+    // dz-lint: allow(dead-pub, "reference reconstruction the SVD tests check decompositions against")
     pub fn reconstruct_rank(&self, r: usize) -> Matrix {
         let r = r.min(self.rank());
         let m = self.u.rows();

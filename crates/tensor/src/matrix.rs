@@ -74,6 +74,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the rows have inconsistent lengths or `rows` is empty.
+    // dz-lint: allow(dead-pub, "literal-matrix constructor for the crate docs and the unit tests of five crates")
     pub fn from_rows(rows: &[&[f32]]) -> Self {
         assert!(!rows.is_empty(), "from_rows requires at least one row");
         let cols = rows[0].len();
@@ -94,15 +95,6 @@ impl Matrix {
         let mut m = Self::zeros(rows, cols);
         for v in &mut m.data {
             *v = rng.normal() * std;
-        }
-        m
-    }
-
-    /// Creates a matrix with entries drawn uniformly from `[lo, hi)`.
-    pub fn rand_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut Rng) -> Self {
-        let mut m = Self::zeros(rows, cols);
-        for v in &mut m.data {
-            *v = lo + (hi - lo) * rng.uniform();
         }
         m
     }
@@ -147,11 +139,6 @@ impl Matrix {
     #[inline]
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix, returning the backing vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Element access.
@@ -214,11 +201,6 @@ impl Matrix {
     /// Elementwise subtraction (`self - other`), returning a new matrix.
     pub fn sub(&self, other: &Matrix) -> Matrix {
         self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product, returning a new matrix.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        self.zip_with(other, |a, b| a * b)
     }
 
     /// Adds `other` into `self` in place.
@@ -313,6 +295,7 @@ impl Matrix {
     }
 
     /// Fraction of elements that are exactly zero.
+    // dz-lint: allow(dead-pub, "sparsity probe the pruning tests check 2:4 structure with")
     pub fn zero_fraction(&self) -> f32 {
         if self.data.is_empty() {
             return 0.0;
@@ -371,11 +354,6 @@ impl Matrix {
             data.extend_from_slice(&p.data);
         }
         Matrix { rows, cols, data }
-    }
-
-    /// Returns true if all elements are finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|v| v.is_finite())
     }
 
     /// Maximum absolute difference between two matrices of the same shape.
@@ -444,7 +422,6 @@ mod tests {
         let b = Matrix::from_rows(&[&[10.0, 20.0], &[30.0, 40.0]]);
         assert_eq!(a.add(&b).data(), &[11.0, 22.0, 33.0, 44.0]);
         assert_eq!(b.sub(&a).data(), &[9.0, 18.0, 27.0, 36.0]);
-        assert_eq!(a.hadamard(&b).data(), &[10.0, 40.0, 90.0, 160.0]);
         let mut c = a.clone();
         c.add_scaled(&b, 0.5);
         assert_eq!(c.data(), &[6.0, 12.0, 18.0, 24.0]);

@@ -97,16 +97,8 @@ impl Rng {
         self.uniform_f64() < p
     }
 
-    /// Chooses a uniformly random element of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.below(items.len())]
-    }
-
     /// Fisher-Yates shuffles a slice in place.
+    // dz-lint: allow(dead-pub, "seeded Fisher-Yates primitive with its own permutation test")
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.below(i + 1);
@@ -133,6 +125,7 @@ impl Rng {
     }
 
     /// Forks an independent generator (for parallel/streamed use).
+    // dz-lint: allow(dead-pub, "seeded stream-splitting primitive with its own divergence test")
     pub fn fork(&mut self) -> Rng {
         Rng::seeded(self.next_u64())
     }

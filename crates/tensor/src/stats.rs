@@ -118,12 +118,6 @@ impl Histogram {
         self.outliers
     }
 
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
     /// Renders a compact ASCII sparkline of the distribution.
     pub fn sparkline(&self) -> String {
         const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -201,7 +195,6 @@ mod tests {
         assert_eq!(h.counts()[0], 1);
         assert_eq!(h.counts()[9], 1);
         assert_eq!(h.outliers(), 2);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -106,11 +106,6 @@ pub struct CauseBreakdown {
 }
 
 impl CauseBreakdown {
-    /// Each cause's share of mean e2e, in [`CAUSE_NAMES`] order.
-    pub fn mean_share(&self) -> [f64; 5] {
-        share(&self.mean)
-    }
-
     /// Each cause's share of mean tail e2e, in [`CAUSE_NAMES`] order.
     pub fn tail_share(&self) -> [f64; 5] {
         share(&self.tail_mean)
@@ -203,7 +198,7 @@ mod tests {
         assert!(b.n_tail >= 1 && b.n_tail < 10);
         // The tail is dominated by contention, the mean by decode.
         let tail = b.tail_share();
-        let mean = b.mean_share();
+        let mean = share(&b.mean);
         assert!(tail[2] > 0.5, "tail contention share {}", tail[2]);
         assert!(mean[3] > tail[3], "decode share must shrink in the tail");
         // Shares sum to 1 when any time was attributed.
@@ -216,6 +211,6 @@ mod tests {
         let b = breakdown(&[], 0.99);
         assert_eq!(b.n, 0);
         assert_eq!(b.tail_mean.total(), 0.0);
-        assert_eq!(b.mean_share(), [0.0; 5]);
+        assert_eq!(share(&b.mean), [0.0; 5]);
     }
 }

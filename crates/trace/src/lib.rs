@@ -68,11 +68,6 @@ impl Tracer {
         }
     }
 
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.log.is_some()
-    }
-
     /// Records the event built by `f`, which is only invoked when the
     /// tracer is enabled.
     #[inline]
@@ -120,7 +115,6 @@ mod tests {
     #[test]
     fn enabled_tracer_records_and_yields_log() {
         let mut t = Tracer::enabled(TraceConfig { capacity: 4 });
-        assert!(t.is_enabled());
         t.emit(|| TraceEvent::FirstToken { id: 1, at: 2.0 });
         t.gauge(|| GaugeSample {
             at: 2.0,
@@ -129,6 +123,6 @@ mod tests {
         let log = t.take_log().expect("log");
         assert_eq!(log.len(), 1);
         assert_eq!(log.gauges().count(), 1);
-        assert!(!t.is_enabled());
+        assert!(t.take_log().is_none(), "taking the log disables the tracer");
     }
 }

@@ -25,6 +25,7 @@ pub fn poisson_arrivals(rate: f64, duration_s: f64, rng: &mut Rng) -> Vec<f64> {
 }
 
 /// Deterministic arrivals at a fixed interval (for microbenchmarks).
+// dz-lint: allow(dead-pub, "fixed-interval arrivals for microbenchmarks, with their own spacing test")
 pub fn uniform_arrivals(interval_s: f64, duration_s: f64) -> Vec<f64> {
     assert!(interval_s > 0.0);
     let mut out = Vec::new();

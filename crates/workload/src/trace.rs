@@ -36,19 +36,6 @@ pub struct TraceSpec {
     pub seed: u64,
 }
 
-impl TraceSpec {
-    /// The paper's default serving setup: 32 variants for 5 minutes.
-    pub fn paper_default(rate: f64, popularity: PopularityDist) -> Self {
-        TraceSpec {
-            n_models: 32,
-            arrival_rate: rate,
-            duration_s: 300.0,
-            popularity,
-            seed: 0xD2,
-        }
-    }
-}
-
 /// A generated trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
@@ -134,6 +121,7 @@ impl Trace {
     }
 
     /// Requests per model, length `n_models`.
+    // dz-lint: allow(dead-pub, "per-model request tally the trace-generation tests check popularity skew with")
     pub fn per_model_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.spec.n_models];
         for r in &self.requests {
@@ -183,6 +171,7 @@ impl Trace {
     }
 
     /// Serializes to JSONL (one request per line).
+    // dz-lint: allow(dead-pub, "the ROADMAP trace mutation corpus reads and writes JSONL traces")
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for r in &self.requests {
@@ -195,6 +184,7 @@ impl Trace {
     /// Parses a JSONL trace produced by [`Trace::to_jsonl`].
     ///
     /// The spec is not stored in the JSONL; the caller supplies it.
+    // dz-lint: allow(dead-pub, "the ROADMAP trace mutation corpus reads and writes JSONL traces")
     pub fn from_jsonl(spec: TraceSpec, text: &str) -> Result<Trace, serde_json::Error> {
         let mut requests = Vec::new();
         for line in text.lines() {
