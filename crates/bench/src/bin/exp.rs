@@ -13,16 +13,16 @@
 //!                                # (load in Perfetto) of the engine runs
 //! ```
 //!
-//! Unknown experiment ids exit nonzero and print the valid ids; all
-//! output-directory write errors propagate as nonzero exits instead of
-//! panicking.
+//! Unknown experiment ids exit nonzero and print the valid ids; every
+//! output-directory write error, a `BENCH_*.json` artifact's included,
+//! propagates as a nonzero exit instead of panicking.
 
 use dz_bench::experiments::{
     ablations, chaos, cluster, codec, compress, extensions, fleet, kernels, quality, serving,
     smoke, swap, toppings, workloads, Report, Scale,
 };
 use dz_serve::{write_chrome_trace, TraceTrack};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// What an experiment may draw on while it runs.
@@ -35,43 +35,48 @@ struct Ctx<'a> {
     smoke: Option<smoke::SmokeMetrics>,
 }
 
-/// An experiment driver.
-type Run = fn(&mut Ctx) -> Report;
+/// An experiment driver. A `BENCH_*.json` write error is its error.
+type Run = fn(&mut Ctx) -> io::Result<Report>;
 
 /// Every experiment id with its driver, in `all` order.
 const EXPERIMENTS: &[(&str, Run)] = &[
-    ("fig1", |_| workloads::fig1()),
-    ("fig2", |c| quality::fig2(c.zoo)),
-    ("fig3", |c| quality::fig3(c.zoo)),
-    ("fig5", |c| quality::fig5(c.zoo)),
-    ("fig6", |_| kernels::fig6()),
-    ("fig7", |_| kernels::fig7()),
-    ("table1", |c| quality::table1(c.zoo)),
-    ("table2", |c| quality::table2(c.zoo)),
-    ("fig10", |_| serving::fig10()),
-    ("fig11", |_| serving::fig11()),
-    ("fig12", |_| serving::fig12()),
-    ("fig13", |_| serving::fig13()),
-    ("fig14", |_| serving::fig14()),
-    ("fig15", |_| serving::fig15()),
-    ("fig16", |_| serving::fig16()),
-    ("fig17", |_| kernels::fig17()),
-    ("fig18", |_| serving::fig18()),
-    ("fig19", |_| serving::fig19()),
-    ("ablation-scheduler", |_| ablations::ablation_scheduler()),
-    ("ablation-sbmm", |_| ablations::ablation_sbmm()),
+    ("fig1", |_| Ok(workloads::fig1())),
+    ("fig2", |c| Ok(quality::fig2(c.zoo))),
+    ("fig3", |c| Ok(quality::fig3(c.zoo))),
+    ("fig5", |c| Ok(quality::fig5(c.zoo))),
+    ("fig6", |_| Ok(kernels::fig6())),
+    ("fig7", |_| Ok(kernels::fig7())),
+    ("table1", |c| Ok(quality::table1(c.zoo))),
+    ("table2", |c| Ok(quality::table2(c.zoo))),
+    ("fig10", |_| Ok(serving::fig10())),
+    ("fig11", |_| Ok(serving::fig11())),
+    ("fig12", |_| Ok(serving::fig12())),
+    ("fig13", |_| Ok(serving::fig13())),
+    ("fig14", |_| Ok(serving::fig14())),
+    ("fig15", |_| Ok(serving::fig15())),
+    ("fig16", |_| Ok(serving::fig16())),
+    ("fig17", |_| Ok(kernels::fig17())),
+    ("fig18", |_| Ok(serving::fig18())),
+    ("fig19", |_| Ok(serving::fig19())),
+    (
+        "ablation-scheduler",
+        |_| Ok(ablations::ablation_scheduler()),
+    ),
+    ("ablation-sbmm", |_| Ok(ablations::ablation_sbmm())),
     ("ablation-reconstruct", |c| {
-        ablations::ablation_reconstruct(c.zoo)
+        Ok(ablations::ablation_reconstruct(c.zoo))
     }),
-    ("tuning-n", |_| ablations::tuning_demo()),
-    ("ext-peft", |c| extensions::ext_peft(c.zoo, c.scale)),
-    ("ablation-resume", |_| extensions::ablation_resume()),
+    ("tuning-n", |_| Ok(ablations::tuning_demo())),
+    ("ext-peft", |c| Ok(extensions::ext_peft(c.zoo, c.scale))),
+    ("ablation-resume", |_| Ok(extensions::ablation_resume())),
     ("ablation-length-aware", |_| {
-        extensions::ablation_length_aware()
+        Ok(extensions::ablation_length_aware())
     }),
-    ("ablation-slo", |_| extensions::ablation_slo()),
-    ("ablation-dynamic-n", |_| extensions::ablation_dynamic_n()),
-    ("ext-scalability", |_| extensions::ext_scalability()),
+    ("ablation-slo", |_| Ok(extensions::ablation_slo())),
+    ("ablation-dynamic-n", |_| {
+        Ok(extensions::ablation_dynamic_n())
+    }),
+    ("ext-scalability", |_| Ok(extensions::ext_scalability())),
     ("bench-lossless", |c| {
         codec::bench_lossless(c.scale, c.out_dir)
     }),
@@ -94,9 +99,9 @@ const EXPERIMENTS: &[(&str, Run)] = &[
         toppings::bench_toppings(c.scale, c.out_dir, c.trace.as_deref_mut())
     }),
     ("bench-smoke", |c| {
-        let (report, metrics) = smoke::bench_smoke(c.out_dir, c.trace.as_deref_mut());
+        let (report, metrics) = smoke::bench_smoke(c.out_dir, c.trace.as_deref_mut())?;
         c.smoke = Some(metrics);
-        report
+        Ok(report)
     }),
 ];
 
@@ -113,7 +118,7 @@ fn unknown_id_exit(id: &str) -> ! {
     std::process::exit(2);
 }
 
-fn main() -> std::io::Result<()> {
+fn main() -> io::Result<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
         for id in available() {
@@ -215,7 +220,7 @@ fn main() -> std::io::Result<()> {
             .iter()
             .find(|(known, _)| *known == id)
             .expect("id validated above");
-        let report = run(&mut ctx);
+        let report = run(&mut ctx)?;
         let rendered = report.render();
         println!("{rendered}");
         println!("[{} done in {:.1?}]\n", report.id, start.elapsed());

@@ -24,8 +24,9 @@
 //! be reproduced bit-for-bit.
 
 use super::cluster::POLICIES;
+use super::Fmt::{Fix, Pct, Plain, Times};
 use super::{
-    cluster_engine_config, cluster_router, json_provenance, md_table, rtx3090_7b, Report, Scale,
+    cluster_engine_config, cluster_router, push_lanes, rtx3090_7b, BenchJson, Report, Scale, Table,
 };
 use dz_serve::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 use dz_serve::{
@@ -33,6 +34,8 @@ use dz_serve::{
     TraceTrack,
 };
 use dz_workload::{Nonstationarity, PopularityDist, Trace, TraceSpec};
+use std::io;
+use std::path::Path;
 
 const N_MODELS: usize = 24;
 /// Master seed for every chaos bench run (workload seed and chaos seed
@@ -215,20 +218,23 @@ pub fn run_recovery(
     (row, tracks)
 }
 
-struct ElasticityRow {
-    label: String,
-    requests: usize,
-    p99_e2e_s: f64,
-    attained_windows_frac: f64,
-    scale_ups: usize,
-    scale_downs: usize,
-    min_live: usize,
-    max_live: usize,
+/// Share of the run's attainment windows (judged against `slo_s`) that
+/// meet the attainment threshold.
+fn attained_windows_frac(report: &ClusterReport, slo_s: f64) -> f64 {
+    let windows = report.merged.windowed_attainment(WINDOW_S, slo_s, false);
+    let (attained, counted) = windows
+        .iter()
+        .filter_map(|w| w.attainment)
+        .fold((0usize, 0usize), |(a, n), att| {
+            (a + (att >= ATTAIN_THRESHOLD) as usize, n + 1)
+        });
+    attained as f64 / counted.max(1) as f64
 }
 
 /// The elasticity arm: a diurnal workload against an autoscaled fleet
 /// (2 of 4 slots live at t=0) vs the same 4 slots statically live.
-fn run_elasticity(scale: Scale) -> (Vec<ElasticityRow>, f64) {
+/// Returns both labelled runs and the SLO they are judged by.
+fn run_elasticity(scale: Scale) -> (Vec<(&'static str, ClusterReport)>, f64) {
     let duration_s = match scale {
         Scale::Full => 200.0,
         Scale::Quick => 120.0,
@@ -257,54 +263,26 @@ fn run_elasticity(scale: Scale) -> (Vec<ElasticityRow>, f64) {
         ..ChaosConfig::default()
     };
     let (elastic, _) = run_cell("placement-aware", 4, &trace, Some(elastic_chaos), None);
-    let row = |label: &str, report: &ClusterReport| {
-        let windows = report.merged.windowed_attainment(WINDOW_S, slo_s, false);
-        let (attained, counted) = windows
-            .iter()
-            .filter_map(|w| w.attainment)
-            .fold((0usize, 0usize), |(a, n), att| {
-                (a + (att >= ATTAIN_THRESHOLD) as usize, n + 1)
-            });
-        let chaos = report.chaos.as_ref();
-        ElasticityRow {
-            label: label.to_string(),
-            requests: report.merged.len(),
-            p99_e2e_s: report.merged.e2e_percentile(0.99),
-            attained_windows_frac: attained as f64 / counted.max(1) as f64,
-            scale_ups: chaos.map_or(0, |c| c.scale_ups),
-            scale_downs: chaos.map_or(0, |c| c.scale_downs),
-            min_live: chaos.map_or(4, |c| c.min_live),
-            max_live: chaos.map_or(4, |c| c.max_live),
-        }
-    };
     (
-        vec![
-            row("static-4", &static_fleet),
-            row("autoscaled-1..4", &elastic),
-        ],
+        vec![("static-4", static_fleet), ("autoscaled-1..4", elastic)],
         slo_s,
     )
 }
 
-struct FlashRow {
-    viral_model: usize,
-    shock_at_s: f64,
-    pre_shock_p99_s: f64,
-    shock_p99_s: f64,
-    rollout_remapped: usize,
-    v2_served: usize,
-}
+/// The tail model that goes viral in the flash-rollout arm.
+const VIRAL_MODEL: usize = N_MODELS - 4;
+/// The model the rolling upgrade moves the viral model's traffic to.
+const VIRAL_V2: usize = N_MODELS - 3;
 
 /// The flash-rollout arm: a tail delta goes viral while a rolling
-/// upgrade migrates its traffic to v2 mid-shock.
-fn run_flash_rollout(scale: Scale) -> FlashRow {
+/// upgrade migrates its traffic to v2 mid-shock. Returns the run and the
+/// shock time (s).
+fn run_flash_rollout(scale: Scale) -> (ClusterReport, f64) {
     let duration_s = match scale {
         Scale::Full => 150.0,
         Scale::Quick => 90.0,
     };
     let shock_at = duration_s * 0.4;
-    let viral = N_MODELS - 4;
-    let v2 = N_MODELS - 3;
     let spec = TraceSpec {
         n_models: N_MODELS,
         arrival_rate: 2.0,
@@ -315,7 +293,7 @@ fn run_flash_rollout(scale: Scale) -> FlashRow {
     let trace = Trace::generate_shaped(
         spec,
         Nonstationarity::FlashCrowd {
-            model: viral,
+            model: VIRAL_MODEL,
             at_s: shock_at,
             boost: 300.0,
             decay_s: duration_s * 0.15,
@@ -324,8 +302,8 @@ fn run_flash_rollout(scale: Scale) -> FlashRow {
     );
     let chaos = ChaosConfig {
         rollouts: vec![Rollout {
-            model: viral,
-            v2,
+            model: VIRAL_MODEL,
+            v2: VIRAL_V2,
             start_s: shock_at + 5.0,
             duration_s: 20.0,
         }],
@@ -333,23 +311,15 @@ fn run_flash_rollout(scale: Scale) -> FlashRow {
         ..ChaosConfig::default()
     };
     let (report, _) = run_cell("placement-aware", 4, &trace, Some(chaos), None);
-    let pre = report.merged.subset("pre".into(), |r| r.arrival < shock_at);
-    let shock = report.merged.subset("shock".into(), |r| {
-        (shock_at..shock_at + 30.0).contains(&r.arrival)
-    });
-    FlashRow {
-        viral_model: viral,
-        shock_at_s: shock_at,
-        pre_shock_p99_s: pre.e2e_percentile(0.99),
-        shock_p99_s: shock.e2e_percentile(0.99),
-        rollout_remapped: report.chaos.as_ref().map_or(0, |c| c.rollout_remapped),
-        v2_served: report
-            .merged
-            .records
-            .iter()
-            .filter(|r| r.model == v2)
-            .count(),
-    }
+    (report, shock_at)
+}
+
+/// p99 E2E of the requests arriving in `[from_s, to_s)`.
+fn p99_arriving(report: &ClusterReport, from_s: f64, to_s: f64) -> f64 {
+    report
+        .merged
+        .subset("window".into(), |r| (from_s..to_s).contains(&r.arrival))
+        .e2e_percentile(0.99)
 }
 
 /// The `bench-chaos` experiment. When `trace` is given, the
@@ -357,21 +327,16 @@ fn run_flash_rollout(scale: Scale) -> FlashRow {
 /// replica lanes land there as `chaos/*`.
 pub fn bench_chaos(
     scale: Scale,
-    out_dir: &std::path::Path,
+    out_dir: &Path,
     trace: Option<&mut Vec<TraceTrack>>,
-) -> Report {
+) -> io::Result<Report> {
     let sc = RecoveryScenario::at(scale);
     // Placement-aware runs first: its healthy tail sets the one
     // service-level SLO every policy is judged against (what an operator
     // provisioning this fleet would promise).
     let cfg = trace.is_some().then(TraceConfig::default);
     let (pa_row, tracks) = run_recovery("placement-aware", sc, None, cfg);
-    if let Some(sink) = trace {
-        for mut track in tracks {
-            track.name = format!("chaos/{}", track.name);
-            sink.push(track);
-        }
-    }
+    push_lanes(trace, "chaos", tracks);
     let slo_s = pa_row.slo_s;
     let mut recovery = Vec::new();
     for policy in POLICIES.iter().filter(|p| **p != "placement-aware") {
@@ -380,7 +345,85 @@ pub fn bench_chaos(
     }
     recovery.push(pa_row);
     let (elasticity, elastic_slo_s) = run_elasticity(scale);
-    let flash = run_flash_rollout(scale);
+    let (flash, shock_at) = run_flash_rollout(scale);
+
+    let recovery_table = Table::new(&recovery)
+        .col("router", Plain, "router", Plain, |r| r.policy)
+        .col("steady p99 (s)", Fix(1), "steady_p99_s", Fix(3), |r| {
+            r.steady_p99_s
+        })
+        .json("slo_s", Fix(3), |r| r.slo_s)
+        .col("churn p99 (s)", Fix(1), "churn_p99_s", Fix(3), |r| {
+            r.churn_p99_s
+        })
+        .col("p99 inflation", Times(2), "p99_inflation", Fix(3), |r| {
+            r.p99_inflation
+        })
+        .col("recovery (s)", Fix(0), "recovery_s", Fix(3), |r| {
+            r.recovery_s
+        })
+        .col("SLO-violated (s)", Fix(0), "violated_s", Fix(3), |r| {
+            r.violated_s
+        })
+        .col("lost in-flight", Plain, "lost_in_flight", Plain, |r| {
+            r.lost_in_flight
+        });
+    let live = |r: &ClusterReport| {
+        r.chaos
+            .as_ref()
+            .map_or((4, 4), |c| (c.min_live, c.max_live))
+    };
+    let elasticity_table = Table::new(&elasticity)
+        .col("fleet", Plain, "fleet", Plain, |(label, _)| *label)
+        .col("requests", Plain, "requests", Plain, |(_, r)| {
+            r.merged.len()
+        })
+        .col("p99 E2E (s)", Fix(1), "p99_e2e_s", Fix(3), |(_, r)| {
+            r.merged.e2e_percentile(0.99)
+        })
+        .col(
+            "windows attained",
+            Pct(0),
+            "attained_windows_frac",
+            Fix(4),
+            |(_, r)| attained_windows_frac(r, elastic_slo_s),
+        )
+        .col("scale ups", Plain, "scale_ups", Plain, |(_, r)| {
+            r.chaos.as_ref().map_or(0, |c| c.scale_ups)
+        })
+        .col("scale downs", Plain, "scale_downs", Plain, |(_, r)| {
+            r.chaos.as_ref().map_or(0, |c| c.scale_downs)
+        })
+        .md("live range", Plain, |(_, r)| {
+            let (min, max) = live(r);
+            format!("{min}..{max}")
+        })
+        .json("min_live", Plain, |(_, r)| live(r).0)
+        .json("max_live", Plain, |(_, r)| live(r).1);
+    let flash_rows = [flash];
+    let flash_table = Table::new(&flash_rows)
+        .json("viral_model", Plain, |_| VIRAL_MODEL)
+        .json("shock_at_s", Fix(1), |_| shock_at)
+        .col(
+            "pre-shock p99 (s)",
+            Fix(1),
+            "pre_shock_p99_s",
+            Fix(3),
+            |r| p99_arriving(r, f64::NEG_INFINITY, shock_at),
+        )
+        .col("shock p99 (s)", Fix(1), "shock_p99_s", Fix(3), |r| {
+            p99_arriving(r, shock_at, shock_at + 30.0)
+        })
+        .col("remapped to v2", Plain, "rollout_remapped", Plain, |r| {
+            r.chaos.as_ref().map_or(0, |c| c.rollout_remapped)
+        })
+        .col("v2 served", Plain, "v2_served", Plain, |r| {
+            r.merged
+                .records
+                .iter()
+                .filter(|x| x.model == VIRAL_V2)
+                .count()
+        });
 
     let mut body = format!(
         "Recovery arm: replica 0 crashes at {:.0} s, cold restart {:.0} s later \
@@ -394,103 +437,19 @@ pub fn bench_chaos(
         WINDOW_S,
         ATTAIN_THRESHOLD * 100.0
     );
-    body.push_str(&md_table(
-        &[
-            "router",
-            "steady p99 (s)",
-            "churn p99 (s)",
-            "p99 inflation",
-            "recovery (s)",
-            "SLO-violated (s)",
-            "lost in-flight",
-        ],
-        &recovery
-            .iter()
-            .map(|r| {
-                vec![
-                    r.policy.to_string(),
-                    format!("{:.1}", r.steady_p99_s),
-                    format!("{:.1}", r.churn_p99_s),
-                    format!("{:.2}x", r.p99_inflation),
-                    r.recovery_s
-                        .map(|s| format!("{s:.0}"))
-                        .unwrap_or_else(|| "never".into()),
-                    format!("{:.0}", r.violated_s),
-                    r.lost_in_flight.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
+    body.push_str(&recovery_table.markdown());
     body.push_str(&format!(
         "\nElasticity arm: diurnal load (amplitude 0.8), autoscaled 1..4 vs \
          static 4 replicas (SLO {elastic_slo_s:.1} s = static fleet's p99):\n\n"
     ));
-    body.push_str(&md_table(
-        &[
-            "fleet",
-            "requests",
-            "p99 E2E (s)",
-            "windows attained",
-            "scale ups",
-            "scale downs",
-            "live range",
-        ],
-        &elasticity
-            .iter()
-            .map(|r| {
-                vec![
-                    r.label.clone(),
-                    r.requests.to_string(),
-                    format!("{:.1}", r.p99_e2e_s),
-                    format!("{:.0}%", r.attained_windows_frac * 100.0),
-                    r.scale_ups.to_string(),
-                    r.scale_downs.to_string(),
-                    format!("{}..{}", r.min_live, r.max_live),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
+    body.push_str(&elasticity_table.markdown());
     body.push_str(&format!(
-        "\nFlash-rollout arm: model {} goes viral at {:.0} s (boost 300x, rate \
-         surge 1.5x) while a 20 s rolling upgrade migrates it to v2:\n\n",
-        flash.viral_model, flash.shock_at_s
+        "\nFlash-rollout arm: model {VIRAL_MODEL} goes viral at {shock_at:.0} s (boost 300x, rate \
+         surge 1.5x) while a 20 s rolling upgrade migrates it to v2:\n\n"
     ));
-    body.push_str(&md_table(
-        &[
-            "pre-shock p99 (s)",
-            "shock p99 (s)",
-            "remapped to v2",
-            "v2 served",
-        ],
-        &[vec![
-            format!("{:.1}", flash.pre_shock_p99_s),
-            format!("{:.1}", flash.shock_p99_s),
-            flash.rollout_remapped.to_string(),
-            flash.v2_served.to_string(),
-        ]],
-    ));
-    match write_json(&recovery, &elasticity, &flash, sc, out_dir) {
-        Ok(path) => body.push_str(&format!("\njson: {path}\n")),
-        Err(e) => body.push_str(&format!("\njson write failed: {e}\n")),
-    }
-    Report {
-        id: "bench-chaos",
-        title: "Chaos & elasticity: crash recovery, autoscaling, rolling rollout",
-        body,
-    }
-}
-
-fn write_json(
-    recovery: &[RecoveryRow],
-    elasticity: &[ElasticityRow],
-    flash: &FlashRow,
-    sc: RecoveryScenario,
-    dir: &std::path::Path,
-) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let mut json = String::from("{\n");
-    json.push_str(&json_provenance(
-        "bench-chaos",
+    body.push_str(&flash_table.markdown());
+    let json = BenchJson::new(
+        "chaos",
         &[
             ("chaos_seed", CHAOS_SEED.to_string()),
             ("n_models", N_MODELS.to_string()),
@@ -501,59 +460,17 @@ fn write_json(
             ("window_s", format!("{WINDOW_S:.1}")),
             ("attain_threshold", format!("{ATTAIN_THRESHOLD:.2}")),
         ],
-    ));
-    json.push_str("  \"recovery\": [\n");
-    for (i, r) in recovery.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"router\": \"{}\", \"steady_p99_s\": {:.3}, \"slo_s\": {:.3}, \
-             \"churn_p99_s\": {:.3}, \"p99_inflation\": {:.3}, \"recovery_s\": {}, \
-             \"violated_s\": {:.3}, \"lost_in_flight\": {}}}{}\n",
-            r.policy,
-            r.steady_p99_s,
-            r.slo_s,
-            r.churn_p99_s,
-            r.p99_inflation,
-            r.recovery_s
-                .map(|s| format!("{s:.3}"))
-                .unwrap_or_else(|| "null".into()),
-            r.violated_s,
-            r.lost_in_flight,
-            if i + 1 == recovery.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"elasticity\": [\n");
-    for (i, r) in elasticity.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"fleet\": \"{}\", \"requests\": {}, \"p99_e2e_s\": {:.3}, \
-             \"attained_windows_frac\": {:.4}, \"scale_ups\": {}, \"scale_downs\": {}, \
-             \"min_live\": {}, \"max_live\": {}}}{}\n",
-            r.label,
-            r.requests,
-            r.p99_e2e_s,
-            r.attained_windows_frac,
-            r.scale_ups,
-            r.scale_downs,
-            r.min_live,
-            r.max_live,
-            if i + 1 == elasticity.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"flash_rollout\": {{\"viral_model\": {}, \"shock_at_s\": {:.1}, \
-         \"pre_shock_p99_s\": {:.3}, \"shock_p99_s\": {:.3}, \"rollout_remapped\": {}, \
-         \"v2_served\": {}}}\n",
-        flash.viral_model,
-        flash.shock_at_s,
-        flash.pre_shock_p99_s,
-        flash.shock_p99_s,
-        flash.rollout_remapped,
-        flash.v2_served
-    ));
-    json.push_str("}\n");
-    let path = dir.join("BENCH_chaos.json");
-    std::fs::write(&path, json)?;
-    Ok(path.display().to_string())
+    )
+    .rows("recovery", &recovery_table)
+    .rows("elasticity", &elasticity_table)
+    .row("flash_rollout", &flash_table)
+    .write(out_dir)?;
+    body.push_str(&format!("\njson: {json}\n"));
+    Ok(Report {
+        id: "bench-chaos",
+        title: "Chaos & elasticity: crash recovery, autoscaling, rolling rollout",
+        body,
+    })
 }
 
 /// The deterministic chaos cell the `bench-smoke` perf gate measures:

@@ -9,13 +9,16 @@
 //! `BENCH_cluster.json`; the headline number is placement-aware routing
 //! beating round-robin p99 latency under skewed delta popularity.
 
+use super::Fmt::{Fix, Pct, Plain};
 use super::{
-    cluster_engine_config, cluster_router, json_provenance, md_table, rtx3090_7b, Report, Scale,
+    cluster_engine_config, cluster_router, push_lanes, rtx3090_7b, BenchJson, Report, Scale, Table,
 };
 use dz_serve::cluster::{AdmissionConfig, ClusterConfig, ClusterReport, ClusterSim};
-use dz_serve::{CauseBreakdown, SloClass, SloPolicy, TraceConfig, TraceTrack};
+use dz_serve::{SloClass, SloPolicy, TraceConfig, TraceTrack, CAUSE_NAMES};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use serde::Serialize;
+use std::io;
+use std::path::Path;
 
 const N_MODELS: usize = 24;
 /// Routing policy ids swept by the experiment.
@@ -86,36 +89,14 @@ pub fn run_cluster_traced(
     (report, sim.take_trace())
 }
 
-struct SweepRow {
-    policy: &'static str,
-    replicas: usize,
-    alpha: f64,
-    requests: usize,
-    mean_e2e_s: f64,
-    p50_e2e_s: f64,
-    p99_e2e_s: f64,
-    p99_ttft_s: f64,
-    warm_frac: f64,
-}
-
-struct OverloadRow {
-    policy: &'static str,
-    offered: usize,
-    served: usize,
-    shed: usize,
-    goodput: f64,
-    interactive_p99_ttft_s: f64,
-    attribution: CauseBreakdown,
-}
-
 /// The `bench-cluster` experiment. When `trace` is given, the most
 /// interesting sweep cell (placement-aware, 4 replicas, zipf-1.5) runs
 /// traced and its front-end + replica lanes land there as `cluster/*`.
 pub fn bench_cluster(
     scale: Scale,
-    out_dir: &std::path::Path,
+    out_dir: &Path,
     mut trace: Option<&mut Vec<TraceTrack>>,
-) -> Report {
+) -> io::Result<Report> {
     let duration_s = match scale {
         Scale::Full => 150.0,
         Scale::Quick => 60.0,
@@ -132,24 +113,8 @@ pub fn bench_cluster(
                 let cfg = traced_cell.then(TraceConfig::default);
                 let (report, tracks) =
                     run_cluster_traced(policy, replicas, alpha, 0.6, duration_s, None, cfg);
-                if let Some(sink) = trace.as_deref_mut() {
-                    for mut track in tracks {
-                        track.name = format!("cluster/{}", track.name);
-                        sink.push(track);
-                    }
-                }
-                let m = &report.merged;
-                sweep.push(SweepRow {
-                    policy,
-                    replicas,
-                    alpha,
-                    requests: m.len(),
-                    mean_e2e_s: m.mean_e2e(),
-                    p50_e2e_s: m.e2e_percentile(0.5),
-                    p99_e2e_s: m.e2e_percentile(0.99),
-                    p99_ttft_s: m.ttft_percentile(0.99),
-                    warm_frac: report.routing.warm_fraction(),
-                });
+                push_lanes(trace.as_deref_mut(), "cluster", tracks);
+                sweep.push((policy, replicas, alpha, report));
             }
         }
     }
@@ -157,126 +122,85 @@ pub fn bench_cluster(
     // Overload arm: 3x the sustainable rate with SLO-aware admission
     // control — goodput and who gets shed, per policy.
     let slo = SloPolicy::tiered(N_MODELS, 4);
-    let mut overload = Vec::new();
-    for policy in POLICIES {
-        let report = run_cluster(
-            policy,
-            4,
-            1.5,
-            3.0,
-            duration_s,
-            Some(AdmissionConfig::new(slo.clone())),
+    let overload: Vec<_> = POLICIES
+        .iter()
+        .map(|&policy| {
+            let admission = Some(AdmissionConfig::new(slo.clone()));
+            let report = run_cluster(policy, 4, 1.5, 3.0, duration_s, admission);
+            (policy, report.merged.attribution(0.99), report)
+        })
+        .collect();
+
+    let sweep_table = Table::new(&sweep)
+        .col("router", Plain, "router", Plain, |(policy, ..)| *policy)
+        .col("replicas", Plain, "replicas", Plain, |(_, n, ..)| *n)
+        .col(
+            "zipf α",
+            Fix(1),
+            "zipf_alpha",
+            Fix(1),
+            |(_, _, alpha, _)| *alpha,
+        )
+        .col("requests", Plain, "requests", Plain, |(.., r)| {
+            r.merged.len()
+        })
+        .col("mean E2E (s)", Fix(1), "mean_e2e_s", Fix(3), |(.., r)| {
+            r.merged.mean_e2e()
+        })
+        .col("p50 E2E (s)", Fix(1), "p50_e2e_s", Fix(3), |(.., r)| {
+            r.merged.e2e_percentile(0.5)
+        })
+        .col("p99 E2E (s)", Fix(1), "p99_e2e_s", Fix(3), |(.., r)| {
+            r.merged.e2e_percentile(0.99)
+        })
+        .col("p99 TTFT (s)", Fix(1), "p99_ttft_s", Fix(3), |(.., r)| {
+            r.merged.ttft_percentile(0.99)
+        })
+        .col(
+            "warm-routed",
+            Pct(0),
+            "warm_routed_frac",
+            Fix(4),
+            |(.., r)| r.routing.warm_fraction(),
         );
-        let served = report.merged.len();
-        let shed = report.shed.len();
-        let interactive = report.merged.subset("interactive".into(), |r| {
-            slo.class_of(r.model) == SloClass::Interactive
-        });
-        overload.push(OverloadRow {
-            policy,
-            offered: served + shed,
-            served,
-            shed,
-            goodput: report.goodput(),
-            interactive_p99_ttft_s: interactive.ttft_percentile(0.99),
-            attribution: report.merged.attribution(0.99),
-        });
+    let overload_table = Table::new(&overload)
+        .col("router", Plain, "router", Plain, |(policy, ..)| *policy)
+        .json("replicas", Plain, |_| 4usize)
+        .json("zipf_alpha", Fix(1), |_| 1.5)
+        .col("offered", Plain, "offered", Plain, |(.., r)| {
+            r.merged.len() + r.shed.len()
+        })
+        .col("served", Plain, "served", Plain, |(.., r)| r.merged.len())
+        .col("shed", Plain, "shed", Plain, |(.., r)| r.shed.len())
+        .col("goodput", Fix(2), "goodput", Fix(4), |(.., r)| r.goodput())
+        .col(
+            "interactive p99 TTFT (s)",
+            Fix(1),
+            "interactive_p99_ttft_s",
+            Fix(3),
+            |(.., r)| {
+                let interactive = r.merged.subset("interactive".into(), |x| {
+                    slo.class_of(x.model) == SloClass::Interactive
+                });
+                interactive.ttft_percentile(0.99)
+            },
+        )
+        .json("p99_attribution", Plain, |(_, a, _)| a.to_value());
+    let mut attribution = Table::new(&overload).md("router", Plain, |(policy, ..)| *policy);
+    for (i, cause) in CAUSE_NAMES.iter().enumerate() {
+        attribution = attribution.md(cause, Pct(0), move |(_, a, _)| a.tail_share()[i]);
     }
 
     let mut body = String::from("Latency sweep (rate 0.6 req/s per replica):\n\n");
-    body.push_str(&md_table(
-        &[
-            "router",
-            "replicas",
-            "zipf α",
-            "requests",
-            "mean E2E (s)",
-            "p50 E2E (s)",
-            "p99 E2E (s)",
-            "p99 TTFT (s)",
-            "warm-routed",
-        ],
-        &sweep
-            .iter()
-            .map(|r| {
-                vec![
-                    r.policy.to_string(),
-                    r.replicas.to_string(),
-                    format!("{:.1}", r.alpha),
-                    r.requests.to_string(),
-                    format!("{:.1}", r.mean_e2e_s),
-                    format!("{:.1}", r.p50_e2e_s),
-                    format!("{:.1}", r.p99_e2e_s),
-                    format!("{:.1}", r.p99_ttft_s),
-                    format!("{:.0}%", r.warm_frac * 100.0),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
+    body.push_str(&sweep_table.markdown());
     body.push_str(
         "\nOverload arm (3.0 req/s per replica, 4 replicas, zipf-1.5, SLO admission):\n\n",
     );
-    body.push_str(&md_table(
-        &[
-            "router",
-            "offered",
-            "served",
-            "shed",
-            "goodput",
-            "interactive p99 TTFT (s)",
-        ],
-        &overload
-            .iter()
-            .map(|r| {
-                vec![
-                    r.policy.to_string(),
-                    r.offered.to_string(),
-                    r.served.to_string(),
-                    r.shed.to_string(),
-                    format!("{:.2}", r.goodput),
-                    format!("{:.1}", r.interactive_p99_ttft_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
+    body.push_str(&overload_table.markdown());
     body.push_str("\nOverload p99 attribution (share of tail-request e2e per cause):\n\n");
-    let mut attr_header = vec!["router"];
-    attr_header.extend(dz_serve::CAUSE_NAMES);
-    body.push_str(&md_table(
-        &attr_header,
-        &overload
-            .iter()
-            .map(|r| {
-                let mut row = vec![r.policy.to_string()];
-                for share in r.attribution.tail_share() {
-                    row.push(format!("{:.0}%", share * 100.0));
-                }
-                row
-            })
-            .collect::<Vec<_>>(),
-    ));
-    match write_json(&sweep, &overload, duration_s, out_dir) {
-        Ok(path) => body.push_str(&format!("\njson: {path}\n")),
-        Err(e) => body.push_str(&format!("\njson write failed: {e}\n")),
-    }
-    Report {
-        id: "bench-cluster",
-        title: "Cluster routing: replicas x policy x popularity skew",
-        body,
-    }
-}
-
-/// Hand-rolled JSON (matching the other emitters' style).
-fn write_json(
-    sweep: &[SweepRow],
-    overload: &[OverloadRow],
-    duration_s: f64,
-    dir: &std::path::Path,
-) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let mut json = String::from("{\n");
-    json.push_str(&json_provenance(
-        "bench-cluster",
+    body.push_str(&attribution.markdown());
+    let json = BenchJson::new(
+        "cluster",
         &[
             ("n_models", N_MODELS.to_string()),
             ("duration_s", format!("{duration_s:.1}")),
@@ -284,45 +208,16 @@ fn write_json(
             ("overload_rate_per_replica", "3.0".into()),
             ("seed", "49413".into()),
         ],
-    ));
-    json.push_str("  \"sweep\": [\n");
-    for (i, r) in sweep.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"router\": \"{}\", \"replicas\": {}, \"zipf_alpha\": {:.1}, \
-             \"requests\": {}, \"mean_e2e_s\": {:.3}, \"p50_e2e_s\": {:.3}, \
-             \"p99_e2e_s\": {:.3}, \"p99_ttft_s\": {:.3}, \"warm_routed_frac\": {:.4}}}{}\n",
-            r.policy,
-            r.replicas,
-            r.alpha,
-            r.requests,
-            r.mean_e2e_s,
-            r.p50_e2e_s,
-            r.p99_e2e_s,
-            r.p99_ttft_s,
-            r.warm_frac,
-            if i + 1 == sweep.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"overload\": [\n");
-    for (i, r) in overload.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"router\": \"{}\", \"replicas\": 4, \"zipf_alpha\": 1.5, \
-             \"offered\": {}, \"served\": {}, \"shed\": {}, \"goodput\": {:.4}, \
-             \"interactive_p99_ttft_s\": {:.3}, \"p99_attribution\": {}}}{}\n",
-            r.policy,
-            r.offered,
-            r.served,
-            r.shed,
-            r.goodput,
-            r.interactive_p99_ttft_s,
-            r.attribution.to_value().to_json(),
-            if i + 1 == overload.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = dir.join("BENCH_cluster.json");
-    std::fs::write(&path, json)?;
-    Ok(path.display().to_string())
+    )
+    .rows("sweep", &sweep_table)
+    .rows("overload", &overload_table)
+    .write(out_dir)?;
+    body.push_str(&format!("\njson: {json}\n"));
+    Ok(Report {
+        id: "bench-cluster",
+        title: "Cluster routing: replicas x policy x popularity skew",
+        body,
+    })
 }
 
 #[cfg(test)]

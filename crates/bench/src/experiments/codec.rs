@@ -9,9 +9,12 @@
 //! it emits a machine-readable `BENCH_lossless.json` next to the other
 //! experiment artifacts.
 
-use super::{json_provenance, md_table, Report, Scale};
+use super::Fmt::{Fix, Plain, Times};
+use super::{BenchJson, Report, Scale, Table};
 use dz_store::{sha256, Registry, TieredDeltaStore};
 use dz_tensor::Rng;
+use std::io;
+use std::path::Path;
 use std::time::Instant;
 
 /// Packed-delta-like corpus: quantized deltas are low-entropy integer
@@ -50,15 +53,8 @@ fn best_of<F: FnMut()>(iters: usize, mut f: F) -> f64 {
     best
 }
 
-struct Measurement {
-    corpus: &'static str,
-    path: &'static str,
-    mb_s: f64,
-    speedup: f64,
-}
-
 /// The `bench-lossless` experiment.
-pub fn bench_lossless(scale: Scale, out_dir: &std::path::Path) -> Report {
+pub fn bench_lossless(scale: Scale, out_dir: &Path) -> io::Result<Report> {
     let n = match scale {
         Scale::Full => 8usize << 20,
         Scale::Quick => 2usize << 20,
@@ -72,7 +68,8 @@ pub fn bench_lossless(scale: Scale, out_dir: &std::path::Path) -> Report {
         ("incompressible", incompressible(n, 11)),
     ];
     type DecodeFn<'a> = Box<dyn Fn() + 'a>;
-    let mut measurements: Vec<Measurement> = Vec::new();
+    // (corpus, decode path, MB/s, speedup over the reference path)
+    let mut measurements: Vec<(&str, &str, f64, f64)> = Vec::new();
     for (corpus, data) in &corpora {
         let compressed = dz_lossless::compress(data);
         let paths: [(&'static str, DecodeFn<'_>); 3] = [
@@ -102,30 +99,25 @@ pub fn bench_lossless(scale: Scale, out_dir: &std::path::Path) -> Report {
             if path == "reference" {
                 reference_mb_s = mb_s;
             }
-            measurements.push(Measurement {
-                corpus,
-                path,
-                mb_s,
-                speedup: mb_s / reference_mb_s,
-            });
+            measurements.push((corpus, path, mb_s, mb_s / reference_mb_s));
         }
     }
 
     // Store-level: one artifact through the pipelined decoded fetch.
     let store_gbps = measure_store_decode();
 
-    let rows: Vec<Vec<String>> = measurements
-        .iter()
-        .map(|m| {
-            vec![
-                m.corpus.to_string(),
-                m.path.to_string(),
-                format!("{:.1}", m.mb_s),
-                format!("{:.2}x", m.speedup),
-            ]
-        })
-        .collect();
-    let mut body = md_table(&["corpus", "decode path", "MB/s", "vs reference"], &rows);
+    let table = Table::new(&measurements)
+        .col("corpus", Plain, "corpus", Plain, |(corpus, ..)| *corpus)
+        .col("decode path", Plain, "path", Plain, |(_, path, ..)| *path)
+        .col("MB/s", Fix(1), "mb_per_s", Fix(1), |(.., mb_s, _)| *mb_s)
+        .col(
+            "vs reference",
+            Times(2),
+            "speedup_vs_reference",
+            Fix(3),
+            |(.., speedup)| *speedup,
+        );
+    let mut body = table.markdown();
     match store_gbps {
         Some(gbps) => body.push_str(&format!(
             "\nstore fetch_decoded measured throughput: {:.3} GB/s (compressed)\n",
@@ -133,15 +125,17 @@ pub fn bench_lossless(scale: Scale, out_dir: &std::path::Path) -> Report {
         )),
         None => body.push_str("\nstore fetch_decoded measurement unavailable\n"),
     }
-    match write_json(&measurements, store_gbps, n, out_dir) {
-        Ok(path) => body.push_str(&format!("json: {path}\n")),
-        Err(e) => body.push_str(&format!("json write failed: {e}\n")),
-    }
-    Report {
+    let json = BenchJson::new("lossless", &[("corpus_bytes", n.to_string())])
+        .scalar("corpus_bytes", Plain, n)
+        .rows("decode", &table)
+        .scalar("store_fetch_decoded_gbps", Fix(4), store_gbps)
+        .write(out_dir)?;
+    body.push_str(&format!("json: {json}\n"));
+    Ok(Report {
         id: "bench-lossless",
         title: "Decode pipeline throughput (LUT + parallel pages + pipelined store reads)",
         body,
-    }
+    })
 }
 
 /// Publishes a synthetic multi-tensor delta into a temp registry and times
@@ -195,42 +189,4 @@ fn measure_store_decode() -> Option<f64> {
     let gbps = store.decode_throughput().effective_gbps();
     std::fs::remove_dir_all(&dir).ok();
     gbps
-}
-
-/// Hand-rolled JSON (no serde dependency in this crate): one object per
-/// measurement plus the store-level figure.
-fn write_json(
-    measurements: &[Measurement],
-    store_gbps: Option<f64>,
-    corpus_bytes: usize,
-    dir: &std::path::Path,
-) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let mut json = String::from("{\n");
-    json.push_str(&json_provenance(
-        "bench-lossless",
-        &[("corpus_bytes", corpus_bytes.to_string())],
-    ));
-    json.push_str("  \"corpus_bytes\": ");
-    json.push_str(&corpus_bytes.to_string());
-    json.push_str(",\n  \"decode\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"corpus\": \"{}\", \"path\": \"{}\", \"mb_per_s\": {:.1}, \"speedup_vs_reference\": {:.3}}}{}\n",
-            m.corpus,
-            m.path,
-            m.mb_s,
-            m.speedup,
-            if i + 1 == measurements.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n  \"store_fetch_decoded_gbps\": ");
-    match store_gbps {
-        Some(g) => json.push_str(&format!("{g:.4}\n")),
-        None => json.push_str("null\n"),
-    }
-    json.push_str("}\n");
-    let path = dir.join("BENCH_lossless.json");
-    std::fs::write(&path, json)?;
-    Ok(path.display().to_string())
 }

@@ -19,7 +19,8 @@
 //! Alongside the rendered markdown it emits `BENCH_compress.json`.
 
 use super::quality::{family_tasks, Zoo};
-use super::{json_provenance, md_table, Report, Scale};
+use super::Fmt::{Fix, Plain, Signed, Times};
+use super::{BenchJson, Report, Scale, Table};
 use dz_compress::calib::calibration_set;
 use dz_compress::codec::{BitDeltaCodec, DeltaCodec, DeltaComeCodec, SparseGptCodec};
 use dz_gpusim::shapes::ModelShape;
@@ -31,6 +32,7 @@ use dz_model::zoo::preset;
 use dz_serve::{CostModel, DeltaZipConfig, DeltaZipEngine, Engine};
 use dz_tensor::Rng;
 use dz_workload::{PopularityDist, Trace, TraceSpec};
+use std::io;
 use std::path::Path;
 
 /// The family the sweep runs on (d_model 64: wide enough that 1-bit
@@ -167,24 +169,30 @@ pub fn sweep_cells(zoo: &mut Zoo, scale: Scale) -> (Vec<CompressCell>, f64, f64)
 }
 
 /// The `bench-compress` experiment.
-pub fn bench_compress(zoo: &mut Zoo, scale: Scale, out_dir: &Path) -> Report {
+pub fn bench_compress(zoo: &mut Zoo, scale: Scale, out_dir: &Path) -> io::Result<Report> {
     let (cells, fp16_acc, fp16_ppl) = sweep_cells(zoo, scale);
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .map(|c| {
-            vec![
-                c.label.clone(),
-                format!("{:.1}", c.acc_mean * 100.0),
-                format!("{:+.1}", -c.acc_drop * 100.0),
-                format!("{:.2}", c.ppl),
-                format!("{:.1}x", c.raw_ratio),
-                format!("{:.1}x", c.packed_ratio),
-                format!("{:.1}x", c.lossless_ratio),
-                format!("{:.1}", c.load_p99_s),
-                format!("{:.1}", c.ttft_p99_s),
-            ]
+    let table = Table::new(&cells)
+        .json("codec", Plain, |c| c.codec)
+        .col("codec@budget", Plain, "budget", Plain, |c| c.label.clone())
+        .md("acc %", Fix(1), |c| c.acc_mean * 100.0)
+        .json("acc", Fix(4), |c| c.acc_mean)
+        .md("Δacc pts", Signed(1), |c| -c.acc_drop * 100.0)
+        .json("acc_drop", Fix(4), |c| c.acc_drop)
+        .col("ppl", Fix(2), "ppl", Fix(4), |c| c.ppl)
+        .col("raw", Times(1), "raw_ratio", Fix(3), |c| c.raw_ratio)
+        .col("packed", Times(1), "packed_ratio", Fix(3), |c| {
+            c.packed_ratio
         })
-        .collect();
+        .col("+lossless", Times(1), "lossless_ratio", Fix(3), |c| {
+            c.lossless_ratio
+        })
+        .json("bytes_7b", Fix(0), |c| c.bytes_7b)
+        .col("load p99 (s)", Fix(1), "cold_load_p99_s", Fix(4), |c| {
+            c.load_p99_s
+        })
+        .col("TTFT p99 (s)", Fix(1), "ttft_p99_s", Fix(4), |c| {
+            c.ttft_p99_s
+        });
     let mut body = format!(
         "Family {FAMILY}; FP16 fine-tune: accuracy {:.1}%, ppl {:.2}. \
          Cold-load figures: fixed 12-model Zipf-1.2 replay on one RTX-3090 \
@@ -193,73 +201,19 @@ pub fn bench_compress(zoo: &mut Zoo, scale: Scale, out_dir: &Path) -> Report {
         fp16_acc * 100.0,
         fp16_ppl
     );
-    body.push_str(&md_table(
-        &[
-            "codec@budget",
-            "acc %",
-            "Δacc pts",
-            "ppl",
-            "raw",
-            "packed",
-            "+lossless",
-            "load p99 (s)",
-            "TTFT p99 (s)",
-        ],
-        &rows,
-    ));
-    match write_json(&cells, fp16_acc, fp16_ppl, out_dir) {
-        Ok(path) => body.push_str(&format!("\njson: {path}\n")),
-        Err(e) => body.push_str(&format!("\njson write failed: {e}\n")),
-    }
-    Report {
+    body.push_str(&table.markdown());
+    let json = BenchJson::new("compress", &[("family", format!("\"{FAMILY}\""))])
+        .scalar("family", Plain, FAMILY)
+        .scalar("fp16_acc", Fix(4), fp16_acc)
+        .scalar("fp16_ppl", Fix(4), fp16_ppl)
+        .rows("cells", &table)
+        .write(out_dir)?;
+    body.push_str(&format!("\njson: {json}\n"));
+    Ok(Report {
         id: "bench-compress",
         title: "Delta-compression method zoo: quality x ratio x swap latency",
         body,
-    }
-}
-
-/// Hand-rolled JSON (matching the other BENCH_* artifacts).
-fn write_json(
-    cells: &[CompressCell],
-    fp16_acc: f64,
-    fp16_ppl: f64,
-    dir: &Path,
-) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let mut json = String::from("{\n");
-    json.push_str(&json_provenance(
-        "bench-compress",
-        &[("family", format!("\"{FAMILY}\""))],
-    ));
-    json.push_str(&format!(
-        "  \"family\": \"{FAMILY}\",\n  \"fp16_acc\": {fp16_acc:.4},\n  \
-         \"fp16_ppl\": {fp16_ppl:.4},\n  \"cells\": [\n"
-    ));
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"codec\": \"{}\", \"budget\": \"{}\", \"acc\": {:.4}, \
-             \"acc_drop\": {:.4}, \"ppl\": {:.4}, \"raw_ratio\": {:.3}, \
-             \"packed_ratio\": {:.3}, \"lossless_ratio\": {:.3}, \
-             \"bytes_7b\": {:.0}, \"cold_load_p99_s\": {:.4}, \
-             \"ttft_p99_s\": {:.4}}}{}\n",
-            c.codec,
-            c.label,
-            c.acc_mean,
-            c.acc_drop,
-            c.ppl,
-            c.raw_ratio,
-            c.packed_ratio,
-            c.lossless_ratio,
-            c.bytes_7b,
-            c.load_p99_s,
-            c.ttft_p99_s,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = dir.join("BENCH_compress.json");
-    std::fs::write(&path, json)?;
-    Ok(path.display().to_string())
+    })
 }
 
 #[cfg(test)]

@@ -20,13 +20,16 @@
 //! `bench-smoke` re-measures the 1000-replica p2c cell at quick scale as
 //! `fleet_1000_replica_wall_s` / `fleet_p2c_p99_s` for the CI perf gate.
 
-use super::{json_provenance, md_table, Report, Scale};
+use super::Fmt::{Fix, Pct, Plain};
+use super::{push_lanes, BenchJson, Report, Scale, Table};
 use dz_serve::cluster::PlacementPlan;
 use dz_serve::{
-    ConsistentHashRouter, FleetConfig, FleetSim, LeastCostRouter, PowerOfTwoRouter,
+    ConsistentHashRouter, FleetConfig, FleetReport, FleetSim, LeastCostRouter, PowerOfTwoRouter,
     RoundRobinRouter, Router, TraceConfig, TraceTrack,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
+use std::io;
+use std::path::Path;
 use std::time::Instant;
 
 const N_MODELS: usize = 512;
@@ -84,149 +87,95 @@ fn sim_for(n_replicas: usize, router: Box<dyn Router>, trace_cfg: Option<TraceCo
     FleetSim::new(cfg, plan, router)
 }
 
-/// One sweep cell's results.
-struct Cell {
-    router: String,
-    n_replicas: usize,
-    requests: usize,
-    wall_s: f64,
-    p50_e2e_s: f64,
-    p99_e2e_s: f64,
-    warm_hit_frac: f64,
-    object_fetches: u64,
-    events: usize,
-}
-
+/// Runs one sweep cell: its report and the wall seconds the run took.
 fn run_cell(
     n_replicas: usize,
     router: Box<dyn Router>,
     trace: &Trace,
     trace_cfg: Option<TraceConfig>,
-) -> (Cell, Vec<TraceTrack>) {
+) -> (FleetReport, f64) {
     let mut sim = sim_for(n_replicas, router, trace_cfg);
     let t0 = Instant::now();
     let rep = sim.run(trace);
-    let wall_s = t0.elapsed().as_secs_f64();
-    let warm_hit_frac = if rep.served > 0 {
-        rep.warm_hits as f64 / rep.served as f64
-    } else {
-        0.0
-    };
-    (
-        Cell {
-            router: rep.router,
-            n_replicas,
-            requests: rep.served + rep.shed,
-            wall_s,
-            p50_e2e_s: rep.p50_e2e_s,
-            p99_e2e_s: rep.p99_e2e_s,
-            warm_hit_frac,
-            object_fetches: rep.fetches.object_store,
-            events: rep.events,
-        },
-        rep.tracks,
-    )
+    (rep, t0.elapsed().as_secs_f64())
 }
 
 /// The `bench-fleet` experiment. When `trace` is given, the 10-replica
 /// p2c cell runs traced and its lane lands there as `fleet/*`.
 pub fn bench_fleet(
     scale: Scale,
-    out_dir: &std::path::Path,
-    trace: Option<&mut Vec<TraceTrack>>,
-) -> Report {
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut trace = trace;
+    out_dir: &Path,
+    mut trace: Option<&mut Vec<TraceTrack>>,
+) -> io::Result<Report> {
+    let mut cells = Vec::new();
     for n in fleet_sizes() {
         let tr = sweep_trace(n, scale);
         for router in routers() {
             // Trace only the smallest p2c cell: a bounded lane that shows
             // the event taxonomy without dilating the big cells' wall.
             let want_trace = n == fleet_sizes()[0] && router.name() == "p2c" && trace.is_some();
-            let cfg = want_trace.then(TraceConfig::default);
-            let (cell, tracks) = run_cell(n, router, &tr, cfg);
-            if want_trace {
-                if let Some(sink) = trace.as_deref_mut() {
-                    for mut track in tracks {
-                        track.name = format!("fleet/{}", track.name);
-                        sink.push(track);
-                    }
-                }
-            }
-            cells.push(cell);
+            let (mut rep, wall_s) = run_cell(n, router, &tr, want_trace.then(TraceConfig::default));
+            push_lanes(
+                trace.as_deref_mut(),
+                "fleet",
+                std::mem::take(&mut rep.tracks),
+            );
+            cells.push((rep, wall_s));
         }
     }
 
+    let table = Table::new(&cells)
+        .col("router", Plain, "router", Plain, |(r, _)| r.router.clone())
+        .col("replicas", Plain, "n_replicas", Plain, |(r, _)| {
+            r.n_replicas
+        })
+        .col("requests", Plain, "requests", Plain, |(r, _)| {
+            r.served + r.shed
+        })
+        .col("wall (s)", Fix(2), "wall_s", Fix(4), |(_, wall_s)| *wall_s)
+        .col("p50 E2E (s)", Fix(3), "p50_e2e_s", Fix(4), |(r, _)| {
+            r.p50_e2e_s
+        })
+        .col("p99 E2E (s)", Fix(3), "p99_e2e_s", Fix(4), |(r, _)| {
+            r.p99_e2e_s
+        })
+        .col("warm hits", Pct(0), "warm_hit_frac", Fix(4), |(r, _)| {
+            r.warm_hits as f64 / r.served.max(1) as f64
+        })
+        .col(
+            "object fetches",
+            Plain,
+            "object_fetches",
+            Plain,
+            |(r, _)| r.fetches.object_store,
+        )
+        .col("events", Plain, "events", Plain, |(r, _)| r.events);
     let mut body = format!(
         "Zipf-{ZIPF_ALPHA} sweep, {N_MODELS} models, {RATE_PER_REPLICA} req/s/replica, \
          {:.0} s traces (load scales with the fleet):\n\n",
         durations(scale)
     );
-    body.push_str(&md_table(
-        &[
-            "router",
-            "replicas",
-            "requests",
-            "wall (s)",
-            "p50 E2E (s)",
-            "p99 E2E (s)",
-            "warm hits",
-            "object fetches",
-            "events",
-        ],
-        &cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.router.clone(),
-                    c.n_replicas.to_string(),
-                    c.requests.to_string(),
-                    format!("{:.2}", c.wall_s),
-                    format!("{:.3}", c.p50_e2e_s),
-                    format!("{:.3}", c.p99_e2e_s),
-                    format!("{:.0}%", c.warm_hit_frac * 100.0),
-                    c.object_fetches.to_string(),
-                    c.events.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
+    body.push_str(&table.markdown());
     // The headline comparisons at the largest fleet.
     let big = fleet_sizes()[2];
     let at = |name: &str| {
         cells
             .iter()
-            .find(|c| c.router == name && c.n_replicas == big)
+            .find(|(r, _)| r.router == name && r.n_replicas == big)
             .expect("sweep ran every router at every size")
     };
-    let (global, p2c) = (at("global-least-cost"), at("p2c"));
+    let ((global, global_wall), (p2c, p2c_wall)) = (at("global-least-cost"), at("p2c"));
     body.push_str(&format!(
         "\nAt {big} replicas: global scoring walks every replica per request \
-         and burns {:.2} s of wall vs p2c's {:.2} s ({:.1}x); p2c holds the \
+         and burns {global_wall:.2} s of wall vs p2c's {p2c_wall:.2} s ({:.1}x); p2c holds the \
          p99 line at {:.3} s vs the global scan's {:.3} s ({:.2}x).\n",
-        global.wall_s,
-        p2c.wall_s,
-        global.wall_s / p2c.wall_s.max(1e-9),
+        global_wall / p2c_wall.max(1e-9),
         p2c.p99_e2e_s,
         global.p99_e2e_s,
         p2c.p99_e2e_s / global.p99_e2e_s.max(1e-9),
     ));
-    match write_json(&cells, scale, out_dir) {
-        Ok(path) => body.push_str(&format!("\njson: {path}\n")),
-        Err(e) => body.push_str(&format!("\njson write failed: {e}\n")),
-    }
-    Report {
-        id: "bench-fleet",
-        title: "Fleet-scale routing: p2c vs global scoring, 10→1000 replicas",
-        body,
-    }
-}
-
-fn write_json(cells: &[Cell], scale: Scale, dir: &std::path::Path) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let mut json = String::from("{\n");
-    json.push_str(&json_provenance(
-        "bench-fleet",
+    let json = BenchJson::new(
+        "fleet",
         &[
             ("fleet_seed", FLEET_SEED.to_string()),
             ("n_models", N_MODELS.to_string()),
@@ -234,29 +183,15 @@ fn write_json(cells: &[Cell], scale: Scale, dir: &std::path::Path) -> std::io::R
             ("rate_per_replica", format!("{RATE_PER_REPLICA}")),
             ("duration_s", format!("{:.1}", durations(scale))),
         ],
-    ));
-    json.push_str("  \"sweep\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"router\": \"{}\", \"n_replicas\": {}, \"requests\": {}, \
-             \"wall_s\": {:.4}, \"p50_e2e_s\": {:.4}, \"p99_e2e_s\": {:.4}, \
-             \"warm_hit_frac\": {:.4}, \"object_fetches\": {}, \"events\": {}}}{}\n",
-            c.router,
-            c.n_replicas,
-            c.requests,
-            c.wall_s,
-            c.p50_e2e_s,
-            c.p99_e2e_s,
-            c.warm_hit_frac,
-            c.object_fetches,
-            c.events,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = dir.join("BENCH_fleet.json");
-    std::fs::write(&path, json)?;
-    Ok(path.display().to_string())
+    )
+    .rows("sweep", &table)
+    .write(out_dir)?;
+    body.push_str(&format!("\njson: {json}\n"));
+    Ok(Report {
+        id: "bench-fleet",
+        title: "Fleet-scale routing: p2c vs global scoring, 10→1000 replicas",
+        body,
+    })
 }
 
 /// The deterministic fleet cell the `bench-smoke` perf gate measures:
@@ -266,8 +201,8 @@ fn write_json(cells: &[Cell], scale: Scale, dir: &std::path::Path) -> std::io::R
 pub fn smoke_fleet_metrics() -> (f64, f64) {
     let n = fleet_sizes()[2];
     let tr = sweep_trace(n, Scale::Quick);
-    let (cell, _) = run_cell(n, p2c(), &tr, None);
-    (cell.wall_s, cell.p99_e2e_s)
+    let (rep, wall_s) = run_cell(n, p2c(), &tr, None);
+    (wall_s, rep.p99_e2e_s)
 }
 
 #[cfg(test)]
@@ -282,7 +217,7 @@ mod tests {
         assert_eq!(a.p50_e2e_s.to_bits(), b.p50_e2e_s.to_bits());
         assert_eq!(a.p99_e2e_s.to_bits(), b.p99_e2e_s.to_bits());
         assert_eq!(a.events, b.events);
-        assert_eq!(a.requests, tr.len());
+        assert_eq!(a.served + a.shed, tr.len());
     }
 
     #[test]

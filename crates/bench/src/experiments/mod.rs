@@ -26,8 +26,11 @@ use dz_gpusim::spec::NodeSpec;
 use dz_serve::cluster::{
     LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, RoundRobinRouter, Router,
 };
-use dz_serve::{CostModel, DeltaZipConfig};
+use dz_serve::{CostModel, DeltaZipConfig, TraceConfig, TraceLog, TraceTrack};
 use dz_workload::PopularityDist;
+use serde::value::Value;
+use std::io;
+use std::path::Path;
 
 /// The single RTX 3090 node serving Llama-7B that the cluster, chaos,
 /// swap and toppings benches share.
@@ -61,6 +64,43 @@ fn cluster_router(
         ))),
         other => panic!("unknown policy {other}"),
     }
+}
+
+/// Appends `tracks` to `sink`, when tracing, as `<prefix>/<name>` lanes.
+fn push_lanes(
+    sink: Option<&mut Vec<TraceTrack>>,
+    prefix: &str,
+    tracks: impl IntoIterator<Item = TraceTrack>,
+) {
+    if let Some(sink) = sink {
+        for mut track in tracks {
+            track.name = format!("{prefix}/{}", track.name);
+            sink.push(track);
+        }
+    }
+}
+
+/// Runs `run` once per mode, in order. When `trace` is given every mode
+/// runs traced and its engine log lands there as a `<bench>/<mode>` lane.
+fn run_modes<T>(
+    bench: &str,
+    modes: &[&'static str],
+    mut trace: Option<&mut Vec<TraceTrack>>,
+    run: impl Fn(&str, Option<TraceConfig>) -> (T, Option<TraceLog>),
+) -> Vec<(&'static str, T)> {
+    let cfg = trace.as_ref().map(|_| TraceConfig::default());
+    modes
+        .iter()
+        .map(|&mode| {
+            let (out, log) = run(mode, cfg);
+            let lane = log.map(|log| TraceTrack {
+                name: mode.into(),
+                log,
+            });
+            push_lanes(trace.as_deref_mut(), bench, lane);
+            (mode, out)
+        })
+        .collect()
 }
 
 /// A rendered experiment artifact.
@@ -125,6 +165,285 @@ pub fn json_provenance(experiment: &str, config: &[(&str, String)]) -> String {
     s
 }
 
+/// How one side of a [`Table`] column renders its value.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fmt {
+    /// Integers and text as they are; numbers with `{}`.
+    Plain,
+    /// `{:.N}`.
+    Fix(usize),
+    /// The value × 100 with `N` decimals and a `%` suffix.
+    Pct(usize),
+    /// `{:.N}` with an `x` suffix.
+    Times(usize),
+    /// `{:+.N}`.
+    Signed(usize),
+}
+
+/// One report value before formatting.
+#[derive(Debug, Clone)]
+pub(crate) enum Val {
+    Int(u64),
+    Num(f64),
+    Text(String),
+    /// Absent: `never` in markdown, `null` in JSON.
+    Missing,
+    /// A nested JSON value, such as a `p99_attribution` breakdown.
+    Json(Value),
+}
+
+impl From<usize> for Val {
+    fn from(v: usize) -> Self {
+        Val::Int(v as u64)
+    }
+}
+
+impl From<u64> for Val {
+    fn from(v: u64) -> Self {
+        Val::Int(v)
+    }
+}
+
+impl From<f64> for Val {
+    fn from(v: f64) -> Self {
+        Val::Num(v)
+    }
+}
+
+impl From<&str> for Val {
+    fn from(v: &str) -> Self {
+        Val::Text(v.to_string())
+    }
+}
+
+impl From<String> for Val {
+    fn from(v: String) -> Self {
+        Val::Text(v)
+    }
+}
+
+impl From<Option<f64>> for Val {
+    fn from(v: Option<f64>) -> Self {
+        v.map_or(Val::Missing, Val::Num)
+    }
+}
+
+impl From<Value> for Val {
+    fn from(v: Value) -> Self {
+        Val::Json(v)
+    }
+}
+
+impl Val {
+    fn markdown(&self, fmt: Fmt) -> String {
+        match (self, fmt) {
+            (Val::Int(i), _) => i.to_string(),
+            (Val::Num(x), Fmt::Plain) => x.to_string(),
+            (Val::Num(x), Fmt::Fix(p)) => format!("{x:.p$}"),
+            (Val::Num(x), Fmt::Pct(p)) => format!("{:.p$}%", x * 100.0),
+            (Val::Num(x), Fmt::Times(p)) => format!("{x:.p$}x"),
+            (Val::Num(x), Fmt::Signed(p)) => format!("{x:+.p$}"),
+            (Val::Text(t), _) => t.clone(),
+            (Val::Missing, _) => "never".into(),
+            (Val::Json(v), _) => v.to_json(),
+        }
+    }
+
+    fn json(&self, fmt: Fmt) -> String {
+        match self {
+            Val::Num(x) if !x.is_finite() => "null".into(),
+            Val::Text(t) => quote(t),
+            Val::Missing => "null".into(),
+            _ => self.markdown(fmt),
+        }
+    }
+}
+
+/// `text` as a JSON string literal, escaped.
+fn quote(text: &str) -> String {
+    Value::Str(text.to_string()).to_json()
+}
+
+/// One column of a [`Table`]: a markdown header and/or a JSON key, each
+/// with its format, and the cell value of a row.
+struct Column<'a, R> {
+    md: Option<(&'a str, Fmt)>,
+    json: Option<(&'a str, Fmt)>,
+    cell: Box<dyn Fn(&R) -> Val + 'a>,
+}
+
+/// A report table declared once per column; the same rows render both the
+/// markdown table and the `BENCH_*.json` row objects.
+pub(crate) struct Table<'a, R> {
+    rows: &'a [R],
+    columns: Vec<Column<'a, R>>,
+}
+
+impl<'a, R> Table<'a, R> {
+    pub(crate) fn new(rows: &'a [R]) -> Self {
+        Table {
+            rows,
+            columns: Vec::new(),
+        }
+    }
+
+    /// A column in both renderings.
+    pub(crate) fn col<V: Into<Val>>(
+        self,
+        header: &'a str,
+        md: Fmt,
+        key: &'a str,
+        json: Fmt,
+        cell: impl Fn(&R) -> V + 'a,
+    ) -> Self {
+        self.push(Some((header, md)), Some((key, json)), cell)
+    }
+
+    /// A markdown-only column.
+    pub(crate) fn md<V: Into<Val>>(
+        self,
+        header: &'a str,
+        fmt: Fmt,
+        cell: impl Fn(&R) -> V + 'a,
+    ) -> Self {
+        self.push(Some((header, fmt)), None, cell)
+    }
+
+    /// A JSON-only column.
+    pub(crate) fn json<V: Into<Val>>(
+        self,
+        key: &'a str,
+        fmt: Fmt,
+        cell: impl Fn(&R) -> V + 'a,
+    ) -> Self {
+        self.push(None, Some((key, fmt)), cell)
+    }
+
+    fn push<V: Into<Val>>(
+        mut self,
+        md: Option<(&'a str, Fmt)>,
+        json: Option<(&'a str, Fmt)>,
+        cell: impl Fn(&R) -> V + 'a,
+    ) -> Self {
+        self.columns.push(Column {
+            md,
+            json,
+            cell: Box::new(move |r| cell(r).into()),
+        });
+        self
+    }
+
+    /// The markdown table of the markdown columns.
+    pub(crate) fn markdown(&self) -> String {
+        let cols: Vec<_> = self
+            .columns
+            .iter()
+            .filter_map(|c| c.md.map(|md| (md, &c.cell)))
+            .collect();
+        let header: Vec<&str> = cols.iter().map(|((h, _), _)| *h).collect();
+        let rows: Vec<Vec<String>> = self
+            .rows
+            .iter()
+            .map(|r| {
+                cols.iter()
+                    .map(|((_, f), cell)| cell(r).markdown(*f))
+                    .collect()
+            })
+            .collect();
+        md_table(&header, &rows)
+    }
+
+    /// One JSON object per row, over the JSON columns.
+    fn json_rows(&self) -> Vec<String> {
+        self.rows
+            .iter()
+            .map(|r| {
+                let fields: Vec<String> = self
+                    .columns
+                    .iter()
+                    .filter_map(|c| {
+                        let (key, f) = c.json?;
+                        Some(format!("{}: {}", quote(key), (c.cell)(r).json(f)))
+                    })
+                    .collect();
+                format!("{{{}}}", fields.join(", "))
+            })
+            .collect()
+    }
+}
+
+/// A nested JSON array or object: `items` one per line between `open`
+/// and `close`.
+fn block(open: char, items: &[String], close: char) -> String {
+    format!("{open}\n    {}\n  {close}", items.join(",\n    "))
+}
+
+/// The one writer of `BENCH_<name>.json` artifacts: the
+/// [`json_provenance`] preamble, then top-level fields in the order they
+/// are added.
+pub(crate) struct BenchJson {
+    name: &'static str,
+    provenance: String,
+    fields: Vec<String>,
+}
+
+impl BenchJson {
+    /// The artifact of experiment `bench-<name>`, run with `config`
+    /// (values already rendered as JSON).
+    pub(crate) fn new(name: &'static str, config: &[(&str, String)]) -> Self {
+        BenchJson {
+            name,
+            provenance: json_provenance(&format!("bench-{name}"), config),
+            fields: Vec::new(),
+        }
+    }
+
+    fn field(mut self, key: &str, value: String) -> Self {
+        self.fields.push(format!("  {}: {value}", quote(key)));
+        self
+    }
+
+    /// A top-level scalar.
+    pub(crate) fn scalar(self, key: &str, fmt: Fmt, value: impl Into<Val>) -> Self {
+        let value = value.into().json(fmt);
+        self.field(key, value)
+    }
+
+    /// An array with one object per table row.
+    pub(crate) fn rows<R>(self, key: &str, table: &Table<R>) -> Self {
+        self.field(key, block('[', &table.json_rows(), ']'))
+    }
+
+    /// The object of a one-row table, on one line.
+    pub(crate) fn row<R>(self, key: &str, table: &Table<R>) -> Self {
+        self.field(key, table.json_rows().concat())
+    }
+
+    /// An object with one `"name": value` line per entry.
+    pub(crate) fn object(self, key: &str, fmt: Fmt, entries: &[(&str, f64)]) -> Self {
+        let lines: Vec<String> = entries
+            .iter()
+            .map(|(name, v)| format!("{}: {}", quote(name), Val::Num(*v).json(fmt)))
+            .collect();
+        self.field(key, block('{', &lines, '}'))
+    }
+
+    /// The document text.
+    fn render(&self) -> String {
+        format!("{{\n{}{}\n}}\n", self.provenance, self.fields.join(",\n"))
+    }
+
+    /// Writes `BENCH_<name>.json` into `dir` (created if missing) and
+    /// returns its path.
+    pub(crate) fn write(&self, dir: &Path) -> io::Result<String> {
+        let path = dir.join(format!("BENCH_{}.json", self.name));
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, self.render()))
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+        Ok(path.display().to_string())
+    }
+}
+
 /// Formats a markdown table from a header and rows.
 pub fn md_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
@@ -141,7 +460,9 @@ pub fn md_table(header: &[&str], rows: &[Vec<String>]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use super::Fmt::{Fix, Pct, Plain};
     use super::*;
+    use serde::value::Number;
 
     #[test]
     fn md_table_renders() {
@@ -159,18 +480,105 @@ mod tests {
     }
 
     #[test]
-    fn provenance_is_valid_json_when_spliced() {
-        let pre = json_provenance(
-            "bench-x",
-            &[("duration_s", "60".into()), ("mode", "\"fast\"".into())],
-        );
-        let doc = format!("{{\n{pre}  \"rows\": []\n}}\n");
-        let v = serde::value::Value::parse_json(&doc).expect("splices into valid JSON");
+    fn table_renders_markdown_and_json_rows() {
+        let rows = [("p2c", 0.25, 3usize), ("round-robin", 0.5, 4)];
+        let table = Table::new(&rows)
+            .col("router", Plain, "router", Plain, |(name, ..)| *name)
+            .col("warm", Pct(0), "warm_frac", Fix(3), |(_, f, _)| *f)
+            .md("cells", Plain, |(name, _, n)| format!("{name} x{n}"))
+            .json("n", Plain, |(.., n)| *n)
+            .json("nested", Plain, |(_, f, _)| {
+                Value::Object(vec![("f".into(), Value::Num(Number::Float(*f)))])
+            });
         assert_eq!(
-            v.get("schema_version").and_then(|x| x.as_f64()),
+            table.markdown(),
+            "| router | warm | cells |\n|---|---|---|\n\
+             | p2c | 25% | p2c x3 |\n| round-robin | 50% | round-robin x4 |\n"
+        );
+        assert_eq!(
+            table.json_rows(),
+            [
+                r#"{"router": "p2c", "warm_frac": 0.250, "n": 3, "nested": {"f":0.25}}"#,
+                r#"{"router": "round-robin", "warm_frac": 0.500, "n": 4, "nested": {"f":0.5}}"#,
+            ]
+        );
+    }
+
+    #[test]
+    fn strings_are_escaped_and_non_finite_numbers_are_null() {
+        let rows = [
+            ("a \"b\" \\ c", f64::NAN, None),
+            ("d", f64::INFINITY, Some(2.0)),
+        ];
+        let table = Table::new(&rows)
+            .col("name", Plain, "name", Plain, |(name, ..)| *name)
+            .col("x", Fix(1), "x", Fix(1), |(_, x, _)| *x)
+            .col("recovery", Fix(0), "recovery_s", Fix(3), |(.., r)| *r);
+        assert_eq!(
+            table.json_rows(),
+            [
+                r#"{"name": "a \"b\" \\ c", "x": null, "recovery_s": null}"#,
+                r#"{"name": "d", "x": null, "recovery_s": 2.000}"#,
+            ]
+        );
+        assert!(table
+            .markdown()
+            .ends_with("| a \"b\" \\ c | NaN | never |\n| d | inf | 2 |\n"));
+    }
+
+    #[test]
+    fn provenance_is_valid_json_when_spliced() {
+        let rows = [1usize, 2];
+        let table = Table::new(&rows).json("i", Plain, |i| *i);
+        let doc = BenchJson::new(
+            "x",
+            &[("duration_s", "60".into()), ("mode", "\"fast\"".into())],
+        )
+        .scalar("label", Plain, "a \"b\"")
+        .scalar("gbps", Fix(4), None::<f64>)
+        .rows("rows", &table)
+        .row("first", &Table::new(&rows[..1]).json("i", Plain, |i| *i))
+        .object("metrics", Fix(4), &[("m", 1.0), ("nan", f64::NAN)])
+        .render();
+        assert_eq!(
+            doc,
+            r#"{
+  "schema_version": 1,
+  "experiment": "bench-x",
+  "config": {"duration_s": 60, "mode": "fast"},
+  "label": "a \"b\"",
+  "gbps": null,
+  "rows": [
+    {"i": 1},
+    {"i": 2}
+  ],
+  "first": {"i": 1},
+  "metrics": {
+    "m": 1.0000,
+    "nan": null
+  }
+}
+"#
+        );
+        let v = Value::parse_json(&doc).expect("a valid JSON document");
+        assert_eq!(
+            v.get("schema_version").and_then(Value::as_f64),
             Some(BENCH_SCHEMA_VERSION as f64)
         );
-        assert!(v.get("config").is_some());
+        assert_eq!(v.get("experiment"), Some(&Value::Str("bench-x".into())));
+        assert!(v.get("config").and_then(|c| c.get("mode")).is_some());
+    }
+
+    #[test]
+    fn a_failed_write_is_an_error_naming_the_path() {
+        let dir = std::env::temp_dir().join(format!("dz-bench-json-{}", std::process::id()));
+        std::fs::create_dir_all(dir.join("BENCH_x.json")).expect("temp dir");
+        let written = BenchJson::new("x", &[])
+            .scalar("k", Plain, 1usize)
+            .write(&dir);
+        std::fs::remove_dir_all(&dir).expect("temp dir removed");
+        let err = written.expect_err("a directory sits at the artifact path");
+        assert!(err.to_string().contains("BENCH_x.json"), "{err}");
     }
 
     #[test]

@@ -38,13 +38,15 @@ use super::cluster::run_cluster_traced;
 use super::codec::packed_delta_like;
 use super::swap::{run_swap, run_swap_traced, warm_ttft_p99};
 use super::toppings::{goodput, run_toppings_traced};
-use super::{json_provenance, md_table, Report, BENCH_SCHEMA_VERSION};
+use super::Fmt::{Fix, Plain};
+use super::{push_lanes, BenchJson, Report, Table, BENCH_SCHEMA_VERSION};
 use dz_compress::codec::{BitDeltaCodec, DeltaCodec, DeltaComeCodec, SparseGptCodec};
 use dz_model::tasks::Corpus;
 use dz_model::transformer::{test_config, Params};
 use dz_serve::{TraceConfig, TraceTrack};
 use dz_tensor::{Matrix, Rng};
 use serde::value::Value;
+use std::io;
 use std::path::Path;
 use std::time::Instant;
 
@@ -80,17 +82,12 @@ fn synthetic_pair() -> (Params, Params) {
     (base, tuned)
 }
 
-/// Runs the smoke measurements.
-pub fn measure() -> SmokeMetrics {
-    measure_traced(None)
-}
-
-/// [`measure`] with optional event tracing: when `trace` is given, the
-/// cluster cell's lanes and the overlapped swap run's lane land there as
-/// `smoke/*`. Tracing never perturbs the measured numbers (the
-/// instrumentation is a no-op on the metrics path — pinned by a test in
-/// `dz-serve`).
-pub fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
+/// Runs the smoke measurements. When `trace` is given, the cluster
+/// cell's lanes and the overlapped swap and mixed toppings runs' lanes
+/// land there as `smoke/*`. Tracing never perturbs the measured numbers
+/// (the instrumentation is a no-op on the metrics path — pinned by a test
+/// in `dz-serve`).
+fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
     // 1. Decode throughput: 2 MiB packed-delta corpus, LUT single-thread,
     //    best of 3.
     let corpus = packed_delta_like(2 << 20, 7);
@@ -107,23 +104,17 @@ pub fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
     let trace_cfg = trace.as_ref().map(|_| TraceConfig::default());
     let (report, tracks) =
         run_cluster_traced("placement-aware", 2, 1.5, 0.6, 40.0, None, trace_cfg);
-    if let Some(sink) = trace.as_deref_mut() {
-        for mut track in tracks {
-            track.name = format!("smoke/{}", track.name);
-            sink.push(track);
-        }
-    }
+    push_lanes(trace.as_deref_mut(), "smoke", tracks);
     let cluster_p99 = report.merged.e2e_percentile(0.99);
 
     // 3. Swap pipeline: overlapped vs serialized on the fixed-seed churn
     //    trace (simulated time: deterministic).
     let (overlapped, swap_log) = run_swap_traced("overlapped", 40.0, trace_cfg);
-    if let (Some(sink), Some(log)) = (trace.as_deref_mut(), swap_log) {
-        sink.push(TraceTrack {
-            name: "smoke/swap-overlapped".into(),
-            log,
-        });
-    }
+    let lane = swap_log.map(|log| TraceTrack {
+        name: "swap-overlapped".into(),
+        log,
+    });
+    push_lanes(trace.as_deref_mut(), "smoke", lane);
     let serialized = run_swap("serialized", 40.0);
     let swap_overlap_frac = overlapped.swap.overlap_fraction();
     let swap_warm_ttft = warm_ttft_p99(&overlapped);
@@ -136,12 +127,11 @@ pub fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
     // 4. Toppings pool: the mixed-kind batch on the interleaved variant
     //    catalog (simulated time: deterministic).
     let (mixed, toppings_log) = run_toppings_traced("mixed", 40.0, trace_cfg);
-    if let (Some(sink), Some(log)) = (trace, toppings_log) {
-        sink.push(TraceTrack {
-            name: "smoke/toppings-mixed".into(),
-            log,
-        });
-    }
+    let lane = toppings_log.map(|log| TraceTrack {
+        name: "toppings-mixed".into(),
+        log,
+    });
+    push_lanes(trace, "smoke", lane);
     let toppings_goodput = goodput(&mixed);
     let toppings_ttft = mixed.ttft_percentile(0.99);
 
@@ -188,33 +178,17 @@ pub fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
 
 /// The `bench-smoke` experiment: measures, renders, and writes
 /// `BENCH_smoke.json`.
-pub fn bench_smoke(out_dir: &Path, trace: Option<&mut Vec<TraceTrack>>) -> (Report, SmokeMetrics) {
+pub fn bench_smoke(
+    out_dir: &Path,
+    trace: Option<&mut Vec<TraceTrack>>,
+) -> io::Result<(Report, SmokeMetrics)> {
     let metrics = measure_traced(trace);
-    let rows: Vec<Vec<String>> = metrics
-        .entries
-        .iter()
-        .map(|(n, v)| vec![n.to_string(), format!("{v:.3}")])
-        .collect();
-    let mut body = md_table(&["metric", "value"], &rows);
-    match write_json(&metrics, out_dir) {
-        Ok(path) => body.push_str(&format!("\njson: {path}\n")),
-        Err(e) => body.push_str(&format!("\njson write failed: {e}\n")),
-    }
-    (
-        Report {
-            id: "bench-smoke",
-            title: "CI perf smoke: decode throughput, cluster p99, codec ratios",
-            body,
-        },
-        metrics,
-    )
-}
-
-fn write_json(metrics: &SmokeMetrics, dir: &Path) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let mut json = String::from("{\n");
-    json.push_str(&json_provenance(
-        "bench-smoke",
+    let mut body = Table::new(&metrics.entries)
+        .md("metric", Plain, |(name, _)| *name)
+        .md("value", Fix(3), |(_, v)| *v)
+        .markdown();
+    let json = BenchJson::new(
+        "smoke",
         &[
             ("corpus_bytes", (2u64 << 20).to_string()),
             ("cluster", "\"placement-aware x2, zipf-1.5, 40s\"".into()),
@@ -238,22 +212,18 @@ fn write_json(metrics: &SmokeMetrics, dir: &Path) -> std::io::Result<String> {
                 "\"mixed pool, interleaved catalog, 40s\"".into(),
             ),
         ],
-    ));
-    json.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in metrics.entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{name}\": {value:.4}{}\n",
-            if i + 1 == metrics.entries.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    json.push_str("  }\n}\n");
-    let path = dir.join("BENCH_smoke.json");
-    std::fs::write(&path, json)?;
-    Ok(path.display().to_string())
+    )
+    .object("metrics", Fix(4), &metrics.entries)
+    .write(out_dir)?;
+    body.push_str(&format!("\njson: {json}\n"));
+    Ok((
+        Report {
+            id: "bench-smoke",
+            title: "CI perf smoke: decode throughput, cluster p99, codec ratios",
+            body,
+        },
+        metrics,
+    ))
 }
 
 /// The `schema_version` a baseline file declares, if any (`None` for

@@ -19,14 +19,16 @@
 //! the serialized baseline pollutes with other models' swap-in waits.
 //! Emits `BENCH_swap.json`; two smoke metrics feed the CI perf gate.
 
-use super::{json_provenance, md_table, rtx3090_7b, Report, Scale};
+use super::Fmt::{Fix, Pct, Plain};
+use super::{rtx3090_7b, run_modes, BenchJson, Report, Scale, Table};
 use dz_serve::swap::{PopularityPrefetch, QueueLookahead};
 use dz_serve::{
-    CauseBreakdown, DeltaZipConfig, DeltaZipEngine, Engine, Metrics, TraceConfig, TraceLog,
-    TraceTrack, CAUSE_NAMES,
+    DeltaZipConfig, DeltaZipEngine, Engine, Metrics, TraceConfig, TraceLog, TraceTrack, CAUSE_NAMES,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use serde::Serialize;
+use std::io;
+use std::path::Path;
 
 const N_MODELS: usize = 16;
 /// The hottest model: its delta is effectively always GPU-resident, so
@@ -98,153 +100,97 @@ pub fn warm_ttft_p99(m: &Metrics) -> f64 {
         .ttft_percentile(0.99)
 }
 
-struct Row {
-    mode: &'static str,
-    requests: usize,
-    warm_ttft_p99_s: f64,
-    ttft_p99_s: f64,
-    e2e_p99_s: f64,
-    mean_load_s: f64,
-    overlap_frac: f64,
-    stall_s: f64,
-    serialized_stall_s: f64,
-    prefetch_issued: usize,
-    prefetch_hit_rate: f64,
-    attribution: CauseBreakdown,
-}
-
-fn measure(
-    mode: &'static str,
-    duration_s: f64,
-    trace_cfg: Option<TraceConfig>,
-) -> (Row, Option<TraceLog>) {
-    let (m, log) = run_swap_traced(mode, duration_s, trace_cfg);
-    let mean_load = if m.is_empty() {
-        0.0
-    } else {
-        m.records.iter().map(|r| r.load_s).sum::<f64>() / m.len() as f64
-    };
-    let row = Row {
-        mode,
-        requests: m.len(),
-        warm_ttft_p99_s: warm_ttft_p99(&m),
-        ttft_p99_s: m.ttft_percentile(0.99),
-        e2e_p99_s: m.e2e_percentile(0.99),
-        mean_load_s: mean_load,
-        overlap_frac: m.swap.overlap_fraction(),
-        stall_s: m.swap.stall_s,
-        serialized_stall_s: m.swap.serialized_stall_s,
-        prefetch_issued: m.swap.prefetch_issued,
-        prefetch_hit_rate: m.swap.prefetch_hit_rate(),
-        attribution: m.attribution(0.99),
-    };
-    (row, log)
-}
-
 /// The `bench-swap` experiment. When `trace` is given, each mode's engine
 /// event log lands there as a `swap/<mode>` lane.
 pub fn bench_swap(
     scale: Scale,
-    out_dir: &std::path::Path,
-    mut trace: Option<&mut Vec<TraceTrack>>,
-) -> Report {
+    out_dir: &Path,
+    trace: Option<&mut Vec<TraceTrack>>,
+) -> io::Result<Report> {
     let duration_s = match scale {
         Scale::Full => 150.0,
         Scale::Quick => 60.0,
     };
-    let trace_cfg = trace.as_ref().map(|_| TraceConfig::default());
-    let rows: Vec<Row> = MODES
-        .iter()
-        .map(|m| {
-            let (row, log) = measure(m, duration_s, trace_cfg);
-            if let (Some(tracks), Some(log)) = (trace.as_deref_mut(), log) {
-                tracks.push(TraceTrack {
-                    name: format!("swap/{m}"),
-                    log,
-                });
-            }
-            row
+    let runs: Vec<_> = run_modes("swap", &MODES, trace, |mode, cfg| {
+        run_swap_traced(mode, duration_s, cfg)
+    })
+    .into_iter()
+    .map(|(mode, m)| (mode, m.attribution(0.99), m))
+    .collect();
+    let table = Table::new(&runs)
+        .col("mode", Plain, "mode", Plain, |(mode, _, _)| *mode)
+        .col("requests", Plain, "requests", Plain, |(_, _, m)| m.len())
+        .col(
+            "warm TTFT p99 (s)",
+            Fix(2),
+            "warm_ttft_p99_s",
+            Fix(4),
+            |(_, _, m)| warm_ttft_p99(m),
+        )
+        .col("TTFT p99 (s)", Fix(2), "ttft_p99_s", Fix(4), |(_, _, m)| {
+            m.ttft_percentile(0.99)
         })
-        .collect();
+        .col("E2E p99 (s)", Fix(2), "e2e_p99_s", Fix(4), |(_, _, m)| {
+            m.e2e_percentile(0.99)
+        })
+        .col(
+            "mean load (s)",
+            Fix(3),
+            "mean_load_s",
+            Fix(4),
+            |(_, _, m)| m.records.iter().map(|r| r.load_s).sum::<f64>() / m.len().max(1) as f64,
+        )
+        .col("overlap", Pct(0), "overlap_frac", Fix(4), |(_, _, m)| {
+            m.swap.overlap_fraction()
+        })
+        .col("stall (s)", Fix(1), "stall_s", Fix(4), |(_, _, m)| {
+            m.swap.stall_s
+        })
+        .col(
+            "serial charge (s)",
+            Fix(1),
+            "serialized_stall_s",
+            Fix(4),
+            |(_, _, m)| m.swap.serialized_stall_s,
+        )
+        .col(
+            "prefetches",
+            Plain,
+            "prefetch_issued",
+            Plain,
+            |(_, _, m)| m.swap.prefetch_issued,
+        )
+        .col(
+            "pf hit rate",
+            Pct(0),
+            "prefetch_hit_rate",
+            Fix(4),
+            |(_, _, m)| m.swap.prefetch_hit_rate(),
+        )
+        .json("p99_attribution", Plain, |(_, a, _)| a.to_value());
+    let mut attribution = Table::new(&runs)
+        .md("mode", Plain, |(mode, _, _)| *mode)
+        .md("tail n", Plain, |(_, a, _)| a.n_tail)
+        .md("threshold (s)", Fix(2), |(_, a, _)| a.tail_threshold_s);
+    for (i, cause) in CAUSE_NAMES.iter().enumerate() {
+        attribution = attribution.md(cause, Plain, move |(_, a, _)| {
+            let (mean, share) = (a.tail_mean.as_array()[i], a.tail_share()[i]);
+            format!("{mean:.2} ({:.0}%)", share * 100.0)
+        });
+    }
     let mut body = String::from(
         "Swap modes on the 3090/7B node (Zipf-1.2, 16 models, bounded host cache).\n\
          `warm TTFT p99` is the tail of the hottest model's requests — the\n\
          population the serialized whole-batch stall pollutes:\n\n",
     );
-    body.push_str(&md_table(
-        &[
-            "mode",
-            "requests",
-            "warm TTFT p99 (s)",
-            "TTFT p99 (s)",
-            "E2E p99 (s)",
-            "mean load (s)",
-            "overlap",
-            "stall (s)",
-            "serial charge (s)",
-            "prefetches",
-            "pf hit rate",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.mode.to_string(),
-                    r.requests.to_string(),
-                    format!("{:.2}", r.warm_ttft_p99_s),
-                    format!("{:.2}", r.ttft_p99_s),
-                    format!("{:.2}", r.e2e_p99_s),
-                    format!("{:.3}", r.mean_load_s),
-                    format!("{:.0}%", r.overlap_frac * 100.0),
-                    format!("{:.1}", r.stall_s),
-                    format!("{:.1}", r.serialized_stall_s),
-                    r.prefetch_issued.to_string(),
-                    format!("{:.0}%", r.prefetch_hit_rate * 100.0),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
+    body.push_str(&table.markdown());
     body.push_str(
         "\nWhere did the p99 go — mean attributed seconds over tail requests\n\
          (e2e at or beyond the p99 threshold), per cause:\n\n",
     );
-    let mut attr_header = vec!["mode", "tail n", "threshold (s)"];
-    attr_header.extend(CAUSE_NAMES);
-    body.push_str(&md_table(
-        &attr_header,
-        &rows
-            .iter()
-            .map(|r| {
-                let a = &r.attribution;
-                let mut row = vec![
-                    r.mode.to_string(),
-                    a.n_tail.to_string(),
-                    format!("{:.2}", a.tail_threshold_s),
-                ];
-                let shares = a.tail_share();
-                for (i, v) in a.tail_mean.as_array().iter().enumerate() {
-                    row.push(format!("{v:.2} ({:.0}%)", shares[i] * 100.0));
-                }
-                row
-            })
-            .collect::<Vec<_>>(),
-    ));
-    match write_json(&rows, duration_s, out_dir) {
-        Ok(path) => body.push_str(&format!("\njson: {path}\n")),
-        Err(e) => body.push_str(&format!("\njson write failed: {e}\n")),
-    }
-    Report {
-        id: "bench-swap",
-        title: "Overlapped swapping + prefetch vs the serialized-load baseline",
-        body,
-    }
-}
-
-fn write_json(rows: &[Row], duration_s: f64, dir: &std::path::Path) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let mut json = String::from("{\n");
-    json.push_str(&json_provenance(
-        "bench-swap",
+    body.push_str(&attribution.markdown());
+    let json = BenchJson::new(
+        "swap",
         &[
             ("n_models", N_MODELS.to_string()),
             ("arrival_rate", "1.2".into()),
@@ -252,34 +198,15 @@ fn write_json(rows: &[Row], duration_s: f64, dir: &std::path::Path) -> std::io::
             ("zipf_alpha", "1.2".into()),
             ("seed", "23057".into()),
         ],
-    ));
-    json.push_str("  \"modes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"requests\": {}, \"warm_ttft_p99_s\": {:.4}, \
-             \"ttft_p99_s\": {:.4}, \"e2e_p99_s\": {:.4}, \"mean_load_s\": {:.4}, \
-             \"overlap_frac\": {:.4}, \"stall_s\": {:.4}, \"serialized_stall_s\": {:.4}, \
-             \"prefetch_issued\": {}, \"prefetch_hit_rate\": {:.4}, \
-             \"p99_attribution\": {}}}{}\n",
-            r.mode,
-            r.requests,
-            r.warm_ttft_p99_s,
-            r.ttft_p99_s,
-            r.e2e_p99_s,
-            r.mean_load_s,
-            r.overlap_frac,
-            r.stall_s,
-            r.serialized_stall_s,
-            r.prefetch_issued,
-            r.prefetch_hit_rate,
-            r.attribution.to_value().to_json(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = dir.join("BENCH_swap.json");
-    std::fs::write(&path, json)?;
-    Ok(path.display().to_string())
+    )
+    .rows("modes", &table)
+    .write(out_dir)?;
+    body.push_str(&format!("\njson: {json}\n"));
+    Ok(Report {
+        id: "bench-swap",
+        title: "Overlapped swapping + prefetch vs the serialized-load baseline",
+        body,
+    })
 }
 
 #[cfg(test)]

@@ -18,12 +18,15 @@
 //! makespan) and TTFT p99. Emits `BENCH_toppings.json`; two smoke metrics
 //! feed the CI perf gate.
 
-use super::{json_provenance, md_table, rtx3090_7b, Report, Scale};
+use super::Fmt::{Fix, Plain};
+use super::{rtx3090_7b, run_modes, BenchJson, Report, Scale, Table};
 use dz_serve::{
     DeltaZipConfig, Engine, EngineBuilder, Metrics, TraceConfig, TraceLog, TraceTrack,
     VariantCatalog,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
+use std::io;
+use std::path::Path;
 
 const N_MODELS: usize = 24;
 const ADAPTER_RANK: usize = 16;
@@ -92,126 +95,71 @@ pub fn goodput(m: &Metrics) -> f64 {
     }
 }
 
-struct Row {
-    mode: &'static str,
-    requests: usize,
-    goodput_rps: f64,
-    ttft_p99_s: f64,
-    e2e_p99_s: f64,
-    batches: usize,
-    mixed_batches: usize,
-    max_toppings: usize,
-    sbmm_s: f64,
-    sgmv_s: f64,
-    base_gemm_s: f64,
-}
-
-fn measure(
-    mode: &'static str,
-    duration_s: f64,
-    trace_cfg: Option<TraceConfig>,
-) -> (Row, Option<TraceLog>) {
-    let (m, log) = run_toppings_traced(mode, duration_s, trace_cfg);
-    let row = Row {
-        mode,
-        requests: m.len(),
-        goodput_rps: goodput(&m),
-        ttft_p99_s: m.ttft_percentile(0.99),
-        e2e_p99_s: m.e2e_percentile(0.99),
-        batches: m.toppings.batches,
-        mixed_batches: m.toppings.mixed_batches,
-        max_toppings: m.toppings.max_toppings_in_batch,
-        sbmm_s: m.toppings.sbmm_s,
-        sgmv_s: m.toppings.sgmv_s,
-        base_gemm_s: m.toppings.base_gemm_s,
-    };
-    (row, log)
-}
-
 /// The `bench-toppings` experiment. When `trace` is given, each mode's
 /// engine event log lands there as a `toppings/<mode>` lane.
 pub fn bench_toppings(
     scale: Scale,
-    out_dir: &std::path::Path,
-    mut trace: Option<&mut Vec<TraceTrack>>,
-) -> Report {
+    out_dir: &Path,
+    trace: Option<&mut Vec<TraceTrack>>,
+) -> io::Result<Report> {
     let duration_s = match scale {
         Scale::Full => 150.0,
         Scale::Quick => 60.0,
     };
-    let trace_cfg = trace.as_ref().map(|_| TraceConfig::default());
-    let rows: Vec<Row> = MODES
-        .iter()
-        .map(|m| {
-            let (row, log) = measure(m, duration_s, trace_cfg);
-            if let (Some(tracks), Some(log)) = (trace.as_deref_mut(), log) {
-                tracks.push(TraceTrack {
-                    name: format!("toppings/{m}"),
-                    log,
-                });
-            }
-            row
+    let runs = run_modes("toppings", &MODES, trace, |mode, cfg| {
+        run_toppings_traced(mode, duration_s, cfg)
+    });
+    let table = Table::new(&runs)
+        .col("mode", Plain, "mode", Plain, |(mode, _)| *mode)
+        .col("requests", Plain, "requests", Plain, |(_, m)| m.len())
+        .col(
+            "goodput (req/s)",
+            Fix(3),
+            "goodput_rps",
+            Fix(4),
+            |(_, m)| goodput(m),
+        )
+        .col("TTFT p99 (s)", Fix(2), "ttft_p99_s", Fix(4), |(_, m)| {
+            m.ttft_percentile(0.99)
         })
-        .collect();
+        .col("E2E p99 (s)", Fix(2), "e2e_p99_s", Fix(4), |(_, m)| {
+            m.e2e_percentile(0.99)
+        })
+        .col("batches", Plain, "batches", Plain, |(_, m)| {
+            m.toppings.batches
+        })
+        .col("mixed", Plain, "mixed_batches", Plain, |(_, m)| {
+            m.toppings.mixed_batches
+        })
+        .col(
+            "max toppings",
+            Plain,
+            "max_toppings_in_batch",
+            Plain,
+            |(_, m)| m.toppings.max_toppings_in_batch,
+        )
+        .col("base GEMM (s)", Fix(1), "base_gemm_s", Fix(4), |(_, m)| {
+            m.toppings.base_gemm_s
+        })
+        .col("SBMM (s)", Fix(1), "sbmm_s", Fix(4), |(_, m)| {
+            m.toppings.sbmm_s
+        })
+        .col("SGMV (s)", Fix(1), "sgmv_s", Fix(4), |(_, m)| {
+            m.toppings.sgmv_s
+        });
     let mut body = format!(
         "Toppings pools on the 3090/7B node (Zipf-1.2, {N_MODELS} models, interleaved\n\
          base/LoRA/delta/stacked catalog, rank {ADAPTER_RANK}). Goodput counts requests\n\
          finishing under the {GOODPUT_SLO_E2E_S:.0} s E2E SLO per second of makespan:\n\n"
     );
-    body.push_str(&md_table(
-        &[
-            "mode",
-            "requests",
-            "goodput (req/s)",
-            "TTFT p99 (s)",
-            "E2E p99 (s)",
-            "batches",
-            "mixed",
-            "max toppings",
-            "base GEMM (s)",
-            "SBMM (s)",
-            "SGMV (s)",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.mode.to_string(),
-                    r.requests.to_string(),
-                    format!("{:.3}", r.goodput_rps),
-                    format!("{:.2}", r.ttft_p99_s),
-                    format!("{:.2}", r.e2e_p99_s),
-                    r.batches.to_string(),
-                    r.mixed_batches.to_string(),
-                    r.max_toppings.to_string(),
-                    format!("{:.1}", r.base_gemm_s),
-                    format!("{:.1}", r.sbmm_s),
-                    format!("{:.1}", r.sgmv_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    ));
+    body.push_str(&table.markdown());
     body.push_str(
         "\nThe mixed pool fills batch slots with resident adapters while\n\
          delta-backed toppings swap in; the segregated baseline leaves those\n\
          slots empty whenever the other pool holds the iteration.\n",
     );
-    match write_json(&rows, duration_s, out_dir) {
-        Ok(path) => body.push_str(&format!("\njson: {path}\n")),
-        Err(e) => body.push_str(&format!("\njson write failed: {e}\n")),
-    }
-    Report {
-        id: "bench-toppings",
-        title: "Mixed-kind toppings batches vs the segregated-pool baseline",
-        body,
-    }
-}
-
-fn write_json(rows: &[Row], duration_s: f64, dir: &std::path::Path) -> std::io::Result<String> {
-    std::fs::create_dir_all(dir)?;
-    let mut json = String::from("{\n");
-    json.push_str(&json_provenance(
-        "bench-toppings",
+    let json = BenchJson::new(
+        "toppings",
         &[
             ("n_models", N_MODELS.to_string()),
             ("adapter_rank", ADAPTER_RANK.to_string()),
@@ -222,32 +170,15 @@ fn write_json(rows: &[Row], duration_s: f64, dir: &std::path::Path) -> std::io::
             ("slo_e2e_s", format!("{GOODPUT_SLO_E2E_S:.1}")),
             ("seed", "28697".into()),
         ],
-    ));
-    json.push_str("  \"modes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"requests\": {}, \"goodput_rps\": {:.4}, \
-             \"ttft_p99_s\": {:.4}, \"e2e_p99_s\": {:.4}, \"batches\": {}, \
-             \"mixed_batches\": {}, \"max_toppings_in_batch\": {}, \
-             \"base_gemm_s\": {:.4}, \"sbmm_s\": {:.4}, \"sgmv_s\": {:.4}}}{}\n",
-            r.mode,
-            r.requests,
-            r.goodput_rps,
-            r.ttft_p99_s,
-            r.e2e_p99_s,
-            r.batches,
-            r.mixed_batches,
-            r.max_toppings,
-            r.base_gemm_s,
-            r.sbmm_s,
-            r.sgmv_s,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = dir.join("BENCH_toppings.json");
-    std::fs::write(&path, json)?;
-    Ok(path.display().to_string())
+    )
+    .rows("modes", &table)
+    .write(out_dir)?;
+    body.push_str(&format!("\njson: {json}\n"));
+    Ok(Report {
+        id: "bench-toppings",
+        title: "Mixed-kind toppings batches vs the segregated-pool baseline",
+        body,
+    })
 }
 
 #[cfg(test)]

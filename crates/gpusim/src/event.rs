@@ -107,13 +107,6 @@ impl<T> EventQueue<T> {
         self.seq += 1;
     }
 
-    /// Schedules `payload` after a relative delay.
-    // dz-lint: allow(dead-pub, "relative-delay scheduling with its own clock test")
-    pub fn push_after(&mut self, delay: SimTime, payload: T) {
-        let at = self.now + delay.max(0.0);
-        self.push(at, payload);
-    }
-
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
         self.pop_classed().map(|(t, _, p)| (t, p))
@@ -230,15 +223,5 @@ mod tests {
             .fold(f64::INFINITY, f64::min);
         assert_eq!(earliest, 2.0);
         assert_eq!(q.len(), 3);
-    }
-
-    #[test]
-    fn push_after_uses_current_time() {
-        let mut q = EventQueue::new();
-        q.push(2.0, "first");
-        let _ = q.pop();
-        q.push_after(3.0, "second");
-        let (t, _) = q.pop().unwrap();
-        assert!((t - 5.0).abs() < 1e-12);
     }
 }

@@ -99,19 +99,6 @@ pub fn greedy_generate(params: &Params, prompt: &[usize], max_new: usize) -> Vec
     out
 }
 
-/// Convenience: batch accuracy over a fixed evaluation set.
-// dz-lint: allow(dead-pub, "fixed-set accuracy with its own determinism test")
-pub fn accuracy_on(params: &Params, examples: &[(Vec<usize>, usize)]) -> f64 {
-    if examples.is_empty() {
-        return 0.0;
-    }
-    let correct = examples
-        .iter()
-        .filter(|(toks, alen)| example_correct(params, toks, *alen))
-        .count();
-    correct as f64 / examples.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,20 +167,5 @@ mod tests {
         let _ = ok;
         let acc = task_accuracy(&p, &crate::tasks::MathTask, 50, &mut Rng::seeded(8));
         assert!(acc < 0.3);
-    }
-
-    #[test]
-    fn accuracy_on_fixed_set_is_deterministic() {
-        let cfg = test_config();
-        let mut rng = Rng::seeded(9);
-        let p = Params::init(cfg, &mut rng);
-        let mut rng2 = Rng::seeded(10);
-        let set: Vec<(Vec<usize>, usize)> = (0..20)
-            .map(|_| {
-                let e = SentimentTask.sample(&mut rng2);
-                (e.tokens, e.answer_len)
-            })
-            .collect();
-        assert_eq!(accuracy_on(&p, &set), accuracy_on(&p, &set));
     }
 }

@@ -310,12 +310,6 @@ pub fn all_tasks() -> Vec<Box<dyn Task>> {
     ]
 }
 
-/// Looks a task up by name.
-// dz-lint: allow(dead-pub, "name lookup over the task suite with its own unit test")
-pub fn task_by_name(name: &str) -> Option<Box<dyn Task>> {
-    all_tasks().into_iter().find(|t| t.name() == name)
-}
-
 /// The pre-training corpus sampler.
 ///
 /// A mixture of (a) Markov-ish word sentences, (b) digit strings, and
@@ -498,12 +492,6 @@ mod tests {
             assert!(s.len() >= 2);
             assert!(s.iter().all(|&t| t < vocab::MIN_VOCAB));
         }
-    }
-
-    #[test]
-    fn task_lookup_by_name() {
-        assert!(task_by_name("math").is_some());
-        assert!(task_by_name("nope").is_none());
     }
 
     impl dyn Task {

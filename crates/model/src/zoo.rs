@@ -129,13 +129,6 @@ pub fn preset(name: &str) -> Option<ModelPreset> {
     presets().into_iter().find(|p| p.name == name)
 }
 
-/// Fraction of parameters in embedding tables (not compressed by ΔCompress).
-// dz-lint: allow(dead-pub, "embedding share of a preset, pinned by the zoo unit test")
-pub fn embedding_fraction(config: &ModelConfig) -> f64 {
-    let emb = (config.vocab + config.max_seq + config.vocab) * config.d_model;
-    emb as f64 / config.param_count() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,18 +151,6 @@ mod tests {
         let m = preset("llama-tiny-m").unwrap().config.param_count();
         let l = preset("llama-tiny-l").unwrap().config.param_count();
         assert!(s < m && m < l, "{s} {m} {l}");
-    }
-
-    #[test]
-    fn gemma_is_embedding_heavy() {
-        let llama = preset("llama-tiny-s").unwrap();
-        let gemma = preset("gemma-tiny-s").unwrap();
-        assert!(
-            embedding_fraction(&gemma.config) > 1.5 * embedding_fraction(&llama.config),
-            "gemma {} vs llama {}",
-            embedding_fraction(&gemma.config),
-            embedding_fraction(&llama.config)
-        );
     }
 
     #[test]

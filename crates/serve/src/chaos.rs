@@ -27,11 +27,10 @@
 //! pending. Each event loop adds only its own side effects.
 //!
 //! Everything is driven by **one recorded seed** ([`ChaosConfig::seed`])
-//! so a chaos run is exactly reproducible: the random fault schedule,
-//! the rollout coin flips, and nothing else consume randomness.
+//! so a chaos run is exactly reproducible: the rollout coin flips, and
+//! nothing else, consume randomness.
 
 pub use crate::swap::Brownout;
-use dz_tensor::Rng;
 
 // ---------------------------------------------------------------------------
 // Faults.
@@ -72,41 +71,8 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Parameters for [`FaultPlan::random`]: how much chaos a seeded random
-/// schedule injects.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RandomFaultConfig {
-    /// Expected number of crashes over the run (Poisson-ish: crash times
-    /// are uniform over the duration).
-    pub crashes: usize,
-    /// Seconds a crashed replica stays down before its cold restart.
-    pub restart_after_s: f64,
-    /// Expected number of brownout windows over the run.
-    pub brownouts: usize,
-    /// Length of each brownout window (s).
-    pub brownout_len_s: f64,
-    /// Disk/PCIe rate factor during a brownout (e.g. `0.25` = quarter
-    /// bandwidth); applied to both channels.
-    pub brownout_rate: f64,
-}
-
-impl Default for RandomFaultConfig {
-    fn default() -> Self {
-        RandomFaultConfig {
-            crashes: 1,
-            restart_after_s: 30.0,
-            brownouts: 1,
-            brownout_len_s: 20.0,
-            brownout_rate: 0.25,
-        }
-    }
-}
-
-/// A deterministic fault schedule: events sorted by fire time.
-///
-/// Build one with [`scripted`](FaultPlan::scripted) (exact times, for
-/// tests and benches) or [`random`](FaultPlan::random) (seeded — the
-/// same seed always yields the same schedule).
+/// A deterministic fault schedule: events sorted by fire time, built
+/// with [`scripted`](FaultPlan::scripted).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
@@ -122,46 +88,6 @@ impl FaultPlan {
     pub fn scripted(mut events: Vec<FaultEvent>) -> Self {
         events.sort_by(|a, b| a.at.total_cmp(&b.at));
         FaultPlan { events }
-    }
-
-    /// A seeded random schedule over `[0, duration_s)` against
-    /// `n_replicas` replicas. Deterministic: the same `(seed, duration,
-    /// n_replicas, cfg)` always produces the same plan.
-    // dz-lint: allow(dead-pub, "seeded random fault schedules; the chaos unit tests pin their determinism")
-    pub fn random(seed: u64, duration_s: f64, n_replicas: usize, cfg: RandomFaultConfig) -> Self {
-        let mut rng = Rng::seeded(seed ^ 0xC4A0_5EED);
-        let mut events = Vec::new();
-        if n_replicas == 0 || duration_s <= 0.0 {
-            return FaultPlan::none();
-        }
-        for _ in 0..cfg.crashes {
-            let at = rng.uniform_f64() * duration_s;
-            let replica = (rng.uniform_f64() * n_replicas as f64) as usize % n_replicas;
-            events.push(FaultEvent {
-                at,
-                kind: FaultKind::Crash {
-                    replica,
-                    restart_after_s: Some(cfg.restart_after_s),
-                },
-            });
-        }
-        for _ in 0..cfg.brownouts {
-            let at = rng.uniform_f64() * duration_s;
-            let replica = (rng.uniform_f64() * n_replicas as f64) as usize % n_replicas;
-            events.push(FaultEvent {
-                at,
-                kind: FaultKind::Degrade {
-                    replica,
-                    brownout: Brownout {
-                        start_s: at,
-                        end_s: at + cfg.brownout_len_s,
-                        disk_rate: cfg.brownout_rate,
-                        pcie_rate: cfg.brownout_rate,
-                    },
-                },
-            });
-        }
-        FaultPlan::scripted(events)
     }
 
     /// The schedule, sorted by fire time.
@@ -537,38 +463,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn random_plan_is_deterministic_and_sorted() {
-        let cfg = RandomFaultConfig {
-            crashes: 3,
-            brownouts: 2,
-            ..RandomFaultConfig::default()
+    fn scripted_plan_sorts_its_events() {
+        let crash = |at: f64, replica: usize| FaultEvent {
+            at,
+            kind: FaultKind::Crash {
+                replica,
+                restart_after_s: None,
+            },
         };
-        let a = FaultPlan::random(7, 100.0, 4, cfg);
-        let b = FaultPlan::random(7, 100.0, 4, cfg);
-        assert_eq!(a, b, "same seed must give the same plan");
-        assert_eq!(a.events().len(), 5);
-        for w in a.events().windows(2) {
-            assert!(w[0].at <= w[1].at, "events must be sorted");
-        }
-        for ev in a.events() {
-            assert!((0.0..100.0).contains(&ev.at));
-            match ev.kind {
-                FaultKind::Crash { replica, .. } => assert!(replica < 4),
-                FaultKind::Degrade { replica, brownout } => {
-                    assert!(replica < 4);
-                    assert!(brownout.end_s > brownout.start_s);
-                }
-            }
-        }
-        let c = FaultPlan::random(8, 100.0, 4, cfg);
-        assert_ne!(a, c, "different seeds must differ");
-    }
-
-    #[test]
-    fn degenerate_random_plans_are_empty() {
-        let cfg = RandomFaultConfig::default();
-        assert!(FaultPlan::random(1, 0.0, 4, cfg).is_empty());
-        assert!(FaultPlan::random(1, 100.0, 0, cfg).is_empty());
+        let plan = FaultPlan::scripted(vec![crash(30.0, 0), crash(5.0, 1), crash(12.5, 2)]);
+        let times: Vec<f64> = plan.events().iter().map(|e| e.at).collect();
+        assert_eq!(times, [5.0, 12.5, 30.0], "events must be sorted");
+        assert!(FaultPlan::scripted(Vec::new()).is_empty());
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! What it keeps from the paper's serving story:
 //!
-//! * **Multi-tier topology** ([`FleetTopology`]): replicas live in
-//!   region → rack → node positions with distinct inter-tier bandwidths. A
+//! * **Multi-tier topology**: replicas live in fixed region → rack → node
+//!   positions with distinct inter-tier bandwidths (private constants). A
 //!   delta miss fetches from the *nearest* holder — local disk beats a
 //!   rack peer beats a region peer beats cross-region — and falls back to
 //!   the shared **object store** below every disk ([`FetchTier`]). Pulled
@@ -67,88 +67,66 @@ pub enum FetchTier {
     ObjectStore,
 }
 
-/// Region → rack → node fleet topology with per-tier bandwidths.
-///
-/// Replica ids are positional: rack `id / nodes_per_rack`, region
-/// `rack / racks_per_region`. Bandwidths are GB/s; latencies are per-fetch
-/// setup floors (RTT, request dispatch).
-#[derive(Debug, Clone, Copy)]
-pub struct FleetTopology {
-    /// Nodes (replicas) per rack.
-    pub nodes_per_rack: usize,
-    /// Racks per region.
-    pub racks_per_region: usize,
-    /// Local NVMe read bandwidth (GB/s).
-    pub local_disk_gbps: f64,
-    /// Bandwidth between nodes in one rack (GB/s).
-    pub intra_rack_gbps: f64,
-    /// Bandwidth between racks in one region (GB/s).
-    pub inter_rack_gbps: f64,
-    /// Bandwidth between regions (GB/s).
-    pub inter_region_gbps: f64,
-    /// Shared object-store streaming bandwidth (GB/s).
-    pub object_store_gbps: f64,
-    /// Per-fetch latency floor for any peer pull (s).
-    pub peer_latency_s: f64,
-    /// Per-fetch latency floor for an object-store pull (s).
-    pub object_store_latency_s: f64,
+// The fleet's region → rack → node topology: a mid-size deployment with
+// 16-node racks, 8 racks per region, NVMe local disk, 40 GbE effective
+// in-rack, an oversubscribed regional fabric, and an S3-like object store
+// (80 ms first-byte, shared single-stream throughput). Replica ids are
+// positional: rack `id / NODES_PER_RACK`, region `rack / RACKS_PER_REGION`.
+// Bandwidths (GB/s) descend down the ladder so each `FetchTier` is
+// strictly costlier for delta-sized payloads; latencies are per-fetch
+// setup floors (RTT, request dispatch).
+
+/// Nodes (replicas) per rack.
+const NODES_PER_RACK: usize = 16;
+/// Racks per region.
+const RACKS_PER_REGION: usize = 8;
+/// Local NVMe read bandwidth (GB/s).
+const LOCAL_DISK_GBPS: f64 = 7.0;
+/// Bandwidth between nodes in one rack (GB/s).
+const INTRA_RACK_GBPS: f64 = 5.0;
+/// Bandwidth between racks in one region (GB/s).
+const INTER_RACK_GBPS: f64 = 2.5;
+/// Bandwidth between regions (GB/s).
+const INTER_REGION_GBPS: f64 = 1.25;
+/// Shared object-store streaming bandwidth (GB/s).
+const OBJECT_STORE_GBPS: f64 = 0.8;
+/// Per-fetch latency floor for any peer pull (s).
+const PEER_LATENCY_S: f64 = 0.002;
+/// Per-fetch latency floor for an object-store pull (s).
+const OBJECT_STORE_LATENCY_S: f64 = 0.08;
+
+/// `(region, rack)` of a replica id.
+fn location(replica: usize) -> (usize, usize) {
+    let rack = replica / NODES_PER_RACK;
+    (rack / RACKS_PER_REGION, rack)
 }
 
-impl Default for FleetTopology {
-    /// A mid-size deployment: 16-node racks, 8 racks per region, NVMe
-    /// local disk, 40 GbE effective in-rack, oversubscribed regional
-    /// fabric, and an S3-like object store (80 ms first-byte, shared
-    /// single-stream throughput). Bandwidths descend down the ladder so
-    /// each [`FetchTier`] is strictly costlier for delta-sized payloads.
-    fn default() -> Self {
-        FleetTopology {
-            nodes_per_rack: 16,
-            racks_per_region: 8,
-            local_disk_gbps: 7.0,
-            intra_rack_gbps: 5.0,
-            inter_rack_gbps: 2.5,
-            inter_region_gbps: 1.25,
-            object_store_gbps: 0.8,
-            peer_latency_s: 0.002,
-            object_store_latency_s: 0.08,
-        }
+/// The cheapest tier at which `from` can pull from `holder`.
+fn tier_between(from: usize, holder: usize) -> FetchTier {
+    if from == holder {
+        return FetchTier::LocalDisk;
+    }
+    let (fr, frack) = location(from);
+    let (hr, hrack) = location(holder);
+    if frack == hrack {
+        FetchTier::PeerRack
+    } else if fr == hr {
+        FetchTier::PeerRegion
+    } else {
+        FetchTier::CrossRegion
     }
 }
 
-impl FleetTopology {
-    /// `(region, rack)` of a replica id.
-    pub fn location(&self, replica: usize) -> (usize, usize) {
-        let rack = replica / self.nodes_per_rack;
-        (rack / self.racks_per_region, rack)
-    }
-
-    /// The cheapest tier at which `from` can pull from `holder`.
-    pub fn tier_between(&self, from: usize, holder: usize) -> FetchTier {
-        if from == holder {
-            return FetchTier::LocalDisk;
-        }
-        let (fr, frack) = self.location(from);
-        let (hr, hrack) = self.location(holder);
-        if frack == hrack {
-            FetchTier::PeerRack
-        } else if fr == hr {
-            FetchTier::PeerRegion
-        } else {
-            FetchTier::CrossRegion
-        }
-    }
-
-    /// Seconds to move `bytes` over `tier` (latency floor + streaming).
-    pub fn fetch_time_s(&self, tier: FetchTier, bytes: u64) -> f64 {
-        let (gbps, latency) = match tier {
-            FetchTier::LocalDisk => (self.local_disk_gbps, 0.0),
-            FetchTier::PeerRack => (self.intra_rack_gbps, self.peer_latency_s),
-            FetchTier::PeerRegion => (self.inter_rack_gbps, self.peer_latency_s),
-            FetchTier::CrossRegion => (self.inter_region_gbps, self.peer_latency_s),
-            FetchTier::ObjectStore => (self.object_store_gbps, self.object_store_latency_s),
-        };
-        latency + bytes as f64 / (gbps * 1e9)
-    }
+/// Seconds to move `bytes` over `tier` (latency floor + streaming).
+fn fetch_time_s(tier: FetchTier, bytes: u64) -> f64 {
+    let (gbps, latency) = match tier {
+        FetchTier::LocalDisk => (LOCAL_DISK_GBPS, 0.0),
+        FetchTier::PeerRack => (INTRA_RACK_GBPS, PEER_LATENCY_S),
+        FetchTier::PeerRegion => (INTER_RACK_GBPS, PEER_LATENCY_S),
+        FetchTier::CrossRegion => (INTER_REGION_GBPS, PEER_LATENCY_S),
+        FetchTier::ObjectStore => (OBJECT_STORE_GBPS, OBJECT_STORE_LATENCY_S),
+    };
+    latency + bytes as f64 / (gbps * 1e9)
 }
 
 // ---------------------------------------------------------------------------
@@ -167,8 +145,6 @@ const STARTUP_S: f64 = 0.02;
 pub struct FleetConfig {
     /// Fleet size (replica ids `0..n_replicas`).
     pub n_replicas: usize,
-    /// Physical topology and per-tier bandwidths.
-    pub topology: FleetTopology,
     /// Deltas each replica keeps warm (host cache) before LRU eviction.
     pub warm_capacity: usize,
     /// Injected crashes, applied on the event clock. A crashed replica
@@ -191,7 +167,6 @@ impl FleetConfig {
     pub fn new(n_replicas: usize) -> Self {
         FleetConfig {
             n_replicas,
-            topology: FleetTopology::default(),
             warm_capacity: 12,
             faults: FaultPlan::none(),
             autoscale: None,
@@ -377,31 +352,13 @@ impl FleetSim {
     ///
     /// Panics if `n_replicas` is zero, a fault names a replica
     /// `>= n_replicas`, or the fault plan holds a [`FaultKind::Degrade`]
-    /// (compact replicas have no load channels). Panics if the topology
-    /// has zero nodes per rack or racks per region, or a bandwidth that
-    /// is not finite and positive. Panics if the autoscaler's
-    /// `interval_s` is not finite and positive.
+    /// (compact replicas have no load channels). Panics if the
+    /// autoscaler's `interval_s` is not finite and positive.
     pub fn new(config: FleetConfig, plan: PlacementPlan, router: Box<dyn Router>) -> Self {
         assert!(config.n_replicas > 0, "fleet needs at least one replica");
         if let Some(scaler) = &config.autoscale {
             scaler.assert_interval();
         }
-        let t = &config.topology;
-        assert!(
-            t.nodes_per_rack > 0 && t.racks_per_region > 0,
-            "fleet topology needs at least one node per rack and one rack per region"
-        );
-        let gbps = [
-            t.local_disk_gbps,
-            t.intra_rack_gbps,
-            t.inter_rack_gbps,
-            t.inter_region_gbps,
-            t.object_store_gbps,
-        ];
-        assert!(
-            gbps.iter().all(|g| g.is_finite() && *g > 0.0),
-            "fleet bandwidths {gbps:?} GB/s must be finite and positive"
-        );
         config.faults.assert_replicas_below(config.n_replicas);
         assert!(
             config
@@ -422,7 +379,6 @@ impl FleetSim {
     pub fn run(&mut self, trace: &Trace) -> FleetReport {
         let cfg = self.config.clone();
         let n = cfg.n_replicas;
-        let topo = cfg.topology;
         let n_models = trace.spec.n_models.max(1);
 
         // Replica state. Everyone starts live and idle.
@@ -476,8 +432,8 @@ impl FleetSim {
             );
         }
 
-        let local_disk_s = topo.fetch_time_s(FetchTier::LocalDisk, DELTA_BYTES);
-        let object_store_s = topo.fetch_time_s(FetchTier::ObjectStore, DELTA_BYTES);
+        let local_disk_s = fetch_time_s(FetchTier::LocalDisk, DELTA_BYTES);
+        let object_store_s = fetch_time_s(FetchTier::ObjectStore, DELTA_BYTES);
         let mut e2e = StreamingQuantiles::new();
         let mut warm_hits = 0u64;
         let mut fetches = FetchCounts::default();
@@ -631,8 +587,8 @@ impl FleetSim {
                     } else if let Some(&land) = inflight.get(&(target, req.model)) {
                         fetch_s = (land - start).max(0.0);
                     } else {
-                        let tier = Self::nearest_tier(&topo, target, &disk_holders[req.model]);
-                        fetch_s = topo.fetch_time_s(tier, DELTA_BYTES);
+                        let tier = Self::nearest_tier(target, &disk_holders[req.model]);
+                        fetch_s = fetch_time_s(tier, DELTA_BYTES);
                         match tier {
                             FetchTier::LocalDisk => fetches.local_disk += 1,
                             FetchTier::PeerRack => fetches.peer_rack += 1,
@@ -748,10 +704,10 @@ impl FleetSim {
     /// Cheapest tier from which `replica` can pull a delta, given the
     /// sorted holder list. O(holders); holders are few exactly for the
     /// cold deltas that reach this scan.
-    fn nearest_tier(topo: &FleetTopology, replica: usize, holders: &[u32]) -> FetchTier {
+    fn nearest_tier(replica: usize, holders: &[u32]) -> FetchTier {
         let mut best = FetchTier::ObjectStore;
         for &h in holders {
-            let tier = topo.tier_between(replica, h as usize);
+            let tier = tier_between(replica, h as usize);
             if tier < best {
                 best = tier;
                 if best == FetchTier::LocalDisk {
@@ -766,7 +722,7 @@ impl FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{FaultEvent, RandomFaultConfig};
+    use crate::chaos::{Brownout, FaultEvent};
     use crate::cluster::{
         ConsistentHashRouter, LeastCostRouter, PowerOfTwoRouter, RoundRobinRouter,
     };
@@ -811,13 +767,12 @@ mod tests {
 
     #[test]
     fn topology_tiers_order_and_price_correctly() {
-        let topo = FleetTopology::default();
         // Replicas 0 and 1 share a rack; 0 and 16 share a region only;
         // 0 and 16*8 are cross-region.
-        assert_eq!(topo.tier_between(0, 0), FetchTier::LocalDisk);
-        assert_eq!(topo.tier_between(0, 1), FetchTier::PeerRack);
-        assert_eq!(topo.tier_between(0, 16), FetchTier::PeerRegion);
-        assert_eq!(topo.tier_between(0, 16 * 8), FetchTier::CrossRegion);
+        assert_eq!(tier_between(0, 0), FetchTier::LocalDisk);
+        assert_eq!(tier_between(0, 1), FetchTier::PeerRack);
+        assert_eq!(tier_between(0, 16), FetchTier::PeerRegion);
+        assert_eq!(tier_between(0, 16 * 8), FetchTier::CrossRegion);
         let bytes = 1 << 30;
         let mut last = 0.0;
         for tier in [
@@ -827,7 +782,7 @@ mod tests {
             FetchTier::CrossRegion,
             FetchTier::ObjectStore,
         ] {
-            let t = topo.fetch_time_s(tier, bytes);
+            let t = fetch_time_s(tier, bytes);
             assert!(t > last, "{tier:?} must cost more than the tier below");
             last = t;
         }
@@ -902,11 +857,18 @@ mod tests {
     fn degrade_faults_are_rejected() {
         let mut cfg = FleetConfig::new(2);
         // One brownout, no crashes.
-        let only_brownouts = RandomFaultConfig {
-            crashes: 0,
-            ..RandomFaultConfig::default()
-        };
-        cfg.faults = FaultPlan::random(1, 10.0, 2, only_brownouts);
+        cfg.faults = FaultPlan::scripted(vec![FaultEvent {
+            at: 2.0,
+            kind: FaultKind::Degrade {
+                replica: 1,
+                brownout: Brownout {
+                    start_s: 2.0,
+                    end_s: 22.0,
+                    disk_rate: 0.25,
+                    pcie_rate: 0.25,
+                },
+            },
+        }]);
         let _ = FleetSim::new(
             cfg,
             PlacementPlan::from_weights(&[], 2),

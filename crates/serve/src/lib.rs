@@ -48,8 +48,7 @@ pub mod vllm_scb;
 
 pub use builder::EngineBuilder;
 pub use chaos::{
-    Autoscaler, Brownout, ChaosConfig, ChaosStats, FaultEvent, FaultKind, FaultPlan,
-    RandomFaultConfig, Rollout,
+    Autoscaler, Brownout, ChaosConfig, ChaosStats, FaultEvent, FaultKind, FaultPlan, Rollout,
 };
 pub use cluster::{
     AdmissionConfig, ClusterConfig, ClusterReport, ClusterSim, ConsistentHashRouter,
@@ -59,9 +58,7 @@ pub use cluster::{
 };
 pub use cost::{CostModel, ToppingsIterCost};
 pub use deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};
-pub use fleet::{
-    FetchCounts, FetchTier, FleetConfig, FleetLogEntry, FleetReport, FleetSim, FleetTopology,
-};
+pub use fleet::{FetchCounts, FetchTier, FleetConfig, FleetLogEntry, FleetReport, FleetSim};
 pub use lora::{LoraEngine, LoraServingConfig};
 pub use metrics::{Metrics, SloWindow, SwapStats, ToppingsStats};
 pub use policy::{PreemptionPolicy, ResumePolicy};

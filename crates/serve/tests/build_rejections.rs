@@ -1,64 +1,18 @@
 //! Settings that used to be clamped silently are rejected when the
-//! object is built: a hash ring without virtual nodes, a fleet topology
-//! with an empty rack or region or a bandwidth that is not finite and
-//! positive, and an autoscaler interval that is not finite and positive.
+//! object is built: a hash ring without virtual nodes and an autoscaler
+//! interval that is not finite and positive.
 
 use dz_gpusim::{ModelShape, NodeSpec};
 use dz_serve::cluster::PlacementPlan;
 use dz_serve::{
     Autoscaler, ChaosConfig, ClusterConfig, ClusterSim, ConsistentHashRouter, CostModel,
-    FleetConfig, FleetSim, FleetTopology, RoundRobinRouter,
+    FleetConfig, FleetSim, RoundRobinRouter,
 };
 
 #[test]
 #[should_panic(expected = "needs a vnode")]
 fn hash_ring_without_virtual_nodes_is_rejected() {
     ConsistentHashRouter::new(0);
-}
-
-fn fleet_with(topology: FleetTopology) -> FleetSim {
-    let cfg = FleetConfig {
-        topology,
-        ..FleetConfig::new(2)
-    };
-    let plan = PlacementPlan::from_weights(&[], 2);
-    FleetSim::new(cfg, plan, Box::new(RoundRobinRouter::new()))
-}
-
-#[test]
-#[should_panic(expected = "at least one node per rack")]
-fn empty_racks_are_rejected() {
-    fleet_with(FleetTopology {
-        nodes_per_rack: 0,
-        ..FleetTopology::default()
-    });
-}
-
-#[test]
-#[should_panic(expected = "one rack per region")]
-fn empty_regions_are_rejected() {
-    fleet_with(FleetTopology {
-        racks_per_region: 0,
-        ..FleetTopology::default()
-    });
-}
-
-#[test]
-#[should_panic(expected = "bandwidths [7.0, 5.0, 0.0, 1.25, 0.8] GB/s must be finite")]
-fn zero_bandwidth_is_rejected() {
-    fleet_with(FleetTopology {
-        inter_rack_gbps: 0.0,
-        ..FleetTopology::default()
-    });
-}
-
-#[test]
-#[should_panic(expected = "bandwidths [7.0, 5.0, 2.5, 1.25, NaN] GB/s must be finite")]
-fn non_finite_bandwidth_is_rejected() {
-    fleet_with(FleetTopology {
-        object_store_gbps: f64::NAN,
-        ..FleetTopology::default()
-    });
 }
 
 fn scaler_every(interval_s: f64) -> Autoscaler {

@@ -97,15 +97,6 @@ impl Rng {
         self.uniform_f64() < p
     }
 
-    /// Fisher-Yates shuffles a slice in place.
-    // dz-lint: allow(dead-pub, "seeded Fisher-Yates primitive with its own permutation test")
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i + 1);
-            items.swap(i, j);
-        }
-    }
-
     /// Samples an index from unnormalized non-negative weights.
     ///
     /// # Panics
@@ -122,12 +113,6 @@ impl Rng {
             }
         }
         weights.len() - 1
-    }
-
-    /// Forks an independent generator (for parallel/streamed use).
-    // dz-lint: allow(dead-pub, "seeded stream-splitting primitive with its own divergence test")
-    pub fn fork(&mut self) -> Rng {
-        Rng::seeded(self.next_u64())
     }
 }
 
@@ -198,25 +183,6 @@ mod tests {
         let ones = (0..n).filter(|_| rng.weighted(&weights) == 1).count();
         let frac = ones as f64 / n as f64;
         assert!((frac - 0.75).abs() < 0.02, "frac {frac}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::seeded(7);
-        let mut v: Vec<usize> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_diverges_from_parent() {
-        let mut a = Rng::seeded(8);
-        let mut b = a.fork();
-        let av: Vec<u64> = (0..10).map(|_| a.next_u64()).collect();
-        let bv: Vec<u64> = (0..10).map(|_| b.next_u64()).collect();
-        assert_ne!(av, bv);
     }
 
     #[test]

@@ -24,19 +24,6 @@ pub fn poisson_arrivals(rate: f64, duration_s: f64, rng: &mut Rng) -> Vec<f64> {
     out
 }
 
-/// Deterministic arrivals at a fixed interval (for microbenchmarks).
-// dz-lint: allow(dead-pub, "fixed-interval arrivals for microbenchmarks, with their own spacing test")
-pub fn uniform_arrivals(interval_s: f64, duration_s: f64) -> Vec<f64> {
-    assert!(interval_s > 0.0);
-    let mut out = Vec::new();
-    let mut t = interval_s;
-    while t <= duration_s {
-        out.push(t);
-        t += interval_s;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,12 +60,6 @@ mod tests {
             assert!(w[0] <= w[1]);
         }
         assert!(arr.iter().all(|&t| t > 0.0 && t <= 50.0));
-    }
-
-    #[test]
-    fn uniform_arrivals_spacing() {
-        let arr = uniform_arrivals(0.5, 2.0);
-        assert_eq!(arr, vec![0.5, 1.0, 1.5, 2.0]);
     }
 
     #[test]
