@@ -9,21 +9,12 @@ use dz_compress::quant::QuantSpec;
 use dz_kernels::{quant_gemm, sbmm_grouped, sbmm_naive};
 use dz_tensor::{Matrix, Rng};
 
+/// A packed delta at group size 16, the starred configs' group.
 fn packed(d_in: usize, d_out: usize, bits: u32, sparse: bool, seed: u64) -> CompressedMatrix {
-    packed_grouped(d_in, d_out, QuantSpec::new(bits, 16), sparse, seed)
-}
-
-fn packed_grouped(
-    d_in: usize,
-    d_out: usize,
-    spec: QuantSpec,
-    sparse: bool,
-    seed: u64,
-) -> CompressedMatrix {
     let mut rng = Rng::seeded(seed);
     let w = Matrix::randn(d_in, d_out, 0.02, &mut rng);
     let cfg = ObsConfig {
-        spec,
+        spec: QuantSpec::new(bits, 16),
         sparse24: sparse,
         damp: 0.05,
     };
@@ -53,15 +44,16 @@ fn bench_gemm_formats(c: &mut Criterion) {
 }
 
 /// `quant_gemm` on the served `llama-tiny-l` projection shapes (d=96,
-/// d_ff=192) with the starred sparsegpt configs: int4 and int2, 2:4,
-/// group size 128, at batch 1 (prefill and per-row path) and 8 (a full
+/// d_ff=192) with the starred sparsegpt configs the server runs
+/// (`DeltaCompressConfig::starred`): int4 and int2, 2:4, group size 16,
+/// at batch 1 (prefill and a one-request decode step) and 8 (a full
 /// decode batch).
 fn bench_served_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("quant_gemm_served");
     let mut rng = Rng::seeded(20);
     for (d_in, d_out) in [(96usize, 96usize), (96, 192), (192, 96)] {
         for bits in [4u32, 2] {
-            let cm = packed_grouped(d_in, d_out, QuantSpec::new(bits, 128), true, 21);
+            let cm = packed(d_in, d_out, bits, true, 21);
             for m in [1usize, 8] {
                 let x = Matrix::randn(m, d_in, 1.0, &mut rng);
                 let id = format!("int{bits}_sparse24_{d_in}x{d_out}");

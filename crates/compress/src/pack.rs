@@ -13,14 +13,33 @@
 //! per-(row, group) and counted as FP16 in all byte accounting.
 //!
 //! [`CompressedMatrix::level_at`] / [`CompressedMatrix::scale_at`] are the
-//! per-element specification. Hot paths (the fused kernels, dequantize)
-//! instead decode a whole output row at once with
-//! [`CompressedMatrix::decode_row`], which reads the packed words
-//! sequentially and yields the same f32 bits.
+//! per-element specification. Two decoders yield the same f32 bits:
+//!
+//! * [`CompressedMatrix::decode_row`] reads one output row's packed words
+//!   sequentially. It serves [`CompressedMatrix::dequantize`] (compression,
+//!   Delta-CoMe bands and the kernels' dense fallback).
+//! * [`CompressedMatrix::decode_block`] serves the fused kernels. It reads
+//!   a private *serving layout* that the matrix builds from `qweight` and
+//!   `indices` on the first call and keeps for its lifetime. The layout
+//!   interleaves blocks of [`BLOCK_ROWS`] output rows: each `u64` word
+//!   holds one byte lane per row, with one, two or four levels per lane
+//!   (8-, 4- or 2-bit), and 2:4 positions sit in one `u32` per block and
+//!   4-column group. A call unpacks a word's byte lanes with one shift
+//!   and one mask and multiplies each level by its scale, read live from
+//!   `scales`; nothing is bit-unpacked. For 2- and 4-bit levels the
+//!   layout is about the size of the packed form. It is a cache: it is not
+//!   part of `PartialEq`, the wire format or
+//!   [`CompressedMatrix::packed_bytes`], and a clone starts without it.
 
 use crate::quant::{dequantize_value, QuantSpec};
 use dz_tensor::Matrix;
 use serde::{Deserialize, Serialize};
+use std::fmt;
+use std::sync::OnceLock;
+
+/// Output rows one serving-layout block interleaves
+/// (see [`CompressedMatrix::decode_block`]).
+pub const BLOCK_ROWS: usize = 8;
 
 /// Storage layout of a [`CompressedMatrix`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,6 +51,10 @@ pub enum MatrixFormat {
 }
 
 /// A packed, quantized (optionally 2:4-sparse) matrix.
+///
+/// Change `qweight` or `indices` only before the first
+/// [`decode_block`](Self::decode_block): the serving layout it builds is
+/// derived from them once. `scales` may change at any time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedMatrix {
     /// Input dimension (columns of each stored row).
@@ -48,6 +71,99 @@ pub struct CompressedMatrix {
     pub indices: Vec<u8>,
     /// Per-(row, group) scales, row-major `(d_out, n_groups)`.
     pub scales: Vec<f32>,
+    /// The serving layout, built by the first `decode_block`.
+    pub(crate) serving: Serving,
+}
+
+/// Holder of a matrix's serving layout. It compares equal to every other
+/// holder and clones empty, so the layout never changes what a matrix
+/// equals and a clone (whose fields may then be edited) builds its own.
+#[derive(Default)]
+pub(crate) struct Serving(OnceLock<ServingLayout>);
+
+impl Clone for Serving {
+    fn clone(&self) -> Self {
+        Serving::default()
+    }
+}
+
+impl PartialEq for Serving {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl fmt::Debug for Serving {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Serving")
+            .field("built", &self.0.get().is_some())
+            .finish()
+    }
+}
+
+/// The stored levels and 2:4 positions re-laid for serving, interleaved
+/// over blocks of [`BLOCK_ROWS`] output rows. Lanes of rows past `d_out`
+/// are zero bits.
+///
+/// Levels sit in `u64` words, one byte lane per block row: byte `j` of a
+/// word holds row `j`'s level for `8 / width` consecutive stored values,
+/// `width` bits each. A word unpacks to one value per row with one shift
+/// and one mask, and 2- and 4-bit levels take about the room of the
+/// packed form.
+struct ServingLayout {
+    /// Bits per level in `levels`: 2, 4 or 8, the least that holds
+    /// `spec.bits`.
+    width: u32,
+    /// `words_per_block` words per block.
+    levels: Vec<u64>,
+    words_per_block: usize,
+    /// 2:4 format only: one word per block and 4-column group; bits
+    /// `4j..4j + 4` hold row `j`'s two in-group positions, the first kept
+    /// slot in the low two bits.
+    positions: Vec<u32>,
+}
+
+impl ServingLayout {
+    fn build(cm: &CompressedMatrix) -> Self {
+        let (per_row, _) = cm.stored_per_row_and_group();
+        let width = cm.spec.bits.next_power_of_two();
+        let per_word = (8 / width) as usize;
+        let words_per_block = per_row.div_ceil(per_word);
+        let n_blocks = cm.d_out.div_ceil(BLOCK_ROWS);
+        let mut levels = vec![0u64; n_blocks * words_per_block];
+        for r in 0..cm.d_out {
+            let words = &mut levels[(r / BLOCK_ROWS) * words_per_block..][..words_per_block];
+            let lane = 8 * (r % BLOCK_ROWS) as u32;
+            let mut rd = LevelReader::new(&cm.qweight, r * per_row, cm.spec.bits);
+            for (k0, w) in (0..per_row).step_by(per_word).zip(words) {
+                for h in 0..per_word.min(per_row - k0) {
+                    *w |= u64::from(rd.read()) << (lane + h as u32 * width);
+                }
+            }
+        }
+        let mut positions = Vec::new();
+        if cm.format == MatrixFormat::QuantSparse24 {
+            let groups = cm.d_in / 4;
+            positions = vec![0u32; n_blocks * groups];
+            for r in 0..cm.d_out {
+                let words = &mut positions[(r / BLOCK_ROWS) * groups..][..groups];
+                for (t, w) in words.iter_mut().enumerate() {
+                    // A row's kept slots start at an even index, so each
+                    // 4-column group's pair fills one nibble of an index
+                    // byte.
+                    let i = r * per_row + 2 * t;
+                    let pair = (cm.indices[i / 4] >> ((i % 4) * 2)) & 0xF;
+                    *w |= u32::from(pair) << (4 * (r % BLOCK_ROWS));
+                }
+            }
+        }
+        ServingLayout {
+            width,
+            levels,
+            words_per_block,
+            positions,
+        }
+    }
 }
 
 /// Packs a sequence of biased levels at `bits` per value into `u32` words.
@@ -149,6 +265,28 @@ pub struct RowScratch {
     pub positions: Vec<u8>,
 }
 
+/// Caller-owned scratch for [`CompressedMatrix::decode_block`], reused
+/// across blocks and calls so decoding allocates nothing per block.
+#[derive(Debug, Clone, Default)]
+pub struct BlockScratch {
+    /// Dequantized weights of the block, one `[f32; BLOCK_ROWS]` per
+    /// stored value, lane `j` for the block's row `j`. Dense format:
+    /// `d_in` entries in column order. 2:4 format: one entry per kept
+    /// slot in storage order (two per 4-column group), `d_in / 2` in all.
+    /// Lanes past `d_out` hold zeros.
+    pub weights: Vec<[f32; BLOCK_ROWS]>,
+    /// 2:4 format only: one word per 4-column group. Bits `4j..4j + 2`
+    /// hold the in-group position (`0..4`) of row `j`'s first kept slot,
+    /// bits `4j + 2..4j + 4` that of its second. Empty for the dense format.
+    pub positions: Vec<u32>,
+    /// The block's levels, one byte lane per row.
+    levels: Vec<[u8; BLOCK_ROWS]>,
+    /// The block's scales per group, one lane per row.
+    group_scales: Vec<[f32; BLOCK_ROWS]>,
+    /// Each stored value's scales, one lane per row.
+    scales: Vec<[f32; BLOCK_ROWS]>,
+}
+
 impl CompressedMatrix {
     /// Builds a dense-quantized matrix from levels in output-major order.
     ///
@@ -184,6 +322,7 @@ impl CompressedMatrix {
             qweight: packed,
             indices: Vec::new(),
             scales,
+            serving: Serving::default(),
         }
     }
 
@@ -248,6 +387,7 @@ impl CompressedMatrix {
             qweight,
             indices,
             scales,
+            serving: Serving::default(),
         }
     }
 
@@ -363,6 +503,80 @@ impl CompressedMatrix {
                 [*p0, *p1] = [self.indices[byte] & 0b11, (self.indices[byte] >> 2) & 0b11];
             }
         }
+    }
+
+    /// Decodes output rows `block * BLOCK_ROWS..` (at most
+    /// [`BLOCK_ROWS`] of them) into `out`, interleaved as
+    /// [`BlockScratch`] describes.
+    ///
+    /// The first call builds the matrix's serving layout. Every call
+    /// unpacks the block's level words into byte lanes, one shift and one
+    /// mask per word, so no call reads levels bit by bit. Each weight has
+    /// the bits [`decode_row`](Self::decode_row) gives it: `0.0` for a
+    /// zero level, otherwise `dequantize_value(level, scale)` with the
+    /// scale read from `scales` at this call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block * BLOCK_ROWS >= d_out`.
+    pub fn decode_block(&self, block: usize, out: &mut BlockScratch) {
+        let r0 = block * BLOCK_ROWS;
+        assert!(r0 < self.d_out, "block {block} out of range");
+        let layout = self.serving.0.get_or_init(|| ServingLayout::build(self));
+        let (per_row, per_group) = self.stored_per_row_and_group();
+        let gpr = self.groups_per_row();
+        // Unpack the block's level words into byte lanes.
+        let width = layout.width;
+        let lane_mask = 0x0101_0101_0101_0101u64 * ((1u64 << width) - 1);
+        let words = &layout.levels[block * layout.words_per_block..][..layout.words_per_block];
+        out.levels.resize(per_row, [0; BLOCK_ROWS]);
+        for (lanes, &w) in out.levels.chunks_mut((8 / width) as usize).zip(words) {
+            for (h, l) in lanes.iter_mut().enumerate() {
+                *l = ((w >> (h as u32 * width)) & lane_mask).to_le_bytes();
+            }
+        }
+        // Each stored value's scales, one lane per row (0.0 for padding
+        // rows): first per group, then repeated over the group's values.
+        let rows = (self.d_out - r0).min(BLOCK_ROWS);
+        out.group_scales.clear();
+        out.group_scales.resize(gpr, [0.0; BLOCK_ROWS]);
+        let row_scales = self.scales[r0 * gpr..(r0 + rows) * gpr].chunks_exact(gpr.max(1));
+        for (j, row) in row_scales.enumerate() {
+            for (s, &v) in out.group_scales.iter_mut().zip(row) {
+                s[j] = v;
+            }
+        }
+        out.scales.resize(per_row, [0.0; BLOCK_ROWS]);
+        for (run, s) in out.scales.chunks_mut(per_group).zip(&out.group_scales) {
+            run.fill(*s);
+        }
+        // One flat pass: a zero level gives 0.0, branch-free.
+        let qmax = self.spec.qmax();
+        out.weights.resize(per_row, [0.0; BLOCK_ROWS]);
+        let values = out
+            .levels
+            .as_flattened()
+            .iter()
+            .zip(out.scales.as_flattened());
+        for (w, (&l, &scale)) in out.weights.as_flattened_mut().iter_mut().zip(values) {
+            let q = i32::from(l) - qmax;
+            let keep = u32::from(q != 0).wrapping_neg();
+            *w = f32::from_bits(dequantize_value(q, scale).to_bits() & keep);
+        }
+        out.positions.clear();
+        if self.format == MatrixFormat::QuantSparse24 {
+            let per_block = self.d_in / 4;
+            out.positions
+                .extend_from_slice(&layout.positions[block * per_block..(block + 1) * per_block]);
+        }
+    }
+
+    /// Address of the serving layout, or `None` before the first
+    /// [`decode_block`](Self::decode_block) builds it. It stays the same
+    /// for the matrix's lifetime: the layout is built once.
+    // dz-lint: allow(dead-pub, "layout identity the build-once test compares across batch runners")
+    pub fn serving_layout_addr(&self) -> Option<usize> {
+        self.serving.0.get().map(|l| l.levels.as_ptr() as usize)
     }
 
     /// Dequantizes into the model's `(d_in, d_out)` weight orientation.

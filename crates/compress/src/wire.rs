@@ -277,6 +277,7 @@ fn decode_matrix_body(
         qweight,
         indices,
         scales,
+        serving: Default::default(),
     })
 }
 

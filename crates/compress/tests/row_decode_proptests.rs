@@ -1,12 +1,15 @@
-//! `CompressedMatrix::decode_row` against the per-element spec.
+//! `CompressedMatrix::decode_row` against the per-element spec, and
+//! `CompressedMatrix::decode_block` against `decode_row`.
 //!
 //! Every decoded weight must carry exactly the bits of `level_at × scale_at`
 //! (`0.0` for a zero level), and for the 2:4 format the decoded positions
 //! must name the kept columns: distinct within each pair, with every other
-//! column reading level zero. Shapes cover bits 2..=8, both formats, and
-//! group sizes that leave a ragged last group.
+//! column reading level zero. Each lane of a decoded row block must carry
+//! its row's `decode_row` bits and positions, and lanes past `d_out` must
+//! be zero. Shapes cover bits 2..=8, both formats, group sizes that leave
+//! a ragged last group, and `d_out` that ends on a partial row block.
 
-use dz_compress::pack::{CompressedMatrix, MatrixFormat, RowScratch};
+use dz_compress::pack::{BlockScratch, CompressedMatrix, MatrixFormat, RowScratch, BLOCK_ROWS};
 use dz_compress::quant::QuantSpec;
 use dz_tensor::Rng;
 use proptest::prelude::*;
@@ -65,7 +68,7 @@ proptest! {
         sparse in any::<bool>(),
         group_pick in 0usize..7,
         groups4 in 1usize..14,
-        d_out in 1usize..6,
+        d_out in 1usize..20,
     ) {
         let d_in = groups4 * 4;
         let group_size = if sparse {
@@ -104,6 +107,34 @@ proptest! {
                             prop_assert_eq!(cm.level_at(r, c), 0, "pruned r={} c={}", r, c);
                         }
                     }
+                }
+            }
+        }
+        // Every lane of every row block carries its row's decode_row
+        // bits; the serving layout is built by the first call.
+        let mut blk = BlockScratch::default();
+        for block in 0..d_out.div_ceil(BLOCK_ROWS) {
+            cm.decode_block(block, &mut blk);
+            prop_assert_eq!(blk.weights.len(), row.weights.len());
+            for j in 0..BLOCK_ROWS {
+                let r = block * BLOCK_ROWS + j;
+                if r >= d_out {
+                    prop_assert!(blk.weights.iter().all(|w| w[j] == 0.0), "padding lane {}", j);
+                    continue;
+                }
+                cm.decode_row(r, &mut row);
+                for (k, (w, want)) in blk.weights.iter().zip(&row.weights).enumerate() {
+                    prop_assert_eq!(w[j].to_bits(), want.to_bits(), "block r={} k={}", r, k);
+                }
+                if cm.format == MatrixFormat::QuantSparse24 {
+                    prop_assert_eq!(blk.positions.len(), d_in / 4);
+                    for (t, &word) in blk.positions.iter().enumerate() {
+                        let pair = word >> (4 * j);
+                        prop_assert_eq!((pair & 0b11) as u8, row.positions[2 * t]);
+                        prop_assert_eq!(((pair >> 2) & 0b11) as u8, row.positions[2 * t + 1]);
+                    }
+                } else {
+                    prop_assert!(blk.positions.is_empty());
                 }
             }
         }

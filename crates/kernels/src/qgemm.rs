@@ -5,16 +5,24 @@
 //! 2:4 sparse format it only touches the kept values, the same
 //! work-skipping sparse tensor cores do.
 //!
-//! # Row decode
+//! # Block decode
 //!
-//! Each call decodes every output row of `W` exactly once, with
-//! [`CompressedMatrix::decode_row`]: the row's packed levels are read
-//! sequentially and dequantized through a per-scale-group table of
-//! `2^bits` entries, giving `d_in` weights (dense) or `d_in / 2`
-//! `(in-group position, weight)` pairs (2:4). The decoded row is then
-//! applied to every row of `x`. The activations are first transposed into
-//! blocks of `LANES` batch rows, one `[f32; LANES]` per input column, so
-//! the inner loop advances `LANES` independent accumulators at once.
+//! Each call decodes every block of [`BLOCK_ROWS`] output rows of `W`
+//! exactly once, with [`CompressedMatrix::decode_block`]. The matrix keeps
+//! a serving layout of byte-lane levels (and, for 2:4, in-group
+//! positions), built on its first call, so a call only unpacks byte lanes
+//! and multiplies each level by its live scale. The decoded block holds
+//! `d_in` weights (dense) or `d_in / 2` kept weights plus one position
+//! word per 4-column group (2:4) per row, interleaved over the block's
+//! rows. It is then applied to every row of `x`, so a batch shares each
+//! decoded block.
+//!
+//! The activations are first transposed into chunks of `L` batch rows,
+//! one `[f32; L]` per input column. One pass accumulates a tile of `RT`
+//! block rows × `L` batch rows, `RT · L = BLOCK_ROWS`, so every pass
+//! advances eight independent accumulators: at batch 1 the eight rows of
+//! a block, at batch 8 one row for eight requests. The tile shape follows
+//! the batch size; the per-accumulator sums are the same for every shape.
 //!
 //! # Bit-exactness contract
 //!
@@ -27,9 +35,9 @@
 //! * 2:4: `Σ_groups (x[c0]·v0 + x[c1]·v1)` over the 4-column groups, the
 //!   pair summed first, then added to the accumulator.
 //!
-//! No FMA, no reassociation over the input dimension: the lanes only run
-//! different batch rows side by side, so a row's result does not depend on
-//! the batch it shares a call with.
+//! No FMA, no reassociation over the input dimension: a tile only runs
+//! different accumulators side by side, so a row's result depends neither
+//! on the batch it shares a call with nor on the tile shape.
 //!
 //! A zero level enters as `0.0` rather than `0 × scale`. The two differ at
 //! most in the sign of a zero product, and that never reaches the output:
@@ -39,11 +47,8 @@
 //! `crates/kernels/tests/kernel_pins.rs` pins the output bits and checks
 //! them against the per-element definition with signed scales.
 
-use dz_compress::pack::{CompressedMatrix, MatrixFormat, RowScratch};
+use dz_compress::pack::{BlockScratch, CompressedMatrix, MatrixFormat, BLOCK_ROWS};
 use dz_tensor::Matrix;
-
-/// Batch rows one pass of the inner loop accumulates side by side.
-const LANES: usize = 8;
 
 /// Plain dense GEMM (the base-model path); thin alias over the tensor crate.
 pub fn dense_gemm(x: &Matrix, w: &Matrix) -> Matrix {
@@ -60,60 +65,90 @@ pub fn dense_gemm(x: &Matrix, w: &Matrix) -> Matrix {
 /// Panics if `x.cols() != cm.d_in`.
 pub fn quant_gemm(x: &Matrix, cm: &CompressedMatrix) -> Matrix {
     assert_eq!(x.cols(), cm.d_in, "input width mismatch");
-    let (b, d_in, d_out) = (x.rows(), cm.d_in, cm.d_out);
-    let mut y = Matrix::zeros(b, d_out);
-    // x in lane blocks: block k, column c holds batch rows
-    // k*LANES.. of column c (zero-padded past the batch).
-    let n_blocks = b.div_ceil(LANES);
-    let mut xt = vec![[0.0f32; LANES]; n_blocks * d_in];
-    for (i, xr) in x.data().chunks_exact(d_in.max(1)).enumerate() {
-        let block = &mut xt[(i / LANES) * d_in..][..d_in];
-        for (col, &v) in block.iter_mut().zip(xr) {
-            col[i % LANES] = v;
-        }
-    }
-    let yd = y.data_mut();
-    let mut row = RowScratch::default();
-    for r in 0..d_out {
-        cm.decode_row(r, &mut row);
-        for k in 0..n_blocks {
-            let xb = &xt[k * d_in..(k + 1) * d_in];
-            let acc = match cm.format {
-                MatrixFormat::QuantDense => dot_dense(xb, &row.weights),
-                MatrixFormat::QuantSparse24 => dot_sparse24(xb, &row),
-            };
-            let lanes = (b - k * LANES).min(LANES);
-            for (l, &a) in acc[..lanes].iter().enumerate() {
-                yd[(k * LANES + l) * d_out + r] = a;
-            }
-        }
+    let mut y = Matrix::zeros(x.rows(), cm.d_out);
+    match x.rows() {
+        0 => {}
+        1 => tiled::<8, 1>(x, cm, &mut y),
+        2 => tiled::<4, 2>(x, cm, &mut y),
+        3 | 4 => tiled::<2, 4>(x, cm, &mut y),
+        _ => tiled::<1, 8>(x, cm, &mut y),
     }
     y
 }
 
-/// `Σ_c x[c]·w[c]` per lane, in column order.
-fn dot_dense(xb: &[[f32; LANES]], w: &[f32]) -> [f32; LANES] {
-    let mut acc = [0.0f32; LANES];
-    for (xc, &wv) in xb.iter().zip(w) {
-        for (a, &xv) in acc.iter_mut().zip(xc) {
-            *a += xv * wv;
+/// `quant_gemm` with tiles of `RT` block rows × `L` batch rows.
+fn tiled<const RT: usize, const L: usize>(x: &Matrix, cm: &CompressedMatrix, y: &mut Matrix) {
+    debug_assert_eq!(RT * L, BLOCK_ROWS);
+    let (b, d_in, d_out) = (x.rows(), cm.d_in, cm.d_out);
+    // x in lane chunks: chunk k, column c holds batch rows k*L.. of
+    // column c (zero-padded past the batch).
+    let n_chunks = b.div_ceil(L);
+    let mut xt = vec![[0.0f32; L]; n_chunks * d_in];
+    for (i, xr) in x.data().chunks_exact(d_in.max(1)).enumerate() {
+        let chunk = &mut xt[(i / L) * d_in..][..d_in];
+        for (col, &v) in chunk.iter_mut().zip(xr) {
+            col[i % L] = v;
+        }
+    }
+    let yd = y.data_mut();
+    let mut blk = BlockScratch::default();
+    for block in 0..d_out.div_ceil(BLOCK_ROWS) {
+        cm.decode_block(block, &mut blk);
+        let r0 = block * BLOCK_ROWS;
+        for t in 0..(d_out - r0).min(BLOCK_ROWS).div_ceil(RT) {
+            for (k, xc) in xt.chunks_exact(d_in.max(1)).enumerate() {
+                let acc: [[f32; L]; RT] = match cm.format {
+                    MatrixFormat::QuantDense => tile_dense(xc, &blk, t),
+                    MatrixFormat::QuantSparse24 => tile_sparse24(xc, &blk, t),
+                };
+                let lanes = (b - k * L).min(L);
+                for (r, a) in (r0 + t * RT..d_out).zip(&acc) {
+                    for (l, &v) in a[..lanes].iter().enumerate() {
+                        yd[(k * L + l) * d_out + r] = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `Σ_c x[c]·w[c]` for tile `t` (block rows `t·RT..`) × `L` lanes, in
+/// column order.
+fn tile_dense<const RT: usize, const L: usize>(
+    xc: &[[f32; L]],
+    blk: &BlockScratch,
+    t: usize,
+) -> [[f32; L]; RT] {
+    let mut acc = [[0.0f32; L]; RT];
+    for (xv, w) in xc.iter().zip(&blk.weights) {
+        for (a, &wv) in acc.iter_mut().zip(&w.as_chunks::<RT>().0[t]) {
+            for (av, &x) in a.iter_mut().zip(xv) {
+                *av += x * wv;
+            }
         }
     }
     acc
 }
 
-/// `Σ_groups (x[c0]·v0 + x[c1]·v1)` per lane, in group order.
-fn dot_sparse24(xb: &[[f32; LANES]], row: &RowScratch) -> [f32; LANES] {
-    let mut acc = [0.0f32; LANES];
-    let pairs = row
-        .weights
-        .chunks_exact(2)
-        .zip(row.positions.chunks_exact(2));
-    for (xg, (v, p)) in xb.chunks_exact(4).zip(pairs) {
-        let x0 = &xg[usize::from(p[0] & 0b11)];
-        let x1 = &xg[usize::from(p[1] & 0b11)];
-        for ((a, &x0v), &x1v) in acc.iter_mut().zip(x0).zip(x1) {
-            *a += x0v * v[0] + x1v * v[1];
+/// `Σ_groups (x[c0]·v0 + x[c1]·v1)` for tile `t` (block rows `t·RT..`) ×
+/// `L` lanes, in group order.
+fn tile_sparse24<const RT: usize, const L: usize>(
+    xc: &[[f32; L]],
+    blk: &BlockScratch,
+    t: usize,
+) -> [[f32; L]; RT] {
+    let mut acc = [[0.0f32; L]; RT];
+    let groups = xc.as_chunks::<4>().0.iter().zip(&blk.positions);
+    for ((xg, &pos), w) in groups.zip(blk.weights.as_chunks::<2>().0) {
+        let (v0, v1) = (&w[0].as_chunks::<RT>().0[t], &w[1].as_chunks::<RT>().0[t]);
+        let pos = pos >> (4 * RT * t);
+        for (jj, a) in acc.iter_mut().enumerate() {
+            let p = pos >> (4 * jj);
+            let x0 = &xg[(p & 0b11) as usize];
+            let x1 = &xg[((p >> 2) & 0b11) as usize];
+            for ((av, &x0v), &x1v) in a.iter_mut().zip(x0).zip(x1) {
+                *av += x0v * v0[jj] + x1v * v1[jj];
+            }
         }
     }
     acc

@@ -255,12 +255,18 @@ fn per_element_reference(x: &Matrix, cm: &CompressedMatrix) -> Matrix {
     y
 }
 
+/// Batch sizes of the per-element check: every tile shape `quant_gemm`
+/// picks, and batches that span several lane chunks with a ragged last.
+const REFERENCE_BATCHES: [usize; 8] = [1, 2, 3, 4, 5, 8, 9, 17];
+
 #[test]
 fn quant_gemm_matches_the_per_element_reference_with_signed_scales() {
     let mut rng = Rng::seeded(0xD1FF);
     for &format in &FORMATS {
         for bits in 2..=8u32 {
-            for &shape in &[(36, 20), (96, 24)] {
+            // d_out 20 and 13 end on a partial row block; d_in 36 and 44
+            // end on a partial scale group at group sizes 8 and 128.
+            for &shape in &[(36, 20), (96, 24), (44, 13)] {
                 for &gs in &GROUP_SIZES {
                     let mut cm = packed(format, bits, gs, shape, &mut rng);
                     for s in cm.scales.iter_mut() {
@@ -268,7 +274,7 @@ fn quant_gemm_matches_the_per_element_reference_with_signed_scales() {
                             *s = -*s;
                         }
                     }
-                    for &batch in &BATCHES {
+                    for &batch in &REFERENCE_BATCHES {
                         let x = activations(batch, shape.0, &mut rng);
                         let got = quant_gemm(&x, &cm);
                         let want = per_element_reference(&x, &cm);

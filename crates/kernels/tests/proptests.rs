@@ -9,10 +9,20 @@ use dz_tensor::{Matrix, Rng};
 use proptest::prelude::*;
 
 fn packed(seed: u64, d_in: usize, d_out: usize, bits: u32, sparse: bool) -> CompressedMatrix {
+    packed_grouped(seed, d_in, d_out, QuantSpec::new(bits, 8), sparse)
+}
+
+fn packed_grouped(
+    seed: u64,
+    d_in: usize,
+    d_out: usize,
+    spec: QuantSpec,
+    sparse: bool,
+) -> CompressedMatrix {
     let mut rng = Rng::seeded(seed);
     let w = Matrix::randn(d_in, d_out, 0.03, &mut rng);
     let cfg = ObsConfig {
-        spec: QuantSpec::new(bits, 8),
+        spec,
         sparse24: sparse,
         damp: 0.05,
     };
@@ -22,17 +32,22 @@ fn packed(seed: u64, d_in: usize, d_out: usize, bits: u32, sparse: bool) -> Comp
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// `d_out` crosses row blocks of 8 with a partial last one, the batch
+    /// crosses every tile shape and lane chunks of 8, and `d_in` need not
+    /// be a multiple of the scale group.
     #[test]
     fn quant_gemm_matches_dense_reference(
         seed in any::<u64>(),
-        blocks in 1usize..6,
-        d_out in 1usize..24,
-        batch in 1usize..12,
-        bits in 2u32..8,
+        quads in 1usize..12,
+        d_out in 1usize..28,
+        batch in 1usize..20,
+        bits in 2u32..=8,
+        group in 1usize..5,
         sparse in any::<bool>(),
     ) {
-        let d_in = blocks * 8;
-        let cm = packed(seed, d_in, d_out, bits, sparse);
+        let d_in = quads * 4;
+        let spec = QuantSpec::new(bits, group * 4);
+        let cm = packed_grouped(seed, d_in, d_out, spec, sparse);
         let x = Matrix::randn(batch, d_in, 1.0, &mut Rng::seeded(seed ^ 1));
         let fused = quant_gemm(&x, &cm);
         let dense = x.matmul(&cm.dequantize());
