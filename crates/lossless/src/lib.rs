@@ -46,6 +46,6 @@ pub mod lz77;
 pub mod page;
 
 pub use page::{
-    compress, compress_with_page_size, decompress, decompress_reference, decompress_with_threads,
-    CodecError, DEFAULT_PAGE_SIZE,
+    compress, compress_with_page_size, declared_len_and_crc, decompress, decompress_reference,
+    decompress_with_threads, CodecError, DEFAULT_PAGE_SIZE,
 };

@@ -9,11 +9,16 @@
 //! ```
 //!
 //! Each page compresses `page_size` raw bytes independently (the last page
-//! may be shorter). A page is stored raw (`mode = 1`) when entropy coding
-//! would not help, mirroring DEFLATE's stored blocks. Independent pages are
-//! what makes GDeflate GPU-friendly: a decompression engine assigns one page
-//! per thread block. Here they let `decompress` be trivially parallelizable
-//! and bound the memory of the matcher.
+//! may be shorter). A page is entropy-coded (`mode = 0`) only when that
+//! saves at least 1/8 of its raw bytes, the rule ZFS applies to its blocks;
+//! otherwise it is stored raw (`mode = 1`), as DEFLATE's stored blocks are.
+//! GDeflate decodes pages on the GPU at memory speed, but here Huffman
+//! decoding runs on a CPU core at a small fraction of copy speed, so a page
+//! that barely shrinks costs far more to read than the bytes it saves.
+//! Quantized delta records are mostly literals and land on the stored side.
+//! Independent pages are what makes GDeflate GPU-friendly: a decompression
+//! engine assigns one page per thread block. Here they let `decompress` be
+//! trivially parallelizable and bound the memory of the matcher.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{code_lengths, DecodeError, Decoder, Encoder, LutDecoder, MAX_CODE_LEN};
@@ -34,6 +39,9 @@ const MAGIC: &[u8; 4] = b"DZLC";
 const VERSION: u8 = 2;
 const MODE_HUFFMAN: u8 = 0;
 const MODE_STORED: u8 = 1;
+/// A page is entropy-coded only when that saves at least
+/// `1 / MIN_SAVING_DIV` of its raw bytes; otherwise it is stored.
+const MIN_SAVING_DIV: usize = 8;
 
 /// Number of literal/length symbols (256 literals + EOB + 29 length codes).
 const NUM_LITLEN: usize = 286;
@@ -177,6 +185,16 @@ fn dist_to_symbol(dist: u16) -> (usize, u16, u8) {
 
 /// Compresses one page; returns `(mode, payload)`.
 fn compress_page(raw: &[u8]) -> (u8, Vec<u8>) {
+    let payload = huffman_payload(raw);
+    if payload.len() <= raw.len() - raw.len() / MIN_SAVING_DIV {
+        (MODE_HUFFMAN, payload)
+    } else {
+        (MODE_STORED, raw.to_vec())
+    }
+}
+
+/// Entropy-codes one page: code-length header, then LZ77 tokens.
+fn huffman_payload(raw: &[u8]) -> Vec<u8> {
     let tokens = tokenize(raw);
     // Gather symbol frequencies.
     let mut lit_freq = vec![0u64; NUM_LITLEN];
@@ -222,12 +240,7 @@ fn compress_page(raw: &[u8]) -> (u8, Vec<u8>) {
         }
     }
     lit_enc.encode(&mut w, EOB);
-    let payload = w.finish();
-    if payload.len() >= raw.len() {
-        (MODE_STORED, raw.to_vec())
-    } else {
-        (MODE_HUFFMAN, payload)
-    }
+    w.finish()
 }
 
 /// Reference page decoder: the original bit-at-a-time tree-walk path,
@@ -490,6 +503,14 @@ fn parse_stream(stream: &[u8]) -> Result<ParsedStream<'_>, CodecError> {
     })
 }
 
+/// The raw length and CRC32 that a stream's header declares, read without
+/// decoding any page. [`decompress`] checks its output against both, so a
+/// caller that keeps its own record of the payload can compare that record
+/// here instead of hashing the output a second time.
+pub fn declared_len_and_crc(stream: &[u8]) -> Result<(u64, u32), CodecError> {
+    parse_stream(stream).map(|p| (p.raw_len as u64, p.stored_crc))
+}
+
 /// Decompresses a stream produced by [`compress`].
 ///
 /// This is the fast path: LUT Huffman decoding per page, and pages fanned
@@ -599,6 +620,19 @@ mod tests {
         // The retained serial reference path must agree byte for byte.
         let r = decompress_reference(&c).expect("reference decompress");
         assert_eq!(r, data);
+        // Each page is entropy-coded exactly when that saves 1/8 of it.
+        let parsed = parse_stream(&c).expect("parse");
+        for (&(payload, mode), raw) in parsed.pages.iter().zip(data.chunks(DEFAULT_PAGE_SIZE)) {
+            let coded = saves_an_eighth(raw);
+            assert_eq!(mode, if coded { MODE_HUFFMAN } else { MODE_STORED });
+            if !coded {
+                assert_eq!(payload, raw);
+            }
+        }
+    }
+
+    fn saves_an_eighth(raw: &[u8]) -> bool {
+        huffman_payload(raw).len() <= raw.len() - raw.len() / MIN_SAVING_DIV
     }
 
     #[test]
@@ -639,6 +673,42 @@ mod tests {
         // Stored-mode fallback bounds expansion to the page table overhead.
         assert!(c.len() < data.len() + 64 + data.len() / DEFAULT_PAGE_SIZE * 8);
         round_trip(&data);
+
+        // A 4 KiB page whose first `low` bytes carry 4 bits of entropy and
+        // the rest 8: entropy coding saves more as `low` grows. Bisect for
+        // the two neighbouring inputs just outside and just inside the 1/8
+        // line; they must take different modes and both decode.
+        let page = |low: usize| -> Vec<u8> {
+            data[..4096]
+                .iter()
+                .enumerate()
+                .map(|(i, &b)| if i < low { b & 0x0F } else { b })
+                .collect()
+        };
+        let saves = |low: usize| saves_an_eighth(&page(low));
+        let (mut lo, mut hi) = (0usize, 4096usize);
+        assert!(!saves(lo) && saves(hi));
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if saves(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        let line = 4096 - 4096 / MIN_SAVING_DIV;
+        assert!(huffman_payload(&page(lo)).len() <= line + 8);
+        assert!(huffman_payload(&page(hi)).len() + 8 >= line);
+        for (low, mode) in [(lo, MODE_STORED), (hi, MODE_HUFFMAN)] {
+            let raw = page(low);
+            round_trip(&raw);
+            let c = compress(&raw);
+            assert_eq!(
+                parse_stream(&c).expect("parse").pages[0].1,
+                mode,
+                "low = {low}"
+            );
+        }
     }
 
     #[test]

@@ -369,8 +369,8 @@ impl CostModel {
     ///
     /// This is the synthetic model, used when no artifact store is bound.
     /// The store-backed engine path uses [`load_time_measured`] instead:
-    /// the pipelined `.dza` read path really does overlap disk reads with
-    /// decode, so its cold charge is `max(disk, decode)`, not their sum.
+    /// it models a loader that overlaps disk reads with decode, so its
+    /// cold charge is `max(disk, decode)`, not their sum.
     ///
     /// [`load_time_measured`]: Self::delta_load_time_measured
     fn load_time(&self, bytes: f64, tier: xfer::Tier) -> f64 {
@@ -384,8 +384,8 @@ impl CostModel {
     }
 
     /// Load time with a *measured* decode throughput (compressed GB/s from
-    /// the artifact store's pipelined reader). Reads, decode, and the PCIe
-    /// hop overlap in the fast-path pipeline, so the wait is the slower of
+    /// the artifact store's whole-delta reads). Reads, decode, and the PCIe
+    /// hop are modelled as overlapping, so the wait is the slower of
     /// the physical transfer and the decode stage — `max(disk, decode)` —
     /// with the static constant only as a fallback before the first
     /// measurement.
@@ -405,8 +405,8 @@ impl CostModel {
     }
 
     /// Cold (disk) delta load charge under measured decode throughput:
-    /// the disk read overlaps decode in the pipelined reader, so the
-    /// charge is `max(disk + PCIe, decode)`.
+    /// the disk read is modelled as overlapping decode, so the charge is
+    /// `max(disk + PCIe, decode)`.
     pub fn delta_cold_load_time_measured(&self, bytes: f64, decode_gbps: Option<f64>) -> f64 {
         self.load_time_measured(bytes, xfer::Tier::Disk, decode_gbps)
     }

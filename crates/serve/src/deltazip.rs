@@ -201,7 +201,7 @@ impl DeltaStoreBinding {
     }
 
     /// Measured decode throughput (compressed GB/s) across every load the
-    /// store's pipelined reader has timed; `None` before the first decode.
+    /// store's whole-delta reads have timed; `None` before the first decode.
     pub fn measured_decode_gbps(&self) -> Option<f64> {
         self.store.decode_throughput().effective_gbps()
     }

@@ -26,9 +26,19 @@
 //! [`ArtifactWriter`] can stream to any `io::Write` without seeking, while
 //! [`ArtifactReader`] seeks to the fixed-size footer and then random-reads
 //! individual tensors. Every tensor page carries the paged codec's own
-//! checksum plus a manifest-recorded CRC32 of the raw bytes, so corruption
-//! anywhere — header, page, or directory — surfaces as a typed
-//! [`StoreError`], never as silently wrong weights.
+//! CRC32 of the raw bytes in its header, and the manifest records the same
+//! CRC32 and raw length. A read checks that the two records agree before
+//! decoding, then lets the codec check its output against them, so each
+//! tensor is hashed once. Corruption anywhere — header, page, or
+//! directory — surfaces as a typed [`StoreError`], never as silently wrong
+//! weights.
+//!
+//! A whole-delta read ([`ArtifactReader::read_delta_with_stats`]) reads
+//! every page, then, for a large artifact, splits the tensors into
+//! contiguous runs of about equal compressed bytes and decodes each run on
+//! its own scoped thread, the last on the caller's. Most pages of a served
+//! delta are stored (see `dz_lossless::page`), so decoding one is a CRC
+//! pass and a copy.
 
 use crate::error::StoreError;
 use crate::hash::Digest;
@@ -36,20 +46,21 @@ use dz_compress::codec::{CodecId, PackedLayer};
 use dz_compress::pipeline::{CompressedDelta, DeltaCompressConfig, SizeReport};
 use dz_compress::wire::{self, put_name, Reader as WireReader};
 use dz_lossless::crc::crc32;
+use dz_lossless::CodecError;
 use dz_tensor::Matrix;
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-/// Maximum decode worker threads for the pipelined tensor read path.
-const MAX_DECODE_WORKERS: usize = 8;
-/// Minimum total compressed bytes before the read path spawns workers;
+/// Maximum runs (and so threads) a whole-delta read decodes in parallel.
+const MAX_DECODE_RUNS: usize = 8;
+/// Minimum total compressed bytes before a whole-delta read fans out;
 /// below this the spawn cost outweighs the decode work (mirrors the
 /// thread-split thresholds in `dz-tensor`'s GEMM and `dz-lossless`'s page
-/// decoder).
-const PIPELINE_BYTE_THRESHOLD: u64 = 128 * 1024;
+/// decoder). On a shared 2-vCPU x86-64 host, two runs lost median wall
+/// time to inline decode at 93 and 142 KB in isolation and at the ~270 KB
+/// of a served cold-swap artifact, and won 12–17% from 450 KB.
+const PIPELINE_BYTE_THRESHOLD: u64 = 512 * 1024;
 
 /// Leading container magic.
 pub const DZA_MAGIC: &[u8; 4] = b"DZA1";
@@ -346,9 +357,9 @@ pub fn write_delta<W: Write>(
     w.finish()
 }
 
-/// Measured statistics of one pipelined delta load.
+/// Measured statistics of one whole-delta load.
 ///
-/// `wall_s` spans the whole read+decode pipeline, so
+/// `wall_s` spans the whole read and decode, so
 /// [`effective_gbps`](Self::effective_gbps) is the end-to-end rate at
 /// which compressed artifact bytes became usable tensors — the number the
 /// serving cost model consumes in place of its static deserialization
@@ -361,13 +372,13 @@ pub struct DecodeStats {
     pub compressed_bytes: u64,
     /// Decompressed wire bytes produced.
     pub raw_bytes: u64,
-    /// Wall time spent reading pages from the source (main thread).
+    /// Wall time spent reading every page from the source.
     pub read_s: f64,
-    /// CPU time spent decoding, summed across workers.
+    /// Time spent decoding, summed across runs.
     pub decode_s: f64,
-    /// Wall time of the whole pipelined load.
+    /// Wall time of the whole load.
     pub wall_s: f64,
-    /// Decode worker threads used (1 = inline serial).
+    /// Runs decoded, one thread each (1 = inline).
     pub threads: usize,
 }
 
@@ -397,24 +408,42 @@ enum DecodedTensor {
     Dense(Matrix),
 }
 
-/// Decompresses, CRC-checks, and wire-decodes one tensor page. Workers
-/// decode single-threaded (parallelism comes from tensor fan-out); the
-/// inline path lets the page codec fan out itself.
+/// Decompresses one tensor page and checks it against its manifest entry.
+///
+/// The page header must declare the entry's raw length and CRC before any
+/// page decodes, and decompression checks its output against that CRC: both
+/// stored checksums are verified, and the output is hashed once. A
+/// `single_thread` caller is itself one of several decode threads, so the
+/// page codec must not fan out under it.
+fn decompress_page(
+    entry: &TensorEntry,
+    page: &[u8],
+    single_thread: bool,
+) -> Result<Vec<u8>, StoreError> {
+    let mismatch = || StoreError::ChecksumMismatch {
+        tensor: Some(entry.name.clone()),
+    };
+    if dz_lossless::declared_len_and_crc(page)? != (entry.raw_len, entry.crc32) {
+        return Err(mismatch());
+    }
+    let raw = if single_thread {
+        dz_lossless::decompress_with_threads(page, 1)
+    } else {
+        dz_lossless::decompress(page)
+    };
+    raw.map_err(|e| match e {
+        CodecError::ChecksumMismatch => mismatch(),
+        e => e.into(),
+    })
+}
+
+/// Decompresses, checks, and wire-decodes one tensor page.
 fn decode_tensor(
     entry: &TensorEntry,
     page: &[u8],
     single_thread: bool,
 ) -> Result<DecodedTensor, StoreError> {
-    let raw = if single_thread {
-        dz_lossless::decompress_with_threads(page, 1)?
-    } else {
-        dz_lossless::decompress(page)?
-    };
-    if raw.len() as u64 != entry.raw_len || crc32(&raw) != entry.crc32 {
-        return Err(StoreError::ChecksumMismatch {
-            tensor: Some(entry.name.clone()),
-        });
-    }
+    let raw = decompress_page(entry, page, single_thread)?;
     match entry.kind {
         TensorKind::PackedLinear => Ok(DecodedTensor::Packed(wire::layer_from_bytes(&raw)?)),
         TensorKind::DenseRest => {
@@ -473,6 +502,7 @@ impl<R: Read + Seek> ArtifactReader<R> {
             return Err(StoreError::ChecksumMismatch { tensor: None });
         }
         let manifest = Manifest::decode(&manifest_bytes, version)?;
+        let mut page_bytes = 0u64;
         for t in &manifest.tensors {
             let end = t
                 .offset
@@ -481,6 +511,12 @@ impl<R: Read + Seek> ArtifactReader<R> {
             if t.offset < HEAD_LEN || end > manifest_offset {
                 return Err(StoreError::Corrupt("tensor extent out of bounds"));
             }
+            page_bytes = page_bytes.saturating_add(t.comp_len);
+        }
+        // A whole-delta read buffers every page at once; pages never
+        // overlap, so they cannot add up to more than the payload region.
+        if page_bytes > manifest_offset - HEAD_LEN {
+            return Err(StoreError::Corrupt("tensor extents overlap"));
         }
         Ok(ArtifactReader { source, manifest })
     }
@@ -500,13 +536,7 @@ impl<R: Read + Seek> ArtifactReader<R> {
         self.source.seek(SeekFrom::Start(entry.offset))?;
         let mut page = vec![0u8; entry.comp_len as usize];
         self.source.read_exact(&mut page)?;
-        let raw = dz_lossless::decompress(&page)?;
-        if raw.len() as u64 != entry.raw_len || crc32(&raw) != entry.crc32 {
-            return Err(StoreError::ChecksumMismatch {
-                tensor: Some(entry.name),
-            });
-        }
-        Ok(raw)
+        decompress_page(&entry, &page, false)
     }
 
     /// Reads one packed linear-layer delta (any method-zoo format).
@@ -547,103 +577,92 @@ impl<R: Read + Seek> ArtifactReader<R> {
         self.read_delta_with_stats().map(|(delta, _)| delta)
     }
 
-    /// Reassembles the whole [`CompressedDelta`] through the pipelined
-    /// fast path, reporting measured decode throughput.
+    /// Reassembles the whole [`CompressedDelta`], reporting measured decode
+    /// throughput.
     ///
-    /// Large artifacts decode tensors concurrently on a small worker pool
-    /// while the main thread streams the *next* tensor's compressed pages
-    /// from the source — so disk reads overlap decompression and the load
-    /// wait is `max(read, decode)` rather than their sum. Small artifacts
-    /// decode inline (the page codec may still fan pages out for a single
-    /// large tensor). Output is byte-identical to the serial per-tensor
-    /// path either way.
+    /// Every page is read first, in file order. A large artifact is then
+    /// split into contiguous runs of tensors holding roughly equal
+    /// compressed bytes; each run but the last decodes on a scoped thread
+    /// and the last on the calling thread. A small artifact decodes inline,
+    /// where the page codec may still fan the pages of one large tensor
+    /// out. Errors surface in tensor order either way, and the output is
+    /// byte-identical to the per-tensor reads.
     pub fn read_delta_with_stats(&mut self) -> Result<(CompressedDelta, DecodeStats), StoreError> {
         // dz-lint: allow(wall-clock, "decode wall time IS the measured quantity, reported as DecodeStats")
         let t_start = Instant::now();
         let entries: &[TensorEntry] = &self.manifest.tensors;
         let total_comp: u64 = entries.iter().map(|t| t.comp_len).sum();
-        let workers = if total_comp >= PIPELINE_BYTE_THRESHOLD && entries.len() >= 2 {
-            MAX_DECODE_WORKERS
+        let max_runs = if total_comp >= PIPELINE_BYTE_THRESHOLD {
+            MAX_DECODE_RUNS
                 .min(entries.len())
                 .min(std::thread::available_parallelism().map_or(1, |p| p.get()))
         } else {
-            0
-        };
-        let mut read_s = 0.0f64;
-        let decode_ns = AtomicU64::new(0);
-        let mut decoded: Vec<Option<Result<DecodedTensor, StoreError>>> =
-            (0..entries.len()).map(|_| None).collect();
-
-        if workers == 0 {
-            for (slot, entry) in decoded.iter_mut().zip(entries.iter()) {
-                // dz-lint: allow(wall-clock, "measures real disk-read time for DecodeStats")
-                let t0 = Instant::now();
-                self.source.seek(SeekFrom::Start(entry.offset))?;
-                let mut page = vec![0u8; entry.comp_len as usize];
-                self.source.read_exact(&mut page)?;
-                read_s += t0.elapsed().as_secs_f64();
-                // dz-lint: allow(wall-clock, "measures real decode time for DecodeStats")
-                let t1 = Instant::now();
-                let result = decode_tensor(entry, &page, false);
-                decode_ns.fetch_add(t1.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                *slot = Some(result);
-            }
-        } else {
-            let results: Mutex<Vec<(usize, Result<DecodedTensor, StoreError>)>> =
-                Mutex::new(Vec::with_capacity(entries.len()));
-            let source = &mut self.source;
-            std::thread::scope(|scope| -> Result<(), StoreError> {
-                // Bounded channel: at most ~one tensor in flight per worker,
-                // so the reader gets backpressure instead of buffering the
-                // whole artifact ahead of the decoders — that bound is what
-                // makes this a pipeline (read i+1 while decoding i) rather
-                // than a read-everything-then-decode pass.
-                let (tx, rx) = mpsc::sync_channel::<(usize, Vec<u8>)>(workers);
-                let rx = Arc::new(Mutex::new(rx));
-                for _ in 0..workers {
-                    let rx = Arc::clone(&rx);
-                    let results = &results;
-                    let decode_ns = &decode_ns;
-                    scope.spawn(move || loop {
-                        let job = rx.lock().expect("rx lock").recv();
-                        let Ok((i, page)) = job else { break };
-                        // dz-lint: allow(wall-clock, "measures real worker decode time for DecodeStats")
-                        let t0 = Instant::now();
-                        let result = decode_tensor(&entries[i], &page, true);
-                        decode_ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        results.lock().expect("results lock").push((i, result));
-                    });
-                }
-                // Main thread: stream tensor i+1's pages off the source
-                // while the workers are still decoding tensor i.
-                for (i, entry) in entries.iter().enumerate() {
-                    // dz-lint: allow(wall-clock, "measures real streaming-read time for DecodeStats")
-                    let t0 = Instant::now();
-                    source.seek(SeekFrom::Start(entry.offset))?;
-                    let mut page = vec![0u8; entry.comp_len as usize];
-                    source.read_exact(&mut page)?;
-                    read_s += t0.elapsed().as_secs_f64();
-                    tx.send((i, page)).expect("decode workers alive");
-                }
-                drop(tx);
-                Ok(())
-            })?;
-            for (i, result) in results.into_inner().expect("results lock") {
-                decoded[i] = Some(result);
-            }
+            1
+        } as u64;
+        // `open` bounded the summed extents by the file's payload bytes.
+        let mut pages = vec![0u8; total_comp as usize];
+        // `(run, entry, page)`: a tensor joins the run its first
+        // compressed byte falls in, so runs hold about equal bytes.
+        let mut jobs = Vec::with_capacity(entries.len());
+        let (mut unread, mut start) = (&mut pages[..], 0u64);
+        for entry in entries {
+            let (page, tail) = unread.split_at_mut(entry.comp_len as usize);
+            self.source.seek(SeekFrom::Start(entry.offset))?;
+            self.source.read_exact(page)?;
+            jobs.push((start * max_runs / total_comp.max(1), entry, &*page));
+            (unread, start) = (tail, start + entry.comp_len);
         }
+        let read_s = t_start.elapsed().as_secs_f64();
 
+        let runs: Vec<_> = jobs.chunk_by(|a, b| a.0 == b.0).collect();
+        // Inline, the page codec may fan one large tensor's pages out.
+        let single_thread = runs.len() > 1;
+        let decode_run = |run: &[(u64, &TensorEntry, &[u8])]| {
+            // dz-lint: allow(wall-clock, "measures real decode time for DecodeStats")
+            let t0 = Instant::now();
+            let decoded: Result<Vec<DecodedTensor>, StoreError> = run
+                .iter()
+                .map(|&(_, entry, page)| decode_tensor(entry, page, single_thread))
+                .collect();
+            (decoded, t0.elapsed().as_secs_f64())
+        };
+        let results = std::thread::scope(|scope| {
+            let (last, spawned) = match runs.split_last() {
+                Some((last, spawned)) => (Some(*last), spawned),
+                None => (None, &[][..]),
+            };
+            let handles: Vec<_> = spawned
+                .iter()
+                .map(|&run| scope.spawn(move || decode_run(run)))
+                .collect();
+            let last = last.map(decode_run);
+            let mut results: Vec<_> = handles
+                .into_iter()
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect();
+            results.extend(last);
+            results
+        });
+
+        let mut decode_s = 0.0;
         let mut layers = BTreeMap::new();
         let mut rest = BTreeMap::new();
-        for (entry, slot) in entries.iter().zip(decoded) {
-            // Surface errors in tensor order so failures are deterministic
-            // regardless of worker interleaving.
-            match slot.expect("every tensor decoded or the read failed")? {
-                DecodedTensor::Packed(cm) => {
-                    layers.insert(entry.name.clone(), cm);
-                }
-                DecodedTensor::Dense(m) => {
-                    rest.insert(entry.name.clone(), m);
+        let mut names = entries.iter().map(|t| t.name.clone());
+        for (decoded, run_s) in results {
+            decode_s += run_s;
+            // Each run stops at its first error and runs are in file order,
+            // so the first error met here is the first corrupt tensor's.
+            for (tensor, name) in decoded?.into_iter().zip(names.by_ref()) {
+                match tensor {
+                    DecodedTensor::Packed(cm) => {
+                        layers.insert(name, cm);
+                    }
+                    DecodedTensor::Dense(m) => {
+                        rest.insert(name, m);
+                    }
                 }
             }
         }
@@ -653,9 +672,9 @@ impl<R: Read + Seek> ArtifactReader<R> {
             compressed_bytes: total_comp,
             raw_bytes,
             read_s,
-            decode_s: decode_ns.load(Ordering::Relaxed) as f64 / 1e9,
+            decode_s,
             wall_s: t_start.elapsed().as_secs_f64(),
-            threads: workers.max(1),
+            threads: runs.len().max(1),
         };
         Ok((
             CompressedDelta {

@@ -9,10 +9,10 @@
 //!   (name, base-model lineage hash, quantization recipe, per-tensor
 //!   index) over per-tensor pages compressed with the `dz-lossless` paged
 //!   codec and double-checksummed (page CRC + manifest CRC of the raw
-//!   bytes). Written streaming, read with random access per tensor; whole
-//!   deltas load through a pipelined path that decodes tensors
-//!   concurrently while the next tensor streams off the source, and
-//!   reports measured throughput ([`DecodeStats`]).
+//!   bytes). Written streaming, read with random access per tensor; a
+//!   whole delta reads every page, then decodes contiguous runs of
+//!   tensors on scoped threads once it is large enough, and reports
+//!   measured throughput ([`DecodeStats`]).
 //! * [`registry`] — a content-addressed on-disk zoo: artifacts live under
 //!   `<root>/<sha256>.dza`, identical deltas deduplicate, named refs map
 //!   variant names to hashes, and any file can be integrity-audited.

@@ -301,10 +301,10 @@ impl TieredDeltaStore {
     }
 
     /// Fetches an artifact **decoded**: the compressed bytes move through
-    /// the usual tiering (disk on a miss, host cache on a hit), then the
-    /// pipelined `.dza` read path reassembles the delta — tensors decoded
-    /// concurrently, reads overlapped with decode — and the measured
-    /// throughput is folded into [`decode_throughput`](Self::decode_throughput).
+    /// the usual tiering (disk on a miss, host cache on a hit), then
+    /// [`ArtifactReader::read_delta_with_stats`] reassembles the delta and
+    /// the measured throughput is folded into
+    /// [`decode_throughput`](Self::decode_throughput).
     /// A host hit whose decoded delta is still resident skips the decode
     /// entirely (`decode: None`). The decoded copy's raw bytes count
     /// against the host byte budget alongside the compressed bytes, with

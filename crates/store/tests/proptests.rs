@@ -85,6 +85,9 @@ fn arb_delta(
         "emb".to_string(),
         Matrix::randn(rest_dim, d_out, 1.0, &mut rng),
     );
+    // Quantized records barely shrink and are stored raw; an all-zero
+    // matrix keeps an entropy-coded page in every container.
+    rest.insert("zeros".to_string(), Matrix::zeros(16, 16));
     let compressed: usize = layers.values().map(|c| c.packed_bytes()).sum();
     // Sweep the manifest codec id too: `.dza` round-trips must preserve it.
     let codec = match seed % 3 {
@@ -126,6 +129,8 @@ proptest! {
         let delta = arb_delta(seed, blocks, d_out, bits, rest_dim);
         let bytes = container(&delta);
         let mut reader = ArtifactReader::open(Cursor::new(&bytes)).expect("open");
+        let zeros = reader.manifest().entry("zeros").expect("zeros").clone();
+        prop_assert!(zeros.comp_len < zeros.raw_len, "zero page stored");
         let back = reader.read_delta().expect("read");
         prop_assert_eq!(back, delta);
     }

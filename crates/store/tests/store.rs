@@ -100,6 +100,25 @@ fn single_tensors_are_randomly_accessible() {
         reader.read_packed("tok_emb"),
         Err(StoreError::Corrupt(_))
     ));
+    // A page that checks out against its own header CRC but not against
+    // the manifest's is refused, naming the tensor; the others still read.
+    let entry = reader.manifest().entry("tok_emb").expect("entry").clone();
+    let mut raw = reader.read_tensor_bytes("tok_emb").expect("raw");
+    let last = raw.len() - 4;
+    raw[last] ^= 0x01; // a mantissa bit of the last value
+    let page = dz_lossless::compress(&raw);
+    assert_eq!(page.len() as u64, entry.comp_len);
+    let mut tampered = bytes.clone();
+    tampered[entry.offset as usize..][..page.len()].copy_from_slice(&page);
+    let mut reader = ArtifactReader::open(Cursor::new(&tampered)).expect("open");
+    match reader.read_dense("tok_emb") {
+        Err(StoreError::ChecksumMismatch { tensor: Some(name) }) => assert_eq!(name, "tok_emb"),
+        other => panic!("expected a checksum mismatch, got {other:?}"),
+    }
+    assert_eq!(
+        &reader.read_packed("layers.0.wk").expect("packed"),
+        &delta.layers["layers.0.wk"]
+    );
     assert!(matches!(
         reader.read_dense("nope"),
         Err(StoreError::UnknownTensor(_))
@@ -164,6 +183,38 @@ fn bad_magic_and_version_are_typed_errors() {
         Err(StoreError::BadVersion(_))
     ));
     assert!(ArtifactReader::open(Cursor::new(b"".as_slice())).is_err());
+}
+
+#[test]
+fn overlapping_extents_are_refused_at_open() {
+    // Stretch the first tensor's extent over every page: each extent stays
+    // in bounds, but together they claim more bytes than the pages hold,
+    // which a whole-delta read would have to buffer.
+    let bytes = container_bytes(&fixture_delta(7), "v");
+    let first = ArtifactReader::open(Cursor::new(&bytes))
+        .expect("open")
+        .manifest()
+        .tensors[0]
+        .clone();
+    let n = bytes.len();
+    // Footer: manifest_offset u64 | manifest_len u64 | crc u32 | magic.
+    let manifest_at = u64::from_le_bytes(bytes[n - 24..n - 16].try_into().expect("u64")) as usize;
+    let mut extent = first.offset.to_le_bytes().to_vec();
+    extent.extend(first.comp_len.to_le_bytes());
+    let at = manifest_at
+        + bytes[manifest_at..]
+            .windows(16)
+            .position(|w| w == extent)
+            .expect("first extent in the manifest")
+        + 8;
+    let mut tampered = bytes.clone();
+    tampered[at..at + 8].copy_from_slice(&(manifest_at as u64 - 6).to_le_bytes());
+    let crc = dz_lossless::crc::crc32(&tampered[manifest_at..n - 24]);
+    tampered[n - 8..n - 4].copy_from_slice(&crc.to_le_bytes());
+    assert!(matches!(
+        ArtifactReader::open(Cursor::new(&tampered)),
+        Err(StoreError::Corrupt("tensor extents overlap"))
+    ));
 }
 
 #[test]
@@ -476,21 +527,20 @@ fn warmth_distinguishes_decoded_resident_copies() {
     std::fs::remove_dir_all(store.registry().root()).ok();
 }
 
-#[test]
-fn pipelined_read_matches_serial_and_reports_stats() {
-    // A wide artifact (many tensors) crosses the pipeline threshold and
-    // must decode identically to the per-tensor serial path.
+/// A delta whose pages add up past the 512 KiB of compressed bytes at
+/// which a whole-delta read starts decoding in runs.
+fn wide_delta() -> CompressedDelta {
     let mut layers = BTreeMap::new();
-    for i in 0..12 {
+    for i in 0..24 {
         layers.insert(
-            format!("layers.{i}.w"),
-            PackedLayer::Quant(packed_matrix(48, 64, 4, 60 + i)),
+            format!("layers.{i:02}.w"),
+            PackedLayer::Quant(packed_matrix(128, 192, 4, 60 + i)),
         );
     }
     let mut rng = Rng::seeded(77);
     let mut rest = BTreeMap::new();
     rest.insert("tok_emb".to_string(), Matrix::randn(64, 48, 1.0, &mut rng));
-    let delta = CompressedDelta {
+    CompressedDelta {
         layers,
         rest,
         codec: CodecId::SparseGptStar,
@@ -501,30 +551,68 @@ fn pipelined_read_matches_serial_and_reports_stats() {
             full_fp16_bytes: 1,
             lossless_linear_bytes: None,
         },
-    };
+    }
+}
+
+#[test]
+fn pipelined_read_matches_serial_and_reports_stats() {
+    // The wide artifact crosses the fan-out threshold, so it decodes in
+    // runs on several threads wherever the host has two cores, and must
+    // match single-tensor reads tensor for tensor.
+    let delta = wide_delta();
     let bytes = container_bytes(&delta, "wide");
     let mut reader = ArtifactReader::open(Cursor::new(&bytes)).expect("open");
-    let (fast, stats) = reader.read_delta_with_stats().expect("pipelined read");
+    let comp: u64 = reader.manifest().tensors.iter().map(|t| t.comp_len).sum();
+    assert!(comp > 512 * 1024, "{comp} compressed bytes do not fan out");
+    let (fast, stats) = reader.read_delta_with_stats().expect("read in runs");
     assert_eq!(fast, delta);
-    assert_eq!(stats.tensors, 13);
+    assert_eq!(stats.tensors, 25);
     assert_eq!(
-        stats.compressed_bytes,
-        reader
-            .manifest()
-            .tensors
-            .iter()
-            .map(|t| t.comp_len)
-            .sum::<u64>(),
+        stats.compressed_bytes, comp,
         "stats must account every compressed byte"
     );
     let raw: u64 = reader.manifest().tensors.iter().map(|t| t.raw_len).sum();
     assert_eq!(stats.raw_bytes, raw);
     assert!(stats.wall_s > 0.0);
-    assert!(stats.threads >= 1);
-    // Serial per-tensor reads agree tensor for tensor.
-    let mut reader2 = ArtifactReader::open(Cursor::new(&bytes)).expect("open2");
-    let slow = reader2.read_delta().expect("read");
-    assert_eq!(slow, fast);
+    if std::thread::available_parallelism().map_or(1, |p| p.get()) >= 2 {
+        assert!(stats.threads > 1, "a wide artifact decoded inline");
+    }
+    for (name, layer) in &fast.layers {
+        assert_eq!(&reader.read_packed(name).expect("packed"), layer);
+    }
+    for (name, m) in &fast.rest {
+        assert_eq!(&reader.read_dense(name).expect("dense"), m);
+    }
+}
+
+#[test]
+fn fan_out_reports_the_first_corrupt_tensor_in_file_order() {
+    // Corrupt one tensor near each end of the file, so that each lies in
+    // a different run; the error must name the earlier one.
+    let delta = wide_delta();
+    let mut bytes = container_bytes(&delta, "wide");
+    let tensors = ArtifactReader::open(Cursor::new(&bytes))
+        .expect("open")
+        .manifest()
+        .tensors
+        .clone();
+    let (first, second) = (&tensors[1], &tensors[tensors.len() - 2]);
+    for t in [second, first] {
+        // Random 4-bit levels do not shrink, so the page is stored and its
+        // last byte is record data that only the page CRC guards.
+        assert!(t.comp_len > t.raw_len, "`{}` is entropy-coded", t.name);
+        bytes[(t.offset + t.comp_len - 1) as usize] ^= 0x10;
+    }
+    let mut reader = ArtifactReader::open(Cursor::new(&bytes)).expect("open");
+    match reader.read_delta_with_stats() {
+        Err(StoreError::ChecksumMismatch { tensor: Some(name) }) => {
+            assert_eq!(name, first.name)
+        }
+        other => panic!(
+            "expected a checksum mismatch, got {:?}",
+            other.map(|(_, s)| s)
+        ),
+    }
 }
 
 #[test]
