@@ -46,8 +46,8 @@ pub const SIM_STATE_CRATES: &[&str] = &["serve", "store", "gpusim", "workload", 
 /// measures real time by design.
 pub const WALL_CLOCK_CRATES: &[&str] = &["bench"];
 
-/// Decode modules allowed to spawn threads (scoped page/tensor fan-out).
-pub const THREAD_FILES: &[&str] = &["crates/lossless/src/page.rs", "crates/store/src/dza.rs"];
+/// Decode modules allowed to spawn threads (scoped page fan-out).
+pub const THREAD_FILES: &[&str] = &["crates/lossless/src/page.rs"];
 
 /// Where a file sits in the workspace, for rule scoping.
 #[derive(Debug, Clone)]

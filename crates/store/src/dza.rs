@@ -34,9 +34,7 @@
 //! weights.
 //!
 //! A whole-delta read ([`ArtifactReader::read_delta_with_stats`]) reads
-//! every page, then, for a large artifact, splits the tensors into
-//! contiguous runs of about equal compressed bytes and decodes each run on
-//! its own scoped thread, the last on the caller's. Most pages of a served
+//! and decodes one tensor at a time in file order. Most pages of a served
 //! delta are stored (see `dz_lossless::page`), so decoding one is a CRC
 //! pass and a copy.
 
@@ -51,16 +49,6 @@ use dz_tensor::Matrix;
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::time::Instant;
-
-/// Maximum runs (and so threads) a whole-delta read decodes in parallel.
-const MAX_DECODE_RUNS: usize = 8;
-/// Minimum total compressed bytes before a whole-delta read fans out;
-/// below this the spawn cost outweighs the decode work (mirrors the
-/// thread-split thresholds in `dz-tensor`'s GEMM and `dz-lossless`'s page
-/// decoder). On a shared 2-vCPU x86-64 host, two runs lost median wall
-/// time to inline decode at 93 and 142 KB in isolation and at the ~270 KB
-/// of a served cold-swap artifact, and won 12–17% from 450 KB.
-const PIPELINE_BYTE_THRESHOLD: u64 = 512 * 1024;
 
 /// Leading container magic.
 pub const DZA_MAGIC: &[u8; 4] = b"DZA1";
@@ -372,14 +360,12 @@ pub struct DecodeStats {
     pub compressed_bytes: u64,
     /// Decompressed wire bytes produced.
     pub raw_bytes: u64,
-    /// Wall time spent reading every page from the source.
+    /// Wall time spent reading pages from the source.
     pub read_s: f64,
-    /// Time spent decoding, summed across runs.
+    /// Time spent decoding pages and wire records.
     pub decode_s: f64,
     /// Wall time of the whole load.
     pub wall_s: f64,
-    /// Runs decoded, one thread each (1 = inline).
-    pub threads: usize,
 }
 
 impl DecodeStats {
@@ -398,7 +384,6 @@ impl DecodeStats {
         self.read_s += other.read_s;
         self.decode_s += other.decode_s;
         self.wall_s += other.wall_s;
-        self.threads = self.threads.max(other.threads);
     }
 }
 
@@ -412,38 +397,23 @@ enum DecodedTensor {
 ///
 /// The page header must declare the entry's raw length and CRC before any
 /// page decodes, and decompression checks its output against that CRC: both
-/// stored checksums are verified, and the output is hashed once. A
-/// `single_thread` caller is itself one of several decode threads, so the
-/// page codec must not fan out under it.
-fn decompress_page(
-    entry: &TensorEntry,
-    page: &[u8],
-    single_thread: bool,
-) -> Result<Vec<u8>, StoreError> {
+/// stored checksums are verified, and the output is hashed once.
+fn decompress_page(entry: &TensorEntry, page: &[u8]) -> Result<Vec<u8>, StoreError> {
     let mismatch = || StoreError::ChecksumMismatch {
         tensor: Some(entry.name.clone()),
     };
     if dz_lossless::declared_len_and_crc(page)? != (entry.raw_len, entry.crc32) {
         return Err(mismatch());
     }
-    let raw = if single_thread {
-        dz_lossless::decompress_with_threads(page, 1)
-    } else {
-        dz_lossless::decompress(page)
-    };
-    raw.map_err(|e| match e {
+    dz_lossless::decompress(page).map_err(|e| match e {
         CodecError::ChecksumMismatch => mismatch(),
         e => e.into(),
     })
 }
 
 /// Decompresses, checks, and wire-decodes one tensor page.
-fn decode_tensor(
-    entry: &TensorEntry,
-    page: &[u8],
-    single_thread: bool,
-) -> Result<DecodedTensor, StoreError> {
-    let raw = decompress_page(entry, page, single_thread)?;
+fn decode_tensor(entry: &TensorEntry, page: &[u8]) -> Result<DecodedTensor, StoreError> {
+    let raw = decompress_page(entry, page)?;
     match entry.kind {
         TensorKind::PackedLinear => Ok(DecodedTensor::Packed(wire::layer_from_bytes(&raw)?)),
         TensorKind::DenseRest => {
@@ -502,7 +472,6 @@ impl<R: Read + Seek> ArtifactReader<R> {
             return Err(StoreError::ChecksumMismatch { tensor: None });
         }
         let manifest = Manifest::decode(&manifest_bytes, version)?;
-        let mut page_bytes = 0u64;
         for t in &manifest.tensors {
             let end = t
                 .offset
@@ -511,12 +480,6 @@ impl<R: Read + Seek> ArtifactReader<R> {
             if t.offset < HEAD_LEN || end > manifest_offset {
                 return Err(StoreError::Corrupt("tensor extent out of bounds"));
             }
-            page_bytes = page_bytes.saturating_add(t.comp_len);
-        }
-        // A whole-delta read buffers every page at once; pages never
-        // overlap, so they cannot add up to more than the payload region.
-        if page_bytes > manifest_offset - HEAD_LEN {
-            return Err(StoreError::Corrupt("tensor extents overlap"));
         }
         Ok(ArtifactReader { source, manifest })
     }
@@ -536,7 +499,7 @@ impl<R: Read + Seek> ArtifactReader<R> {
         self.source.seek(SeekFrom::Start(entry.offset))?;
         let mut page = vec![0u8; entry.comp_len as usize];
         self.source.read_exact(&mut page)?;
-        decompress_page(&entry, &page, false)
+        decompress_page(&entry, &page)
     }
 
     /// Reads one packed linear-layer delta (any method-zoo format).
@@ -580,101 +543,46 @@ impl<R: Read + Seek> ArtifactReader<R> {
     /// Reassembles the whole [`CompressedDelta`], reporting measured decode
     /// throughput.
     ///
-    /// Every page is read first, in file order. A large artifact is then
-    /// split into contiguous runs of tensors holding roughly equal
-    /// compressed bytes; each run but the last decodes on a scoped thread
-    /// and the last on the calling thread. A small artifact decodes inline,
-    /// where the page codec may still fan the pages of one large tensor
-    /// out. Errors surface in tensor order either way, and the output is
+    /// Tensors are read and decoded one at a time in file order, so the
+    /// read holds one compressed page besides its output; the page codec
+    /// fans the pages of one large tensor out itself. The first corrupt
+    /// tensor in file order fails the read, and the output is
     /// byte-identical to the per-tensor reads.
     pub fn read_delta_with_stats(&mut self) -> Result<(CompressedDelta, DecodeStats), StoreError> {
         // dz-lint: allow(wall-clock, "decode wall time IS the measured quantity, reported as DecodeStats")
         let t_start = Instant::now();
         let entries: &[TensorEntry] = &self.manifest.tensors;
-        let total_comp: u64 = entries.iter().map(|t| t.comp_len).sum();
-        let max_runs = if total_comp >= PIPELINE_BYTE_THRESHOLD {
-            MAX_DECODE_RUNS
-                .min(entries.len())
-                .min(std::thread::available_parallelism().map_or(1, |p| p.get()))
-        } else {
-            1
-        } as u64;
-        // `open` bounded the summed extents by the file's payload bytes.
-        let mut pages = vec![0u8; total_comp as usize];
-        // `(run, entry, page)`: a tensor joins the run its first
-        // compressed byte falls in, so runs hold about equal bytes.
-        let mut jobs = Vec::with_capacity(entries.len());
-        let (mut unread, mut start) = (&mut pages[..], 0u64);
-        for entry in entries {
-            let (page, tail) = unread.split_at_mut(entry.comp_len as usize);
-            self.source.seek(SeekFrom::Start(entry.offset))?;
-            self.source.read_exact(page)?;
-            jobs.push((start * max_runs / total_comp.max(1), entry, &*page));
-            (unread, start) = (tail, start + entry.comp_len);
-        }
-        let read_s = t_start.elapsed().as_secs_f64();
-
-        let runs: Vec<_> = jobs.chunk_by(|a, b| a.0 == b.0).collect();
-        // Inline, the page codec may fan one large tensor's pages out.
-        let single_thread = runs.len() > 1;
-        let decode_run = |run: &[(u64, &TensorEntry, &[u8])]| {
-            // dz-lint: allow(wall-clock, "measures real decode time for DecodeStats")
-            let t0 = Instant::now();
-            let decoded: Result<Vec<DecodedTensor>, StoreError> = run
-                .iter()
-                .map(|&(_, entry, page)| decode_tensor(entry, page, single_thread))
-                .collect();
-            (decoded, t0.elapsed().as_secs_f64())
-        };
-        let results = std::thread::scope(|scope| {
-            let (last, spawned) = match runs.split_last() {
-                Some((last, spawned)) => (Some(*last), spawned),
-                None => (None, &[][..]),
-            };
-            let handles: Vec<_> = spawned
-                .iter()
-                .map(|&run| scope.spawn(move || decode_run(run)))
-                .collect();
-            let last = last.map(decode_run);
-            let mut results: Vec<_> = handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-                .collect();
-            results.extend(last);
-            results
-        });
-
-        let mut decode_s = 0.0;
+        let (mut read_s, mut decode_s) = (0.0, 0.0);
         let mut layers = BTreeMap::new();
         let mut rest = BTreeMap::new();
-        let mut names = entries.iter().map(|t| t.name.clone());
-        for (decoded, run_s) in results {
-            decode_s += run_s;
-            // Each run stops at its first error and runs are in file order,
-            // so the first error met here is the first corrupt tensor's.
-            for (tensor, name) in decoded?.into_iter().zip(names.by_ref()) {
-                match tensor {
-                    DecodedTensor::Packed(cm) => {
-                        layers.insert(name, cm);
-                    }
-                    DecodedTensor::Dense(m) => {
-                        rest.insert(name, m);
-                    }
+        for entry in entries {
+            // dz-lint: allow(wall-clock, "measures real disk-read time for DecodeStats")
+            let t0 = Instant::now();
+            self.source.seek(SeekFrom::Start(entry.offset))?;
+            let mut page = vec![0u8; entry.comp_len as usize];
+            self.source.read_exact(&mut page)?;
+            read_s += t0.elapsed().as_secs_f64();
+            // dz-lint: allow(wall-clock, "measures real decode time for DecodeStats")
+            let t1 = Instant::now();
+            let tensor = decode_tensor(entry, &page)?;
+            decode_s += t1.elapsed().as_secs_f64();
+            match tensor {
+                DecodedTensor::Packed(cm) => {
+                    layers.insert(entry.name.clone(), cm);
+                }
+                DecodedTensor::Dense(m) => {
+                    rest.insert(entry.name.clone(), m);
                 }
             }
         }
         let raw_bytes: u64 = entries.iter().map(|t| t.raw_len).sum();
         let stats = DecodeStats {
             tensors: entries.len(),
-            compressed_bytes: total_comp,
+            compressed_bytes: entries.iter().map(|t| t.comp_len).sum(),
             raw_bytes,
             read_s,
             decode_s,
             wall_s: t_start.elapsed().as_secs_f64(),
-            threads: runs.len().max(1),
         };
         Ok((
             CompressedDelta {

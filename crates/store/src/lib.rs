@@ -10,8 +10,7 @@
 //!   index) over per-tensor pages compressed with the `dz-lossless` paged
 //!   codec and double-checksummed (page CRC + manifest CRC of the raw
 //!   bytes). Written streaming, read with random access per tensor; a
-//!   whole delta reads every page, then decodes contiguous runs of
-//!   tensors on scoped threads once it is large enough, and reports
+//!   whole delta reads and decodes its tensors in file order and reports
 //!   measured throughput ([`DecodeStats`]).
 //! * [`registry`] — a content-addressed on-disk zoo: artifacts live under
 //!   `<root>/<sha256>.dza`, identical deltas deduplicate, named refs map
