@@ -6,9 +6,10 @@
 //! * [`obs`] — the SparseGPT-style optimal-brain-surgeon solver: joint
 //!   2:4 structured pruning + quantization with inverse-Hessian error
 //!   propagation (Eq. 1 of the paper),
-//! * [`pack`] — hardware-style bit-packed storage for dense-quantized and
-//!   2:4-sparse matrices (values + 2-bit indices), with exact byte
-//!   accounting used for every compression-ratio figure,
+//! * [`pack`] — the one stored layout of dense-quantized and 2:4-sparse
+//!   matrices (byte-lane levels + in-group positions), read as is by the
+//!   wire format and the kernels, with exact byte accounting used for
+//!   every compression-ratio figure,
 //! * [`calib`] — calibration-set activation capture and Hessian assembly,
 //! * [`pipeline`] — ΔCompress itself (Algorithm 1): per-layer delta
 //!   extraction, compression, weight reconstruction and activation

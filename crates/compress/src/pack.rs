@@ -1,45 +1,50 @@
-//! Bit-packed storage formats for compressed matrices.
+//! Packed storage formats for compressed matrices.
 //!
 //! The formats mirror what the paper's GPU kernels consume (Figure 5):
 //!
-//! * **QuantDense** — every level packed at `bits` per value,
+//! * **QuantDense** — every quantized level is stored,
 //! * **QuantSparse24** — 2:4 structured sparsity: per group of 4 inputs only
-//!   the 2 kept levels are stored, plus one 2-bit in-group position index per
-//!   kept value (so a group costs `2*bits + 4` bits instead of `4*bits`).
+//!   the 2 kept levels are stored, plus their two 2-bit in-group positions
+//!   (so a group costs `2*bits + 4` bits instead of `4*bits`).
 //!
 //! Matrices are stored output-major (`d_out` rows of `d_in` inputs), i.e.
 //! transposed relative to the model's `(d_in, d_out)` weights, so that 2:4
 //! groups are contiguous exactly like the hardware layout. Scales are
 //! per-(row, group) and counted as FP16 in all byte accounting.
 //!
-//! [`CompressedMatrix::level_at`] / [`CompressedMatrix::scale_at`] are the
-//! per-element specification. Two decoders yield the same f32 bits:
+//! # Layout
 //!
-//! * [`CompressedMatrix::decode_row`] reads one output row's packed words
-//!   sequentially. It serves [`CompressedMatrix::dequantize`] (compression,
-//!   Delta-CoMe bands and the kernels' dense fallback).
-//! * [`CompressedMatrix::decode_block`] serves the fused kernels. It reads
-//!   a private *serving layout* that the matrix builds from `qweight` and
-//!   `indices` on the first call and keeps for its lifetime. The layout
-//!   interleaves blocks of [`BLOCK_ROWS`] output rows: each `u64` word
-//!   holds one byte lane per row, with one, two or four levels per lane
-//!   (8-, 4- or 2-bit), and 2:4 positions sit in one `u32` per block and
-//!   4-column group. A call unpacks a word's byte lanes with one shift
-//!   and one mask and multiplies each level by its scale, read live from
-//!   `scales`; nothing is bit-unpacked. For 2- and 4-bit levels the
-//!   layout is about the size of the packed form. It is a cache: it is not
-//!   part of `PartialEq`, the wire format or
-//!   [`CompressedMatrix::packed_bytes`], and a clone starts without it.
+//! One layout serves memory, the wire record (see [`crate::wire`]), `.dza`
+//! and the kernels. It interleaves blocks of [`BLOCK_ROWS`] output rows:
+//!
+//! * **Levels** sit in `u64` words, one byte lane per block row: byte `j`
+//!   of a word holds row `j`'s biased levels (`level + qmax`) for
+//!   `8 / width` consecutive stored values, `width` bits each, the first
+//!   in the low bits. `width` is `bits.next_power_of_two()`: 2, 4 or 8.
+//!   2- and 4-bit levels take the room of bit packing; 3-bit levels take
+//!   4-bit lanes and 5- to 7-bit levels 8-bit lanes.
+//! * **2:4 positions** sit in one `u32` per block and 4-column group: bits
+//!   `4j..4j + 4` hold row `j`'s two in-group positions, the first kept
+//!   slot in the low two bits.
+//!
+//! Lanes of rows past `d_out`, and slots past a row's last stored value,
+//! are zero bits. [`CompressedMatrix::decode_block`] unpacks a block's
+//! words with one shift and one mask per word and multiplies each level by
+//! its scale, read from `scales` at the call; nothing is bit-unpacked and
+//! nothing is built on first use. [`CompressedMatrix::level_at`] and
+//! [`CompressedMatrix::scale_at`] are the per-element specification.
+//! [`CompressedMatrix::packed_bytes`] counts `bits` per level, the
+//! paper's accounting, whatever the lane width.
 
 use crate::quant::{dequantize_value, QuantSpec};
 use dz_tensor::Matrix;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::sync::OnceLock;
 
-/// Output rows one serving-layout block interleaves
-/// (see [`CompressedMatrix::decode_block`]).
+/// Output rows one layout block interleaves (see the module docs).
 pub const BLOCK_ROWS: usize = 8;
+
+/// `0x01` in every byte of a level word.
+const BYTES: u64 = 0x0101_0101_0101_0101;
 
 /// Storage layout of a [`CompressedMatrix`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,11 +55,8 @@ pub enum MatrixFormat {
     QuantSparse24,
 }
 
-/// A packed, quantized (optionally 2:4-sparse) matrix.
-///
-/// Change `qweight` or `indices` only before the first
-/// [`decode_block`](Self::decode_block): the serving layout it builds is
-/// derived from them once. `scales` may change at any time.
+/// A packed, quantized (optionally 2:4-sparse) matrix, in the layout the
+/// module docs describe.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedMatrix {
     /// Input dimension (columns of each stored row).
@@ -65,204 +67,176 @@ pub struct CompressedMatrix {
     pub spec: QuantSpec,
     /// Storage layout.
     pub format: MatrixFormat,
-    /// Packed biased levels, little-endian within each `u32`.
-    pub qweight: Vec<u32>,
-    /// 2-bit in-group position indices (4 per byte), sparse format only.
-    pub indices: Vec<u8>,
+    /// Biased levels in byte lanes, a fixed number of words per block of
+    /// [`BLOCK_ROWS`] rows.
+    pub levels: Vec<u64>,
+    /// 2:4 format only: in-group positions, one word per block and
+    /// 4-column group. Empty for the dense format.
+    pub positions: Vec<u32>,
     /// Per-(row, group) scales, row-major `(d_out, n_groups)`.
     pub scales: Vec<f32>,
-    /// The serving layout, built by the first `decode_block`.
-    pub(crate) serving: Serving,
 }
 
-/// Holder of a matrix's serving layout. It compares equal to every other
-/// holder and clones empty, so the layout never changes what a matrix
-/// equals and a clone (whose fields may then be edited) builds its own.
-#[derive(Default)]
-pub(crate) struct Serving(OnceLock<ServingLayout>);
-
-impl Clone for Serving {
-    fn clone(&self) -> Self {
-        Serving::default()
-    }
-}
-
-impl PartialEq for Serving {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl fmt::Debug for Serving {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Serving")
-            .field("built", &self.0.get().is_some())
-            .finish()
-    }
-}
-
-/// The stored levels and 2:4 positions re-laid for serving, interleaved
-/// over blocks of [`BLOCK_ROWS`] output rows. Lanes of rows past `d_out`
-/// are zero bits.
-///
-/// Levels sit in `u64` words, one byte lane per block row: byte `j` of a
-/// word holds row `j`'s level for `8 / width` consecutive stored values,
-/// `width` bits each. A word unpacks to one value per row with one shift
-/// and one mask, and 2- and 4-bit levels take about the room of the
-/// packed form.
-struct ServingLayout {
-    /// Bits per level in `levels`: 2, 4 or 8, the least that holds
-    /// `spec.bits`.
+/// The layout arithmetic of one matrix shape: the only place that knows
+/// how many words a matrix has and how they are stored.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    /// Bits per level lane: 2, 4 or 8.
     width: u32,
-    /// `words_per_block` words per block.
-    levels: Vec<u64>,
+    /// Values stored per row: `d_in` (dense) or `d_in / 2` (2:4).
+    per_row: usize,
+    /// Level words per block.
     words_per_block: usize,
-    /// 2:4 format only: one word per block and 4-column group; bits
-    /// `4j..4j + 4` hold row `j`'s two in-group positions, the first kept
-    /// slot in the low two bits.
-    positions: Vec<u32>,
+    /// Position words per block: `d_in / 4` for 2:4, 0 for dense.
+    positions_per_block: usize,
+    /// Blocks, the last one possibly partial.
+    blocks: usize,
+    /// Rows of a partial last block, 0 when every block is full.
+    tail_rows: usize,
 }
 
-impl ServingLayout {
-    fn build(cm: &CompressedMatrix) -> Self {
-        let (per_row, _) = cm.stored_per_row_and_group();
-        let width = cm.spec.bits.next_power_of_two();
-        let per_word = (8 / width) as usize;
-        let words_per_block = per_row.div_ceil(per_word);
-        let n_blocks = cm.d_out.div_ceil(BLOCK_ROWS);
-        let mut levels = vec![0u64; n_blocks * words_per_block];
-        for r in 0..cm.d_out {
-            let words = &mut levels[(r / BLOCK_ROWS) * words_per_block..][..words_per_block];
-            let lane = 8 * (r % BLOCK_ROWS) as u32;
-            let mut rd = LevelReader::new(&cm.qweight, r * per_row, cm.spec.bits);
-            for (k0, w) in (0..per_row).step_by(per_word).zip(words) {
-                for h in 0..per_word.min(per_row - k0) {
-                    *w |= u64::from(rd.read()) << (lane + h as u32 * width);
-                }
+/// One word section of a matrix as stored on the wire: `words` words, of
+/// which the first `full_words` (those of full blocks) are stored whole,
+/// `word_bytes` bytes each, little-endian. The words of a partial last
+/// block keep only their first `tail_bytes` bytes, the real rows' lanes,
+/// stored as byte planes: byte 0 of every such word, then byte 1, and so
+/// on.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Section {
+    /// Words in memory.
+    pub(crate) words: usize,
+    full_words: usize,
+    word_bytes: usize,
+    tail_bytes: usize,
+}
+
+impl Section {
+    /// Bytes the section takes on the wire.
+    pub(crate) fn bytes(&self) -> usize {
+        self.full_words * self.word_bytes + (self.words - self.full_words) * self.tail_bytes
+    }
+
+    /// Appends `words`, of `N = word_bytes` little-endian bytes each, in
+    /// stored form.
+    pub(crate) fn put<const N: usize, T: Copy>(
+        &self,
+        words: &[T],
+        to_le: impl Fn(T) -> [u8; N],
+        out: &mut Vec<u8>,
+    ) {
+        let (full, tail) = words.split_at(self.full_words);
+        for &w in full {
+            out.extend_from_slice(&to_le(w));
+        }
+        for k in 0..self.tail_bytes {
+            out.extend(tail.iter().map(|&w| to_le(w)[k]));
+        }
+    }
+
+    /// The words of a stored section of [`bytes`](Self::bytes) bytes,
+    /// zero-filling the lanes a partial last block does not store.
+    pub(crate) fn parse<const N: usize, T>(
+        self,
+        raw: &[u8],
+        from_le: impl Fn([u8; N]) -> T,
+    ) -> Vec<T> {
+        let (full, planes) = raw.split_at(self.full_words * N);
+        let mut tail = vec![[0u8; N]; self.words - self.full_words];
+        for (k, plane) in planes.chunks_exact(tail.len().max(1)).enumerate() {
+            for (w, &b) in tail.iter_mut().zip(plane) {
+                w[k] = b;
             }
         }
-        let mut positions = Vec::new();
-        if cm.format == MatrixFormat::QuantSparse24 {
-            let groups = cm.d_in / 4;
-            positions = vec![0u32; n_blocks * groups];
-            for r in 0..cm.d_out {
-                let words = &mut positions[(r / BLOCK_ROWS) * groups..][..groups];
-                for (t, w) in words.iter_mut().enumerate() {
-                    // A row's kept slots start at an even index, so each
-                    // 4-column group's pair fills one nibble of an index
-                    // byte.
-                    let i = r * per_row + 2 * t;
-                    let pair = (cm.indices[i / 4] >> ((i % 4) * 2)) & 0xF;
-                    *w |= u32::from(pair) << (4 * (r % BLOCK_ROWS));
-                }
-            }
-        }
-        ServingLayout {
-            width,
-            levels,
-            words_per_block,
-            positions,
-        }
+        full.chunks_exact(N)
+            .map(|b| from_le(b.try_into().unwrap_or([0; N])))
+            .chain(tail.into_iter().map(&from_le))
+            .collect()
     }
 }
 
-/// Packs a sequence of biased levels at `bits` per value into `u32` words.
-fn pack_levels(levels: impl Iterator<Item = u32>, bits: u32) -> Vec<u32> {
-    let mut out = Vec::new();
-    let mut acc = 0u64;
-    let mut filled = 0u32;
-    for v in levels {
-        debug_assert!(v < (1 << bits));
-        acc |= (v as u64) << filled;
-        filled += bits;
-        while filled >= 32 {
-            out.push((acc & 0xFFFF_FFFF) as u32);
-            acc >>= 32;
-            filled -= 32;
-        }
-    }
-    if filled > 0 {
-        out.push((acc & 0xFFFF_FFFF) as u32);
-    }
-    out
-}
-
-/// Reads the `i`-th `bits`-wide biased level from packed words.
-#[inline]
-fn read_level(packed: &[u32], i: usize, bits: u32) -> u32 {
-    let bit = i * bits as usize;
-    let word = bit / 32;
-    let off = (bit % 32) as u32;
-    let mask = (1u64 << bits) - 1;
-    let lo = (packed[word] as u64) >> off;
-    let v = if off + bits > 32 {
-        lo | ((packed[word + 1] as u64) << (32 - off))
-    } else {
-        lo
-    };
-    (v & mask) as u32
-}
-
-/// Sequential reader of `bits`-wide biased levels, starting at level
-/// `first`: one shift and mask per level, one word load per 32 bits.
-struct LevelReader<'a> {
-    words: &'a [u32],
-    next: usize,
-    acc: u64,
-    avail: u32,
-    bits: u32,
-}
-
-impl<'a> LevelReader<'a> {
-    fn new(words: &'a [u32], first: usize, bits: u32) -> Self {
-        let bit = first * bits as usize;
-        let mut rd = LevelReader {
-            words,
-            next: bit / 32,
-            acc: 0,
-            avail: 0,
-            bits,
+impl Layout {
+    /// The layout of a `d_out × d_in` matrix of `bits`-bit levels. The
+    /// caller bounds `d_in · d_out` well below `usize::MAX`.
+    pub(crate) fn new(format: MatrixFormat, bits: u32, d_in: usize, d_out: usize) -> Self {
+        let width = bits.next_power_of_two();
+        let (per_row, positions_per_block) = match format {
+            MatrixFormat::QuantDense => (d_in, 0),
+            MatrixFormat::QuantSparse24 => (d_in / 2, d_in / 4),
         };
-        let off = (bit % 32) as u32;
-        if off > 0 {
-            rd.refill();
-            rd.acc >>= off;
-            rd.avail -= off;
+        Layout {
+            width,
+            per_row,
+            words_per_block: per_row.div_ceil((8 / width) as usize),
+            positions_per_block,
+            blocks: d_out.div_ceil(BLOCK_ROWS),
+            tail_rows: d_out % BLOCK_ROWS,
         }
-        rd
     }
 
-    #[inline]
-    fn refill(&mut self) {
-        self.acc |= u64::from(self.words[self.next]) << self.avail;
-        self.next += 1;
-        self.avail += 32;
+    /// Levels per lane of a word.
+    fn per_word(&self) -> usize {
+        (8 / self.width) as usize
     }
 
-    /// The next biased level (`bits <= 8`, so it fits a byte).
-    #[inline]
-    fn read(&mut self) -> u8 {
-        if self.avail < self.bits {
-            self.refill();
+    /// Rows of block `b`.
+    fn rows(&self, b: usize) -> usize {
+        if b + 1 == self.blocks && self.tail_rows > 0 {
+            self.tail_rows
+        } else {
+            BLOCK_ROWS
         }
-        let v = (self.acc & ((1 << self.bits) - 1)) as u8;
-        self.acc >>= self.bits;
-        self.avail -= self.bits;
-        v
+    }
+
+    /// A section of `per_block` words per block with `lane_bits`-bit
+    /// lanes, so `lane_bits` bytes per word of a full block.
+    fn section(&self, per_block: usize, lane_bits: usize) -> Section {
+        let full_blocks = self.blocks - usize::from(self.tail_rows > 0);
+        Section {
+            words: self.blocks * per_block,
+            full_words: full_blocks * per_block,
+            word_bytes: lane_bits,
+            tail_bytes: (self.tail_rows * lane_bits).div_ceil(8),
+        }
+    }
+
+    /// The level words' section.
+    pub(crate) fn levels(&self) -> Section {
+        self.section(self.words_per_block, 8)
+    }
+
+    /// The 2:4 position words' section (no words for the dense format).
+    pub(crate) fn positions(&self) -> Section {
+        self.section(self.positions_per_block, 4)
     }
 }
 
-/// Caller-owned scratch for [`CompressedMatrix::decode_row`], reused across
-/// rows and calls so decoding allocates nothing per row.
-#[derive(Debug, Clone, Default)]
-pub struct RowScratch {
-    /// Dequantized weights of the row. Dense format: `d_in` values in
-    /// column order. 2:4 format: one value per kept slot in storage order
-    /// (two per 4-column group), `d_in / 2` in all.
-    pub weights: Vec<f32>,
-    /// 2:4 format only: the in-group position (`0..4`) of each kept slot,
-    /// parallel to `weights`. Empty for the dense format.
-    pub positions: Vec<u8>,
+/// Level words of `d_out` rows of `per_row` biased levels each, row `r`'s
+/// at `biased[r * per_row..]`.
+fn level_words(l: &Layout, d_out: usize, biased: &[u8]) -> Vec<u64> {
+    let (wpb, per_word) = (l.words_per_block, l.per_word());
+    let mut words = vec![0u64; l.blocks * wpb];
+    for r in 0..d_out {
+        let block = &mut words[(r / BLOCK_ROWS) * wpb..][..wpb];
+        let lane = 8 * (r % BLOCK_ROWS) as u32;
+        for (k, &v) in biased[r * l.per_row..][..l.per_row].iter().enumerate() {
+            block[k / per_word] |= u64::from(v) << (lane + (k % per_word) as u32 * l.width);
+        }
+    }
+    words
+}
+
+/// Whether a `width`-bit field of `words` exceeds `top`. Even and odd
+/// fields are taken apart, so each sits in a slot twice its width; adding
+/// `2^width - 1 - top` to every slot then carries into bit `width` of just
+/// the slots whose field exceeds `top`.
+fn any_field_above(words: &[u64], width: u32, top: u64) -> bool {
+    let ones = u64::MAX / ((1 << (2 * width)) - 1);
+    let field = ones * ((1 << width) - 1);
+    let add = ones * ((1 << width) - 1 - top);
+    let sums = words.iter().fold(0, |acc, &w| {
+        acc | ((w & field) + add) | (((w >> width) & field) + add)
+    });
+    sums & (ones << width) != 0
 }
 
 /// Caller-owned scratch for [`CompressedMatrix::decode_block`], reused
@@ -307,30 +281,30 @@ impl CompressedMatrix {
         let n_groups = d_in.div_ceil(spec.group_size);
         assert_eq!(scales.len(), d_out * n_groups, "scales length mismatch");
         let qmax = spec.qmax();
-        let packed = pack_levels(
-            levels.iter().map(|&q| {
+        let biased: Vec<u8> = levels
+            .iter()
+            .map(|&q| {
                 debug_assert!(q.abs() <= qmax);
-                (q + qmax) as u32
-            }),
-            spec.bits,
-        );
+                (q + qmax) as u8
+            })
+            .collect();
+        let layout = Layout::new(MatrixFormat::QuantDense, spec.bits, d_in, d_out);
         CompressedMatrix {
             d_in,
             d_out,
             spec,
             format: MatrixFormat::QuantDense,
-            qweight: packed,
-            indices: Vec::new(),
+            levels: level_words(&layout, d_out, &biased),
+            positions: Vec::new(),
             scales,
-            serving: Serving::default(),
         }
     }
 
     /// Builds a 2:4-sparse matrix from full levels plus a keep-mask.
     ///
     /// The mask must keep exactly 2 of every 4 consecutive inputs in every
-    /// row. Kept levels are stored in order; each gets a 2-bit in-group
-    /// position index.
+    /// row. Kept levels are stored in order, each pair with its two
+    /// in-group positions.
     ///
     /// # Panics
     ///
@@ -356,39 +330,38 @@ impl CompressedMatrix {
         let n_groups = d_in.div_ceil(spec.group_size);
         assert_eq!(scales.len(), d_out * n_groups, "scales length mismatch");
         let qmax = spec.qmax();
-        let mut kept_levels = Vec::with_capacity(d_out * d_in / 2);
-        let mut idx_nibbles = Vec::with_capacity(d_out * d_in / 2);
+        let layout = Layout::new(MatrixFormat::QuantSparse24, spec.bits, d_in, d_out);
+        let groups = layout.positions_per_block;
+        let mut kept = Vec::with_capacity(d_out * d_in / 2);
+        let mut positions = vec![0u32; layout.blocks * groups];
         for r in 0..d_out {
-            for g4 in 0..d_in / 4 {
+            for g4 in 0..groups {
                 let base = r * d_in + g4 * 4;
-                let kept: Vec<usize> = (0..4).filter(|&k| mask[base + k]).collect();
+                let at: Vec<usize> = (0..4).filter(|&k| mask[base + k]).collect();
                 assert_eq!(
-                    kept.len(),
+                    at.len(),
                     2,
                     "row {r} group {g4}: mask must keep exactly 2 of 4"
                 );
-                for &k in &kept {
-                    kept_levels.push((levels[base + k] + qmax) as u32);
-                    idx_nibbles.push(k as u8);
-                }
+                kept.extend(at.iter().map(|&k| (levels[base + k] + qmax) as u8));
+                let pair = (at[0] | (at[1] << 2)) as u32;
+                positions[(r / BLOCK_ROWS) * groups + g4] |= pair << (4 * (r % BLOCK_ROWS));
             }
-        }
-        let qweight = pack_levels(kept_levels.into_iter(), spec.bits);
-        // Pack 2-bit indices, 4 per byte.
-        let mut indices = vec![0u8; idx_nibbles.len().div_ceil(4)];
-        for (i, &p) in idx_nibbles.iter().enumerate() {
-            indices[i / 4] |= p << ((i % 4) * 2);
         }
         CompressedMatrix {
             d_in,
             d_out,
             spec,
             format: MatrixFormat::QuantSparse24,
-            qweight,
-            indices,
+            levels: level_words(&layout, d_out, &kept),
+            positions,
             scales,
-            serving: Serving::default(),
         }
+    }
+
+    /// The matrix's layout arithmetic.
+    pub(crate) fn layout(&self) -> Layout {
+        Layout::new(self.format, self.spec.bits, self.d_in, self.d_out)
     }
 
     /// Number of groups per row.
@@ -398,123 +371,92 @@ impl CompressedMatrix {
 
     /// Scale of input column `c` in output row `r`.
     #[inline]
-    // dz-lint: allow(dead-pub, "reference scale lookup the row-decode proptests compare against")
+    // dz-lint: allow(dead-pub, "reference scale lookup the block-decode proptests compare against")
     pub fn scale_at(&self, r: usize, c: usize) -> f32 {
         self.scales[r * self.groups_per_row() + c / self.spec.group_size]
     }
 
+    /// The biased level of stored value `k` of row `r`.
+    fn stored_level(&self, l: &Layout, r: usize, k: usize) -> i32 {
+        let per_word = l.per_word();
+        let w = self.levels[(r / BLOCK_ROWS) * l.words_per_block + k / per_word];
+        let shift = 8 * (r % BLOCK_ROWS) as u32 + (k % per_word) as u32 * l.width;
+        ((w >> shift) & ((1 << l.width) - 1)) as i32
+    }
+
     /// The signed level of `(row r, input c)`, resolving sparsity.
-    // dz-lint: allow(dead-pub, "reference level lookup the row-decode proptests compare against")
+    // dz-lint: allow(dead-pub, "reference level lookup the block-decode proptests compare against")
     pub fn level_at(&self, r: usize, c: usize) -> i32 {
-        let qmax = self.spec.qmax();
-        match self.format {
-            MatrixFormat::QuantDense => {
-                read_level(&self.qweight, r * self.d_in + c, self.spec.bits) as i32 - qmax
-            }
+        let l = self.layout();
+        let k = match self.format {
+            MatrixFormat::QuantDense => c,
             MatrixFormat::QuantSparse24 => {
-                let g4 = c / 4;
-                let within = (c % 4) as u8;
-                let kept_base = (r * self.d_in) / 2 + g4 * 2;
-                for slot in 0..2 {
-                    let i = kept_base + slot;
-                    let pos = (self.indices[i / 4] >> ((i % 4) * 2)) & 0b11;
-                    if pos == within {
-                        return read_level(&self.qweight, i, self.spec.bits) as i32 - qmax;
-                    }
+                let word = self.positions[(r / BLOCK_ROWS) * l.positions_per_block + c / 4];
+                let pair = (word >> (4 * (r % BLOCK_ROWS))) as usize;
+                match c % 4 {
+                    p if p == pair & 0b11 => c / 4 * 2,
+                    p if p == (pair >> 2) & 0b11 => c / 4 * 2 + 1,
+                    _ => return 0,
                 }
-                0
             }
-        }
+        };
+        self.stored_level(&l, r, k) - self.spec.qmax()
     }
 
-    /// Number of values stored per row and per scale group.
-    fn stored_per_row_and_group(&self) -> (usize, usize) {
-        match self.format {
-            MatrixFormat::QuantDense => (self.d_in, self.spec.group_size),
-            MatrixFormat::QuantSparse24 => (self.d_in / 2, self.spec.group_size / 2),
+    /// Checks what the words hold beyond their count: every level on the
+    /// grid (`|q| <= qmax`, so a lane wider than `bits` carries no more),
+    /// zero bits in the slots past a row's last value and in the position
+    /// nibbles of rows past `d_out`, and two distinct positions in every
+    /// real row's 2:4 pair. Returns the broken rule.
+    pub(crate) fn check_words(&self) -> Result<(), &'static str> {
+        let l = self.layout();
+        if any_field_above(&self.levels, l.width, 2 * self.spec.qmax() as u64) {
+            return Err("level outside the quantization grid");
         }
-    }
-
-    /// Decodes output row `r` into `row` (see [`RowScratch`] for the
-    /// layout of each format).
-    ///
-    /// Every weight has exactly the bits of the per-element spec:
-    /// `0.0` where [`level_at`](Self::level_at) is zero, otherwise
-    /// `dequantize_value(level_at(r, c), scale_at(r, c))`. The row's levels
-    /// are read sequentially from `qweight`; the scale advances every
-    /// `group_size` stored values (`group_size / 2` kept values for 2:4),
-    /// and each scale group dequantizes through a `2^bits`-entry table of
-    /// `(l - qmax) as f32 * scale`, the same f32 product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= d_out`, or for the 2:4 format if
-    /// `spec.group_size % 4 != 0` (rejected by every constructor and by
-    /// wire decode).
-    pub fn decode_row(&self, r: usize, row: &mut RowScratch) {
-        assert!(r < self.d_out, "row {r} out of range");
-        let sparse = self.format == MatrixFormat::QuantSparse24;
-        if sparse {
-            assert_eq!(
-                self.spec.group_size % 4,
-                0,
-                "2:4 needs group_size divisible by 4"
-            );
-        }
-        let (per_row, per_group) = self.stored_per_row_and_group();
-        let qmax = self.spec.qmax();
-        let n_levels = 1usize << self.spec.bits;
-        let gpr = self.groups_per_row();
-        let scales = &self.scales[r * gpr..(r + 1) * gpr];
-        let mut levels = LevelReader::new(&self.qweight, r * per_row, self.spec.bits);
-        let mut table = [0.0f32; 256];
-        row.weights.clear();
-        row.weights.resize(per_row, 0.0);
-        for (chunk, &scale) in row.weights.chunks_mut(per_group).zip(scales) {
-            for (l, t) in table[..n_levels].iter_mut().enumerate() {
-                *t = dequantize_value(l as i32 - qmax, scale);
-            }
-            table[qmax as usize] = 0.0;
-            for w in chunk {
-                *w = table[usize::from(levels.read())];
+        // Slots past a row's last value sit in each block's last word.
+        let used = (l.per_row % l.per_word()) as u32 * l.width;
+        let slots = if used > 0 {
+            BYTES * (0xFF & (0xFF << used))
+        } else {
+            0
+        };
+        let wpb = l.words_per_block.max(1);
+        let mut pad = self
+            .levels
+            .chunks(wpb)
+            .fold(0, |acc, b| acc | (b[wpb - 1] & slots));
+        // Bit 4j of `x | x >> 1` is set when row j's two positions differ;
+        // the nibbles of rows past `d_out` are padding.
+        let mut repeats = 0;
+        let groups = l.positions_per_block.max(1);
+        for (b, words) in self.positions.chunks(groups).enumerate() {
+            let rows = u32::MAX >> (32 - 4 * l.rows(b));
+            let real = 0x1111_1111 & rows;
+            for &w in words {
+                let x = w ^ (w >> 2);
+                repeats |= ((x | (x >> 1)) & real) ^ real;
+                pad |= u64::from(w & !rows);
             }
         }
-        row.positions.clear();
-        if sparse {
-            // Four 2-bit positions per index byte. A row's first slot is
-            // even (two per 4-column group), so it starts at a byte
-            // boundary or halfway into a byte.
-            let unpack = |b: u8| [b & 0b11, (b >> 2) & 0b11, (b >> 4) & 0b11, b >> 6];
-            let first = r * per_row;
-            let mut byte = first / 4;
-            row.positions.resize(per_row, 0);
-            let mut out = &mut row.positions[..];
-            if first % 4 == 2 {
-                out[..2].copy_from_slice(&unpack(self.indices[byte])[2..]);
-                out = &mut out[2..];
-                byte += 1;
-            }
-            let mut quads = out.chunks_exact_mut(4);
-            for quad in &mut quads {
-                quad.copy_from_slice(&unpack(self.indices[byte]));
-                byte += 1;
-            }
-            if let [p0, p1] = quads.into_remainder() {
-                [*p0, *p1] = [self.indices[byte] & 0b11, (self.indices[byte] >> 2) & 0b11];
-            }
+        if pad != 0 {
+            return Err("nonzero padding bits");
         }
+        if repeats != 0 {
+            return Err("sparse24 kept pair repeats a position");
+        }
+        Ok(())
     }
 
     /// Decodes output rows `block * BLOCK_ROWS..` (at most
     /// [`BLOCK_ROWS`] of them) into `out`, interleaved as
     /// [`BlockScratch`] describes.
     ///
-    /// The first call builds the matrix's serving layout. Every call
-    /// unpacks the block's level words into byte lanes, one shift and one
-    /// mask per word, so no call reads levels bit by bit. Each weight has
-    /// the bits [`decode_row`](Self::decode_row) gives it: `0.0` for a
-    /// zero level, otherwise `dequantize_value(level, scale)` with the
-    /// scale read from `scales` at this call.
+    /// A call unpacks the block's level words into byte lanes, one shift
+    /// and one mask per word, so no call reads levels bit by bit. Each
+    /// weight has exactly the bits of the per-element spec: `0.0` where
+    /// [`level_at`](Self::level_at) is zero, otherwise
+    /// `dequantize_value(level_at(r, c), scale_at(r, c))`, with the scale
+    /// read from `scales` at this call.
     ///
     /// # Panics
     ///
@@ -522,15 +464,19 @@ impl CompressedMatrix {
     pub fn decode_block(&self, block: usize, out: &mut BlockScratch) {
         let r0 = block * BLOCK_ROWS;
         assert!(r0 < self.d_out, "block {block} out of range");
-        let layout = self.serving.0.get_or_init(|| ServingLayout::build(self));
-        let (per_row, per_group) = self.stored_per_row_and_group();
+        let layout = self.layout();
+        let per_row = layout.per_row;
+        let per_group = match self.format {
+            MatrixFormat::QuantDense => self.spec.group_size,
+            MatrixFormat::QuantSparse24 => self.spec.group_size / 2,
+        };
         let gpr = self.groups_per_row();
         // Unpack the block's level words into byte lanes.
         let width = layout.width;
-        let lane_mask = 0x0101_0101_0101_0101u64 * ((1u64 << width) - 1);
-        let words = &layout.levels[block * layout.words_per_block..][..layout.words_per_block];
+        let lane_mask = BYTES * ((1u64 << width) - 1);
+        let words = &self.levels[block * layout.words_per_block..][..layout.words_per_block];
         out.levels.resize(per_row, [0; BLOCK_ROWS]);
-        for (lanes, &w) in out.levels.chunks_mut((8 / width) as usize).zip(words) {
+        for (lanes, &w) in out.levels.chunks_mut(layout.per_word()).zip(words) {
             for (h, l) in lanes.iter_mut().enumerate() {
                 *l = ((w >> (h as u32 * width)) & lane_mask).to_le_bytes();
             }
@@ -564,38 +510,35 @@ impl CompressedMatrix {
             *w = f32::from_bits(dequantize_value(q, scale).to_bits() & keep);
         }
         out.positions.clear();
-        if self.format == MatrixFormat::QuantSparse24 {
-            let per_block = self.d_in / 4;
-            out.positions
-                .extend_from_slice(&layout.positions[block * per_block..(block + 1) * per_block]);
-        }
+        let groups = layout.positions_per_block;
+        out.positions
+            .extend_from_slice(&self.positions[block * groups..(block + 1) * groups]);
     }
 
-    /// Address of the serving layout, or `None` before the first
-    /// [`decode_block`](Self::decode_block) builds it. It stays the same
-    /// for the matrix's lifetime: the layout is built once.
-    // dz-lint: allow(dead-pub, "layout identity the build-once test compares across batch runners")
-    pub fn serving_layout_addr(&self) -> Option<usize> {
-        self.serving.0.get().map(|l| l.levels.as_ptr() as usize)
-    }
-
-    /// Dequantizes into the model's `(d_in, d_out)` weight orientation.
+    /// Dequantizes into the model's `(d_in, d_out)` weight orientation,
+    /// one [`decode_block`](Self::decode_block) per row block.
     pub fn dequantize(&self) -> Matrix {
         let mut w = Matrix::zeros(self.d_in, self.d_out);
         let d_out = self.d_out;
         let out = w.data_mut();
-        let mut row = RowScratch::default();
-        for r in 0..d_out {
-            self.decode_row(r, &mut row);
+        let mut blk = BlockScratch::default();
+        for block in 0..d_out.div_ceil(BLOCK_ROWS) {
+            self.decode_block(block, &mut blk);
+            let r0 = block * BLOCK_ROWS;
+            let rows = (d_out - r0).min(BLOCK_ROWS);
             match self.format {
                 MatrixFormat::QuantDense => {
-                    for (c, &v) in row.weights.iter().enumerate() {
-                        out[c * d_out + r] = v;
+                    for (c, lanes) in blk.weights.iter().enumerate() {
+                        out[c * d_out + r0..][..rows].copy_from_slice(&lanes[..rows]);
                     }
                 }
                 MatrixFormat::QuantSparse24 => {
-                    for (k, (&v, &p)) in row.weights.iter().zip(&row.positions).enumerate() {
-                        out[((k / 2) * 4 + usize::from(p)) * d_out + r] = v;
+                    for (k, lanes) in blk.weights.iter().enumerate() {
+                        let pairs = blk.positions[k / 2] >> (2 * (k % 2));
+                        for (j, &v) in lanes[..rows].iter().enumerate() {
+                            let c = (k / 2) * 4 + ((pairs >> (4 * j)) & 0b11) as usize;
+                            out[c * d_out + r0 + j] = v;
+                        }
                     }
                 }
             }
@@ -623,13 +566,15 @@ impl CompressedMatrix {
         self.d_in * self.d_out * 2
     }
 
-    /// Serializes the packed payload (for the lossless stage / disk model).
+    /// Serializes the packed payload (for the lossless stage / disk model):
+    /// the level and position words as the wire stores them, then the
+    /// scales.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.packed_bytes() + 16);
-        for w in &self.qweight {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out.extend_from_slice(&self.indices);
+        let l = self.layout();
+        l.levels().put(&self.levels, u64::to_le_bytes, &mut out);
+        l.positions()
+            .put(&self.positions, u32::to_le_bytes, &mut out);
         for s in &self.scales {
             // Truncate to bf16-style 2-byte form for realistic entropy.
             let bits = s.to_bits();
@@ -641,13 +586,17 @@ impl CompressedMatrix {
     /// Fraction of levels over the full `d_out × d_in` grid that are
     /// exactly zero (2:4-pruned positions count as zero).
     pub fn zero_level_fraction(&self) -> f64 {
-        let (per_row, _) = self.stored_per_row_and_group();
-        let stored = self.d_out * per_row;
-        let zero = self.spec.qmax() as u8;
-        let mut levels = LevelReader::new(&self.qweight, 0, self.spec.bits);
-        let stored_zeros = (0..stored).filter(|_| levels.read() == zero).count();
+        let l = self.layout();
+        let zero = self.spec.qmax();
+        let stored_zeros = (0..self.d_out)
+            .map(|r| {
+                (0..l.per_row)
+                    .filter(|&k| self.stored_level(&l, r, k) == zero)
+                    .count()
+            })
+            .sum::<usize>();
         let total = self.d_out * self.d_in;
-        (stored_zeros + total - stored) as f64 / total.max(1) as f64
+        (stored_zeros + total - self.d_out * l.per_row) as f64 / total.max(1) as f64
     }
 }
 
@@ -794,8 +743,8 @@ mod tests {
     fn to_bytes_length_tracks_packed_bytes() {
         let (_, cm) = dense_fixture(7, 24, 4, 21);
         let bytes = cm.to_bytes();
-        // Serialized form uses whole u32 words, so it can exceed the exact
-        // bit count, but never by more than 4 bytes per section.
+        // 4-bit levels fill their lanes; a row's odd last value leaves
+        // half a lane byte, at most one byte per row.
         assert!(bytes.len() >= cm.packed_bytes());
         assert!(bytes.len() <= cm.packed_bytes() + 8);
     }

@@ -11,13 +11,24 @@
 //!
 //! ```text
 //! format u8 | bits u32 | group_size u64 | d_in u64 | d_out u64
-//! n_qwords u64 | qweight u32 x n_qwords
-//! n_index  u64 | indices u8 x n_index
-//! n_scales u64 | scales f32 x n_scales
+//! n_level_words    u64 | level words
+//! n_position_words u64 | position words
+//! n_scales         u64 | scales f32 x n_scales
 //! ```
+//!
+//! The words are the matrix's own layout (see [`crate::pack`]), written
+//! little-endian: 8 bytes per level word and 4 per 2:4 position word
+//! (none for the dense format). A partial last row block of `t < 8` rows
+//! keeps only the bytes of its real rows' lanes, `t` per level word and
+//! `ceil(t / 2)` per position word, stored as byte planes: byte 0 of each
+//! of the block's words, then byte 1, and so on.
+//!
+//! Decode checks the record in bulk: the counts against the dimensions,
+//! every level on the grid, zero padding bits, distinct 2:4 positions in
+//! every real row, and finite scales.
 
 use crate::codec::{LowRankBand, LowRankMatrix, PackedLayer, SignMatrix, SignScope, MAX_BANDS};
-use crate::pack::{CompressedMatrix, MatrixFormat};
+use crate::pack::{CompressedMatrix, Layout, MatrixFormat, Section};
 use crate::pipeline::{DeltaCompressConfig, SizeReport};
 use crate::quant::QuantSpec;
 use dz_tensor::Matrix;
@@ -103,6 +114,10 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        self.take(N)?.try_into().map_err(|_| WireError::Truncated)
+    }
+
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
@@ -110,17 +125,17 @@ impl<'a> Reader<'a> {
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `u64` that must fit a `usize`.
@@ -130,7 +145,7 @@ impl<'a> Reader<'a> {
 
     /// Reads a little-endian `f32`.
     pub fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(f32::from_le_bytes)
     }
 
     /// Reads a length-prefixed (u16) UTF-8 string.
@@ -160,25 +175,29 @@ pub fn encode_matrix(cm: &CompressedMatrix, out: &mut Vec<u8>) {
     out.extend_from_slice(&(cm.spec.group_size as u64).to_le_bytes());
     out.extend_from_slice(&(cm.d_in as u64).to_le_bytes());
     out.extend_from_slice(&(cm.d_out as u64).to_le_bytes());
-    out.extend_from_slice(&(cm.qweight.len() as u64).to_le_bytes());
-    for w in &cm.qweight {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out.extend_from_slice(&(cm.indices.len() as u64).to_le_bytes());
-    out.extend_from_slice(&cm.indices);
+    let layout = cm.layout();
+    out.extend_from_slice(&(cm.levels.len() as u64).to_le_bytes());
+    layout.levels().put(&cm.levels, u64::to_le_bytes, out);
+    out.extend_from_slice(&(cm.positions.len() as u64).to_le_bytes());
+    layout.positions().put(&cm.positions, u32::to_le_bytes, out);
     out.extend_from_slice(&(cm.scales.len() as u64).to_le_bytes());
     for s in &cm.scales {
         out.extend_from_slice(&s.to_le_bytes());
     }
 }
 
-/// Expected `qweight` word count for the given dimensions and format.
-fn expected_qwords(d_in: usize, d_out: usize, bits: u32, format: MatrixFormat) -> Option<usize> {
-    let values = match format {
-        MatrixFormat::QuantDense => d_in.checked_mul(d_out)?,
-        MatrixFormat::QuantSparse24 => d_in.checked_mul(d_out)? / 2,
-    };
-    Some(values.checked_mul(bits as usize)?.div_ceil(32))
+/// Reads one word section: its count, checked against the layout, then
+/// its words.
+fn words<const N: usize, T>(
+    r: &mut Reader<'_>,
+    s: Section,
+    what: &'static str,
+    from_le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, WireError> {
+    if r.len_u64()? != s.words {
+        return Err(WireError::LengthMismatch(what));
+    }
+    Ok(s.parse(r.take(s.bytes())?, from_le))
 }
 
 /// Decodes one packed matrix, consuming its bytes from the reader.
@@ -209,76 +228,43 @@ fn decode_matrix_body(
     if format == MatrixFormat::QuantSparse24 && d_in % 4 != 0 {
         return Err(WireError::BadField("sparse24 d_in not divisible by 4"));
     }
-    // A scale group must hold whole 4-column groups: the row decoder
+    // A scale group must hold whole 4-column groups: the block decoder
     // advances the scale every `group_size / 2` kept values.
     if format == MatrixFormat::QuantSparse24 && group_size % 4 != 0 {
         return Err(WireError::BadField(
             "sparse24 group size not divisible by 4",
         ));
     }
-    let n_qwords = r.len_u64()?;
-    match expected_qwords(d_in, d_out, bits, format) {
-        Some(want) if want == n_qwords => {}
-        _ => return Err(WireError::LengthMismatch("qweight words")),
+    // Bounds every layout count well inside `usize`.
+    if d_in.checked_mul(d_out).is_none_or(|n| n > usize::MAX >> 4) {
+        return Err(WireError::LengthMismatch("matrix size"));
     }
-    r.check_payload(n_qwords, 4)?;
-    let mut qweight = Vec::with_capacity(n_qwords);
-    for _ in 0..n_qwords {
-        qweight.push(r.u32()?);
-    }
-    let n_index = r.len_u64()?;
-    let want_index = match format {
-        MatrixFormat::QuantDense => 0,
-        MatrixFormat::QuantSparse24 => (d_in * d_out / 2).div_ceil(4),
-    };
-    if n_index != want_index {
-        return Err(WireError::LengthMismatch("index bytes"));
-    }
-    r.check_payload(n_index, 1)?;
-    let mut indices = vec![0u8; n_index];
-    for b in indices.iter_mut() {
-        *b = r.u8()?;
-    }
-    // Each index byte holds two kept pairs, one per nibble (a trailing
-    // half byte is padding). A pair naming one position twice has no 2:4
-    // meaning, and the row decoder would read it differently from
-    // `level_at`.
-    if format == MatrixFormat::QuantSparse24
-        && indices
-            .iter()
-            .flat_map(|&b| [b & 0xF, b >> 4])
-            .take(d_in * d_out / 4)
-            .any(|pair| pair & 0b11 == pair >> 2)
-    {
-        return Err(WireError::BadField("sparse24 kept pair repeats a position"));
-    }
+    let layout = Layout::new(format, bits, d_in, d_out);
+    let levels = words(r, layout.levels(), "level words", u64::from_le_bytes)?;
+    let positions = words(r, layout.positions(), "position words", u32::from_le_bytes)?;
     let n_scales = r.len_u64()?;
-    if n_scales
-        != d_out
-            .checked_mul(d_in.div_ceil(group_size))
-            .ok_or(WireError::LengthMismatch("scales"))?
-    {
+    if n_scales != d_out * d_in.div_ceil(group_size) {
         return Err(WireError::LengthMismatch("scales"));
     }
-    r.check_payload(n_scales, 4)?;
-    let mut scales = Vec::with_capacity(n_scales);
-    for _ in 0..n_scales {
-        let s = r.f32()?;
-        if !s.is_finite() {
-            return Err(WireError::BadField("non-finite scale"));
-        }
-        scales.push(s);
+    let scales: Vec<f32> = r
+        .take(4 * n_scales)?
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    if !scales.iter().all(|s| s.is_finite()) {
+        return Err(WireError::BadField("non-finite scale"));
     }
-    Ok(CompressedMatrix {
+    let cm = CompressedMatrix {
         d_in,
         d_out,
         spec: QuantSpec::new(bits, group_size),
         format,
-        qweight,
-        indices,
+        levels,
+        positions,
         scales,
-        serving: Default::default(),
-    })
+    };
+    cm.check_words().map_err(WireError::BadField)?;
+    Ok(cm)
 }
 
 /// Appends the wire form of one sign/scale (BitDelta) matrix.
@@ -396,7 +382,7 @@ pub fn encode_layer(layer: &PackedLayer, out: &mut Vec<u8>) {
 }
 
 /// Decodes one packed layer, consuming its bytes from the reader. Accepts
-/// every format tag, including the version-1 quantized records.
+/// every format tag.
 pub fn decode_layer(r: &mut Reader<'_>) -> Result<PackedLayer, WireError> {
     match r.u8()? {
         FORMAT_DENSE => Ok(PackedLayer::Quant(decode_matrix_body(
@@ -581,12 +567,13 @@ mod tests {
 
     #[test]
     fn matrix_round_trip_dense_and_sparse() {
-        for bits in [2u32, 3, 4, 8] {
+        // 6 and 5 rows end on a partial row block.
+        for bits in 2u32..=8 {
             let cm = dense_fixture(6, 16, bits, bits as u64);
             let back = matrix_from_bytes(&matrix_to_bytes(&cm)).unwrap();
             assert_eq!(back, cm, "dense bits={bits}");
         }
-        for bits in [2u32, 4] {
+        for bits in [2u32, 3, 4, 8] {
             let cm = sparse_fixture(5, 16, bits, bits as u64 + 7);
             let back = matrix_from_bytes(&matrix_to_bytes(&cm)).unwrap();
             assert_eq!(back, cm, "sparse bits={bits}");
@@ -617,38 +604,80 @@ mod tests {
         );
     }
 
-    /// Byte offset of the index section of a sparse matrix record.
-    fn index_offset(cm: &CompressedMatrix) -> usize {
-        1 + 4 + 8 * 3 + 8 + 4 * cm.qweight.len() + 8
+    /// Byte offset of the level words of a matrix record.
+    const LEVELS_AT: usize = 1 + 4 + 8 * 3 + 8;
+
+    /// Byte offset of the position words of a matrix record.
+    fn positions_at(cm: &CompressedMatrix) -> usize {
+        LEVELS_AT + cm.layout().levels().bytes() + 8
     }
 
     #[test]
     fn sparse_decode_rejects_repeated_positions_in_a_pair() {
-        // 3 rows x 12 inputs: 9 kept pairs, one per index nibble.
+        // 3 rows x 12 inputs: one partial block of three 4-column groups,
+        // whose position words keep two byte planes (rows 0-1, row 2).
         let cm = sparse_fixture(3, 12, 4, 17);
-        let at = index_offset(&cm);
-        for pair in 0..9 {
-            let (byte, shift) = (at + pair / 2, (pair % 2) * 4);
+        for (t, j) in (0..3).flat_map(|t| (0..3).map(move |j| (t, j))) {
+            let (byte, shift) = (positions_at(&cm) + 3 * (j / 2) + t, (j % 2) * 4);
             let mut bytes = matrix_to_bytes(&cm);
             // Positions (2, 2).
             bytes[byte] = (bytes[byte] & !(0xF << shift)) | (0b1010 << shift);
             assert_eq!(
                 matrix_from_bytes(&bytes),
                 Err(WireError::BadField("sparse24 kept pair repeats a position")),
-                "pair {pair}"
+                "group {t} row {j}"
             );
         }
     }
 
     #[test]
-    fn sparse_decode_ignores_the_padding_nibble() {
-        // 3 rows x 12 inputs = 18 kept slots = 9 pairs: the last byte's
-        // high nibble is padding and may hold anything.
+    fn decode_rejects_nonzero_padding() {
+        // 3 rows: the position words' second byte plane holds row 2 and a
+        // padding nibble for row 3, which must stay zero.
         let cm = sparse_fixture(3, 12, 4, 18);
         let mut bytes = matrix_to_bytes(&cm);
-        let last = index_offset(&cm) + cm.indices.len() - 1;
-        bytes[last] |= 0xF0;
-        assert!(matrix_from_bytes(&bytes).is_ok());
+        bytes[positions_at(&cm) + 3] |= 0xA0;
+        assert_eq!(
+            matrix_from_bytes(&bytes),
+            Err(WireError::BadField("nonzero padding bits"))
+        );
+        // 6 2-bit levels per row fill one word and half the next: the
+        // second word's last two slots in row 0's lane (byte plane 0) are
+        // padding.
+        let cm = dense_fixture(2, 6, 2, 19);
+        let mut bytes = matrix_to_bytes(&cm);
+        bytes[LEVELS_AT + 1] |= 0b0100_0000;
+        assert_eq!(
+            matrix_from_bytes(&bytes),
+            Err(WireError::BadField("nonzero padding bits"))
+        );
+    }
+
+    #[test]
+    fn decode_rejects_levels_outside_the_grid_at_every_width() {
+        for bits in 2u32..=8 {
+            let cm = dense_fixture(3, 8, bits, u64::from(bits) + 40);
+            let width = bits.next_power_of_two();
+            let mask = ((1u32 << width) - 1) as u8;
+            // q = qmax + 1, and (for lanes wider than `bits`) the lane's
+            // largest value; both sit in row 0's first slot.
+            for biased in [(1u32 << bits) - 1, (1 << width) - 1] {
+                let mut bytes = matrix_to_bytes(&cm);
+                bytes[LEVELS_AT] = (bytes[LEVELS_AT] & !mask) | biased as u8;
+                assert_eq!(
+                    matrix_from_bytes(&bytes),
+                    Err(WireError::BadField("level outside the quantization grid")),
+                    "bits={bits} biased={biased}"
+                );
+            }
+            // The grid's top level itself decodes.
+            let mut bytes = matrix_to_bytes(&cm);
+            bytes[LEVELS_AT] = (bytes[LEVELS_AT] & !mask) | (2 * cm.spec.qmax()) as u8;
+            assert_eq!(
+                matrix_from_bytes(&bytes).unwrap().level_at(0, 0),
+                cm.spec.qmax()
+            );
+        }
     }
 
     #[test]
@@ -686,11 +715,13 @@ mod tests {
         bytes.push(0u8); // dense
         bytes.extend_from_slice(&2u32.to_le_bytes()); // bits
         bytes.extend_from_slice(&8u64.to_le_bytes()); // group_size
-        let d: u64 = 1 << 20;
-        bytes.extend_from_slice(&d.to_le_bytes()); // d_in
-        bytes.extend_from_slice(&d.to_le_bytes()); // d_out
-        let n_qwords = (d * d * 2).div_ceil(32);
-        bytes.extend_from_slice(&n_qwords.to_le_bytes());
+        let d = 1usize << 20;
+        bytes.extend_from_slice(&(d as u64).to_le_bytes()); // d_in
+        bytes.extend_from_slice(&(d as u64).to_le_bytes()); // d_out
+        let words = Layout::new(MatrixFormat::QuantDense, 2, d, d)
+            .levels()
+            .words;
+        bytes.extend_from_slice(&(words as u64).to_le_bytes());
         assert_eq!(matrix_from_bytes(&bytes), Err(WireError::Truncated));
     }
 

@@ -1,15 +1,13 @@
-//! `CompressedMatrix::decode_row` against the per-element spec, and
-//! `CompressedMatrix::decode_block` against `decode_row`.
+//! `CompressedMatrix::decode_block` against the per-element spec.
 //!
 //! Every decoded weight must carry exactly the bits of `level_at × scale_at`
 //! (`0.0` for a zero level), and for the 2:4 format the decoded positions
 //! must name the kept columns: distinct within each pair, with every other
-//! column reading level zero. Each lane of a decoded row block must carry
-//! its row's `decode_row` bits and positions, and lanes past `d_out` must
-//! be zero. Shapes cover bits 2..=8, both formats, group sizes that leave
-//! a ragged last group, and `d_out` that ends on a partial row block.
+//! column reading level zero. Lanes past `d_out` must be zero. Shapes
+//! cover bits 2..=8, both formats, group sizes that leave a ragged last
+//! group, and `d_out` that ends on a partial row block.
 
-use dz_compress::pack::{BlockScratch, CompressedMatrix, MatrixFormat, RowScratch, BLOCK_ROWS};
+use dz_compress::pack::{BlockScratch, CompressedMatrix, MatrixFormat, BLOCK_ROWS};
 use dz_compress::quant::QuantSpec;
 use dz_tensor::Rng;
 use proptest::prelude::*;
@@ -62,7 +60,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn decode_row_matches_level_at_times_scale_at(
+    fn decode_block_matches_level_at_times_scale_at(
         seed in any::<u64>(),
         bits in 2u32..9,
         sparse in any::<bool>(),
@@ -77,69 +75,48 @@ proptest! {
             DENSE_GROUPS[group_pick]
         };
         let cm = random_matrix(seed, bits, sparse, group_size, d_in, d_out);
-        // One scratch across rows, as the kernels use it.
-        let mut row = RowScratch::default();
-        for r in 0..d_out {
-            cm.decode_row(r, &mut row);
-            match cm.format {
-                MatrixFormat::QuantDense => {
-                    prop_assert_eq!(row.weights.len(), d_in);
-                    prop_assert!(row.positions.is_empty());
-                    for (c, w) in row.weights.iter().enumerate() {
-                        prop_assert_eq!(w.to_bits(), spec_weight(&cm, r, c).to_bits(),
-                            "dense r={} c={}", r, c);
-                    }
-                }
-                MatrixFormat::QuantSparse24 => {
-                    prop_assert_eq!(row.weights.len(), d_in / 2);
-                    prop_assert_eq!(row.positions.len(), d_in / 2);
-                    let mut kept = vec![false; d_in];
-                    for (k, (w, &p)) in row.weights.iter().zip(&row.positions).enumerate() {
-                        prop_assert!(p < 4);
-                        let c = (k / 2) * 4 + usize::from(p);
-                        prop_assert!(!kept[c], "r={} c={} decoded twice", r, c);
-                        kept[c] = true;
-                        prop_assert_eq!(w.to_bits(), spec_weight(&cm, r, c).to_bits(),
-                            "sparse r={} c={}", r, c);
-                    }
-                    for (c, &k) in kept.iter().enumerate() {
-                        if !k {
-                            prop_assert_eq!(cm.level_at(r, c), 0, "pruned r={} c={}", r, c);
-                        }
-                    }
-                }
-            }
-        }
-        // Every lane of every row block carries its row's decode_row
-        // bits; the serving layout is built by the first call.
+        // One scratch across blocks, as the kernels use it.
         let mut blk = BlockScratch::default();
         for block in 0..d_out.div_ceil(BLOCK_ROWS) {
             cm.decode_block(block, &mut blk);
-            prop_assert_eq!(blk.weights.len(), row.weights.len());
             for j in 0..BLOCK_ROWS {
                 let r = block * BLOCK_ROWS + j;
                 if r >= d_out {
                     prop_assert!(blk.weights.iter().all(|w| w[j] == 0.0), "padding lane {}", j);
                     continue;
                 }
-                cm.decode_row(r, &mut row);
-                for (k, (w, want)) in blk.weights.iter().zip(&row.weights).enumerate() {
-                    prop_assert_eq!(w[j].to_bits(), want.to_bits(), "block r={} k={}", r, k);
-                }
-                if cm.format == MatrixFormat::QuantSparse24 {
-                    prop_assert_eq!(blk.positions.len(), d_in / 4);
-                    for (t, &word) in blk.positions.iter().enumerate() {
-                        let pair = word >> (4 * j);
-                        prop_assert_eq!((pair & 0b11) as u8, row.positions[2 * t]);
-                        prop_assert_eq!(((pair >> 2) & 0b11) as u8, row.positions[2 * t + 1]);
+                match cm.format {
+                    MatrixFormat::QuantDense => {
+                        prop_assert_eq!(blk.weights.len(), d_in);
+                        prop_assert!(blk.positions.is_empty());
+                        for (c, w) in blk.weights.iter().enumerate() {
+                            prop_assert_eq!(w[j].to_bits(), spec_weight(&cm, r, c).to_bits(),
+                                "dense r={} c={}", r, c);
+                        }
                     }
-                } else {
-                    prop_assert!(blk.positions.is_empty());
+                    MatrixFormat::QuantSparse24 => {
+                        prop_assert_eq!(blk.weights.len(), d_in / 2);
+                        prop_assert_eq!(blk.positions.len(), d_in / 4);
+                        let mut kept = vec![false; d_in];
+                        for (k, w) in blk.weights.iter().enumerate() {
+                            let p = (blk.positions[k / 2] >> (4 * j + 2 * (k % 2))) & 0b11;
+                            let c = (k / 2) * 4 + p as usize;
+                            prop_assert!(!kept[c], "r={} c={} decoded twice", r, c);
+                            kept[c] = true;
+                            prop_assert_eq!(w[j].to_bits(), spec_weight(&cm, r, c).to_bits(),
+                                "sparse r={} c={}", r, c);
+                        }
+                        for (c, &k) in kept.iter().enumerate() {
+                            if !k {
+                                prop_assert_eq!(cm.level_at(r, c), 0, "pruned r={} c={}", r, c);
+                            }
+                        }
+                    }
                 }
             }
         }
-        // dequantize and zero_level_fraction read through the same
-        // decoder; check them against the spec too.
+        // dequantize reads through decode_block, zero_level_fraction
+        // through the level words; check them against the spec too.
         let deq = cm.dequantize();
         let mut zeros = 0usize;
         for r in 0..d_out {

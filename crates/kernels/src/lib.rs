@@ -14,13 +14,13 @@
 //! model assigns costs to. Criterion benches over these kernels back the
 //! CPU-side sanity check of Figure 6/7 shapes.
 //!
-//! The fused kernels read a packed matrix through its serving layout
+//! The fused kernels read a packed matrix in the layout it is stored in,
+//! from `.dza` page to memory
 //! ([`dz_compress::pack::CompressedMatrix::decode_block`]): byte-lane
-//! levels and 2:4 positions interleaved over blocks of eight output rows,
-//! built once per matrix on its first call. A call only scales the levels
-//! of each row block and applies the block to every batch row; it never
-//! bit-unpacks. See [`qgemm`] for the tiling and the bit-exactness
-//! contract.
+//! levels and 2:4 positions interleaved over blocks of eight output rows.
+//! A call only scales the levels of each row block and applies the block
+//! to every batch row; it never bit-unpacks and builds nothing on first
+//! use. See [`qgemm`] for the tiling and the bit-exactness contract.
 //!
 //! The adapter side (Punica-style SGMV, extended with RoSA's sparse
 //! component per §8) lives in [`sgmv`].

@@ -8,10 +8,10 @@
 //! # Block decode
 //!
 //! Each call decodes every block of [`BLOCK_ROWS`] output rows of `W`
-//! exactly once, with [`CompressedMatrix::decode_block`]. The matrix keeps
-//! a serving layout of byte-lane levels (and, for 2:4, in-group
-//! positions), built on its first call, so a call only unpacks byte lanes
-//! and multiplies each level by its live scale. The decoded block holds
+//! exactly once, with [`CompressedMatrix::decode_block`]. The matrix is
+//! stored as byte-lane levels (and, for 2:4, in-group position words), the
+//! same layout its wire record and `.dza` page hold, so a call only
+//! unpacks byte lanes and multiplies each level by its live scale. The decoded block holds
 //! `d_in` weights (dense) or `d_in / 2` kept weights plus one position
 //! word per 4-column group (2:4) per row, interleaved over the block's
 //! rows. It is then applied to every row of `x`, so a batch shares each

@@ -14,8 +14,9 @@
 //! `DZ_PRINT_PINS=1 cargo test -p dz-kernels --test kernel_pins -- --nocapture`
 //! and paste the printed hashes.
 
-use dz_compress::pack::{CompressedMatrix, MatrixFormat};
+use dz_compress::pack::{CompressedMatrix, MatrixFormat, BLOCK_ROWS};
 use dz_compress::quant::QuantSpec;
+use dz_compress::wire::{matrix_from_bytes, matrix_to_bytes};
 use dz_kernels::{quant_gemm, sbmm_grouped};
 use dz_tensor::{Matrix, Rng};
 
@@ -238,10 +239,12 @@ fn per_element_reference(x: &Matrix, cm: &CompressedMatrix) -> Matrix {
                 }
                 MatrixFormat::QuantSparse24 => {
                     for g4 in 0..cm.d_in / 4 {
+                        // Row r's pair sits in nibble r % 8 of its block's
+                        // position word for this 4-column group.
+                        let word = cm.positions[(r / BLOCK_ROWS) * (cm.d_in / 4) + g4];
                         let slot = |s: usize| {
-                            let i = (r * cm.d_in) / 2 + g4 * 2 + s;
                             let c =
-                                g4 * 4 + usize::from((cm.indices[i / 4] >> ((i % 4) * 2)) & 0b11);
+                                g4 * 4 + ((word >> (4 * (r % BLOCK_ROWS) + 2 * s)) & 0b11) as usize;
                             (c, cm.level_at(r, c) as f32 * cm.scale_at(r, c))
                         };
                         let ((c0, v0), (c1, v1)) = (slot(0), slot(1));
@@ -253,6 +256,14 @@ fn per_element_reference(x: &Matrix, cm: &CompressedMatrix) -> Matrix {
         }
     }
     y
+}
+
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.data()
+            .iter()
+            .zip(b.data())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Batch sizes of the per-element check: every tile shape `quant_gemm`
@@ -269,22 +280,29 @@ fn quant_gemm_matches_the_per_element_reference_with_signed_scales() {
             for &shape in &[(36, 20), (96, 24), (44, 13)] {
                 for &gs in &GROUP_SIZES {
                     let mut cm = packed(format, bits, gs, shape, &mut rng);
+                    // Served once before its scales change: the kernel
+                    // reads them at each call, so nothing served is stale.
+                    let ones = Matrix::from_vec(1, shape.0, vec![1.0; shape.0]);
+                    quant_gemm(&ones, &cm);
                     for s in cm.scales.iter_mut() {
                         if rng.below(2) == 0 {
                             *s = -*s;
                         }
                     }
+                    // A matrix equals its wire round trip and serves the
+                    // same bits.
+                    let back = matrix_from_bytes(&matrix_to_bytes(&cm)).expect("round trip");
+                    assert_eq!(back, cm);
+                    assert!(same_bits(
+                        &quant_gemm(&ones, &cm),
+                        &per_element_reference(&ones, &cm)
+                    ));
                     for &batch in &REFERENCE_BATCHES {
                         let x = activations(batch, shape.0, &mut rng);
                         let got = quant_gemm(&x, &cm);
                         let want = per_element_reference(&x, &cm);
-                        let same = got
-                            .data()
-                            .iter()
-                            .zip(want.data())
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
                         assert!(
-                            same,
+                            same_bits(&got, &want) && same_bits(&quant_gemm(&x, &back), &got),
                             "{format:?} bits={bits} gs={gs} {shape:?} batch={batch}"
                         );
                     }

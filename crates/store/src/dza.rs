@@ -5,6 +5,12 @@
 //! it, and every tensor as an independently readable, losslessly compressed
 //! page. All integers are little-endian.
 //!
+//! This is version 3 ([`DZA_VERSION`]), the only version written or read;
+//! no reader for older containers is kept. A quantized tensor's wire
+//! record holds the byte-lane words the kernels read (see
+//! `dz_compress::pack`), so a decoded layer is served as it is, with no
+//! re-layout step.
+//!
 //! ```text
 //! +--------------------------------------------------------------+
 //! | head:    magic "DZA1" | version u16                          |
@@ -52,13 +58,11 @@ use std::time::Instant;
 
 /// Leading container magic.
 pub const DZA_MAGIC: &[u8; 4] = b"DZA1";
-/// Container format version written by [`ArtifactWriter`]. Version 2
-/// added method-zoo codec ids to the manifest and every tensor header;
-/// version-1 containers (pre-method-zoo, implicitly SparseGPT-starred)
-/// still open and read.
-pub const DZA_VERSION: u16 = 2;
-/// Oldest container version [`ArtifactReader`] still accepts.
-pub const DZA_MIN_VERSION: u16 = 1;
+/// Container format version, the only one [`ArtifactWriter`] writes and
+/// [`ArtifactReader`] opens. Version 3 stores quantized layers in the
+/// byte-lane layout the kernels read (see `dz_compress::wire`); an older
+/// container is refused with [`StoreError::BadVersion`].
+pub const DZA_VERSION: u16 = 3;
 /// Tensor-header codec byte meaning "no codec" (dense rest tensors).
 const CODEC_NONE: u8 = 0xFF;
 /// Trailing footer magic.
@@ -86,8 +90,7 @@ pub struct TensorEntry {
     /// Page payload type.
     pub kind: TensorKind,
     /// Method-zoo codec that produced the page payload (`None` for dense
-    /// rest tensors; version-1 containers report
-    /// [`CodecId::SparseGptStar`] for packed linears).
+    /// rest tensors).
     pub codec: Option<CodecId>,
     /// Byte offset of the page within the file.
     pub offset: u64,
@@ -157,21 +160,15 @@ impl Manifest {
         out
     }
 
-    /// Decodes a manifest of the given container version. Version-1
-    /// manifests carry no codec bytes; their packed linears are implicitly
-    /// SparseGPT-starred.
-    fn decode(bytes: &[u8], version: u16) -> Result<Manifest, StoreError> {
+    fn decode(bytes: &[u8]) -> Result<Manifest, StoreError> {
         let mut r = WireReader::new(bytes);
         let name = r.name()?;
         let mut hash = [0u8; 32];
         for b in hash.iter_mut() {
             *b = r.u8()?;
         }
-        let codec = if version >= 2 {
-            CodecId::from_u8(r.u8()?).ok_or(StoreError::Corrupt("unknown manifest codec id"))?
-        } else {
-            CodecId::SparseGptStar
-        };
+        let codec =
+            CodecId::from_u8(r.u8()?).ok_or(StoreError::Corrupt("unknown manifest codec id"))?;
         let config = wire::decode_config(&mut r)?;
         let report = wire::decode_report(&mut r)?;
         let n = r.u32()? as usize;
@@ -183,19 +180,11 @@ impl Manifest {
                 1 => TensorKind::DenseRest,
                 _ => return Err(StoreError::Corrupt("unknown tensor kind")),
             };
-            let tensor_codec = if version >= 2 {
-                match r.u8()? {
-                    CODEC_NONE => None,
-                    v => Some(
-                        CodecId::from_u8(v)
-                            .ok_or(StoreError::Corrupt("unknown tensor codec id"))?,
-                    ),
-                }
-            } else {
-                match kind {
-                    TensorKind::PackedLinear => Some(CodecId::SparseGptStar),
-                    TensorKind::DenseRest => None,
-                }
+            let tensor_codec = match r.u8()? {
+                CODEC_NONE => None,
+                v => Some(
+                    CodecId::from_u8(v).ok_or(StoreError::Corrupt("unknown tensor codec id"))?,
+                ),
             };
             tensors.push(TensorEntry {
                 name: tname,
@@ -447,7 +436,7 @@ impl<R: Read + Seek> ArtifactReader<R> {
             return Err(StoreError::BadMagic);
         }
         let version = u16::from_le_bytes([head[4], head[5]]);
-        if !(DZA_MIN_VERSION..=DZA_VERSION).contains(&version) {
+        if version != DZA_VERSION {
             return Err(StoreError::BadVersion(version));
         }
         source.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
@@ -471,7 +460,7 @@ impl<R: Read + Seek> ArtifactReader<R> {
         if crc32(&manifest_bytes) != manifest_crc {
             return Err(StoreError::ChecksumMismatch { tensor: None });
         }
-        let manifest = Manifest::decode(&manifest_bytes, version)?;
+        let manifest = Manifest::decode(&manifest_bytes)?;
         for t in &manifest.tensors {
             let end = t
                 .offset

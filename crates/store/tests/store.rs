@@ -694,84 +694,14 @@ fn manifest_records_codec_ids_per_tensor() {
     assert_eq!(&wv, &delta.layers["layers.0.wv"]);
 }
 
-/// Hand-writes a pre-method-zoo version-1 container (no codec bytes in
-/// the manifest or tensor headers) using the public wire primitives.
-fn v1_container_bytes(delta: &CompressedDelta, name: &str) -> Vec<u8> {
-    use dz_compress::wire;
-    use dz_lossless::crc::crc32;
-
-    let mut out = Vec::new();
-    out.extend_from_slice(b"DZA1");
-    out.extend_from_slice(&1u16.to_le_bytes());
-    // kind, offset, comp_len, raw_len, crc32 per tensor, in file order.
-    let mut entries: Vec<(String, u8, u64, u64, u64, u32)> = Vec::new();
-    for (tname, layer) in &delta.layers {
-        let raw = wire::matrix_to_bytes(layer.as_quant().expect("v1 holds quant layers"));
-        let page = dz_lossless::compress(&raw);
-        entries.push((
-            tname.clone(),
-            0,
-            out.len() as u64,
-            page.len() as u64,
-            raw.len() as u64,
-            crc32(&raw),
-        ));
-        out.extend_from_slice(&page);
-    }
-    for (tname, m) in &delta.rest {
-        let mut raw = Vec::new();
-        wire::encode_dense(m, &mut raw);
-        let page = dz_lossless::compress(&raw);
-        entries.push((
-            tname.clone(),
-            1,
-            out.len() as u64,
-            page.len() as u64,
-            raw.len() as u64,
-            crc32(&raw),
-        ));
-        out.extend_from_slice(&page);
-    }
-    let manifest_offset = out.len() as u64;
-    let mut manifest = Vec::new();
-    wire::put_name(&mut manifest, name);
-    manifest.extend_from_slice(&sha256(b"base").0);
-    wire::encode_config(&delta.config, &mut manifest);
-    wire::encode_report(&delta.report, &mut manifest);
-    manifest.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (tname, kind, offset, comp_len, raw_len, crc) in &entries {
-        wire::put_name(&mut manifest, tname);
-        manifest.push(*kind);
-        manifest.extend_from_slice(&offset.to_le_bytes());
-        manifest.extend_from_slice(&comp_len.to_le_bytes());
-        manifest.extend_from_slice(&raw_len.to_le_bytes());
-        manifest.extend_from_slice(&crc.to_le_bytes());
-    }
-    out.extend_from_slice(&manifest);
-    out.extend_from_slice(&manifest_offset.to_le_bytes());
-    out.extend_from_slice(&(manifest.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(&manifest).to_le_bytes());
-    out.extend_from_slice(b"DZAE");
-    out
-}
-
 #[test]
-fn version_1_containers_still_read() {
-    let delta = fixture_delta(95);
-    let bytes = v1_container_bytes(&delta, "legacy");
-    let mut reader = ArtifactReader::open(Cursor::new(&bytes)).expect("open v1");
-    // Pre-method-zoo artifacts are implicitly SparseGPT-starred.
-    assert_eq!(reader.manifest().codec, CodecId::SparseGptStar);
-    for t in &reader.manifest().tensors {
-        match t.kind {
-            TensorKind::PackedLinear => assert_eq!(t.codec, Some(CodecId::SparseGptStar)),
-            TensorKind::DenseRest => assert_eq!(t.codec, None),
-        }
-    }
-    let back = reader.read_delta().expect("read v1 delta");
-    assert_eq!(back, delta);
-    // Single-tensor random access works on v1 containers too.
-    let mut reader2 = ArtifactReader::open(Cursor::new(&bytes)).expect("reopen");
-    let wq = reader2.read_packed("layers.0.wq").expect("packed");
-    assert_eq!(&wq, &delta.layers["layers.0.wq"]);
+fn version_2_containers_are_refused() {
+    // Version 2 stored quantized layers bit-packed; no reader for it is
+    // kept, and its pages would not parse as version-3 records.
+    let mut bytes = container_bytes(&fixture_delta(95), "legacy");
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    assert!(matches!(
+        ArtifactReader::open(Cursor::new(&bytes)),
+        Err(StoreError::BadVersion(2))
+    ));
 }
