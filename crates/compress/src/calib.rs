@@ -102,6 +102,28 @@ mod tests {
     }
 
     #[test]
+    fn recorded_inputs_are_pinned() {
+        // FNV-1a over the f32 bits of every projection's stacked inputs:
+        // calibration must record the same activations bit for bit.
+        let cfg = test_config();
+        let params = Params::init(cfg, &mut Rng::seeded(4));
+        let seqs = calibration_set(&Corpus::new(cfg.max_seq), 3, 5);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for name in params.linear_layer_names() {
+            for v in inputs_for(&params, &seqs, &name).data() {
+                for b in v.to_bits().to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            h, 0x6f92_487d_8738_d784,
+            "recorded inputs changed: got {h:#018x}"
+        );
+    }
+
+    #[test]
     fn probe_logits_match_forward_full() {
         // The probing forward must compute the same function as training.
         let cfg = test_config();
