@@ -8,7 +8,7 @@ use dz_compress::pipeline::{delta_compress, DeltaCompressConfig};
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_kernels::decoupled::DecoupledBatch;
-use dz_kernels::{AdapterBatch, AdapterView};
+use dz_kernels::{AdapterView, BatchRunner, Variant};
 use dz_model::lora::{LoraAdapter, LoraConfig};
 use dz_model::rosa::{RosaAdapter, RosaConfig};
 use dz_model::tasks::Corpus;
@@ -115,10 +115,8 @@ fn bench_cpu_decode_paths(c: &mut Criterion) {
             &batch_size,
             |b, &n| {
                 b.iter(|| {
-                    let mut batch = AdapterBatch::new(
-                        &base,
-                        vec![AdapterView::from_lora(&lora), AdapterView::from_rosa(&rosa)],
-                    );
+                    let views = [AdapterView::from_lora(&lora), AdapterView::from_rosa(&rosa)];
+                    let mut batch = BatchRunner::new(&base, views.map(Variant::adapter).into());
                     for i in 0..n {
                         batch.admit(i % 2, &prompt);
                     }

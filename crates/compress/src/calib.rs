@@ -5,7 +5,7 @@
 //! inputs it sees, both to build the OBS Hessian and to score output error.
 
 use dz_model::tasks::Corpus;
-use dz_model::transformer::{forward_probe, Params};
+use dz_model::transformer::{forward_infer, KvCache, Params};
 use dz_tensor::{Matrix, Rng};
 
 /// Generates a synthetic calibration set of `n` sequences.
@@ -25,11 +25,13 @@ pub fn calibration_set(corpus: &Corpus, n: usize, seed: u64) -> Vec<Vec<usize>> 
 pub fn inputs_for(params: &Params, seqs: &[Vec<usize>], target: &str) -> Matrix {
     let mut chunks: Vec<Matrix> = Vec::with_capacity(seqs.len());
     for seq in seqs {
-        forward_probe(params, seq, &mut |name, x| {
+        let mut cache = KvCache::new(params.config.n_layers);
+        let mut record = |name: &str, x: &Matrix| {
             if name == target {
                 chunks.push(x.clone());
             }
-        });
+        };
+        forward_infer(params, seq, &mut cache, Some(&mut record));
     }
     assert!(
         !chunks.is_empty(),
@@ -130,7 +132,8 @@ mod tests {
         let mut rng = Rng::seeded(3);
         let params = Params::init(cfg, &mut rng);
         let ids = vec![1usize, 10, 11, 12, 2];
-        let via_probe = forward_probe(&params, &ids, &mut |_, _| {});
+        let mut cache = KvCache::new(cfg.n_layers);
+        let via_probe = forward_infer(&params, &ids, &mut cache, Some(&mut |_, _| {}));
         let via_full = dz_model::transformer::forward_full(&params, &ids);
         assert!(
             via_probe.max_abs_diff(&via_full) < 1e-3,

@@ -14,7 +14,8 @@
 //! per-variant uncompressed parameters (biases, norms, embeddings) taken
 //! from each variant's delta artifact. Deltas in a format with no SBMM
 //! kernel (BitDelta, Delta-CoMe) are dequantized once at construction and
-//! applied as dense per-request products.
+//! applied as dense per-request products. Norms, attention and GELU are
+//! dz-model's inference primitives, shared with the reference forward.
 
 use crate::runner::{BatchRunner, Variant};
 use dz_compress::pipeline::CompressedDelta;

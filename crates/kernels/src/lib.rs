@@ -29,8 +29,12 @@
 //! through the same transformer step: packed deltas through SBMM,
 //! BitDelta/Delta-CoMe deltas through a dense fallback, and LoRA/RoSA
 //! adapters through SGMV, each on top of one shared base GEMM per
-//! projection. [`decoupled::DecoupledBatch::new`] and
-//! [`AdapterBatch::new`] build it over deltas or adapters alone.
+//! projection. The runner holds only what decoupling changes: the
+//! per-variant parameters and these linears. LayerNorm, cached attention,
+//! GELU and the greedy argmax are `dz_model::transformer`'s, the same
+//! functions its reference `forward_infer` calls.
+//! [`decoupled::DecoupledBatch::new`] builds the runner over deltas alone;
+//! adapters enter it as [`Variant::adapter`].
 
 pub mod decoupled;
 pub mod qgemm;
@@ -41,4 +45,4 @@ pub mod sgmv;
 pub use qgemm::{dense_gemm, quant_gemm};
 pub use runner::{BatchRunner, Variant};
 pub use sbmm::{sbmm_grouped, sbmm_naive};
-pub use sgmv::{sgmv_grouped, AdapterBatch, AdapterView};
+pub use sgmv::{sgmv_grouped, AdapterView};

@@ -18,15 +18,19 @@
 //!
 //! Non-projection parameters (embeddings, norms, biases, head) come from a
 //! delta's `rest` with base fallback, and from the base for adapters.
-//! [`crate::decoupled::DecoupledBatch`] and [`crate::sgmv::AdapterBatch`]
-//! build a runner over deltas or adapters alone.
+//! Everything else in the step is dz-model's inference arithmetic, called
+//! per request row: [`layer_norm_row`], [`KvCache::attend`] against the
+//! request's own cache, [`gelu`] and the greedy [`argmax`]. So the served
+//! step computes the same model as `dz_model::transformer::forward_infer`
+//! on the reconstructed weights, up to the linears' rounding.
+//! [`crate::decoupled::DecoupledBatch`] builds a runner over deltas alone.
 
 use crate::qgemm::dense_gemm;
 use crate::sbmm::sbmm_grouped;
 use crate::sgmv::{sgmv_grouped, AdapterView};
 use dz_compress::codec::PackedLayer;
 use dz_compress::pipeline::CompressedDelta;
-use dz_model::transformer::{KvCache, Params};
+use dz_model::transformer::{argmax, gelu, layer_norm_row, KvCache, Params};
 use dz_tensor::Matrix;
 use std::collections::BTreeMap;
 
@@ -250,12 +254,19 @@ impl<'a> BatchRunner<'a> {
             let mut attn = Matrix::zeros(b, cfg.d_model);
             for (bi, &(slot, _)) in work.iter().enumerate() {
                 let cache = &mut self.slots[slot].cache;
-                attention_one(&q, &k, &v, bi, cache, li, cfg.n_heads, &mut attn);
+                cache.attend(
+                    li,
+                    q.row(bi),
+                    k.row(bi),
+                    v.row(bi),
+                    cfg.n_heads,
+                    attn.row_mut(bi),
+                );
             }
             x.add_assign(&self.linear(&attn, &idx, li, "wo", "bo"));
             let h2 = self.layer_norm(&x, &idx, &format!("layer{li}.ln2"));
             let mut up = self.linear(&h2, &idx, li, "w1", "b1");
-            gelu_assign(&mut up);
+            up.map_assign(gelu);
             x.add_assign(&self.linear(&up, &idx, li, "w2", "b2"));
         }
         // Final norm + per-variant head.
@@ -330,116 +341,5 @@ impl Slot {
             last_token,
             generated: Vec::new(),
         }
-    }
-}
-
-/// Row-wise LayerNorm with gain `g` and bias `b` (both `(1, n)`).
-fn layer_norm_row(x: &[f32], g: &Matrix, b: &Matrix, out: &mut [f32]) {
-    const EPS: f32 = 1e-5;
-    let n = x.len();
-    let mean = x.iter().sum::<f32>() / n as f32;
-    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n as f32;
-    let inv = 1.0 / (var + EPS).sqrt();
-    for c in 0..n {
-        out[c] = (x[c] - mean) * inv * g.get(0, c) + b.get(0, c);
-    }
-}
-
-/// One request's causal attention for layer `li` against its cache.
-///
-/// `q`/`k`/`v` hold the batch's projections; row `bi` belongs to this
-/// request. The layer's cache is extended with the new key/value row and
-/// the attention output is written to `out` row `bi`.
-#[allow(clippy::too_many_arguments)]
-fn attention_one(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    bi: usize,
-    cache: &mut KvCache,
-    li: usize,
-    heads: usize,
-    out: &mut Matrix,
-) {
-    let d = q.cols();
-    let dh = d / heads;
-    let scale = 1.0 / (dh as f32).sqrt();
-    let k_new = k.submatrix(bi, 0, 1, d);
-    let v_new = v.submatrix(bi, 0, 1, d);
-    // Check this layer's cache specifically: within one step the earlier
-    // layers have already been extended.
-    let layer_empty = cache.k[li].cols() == 0;
-    let (k_all, v_all) = if layer_empty {
-        (k_new, v_new)
-    } else {
-        (
-            Matrix::vstack(&[&cache.k[li], &k_new]),
-            Matrix::vstack(&[&cache.v[li], &v_new]),
-        )
-    };
-    let total = k_all.rows();
-    for hi in 0..heads {
-        let mut scores = vec![0.0f32; total];
-        for (j, s) in scores.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for c in 0..dh {
-                acc += q.get(bi, hi * dh + c) * k_all.get(j, hi * dh + c);
-            }
-            *s = acc * scale;
-        }
-        let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for s in scores.iter_mut() {
-            *s = (*s - max).exp();
-            sum += *s;
-        }
-        let inv = 1.0 / sum;
-        for c in 0..dh {
-            let mut acc = 0.0f32;
-            for (j, s) in scores.iter().enumerate() {
-                acc += s * inv * v_all.get(j, hi * dh + c);
-            }
-            out.set(bi, hi * dh + c, acc);
-        }
-    }
-    cache.k[li] = k_all;
-    cache.v[li] = v_all;
-}
-
-/// Greedy argmax over a logits row.
-fn argmax(row: &[f32]) -> usize {
-    row.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-        .map(|(i, _)| i)
-        .expect("non-empty vocab")
-}
-
-/// GELU (tanh approximation), applied in place.
-fn gelu_assign(m: &mut Matrix) {
-    const C: f32 = 0.797_884_6;
-    m.map_assign(|v| 0.5 * v * (1.0 + (C * (v + 0.044_715 * v * v * v)).tanh()));
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn argmax_picks_largest() {
-        assert_eq!(argmax(&[0.1, 3.0, -2.0]), 1);
-        assert_eq!(argmax(&[5.0]), 0);
-    }
-
-    #[test]
-    fn layer_norm_row_normalizes() {
-        let g = Matrix::full(1, 4, 1.0);
-        let b = Matrix::zeros(1, 4);
-        let mut out = vec![0.0f32; 4];
-        layer_norm_row(&[1.0, 2.0, 3.0, 4.0], &g, &b, &mut out);
-        let mean: f32 = out.iter().sum::<f32>() / 4.0;
-        let var: f32 = out.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
-        assert!(mean.abs() < 1e-5);
-        assert!((var - 1.0).abs() < 1e-3);
     }
 }

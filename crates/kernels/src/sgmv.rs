@@ -4,15 +4,14 @@
 //! shared base GEMM plus a grouped per-adapter product — but the adapter
 //! product is two skinny matmuls `(x A) B` scaled by `alpha/r` (SGMV:
 //! segmented gather matrix-vector), plus an optional coordinate-format
-//! sparse term for RoSA. [`AdapterBatch::new`] builds the crate's one
-//! batch runner, [`BatchRunner`], over adapters, exactly as
-//! [`crate::decoupled::DecoupledBatch`] does over deltas.
+//! sparse term for RoSA. An adapter joins the crate's one batch runner,
+//! [`crate::BatchRunner`], as [`crate::Variant::adapter`] over an
+//! [`AdapterView`]; its non-projection parameters (embeddings, norms,
+//! biases, head) come from the shared base.
 
 use crate::qgemm::dense_gemm;
-use crate::runner::{BatchRunner, Variant};
 use dz_model::lora::LoraAdapter;
 use dz_model::rosa::RosaAdapter;
-use dz_model::transformer::Params;
 use dz_tensor::Matrix;
 use std::collections::BTreeMap;
 
@@ -195,29 +194,16 @@ pub fn sgmv_grouped(
     y
 }
 
-/// Builds a [`BatchRunner`] over one base model and many adapters.
-///
-/// Every non-projection parameter (embeddings, norms, biases, head) comes
-/// from the shared base: adapters only touch the linear projections.
-pub struct AdapterBatch;
-
-impl AdapterBatch {
-    /// Creates a runner over `base` and the given adapters; variant `i` of
-    /// the runner is `adapters[i]`.
-    #[allow(clippy::new_ret_no_self)] // builds the shared runner type
-    pub fn new<'a>(base: &'a Params, adapters: Vec<AdapterView<'a>>) -> BatchRunner<'a> {
-        BatchRunner::new(base, adapters.into_iter().map(Variant::adapter).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{BatchRunner, Variant};
     use dz_model::lora::{finetune_lora, LoraConfig};
     use dz_model::rosa::{finetune_rosa, RosaConfig};
     use dz_model::tasks::{Corpus, SentimentTask};
     use dz_model::train::{pretrain, TrainConfig};
     use dz_model::transformer::test_config;
+    use dz_model::transformer::Params;
     use dz_tensor::Rng;
 
     fn base() -> Params {
@@ -226,6 +212,10 @@ mod tests {
         let mut p = Params::init(cfg, &mut rng);
         pretrain(&mut p, &Corpus::new(cfg.max_seq), TrainConfig::pretrain(50));
         p
+    }
+
+    fn adapters<'a>(views: impl IntoIterator<Item = AdapterView<'a>>) -> Vec<Variant<'a>> {
+        views.into_iter().map(Variant::adapter).collect()
     }
 
     fn short_train() -> TrainConfig {
@@ -294,7 +284,7 @@ mod tests {
         let merged = adapter.merge(&p);
         let prompt = vec![1usize, 20, 21, 2];
         let want = dz_model::eval::greedy_generate(&merged, &prompt, 4);
-        let mut batch = AdapterBatch::new(&p, vec![AdapterView::from_lora(&adapter)]);
+        let mut batch = BatchRunner::new(&p, adapters([AdapterView::from_lora(&adapter)]));
         let slot = batch.admit(0, &prompt);
         for _ in 0..4 {
             batch.decode_step();
@@ -312,7 +302,7 @@ mod tests {
         let merged = adapter.merge(&p);
         let prompt = vec![1usize, 22, 23, 2];
         let want = dz_model::eval::greedy_generate(&merged, &prompt, 4);
-        let mut batch = AdapterBatch::new(&p, vec![AdapterView::from_rosa(&adapter)]);
+        let mut batch = BatchRunner::new(&p, adapters([AdapterView::from_rosa(&adapter)]));
         let slot = batch.admit(0, &prompt);
         for _ in 0..4 {
             batch.decode_step();
@@ -334,10 +324,8 @@ mod tests {
         let p2 = vec![1usize, 25, 2, 30, 4];
         let w1 = dz_model::eval::greedy_generate(&m1, &p1, 3);
         let w2 = dz_model::eval::greedy_generate(&m2, &p2, 3);
-        let mut batch = AdapterBatch::new(
-            &p,
-            vec![AdapterView::from_lora(&lora), AdapterView::from_rosa(&rosa)],
-        );
+        let views = [AdapterView::from_lora(&lora), AdapterView::from_rosa(&rosa)];
+        let mut batch = BatchRunner::new(&p, adapters(views));
         let s1 = batch.admit(0, &p1);
         let s2 = batch.admit(1, &p2);
         for _ in 0..3 {
@@ -351,7 +339,7 @@ mod tests {
     #[should_panic(expected = "adapter out of range")]
     fn out_of_range_adapter_rejected() {
         let p = base();
-        let mut batch = AdapterBatch::new(&p, vec![]);
+        let mut batch = BatchRunner::new(&p, adapters([]));
         let _ = batch.admit(0, &[1, 2]);
     }
 }

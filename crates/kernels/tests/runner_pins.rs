@@ -21,7 +21,7 @@ use dz_compress::calib::calibration_set;
 use dz_compress::codec::{BitDeltaCodec, DeltaCodec, DeltaComeCodec, SparseGptCodec};
 use dz_compress::pipeline::CompressedDelta;
 use dz_kernels::decoupled::DecoupledBatch;
-use dz_kernels::{AdapterBatch, AdapterView, BatchRunner, Variant};
+use dz_kernels::{AdapterView, BatchRunner, Variant};
 use dz_model::lora::{LoraAdapter, LoraConfig, LoraTargets};
 use dz_model::rosa::{RosaAdapter, RosaConfig};
 use dz_model::tasks::Corpus;
@@ -189,7 +189,7 @@ fn check_adapters<'a>(
     check(label, want, |batch| {
         let views = views();
         let n = views.len();
-        let mut runner = AdapterBatch::new(base, views);
+        let mut runner = BatchRunner::new(base, views.into_iter().map(Variant::adapter).collect());
         run_cell!(runner, batch, n)
     });
 }

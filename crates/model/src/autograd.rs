@@ -12,6 +12,7 @@
 //! Every backward implementation is validated against central finite
 //! differences in this module's tests.
 
+use crate::transformer::{gelu, layer_norm_stats};
 use dz_tensor::Matrix;
 
 /// Handle to a node on the tape.
@@ -79,12 +80,6 @@ struct Node {
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-}
-
-fn gelu_scalar(x: f32) -> f32 {
-    // Tanh approximation, as used by GPT-style models.
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
 }
 
 fn gelu_grad_scalar(x: f32) -> f32 {
@@ -217,6 +212,12 @@ impl Tape {
         self.push(v, Op::AddBias(a, bias))
     }
 
+    /// Affine projection `x W + b`: a matmul then a broadcast bias add.
+    pub fn linear(&mut self, x: NodeId, w: NodeId, b: NodeId) -> NodeId {
+        let y = self.matmul(x, w);
+        self.add_bias(y, b)
+    }
+
     /// Scalar multiple node.
     pub fn scale(&mut self, a: NodeId, alpha: f32) -> NodeId {
         let v = self.value(a).scale(alpha);
@@ -225,13 +226,12 @@ impl Tape {
 
     /// GELU activation node.
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(gelu_scalar);
+        let v = self.value(a).map(gelu);
         self.push(v, Op::Gelu(a))
     }
 
     /// Row-wise LayerNorm node with learned gain and bias.
     pub fn layer_norm(&mut self, x: NodeId, gain: NodeId, bias: NodeId) -> NodeId {
-        const EPS: f32 = 1e-5;
         let xv = self.value(x);
         let g = self.value(gain);
         let b = self.value(bias);
@@ -243,9 +243,7 @@ impl Tape {
         let mut row_stats = Vec::with_capacity(rows);
         for r in 0..rows {
             let row = xv.row(r);
-            let mean = row.iter().sum::<f32>() / cols as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / cols as f32;
-            let inv_std = 1.0 / (var + EPS).sqrt();
+            let (mean, inv_std) = layer_norm_stats(row);
             row_stats.push((mean, inv_std));
             for (c, &v) in row.iter().enumerate() {
                 let n = (v - mean) * inv_std;

@@ -1,21 +1,8 @@
 //! Model quality evaluation: task accuracy, perplexity, greedy generation.
 
 use crate::tasks::Task;
-use crate::transformer::{forward_full, forward_infer, KvCache, Params};
+use crate::transformer::{argmax, forward_full, forward_infer, KvCache, Params};
 use dz_tensor::Rng;
-
-/// Index of the row-wise argmax.
-fn argmax(row: &[f32]) -> usize {
-    let mut best = 0usize;
-    let mut best_v = f32::NEG_INFINITY;
-    for (i, &v) in row.iter().enumerate() {
-        if v > best_v {
-            best_v = v;
-            best = i;
-        }
-    }
-    best
-}
 
 /// Teacher-forced accuracy on `n` fresh samples of a task.
 ///
@@ -83,18 +70,18 @@ pub fn perplexity(params: &Params, seqs: &[Vec<usize>]) -> f64 {
 pub fn greedy_generate(params: &Params, prompt: &[usize], max_new: usize) -> Vec<usize> {
     assert!(!prompt.is_empty(), "prompt must be non-empty");
     let mut cache = KvCache::new(params.config.n_layers);
-    let mut logits = forward_infer(params, prompt, &mut cache);
+    let mut logits = forward_infer(params, prompt, &mut cache, None);
     let mut out = Vec::with_capacity(max_new);
     for _ in 0..max_new {
         if cache.len() >= params.config.max_seq {
             break;
         }
-        let next = argmax(logits.row(0));
+        let next = argmax(logits.row(logits.rows() - 1));
         out.push(next);
         if cache.len() == params.config.max_seq {
             break;
         }
-        logits = forward_infer(params, &[next], &mut cache);
+        logits = forward_infer(params, &[next], &mut cache, None);
     }
     out
 }

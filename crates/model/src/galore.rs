@@ -215,7 +215,6 @@ pub fn finetune_galore(
     cfg: TrainConfig,
     gcfg: GaloreConfig,
 ) -> Vec<f32> {
-    let config = params.config;
     let mut rng = Rng::seeded(cfg.seed);
     let mut opt = Galore::new(params, gcfg, cfg.lr);
     let mut losses = Vec::with_capacity(cfg.steps);
@@ -225,7 +224,7 @@ pub fn finetune_galore(
         for _ in 0..cfg.batch {
             let ex = task.sample(&mut rng);
             let item = BatchItem::task(ex.tokens, ex.answer_len);
-            loss_sum += grad_one(params, &config, &item, &mut grads);
+            loss_sum += grad_one(params, &item, &mut grads);
         }
         grads.for_each_mut(|_, m| m.scale_assign(1.0 / cfg.batch as f32));
         clip_global_norm(&mut grads, cfg.clip);

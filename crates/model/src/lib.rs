@@ -15,15 +15,22 @@
 //! * [`autograd`] — a minimal tape with exactly the ops a transformer needs,
 //!   each with a hand-written backward pass (checked against finite
 //!   differences in tests),
-//! * [`transformer`] — parameters, the training-time forward pass, and an
-//!   inference pass with a KV cache,
-//! * [`train`] — Adam plus pre-training / FMT / LoRA fine-tuning loops,
-//! * [`tasks`] — synthetic downstream tasks of graded difficulty standing in
-//!   for the paper's evaluation suites,
-//! * [`lora`] — low-rank adapters (the PEFT baseline),
+//! * [`transformer`] — parameters and the model's only copies of its
+//!   arithmetic: one tape builder ([`transformer::forward_graph`], with a
+//!   per-projection hook the adapter methods extend), one cached inference
+//!   forward ([`transformer::forward_infer`], which also records
+//!   calibration inputs), and the inference primitives the batched
+//!   serving runner calls (row LayerNorm, [`transformer::KvCache::attend`],
+//!   GELU, argmax),
+//! * [`train`] — the one Adam optimizer plus pre-training / FMT loops,
+//! * [`lora`], [`rosa`], [`galore`] — the PEFT and low-rank-gradient
+//!   fine-tuning methods, all on `train`'s Adam and `transformer`'s tape
+//!   builder,
+//! * [`eval`] — task accuracy, perplexity, greedy generation,
+//! * [`tasks`] / [`vocab`] — synthetic downstream tasks of graded
+//!   difficulty standing in for the paper's evaluation suites,
 //! * [`zoo`] — named model-family presets mirroring the paper's model list.
 
-pub(crate) mod adapted;
 pub mod autograd;
 pub mod eval;
 pub mod galore;

@@ -8,8 +8,8 @@
 
 use crate::autograd::{NodeId, Tape};
 use crate::tasks::Task;
-use crate::train::{BatchItem, TrainConfig};
-use crate::transformer::{ModelConfig, Params};
+use crate::train::{Adam, BatchItem, TrainConfig};
+use crate::transformer::{forward_graph, ModelConfig, ParamNodes, Params};
 use dz_tensor::{Matrix, Rng};
 
 /// Which projections receive adapters.
@@ -122,75 +122,6 @@ impl LoraAdapter {
     }
 }
 
-/// Adam over a flat list of matrices (used for adapter training).
-pub struct FlatAdam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    /// Per-tensor learning-rate multipliers (1.0 = the base rate).
-    scales: Vec<f32>,
-    m: Vec<Matrix>,
-    v: Vec<Matrix>,
-    t: u64,
-}
-
-impl FlatAdam {
-    /// Creates state shaped like `tensors`.
-    pub fn new(tensors: &[&Matrix], lr: f32) -> Self {
-        Self::with_lr_scales(tensors, lr, vec![1.0; tensors.len()])
-    }
-
-    /// Creates state with a per-tensor learning-rate multiplier (RoSA
-    /// trains its sparse component slower than the low-rank pairs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scales` does not match `tensors`.
-    pub fn with_lr_scales(tensors: &[&Matrix], lr: f32, scales: Vec<f32>) -> Self {
-        assert_eq!(tensors.len(), scales.len(), "one scale per tensor");
-        let zeros: Vec<Matrix> = tensors
-            .iter()
-            .map(|m| Matrix::zeros(m.rows(), m.cols()))
-            .collect();
-        FlatAdam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            scales,
-            m: zeros.clone(),
-            v: zeros,
-            t: 0,
-        }
-    }
-
-    /// One update step.
-    pub fn step(&mut self, params: Vec<&mut Matrix>, grads: &[Matrix]) {
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (((p, g), scale), (m, v)) in params
-            .into_iter()
-            .zip(grads.iter())
-            .zip(self.scales.iter())
-            .zip(self.m.iter_mut().zip(self.v.iter_mut()))
-        {
-            let lr = self.lr * scale;
-            for ((pw, gw), (mw, vw)) in p
-                .data_mut()
-                .iter_mut()
-                .zip(g.data().iter())
-                .zip(m.data_mut().iter_mut().zip(v.data_mut().iter_mut()))
-            {
-                *mw = self.beta1 * *mw + (1.0 - self.beta1) * gw;
-                *vw = self.beta2 * *vw + (1.0 - self.beta2) * gw * gw;
-                *pw -= lr * (*mw / bc1) / ((*vw / bc2).sqrt() + self.eps);
-            }
-        }
-    }
-}
-
 /// Builds the LoRA forward graph and returns `(logits, adapter node ids)`.
 fn forward_graph_lora(
     tape: &mut Tape,
@@ -200,29 +131,25 @@ fn forward_graph_lora(
 ) -> (NodeId, Vec<(NodeId, NodeId)>) {
     let scale = adapter.scale();
     // Leaves for adapter pairs, addressable by name.
-    let mut pair_nodes: Vec<(NodeId, NodeId)> = Vec::with_capacity(adapter.pairs.len());
-    for p in &adapter.pairs {
-        let a = tape.leaf(p.a.clone());
-        let b = tape.leaf(p.b.clone());
-        pair_nodes.push((a, b));
-    }
+    let pair_nodes: Vec<(NodeId, NodeId)> = adapter
+        .pairs
+        .iter()
+        .map(|p| (tape.leaf(p.a.clone()), tape.leaf(p.b.clone())))
+        .collect();
     let find = |name: &str| -> Option<usize> { adapter.pairs.iter().position(|p| p.name == name) };
-    // A linear projection with optional adapter; base weights are frozen,
-    // so backward skips their (dominant) gradient matmuls entirely.
-    let logits = crate::adapted::adapted_forward(tape, base, ids, |tape, h, w, bias, name| {
-        let wn = tape.leaf_no_grad(w.clone());
-        let bn = tape.leaf_no_grad(bias.clone());
-        let y0 = tape.matmul(h, wn);
-        let y = tape.add_bias(y0, bn);
-        if let Some(idx) = find(name) {
-            let (an, bn2) = pair_nodes[idx];
-            let ha = tape.matmul(h, an);
-            let hab = tape.matmul(ha, bn2);
-            let scaled = tape.scale(hab, scale);
-            tape.add(y, scaled)
-        } else {
-            y
-        }
+    // The base is frozen, so backward skips its (dominant) gradient
+    // matmuls entirely.
+    let nodes = ParamNodes::frozen(tape, base);
+    let logits = forward_graph(tape, &nodes, ids, |tape, h, w, bias, name| {
+        let y = tape.linear(h, w, bias);
+        let Some(idx) = find(name) else {
+            return y;
+        };
+        let (an, bn) = pair_nodes[idx];
+        let ha = tape.matmul(h, an);
+        let hab = tape.matmul(ha, bn);
+        let scaled = tape.scale(hab, scale);
+        tape.add(y, scaled)
     });
     (logits, pair_nodes)
 }
@@ -236,7 +163,7 @@ pub fn finetune_lora(
 ) -> Vec<f32> {
     let mut rng = Rng::seeded(cfg.seed);
     let tensor_refs: Vec<&Matrix> = adapter.pairs.iter().flat_map(|p| [&p.a, &p.b]).collect();
-    let mut opt = FlatAdam::new(&tensor_refs, cfg.lr);
+    let mut opt = Adam::new(&tensor_refs, cfg.lr);
     drop(tensor_refs);
     let mut losses = Vec::with_capacity(cfg.steps);
     for _ in 0..cfg.steps {

@@ -17,10 +17,10 @@
 //!    Adam, projecting `S` back onto its support after every step.
 
 use crate::autograd::{NodeId, Tape};
-use crate::lora::{FlatAdam, LoraConfig, LoraPair};
+use crate::lora::{LoraConfig, LoraPair};
 use crate::tasks::Task;
-use crate::train::{BatchItem, TrainConfig};
-use crate::transformer::Params;
+use crate::train::{Adam, BatchItem, TrainConfig};
+use crate::transformer::{forward_graph, ParamNodes, Params};
 use dz_tensor::{Matrix, Rng};
 
 /// RoSA hyper-parameters.
@@ -176,22 +176,19 @@ fn forward_graph_rosa(
         nodes.push((a, b, s));
     }
     let find = |name: &str| -> Option<usize> { adapter.pairs.iter().position(|p| p.name == name) };
-    let logits = crate::adapted::adapted_forward(tape, base, ids, |tape, h, w, bias, name| {
-        let wn = tape.leaf_no_grad(w.clone());
-        let bn = tape.leaf_no_grad(bias.clone());
-        let y0 = tape.matmul(h, wn);
-        let y = tape.add_bias(y0, bn);
-        if let Some(idx) = find(name) {
-            let (an, bn2, sn) = nodes[idx];
-            let ha = tape.matmul(h, an);
-            let hab = tape.matmul(ha, bn2);
-            let scaled = tape.scale(hab, scale);
-            let y1 = tape.add(y, scaled);
-            let hs = tape.matmul(h, sn);
-            tape.add(y1, hs)
-        } else {
-            y
-        }
+    let base_nodes = ParamNodes::frozen(tape, base);
+    let logits = forward_graph(tape, &base_nodes, ids, |tape, h, w, bias, name| {
+        let y = tape.linear(h, w, bias);
+        let Some(idx) = find(name) else {
+            return y;
+        };
+        let (an, bn, sn) = nodes[idx];
+        let ha = tape.matmul(h, an);
+        let hab = tape.matmul(ha, bn);
+        let scaled = tape.scale(hab, scale);
+        let y1 = tape.add(y, scaled);
+        let hs = tape.matmul(h, sn);
+        tape.add(y1, hs)
     });
     (logits, nodes)
 }
@@ -266,7 +263,7 @@ pub fn finetune_rosa(
         .iter()
         .flat_map(|_| [1.0, 1.0, adapter.config.sparse_lr_scale])
         .collect();
-    let mut opt = FlatAdam::with_lr_scales(&tensor_refs, cfg.lr, scales);
+    let mut opt = Adam::with_lr_scales(&tensor_refs, cfg.lr, scales);
     drop(tensor_refs);
     let mut losses = Vec::with_capacity(cfg.steps);
     for _ in 0..cfg.steps {

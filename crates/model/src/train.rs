@@ -1,4 +1,4 @@
-//! Adam optimizer and the pre-training / fine-tuning loops.
+//! The Adam optimizer and the pre-training / fine-tuning loops.
 //!
 //! Pre-training teaches the base model the synthetic language; fine-tuning
 //! (full-model, small learning rate, few steps) produces the model variants
@@ -8,72 +8,83 @@
 
 use crate::autograd::Tape;
 use crate::tasks::{Corpus, Task};
-use crate::transformer::{forward_graph, ModelConfig, ParamNodes, Params};
+use crate::transformer::{forward_graph, ParamNodes, Params};
 use dz_tensor::{Matrix, Rng};
 
-/// Adam hyper-parameters and state.
+/// Adam over a list of tensors, with an optional learning-rate multiplier
+/// per tensor (bias-corrected, beta 0.9/0.999).
 pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical floor.
-    pub eps: f32,
+    lr: f32,
+    /// Per-tensor learning-rate multipliers (1.0 = the base rate).
+    scales: Vec<f32>,
     m: Vec<Matrix>,
     v: Vec<Matrix>,
     t: u64,
 }
 
 impl Adam {
-    /// Creates optimizer state matching `params`' shapes.
-    pub fn new(params: &Params, lr: f32) -> Self {
-        let shapes: Vec<Matrix> = params
-            .tensors()
-            .into_iter()
+    const BETA1: f32 = 0.9;
+    const BETA2: f32 = 0.999;
+    const EPS: f32 = 1e-8;
+
+    /// Creates state shaped like `tensors`, every tensor at rate `lr`.
+    pub fn new(tensors: &[&Matrix], lr: f32) -> Self {
+        Self::with_lr_scales(tensors, lr, vec![1.0; tensors.len()])
+    }
+
+    /// Creates state with a per-tensor learning-rate multiplier (RoSA
+    /// trains its sparse component at its own rate).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scales` does not match `tensors`.
+    pub fn with_lr_scales(tensors: &[&Matrix], lr: f32, scales: Vec<f32>) -> Self {
+        assert_eq!(tensors.len(), scales.len(), "one scale per tensor");
+        let zeros: Vec<Matrix> = tensors
+            .iter()
             .map(|m| Matrix::zeros(m.rows(), m.cols()))
             .collect();
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            m: shapes.clone(),
-            v: shapes,
+            scales,
+            m: zeros.clone(),
+            v: zeros,
             t: 0,
         }
     }
 
-    /// Applies one update given gradients with the same layout as `params`.
+    /// Applies one update; `params` and `grads` follow the order the state
+    /// was created in.
     ///
     /// # Panics
     ///
-    /// Panics if gradient shapes do not match the optimizer state.
-    pub fn step(&mut self, params: &mut Params, grads: &Params) {
+    /// Panics if a gradient's shape differs from its parameter's.
+    pub fn step<'g>(
+        &mut self,
+        params: Vec<&mut Matrix>,
+        grads: impl IntoIterator<Item = &'g Matrix>,
+    ) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let gs = grads.tensors();
-        for ((p, g), (m, v)) in params
-            .tensors_mut()
+        let (b1, b2, eps) = (Self::BETA1, Self::BETA2, Self::EPS);
+        let bc1 = 1.0 - b1.powi(self.t as i32);
+        let bc2 = 1.0 - b2.powi(self.t as i32);
+        for (((p, g), scale), (m, v)) in params
             .into_iter()
-            .zip(gs)
+            .zip(grads)
+            .zip(&self.scales)
             .zip(self.m.iter_mut().zip(self.v.iter_mut()))
         {
             assert_eq!(p.shape(), g.shape(), "grad shape mismatch");
-            let (b1, b2, eps, lr) = (self.beta1, self.beta2, self.eps, self.lr);
+            let lr = self.lr * scale;
             for ((pw, gw), (mw, vw)) in p
                 .data_mut()
                 .iter_mut()
-                .zip(g.data().iter())
+                .zip(g.data())
                 .zip(m.data_mut().iter_mut().zip(v.data_mut().iter_mut()))
             {
                 *mw = b1 * *mw + (1.0 - b1) * gw;
                 *vw = b2 * *vw + (1.0 - b2) * gw * gw;
-                let mhat = *mw / bc1;
-                let vhat = *vw / bc2;
-                *pw -= lr * mhat / (vhat.sqrt() + eps);
+                *pw -= lr * (*mw / bc1) / ((*vw / bc2).sqrt() + eps);
             }
         }
     }
@@ -159,19 +170,16 @@ impl BatchItem {
 }
 
 /// Computes loss and gradient for one item; returns the loss.
-pub(crate) fn grad_one(
-    params: &Params,
-    config: &ModelConfig,
-    item: &BatchItem,
-    grads: &mut Params,
-) -> f32 {
+pub(crate) fn grad_one(params: &Params, item: &BatchItem, grads: &mut Params) -> f32 {
     let n = item.tokens.len();
     debug_assert!(n >= 2, "need at least two tokens");
     let input = &item.tokens[..n - 1];
     let targets = &item.tokens[1..];
     let mut tape = Tape::new();
     let nodes = ParamNodes::register(&mut tape, params);
-    let logits = forward_graph(&mut tape, &nodes, config, input);
+    let logits = forward_graph(&mut tape, &nodes, input, |tape, h, w, b, _| {
+        tape.linear(h, w, b)
+    });
     let loss = tape.cross_entropy(logits, targets, &item.weights);
     let value = tape.value(loss).get(0, 0);
     tape.backward(loss);
@@ -185,20 +193,19 @@ pub fn train(
     cfg: TrainConfig,
     mut sampler: impl FnMut(&mut Rng) -> BatchItem,
 ) -> Vec<f32> {
-    let config = params.config;
     let mut rng = Rng::seeded(cfg.seed);
-    let mut opt = Adam::new(params, cfg.lr);
+    let mut opt = Adam::new(&params.tensors(), cfg.lr);
     let mut losses = Vec::with_capacity(cfg.steps);
     for _ in 0..cfg.steps {
         let mut grads = params.zeros_like();
         let mut loss_sum = 0.0f32;
         for _ in 0..cfg.batch {
             let item = sampler(&mut rng);
-            loss_sum += grad_one(params, &config, &item, &mut grads);
+            loss_sum += grad_one(params, &item, &mut grads);
         }
         grads.for_each_mut(|_, m| m.scale_assign(1.0 / cfg.batch as f32));
         clip_global_norm(&mut grads, cfg.clip);
-        opt.step(params, &grads);
+        opt.step(params.tensors_mut(), grads.tensors());
         losses.push(loss_sum / cfg.batch as f32);
     }
     losses
@@ -229,17 +236,17 @@ mod tests {
         let mut rng = Rng::seeded(1);
         let mut params = Params::init(cfg, &mut rng);
         let item = BatchItem::lm(vec![1, 10, 11, 12, 13]);
-        let mut opt = Adam::new(&params, 1e-2);
+        let mut opt = Adam::new(&params.tensors(), 1e-2);
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..30 {
             let mut grads = params.zeros_like();
-            let l = grad_one(&params, &cfg, &item, &mut grads);
+            let l = grad_one(&params, &item, &mut grads);
             if first.is_none() {
                 first = Some(l);
             }
             last = l;
-            opt.step(&mut params, &grads);
+            opt.step(params.tensors_mut(), grads.tensors());
         }
         assert!(
             last < first.unwrap() * 0.5,

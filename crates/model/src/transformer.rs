@@ -1,5 +1,5 @@
-//! The decoder-only transformer: parameters, training forward, KV-cache
-//! inference.
+//! The decoder-only transformer: parameters, the training tape builder and
+//! KV-cache inference, each written once.
 //!
 //! Architecture is a standard pre-LN GPT block:
 //!
@@ -14,6 +14,14 @@
 //! "linear layers" that DeltaZip compresses; embeddings, biases and
 //! LayerNorm parameters stay in full precision, exactly as the paper leaves
 //! embeddings uncompressed.
+//!
+//! [`forward_graph`] is the only tape builder: full training, LoRA and
+//! RoSA differ only in the per-projection hook they pass it.
+//! [`forward_infer`] is the only cached inference forward; calibration runs
+//! it on an empty cache with a recorder for projection inputs. Its
+//! per-row primitives ([`layer_norm_row`], [`KvCache::attend`], [`gelu`],
+//! [`argmax`]) are the ones the batched serving runner in `dz-kernels`
+//! calls, so the served step and the reference compute the same model.
 
 use crate::autograd::{NodeId, Tape};
 use dz_tensor::{Matrix, Rng};
@@ -407,112 +415,53 @@ fn parse_layer_name(name: &str) -> Option<(usize, &str)> {
     Some((idx, &rest[dot + 1..]))
 }
 
-/// Node handles for one layer's parameters on a tape.
-struct LayerNodes {
-    wq: NodeId,
-    wk: NodeId,
-    wv: NodeId,
-    wo: NodeId,
-    bq: NodeId,
-    bk: NodeId,
-    bv: NodeId,
-    bo: NodeId,
-    w1: NodeId,
-    b1: NodeId,
-    w2: NodeId,
-    b2: NodeId,
-    ln1_g: NodeId,
-    ln1_b: NodeId,
-    ln2_g: NodeId,
-    ln2_b: NodeId,
+/// Node handles for every parameter on a tape, in the stable
+/// [`Params::tensors`] order.
+pub struct ParamNodes {
+    config: ModelConfig,
+    ids: Vec<NodeId>,
 }
 
-/// Node handles for every parameter, in the same layout as [`Params`].
-pub struct ParamNodes {
-    tok_emb: NodeId,
-    pos_emb: NodeId,
-    layers: Vec<LayerNodes>,
-    lnf_g: NodeId,
-    lnf_b: NodeId,
-    head: NodeId,
-}
+/// Tensors per transformer block in [`Params::tensors`] order.
+const LAYER_TENSORS: usize = 16;
 
 impl ParamNodes {
-    /// Registers every parameter as a leaf on the tape.
+    /// Registers every parameter as a trainable leaf on the tape.
     pub fn register(tape: &mut Tape, p: &Params) -> Self {
+        Self::leaves(p, |m| tape.leaf(m.clone()))
+    }
+
+    /// Registers every parameter as a frozen leaf: backward computes no
+    /// gradient for any of them (the base under adapter training).
+    pub fn frozen(tape: &mut Tape, p: &Params) -> Self {
+        Self::leaves(p, |m| tape.leaf_no_grad(m.clone()))
+    }
+
+    fn leaves(p: &Params, leaf: impl FnMut(&Matrix) -> NodeId) -> Self {
         ParamNodes {
-            tok_emb: tape.leaf(p.tok_emb.clone()),
-            pos_emb: tape.leaf(p.pos_emb.clone()),
-            layers: p
-                .layers
-                .iter()
-                .map(|l| LayerNodes {
-                    wq: tape.leaf(l.wq.clone()),
-                    wk: tape.leaf(l.wk.clone()),
-                    wv: tape.leaf(l.wv.clone()),
-                    wo: tape.leaf(l.wo.clone()),
-                    bq: tape.leaf(l.bq.clone()),
-                    bk: tape.leaf(l.bk.clone()),
-                    bv: tape.leaf(l.bv.clone()),
-                    bo: tape.leaf(l.bo.clone()),
-                    w1: tape.leaf(l.w1.clone()),
-                    b1: tape.leaf(l.b1.clone()),
-                    w2: tape.leaf(l.w2.clone()),
-                    b2: tape.leaf(l.b2.clone()),
-                    ln1_g: tape.leaf(l.ln1_g.clone()),
-                    ln1_b: tape.leaf(l.ln1_b.clone()),
-                    ln2_g: tape.leaf(l.ln2_g.clone()),
-                    ln2_b: tape.leaf(l.ln2_b.clone()),
-                })
-                .collect(),
-            lnf_g: tape.leaf(p.lnf_g.clone()),
-            lnf_b: tape.leaf(p.lnf_b.clone()),
-            head: tape.leaf(p.head.clone()),
+            config: p.config,
+            ids: p.tensors().into_iter().map(leaf).collect(),
         }
     }
 
     /// Accumulates gradients from the tape into `grads` (same layout as the
-    /// parameters, pre-zeroed or freshly created by the caller) in the
-    /// stable `for_each` order.
+    /// parameters, pre-zeroed or freshly created by the caller); a
+    /// parameter the graph never used contributes zero.
     pub fn collect_grads(&self, tape: &Tape, grads: &mut Params) {
-        let zero_like = |m: &Matrix| Matrix::zeros(m.rows(), m.cols());
-        let pull = |tape: &Tape, id: NodeId, dst: &mut Matrix| {
-            match tape.grad(id) {
-                Some(g) => dst.add_assign(g),
-                None => {
-                    // Parameter unused in this graph; contributes zero.
-                    let z = zero_like(dst);
-                    let _ = z;
-                }
+        for (&id, dst) in self.ids.iter().zip(grads.tensors_mut()) {
+            if let Some(g) = tape.grad(id) {
+                dst.add_assign(g);
             }
-        };
-        pull(tape, self.tok_emb, &mut grads.tok_emb);
-        pull(tape, self.pos_emb, &mut grads.pos_emb);
-        for (ln, gl) in self.layers.iter().zip(grads.layers.iter_mut()) {
-            pull(tape, ln.wq, &mut gl.wq);
-            pull(tape, ln.wk, &mut gl.wk);
-            pull(tape, ln.wv, &mut gl.wv);
-            pull(tape, ln.wo, &mut gl.wo);
-            pull(tape, ln.bq, &mut gl.bq);
-            pull(tape, ln.bk, &mut gl.bk);
-            pull(tape, ln.bv, &mut gl.bv);
-            pull(tape, ln.bo, &mut gl.bo);
-            pull(tape, ln.w1, &mut gl.w1);
-            pull(tape, ln.b1, &mut gl.b1);
-            pull(tape, ln.w2, &mut gl.w2);
-            pull(tape, ln.b2, &mut gl.b2);
-            pull(tape, ln.ln1_g, &mut gl.ln1_g);
-            pull(tape, ln.ln1_b, &mut gl.ln1_b);
-            pull(tape, ln.ln2_g, &mut gl.ln2_g);
-            pull(tape, ln.ln2_b, &mut gl.ln2_b);
         }
-        pull(tape, self.lnf_g, &mut grads.lnf_g);
-        pull(tape, self.lnf_b, &mut grads.lnf_b);
-        pull(tape, self.head, &mut grads.head);
     }
 }
 
 /// Builds the forward graph for one sequence; returns the logits node.
+///
+/// Every linear projection goes through `linear(tape, h, w, b, name)`,
+/// which gets the input activations, the weight and bias nodes and the
+/// weight's stable parameter name (e.g. `layer0.wq`). Full training passes
+/// [`Tape::linear`]; adapter methods add their terms on top of it.
 ///
 /// # Panics
 ///
@@ -520,121 +469,203 @@ impl ParamNodes {
 pub fn forward_graph(
     tape: &mut Tape,
     nodes: &ParamNodes,
-    config: &ModelConfig,
     ids: &[usize],
+    mut linear: impl FnMut(&mut Tape, NodeId, NodeId, NodeId, &str) -> NodeId,
 ) -> NodeId {
+    let config = &nodes.config;
     assert!(!ids.is_empty(), "empty sequence");
     assert!(ids.len() <= config.max_seq, "sequence longer than max_seq");
-    let t = ids.len();
-    let tok = tape.gather(nodes.tok_emb, ids);
-    let positions: Vec<usize> = (0..t).collect();
-    let pos = tape.gather(nodes.pos_emb, &positions);
+    let n = nodes.ids.len();
+    let (tok_emb, pos_emb) = (nodes.ids[0], nodes.ids[1]);
+    let (lnf_g, lnf_b, head) = (nodes.ids[n - 3], nodes.ids[n - 2], nodes.ids[n - 1]);
+    let tok = tape.gather(tok_emb, ids);
+    let positions: Vec<usize> = (0..ids.len()).collect();
+    let pos = tape.gather(pos_emb, &positions);
     let mut x = tape.add(tok, pos);
-    for l in &nodes.layers {
-        let h = tape.layer_norm(x, l.ln1_g, l.ln1_b);
-        let q0 = tape.matmul(h, l.wq);
-        let q = tape.add_bias(q0, l.bq);
-        let k0 = tape.matmul(h, l.wk);
-        let k = tape.add_bias(k0, l.bk);
-        let v0 = tape.matmul(h, l.wv);
-        let v = tape.add_bias(v0, l.bv);
+    for (i, layer) in nodes.ids[2..n - 3].chunks_exact(LAYER_TENSORS).enumerate() {
+        let &[wq, wk, wv, wo, bq, bk, bv, bo, w1, b1, w2, b2, ln1_g, ln1_b, ln2_g, ln2_b] = layer
+        else {
+            unreachable!("chunks_exact yields whole layers")
+        };
+        let h = tape.layer_norm(x, ln1_g, ln1_b);
+        let q = linear(tape, h, wq, bq, &format!("layer{i}.wq"));
+        let k = linear(tape, h, wk, bk, &format!("layer{i}.wk"));
+        let v = linear(tape, h, wv, bv, &format!("layer{i}.wv"));
         let attn = tape.mha_causal(q, k, v, config.n_heads);
-        let proj0 = tape.matmul(attn, l.wo);
-        let proj = tape.add_bias(proj0, l.bo);
+        let proj = linear(tape, attn, wo, bo, &format!("layer{i}.wo"));
         x = tape.add(x, proj);
-        let h2 = tape.layer_norm(x, l.ln2_g, l.ln2_b);
-        let up0 = tape.matmul(h2, l.w1);
-        let up = tape.add_bias(up0, l.b1);
+        let h2 = tape.layer_norm(x, ln2_g, ln2_b);
+        let up = linear(tape, h2, w1, b1, &format!("layer{i}.w1"));
         let act = tape.gelu(up);
-        let down0 = tape.matmul(act, l.w2);
-        let down = tape.add_bias(down0, l.b2);
+        let down = linear(tape, act, w2, b2, &format!("layer{i}.w2"));
         x = tape.add(x, down);
     }
-    let xf = tape.layer_norm(x, nodes.lnf_g, nodes.lnf_b);
-    tape.matmul(xf, nodes.head)
+    let xf = tape.layer_norm(x, lnf_g, lnf_b);
+    tape.matmul(xf, head)
 }
 
 /// Per-layer KV cache for incremental decoding.
 #[derive(Debug, Clone)]
 pub struct KvCache {
-    /// Cached keys per layer, each `(t_so_far, d)`.
-    pub k: Vec<Matrix>,
-    /// Cached values per layer, each `(t_so_far, d)`.
-    pub v: Vec<Matrix>,
+    layers: Vec<LayerKv>,
+}
+
+/// One layer's cached keys and values, each row-major `(rows, d)`.
+#[derive(Debug, Clone, Default)]
+struct LayerKv {
+    k: Vec<f32>,
+    v: Vec<f32>,
+    rows: usize,
 }
 
 impl KvCache {
     /// An empty cache for `n_layers` layers.
     pub fn new(n_layers: usize) -> Self {
         KvCache {
-            k: (0..n_layers).map(|_| Matrix::zeros(0, 0)).collect(),
-            v: (0..n_layers).map(|_| Matrix::zeros(0, 0)).collect(),
+            layers: vec![LayerKv::default(); n_layers],
         }
     }
 
     /// Number of cached positions.
     pub fn len(&self) -> usize {
-        if self.k.is_empty() || self.k[0].cols() == 0 {
-            0
-        } else {
-            self.k[0].rows()
-        }
+        self.layers.first().map_or(0, |l| l.rows)
     }
 
     /// Returns `true` if nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Causal attention of one query row in layer `li`: appends the
+    /// position's key and value rows to that layer's cache, then writes
+    /// the attention of `q` over every cached position to `out`.
+    ///
+    /// `q`, `k`, `v` and `out` are `d` wide with `d % heads == 0`; scores
+    /// use the `1/sqrt(d_head)` scaling.
+    pub fn attend(
+        &mut self,
+        li: usize,
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        heads: usize,
+        out: &mut [f32],
+    ) {
+        let d = q.len();
+        let dh = d / heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let layer = &mut self.layers[li];
+        layer.k.extend_from_slice(k);
+        layer.v.extend_from_slice(v);
+        layer.rows += 1;
+        let mut scores = vec![0.0f32; layer.rows];
+        for hi in 0..heads {
+            let cols = hi * dh..(hi + 1) * dh;
+            let qh = &q[cols.clone()];
+            for (s, kr) in scores.iter_mut().zip(layer.k.chunks_exact(d)) {
+                let mut acc = 0.0f32;
+                for (qv, kv) in qh.iter().zip(&kr[cols.clone()]) {
+                    acc += qv * kv;
+                }
+                *s = acc * scale;
+            }
+            let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for s in scores.iter_mut() {
+                *s = (*s - max).exp();
+                sum += *s;
+            }
+            let inv = 1.0 / sum;
+            for (c, o) in cols.zip(&mut out[hi * dh..(hi + 1) * dh]) {
+                let mut acc = 0.0f32;
+                for (s, vr) in scores.iter().zip(layer.v.chunks_exact(d)) {
+                    acc += s * inv * vr[c];
+                }
+                *o = acc;
+            }
+        }
+    }
 }
 
-fn layer_norm_infer(x: &Matrix, g: &Matrix, b: &Matrix) -> Matrix {
+/// Row-wise LayerNorm of `x` with gain `g` and bias `b` (both `(1, n)`),
+/// written to `out`.
+pub fn layer_norm_row(x: &[f32], g: &Matrix, b: &Matrix, out: &mut [f32]) {
+    let (mean, inv_std) = layer_norm_stats(x);
+    for (c, (o, &v)) in out.iter_mut().zip(x).enumerate() {
+        *o = (v - mean) * inv_std * g.get(0, c) + b.get(0, c);
+    }
+}
+
+/// A row's LayerNorm statistics: `(mean, 1 / sqrt(var + eps))`.
+pub(crate) fn layer_norm_stats(x: &[f32]) -> (f32, f32) {
     const EPS: f32 = 1e-5;
-    let mut out = Matrix::zeros(x.rows(), x.cols());
-    for r in 0..x.rows() {
-        let row = x.row(r);
-        let mean = row.iter().sum::<f32>() / x.cols() as f32;
-        let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / x.cols() as f32;
-        let inv = 1.0 / (var + EPS).sqrt();
-        for (c, &v) in row.iter().enumerate() {
-            out.set(r, c, (v - mean) * inv * g.get(0, c) + b.get(0, c));
-        }
-    }
-    out
+    let n = x.len() as f32;
+    let mean = x.iter().sum::<f32>() / n;
+    let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
+    (mean, 1.0 / (var + EPS).sqrt())
 }
 
-fn add_bias_infer(x: &mut Matrix, b: &Matrix) {
-    for r in 0..x.rows() {
-        let row = x.row_mut(r);
-        for (v, bb) in row.iter_mut().zip(b.row(0).iter()) {
-            *v += bb;
-        }
-    }
+/// GELU, tanh approximation (as GPT-style models use).
+pub fn gelu(x: f32) -> f32 {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
 }
 
-fn gelu_infer(x: &mut Matrix) {
-    const C: f32 = 0.797_884_6;
-    x.map_assign(|v| 0.5 * v * (1.0 + (C * (v + 0.044_715 * v * v * v)).tanh()));
-}
-
-/// Inference forward over `new_ids`, extending `cache`; returns logits for
-/// the *last* new position (`1 x vocab`).
+/// Greedy pick over a logits row: the index of the largest value, the
+/// lowest index among equal maxima.
 ///
 /// # Panics
 ///
-/// Panics if the total sequence would exceed `max_seq`.
-pub fn forward_infer(params: &Params, new_ids: &[usize], cache: &mut KvCache) -> Matrix {
+/// Panics if the row is empty or holds a NaN.
+pub fn argmax(row: &[f32]) -> usize {
+    assert!(
+        !row.is_empty() && !row.iter().any(|v| v.is_nan()),
+        "argmax needs a non-empty row of numbers"
+    );
+    let mut best = 0;
+    for (i, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = i;
+        }
+    }
+    best
+}
+
+/// A callback handed each projection's stable name and input activation.
+pub type Recorder<'a> = dyn FnMut(&str, &Matrix) + 'a;
+
+/// Inference forward over `new_ids`, extending `cache`; returns the logits
+/// of every new position (`new_ids.len() x vocab`).
+///
+/// With a `record` callback the pass also hands over the input activation
+/// of every linear projection, keyed by the projection's stable parameter
+/// name: the matrix for `layerN.wq` is the `(new_ids.len(), d)` input that
+/// gets multiplied by `wq`, exactly the `X` the OBS compression solver
+/// needs. Calibration runs it on an empty cache.
+///
+/// # Panics
+///
+/// Panics if `new_ids` is empty or the total sequence would exceed
+/// `max_seq`.
+pub fn forward_infer(
+    params: &Params,
+    new_ids: &[usize],
+    cache: &mut KvCache,
+    mut record: Option<&mut Recorder>,
+) -> Matrix {
     let config = &params.config;
     let t0 = cache.len();
     let tn = new_ids.len();
     assert!(tn > 0, "no new tokens");
     assert!(t0 + tn <= config.max_seq, "sequence overflows max_seq");
-    let d = config.d_model;
-    let heads = config.n_heads;
-    let dh = d / heads;
-    let scale = 1.0 / (dh as f32).sqrt();
+    let mut probe = |li: usize, field: &str, x: &Matrix| {
+        if let Some(f) = record.as_mut() {
+            f(&format!("layer{li}.{field}"), x);
+        }
+    };
 
     // Embeddings.
-    let mut x = Matrix::zeros(tn, d);
+    let mut x = Matrix::zeros(tn, config.d_model);
     for (r, &id) in new_ids.iter().enumerate() {
         let dst = x.row_mut(r);
         for (c, v) in dst.iter_mut().enumerate() {
@@ -643,159 +674,64 @@ pub fn forward_infer(params: &Params, new_ids: &[usize], cache: &mut KvCache) ->
     }
 
     for (li, l) in params.layers.iter().enumerate() {
-        let h = layer_norm_infer(&x, &l.ln1_g, &l.ln1_b);
-        let mut q = h.matmul(&l.wq);
-        add_bias_infer(&mut q, &l.bq);
-        let mut k_new = h.matmul(&l.wk);
-        add_bias_infer(&mut k_new, &l.bk);
-        let mut v_new = h.matmul(&l.wv);
-        add_bias_infer(&mut v_new, &l.bv);
-        // Extend cache.
-        let (k_all, v_all) = if t0 == 0 {
-            (k_new, v_new)
-        } else {
-            (
-                Matrix::vstack(&[&cache.k[li], &k_new]),
-                Matrix::vstack(&[&cache.v[li], &v_new]),
-            )
-        };
-        let total = t0 + tn;
-        let mut attn_out = Matrix::zeros(tn, d);
-        for hi in 0..heads {
-            for r in 0..tn {
-                let abs_pos = t0 + r;
-                // Scores against all cached positions up to abs_pos.
-                let mut scores = vec![0.0f32; abs_pos + 1];
-                for (j, s) in scores.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for c in 0..dh {
-                        acc += q.get(r, hi * dh + c) * k_all.get(j, hi * dh + c);
-                    }
-                    *s = acc * scale;
-                }
-                let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0f32;
-                for s in scores.iter_mut() {
-                    *s = (*s - max).exp();
-                    sum += *s;
-                }
-                let inv = 1.0 / sum;
-                for c in 0..dh {
-                    let mut acc = 0.0f32;
-                    for (j, s) in scores.iter().enumerate() {
-                        acc += s * inv * v_all.get(j, hi * dh + c);
-                    }
-                    attn_out.set(r, hi * dh + c, acc);
-                }
-            }
+        let h = layer_norm(&x, &l.ln1_g, &l.ln1_b);
+        for field in ["wq", "wk", "wv"] {
+            probe(li, field, &h);
         }
-        let _ = total;
-        cache.k[li] = k_all;
-        cache.v[li] = v_all;
-        let mut proj = attn_out.matmul(&l.wo);
-        add_bias_infer(&mut proj, &l.bo);
-        x.add_assign(&proj);
-        let h2 = layer_norm_infer(&x, &l.ln2_g, &l.ln2_b);
-        let mut up = h2.matmul(&l.w1);
-        add_bias_infer(&mut up, &l.b1);
-        gelu_infer(&mut up);
-        let mut down = up.matmul(&l.w2);
-        add_bias_infer(&mut down, &l.b2);
-        x.add_assign(&down);
+        let q = affine(&h, &l.wq, &l.bq);
+        let k = affine(&h, &l.wk, &l.bk);
+        let v = affine(&h, &l.wv, &l.bv);
+        let mut attn = Matrix::zeros(tn, config.d_model);
+        for r in 0..tn {
+            cache.attend(
+                li,
+                q.row(r),
+                k.row(r),
+                v.row(r),
+                config.n_heads,
+                attn.row_mut(r),
+            );
+        }
+        probe(li, "wo", &attn);
+        x.add_assign(&affine(&attn, &l.wo, &l.bo));
+        let h2 = layer_norm(&x, &l.ln2_g, &l.ln2_b);
+        probe(li, "w1", &h2);
+        let mut up = affine(&h2, &l.w1, &l.b1);
+        up.map_assign(gelu);
+        probe(li, "w2", &up);
+        x.add_assign(&affine(&up, &l.w2, &l.b2));
     }
-    let xf = layer_norm_infer(&x, &params.lnf_g, &params.lnf_b);
-    let logits = xf.matmul(&params.head);
-    logits.submatrix(tn - 1, 0, 1, params.config.vocab)
+    layer_norm(&x, &params.lnf_g, &params.lnf_b).matmul(&params.head)
+}
+
+/// Row-wise [`layer_norm_row`] over a matrix.
+fn layer_norm(x: &Matrix, g: &Matrix, b: &Matrix) -> Matrix {
+    let mut out = Matrix::zeros(x.rows(), x.cols());
+    for r in 0..x.rows() {
+        layer_norm_row(x.row(r), g, b, out.row_mut(r));
+    }
+    out
+}
+
+/// `x W + b` with `b` broadcast over rows.
+fn affine(x: &Matrix, w: &Matrix, b: &Matrix) -> Matrix {
+    let mut y = x.matmul(w);
+    for r in 0..y.rows() {
+        for (v, bb) in y.row_mut(r).iter_mut().zip(b.row(0)) {
+            *v += bb;
+        }
+    }
+    y
 }
 
 /// Teacher-forced logits for a whole sequence (`T x vocab`), no cache.
 pub fn forward_full(params: &Params, ids: &[usize]) -> Matrix {
     let mut tape = Tape::new();
     let nodes = ParamNodes::register(&mut tape, params);
-    let logits = forward_graph(&mut tape, &nodes, &params.config, ids);
+    let logits = forward_graph(&mut tape, &nodes, ids, |tape, h, w, b, _| {
+        tape.linear(h, w, b)
+    });
     tape.value(logits).clone()
-}
-
-/// Inference forward that also records the input activation of every linear
-/// projection, keyed by the projection's stable parameter name.
-///
-/// The recorded matrix for `layerN.wq` is the `(T, d)` input that gets
-/// multiplied by `wq` — exactly the `X` the OBS compression solver needs.
-/// Returns the final logits alongside the recordings.
-pub fn forward_probe(
-    params: &Params,
-    ids: &[usize],
-    record: &mut dyn FnMut(&str, &Matrix),
-) -> Matrix {
-    let config = &params.config;
-    assert!(!ids.is_empty() && ids.len() <= config.max_seq);
-    let t = ids.len();
-    let d = config.d_model;
-    let mut x = Matrix::zeros(t, d);
-    for (r, &id) in ids.iter().enumerate() {
-        let dst = x.row_mut(r);
-        for (c, v) in dst.iter_mut().enumerate() {
-            *v = params.tok_emb.get(id, c) + params.pos_emb.get(r, c);
-        }
-    }
-    let heads = config.n_heads;
-    let dh = d / heads;
-    let scale = 1.0 / (dh as f32).sqrt();
-    for (li, l) in params.layers.iter().enumerate() {
-        let h = layer_norm_infer(&x, &l.ln1_g, &l.ln1_b);
-        record(&format!("layer{li}.wq"), &h);
-        record(&format!("layer{li}.wk"), &h);
-        record(&format!("layer{li}.wv"), &h);
-        let mut q = h.matmul(&l.wq);
-        add_bias_infer(&mut q, &l.bq);
-        let mut k = h.matmul(&l.wk);
-        add_bias_infer(&mut k, &l.bk);
-        let mut v = h.matmul(&l.wv);
-        add_bias_infer(&mut v, &l.bv);
-        // Full causal attention (no cache needed for probing).
-        let mut attn_out = Matrix::zeros(t, d);
-        for hi in 0..heads {
-            for r in 0..t {
-                let mut scores = vec![0.0f32; r + 1];
-                for (j, s) in scores.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for c in 0..dh {
-                        acc += q.get(r, hi * dh + c) * k.get(j, hi * dh + c);
-                    }
-                    *s = acc * scale;
-                }
-                let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0f32;
-                for s in scores.iter_mut() {
-                    *s = (*s - max).exp();
-                    sum += *s;
-                }
-                let inv = 1.0 / sum;
-                for c in 0..dh {
-                    let mut acc = 0.0f32;
-                    for (j, s) in scores.iter().enumerate() {
-                        acc += s * inv * v.get(j, hi * dh + c);
-                    }
-                    attn_out.set(r, hi * dh + c, acc);
-                }
-            }
-        }
-        record(&format!("layer{li}.wo"), &attn_out);
-        let mut proj = attn_out.matmul(&l.wo);
-        add_bias_infer(&mut proj, &l.bo);
-        x.add_assign(&proj);
-        let h2 = layer_norm_infer(&x, &l.ln2_g, &l.ln2_b);
-        record(&format!("layer{li}.w1"), &h2);
-        let mut up = h2.matmul(&l.w1);
-        add_bias_infer(&mut up, &l.b1);
-        gelu_infer(&mut up);
-        record(&format!("layer{li}.w2"), &up);
-        let mut down = up.matmul(&l.w2);
-        add_bias_infer(&mut down, &l.b2);
-        x.add_assign(&down);
-    }
-    let xf = layer_norm_infer(&x, &params.lnf_g, &params.lnf_b);
-    xf.matmul(&params.head)
 }
 
 /// A tiny config for unit tests.
@@ -869,10 +805,10 @@ mod tests {
         let full = forward_full(&p, &ids);
         // Incremental: feed the prompt, then one token at a time.
         let mut cache = KvCache::new(cfg.n_layers);
-        let mut last = forward_infer(&p, &ids[..3], &mut cache);
-        let mut diffs = vec![full.submatrix(2, 0, 1, cfg.vocab).max_abs_diff(&last)];
+        let prompt = forward_infer(&p, &ids[..3], &mut cache, None);
+        let mut diffs = vec![full.submatrix(0, 0, 3, cfg.vocab).max_abs_diff(&prompt)];
         for t in 3..ids.len() {
-            last = forward_infer(&p, &ids[t..t + 1], &mut cache);
+            let last = forward_infer(&p, &ids[t..t + 1], &mut cache, None);
             diffs.push(full.submatrix(t, 0, 1, cfg.vocab).max_abs_diff(&last));
         }
         for (i, d) in diffs.iter().enumerate() {
@@ -889,7 +825,9 @@ mod tests {
         let mut tape = Tape::new();
         let nodes = ParamNodes::register(&mut tape, &p);
         let ids = [1usize, 10, 11, 12];
-        let logits = forward_graph(&mut tape, &nodes, &cfg, &ids);
+        let logits = forward_graph(&mut tape, &nodes, &ids, |tape, h, w, b, _| {
+            tape.linear(h, w, b)
+        });
         let loss = tape.cross_entropy(logits, &[10, 11, 12, 2], &[1.0; 4]);
         tape.backward(loss);
         let mut grads = Params::init(cfg, &mut rng);
@@ -903,6 +841,88 @@ mod tests {
         }
         assert!(grads.tok_emb.frob_norm() > 0.0);
         assert!(grads.head.frob_norm() > 0.0);
+    }
+
+    #[test]
+    fn plain_linear_matches_reference_forward() {
+        // Over frozen leaves, the builder with the plain projection must
+        // reproduce the trainable forward exactly.
+        let cfg = test_config();
+        let mut rng = Rng::seeded(1);
+        let base = Params::init(cfg, &mut rng);
+        let ids = [1usize, 5, 9, 3];
+        let mut tape = Tape::new();
+        let nodes = ParamNodes::frozen(&mut tape, &base);
+        let logits = forward_graph(&mut tape, &nodes, &ids, |tape, h, w, b, _| {
+            tape.linear(h, w, b)
+        });
+        assert_eq!(tape.value(logits), &forward_full(&base, &ids));
+    }
+
+    #[test]
+    #[should_panic(expected = "empty sequence")]
+    fn empty_input_is_rejected() {
+        let cfg = test_config();
+        let mut rng = Rng::seeded(2);
+        let base = Params::init(cfg, &mut rng);
+        let mut tape = Tape::new();
+        let nodes = ParamNodes::frozen(&mut tape, &base);
+        let _ = forward_graph(&mut tape, &nodes, &[], |_tape, h, _, _, _| h);
+    }
+
+    #[test]
+    fn recorded_inputs_feed_each_projection() {
+        // Recording must not change the logits, and each recorded input
+        // must be what its projection multiplies.
+        let cfg = test_config();
+        let p = Params::init(cfg, &mut Rng::seeded(8));
+        let ids = [1usize, 10, 11, 2];
+        let mut seen = Vec::new();
+        let mut record = |name: &str, x: &Matrix| seen.push((name.to_string(), x.clone()));
+        let mut cache = KvCache::new(cfg.n_layers);
+        let logits = forward_infer(&p, &ids, &mut cache, Some(&mut record));
+        let plain = forward_infer(&p, &ids, &mut KvCache::new(cfg.n_layers), None);
+        assert_eq!(logits, plain);
+        let names: Vec<&str> = seen.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, p.linear_layer_names());
+        for (name, x) in &seen {
+            assert_eq!(
+                x.shape(),
+                (ids.len(), p.get(name).unwrap().rows()),
+                "{name}"
+            );
+        }
+        assert_eq!(seen[0].1, seen[1].1, "wq and wk share their input");
+    }
+
+    #[test]
+    fn argmax_picks_largest() {
+        assert_eq!(argmax(&[0.1, 3.0, -2.0]), 1);
+        assert_eq!(argmax(&[5.0]), 0);
+        assert_eq!(argmax(&[f32::NEG_INFINITY, f32::NEG_INFINITY]), 0);
+    }
+
+    #[test]
+    fn argmax_breaks_ties_toward_the_lowest_index() {
+        assert_eq!(argmax(&[1.0, 3.0, 3.0]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty row of numbers")]
+    fn argmax_rejects_nan() {
+        let _ = argmax(&[1.0, f32::NAN, 0.5]);
+    }
+
+    #[test]
+    fn layer_norm_row_normalizes() {
+        let g = Matrix::full(1, 4, 1.0);
+        let b = Matrix::zeros(1, 4);
+        let mut out = vec![0.0f32; 4];
+        layer_norm_row(&[1.0, 2.0, 3.0, 4.0], &g, &b, &mut out);
+        let mean: f32 = out.iter().sum::<f32>() / 4.0;
+        let var: f32 = out.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 4.0;
+        assert!(mean.abs() < 1e-5);
+        assert!((var - 1.0).abs() < 1e-3);
     }
 
     #[test]

@@ -27,10 +27,11 @@ proptest! {
         let split = split.min(ids.len());
         let full = forward_full(&params, &ids);
         let mut cache = KvCache::new(cfg.n_layers);
-        let mut last = forward_infer(&params, &ids[..split], &mut cache);
+        let mut logits = forward_infer(&params, &ids[..split], &mut cache, None);
         for t in split..ids.len() {
-            last = forward_infer(&params, &ids[t..t + 1], &mut cache);
+            logits = forward_infer(&params, &ids[t..t + 1], &mut cache, None);
         }
+        let last = logits.submatrix(logits.rows() - 1, 0, 1, cfg.vocab);
         let reference = full.submatrix(ids.len() - 1, 0, 1, cfg.vocab);
         prop_assert!(last.max_abs_diff(&reference) < 1e-2,
             "cache diverged: {}", last.max_abs_diff(&reference));
