@@ -34,6 +34,7 @@ pub fn host_to_device_s(node: &NodeSpec, bytes: f64) -> f64 {
 
 /// Time to bring `bytes` from `from` to GPU memory (pipelining the two hops
 /// at the slower bandwidth when starting from disk).
+// dz-lint: allow(dead-pub, "closed-form transfer time the load-profile solo times are tested against")
 pub fn load_to_device_s(node: &NodeSpec, from: Tier, bytes: f64) -> f64 {
     match from {
         Tier::Device => 0.0,

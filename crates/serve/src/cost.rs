@@ -49,7 +49,7 @@ pub struct CostModel {
     /// checkpoint in tens of seconds; cf. Figure 16's loading segments).
     /// With a bound artifact store this static constant is only the
     /// fallback before the first measured decode; see
-    /// [`delta_load_time_measured`](Self::delta_load_time_measured).
+    /// [`delta_load_profile_measured`](Self::delta_load_profile_measured).
     pub effective_load_gbps: f64,
     /// Optional measured artifact size overriding the shape-model delta
     /// estimate. This is how the delta-compression method zoo couples into
@@ -363,102 +363,24 @@ impl CostModel {
         t * self.shape.n_layers as f64 + self.allreduce_per_iter(total_prompt_tokens)
     }
 
-    /// Load time through the deserialization-bound pipeline, floored by the
-    /// physical transfer path. Cold (disk) loads pay the disk read *on top*
-    /// of the deserialization pipeline: the read cannot fully overlap it.
-    ///
-    /// This is the synthetic model, used when no artifact store is bound.
-    /// The store-backed engine path uses [`load_time_measured`] instead:
-    /// it models a loader that overlaps disk reads with decode, so its
-    /// cold charge is `max(disk, decode)`, not their sum.
-    ///
-    /// [`load_time_measured`]: Self::delta_load_time_measured
-    fn load_time(&self, bytes: f64, tier: xfer::Tier) -> f64 {
-        let physical =
-            xfer::load_to_device_s(&self.node, tier, bytes / self.node.n_gpus.max(1) as f64);
-        let pipeline = bytes / (self.effective_load_gbps * 1e9);
-        match tier {
-            xfer::Tier::Disk => physical + pipeline,
-            _ => physical.max(pipeline),
-        }
-    }
-
-    /// Load time with a *measured* decode throughput (compressed GB/s from
-    /// the artifact store's whole-delta reads). Reads, decode, and the PCIe
-    /// hop are modelled as overlapping, so the wait is the slower of
-    /// the physical transfer and the decode stage — `max(disk, decode)` —
-    /// with the static constant only as a fallback before the first
-    /// measurement.
-    fn load_time_measured(&self, bytes: f64, tier: xfer::Tier, decode_gbps: Option<f64>) -> f64 {
-        let physical =
-            xfer::load_to_device_s(&self.node, tier, bytes / self.node.n_gpus.max(1) as f64);
-        let gbps = decode_gbps
-            .filter(|g| g.is_finite() && *g > 0.0)
-            .unwrap_or(self.effective_load_gbps);
-        physical.max(bytes / (gbps * 1e9))
-    }
-
-    /// Host-tier delta load charge under measured decode throughput
-    /// (PCIe hop overlapped with decompression).
-    pub fn delta_load_time_measured(&self, bytes: f64, decode_gbps: Option<f64>) -> f64 {
-        self.load_time_measured(bytes, xfer::Tier::Host, decode_gbps)
-    }
-
-    /// Cold (disk) delta load charge under measured decode throughput:
-    /// the disk read is modelled as overlapping decode, so the charge is
-    /// `max(disk + PCIe, decode)`.
-    pub fn delta_cold_load_time_measured(&self, bytes: f64, decode_gbps: Option<f64>) -> f64 {
-        self.load_time_measured(bytes, xfer::Tier::Disk, decode_gbps)
-    }
-
     /// Time to bring one compressed delta from host memory to the GPUs,
     /// sized by the shape-model estimate of a delta's bytes.
     pub fn delta_load_time(&self) -> f64 {
-        self.delta_load_time_bytes(self.delta_bytes())
-    }
-
-    /// Time to bring a compressed delta artifact of `bytes` from host
-    /// memory to the GPUs (PCIe hop only).
-    pub fn delta_load_time_bytes(&self, bytes: f64) -> f64 {
-        self.load_time(bytes, xfer::Tier::Host)
-    }
-
-    /// Time to swap one full FP16 model from host memory to the GPUs.
-    pub fn model_load_time(&self) -> f64 {
-        self.load_time(self.model_bytes(), xfer::Tier::Host)
+        self.delta_load_profile_bytes(self.delta_bytes()).solo_s()
     }
 
     /// Time to load a delta from cold storage (first touch), sized by the
     /// shape-model estimate of a delta's bytes.
     pub fn delta_cold_load_time(&self) -> f64 {
-        self.delta_cold_load_time_bytes(self.delta_bytes())
-    }
-
-    /// Time to load a compressed delta artifact of `bytes` from cold
-    /// storage (disk read plus the PCIe hop).
-    pub fn delta_cold_load_time_bytes(&self, bytes: f64) -> f64 {
-        self.load_time(bytes, xfer::Tier::Disk)
-    }
-
-    /// Time to swap in a host-resident **decoded** delta copy of
-    /// `raw_bytes`: a pure PCIe transfer of the raw bytes, with no decode
-    /// stage (the store's cached decoded copy skips the pipeline).
-    // dz-lint: allow(dead-pub, "scalar charge the decoded-copy load profile must match in the cost tests")
-    pub fn decoded_load_time_bytes(&self, raw_bytes: f64) -> f64 {
-        xfer::load_to_device_s(
-            &self.node,
-            xfer::Tier::Host,
-            raw_bytes / self.node.n_gpus.max(1) as f64,
-        )
+        self.delta_cold_load_profile_bytes(self.delta_bytes())
+            .solo_s()
     }
 
     // ---- stage-decomposed load profiles for the swap timeline ----------
     //
-    // Each constructor mirrors one scalar charge above: an uncontended
-    // load on the `swap::TransferTimeline` completes in exactly
-    // `profile.solo_s() == <the scalar charge>`, so single-load timing is
-    // calibration-identical to the legacy serialized path and only
-    // *concurrent* loads behave differently (they share channels).
+    // Every load charge is one of these profiles: an uncontended load on
+    // the `swap::TransferTimeline` completes in `profile.solo_s()`, and
+    // only *concurrent* loads behave differently (they share channels).
 
     fn per_gpu_bytes(&self, bytes: f64) -> f64 {
         bytes / self.node.n_gpus.max(1) as f64
@@ -472,8 +394,10 @@ impl CostModel {
         xfer::pcie_channel_s(&self.node, self.per_gpu_bytes(bytes))
     }
 
-    /// Profile of a synthetic host-tier load: PCIe hop pipelined against
-    /// the static deserialization stage (`solo_s == delta_load_time_bytes`).
+    /// Profile of a synthetic host-tier load of `bytes`: the PCIe hop
+    /// pipelined against the static deserialization stage, so `solo_s` is
+    /// the slower of the two. This is the synthetic model, used when no
+    /// artifact store is bound.
     pub fn delta_load_profile_bytes(&self, bytes: f64) -> LoadProfile {
         LoadProfile {
             head_s: 20e-6,
@@ -485,8 +409,8 @@ impl CostModel {
     }
 
     /// Profile of a synthetic cold (disk) load: disk and PCIe stages
-    /// pipelined, then the serial deserialization tail
-    /// (`solo_s == delta_cold_load_time_bytes`).
+    /// pipelined at the slower link, then the serial deserialization tail
+    /// (the read cannot fully overlap deserialization).
     pub fn delta_cold_load_profile_bytes(&self, bytes: f64) -> LoadProfile {
         LoadProfile {
             head_s: self.node.storage.latency_s() + 20e-6,
@@ -497,8 +421,10 @@ impl CostModel {
         }
     }
 
-    /// Profile of a measured host-tier load
-    /// (`solo_s == delta_load_time_measured`).
+    /// Profile of a host-tier load under a *measured* decode throughput
+    /// (compressed GB/s from the artifact store's whole-delta reads): the
+    /// PCIe hop overlapped with decompression, with the static constant
+    /// only as a fallback before the first measurement.
     pub fn delta_load_profile_measured(&self, bytes: f64, decode_gbps: Option<f64>) -> LoadProfile {
         let gbps = decode_gbps
             .filter(|g| g.is_finite() && *g > 0.0)
@@ -512,8 +438,9 @@ impl CostModel {
         }
     }
 
-    /// Profile of a measured cold (disk) load: disk, PCIe, and decode all
-    /// pipelined (`solo_s == delta_cold_load_time_measured`).
+    /// Profile of a measured cold (disk) load: the store-backed loader
+    /// overlaps disk reads with decode, so disk, PCIe and decode are all
+    /// pipelined and `solo_s` is `max(disk + PCIe, decode)`.
     pub fn delta_cold_load_profile_measured(
         &self,
         bytes: f64,
@@ -531,8 +458,9 @@ impl CostModel {
         }
     }
 
-    /// Profile of a decode-free swap-in of a host-resident decoded copy
-    /// (`solo_s == decoded_load_time_bytes(raw_bytes)`).
+    /// Profile of a decode-free swap-in of a host-resident **decoded**
+    /// copy of `raw_bytes`: a pure PCIe transfer, with no decode stage
+    /// (the store's cached decoded copy skips the pipeline).
     pub fn decoded_load_profile_bytes(&self, raw_bytes: f64) -> LoadProfile {
         LoadProfile {
             head_s: 20e-6,
@@ -572,6 +500,22 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn host(cm: &CostModel, bytes: f64) -> f64 {
+        cm.delta_load_profile_bytes(bytes).solo_s()
+    }
+
+    fn cold(cm: &CostModel, bytes: f64) -> f64 {
+        cm.delta_cold_load_profile_bytes(bytes).solo_s()
+    }
+
+    fn host_measured(cm: &CostModel, bytes: f64, gbps: Option<f64>) -> f64 {
+        cm.delta_load_profile_measured(bytes, gbps).solo_s()
+    }
+
+    fn cold_measured(cm: &CostModel, bytes: f64, gbps: Option<f64>) -> f64 {
+        cm.delta_cold_load_profile_measured(bytes, gbps).solo_s()
+    }
 
     fn model() -> CostModel {
         CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b())
@@ -668,7 +612,8 @@ mod tests {
     #[test]
     fn loads_are_ordered_by_bytes() {
         let cm = model();
-        assert!(cm.delta_load_time() < cm.model_load_time() / 3.0);
+        let model_load = cm.delta_load_profile_bytes(cm.model_bytes()).solo_s();
+        assert!(cm.delta_load_time() < model_load / 3.0);
         assert!(cm.delta_cold_load_time() > cm.delta_load_time());
     }
 
@@ -679,23 +624,17 @@ mod tests {
             // A host hit (PCIe only) is strictly cheaper than a disk miss
             // (disk read + PCIe) for the same artifact.
             assert!(
-                cm.delta_load_time_bytes(bytes) < cm.delta_cold_load_time_bytes(bytes),
+                host(&cm, bytes) < cold(&cm, bytes),
                 "host hit must beat disk miss at {bytes} bytes"
             );
         }
         // More bytes cost more on both paths.
-        assert!(cm.delta_load_time_bytes(2e8) > cm.delta_load_time_bytes(1e8));
-        assert!(cm.delta_cold_load_time_bytes(2e8) > cm.delta_cold_load_time_bytes(1e8));
-        // The legacy single-size APIs are the byte APIs at the shape
-        // model's delta size.
-        assert_eq!(
-            cm.delta_load_time(),
-            cm.delta_load_time_bytes(cm.delta_bytes())
-        );
-        assert_eq!(
-            cm.delta_cold_load_time(),
-            cm.delta_cold_load_time_bytes(cm.delta_bytes())
-        );
+        assert!(host(&cm, 2e8) > host(&cm, 1e8));
+        assert!(cold(&cm, 2e8) > cold(&cm, 1e8));
+        // The single-size APIs are the byte APIs at the shape model's
+        // delta size.
+        assert_eq!(cm.delta_load_time(), host(&cm, cm.delta_bytes()));
+        assert_eq!(cm.delta_cold_load_time(), cold(&cm, cm.delta_bytes()));
     }
 
     #[test]
@@ -704,74 +643,72 @@ mod tests {
         let bytes = 2e8;
         // A fast measured decoder collapses the cold charge to the physical
         // path: strictly below the synthetic disk+deserialize sum.
-        let fast = cm.delta_cold_load_time_measured(bytes, Some(1e6));
+        let fast = cold_measured(&cm, bytes, Some(1e6));
         assert!(
-            fast < cm.delta_cold_load_time_bytes(bytes),
+            fast < cold(&cm, bytes),
             "pipelined cold load must beat the read-then-deserialize sum"
         );
         // A slow measured decoder dominates both tiers equally (decode is
         // the bottleneck on the shared pipeline).
-        let slow_cold = cm.delta_cold_load_time_measured(bytes, Some(0.1));
-        let slow_host = cm.delta_load_time_measured(bytes, Some(0.1));
+        let slow_cold = cold_measured(&cm, bytes, Some(0.1));
+        let slow_host = host_measured(&cm, bytes, Some(0.1));
         assert!(slow_cold >= bytes / (0.1 * 1e9) * 0.999);
         assert!(slow_host >= bytes / (0.1 * 1e9) * 0.999);
         // Cold still costs at least as much as a host hit.
         for gbps in [0.05, 0.5, 5.0, 500.0] {
             assert!(
-                cm.delta_cold_load_time_measured(bytes, Some(gbps))
-                    >= cm.delta_load_time_measured(bytes, Some(gbps)),
+                cold_measured(&cm, bytes, Some(gbps)) >= host_measured(&cm, bytes, Some(gbps)),
                 "cold >= warm at {gbps} GB/s"
             );
         }
         // No measurement yet: falls back to the static constant under the
         // max() pipeline model.
-        let fallback = cm.delta_load_time_measured(bytes, None);
-        assert_eq!(fallback, cm.delta_load_time_bytes(bytes));
+        let fallback = host_measured(&cm, bytes, None);
+        assert_eq!(fallback, host(&cm, bytes));
         // Degenerate measurements are ignored, not divided by.
-        assert!(cm.delta_load_time_measured(bytes, Some(0.0)).is_finite());
-        assert!(cm
-            .delta_load_time_measured(bytes, Some(f64::NAN))
-            .is_finite());
+        assert!(host_measured(&cm, bytes, Some(0.0)).is_finite());
+        assert!(host_measured(&cm, bytes, Some(f64::NAN)).is_finite());
     }
 
     #[test]
     fn load_profiles_solo_times_match_the_scalar_charges() {
-        // The swap timeline's calibration contract: an uncontended load
-        // completes in exactly the legacy serialized charge, for every
-        // charge flavor.
+        // An uncontended load completes in exactly the closed-form charge
+        // of its path, for every charge flavor: the synthetic pipeline
+        // (host: slower of PCIe and deserialization; cold: the staged disk
+        // copy plus deserialization), the measured one (slower of the
+        // physical path and decode) and the decode-free copy (PCIe only).
         for node in [NodeSpec::a800_node(4), NodeSpec::rtx3090_node(1)] {
             let cm = CostModel::new(node, ModelShape::llama7b());
+            let physical = |tier, bytes: f64| {
+                xfer::load_to_device_s(&cm.node, tier, bytes / cm.node.n_gpus as f64)
+            };
             for bytes in [1e6, 1e8, 2e9] {
-                assert!(
-                    (cm.delta_load_profile_bytes(bytes).solo_s() - cm.delta_load_time_bytes(bytes))
-                        .abs()
-                        < 1e-12
+                let pipeline = bytes / (cm.effective_load_gbps * 1e9);
+                assert_eq!(
+                    host(&cm, bytes),
+                    physical(xfer::Tier::Host, bytes).max(pipeline)
                 );
-                assert!(
-                    (cm.delta_cold_load_profile_bytes(bytes).solo_s()
-                        - cm.delta_cold_load_time_bytes(bytes))
-                    .abs()
-                        < 1e-12
+                assert_eq!(
+                    cold(&cm, bytes),
+                    physical(xfer::Tier::Disk, bytes) + pipeline
                 );
                 for gbps in [None, Some(0.1), Some(5.0), Some(f64::NAN)] {
-                    assert!(
-                        (cm.delta_load_profile_measured(bytes, gbps).solo_s()
-                            - cm.delta_load_time_measured(bytes, gbps))
-                        .abs()
-                            < 1e-12
+                    let g = gbps
+                        .filter(|g| g.is_finite())
+                        .unwrap_or(cm.effective_load_gbps);
+                    let decode = bytes / (g * 1e9);
+                    assert_eq!(
+                        host_measured(&cm, bytes, gbps),
+                        physical(xfer::Tier::Host, bytes).max(decode)
                     );
-                    assert!(
-                        (cm.delta_cold_load_profile_measured(bytes, gbps).solo_s()
-                            - cm.delta_cold_load_time_measured(bytes, gbps))
-                        .abs()
-                            < 1e-12
+                    assert_eq!(
+                        cold_measured(&cm, bytes, gbps),
+                        physical(xfer::Tier::Disk, bytes).max(decode)
                     );
                 }
-                assert!(
-                    (cm.decoded_load_profile_bytes(bytes).solo_s()
-                        - cm.decoded_load_time_bytes(bytes))
-                    .abs()
-                        < 1e-12
+                assert_eq!(
+                    cm.decoded_load_profile_bytes(bytes).solo_s(),
+                    physical(xfer::Tier::Host, bytes)
                 );
             }
         }
@@ -786,7 +723,7 @@ mod tests {
         assert_eq!(p.tail_s, 0.0);
         assert_eq!(p.floor_s, 0.0);
         // Prewarming costs strictly less than the full cold demand load.
-        assert!(p.solo_s() < cm.delta_cold_load_time_bytes(1e8));
+        assert!(p.solo_s() < cold(&cm, 1e8));
     }
 
     #[test]
@@ -795,7 +732,7 @@ mod tests {
         // beats the deserialization-bound host-hit charge.
         let cm = model();
         let bytes = 1e9;
-        assert!(cm.decoded_load_time_bytes(bytes) < cm.delta_load_time_bytes(bytes));
+        assert!(cm.decoded_load_profile_bytes(bytes).solo_s() < host(&cm, bytes));
     }
 
     #[test]

@@ -698,12 +698,12 @@ impl Engine for DeltaZipEngine {
                             let outcome = binding.fetch_for_model(d);
                             let gbps = binding.measured_decode_gbps();
                             match outcome.tier {
-                                FetchTier::HostHit => {
-                                    cost.delta_load_time_measured(outcome.bytes as f64, gbps)
-                                }
-                                FetchTier::DiskMiss => {
-                                    cost.delta_cold_load_time_measured(outcome.bytes as f64, gbps)
-                                }
+                                FetchTier::HostHit => cost
+                                    .delta_load_profile_measured(outcome.bytes as f64, gbps)
+                                    .solo_s(),
+                                FetchTier::DiskMiss => cost
+                                    .delta_cold_load_profile_measured(outcome.bytes as f64, gbps)
+                                    .solo_s(),
                             }
                         }
                         None => {

@@ -108,11 +108,12 @@ impl Engine for VllmScbEngine {
                         }
                     }
                     swap_scheduled = true;
+                    let model_load = cost.delta_load_profile_bytes(cost.model_bytes()).solo_s();
                     load_s = if warm.contains(&model) {
-                        cost.model_load_time()
+                        model_load
                     } else {
                         // First touch streams from disk.
-                        cost.model_load_time() * 2.0
+                        model_load * 2.0
                     };
                     warm.insert(model);
                     resident.push((model, t));
@@ -270,7 +271,8 @@ mod tests {
         // And in total, loading stays bounded by one first-touch load per
         // model (4 models).
         let max_load = m.records.iter().map(|r| r.load_s).fold(0.0f64, f64::max);
-        let one_cold = cost().model_load_time() * 2.5;
+        let cm = cost();
+        let one_cold = cm.delta_load_profile_bytes(cm.model_bytes()).solo_s() * 2.5;
         assert!(max_load < 4.0 * one_cold, "max load wait {max_load}");
     }
 }

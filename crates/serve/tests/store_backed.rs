@@ -112,7 +112,10 @@ fn store_backed_engine_charges_real_artifact_bytes() {
     let cm = cost();
     let min_cold: f64 = models_used
         .iter()
-        .map(|&m| cm.delta_cold_load_time_measured(sizes[m] as f64, Some(1e12)))
+        .map(|&m| {
+            cm.delta_cold_load_profile_measured(sizes[m] as f64, Some(1e12))
+                .solo_s()
+        })
         .sum();
     let total_wait: f64 = metrics.records.iter().map(|r| r.load_s).sum();
     assert!(

@@ -124,7 +124,9 @@ fn full_pipeline_roundtrip_and_byte_accurate_load_waits() {
         gbps_cold.is_some(),
         "a cold load must leave a measured decode throughput behind"
     );
-    let want_cold = cost.delta_cold_load_time_measured(size_sent as f64, gbps_cold);
+    let want_cold = cost
+        .delta_cold_load_profile_measured(size_sent as f64, gbps_cold)
+        .solo_s();
     assert!(
         (cold_wait - want_cold).abs() < 1e-9,
         "cold wait {cold_wait} must equal the artifact-sized charge {want_cold}"
@@ -150,7 +152,9 @@ fn full_pipeline_roundtrip_and_byte_accurate_load_waits() {
         refetch.decode.is_none(),
         "the decoded copy must still be resident"
     );
-    let want_warm = cost.decoded_load_time_bytes(refetch.raw_bytes as f64);
+    let want_warm = cost
+        .decoded_load_profile_bytes(refetch.raw_bytes as f64)
+        .solo_s();
     assert!(
         (warm_wait - want_warm).abs() < 1e-9,
         "warm wait {warm_wait} must equal the decode-free charge {want_warm}"
@@ -167,14 +171,19 @@ fn full_pipeline_roundtrip_and_byte_accurate_load_waits() {
     let (m_nli, binding) = dz2.simulate_with_store(&trace_nli, cost, config, binding);
     let nli_cold_wait = m_nli.records[0].load_s;
     let gbps_nli = binding.measured_decode_gbps();
-    let want_nli = cost.delta_cold_load_time_measured(size_nli as f64, gbps_nli);
+    let want_nli = cost
+        .delta_cold_load_profile_measured(size_nli as f64, gbps_nli)
+        .solo_s();
     assert!(
         (nli_cold_wait - want_nli).abs() < 1e-9,
         "nli cold wait {nli_cold_wait} must equal {want_nli}"
     );
     assert!(
-        cost.delta_cold_load_time_measured(size_nli as f64, gbps_nli)
-            < cost.delta_cold_load_time_measured(size_sent as f64, gbps_nli),
+        cost.delta_cold_load_profile_measured(size_nli as f64, gbps_nli)
+            .solo_s()
+            < cost
+                .delta_cold_load_profile_measured(size_sent as f64, gbps_nli)
+                .solo_s(),
         "fewer bytes must cost less at equal measured throughput"
     );
 
