@@ -1,9 +1,9 @@
 //! Summary statistics and histograms used by the experiment harness.
 //!
 //! Figure 3 of the paper plots the magnitude distribution of a base weight
-//! matrix, its fine-tuned counterpart, and their delta; the serving metrics
-//! report means and percentiles. This module hosts those small utilities so
-//! they are shared (and tested) in one place.
+//! matrix, its fine-tuned counterpart, and their delta. This module hosts
+//! the summary and histogram behind those plots; serving percentiles live
+//! in `dz_trace::stats`.
 
 /// Basic distribution summary of a slice of values.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,41 +129,6 @@ impl Histogram {
     }
 }
 
-/// Returns the `q`-quantile (0.0..=1.0) of the values using linear
-/// interpolation on the sorted order statistics.
-///
-/// Returns `None` for an empty slice.
-///
-/// # Panics
-///
-/// Panics if `q` is outside `[0, 1]`.
-pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
-    if values.is_empty() {
-        return None;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        Some(sorted[lo])
-    } else {
-        let frac = pos - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
-}
-
-/// Mean of a slice of `f64` (0.0 when empty).
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,27 +168,5 @@ mod tests {
         h.add_all(&[0.1, 0.1, 0.9]);
         let s = h.sparkline();
         assert_eq!(s.chars().count(), 16);
-    }
-
-    #[test]
-    fn quantiles() {
-        let v = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(quantile(&v, 0.0), Some(1.0));
-        assert_eq!(quantile(&v, 1.0), Some(5.0));
-        assert_eq!(quantile(&v, 0.5), Some(3.0));
-        assert_eq!(quantile(&v, 0.25), Some(2.0));
-        assert_eq!(quantile(&[], 0.5), None);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let v = vec![0.0, 10.0];
-        assert!((quantile(&v, 0.3).unwrap() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_works() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(mean(&[2.0, 4.0]), 3.0);
     }
 }

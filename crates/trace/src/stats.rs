@@ -292,6 +292,20 @@ mod tests {
         assert_eq!(percentile(vec![], 0.99), None);
     }
 
+    proptest::proptest! {
+        #[test]
+        fn percentile_is_monotone_in_q(
+            vals in proptest::collection::vec(-1e6f64..1e6, 1..64),
+            q1 in 0.0f64..=1.0,
+            q2 in 0.0f64..=1.0,
+        ) {
+            let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
+            let a = percentile(vals.clone(), lo).unwrap();
+            let b = percentile(vals, hi).unwrap();
+            proptest::prop_assert!(a <= b + 1e-9);
+        }
+    }
+
     #[test]
     fn mean_and_fraction_edges() {
         assert_eq!(mean(std::iter::empty()), None);
