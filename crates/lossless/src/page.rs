@@ -485,11 +485,32 @@ fn parse_stream(stream: &[u8]) -> Result<ParsedStream<'_>, CodecError> {
     if n_pages != raw_len.div_ceil(page_size.max(1)) {
         return Err(CodecError::Corrupt("page count mismatch"));
     }
+    // Each table entry is a u32 length and a mode byte: refuse a count the
+    // stream cannot hold before reserving for it.
+    if n_pages > (stream.len() - pos) / 5 {
+        return Err(CodecError::Truncated);
+    }
     let mut table = Vec::with_capacity(n_pages);
     for _ in 0..n_pages {
         let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
         let mode = take(&mut pos, 1)?[0];
         table.push((len, mode));
+    }
+    // A stored page decodes to exactly its payload; a Huffman page to at
+    // most `MAX_MATCH` bytes per payload bit, since every symbol costs at
+    // least one bit. The decoders allocate `raw_len` up front, so a larger
+    // declared length is refused here.
+    let capacity = table
+        .iter()
+        .map(|&(len, mode)| match mode {
+            MODE_STORED => len,
+            _ => len.saturating_mul(8 * MAX_MATCH),
+        })
+        .fold(0usize, usize::saturating_add);
+    if raw_len > capacity {
+        return Err(CodecError::Corrupt(
+            "raw length exceeds what the pages decode to",
+        ));
     }
     let mut pages = Vec::with_capacity(n_pages);
     for (len, mode) in table {
@@ -633,6 +654,57 @@ mod tests {
 
     fn saves_an_eighth(raw: &[u8]) -> bool {
         huffman_payload(raw).len() <= raw.len() - raw.len() / MIN_SAVING_DIV
+    }
+
+    /// A header that declares 32 TiB over 8192 empty Huffman pages of
+    /// `u32::MAX` bytes each, with a consistent page count.
+    fn inflated_header_stream() -> Vec<u8> {
+        let page_size = u32::MAX;
+        let n_pages = 8192u32;
+        let raw_len = u64::from(page_size) * u64::from(n_pages);
+        let mut s = MAGIC.to_vec();
+        s.push(VERSION);
+        s.extend(page_size.to_le_bytes());
+        s.extend(raw_len.to_le_bytes());
+        s.extend(0u32.to_le_bytes());
+        s.extend(n_pages.to_le_bytes());
+        for _ in 0..n_pages {
+            s.extend(0u32.to_le_bytes());
+            s.push(MODE_HUFFMAN);
+        }
+        s
+    }
+
+    #[test]
+    fn inflated_raw_length_is_refused_before_allocating() {
+        let s = inflated_header_stream();
+        assert_eq!(s.len(), 40_985);
+        for result in [decompress(&s), decompress_reference(&s)] {
+            assert!(matches!(result, Err(CodecError::Corrupt(_))), "{result:?}");
+        }
+        assert!(declared_len_and_crc(&s).is_err());
+    }
+
+    #[test]
+    fn stored_pages_bound_the_raw_length_exactly() {
+        // One byte past what a stored page holds is refused; the exact
+        // length parses.
+        let raw: Vec<u8> = (0..100u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        let c = compress(&raw);
+        let parsed = parse_stream(&c).expect("parse");
+        assert_eq!(parsed.pages[0].1, MODE_STORED);
+        let mut longer = c.clone();
+        longer[9..17].copy_from_slice(&101u64.to_le_bytes());
+        assert!(matches!(parse_stream(&longer), Err(CodecError::Corrupt(_))));
+    }
+
+    #[test]
+    fn page_count_past_the_stream_is_truncated() {
+        let mut s = inflated_header_stream();
+        s.truncate(25 + 5 * 100);
+        assert!(matches!(parse_stream(&s), Err(CodecError::Truncated)));
     }
 
     #[test]
