@@ -701,9 +701,15 @@ mod tests {
     }
 
     #[test]
-    fn page_count_past_the_stream_is_truncated() {
-        let mut s = inflated_header_stream();
-        s.truncate(25 + 5 * 100);
+    fn page_count_past_the_stream_is_refused_before_allocating() {
+        // A bare header declaring u32::MAX one-byte pages: reserving the
+        // page table for that count alone would need 64 GiB.
+        let mut s = MAGIC.to_vec();
+        s.push(VERSION);
+        s.extend(1u32.to_le_bytes());
+        s.extend(u64::from(u32::MAX).to_le_bytes());
+        s.extend(0u32.to_le_bytes());
+        s.extend(u32::MAX.to_le_bytes());
         assert!(matches!(parse_stream(&s), Err(CodecError::Truncated)));
     }
 
