@@ -13,7 +13,7 @@
 //! plain Adam.
 
 use crate::tasks::Task;
-use crate::train::{clip_global_norm, grad_one, BatchItem, TrainConfig};
+use crate::train::{train_with, BatchItem, TrainConfig};
 use crate::transformer::Params;
 use dz_tensor::{Matrix, Rng};
 use std::collections::HashMap;
@@ -215,23 +215,12 @@ pub fn finetune_galore(
     cfg: TrainConfig,
     gcfg: GaloreConfig,
 ) -> Vec<f32> {
-    let mut rng = Rng::seeded(cfg.seed);
     let mut opt = Galore::new(params, gcfg, cfg.lr);
-    let mut losses = Vec::with_capacity(cfg.steps);
-    for _ in 0..cfg.steps {
-        let mut grads = params.zeros_like();
-        let mut loss_sum = 0.0f32;
-        for _ in 0..cfg.batch {
-            let ex = task.sample(&mut rng);
-            let item = BatchItem::task(ex.tokens, ex.answer_len);
-            loss_sum += grad_one(params, &item, &mut grads);
-        }
-        grads.for_each_mut(|_, m| m.scale_assign(1.0 / cfg.batch as f32));
-        clip_global_norm(&mut grads, cfg.clip);
-        opt.step(params, &grads);
-        losses.push(loss_sum / cfg.batch as f32);
-    }
-    losses
+    let sampler = |rng: &mut Rng| {
+        let ex = task.sample(rng);
+        BatchItem::task(ex.tokens, ex.answer_len)
+    };
+    train_with(params, cfg, sampler, |p, g| opt.step(p, g))
 }
 
 /// Residual fraction of the best rank-`r` approximation of `m`:

@@ -6,9 +6,9 @@
 //! Rank caps the expressiveness of the update — which is exactly why LoRA
 //! trails full-model tuning on the hard tasks (Figure 2 of the paper).
 
-use crate::autograd::{NodeId, Tape};
+use crate::autograd::Tape;
 use crate::tasks::Task;
-use crate::train::{Adam, BatchItem, TrainConfig};
+use crate::train::{zeros_like, Adam, BatchItem, TrainConfig};
 use crate::transformer::{forward_graph, ModelConfig, ParamNodes, Params};
 use dz_tensor::{Matrix, Rng};
 
@@ -122,36 +122,65 @@ impl LoraAdapter {
     }
 }
 
-/// Builds the LoRA forward graph and returns `(logits, adapter node ids)`.
-fn forward_graph_lora(
-    tape: &mut Tape,
+/// Runs one task item forward and backward through the frozen base with
+/// adapter terms on every adapted projection: `(alpha/r) (h A) B` per
+/// LoRA pair, plus RoSA's `h S` when `sparse` (parallel to `pairs`) is
+/// non-empty. Hands each adapter tensor's gradient to `grad` with its
+/// index in per-pair `[A, B]` (or `[A, B, S]`) order; returns the loss.
+pub(crate) fn adapter_backward(
     base: &Params,
-    adapter: &LoraAdapter,
-    ids: &[usize],
-) -> (NodeId, Vec<(NodeId, NodeId)>) {
-    let scale = adapter.scale();
-    // Leaves for adapter pairs, addressable by name.
-    let pair_nodes: Vec<(NodeId, NodeId)> = adapter
-        .pairs
-        .iter()
-        .map(|p| (tape.leaf(p.a.clone()), tape.leaf(p.b.clone())))
-        .collect();
-    let find = |name: &str| -> Option<usize> { adapter.pairs.iter().position(|p| p.name == name) };
+    pairs: &[LoraPair],
+    sparse: &[&Matrix],
+    scale: f32,
+    item: &BatchItem,
+    mut grad: impl FnMut(usize, &Matrix),
+) -> f32 {
+    let mut tape = Tape::new();
+    let mut leaves = Vec::new();
+    for (i, p) in pairs.iter().enumerate() {
+        leaves.push(tape.leaf(p.a.clone()));
+        leaves.push(tape.leaf(p.b.clone()));
+        if let Some(&s) = sparse.get(i) {
+            leaves.push(tape.leaf(s.clone()));
+        }
+    }
+    let per_pair = if sparse.is_empty() { 2 } else { 3 };
     // The base is frozen, so backward skips its (dominant) gradient
     // matmuls entirely.
-    let nodes = ParamNodes::frozen(tape, base);
-    let logits = forward_graph(tape, &nodes, ids, |tape, h, w, bias, name| {
-        let y = tape.linear(h, w, bias);
-        let Some(idx) = find(name) else {
-            return y;
-        };
-        let (an, bn) = pair_nodes[idx];
-        let ha = tape.matmul(h, an);
-        let hab = tape.matmul(ha, bn);
-        let scaled = tape.scale(hab, scale);
-        tape.add(y, scaled)
-    });
-    (logits, pair_nodes)
+    let nodes = ParamNodes::frozen(&mut tape, base);
+    let n = item.tokens.len();
+    let logits = forward_graph(
+        &mut tape,
+        &nodes,
+        &item.tokens[..n - 1],
+        |tape, h, w, b, name| {
+            let y = tape.linear(h, w, b);
+            let Some(pi) = pairs.iter().position(|p| p.name == name) else {
+                return y;
+            };
+            let adapter = &leaves[pi * per_pair..(pi + 1) * per_pair];
+            let ha = tape.matmul(h, adapter[0]);
+            let hab = tape.matmul(ha, adapter[1]);
+            let scaled = tape.scale(hab, scale);
+            let y = tape.add(y, scaled);
+            match adapter.get(2) {
+                Some(&s) => {
+                    let hs = tape.matmul(h, s);
+                    tape.add(y, hs)
+                }
+                None => y,
+            }
+        },
+    );
+    let loss = tape.cross_entropy(logits, &item.tokens[1..], &item.weights);
+    let value = tape.value(loss).get(0, 0);
+    tape.backward(loss);
+    for (i, &leaf) in leaves.iter().enumerate() {
+        if let Some(g) = tape.grad(leaf) {
+            grad(i, g);
+        }
+    }
+    value
 }
 
 /// Trains the adapter on a task with the base frozen; returns step losses.
@@ -162,40 +191,20 @@ pub fn finetune_lora(
     cfg: TrainConfig,
 ) -> Vec<f32> {
     let mut rng = Rng::seeded(cfg.seed);
-    let tensor_refs: Vec<&Matrix> = adapter.pairs.iter().flat_map(|p| [&p.a, &p.b]).collect();
-    let mut opt = Adam::new(&tensor_refs, cfg.lr);
-    drop(tensor_refs);
+    let tensors: Vec<&Matrix> = adapter.pairs.iter().flat_map(|p| [&p.a, &p.b]).collect();
+    let mut opt = Adam::new(&tensors, cfg.lr);
+    let zeros = zeros_like(&tensors);
+    let scale = adapter.scale();
     let mut losses = Vec::with_capacity(cfg.steps);
     for _ in 0..cfg.steps {
-        let mut grads: Vec<Matrix> = adapter
-            .pairs
-            .iter()
-            .flat_map(|p| {
-                [
-                    Matrix::zeros(p.a.rows(), p.a.cols()),
-                    Matrix::zeros(p.b.rows(), p.b.cols()),
-                ]
-            })
-            .collect();
+        let mut grads = zeros.clone();
         let mut loss_sum = 0.0f32;
         for _ in 0..cfg.batch {
             let ex = task.sample(&mut rng);
             let item = BatchItem::task(ex.tokens, ex.answer_len);
-            let n = item.tokens.len();
-            let mut tape = Tape::new();
-            let (logits, pair_nodes) =
-                forward_graph_lora(&mut tape, base, adapter, &item.tokens[..n - 1]);
-            let loss = tape.cross_entropy(logits, &item.tokens[1..], &item.weights);
-            loss_sum += tape.value(loss).get(0, 0);
-            tape.backward(loss);
-            for (pi, (an, bn)) in pair_nodes.iter().enumerate() {
-                if let Some(g) = tape.grad(*an) {
-                    grads[2 * pi].add_assign(g);
-                }
-                if let Some(g) = tape.grad(*bn) {
-                    grads[2 * pi + 1].add_assign(g);
-                }
-            }
+            loss_sum += adapter_backward(base, &adapter.pairs, &[], scale, &item, |i, g| {
+                grads[i].add_assign(g)
+            });
         }
         for g in &mut grads {
             g.scale_assign(1.0 / cfg.batch as f32);

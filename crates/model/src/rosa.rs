@@ -16,11 +16,10 @@
 //! 2. **Joint training** — train `A`, `B` and the masked `S` together with
 //!    Adam, projecting `S` back onto its support after every step.
 
-use crate::autograd::{NodeId, Tape};
-use crate::lora::{LoraConfig, LoraPair};
+use crate::lora::{adapter_backward, LoraConfig, LoraPair};
 use crate::tasks::Task;
-use crate::train::{Adam, BatchItem, TrainConfig};
-use crate::transformer::{forward_graph, ParamNodes, Params};
+use crate::train::{zeros_like, Adam, BatchItem, TrainConfig};
+use crate::transformer::Params;
 use dz_tensor::{Matrix, Rng};
 
 /// RoSA hyper-parameters.
@@ -156,41 +155,13 @@ impl RosaAdapter {
         }
         out
     }
-}
 
-/// Per-pair tape nodes: `(A, B, S)`.
-type RosaNodes = Vec<(NodeId, NodeId, NodeId)>;
-
-fn forward_graph_rosa(
-    tape: &mut Tape,
-    base: &Params,
-    adapter: &RosaAdapter,
-    ids: &[usize],
-) -> (NodeId, RosaNodes) {
-    let scale = adapter.scale();
-    let mut nodes: RosaNodes = Vec::with_capacity(adapter.pairs.len());
-    for (pair, sparse) in adapter.pairs.iter().zip(&adapter.sparse) {
-        let a = tape.leaf(pair.a.clone());
-        let b = tape.leaf(pair.b.clone());
-        let s = tape.leaf(sparse.values.clone());
-        nodes.push((a, b, s));
+    /// Loss of one task item, handing each tensor's gradient to `grad` by
+    /// its index in per-pair `[A, B, S]` order.
+    fn backward(&self, base: &Params, item: &BatchItem, grad: impl FnMut(usize, &Matrix)) -> f32 {
+        let values: Vec<&Matrix> = self.sparse.iter().map(|s| &s.values).collect();
+        adapter_backward(base, &self.pairs, &values, self.scale(), item, grad)
     }
-    let find = |name: &str| -> Option<usize> { adapter.pairs.iter().position(|p| p.name == name) };
-    let base_nodes = ParamNodes::frozen(tape, base);
-    let logits = forward_graph(tape, &base_nodes, ids, |tape, h, w, bias, name| {
-        let y = tape.linear(h, w, bias);
-        let Some(idx) = find(name) else {
-            return y;
-        };
-        let (an, bn, sn) = nodes[idx];
-        let ha = tape.matmul(h, an);
-        let hab = tape.matmul(ha, bn);
-        let scaled = tape.scale(hab, scale);
-        let y1 = tape.add(y, scaled);
-        let hs = tape.matmul(h, sn);
-        tape.add(y1, hs)
-    });
-    (logits, nodes)
 }
 
 /// Accumulates |grad S| over warmup batches and fixes each component's
@@ -202,28 +173,19 @@ fn select_masks(
     cfg: &TrainConfig,
     rng: &mut Rng,
 ) {
-    let mut salience: Vec<Matrix> = adapter
-        .sparse
-        .iter()
-        .map(|s| Matrix::zeros(s.values.rows(), s.values.cols()))
-        .collect();
+    let values: Vec<&Matrix> = adapter.sparse.iter().map(|s| &s.values).collect();
+    let mut salience = zeros_like(&values);
     for _ in 0..adapter.config.mask_warmup_steps {
         for _ in 0..cfg.batch {
             let ex = task.sample(rng);
             let item = BatchItem::task(ex.tokens, ex.answer_len);
-            let n = item.tokens.len();
-            let mut tape = Tape::new();
-            let (logits, nodes) =
-                forward_graph_rosa(&mut tape, base, adapter, &item.tokens[..n - 1]);
-            let loss = tape.cross_entropy(logits, &item.tokens[1..], &item.weights);
-            tape.backward(loss);
-            for (si, &(_, _, sn)) in nodes.iter().enumerate() {
-                if let Some(g) = tape.grad(sn) {
-                    for (acc, gv) in salience[si].data_mut().iter_mut().zip(g.data()) {
+            adapter.backward(base, &item, |i, g| {
+                if i % 3 == 2 {
+                    for (acc, gv) in salience[i / 3].data_mut().iter_mut().zip(g.data()) {
                         *acc += gv.abs();
                     }
                 }
-            }
+            });
         }
     }
     for (sparse, sal) in adapter.sparse.iter_mut().zip(&salience) {
@@ -252,7 +214,7 @@ pub fn finetune_rosa(
 ) -> Vec<f32> {
     let mut rng = Rng::seeded(cfg.seed);
     select_masks(base, adapter, task, &cfg, &mut rng);
-    let tensor_refs: Vec<&Matrix> = adapter
+    let tensors: Vec<&Matrix> = adapter
         .pairs
         .iter()
         .zip(&adapter.sparse)
@@ -263,40 +225,16 @@ pub fn finetune_rosa(
         .iter()
         .flat_map(|_| [1.0, 1.0, adapter.config.sparse_lr_scale])
         .collect();
-    let mut opt = Adam::with_lr_scales(&tensor_refs, cfg.lr, scales);
-    drop(tensor_refs);
+    let mut opt = Adam::with_lr_scales(&tensors, cfg.lr, scales);
+    let zeros = zeros_like(&tensors);
     let mut losses = Vec::with_capacity(cfg.steps);
     for _ in 0..cfg.steps {
-        let mut grads: Vec<Matrix> = adapter
-            .pairs
-            .iter()
-            .zip(&adapter.sparse)
-            .flat_map(|(p, s)| {
-                [
-                    Matrix::zeros(p.a.rows(), p.a.cols()),
-                    Matrix::zeros(p.b.rows(), p.b.cols()),
-                    Matrix::zeros(s.values.rows(), s.values.cols()),
-                ]
-            })
-            .collect();
+        let mut grads = zeros.clone();
         let mut loss_sum = 0.0f32;
         for _ in 0..cfg.batch {
             let ex = task.sample(&mut rng);
             let item = BatchItem::task(ex.tokens, ex.answer_len);
-            let n = item.tokens.len();
-            let mut tape = Tape::new();
-            let (logits, nodes) =
-                forward_graph_rosa(&mut tape, base, adapter, &item.tokens[..n - 1]);
-            let loss = tape.cross_entropy(logits, &item.tokens[1..], &item.weights);
-            loss_sum += tape.value(loss).get(0, 0);
-            tape.backward(loss);
-            for (pi, &(an, bn, sn)) in nodes.iter().enumerate() {
-                for (slot, node) in [(0, an), (1, bn), (2, sn)] {
-                    if let Some(g) = tape.grad(node) {
-                        grads[3 * pi + slot].add_assign(g);
-                    }
-                }
-            }
+            loss_sum += adapter.backward(base, &item, |i, g| grads[i].add_assign(g));
         }
         // Mask the sparse gradients so Adam moments never leave the
         // support, then average over the batch.

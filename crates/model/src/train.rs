@@ -1,4 +1,4 @@
-//! The Adam optimizer and the pre-training / fine-tuning loops.
+//! Adam optimizer and the pre-training / fine-tuning loops.
 //!
 //! Pre-training teaches the base model the synthetic language; fine-tuning
 //! (full-model, small learning rate, few steps) produces the model variants
@@ -40,10 +40,7 @@ impl Adam {
     /// Panics if `scales` does not match `tensors`.
     pub fn with_lr_scales(tensors: &[&Matrix], lr: f32, scales: Vec<f32>) -> Self {
         assert_eq!(tensors.len(), scales.len(), "one scale per tensor");
-        let zeros: Vec<Matrix> = tensors
-            .iter()
-            .map(|m| Matrix::zeros(m.rows(), m.cols()))
-            .collect();
+        let zeros = zeros_like(tensors);
         Adam {
             lr,
             scales,
@@ -88,6 +85,14 @@ impl Adam {
             }
         }
     }
+}
+
+/// Zero matrices shaped like `tensors` (gradient and moment buffers).
+pub(crate) fn zeros_like(tensors: &[&Matrix]) -> Vec<Matrix> {
+    tensors
+        .iter()
+        .map(|m| Matrix::zeros(m.rows(), m.cols()))
+        .collect()
 }
 
 /// Clips gradients to a global L2 norm; returns the pre-clip norm.
@@ -170,7 +175,7 @@ impl BatchItem {
 }
 
 /// Computes loss and gradient for one item; returns the loss.
-pub(crate) fn grad_one(params: &Params, item: &BatchItem, grads: &mut Params) -> f32 {
+fn grad_one(params: &Params, item: &BatchItem, grads: &mut Params) -> f32 {
     let n = item.tokens.len();
     debug_assert!(n >= 2, "need at least two tokens");
     let input = &item.tokens[..n - 1];
@@ -191,10 +196,23 @@ pub(crate) fn grad_one(params: &Params, item: &BatchItem, grads: &mut Params) ->
 pub fn train(
     params: &mut Params,
     cfg: TrainConfig,
+    sampler: impl FnMut(&mut Rng) -> BatchItem,
+) -> Vec<f32> {
+    let mut opt = Adam::new(&params.tensors(), cfg.lr);
+    train_with(params, cfg, sampler, |p, g| {
+        opt.step(p.tensors_mut(), g.tensors())
+    })
+}
+
+/// The full-model training loop over any optimizer: `step` gets the
+/// parameters and the batch-mean, norm-clipped gradients.
+pub(crate) fn train_with(
+    params: &mut Params,
+    cfg: TrainConfig,
     mut sampler: impl FnMut(&mut Rng) -> BatchItem,
+    mut step: impl FnMut(&mut Params, &Params),
 ) -> Vec<f32> {
     let mut rng = Rng::seeded(cfg.seed);
-    let mut opt = Adam::new(&params.tensors(), cfg.lr);
     let mut losses = Vec::with_capacity(cfg.steps);
     for _ in 0..cfg.steps {
         let mut grads = params.zeros_like();
@@ -205,7 +223,7 @@ pub fn train(
         }
         grads.for_each_mut(|_, m| m.scale_assign(1.0 / cfg.batch as f32));
         clip_global_norm(&mut grads, cfg.clip);
-        opt.step(params.tensors_mut(), grads.tensors());
+        step(params, &grads);
         losses.push(loss_sum / cfg.batch as f32);
     }
     losses
