@@ -10,11 +10,12 @@
 //!   round-to-nearest 4-bit group quantization. No sparsity, no error
 //!   propagation.
 
-use crate::calib::{channel_mean_abs, inputs_for};
+use crate::calib::{calibration_walk, channel_mean_abs};
+use crate::codec::{quantize_rows, PackedLayer};
 use crate::obs::{compress_matrix, hessian_from_inputs, output_mse, ObsConfig};
 use crate::pack::CompressedMatrix;
-use crate::pipeline::SizeReport;
-use crate::quant::{quantize_slice, QuantSpec};
+use crate::pipeline::{size_report_for, SizeReport};
+use crate::quant::QuantSpec;
 use dz_model::transformer::Params;
 use dz_tensor::Matrix;
 use std::collections::BTreeMap;
@@ -22,24 +23,13 @@ use std::collections::BTreeMap;
 /// A directly compressed model (weights, not deltas).
 #[derive(Debug, Clone)]
 pub struct CompressedModel {
-    /// Packed linear layers keyed by stable name.
-    pub layers: BTreeMap<String, CompressedMatrix>,
+    /// Packed linear layers keyed by stable name (all
+    /// [`PackedLayer::Quant`]).
+    pub layers: BTreeMap<String, PackedLayer>,
     /// Byte accounting (same semantics as the delta report).
     pub report: SizeReport,
     /// The reconstructed, servable parameters.
     pub params: Params,
-}
-
-fn report_for(base: &Params, layers: &BTreeMap<String, CompressedMatrix>) -> SizeReport {
-    let full = base.fp16_bytes();
-    let compressed: usize = layers.values().map(|c| c.packed_bytes()).sum();
-    let linear_fp16: usize = layers.values().map(|c| c.fp16_bytes()).sum();
-    SizeReport {
-        compressed_linear_bytes: compressed,
-        uncompressed_rest_bytes: full - linear_fp16,
-        full_fp16_bytes: full,
-        lossless_linear_bytes: None,
-    }
 }
 
 /// SparseGPT applied directly to the fine-tuned model weights.
@@ -58,21 +48,18 @@ pub fn sparsegpt_direct(
         sparse24: true,
         damp: 0.05,
     };
-    let mut work = finetuned.clone();
     let mut layers = BTreeMap::new();
-    for name in finetuned.linear_layer_names() {
-        let x = inputs_for(&work, calib, &name);
-        let h = hessian_from_inputs(&[&x]);
-        let w_f = finetuned.get(&name).expect("linear exists");
-        let res = compress_matrix(w_f, &h, &obs_cfg);
-        work.set(&name, res.reconstructed.clone());
-        layers.insert(name, res.packed);
-    }
-    let report = report_for(finetuned, &layers);
+    let params = calibration_walk(finetuned.clone(), calib, |name, x| {
+        let w_f = finetuned.get(name).expect("linear exists");
+        let res = compress_matrix(w_f, &hessian_from_inputs(&[x]), &obs_cfg);
+        layers.insert(name.to_string(), PackedLayer::Quant(res.packed));
+        Some(res.reconstructed)
+    });
+    let report = size_report_for(finetuned, &layers, false);
     CompressedModel {
         layers,
         report,
-        params: work,
+        params,
     }
 }
 
@@ -83,7 +70,6 @@ fn awq_layer(
     spec: QuantSpec,
 ) -> (CompressedMatrix, Matrix, Vec<f32>) {
     let act = channel_mean_abs(x);
-    let refs = [x];
     let mut best: Option<(f64, CompressedMatrix, Matrix, Vec<f32>)> = None;
     for alpha in [0.0f32, 0.25, 0.5, 0.75, 1.0] {
         // Per-channel scale s_c = act_c^alpha, normalized to unit geomean so
@@ -98,27 +84,15 @@ fn awq_layer(
         // scale into the reconstruction.
         let mut ws = w.clone();
         for (c, &sc) in s.iter().enumerate() {
-            for j in 0..ws.cols() {
-                ws.set(c, j, ws.get(c, j) * sc);
-            }
+            ws.row_mut(c).iter_mut().for_each(|v| *v *= sc);
         }
         // Quantize output-major.
-        let wst = ws.transpose();
-        let mut levels = Vec::with_capacity(wst.len());
-        let mut scales = Vec::new();
-        for r in 0..wst.rows() {
-            let (l, sc) = quantize_slice(wst.row(r), spec);
-            levels.extend(l);
-            scales.extend(sc);
-        }
-        let packed = CompressedMatrix::from_dense(wst.rows(), wst.cols(), &levels, scales, spec);
+        let packed = quantize_rows(&ws.transpose(), spec);
         let mut rec = packed.dequantize(); // (d_in, d_out), still scaled.
         for (c, &sc) in s.iter().enumerate() {
-            for j in 0..rec.cols() {
-                rec.set(c, j, rec.get(c, j) / sc);
-            }
+            rec.row_mut(c).iter_mut().for_each(|v| *v /= sc);
         }
-        let mse = output_mse(w, &rec, &refs);
+        let mse = output_mse(w, &rec, &[x]);
         if best.as_ref().is_none_or(|(b, _, _, _)| mse < *b) {
             best = Some((mse, packed, rec, s));
         }
@@ -127,7 +101,8 @@ fn awq_layer(
     (packed, rec, s)
 }
 
-/// AWQ 4-bit quantization of a fine-tuned model (no sparsity).
+/// AWQ 4-bit quantization of a fine-tuned model (no sparsity). Every
+/// layer calibrates on the unquantized model's activations.
 pub fn awq_quantize(
     finetuned: &Params,
     calib: &[Vec<usize>],
@@ -135,23 +110,23 @@ pub fn awq_quantize(
     group_size: usize,
 ) -> CompressedModel {
     let spec = QuantSpec::new(bits, group_size);
-    let mut out = finetuned.clone();
+    let mut params = finetuned.clone();
     let mut layers = BTreeMap::new();
     let mut extra_scale_bytes = 0usize;
-    for name in finetuned.linear_layer_names() {
-        let x = inputs_for(finetuned, calib, &name);
-        let w = finetuned.get(&name).expect("linear exists");
-        let (packed, rec, s) = awq_layer(w, &x, spec);
+    calibration_walk(finetuned.clone(), calib, |name, x| {
+        let w = finetuned.get(name).expect("linear exists");
+        let (packed, rec, s) = awq_layer(w, x, spec);
         extra_scale_bytes += s.len() * 2; // Per-channel scales at FP16.
-        out.set(&name, rec);
-        layers.insert(name, packed);
-    }
-    let mut report = report_for(finetuned, &layers);
+        params.set(name, rec);
+        layers.insert(name.to_string(), PackedLayer::Quant(packed));
+        None
+    });
+    let mut report = size_report_for(finetuned, &layers, false);
     report.compressed_linear_bytes += extra_scale_bytes;
     CompressedModel {
         layers,
         report,
-        params: out,
+        params,
     }
 }
 
@@ -193,21 +168,19 @@ mod tests {
         let corpus = Corpus::new(model.config.max_seq);
         let calib = calibration_set(&corpus, 4, 3);
         let name = "layer0.wq";
-        let x = inputs_for(&model, &calib, name);
+        let mut inputs = Vec::new();
+        calibration_walk(model.clone(), &calib, |n, x| {
+            if n == name {
+                inputs.push(x.clone());
+            }
+            None
+        });
+        let x = inputs.remove(0);
         let w = model.get(name).unwrap();
         let spec = QuantSpec::new(2, 16);
         let (_, rec_awq, _) = awq_layer(w, &x, spec);
         // Plain RTN = alpha 0 path only.
-        let wst = w.transpose();
-        let mut levels = Vec::new();
-        let mut scales = Vec::new();
-        for r in 0..wst.rows() {
-            let (l, s) = quantize_slice(wst.row(r), spec);
-            levels.extend(l);
-            scales.extend(s);
-        }
-        let rtn = CompressedMatrix::from_dense(wst.rows(), wst.cols(), &levels, scales, spec)
-            .dequantize();
+        let rtn = quantize_rows(&w.transpose(), spec).dequantize();
         let refs = [&x];
         let awq_mse = output_mse(w, &rec_awq, &refs);
         let rtn_mse = output_mse(w, &rtn, &refs);

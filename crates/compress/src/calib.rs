@@ -1,11 +1,15 @@
-//! Calibration-set activation capture.
+//! The calibration walk: Algorithm 1's layer-by-layer loop, written once.
 //!
 //! ΔCompress calibrates on a small sample of sequences (the paper uses 256
-//! prompts from UltraChat). For each linear projection we need the matrix of
-//! inputs it sees, both to build the OBS Hessian and to score output error.
+//! prompts from UltraChat). Each linear projection is compressed against
+//! `X`, the inputs it sees under the model as reconstructed so far, both
+//! to build the OBS Hessian and to score output error. [`calibration_walk`]
+//! keeps every sequence's hidden state and advances it one block at a
+//! time with dz-model's [`layer_infer`] step, so each projection's input
+//! is captured once; every calibrated compressor is a closure over it.
 
 use dz_model::tasks::Corpus;
-use dz_model::transformer::{forward_infer, KvCache, Params};
+use dz_model::transformer::{embed, layer_infer, KvCache, Params};
 use dz_tensor::{Matrix, Rng};
 
 /// Generates a synthetic calibration set of `n` sequences.
@@ -14,31 +18,59 @@ pub fn calibration_set(corpus: &Corpus, n: usize, seed: u64) -> Vec<Vec<usize>> 
     (0..n).map(|_| corpus.sample(&mut rng)).collect()
 }
 
-/// Stacks the inputs seen by one linear projection across sequences.
+/// A block's projections grouped by input, in forward order: a stage's
+/// input depends only on the weights of the stages before it.
+const STAGES: [&[&str]; 4] = [&["wq", "wk", "wv"], &["wo"], &["w1"], &["w2"]];
+
+/// Walks `params` block by block and hands every linear projection's
+/// calibration input to `compress`, in `linear_layer_names()` order.
 ///
-/// Returns a `(total_tokens, d_in)` matrix for the projection named
-/// `target` under the given parameters.
+/// `compress` gets the projection's stable name and `X`, the
+/// `(total_tokens, d_in)` inputs it sees over `seqs`, stacked in sequence
+/// order, under `params` with every earlier replacement applied. It
+/// returns the weight to propagate from then on, or `None` to keep the
+/// current one. Per block, each stage runs the block's step once per
+/// sequence; a last run advances the hidden states through the updated
+/// block. Returns `params` with every replacement applied.
 ///
 /// # Panics
 ///
-/// Panics if `target` names no linear projection in the model.
-pub fn inputs_for(params: &Params, seqs: &[Vec<usize>], target: &str) -> Matrix {
-    let mut chunks: Vec<Matrix> = Vec::with_capacity(seqs.len());
-    for seq in seqs {
-        let mut cache = KvCache::new(params.config.n_layers);
-        let mut record = |name: &str, x: &Matrix| {
-            if name == target {
-                chunks.push(x.clone());
+/// Panics if `seqs` is empty: the OBS Hessian needs at least one input
+/// row. Also panics if a sequence is empty or longer than `max_seq`.
+pub fn calibration_walk(
+    mut params: Params,
+    seqs: &[Vec<usize>],
+    mut compress: impl FnMut(&str, &Matrix) -> Option<Matrix>,
+) -> Params {
+    assert!(!seqs.is_empty(), "calibration needs at least one sequence");
+    let n_layers = params.layers.len();
+    let mut hidden: Vec<Matrix> = seqs.iter().map(|s| embed(&params, s, 0)).collect();
+    for li in 0..n_layers {
+        for stage in STAGES {
+            let first = format!("layer{li}.{}", stage[0]);
+            let mut chunks = Vec::with_capacity(seqs.len());
+            for h in &hidden {
+                let mut record = |name: &str, x: &Matrix| {
+                    if name == first {
+                        chunks.push(x.clone());
+                    }
+                };
+                let mut cache = KvCache::new(n_layers);
+                layer_infer(&params, li, &mut h.clone(), &mut cache, Some(&mut record));
             }
-        };
-        forward_infer(params, seq, &mut cache, Some(&mut record));
+            let x = Matrix::vstack(&chunks.iter().collect::<Vec<_>>());
+            for field in stage {
+                let name = format!("layer{li}.{field}");
+                if let Some(w) = compress(&name, &x) {
+                    params.set(&name, w);
+                }
+            }
+        }
+        for h in &mut hidden {
+            layer_infer(&params, li, h, &mut KvCache::new(n_layers), None);
+        }
     }
-    assert!(
-        !chunks.is_empty(),
-        "no activations recorded for target {target}"
-    );
-    let refs: Vec<&Matrix> = chunks.iter().collect();
-    Matrix::vstack(&refs)
+    params
 }
 
 /// Mean absolute activation per input channel (used by the AWQ baseline).
@@ -57,7 +89,7 @@ pub fn channel_mean_abs(x: &Matrix) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dz_model::transformer::test_config;
+    use dz_model::transformer::{forward_infer, test_config};
 
     #[test]
     fn calibration_set_is_deterministic() {
@@ -70,29 +102,29 @@ mod tests {
     }
 
     #[test]
-    fn inputs_for_every_linear_have_right_width() {
+    fn walk_hands_out_each_linear_once_in_order() {
         let cfg = test_config();
         let mut rng = Rng::seeded(1);
         let params = Params::init(cfg, &mut rng);
         let corpus = Corpus::new(cfg.max_seq);
         let seqs = calibration_set(&corpus, 4, 7);
         let total_tokens: usize = seqs.iter().map(|s| s.len()).sum();
-        for name in params.linear_layer_names() {
-            let x = inputs_for(&params, &seqs, &name);
-            let expected_width = params.get(&name).unwrap().rows();
-            assert_eq!(x.cols(), expected_width, "{name}");
-            assert_eq!(x.rows(), total_tokens, "{name}");
+        let mut seen = Vec::new();
+        calibration_walk(params.clone(), &seqs, |name, x| {
+            let expected_width = params.get(name).unwrap().rows();
+            assert_eq!(x.shape(), (total_tokens, expected_width), "{name}");
             assert!(x.data().iter().all(|v| v.is_finite()), "{name}");
-        }
+            seen.push(name.to_string());
+            None
+        });
+        assert_eq!(seen, params.linear_layer_names());
     }
 
     #[test]
-    #[should_panic(expected = "no activations recorded")]
-    fn unknown_target_panics() {
-        let cfg = test_config();
-        let mut rng = Rng::seeded(2);
-        let params = Params::init(cfg, &mut rng);
-        let _ = inputs_for(&params, &[vec![1, 2, 3]], "layer9.nope");
+    #[should_panic(expected = "calibration needs at least one sequence")]
+    fn empty_calibration_set_is_refused() {
+        let params = Params::init(test_config(), &mut Rng::seeded(2));
+        calibration_walk(params, &[], |_, _| None);
     }
 
     #[test]
@@ -105,20 +137,22 @@ mod tests {
 
     #[test]
     fn recorded_inputs_are_pinned() {
-        // FNV-1a over the f32 bits of every projection's stacked inputs:
-        // calibration must record the same activations bit for bit.
+        // FNV-1a over the f32 bits of every projection's stacked inputs,
+        // as the walk hands them out for an unchanged model: calibration
+        // must capture the same activations bit for bit.
         let cfg = test_config();
         let params = Params::init(cfg, &mut Rng::seeded(4));
         let seqs = calibration_set(&Corpus::new(cfg.max_seq), 3, 5);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for name in params.linear_layer_names() {
-            for v in inputs_for(&params, &seqs, &name).data() {
+        calibration_walk(params, &seqs, |_, x| {
+            for v in x.data() {
                 for b in v.to_bits().to_le_bytes() {
                     h ^= u64::from(b);
                     h = h.wrapping_mul(0x0000_0100_0000_01b3);
                 }
             }
-        }
+            None
+        });
         assert_eq!(
             h, 0x6f92_487d_8738_d784,
             "recorded inputs changed: got {h:#018x}"

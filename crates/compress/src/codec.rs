@@ -23,9 +23,7 @@
 //! swap-ins.
 
 use crate::pack::CompressedMatrix;
-use crate::pipeline::{
-    collect_rest, delta_compress, size_report_for, CompressedDelta, DeltaCompressConfig,
-};
+use crate::pipeline::{delta_compress, CompressedDelta, DeltaCompressConfig};
 use crate::quant::{quantize_slice, QuantSpec};
 use dz_model::transformer::Params;
 use dz_tensor::linalg::svd_thin;
@@ -355,7 +353,7 @@ impl LowRankMatrix {
 
 /// Round-to-nearest group quantization of a dense matrix, stored row-major
 /// (stored rows = `m.rows()`).
-fn quantize_rows(m: &Matrix, spec: QuantSpec) -> CompressedMatrix {
+pub(crate) fn quantize_rows(m: &Matrix, spec: QuantSpec) -> CompressedMatrix {
     let mut levels = Vec::with_capacity(m.len());
     let mut scales = Vec::new();
     for r in 0..m.rows() {
@@ -541,18 +539,8 @@ fn compress_direct(
         reconstructed.set(&name, w_b.add(&packed.dequantize()));
         layers.insert(name, packed);
     }
-    let report = size_report_for(base, &layers, config.lossless);
-    let rest = collect_rest(finetuned, &layers);
-    (
-        CompressedDelta {
-            layers,
-            rest,
-            codec,
-            config,
-            report,
-        },
-        reconstructed,
-    )
+    let cd = CompressedDelta::new(base, finetuned, layers, codec, config);
+    (cd, reconstructed)
 }
 
 /// BitDelta-style codec: 1-bit signs plus L2-optimal scales.

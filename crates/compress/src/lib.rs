@@ -10,10 +10,13 @@
 //!   matrices (byte-lane levels + in-group positions), read as is by the
 //!   wire format and the kernels, with exact byte accounting used for
 //!   every compression-ratio figure,
-//! * [`calib`] — calibration-set activation capture and Hessian assembly,
-//! * [`pipeline`] — ΔCompress itself (Algorithm 1): per-layer delta
-//!   extraction, compression, weight reconstruction and activation
-//!   propagation, plus the optional lossless stage,
+//! * [`calib`] — the calibration set and the one layer-by-layer
+//!   calibration walk that captures each projection's input once and
+//!   propagates replaced weights; every calibrated compressor is a closure
+//!   over it,
+//! * [`pipeline`] — ΔCompress itself (Algorithm 1) on that walk: per-layer
+//!   delta extraction, compression and weight reconstruction, plus the
+//!   artifact's size accounting and the optional lossless stage,
 //! * [`baselines`] — SparseGPT-direct and AWQ applied to the fine-tuned
 //!   weights, the paper's comparison points,
 //! * [`codec`] — the delta-compression **method zoo**: the [`DeltaCodec`]

@@ -603,7 +603,7 @@ impl CompressedMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quant::quantize_slice;
+    use crate::codec::quantize_rows;
     use dz_tensor::Rng;
 
     fn dense_fixture(
@@ -615,14 +615,7 @@ mod tests {
         let mut rng = Rng::seeded(seed);
         let spec = QuantSpec::new(bits, 8);
         let wt = Matrix::randn(d_out, d_in, 0.05, &mut rng); // Output-major.
-        let mut levels = Vec::new();
-        let mut scales = Vec::new();
-        for r in 0..d_out {
-            let (l, s) = quantize_slice(wt.row(r), spec);
-            levels.extend(l);
-            scales.extend(s);
-        }
-        let cm = CompressedMatrix::from_dense(d_out, d_in, &levels, scales, spec);
+        let cm = quantize_rows(&wt, spec);
         (wt, cm)
     }
 

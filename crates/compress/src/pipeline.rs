@@ -1,23 +1,25 @@
 //! ΔCompress — Algorithm 1 of the paper.
 //!
-//! For each linear layer, in forward order:
+//! For each linear layer, in forward order, as the calibration walk
+//! ([`crate::calib::calibration_walk`]) hands it out:
 //!
 //! 1. extract the delta `Δ = w_f - w_b`,
 //! 2. compress `Δ` with the OBS solver calibrated on `X_n`, the inputs the
 //!    layer sees under the *progressively reconstructed* model,
-//! 3. reconstruct `ŵ = QM + w_b` and substitute it, so `X_{n+1}` for the
-//!    next layer reflects compression error incurred so far.
+//! 3. reconstruct `ŵ = QM + w_b` and hand it back to the walk, so `X_{n+1}`
+//!    for the next layer reflects compression error incurred so far.
 //!
 //! Step 3 is the paper's key departure from running SparseGPT on the model:
 //! without re-adding the base weights the propagated activations collapse
 //! (deltas are tiny) and calibration fails. The ablation test below
 //! reproduces that effect.
 
-use crate::calib::inputs_for;
+use crate::calib::calibration_walk;
 use crate::codec::{CodecId, PackedLayer};
 use crate::obs::{compress_matrix, hessian_from_inputs, ObsConfig};
 use crate::quant::QuantSpec;
 use dz_model::transformer::Params;
+use dz_tensor::Matrix;
 use std::collections::BTreeMap;
 
 /// Configuration of the full ΔCompress pipeline.
@@ -146,49 +148,67 @@ impl CompressedDelta {
         }
         out
     }
-}
 
-/// Collects the FP16 parameters that ride along uncompressed; shared by
-/// every method-zoo codec.
-pub(crate) fn collect_rest(
-    finetuned: &Params,
-    compressed: &BTreeMap<String, PackedLayer>,
-) -> BTreeMap<String, dz_tensor::Matrix> {
-    let mut rest = BTreeMap::new();
-    finetuned.for_each(|name, m| {
-        if !compressed.contains_key(name) {
-            rest.insert(name.to_string(), m.clone());
+    /// Assembles an artifact from its packed linear layers: every other
+    /// parameter of `finetuned` rides along in FP16, and the report
+    /// accounts bytes against `base`. Shared by every method-zoo codec.
+    pub(crate) fn new(
+        base: &Params,
+        finetuned: &Params,
+        layers: BTreeMap<String, PackedLayer>,
+        codec: CodecId,
+        config: DeltaCompressConfig,
+    ) -> Self {
+        let mut rest = BTreeMap::new();
+        finetuned.for_each(|name, m| {
+            if !layers.contains_key(name) {
+                rest.insert(name.to_string(), m.clone());
+            }
+        });
+        let report = size_report_for(base, &layers, config.lossless);
+        CompressedDelta {
+            layers,
+            rest,
+            codec,
+            config,
+            report,
         }
-    });
-    rest
+    }
 }
 
 /// Byte accounting for a set of packed layers against a base model;
-/// shared by every method-zoo codec.
+/// shared by every method-zoo codec and the baselines.
 pub(crate) fn size_report_for(
     base: &Params,
     layers: &BTreeMap<String, PackedLayer>,
     lossless: bool,
 ) -> SizeReport {
     let full = base.fp16_bytes();
-    let compressed_linear: usize = layers.values().map(|c| c.packed_bytes()).sum();
     let linear_fp16: usize = layers.values().map(|c| c.fp16_bytes()).sum();
-    let rest = full - linear_fp16;
-    let lossless_linear = if lossless {
-        let mut total = 0usize;
-        for cm in layers.values() {
-            total += dz_lossless::compress(&cm.to_bytes()).len();
-        }
-        Some(total)
-    } else {
-        None
-    };
     SizeReport {
-        compressed_linear_bytes: compressed_linear,
-        uncompressed_rest_bytes: rest,
+        compressed_linear_bytes: layers.values().map(|c| c.packed_bytes()).sum(),
+        uncompressed_rest_bytes: full - linear_fp16,
         full_fp16_bytes: full,
-        lossless_linear_bytes: lossless_linear,
+        lossless_linear_bytes: lossless.then(|| {
+            let lossless_len = |c: &PackedLayer| dz_lossless::compress(&c.to_bytes()).len();
+            layers.values().map(lossless_len).sum()
+        }),
     }
+}
+
+/// Compresses one linear layer's delta with the OBS solver calibrated on
+/// `x`; returns the packed delta and the reconstructed weight `w_b + Δ̂`.
+fn compress_delta(
+    base: &Params,
+    finetuned: &Params,
+    name: &str,
+    x: &Matrix,
+    obs_cfg: &ObsConfig,
+) -> (PackedLayer, Matrix) {
+    let w_b = base.get(name).expect("linear exists");
+    let w_f = finetuned.get(name).expect("linear exists");
+    let res = compress_matrix(&w_f.sub(w_b), &hessian_from_inputs(&[x]), obs_cfg);
+    (PackedLayer::Quant(res.packed), w_b.add(&res.reconstructed))
 }
 
 /// Runs ΔCompress (Algorithm 1) and returns the compressed delta together
@@ -196,7 +216,8 @@ pub(crate) fn size_report_for(
 ///
 /// # Panics
 ///
-/// Panics if `base` and `finetuned` have different shapes.
+/// Panics if `base` and `finetuned` have different shapes or `calib` is
+/// empty.
 pub fn delta_compress(
     base: &Params,
     finetuned: &Params,
@@ -205,35 +226,16 @@ pub fn delta_compress(
 ) -> (CompressedDelta, Params) {
     assert_eq!(base.config, finetuned.config, "model config mismatch");
     let obs_cfg = config.obs();
-    // Work holds the progressively reconstructed model (Line 6-7 of Alg. 1).
-    let mut work = finetuned.clone();
     let mut layers = BTreeMap::new();
-    for name in base.linear_layer_names() {
-        // X_n: inputs under the reconstructed-so-far model.
-        let x = inputs_for(&work, calib, &name);
-        let h = hessian_from_inputs(&[&x]);
-        let w_b = base.get(&name).expect("linear exists");
-        let w_f = finetuned.get(&name).expect("linear exists");
-        let delta = w_f.sub(w_b);
-        let res = compress_matrix(&delta, &h, &obs_cfg);
-        // Reconstruct the weight so the next layer calibrates on realistic
-        // activations.
-        let w_hat = w_b.add(&res.reconstructed);
-        work.set(&name, w_hat);
-        layers.insert(name, PackedLayer::Quant(res.packed));
-    }
-    let report = size_report_for(base, &layers, config.lossless);
-    let rest = collect_rest(finetuned, &layers);
-    (
-        CompressedDelta {
-            layers,
-            rest,
-            codec: CodecId::SparseGptStar,
-            config,
-            report,
-        },
-        work,
-    )
+    // The walk propagates the progressively reconstructed model (Line 6-7
+    // of Alg. 1), so each layer calibrates on realistic activations.
+    let work = calibration_walk(finetuned.clone(), calib, |name, x| {
+        let (packed, w_hat) = compress_delta(base, finetuned, name, x, &obs_cfg);
+        layers.insert(name.to_string(), packed);
+        Some(w_hat)
+    });
+    let cd = CompressedDelta::new(base, finetuned, layers, CodecId::SparseGptStar, config);
+    (cd, work)
 }
 
 /// Ablation: ΔCompress *without* per-layer weight reconstruction — the
@@ -247,39 +249,18 @@ pub fn delta_compress_no_reconstruct(
 ) -> (CompressedDelta, Params) {
     assert_eq!(base.config, finetuned.config, "model config mismatch");
     let obs_cfg = config.obs();
-    // Delta-only model: activations vanish in deeper layers.
-    let mut delta_model = finetuned.clone();
-    {
-        let base_t = base.tensors();
-        for (dm, bm) in delta_model.tensors_mut().into_iter().zip(base_t) {
-            *dm = dm.sub(bm);
-        }
-    }
     let mut layers = BTreeMap::new();
     let mut reconstructed = base.clone();
-    for name in base.linear_layer_names() {
-        let x = inputs_for(&delta_model, calib, &name);
-        let h = hessian_from_inputs(&[&x]);
-        let w_b = base.get(&name).expect("linear exists");
-        let w_f = finetuned.get(&name).expect("linear exists");
-        let delta = w_f.sub(w_b);
-        let res = compress_matrix(&delta, &h, &obs_cfg);
-        let w_hat = w_b.add(&res.reconstructed);
-        reconstructed.set(&name, w_hat);
-        layers.insert(name, PackedLayer::Quant(res.packed));
-    }
-    let report = size_report_for(base, &layers, config.lossless);
-    let rest = collect_rest(finetuned, &layers);
-    (
-        CompressedDelta {
-            layers,
-            rest,
-            codec: CodecId::SparseGptStar,
-            config,
-            report,
-        },
-        reconstructed,
-    )
+    // The walk propagates the fixed delta-only model: activations vanish
+    // in deeper layers.
+    calibration_walk(finetuned.delta_from(base), calib, |name, x| {
+        let (packed, w_hat) = compress_delta(base, finetuned, name, x, &obs_cfg);
+        reconstructed.set(name, w_hat);
+        layers.insert(name.to_string(), packed);
+        None
+    });
+    let cd = CompressedDelta::new(base, finetuned, layers, CodecId::SparseGptStar, config);
+    (cd, reconstructed)
 }
 
 #[cfg(test)]

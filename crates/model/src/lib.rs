@@ -18,10 +18,11 @@
 //! * [`transformer`] — parameters and the model's only copies of its
 //!   arithmetic: one tape builder ([`transformer::forward_graph`], with a
 //!   per-projection hook the adapter methods extend), one cached inference
-//!   forward ([`transformer::forward_infer`], which also records
-//!   calibration inputs), and the inference primitives the batched
-//!   serving runner calls (row LayerNorm, [`transformer::KvCache::attend`],
-//!   GELU, argmax),
+//!   forward ([`transformer::forward_infer`]: embedding, one
+//!   [`transformer::layer_infer`] step per block, head; calibration walks
+//!   the model with that same step), and the inference primitives the
+//!   batched serving runner calls (row LayerNorm,
+//!   [`transformer::KvCache::attend`], GELU, argmax),
 //! * [`train`] — the one Adam optimizer plus pre-training / FMT loops,
 //! * [`lora`], [`rosa`], [`galore`] — the PEFT and low-rank-gradient
 //!   fine-tuning methods, all on `train`'s Adam and `transformer`'s tape

@@ -17,8 +17,9 @@
 //!
 //! [`forward_graph`] is the only tape builder: full training, LoRA and
 //! RoSA differ only in the per-projection hook they pass it.
-//! [`forward_infer`] is the only cached inference forward; calibration runs
-//! it on an empty cache with a recorder for projection inputs. Its
+//! [`forward_infer`] is the only cached inference forward: [`embed`], one
+//! [`layer_infer`] step per block, then the head. Calibration runs the
+//! same step block by block with a recorder for projection inputs. Its
 //! per-row primitives ([`layer_norm_row`], [`KvCache::attend`], [`gelu`],
 //! [`argmax`]) are the ones the batched serving runner in `dz-kernels`
 //! calls, so the served step and the reference compute the same model.
@@ -396,7 +397,6 @@ impl Params {
     /// # Panics
     ///
     /// Panics if the two parameter sets have different shapes.
-    // dz-lint: allow(dead-pub, "delta arithmetic the add-back proptest and fine-tuning test check")
     pub fn delta_from(&self, base: &Params) -> Params {
         let mut d = self.clone();
         let base_t = base.tensors();
@@ -635,13 +635,11 @@ pub fn argmax(row: &[f32]) -> usize {
 pub type Recorder<'a> = dyn FnMut(&str, &Matrix) + 'a;
 
 /// Inference forward over `new_ids`, extending `cache`; returns the logits
-/// of every new position (`new_ids.len() x vocab`).
+/// of every new position (`new_ids.len() x vocab`): [`embed`], one
+/// [`layer_infer`] per block, then the final LayerNorm and head.
 ///
 /// With a `record` callback the pass also hands over the input activation
-/// of every linear projection, keyed by the projection's stable parameter
-/// name: the matrix for `layerN.wq` is the `(new_ids.len(), d)` input that
-/// gets multiplied by `wq`, exactly the `X` the OBS compression solver
-/// needs. Calibration runs it on an empty cache.
+/// of every linear projection, as [`layer_infer`] describes.
 ///
 /// # Panics
 ///
@@ -653,55 +651,76 @@ pub fn forward_infer(
     cache: &mut KvCache,
     mut record: Option<&mut Recorder>,
 ) -> Matrix {
-    let config = &params.config;
-    let t0 = cache.len();
-    let tn = new_ids.len();
-    assert!(tn > 0, "no new tokens");
-    assert!(t0 + tn <= config.max_seq, "sequence overflows max_seq");
-    let mut probe = |li: usize, field: &str, x: &Matrix| {
-        if let Some(f) = record.as_mut() {
-            f(&format!("layer{li}.{field}"), x);
-        }
-    };
+    let mut x = embed(params, new_ids, cache.len());
+    for li in 0..params.layers.len() {
+        layer_infer(params, li, &mut x, cache, record.as_deref_mut());
+    }
+    layer_norm(&x, &params.lnf_g, &params.lnf_b).matmul(&params.head)
+}
 
-    // Embeddings.
-    let mut x = Matrix::zeros(tn, config.d_model);
-    for (r, &id) in new_ids.iter().enumerate() {
+/// The hidden rows of `ids` at positions `t0..`: `tok_emb[id] + pos_emb[t]`.
+///
+/// # Panics
+///
+/// Panics if `ids` is empty or `t0 + ids.len()` exceeds `max_seq`.
+pub fn embed(params: &Params, ids: &[usize], t0: usize) -> Matrix {
+    let config = &params.config;
+    assert!(!ids.is_empty(), "no new tokens");
+    assert!(
+        t0 + ids.len() <= config.max_seq,
+        "sequence overflows max_seq"
+    );
+    let mut x = Matrix::zeros(ids.len(), config.d_model);
+    for (r, &id) in ids.iter().enumerate() {
         let dst = x.row_mut(r);
         for (c, v) in dst.iter_mut().enumerate() {
             *v = params.tok_emb.get(id, c) + params.pos_emb.get(t0 + r, c);
         }
     }
+    x
+}
 
-    for (li, l) in params.layers.iter().enumerate() {
-        let h = layer_norm(&x, &l.ln1_g, &l.ln1_b);
-        for field in ["wq", "wk", "wv"] {
-            probe(li, field, &h);
+/// Advances the hidden rows `x` through block `li`, extending that
+/// block's slot in `cache`.
+///
+/// With a `record` callback the step also hands over the input activation
+/// of each of the block's linear projections, keyed by its stable
+/// parameter name: the matrix for `layerN.wq` is the `(x.rows(), d)` input
+/// that gets multiplied by `wq`, exactly the `X` the OBS compression
+/// solver needs. Calibration runs it on an empty cache.
+pub fn layer_infer(
+    params: &Params,
+    li: usize,
+    x: &mut Matrix,
+    cache: &mut KvCache,
+    mut record: Option<&mut Recorder>,
+) {
+    let l = &params.layers[li];
+    let mut probe = |field: &str, x: &Matrix| {
+        if let Some(f) = record.as_mut() {
+            f(&format!("layer{li}.{field}"), x);
         }
-        let q = affine(&h, &l.wq, &l.bq);
-        let k = affine(&h, &l.wk, &l.bk);
-        let v = affine(&h, &l.wv, &l.bv);
-        let mut attn = Matrix::zeros(tn, config.d_model);
-        for r in 0..tn {
-            cache.attend(
-                li,
-                q.row(r),
-                k.row(r),
-                v.row(r),
-                config.n_heads,
-                attn.row_mut(r),
-            );
-        }
-        probe(li, "wo", &attn);
-        x.add_assign(&affine(&attn, &l.wo, &l.bo));
-        let h2 = layer_norm(&x, &l.ln2_g, &l.ln2_b);
-        probe(li, "w1", &h2);
-        let mut up = affine(&h2, &l.w1, &l.b1);
-        up.map_assign(gelu);
-        probe(li, "w2", &up);
-        x.add_assign(&affine(&up, &l.w2, &l.b2));
+    };
+    let h = layer_norm(x, &l.ln1_g, &l.ln1_b);
+    for field in ["wq", "wk", "wv"] {
+        probe(field, &h);
     }
-    layer_norm(&x, &params.lnf_g, &params.lnf_b).matmul(&params.head)
+    let q = affine(&h, &l.wq, &l.bq);
+    let k = affine(&h, &l.wk, &l.bk);
+    let v = affine(&h, &l.wv, &l.bv);
+    let mut attn = Matrix::zeros(x.rows(), params.config.d_model);
+    for r in 0..x.rows() {
+        let heads = params.config.n_heads;
+        cache.attend(li, q.row(r), k.row(r), v.row(r), heads, attn.row_mut(r));
+    }
+    probe("wo", &attn);
+    x.add_assign(&affine(&attn, &l.wo, &l.bo));
+    let h2 = layer_norm(x, &l.ln2_g, &l.ln2_b);
+    probe("w1", &h2);
+    let mut up = affine(&h2, &l.w1, &l.b1);
+    up.map_assign(gelu);
+    probe("w2", &up);
+    x.add_assign(&affine(&up, &l.w2, &l.b2));
 }
 
 /// Row-wise [`layer_norm_row`] over a matrix.
