@@ -113,12 +113,18 @@ impl std::fmt::Display for DzError {
 impl std::error::Error for DzError {}
 
 /// The DeltaZip system facade.
-#[derive(Default)]
 pub struct DeltaZip {
     manager: ModelManager,
     /// Calibration sequences per base (sampled at registration).
     calib_size: usize,
     calib_seed: u64,
+}
+
+impl Default for DeltaZip {
+    /// The same system as [`DeltaZip::new`], calibration defaults included.
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl DeltaZip {
@@ -481,6 +487,27 @@ mod tests {
         let rec = dz.reconstruct(v).unwrap();
         let want = dz_model::eval::greedy_generate(&rec, &[1, 20, 21, 2], 3);
         assert_eq!(out, want);
+    }
+
+    #[test]
+    fn default_calibrates_like_new() {
+        // Default must calibrate like new(): an empty calibration set
+        // leaves the OBS solver no Hessian.
+        let (base, tuned) = trained();
+        let artifact_bytes = |mut dz: DeltaZip| {
+            let b = dz.register_base("base", base.clone()).unwrap();
+            let v = dz
+                .register_fmt_variant("v", b, &tuned, DeltaCompressConfig::starred(4))
+                .unwrap();
+            match &dz.manager().variant(v).unwrap().artifact {
+                VariantArtifact::Delta(d) => d.to_bytes(),
+                _ => panic!("an FMT variant is a delta"),
+            }
+        };
+        assert_eq!(
+            artifact_bytes(DeltaZip::default()),
+            artifact_bytes(DeltaZip::new())
+        );
     }
 
     #[test]
