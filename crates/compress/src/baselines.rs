@@ -12,7 +12,7 @@
 
 use crate::calib::{calibration_walk, channel_mean_abs};
 use crate::codec::{quantize_rows, PackedLayer};
-use crate::obs::{compress_matrix, hessian_from_inputs, output_mse, ObsConfig};
+use crate::obs::{compress_matrix, output_mse, ObsConfig};
 use crate::pack::CompressedMatrix;
 use crate::pipeline::{size_report_for, SizeReport};
 use crate::quant::QuantSpec;
@@ -49,9 +49,9 @@ pub fn sparsegpt_direct(
         damp: 0.05,
     };
     let mut layers = BTreeMap::new();
-    let params = calibration_walk(finetuned.clone(), calib, |name, x| {
+    let params = calibration_walk(finetuned.clone(), calib, |name, input| {
         let w_f = finetuned.get(name).expect("linear exists");
-        let res = compress_matrix(w_f, &hessian_from_inputs(&[x]), &obs_cfg);
+        let res = compress_matrix(w_f, input.hessian(), &obs_cfg);
         layers.insert(name.to_string(), PackedLayer::Quant(res.packed));
         Some(res.reconstructed)
     });
@@ -113,9 +113,9 @@ pub fn awq_quantize(
     let mut params = finetuned.clone();
     let mut layers = BTreeMap::new();
     let mut extra_scale_bytes = 0usize;
-    calibration_walk(finetuned.clone(), calib, |name, x| {
+    calibration_walk(finetuned.clone(), calib, |name, input| {
         let w = finetuned.get(name).expect("linear exists");
-        let (packed, rec, s) = awq_layer(w, x, spec);
+        let (packed, rec, s) = awq_layer(w, input.x(), spec);
         extra_scale_bytes += s.len() * 2; // Per-channel scales at FP16.
         params.set(name, rec);
         layers.insert(name.to_string(), PackedLayer::Quant(packed));
@@ -169,9 +169,9 @@ mod tests {
         let calib = calibration_set(&corpus, 4, 3);
         let name = "layer0.wq";
         let mut inputs = Vec::new();
-        calibration_walk(model.clone(), &calib, |n, x| {
+        calibration_walk(model.clone(), &calib, |n, input| {
             if n == name {
-                inputs.push(x.clone());
+                inputs.push(input.x().clone());
             }
             None
         });

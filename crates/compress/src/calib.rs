@@ -8,9 +8,11 @@
 //! time with dz-model's [`layer_infer`] step, so each projection's input
 //! is captured once; every calibrated compressor is a closure over it.
 
+use crate::obs::hessian_from_inputs;
 use dz_model::tasks::Corpus;
 use dz_model::transformer::{embed, layer_infer, KvCache, Params};
 use dz_tensor::{Matrix, Rng};
+use std::cell::OnceCell;
 
 /// Generates a synthetic calibration set of `n` sequences.
 pub fn calibration_set(corpus: &Corpus, n: usize, seed: u64) -> Vec<Vec<usize>> {
@@ -22,12 +24,33 @@ pub fn calibration_set(corpus: &Corpus, n: usize, seed: u64) -> Vec<Vec<usize>> 
 /// input depends only on the weights of the stages before it.
 const STAGES: [&[&str]; 4] = [&["wq", "wk", "wv"], &["wo"], &["w1"], &["w2"]];
 
+/// A projection's calibration input, shared by the projections of one
+/// stage (`wq`, `wk` and `wv` read the same input).
+#[derive(Debug)]
+pub struct CalibInput {
+    x: Matrix,
+    hessian: OnceCell<Matrix>,
+}
+
+impl CalibInput {
+    /// `X`: the `(total_tokens, d_in)` inputs the projection sees over the
+    /// calibration sequences, stacked in sequence order.
+    pub fn x(&self) -> &Matrix {
+        &self.x
+    }
+
+    /// The OBS Hessian `XᵀX` ([`hessian_from_inputs`]), built on first
+    /// use and shared by every projection of the stage.
+    pub fn hessian(&self) -> &Matrix {
+        self.hessian.get_or_init(|| hessian_from_inputs(&[&self.x]))
+    }
+}
+
 /// Walks `params` block by block and hands every linear projection's
 /// calibration input to `compress`, in `linear_layer_names()` order.
 ///
-/// `compress` gets the projection's stable name and `X`, the
-/// `(total_tokens, d_in)` inputs it sees over `seqs`, stacked in sequence
-/// order, under `params` with every earlier replacement applied. It
+/// `compress` gets the projection's stable name and its [`CalibInput`],
+/// captured under `params` with every earlier replacement applied. It
 /// returns the weight to propagate from then on, or `None` to keep the
 /// current one. Per block, each stage runs the block's step once per
 /// sequence; a last run advances the hidden states through the updated
@@ -40,7 +63,7 @@ const STAGES: [&[&str]; 4] = [&["wq", "wk", "wv"], &["wo"], &["w1"], &["w2"]];
 pub fn calibration_walk(
     mut params: Params,
     seqs: &[Vec<usize>],
-    mut compress: impl FnMut(&str, &Matrix) -> Option<Matrix>,
+    mut compress: impl FnMut(&str, &CalibInput) -> Option<Matrix>,
 ) -> Params {
     assert!(!seqs.is_empty(), "calibration needs at least one sequence");
     let n_layers = params.layers.len();
@@ -58,10 +81,13 @@ pub fn calibration_walk(
                 let mut cache = KvCache::new(n_layers);
                 layer_infer(&params, li, &mut h.clone(), &mut cache, Some(&mut record));
             }
-            let x = Matrix::vstack(&chunks.iter().collect::<Vec<_>>());
+            let input = CalibInput {
+                x: Matrix::vstack(&chunks.iter().collect::<Vec<_>>()),
+                hessian: OnceCell::new(),
+            };
             for field in stage {
                 let name = format!("layer{li}.{field}");
-                if let Some(w) = compress(&name, &x) {
+                if let Some(w) = compress(&name, &input) {
                     params.set(&name, w);
                 }
             }
@@ -110,7 +136,8 @@ mod tests {
         let seqs = calibration_set(&corpus, 4, 7);
         let total_tokens: usize = seqs.iter().map(|s| s.len()).sum();
         let mut seen = Vec::new();
-        calibration_walk(params.clone(), &seqs, |name, x| {
+        calibration_walk(params.clone(), &seqs, |name, input| {
+            let x = input.x();
             let expected_width = params.get(name).unwrap().rows();
             assert_eq!(x.shape(), (total_tokens, expected_width), "{name}");
             assert!(x.data().iter().all(|v| v.is_finite()), "{name}");
@@ -144,8 +171,8 @@ mod tests {
         let params = Params::init(cfg, &mut Rng::seeded(4));
         let seqs = calibration_set(&Corpus::new(cfg.max_seq), 3, 5);
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        calibration_walk(params, &seqs, |_, x| {
-            for v in x.data() {
+        calibration_walk(params, &seqs, |_, input| {
+            for v in input.x().data() {
                 for b in v.to_bits().to_le_bytes() {
                     h ^= u64::from(b);
                     h = h.wrapping_mul(0x0000_0100_0000_01b3);

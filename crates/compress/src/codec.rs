@@ -229,8 +229,10 @@ impl LowRankBand {
 
     /// The band's contribution in `(d_in, d_out)` weight orientation.
     pub fn dequantize(&self) -> Matrix {
-        // p.dequantize() -> (d_in, rank) = P; q.dequantize() -> (d_out, rank).
-        self.p.dequantize().matmul_nt(&self.q.dequantize())
+        // p.dequantize() -> (d_in, rank) = P; q.dequantize() -> (d_out, rank)
+        // = Q. The blocked GEMM against Qᵀ sums each element over the rank
+        // in order from +0.0, the same bits as the plain P·Qᵀ loop.
+        self.p.dequantize().matmul(&self.q.dequantize().transpose())
     }
 }
 

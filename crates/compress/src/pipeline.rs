@@ -14,9 +14,9 @@
 //! (deltas are tiny) and calibration fails. The ablation test below
 //! reproduces that effect.
 
-use crate::calib::calibration_walk;
+use crate::calib::{calibration_walk, CalibInput};
 use crate::codec::{CodecId, PackedLayer};
-use crate::obs::{compress_matrix, hessian_from_inputs, ObsConfig};
+use crate::obs::{compress_matrix, ObsConfig};
 use crate::quant::QuantSpec;
 use dz_model::transformer::Params;
 use dz_tensor::Matrix;
@@ -197,17 +197,18 @@ pub(crate) fn size_report_for(
 }
 
 /// Compresses one linear layer's delta with the OBS solver calibrated on
-/// `x`; returns the packed delta and the reconstructed weight `w_b + Δ̂`.
+/// `input`; returns the packed delta and the reconstructed weight
+/// `w_b + Δ̂`.
 fn compress_delta(
     base: &Params,
     finetuned: &Params,
     name: &str,
-    x: &Matrix,
+    input: &CalibInput,
     obs_cfg: &ObsConfig,
 ) -> (PackedLayer, Matrix) {
     let w_b = base.get(name).expect("linear exists");
     let w_f = finetuned.get(name).expect("linear exists");
-    let res = compress_matrix(&w_f.sub(w_b), &hessian_from_inputs(&[x]), obs_cfg);
+    let res = compress_matrix(&w_f.sub(w_b), input.hessian(), obs_cfg);
     (PackedLayer::Quant(res.packed), w_b.add(&res.reconstructed))
 }
 
@@ -229,8 +230,8 @@ pub fn delta_compress(
     let mut layers = BTreeMap::new();
     // The walk propagates the progressively reconstructed model (Line 6-7
     // of Alg. 1), so each layer calibrates on realistic activations.
-    let work = calibration_walk(finetuned.clone(), calib, |name, x| {
-        let (packed, w_hat) = compress_delta(base, finetuned, name, x, &obs_cfg);
+    let work = calibration_walk(finetuned.clone(), calib, |name, input| {
+        let (packed, w_hat) = compress_delta(base, finetuned, name, input, &obs_cfg);
         layers.insert(name.to_string(), packed);
         Some(w_hat)
     });
@@ -253,8 +254,8 @@ pub fn delta_compress_no_reconstruct(
     let mut reconstructed = base.clone();
     // The walk propagates the fixed delta-only model: activations vanish
     // in deeper layers.
-    calibration_walk(finetuned.delta_from(base), calib, |name, x| {
-        let (packed, w_hat) = compress_delta(base, finetuned, name, x, &obs_cfg);
+    calibration_walk(finetuned.delta_from(base), calib, |name, input| {
+        let (packed, w_hat) = compress_delta(base, finetuned, name, input, &obs_cfg);
         reconstructed.set(name, w_hat);
         layers.insert(name.to_string(), packed);
         None

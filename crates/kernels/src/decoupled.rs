@@ -140,4 +140,41 @@ mod tests {
         assert_eq!(batch.generated(s1), &want_quant[..]);
         assert_eq!(batch.generated(s2), &want_sign[..]);
     }
+
+    #[test]
+    fn long_prompt_admitted_beside_decoding_rows_matches_its_solo_run() {
+        // A 20-token prompt is prefilled inside a step that also decodes
+        // an in-flight request; both must get their batch-of-one tokens.
+        let (base, cd, _) = setup();
+        let vocab = base.config.vocab;
+        let long: Vec<usize> = (0..20).map(|i| 1 + (i * 7) % (vocab - 1)).collect();
+        let short = vec![1usize, 20, 21, 2];
+        let solo = |prompt: &[usize], steps: usize| {
+            let mut runner = DecoupledBatch::new(&base, vec![&cd]);
+            let s = runner.admit(0, prompt);
+            for _ in 0..steps {
+                runner.decode_step();
+            }
+            runner.generated(s).to_vec()
+        };
+        let mut batch = DecoupledBatch::new(&base, vec![&cd]);
+        let s1 = batch.admit(0, &short);
+        for _ in 0..2 {
+            batch.decode_step();
+        }
+        let s2 = batch.admit(0, &long);
+        for _ in 0..3 {
+            batch.decode_step();
+        }
+        assert_eq!(batch.generated(s1), &solo(&short, 5)[..]);
+        assert_eq!(batch.generated(s2), &solo(&long, 3)[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit max_seq")]
+    fn admit_refuses_a_prompt_longer_than_max_seq() {
+        let (base, cd, _) = setup();
+        let mut batch = DecoupledBatch::new(&base, vec![&cd]);
+        let _ = batch.admit(0, &vec![1; base.config.max_seq + 1]);
+    }
 }

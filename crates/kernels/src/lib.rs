@@ -45,4 +45,4 @@ pub mod sgmv;
 pub use qgemm::{dense_gemm, quant_gemm};
 pub use runner::{BatchRunner, Variant};
 pub use sbmm::{sbmm_grouped, sbmm_naive};
-pub use sgmv::{sgmv_grouped, AdapterView};
+pub use sgmv::AdapterView;

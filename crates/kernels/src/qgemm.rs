@@ -64,26 +64,57 @@ pub fn dense_gemm(x: &Matrix, w: &Matrix) -> Matrix {
 ///
 /// Panics if `x.cols() != cm.d_in`.
 pub fn quant_gemm(x: &Matrix, cm: &CompressedMatrix) -> Matrix {
-    assert_eq!(x.cols(), cm.d_in, "input width mismatch");
-    let mut y = Matrix::zeros(x.rows(), cm.d_out);
-    match x.rows() {
-        0 => {}
-        1 => tiled::<8, 1>(x, cm, &mut y),
-        2 => tiled::<4, 2>(x, cm, &mut y),
-        3 | 4 => tiled::<2, 4>(x, cm, &mut y),
-        _ => tiled::<1, 8>(x, cm, &mut y),
-    }
+    let mut y = Matrix::zeros(0, 0);
+    quant_gemm_into(x, cm, &mut y, &mut QuantScratch::default());
     y
 }
 
+/// Buffers a [`quant_gemm_into`] call reuses: the lane-chunked
+/// activations and the decoded block.
+#[derive(Debug, Default)]
+pub struct QuantScratch {
+    xt: Vec<f32>,
+    blk: BlockScratch,
+}
+
+/// [`quant_gemm`] into `y`, which is reshaped to `(batch, d_out)` and
+/// overwritten; `y` and `scratch` keep their allocations across calls.
+///
+/// # Panics
+///
+/// Panics if `x.cols() != cm.d_in`.
+pub fn quant_gemm_into(
+    x: &Matrix,
+    cm: &CompressedMatrix,
+    y: &mut Matrix,
+    scratch: &mut QuantScratch,
+) {
+    assert_eq!(x.cols(), cm.d_in, "input width mismatch");
+    y.reset(x.rows(), cm.d_out);
+    match x.rows() {
+        0 => {}
+        1 => tiled::<8, 1>(x, cm, y, scratch),
+        2 => tiled::<4, 2>(x, cm, y, scratch),
+        3 | 4 => tiled::<2, 4>(x, cm, y, scratch),
+        _ => tiled::<1, 8>(x, cm, y, scratch),
+    }
+}
+
 /// `quant_gemm` with tiles of `RT` block rows × `L` batch rows.
-fn tiled<const RT: usize, const L: usize>(x: &Matrix, cm: &CompressedMatrix, y: &mut Matrix) {
+fn tiled<const RT: usize, const L: usize>(
+    x: &Matrix,
+    cm: &CompressedMatrix,
+    y: &mut Matrix,
+    scratch: &mut QuantScratch,
+) {
     debug_assert_eq!(RT * L, BLOCK_ROWS);
     let (b, d_in, d_out) = (x.rows(), cm.d_in, cm.d_out);
     // x in lane chunks: chunk k, column c holds batch rows k*L.. of
     // column c (zero-padded past the batch).
     let n_chunks = b.div_ceil(L);
-    let mut xt = vec![[0.0f32; L]; n_chunks * d_in];
+    scratch.xt.clear();
+    scratch.xt.resize(n_chunks * d_in * L, 0.0);
+    let xt = scratch.xt.as_chunks_mut::<L>().0;
     for (i, xr) in x.data().chunks_exact(d_in.max(1)).enumerate() {
         let chunk = &mut xt[(i / L) * d_in..][..d_in];
         for (col, &v) in chunk.iter_mut().zip(xr) {
@@ -91,15 +122,15 @@ fn tiled<const RT: usize, const L: usize>(x: &Matrix, cm: &CompressedMatrix, y: 
         }
     }
     let yd = y.data_mut();
-    let mut blk = BlockScratch::default();
+    let blk = &mut scratch.blk;
     for block in 0..d_out.div_ceil(BLOCK_ROWS) {
-        cm.decode_block(block, &mut blk);
+        cm.decode_block(block, blk);
         let r0 = block * BLOCK_ROWS;
         for t in 0..(d_out - r0).min(BLOCK_ROWS).div_ceil(RT) {
             for (k, xc) in xt.chunks_exact(d_in.max(1)).enumerate() {
                 let acc: [[f32; L]; RT] = match cm.format {
-                    MatrixFormat::QuantDense => tile_dense(xc, &blk, t),
-                    MatrixFormat::QuantSparse24 => tile_sparse24(xc, &blk, t),
+                    MatrixFormat::QuantDense => tile_dense(xc, blk, t),
+                    MatrixFormat::QuantSparse24 => tile_sparse24(xc, blk, t),
                 };
                 let lanes = (b - k * L).min(L);
                 for (r, a) in (r0 + t * RT..d_out).zip(&acc) {
@@ -213,6 +244,44 @@ mod tests {
         let fused = quant_gemm(&x, &cm);
         assert_eq!(fused.shape(), (1, 8));
         assert!(fused.max_abs_diff(&x.matmul(&rec)) < 1e-4);
+    }
+
+    #[test]
+    fn rows_are_bit_equal_to_one_row_calls_at_every_batch_size() {
+        // Batch sizes 1..=9 cover every tile shape and a partial lane
+        // chunk; d_out = 20 leaves a partial row block. The runner relies
+        // on this to batch prefill rows with decode rows.
+        let bits_of = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = Rng::seeded(17);
+        let (d_in, d_out) = (32, 20);
+        let w = Matrix::randn(d_in, d_out, 0.05, &mut rng);
+        for (sparse24, bits) in [(false, 2), (false, 4), (false, 8), (true, 2), (true, 4)] {
+            let cfg = ObsConfig {
+                spec: QuantSpec::new(bits, 16),
+                sparse24,
+                damp: 0.05,
+            };
+            let cm = compress_matrix(&w, &Matrix::identity(d_in), &cfg).packed;
+            for b in 1..=9 {
+                let mut x = Matrix::randn(b, d_in, 1.0, &mut rng);
+                x.set(0, 3, 0.0);
+                let (yq, yd) = (quant_gemm(&x, &cm), dense_gemm(&x, &w));
+                for r in 0..b {
+                    let xr = x.submatrix(r, 0, 1, d_in);
+                    let ctx = format!("sparse24={sparse24} bits={bits} batch={b} row={r}");
+                    assert_eq!(
+                        bits_of(yq.row(r)),
+                        bits_of(quant_gemm(&xr, &cm).row(0)),
+                        "{ctx}"
+                    );
+                    assert_eq!(
+                        bits_of(yd.row(r)),
+                        bits_of(dense_gemm(&xr, &w).row(0)),
+                        "{ctx}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

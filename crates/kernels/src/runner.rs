@@ -7,32 +7,71 @@
 //! merged before the next non-linearity (§5.1). Adapters ride the same
 //! path with an SGMV product in place of SBMM (§8).
 //!
-//! Within a projection the order is fixed, so each output row gets the
-//! same bits whichever variants share its batch:
+//! # Deferred prefill
 //!
-//! 1. the shared base GEMM ([`dense_gemm`]);
-//! 2. the rows of packed deltas, through one [`sbmm_grouped`] call;
-//! 3. the rows of adapters, through one [`sgmv_grouped`] call;
-//! 4. the rows of dense-fallback deltas, accumulating `x·Δ` in place;
-//! 5. the variant's bias.
+//! [`BatchRunner::admit`] only records a request's prompt. The next
+//! [`BatchRunner::decode_step`] runs one transformer pass whose rows are
+//! every slot's pending prompt tokens, slot by slot in position order,
+//! followed by one decode row per slot (its last token). A row's position
+//! is its slot's cache length plus the row's offset among that slot's
+//! rows, and attention runs row by row in that order, so
+//! [`KvCache::attend`] appends each position before the rows after it
+//! read the cache: causal, as when the tokens are fed one per step. Only
+//! the decode rows run the final norm and the head. A prompt thus joins
+//! the base GEMM and its variant's product of the next step instead of
+//! paying one step per token, the way gpusim prices prefill: one batched
+//! pass over the prompt tokens.
 //!
-//! Non-projection parameters (embeddings, norms, biases, head) come from a
-//! delta's `rest` with base fallback, and from the base for adapters.
-//! Everything else in the step is dz-model's inference arithmetic, called
-//! per request row: [`layer_norm_row`], [`KvCache::attend`] against the
-//! request's own cache, [`gelu`] and the greedy [`argmax`]. So the served
-//! step computes the same model as `dz_model::transformer::forward_infer`
-//! on the reconstructed weights, up to the linears' rounding.
-//! [`crate::decoupled::DecoupledBatch`] builds a runner over deltas alone.
+//! # Bit identity
+//!
+//! A row's output never depends on the rows it shares a step with, so
+//! deferring prefill, admitting late and batching variants together all
+//! give the tokens each request gets alone. Every per-row operation is
+//! batch-invariant:
+//!
+//! * the base GEMM ([`Matrix::matmul_into`]) sums each output element over
+//!   the input dimension in one fixed order, whatever the row count;
+//! * [`quant_gemm_into`] follows the tile contract of [`crate::qgemm`]:
+//!   every tile shape sums each accumulator in the same order;
+//! * the adapter product is two such GEMMs and a per-row sparse term;
+//! * embedding, LayerNorm, attention, GELU, the dense fallback, the bias
+//!   and the head are computed row by row.
+//!
+//! Within a projection each row gets, in this order:
+//!
+//! 1. the shared base GEMM;
+//! 2. its variant's product: a packed delta through one [`quant_gemm_into`]
+//!    per distinct delta in the step (SBMM, §5.2), an adapter through its
+//!    [`AdapterWeights::product_into`] (SGMV), or a dense-fallback delta
+//!    accumulating `x·Δ` in place;
+//! 3. its variant's bias.
+//!
+//! # Tables and buffers
+//!
+//! [`BatchRunner::new`] resolves everything the step reads: per variant
+//! its embeddings, norms, biases and head (a delta's `rest` with base
+//! fallback, the base for adapters), and per projection the base weight
+//! and every variant's product. The step looks nothing up by name. It
+//! groups its rows by variant once and keeps its activations, gathers and
+//! kernel scratch in buffers reused from step to step, so a step
+//! allocates only when a buffer has to grow.
+//!
+//! Everything else is dz-model's inference arithmetic: [`layer_norm_row`],
+//! [`KvCache::attend`] against the request's own cache, [`gelu`] and the
+//! greedy [`argmax`]. So the served step computes the same model as
+//! `dz_model::transformer::forward_infer` on the reconstructed weights, up
+//! to the linears' rounding. [`crate::decoupled::DecoupledBatch`] builds a
+//! runner over deltas alone.
 
-use crate::qgemm::dense_gemm;
-use crate::sbmm::sbmm_grouped;
-use crate::sgmv::{sgmv_grouped, AdapterView};
+use crate::qgemm::{quant_gemm_into, QuantScratch};
+use crate::sgmv::{AdapterView, AdapterWeights};
 use dz_compress::codec::PackedLayer;
+use dz_compress::pack::CompressedMatrix;
 use dz_compress::pipeline::CompressedDelta;
-use dz_model::transformer::{argmax, gelu, layer_norm_row, KvCache, Params};
+use dz_model::transformer::{argmax, gelu, layer_norm_row, KvCache, ModelConfig, Params};
 use dz_tensor::Matrix;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One variant a [`BatchRunner`] serves; its constructors pick the kind.
 pub struct Variant<'a>(Kind<'a>);
@@ -46,6 +85,16 @@ enum Kind<'a> {
     Dense(&'a CompressedDelta, BTreeMap<String, Matrix>),
     /// A LoRA or RoSA adapter: served through SGMV.
     Adapter(AdapterView<'a>),
+}
+
+impl<'a> Kind<'a> {
+    /// The delta behind a delta kind.
+    fn delta(&self) -> Option<&'a CompressedDelta> {
+        match *self {
+            Kind::Packed(d) | Kind::Dense(d, _) => Some(d),
+            Kind::Adapter(_) => None,
+        }
+    }
 }
 
 impl<'a> Variant<'a> {
@@ -69,63 +118,214 @@ impl<'a> Variant<'a> {
     }
 }
 
+/// A variant's product for one projection.
+enum Product<'a> {
+    /// A packed delta layer, through SBMM.
+    Packed(&'a CompressedMatrix),
+    /// A dequantized delta layer, accumulated in place.
+    Dense(Matrix),
+    /// An adapter's weights, through SGMV.
+    Adapter(AdapterWeights<'a>),
+    /// An adapter that does not adapt this projection.
+    None,
+}
+
+/// One projection of one block, resolved for every variant.
+struct Proj<'a> {
+    /// The shared base weight.
+    base: &'a Matrix,
+    /// Per variant: its product and its bias.
+    by_variant: Vec<(Product<'a>, &'a Matrix)>,
+}
+
+/// A LayerNorm's gain and bias.
+type Norm<'a> = (&'a Matrix, &'a Matrix);
+
+/// One transformer block, resolved for every variant.
+struct Block<'a> {
+    /// Per variant: the attention and MLP norms.
+    ln1: Vec<Norm<'a>>,
+    ln2: Vec<Norm<'a>>,
+    wq: Proj<'a>,
+    wk: Proj<'a>,
+    wv: Proj<'a>,
+    wo: Proj<'a>,
+    w1: Proj<'a>,
+    w2: Proj<'a>,
+}
+
+/// A variant's parameters outside the blocks.
+struct Outer<'a> {
+    tok_emb: &'a Matrix,
+    pos_emb: &'a Matrix,
+    lnf: Norm<'a>,
+    head: &'a Matrix,
+}
+
 /// A batched, decoupled decoder over one base model and many variants.
 pub struct BatchRunner<'a> {
-    base: &'a Params,
-    variants: Vec<Variant<'a>>,
+    config: ModelConfig,
+    /// Per variant.
+    outer: Vec<Outer<'a>>,
+    blocks: Vec<Block<'a>>,
     slots: Vec<Slot>,
+    buf: Buffers,
 }
 
 impl<'a> BatchRunner<'a> {
-    /// Creates a runner over `base` and the given variants.
+    /// Creates a runner over `base` and the given variants, resolving
+    /// every parameter and product the step reads.
     pub fn new(base: &'a Params, variants: Vec<Variant<'a>>) -> Self {
+        let mut kinds: Vec<Kind<'a>> = variants.into_iter().map(|v| v.0).collect();
+        let base_param = |name: &str| base.get(name).expect("param exists");
+        // A non-projection parameter: a delta's `rest` entry, falling back
+        // to the base (adapters always use the base).
+        let param = |kind: &Kind<'a>, name: &str| -> &'a Matrix {
+            kind.delta()
+                .and_then(|d| d.rest.get(name))
+                .unwrap_or_else(|| base_param(name))
+        };
+        let norms = |kinds: &[Kind<'a>], prefix: &str| -> Vec<Norm<'a>> {
+            let (g, b) = (format!("{prefix}_g"), format!("{prefix}_b"));
+            kinds.iter().map(|k| (param(k, &g), param(k, &b))).collect()
+        };
+        let proj = |kinds: &mut [Kind<'a>], li: usize, field: &str, bias: &str| -> Proj<'a> {
+            let name = format!("layer{li}.{field}");
+            let bias = format!("layer{li}.{bias}");
+            let by_variant = kinds
+                .iter_mut()
+                .map(|kind| {
+                    let b = param(kind, &bias);
+                    let product = match kind {
+                        Kind::Packed(d) => {
+                            let d: &'a CompressedDelta = d;
+                            let layer = d.layers.get(&name).and_then(PackedLayer::as_quant);
+                            Product::Packed(layer.expect("packed delta has a quantized layer"))
+                        }
+                        Kind::Dense(_, layers) => {
+                            Product::Dense(layers.remove(&name).expect("delta layer exists"))
+                        }
+                        Kind::Adapter(view) => {
+                            view.take(&name).map_or(Product::None, Product::Adapter)
+                        }
+                    };
+                    (product, b)
+                })
+                .collect();
+            Proj {
+                base: base_param(&name),
+                by_variant,
+            }
+        };
+        let blocks = (0..base.config.n_layers)
+            .map(|li| Block {
+                ln1: norms(&kinds, &format!("layer{li}.ln1")),
+                ln2: norms(&kinds, &format!("layer{li}.ln2")),
+                wq: proj(&mut kinds, li, "wq", "bq"),
+                wk: proj(&mut kinds, li, "wk", "bk"),
+                wv: proj(&mut kinds, li, "wv", "bv"),
+                wo: proj(&mut kinds, li, "wo", "bo"),
+                w1: proj(&mut kinds, li, "w1", "b1"),
+                w2: proj(&mut kinds, li, "w2", "b2"),
+            })
+            .collect();
+        let lnf = norms(&kinds, "lnf");
+        let outer = kinds
+            .iter()
+            .zip(lnf)
+            .map(|(k, lnf)| Outer {
+                tok_emb: param(k, "tok_emb"),
+                pos_emb: param(k, "pos_emb"),
+                lnf,
+                head: param(k, "head"),
+            })
+            .collect();
         BatchRunner {
-            base,
-            variants,
+            config: base.config,
+            outer,
+            blocks,
             slots: Vec::new(),
+            buf: Buffers::default(),
         }
     }
 
-    /// Admits a request for `variant`, processing its prompt token by token
-    /// (prefill); returns the slot index.
+    /// Admits a request for `variant` and returns its slot index. No
+    /// compute runs here: the prompt is prefilled inside the next
+    /// [`BatchRunner::decode_step`], which also emits the first token.
     ///
     /// # Panics
     ///
-    /// Panics if the variant index is out of range or the prompt is empty.
+    /// Panics if the variant index is out of range, the prompt is empty
+    /// or it is longer than the model's `max_seq`.
     pub fn admit(&mut self, variant: usize, prompt: &[usize]) -> usize {
         assert!(
-            variant < self.variants.len(),
+            variant < self.outer.len(),
             "variant or adapter out of range"
         );
         assert!(!prompt.is_empty(), "empty prompt");
-        let last = prompt.len() - 1;
-        self.slots
-            .push(Slot::new(variant, self.base.config.n_layers, prompt[last]));
-        let idx = self.slots.len() - 1;
-        // Prefill: feed all but the last prompt token (its logits appear at
-        // the first decode step).
-        for &tok in &prompt[..last] {
-            let _ = self.step_tokens(&[(idx, tok)]);
-        }
-        idx
+        assert!(
+            prompt.len() <= self.config.max_seq,
+            "prompt of {} tokens does not fit max_seq {}",
+            prompt.len(),
+            self.config.max_seq
+        );
+        self.slots.push(Slot {
+            variant,
+            cache: KvCache::new(self.config.n_layers),
+            pending: prompt[..prompt.len() - 1].to_vec(),
+            last_token: prompt[prompt.len() - 1],
+            generated: Vec::new(),
+        });
+        self.slots.len() - 1
     }
 
-    /// Decodes one token for every active slot; returns `(slot, next)` pairs
-    /// chosen greedily from the batched logits.
+    /// Prefills every pending prompt and decodes one token for every
+    /// slot, in one batched pass; returns `(slot, next)` pairs chosen
+    /// greedily from the logits.
     pub fn decode_step(&mut self) -> Vec<(usize, usize)> {
-        let work: Vec<(usize, usize)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, s.last_token))
-            .collect();
-        let logits = self.step_tokens(&work);
-        let mut out = Vec::with_capacity(work.len());
-        for ((slot, _), row) in work.iter().zip(logits.iter()) {
-            let next = argmax(row);
-            self.slots[*slot].last_token = next;
-            self.slots[*slot].generated.push(next);
-            out.push((*slot, next));
+        let rows = &mut self.buf.rows;
+        rows.clear();
+        for (slot, s) in self.slots.iter().enumerate() {
+            let pos = s.cache.len();
+            rows.extend(s.pending.iter().enumerate().map(|(o, &token)| Row {
+                slot,
+                variant: s.variant,
+                token,
+                pos: pos + o,
+            }));
+        }
+        let first_decode = rows.len();
+        for (slot, s) in self.slots.iter().enumerate() {
+            rows.push(Row {
+                slot,
+                variant: s.variant,
+                token: s.last_token,
+                pos: s.cache.len() + s.pending.len(),
+            });
+        }
+        self.forward();
+
+        // Final norm and head, for the decode rows only.
+        let b = &mut self.buf;
+        let mut out = Vec::with_capacity(self.slots.len());
+        for (i, row) in b.rows.iter().enumerate().skip(first_decode) {
+            let p = &self.outer[row.variant];
+            b.h.reset(1, self.config.d_model);
+            layer_norm_row(b.x.row(i), p.lnf.0, p.lnf.1, b.h.row_mut(0));
+            b.logits.clear();
+            b.logits.extend((0..self.config.vocab).map(|c| {
+                let mut acc = 0.0f32;
+                for (r, xv) in b.h.row(0).iter().enumerate() {
+                    acc += xv * p.head.get(r, c);
+                }
+                acc
+            }));
+            let next = argmax(&b.logits);
+            let s = &mut self.slots[row.slot];
+            s.pending.clear();
+            s.last_token = next;
+            s.generated.push(next);
+            out.push((row.slot, next));
         }
         out
     }
@@ -135,188 +335,189 @@ impl<'a> BatchRunner<'a> {
         &self.slots[slot].generated
     }
 
-    /// A non-projection parameter of `variant`: a delta's `rest` entry,
-    /// falling back to the base (adapters always use the base).
-    fn param(&self, variant: usize, name: &str) -> &'a Matrix {
-        let rest = match &self.variants[variant].0 {
-            Kind::Packed(d) | Kind::Dense(d, _) => d.rest.get(name),
-            Kind::Adapter(_) => None,
-        };
-        rest.unwrap_or_else(|| self.base.get(name).expect("param exists"))
-    }
-
-    /// Row-wise LayerNorm of `x` with each row's variant gain `{prefix}_g`
-    /// and bias `{prefix}_b`.
-    fn layer_norm(&self, x: &Matrix, idx: &[usize], prefix: &str) -> Matrix {
-        let (g, b) = (format!("{prefix}_g"), format!("{prefix}_b"));
-        let mut out = Matrix::zeros(x.rows(), x.cols());
-        for (bi, &v) in idx.iter().enumerate() {
-            layer_norm_row(
-                x.row(bi),
-                self.param(v, &g),
-                self.param(v, &b),
-                out.row_mut(bi),
-            );
-        }
-        out
-    }
-
-    /// Decoupled projection `layer{li}.{field}` plus bias `layer{li}.{bias}`
-    /// for a batch whose row `i` serves variant `idx[i]`, in the order the
-    /// module docs give.
-    fn linear(&self, x: &Matrix, idx: &[usize], li: usize, field: &str, bias: &str) -> Matrix {
-        let name = format!("layer{li}.{field}");
-        let w_base = self.base.get(&name).expect("param exists");
-        let mut y = dense_gemm(x, w_base);
-        let n = self.variants.len();
-        let (mut packed, mut packed_of) = (Vec::new(), vec![None; n]);
-        let (mut adapters, mut adapter_of) = (Vec::new(), vec![None; n]);
-        for (vi, v) in self.variants.iter().enumerate() {
-            match &v.0 {
-                Kind::Packed(d) => {
-                    packed_of[vi] = Some(packed.len());
-                    packed.push(
-                        d.layers
-                            .get(&name)
-                            .and_then(PackedLayer::as_quant)
-                            .expect("packed delta has a quantized layer"),
-                    );
-                }
-                Kind::Adapter(view) => {
-                    adapter_of[vi] = Some(adapters.len());
-                    adapters.push(view.get(&name));
-                }
-                Kind::Dense(..) => {}
+    /// Runs the blocks over the step's rows, leaving the residual stream
+    /// in `buf.x` and each row's key and value in its slot's cache.
+    fn forward(&mut self) {
+        let BatchRunner {
+            config,
+            outer,
+            blocks,
+            slots,
+            buf: b,
+        } = self;
+        let (n, d) = (b.rows.len(), config.d_model);
+        b.groups.build(&b.rows);
+        b.x.reset(n, d);
+        for (i, row) in b.rows.iter().enumerate() {
+            assert!(row.pos < config.max_seq, "sequence overflow");
+            let p = &outer[row.variant];
+            let (tok, pos) = (p.tok_emb.row(row.token), p.pos_emb.row(row.pos));
+            for ((v, &t), &q) in b.x.row_mut(i).iter_mut().zip(tok).zip(pos) {
+                *v = t + q;
             }
         }
-        // One grouped call per kind, so each packed delta row is decoded
-        // once per call; per-row accumulation does not depend on the batch.
-        add_grouped(&mut y, x, idx, &packed_of, |xg, gi| {
-            sbmm_grouped(xg, gi, &packed)
-        });
-        // Skipped when no adapter adapts this projection: its rows then
-        // keep the base output untouched.
-        if adapters.iter().any(Option::is_some) {
-            add_grouped(&mut y, x, idx, &adapter_of, |xg, gi| {
-                sgmv_grouped(xg, gi, &adapters, w_base.cols())
-            });
-        }
-        for (bi, &v) in idx.iter().enumerate() {
-            let Kind::Dense(_, layers) = &self.variants[v].0 else {
-                continue;
-            };
-            let d = layers.get(&name).expect("delta layer exists");
-            let yr = y.row_mut(bi);
-            for (k, &xv) in x.row(bi).iter().enumerate() {
-                if xv == 0.0 {
-                    continue;
-                }
-                for (yv, &dv) in yr.iter_mut().zip(d.row(k)) {
-                    *yv += xv * dv;
-                }
-            }
-        }
-        let bias = format!("layer{li}.{bias}");
-        for (bi, &v) in idx.iter().enumerate() {
-            let b = self.param(v, &bias);
-            for (c, val) in y.row_mut(bi).iter_mut().enumerate() {
-                *val += b.get(0, c);
-            }
-        }
-        y
-    }
-
-    /// Core batched step: advances each `(slot, token)` by one position and
-    /// returns each row's logits.
-    fn step_tokens(&mut self, work: &[(usize, usize)]) -> Vec<Vec<f32>> {
-        let cfg = self.base.config;
-        let b = work.len();
-        let idx: Vec<usize> = work.iter().map(|&(s, _)| self.slots[s].variant).collect();
-
-        // Embedding lookup per request (token + absolute position).
-        let mut x = Matrix::zeros(b, cfg.d_model);
-        for (bi, &(slot, token)) in work.iter().enumerate() {
-            let pos = self.slots[slot].cache.len();
-            assert!(pos < cfg.max_seq, "sequence overflow");
-            let tok_emb = self.param(idx[bi], "tok_emb");
-            let pos_emb = self.param(idx[bi], "pos_emb");
-            for (c, v) in x.row_mut(bi).iter_mut().enumerate() {
-                *v = tok_emb.get(token, c) + pos_emb.get(pos, c);
-            }
-        }
-
-        for li in 0..cfg.n_layers {
-            let h = self.layer_norm(&x, &idx, &format!("layer{li}.ln1"));
-            let q = self.linear(&h, &idx, li, "wq", "bq");
-            let k = self.linear(&h, &idx, li, "wk", "bk");
-            let v = self.linear(&h, &idx, li, "wv", "bv");
-            // Attention per request against its own cache.
-            let mut attn = Matrix::zeros(b, cfg.d_model);
-            for (bi, &(slot, _)) in work.iter().enumerate() {
-                let cache = &mut self.slots[slot].cache;
-                cache.attend(
+        for (li, blk) in blocks.iter().enumerate() {
+            norm(&b.x, &mut b.h, &blk.ln1, &b.rows);
+            linear(&blk.wq, &b.h, &mut b.q, &b.groups, &mut b.gather);
+            linear(&blk.wk, &b.h, &mut b.k, &b.groups, &mut b.gather);
+            linear(&blk.wv, &b.h, &mut b.v, &b.groups, &mut b.gather);
+            // Attention per row against its slot's cache, in row order.
+            b.attn.reset(n, d);
+            for (i, row) in b.rows.iter().enumerate() {
+                slots[row.slot].cache.attend(
                     li,
-                    q.row(bi),
-                    k.row(bi),
-                    v.row(bi),
-                    cfg.n_heads,
-                    attn.row_mut(bi),
+                    b.q.row(i),
+                    b.k.row(i),
+                    b.v.row(i),
+                    config.n_heads,
+                    b.attn.row_mut(i),
                 );
             }
-            x.add_assign(&self.linear(&attn, &idx, li, "wo", "bo"));
-            let h2 = self.layer_norm(&x, &idx, &format!("layer{li}.ln2"));
-            let mut up = self.linear(&h2, &idx, li, "w1", "b1");
-            up.map_assign(gelu);
-            x.add_assign(&self.linear(&up, &idx, li, "w2", "b2"));
+            linear(&blk.wo, &b.attn, &mut b.y, &b.groups, &mut b.gather);
+            b.x.add_assign(&b.y);
+            norm(&b.x, &mut b.h, &blk.ln2, &b.rows);
+            linear(&blk.w1, &b.h, &mut b.up, &b.groups, &mut b.gather);
+            b.up.map_assign(gelu);
+            linear(&blk.w2, &b.up, &mut b.y, &b.groups, &mut b.gather);
+            b.x.add_assign(&b.y);
         }
-        // Final norm + per-variant head.
-        let xf = self.layer_norm(&x, &idx, "lnf");
-        idx.iter()
-            .enumerate()
-            .map(|(bi, &v)| {
-                let head = self.param(v, "head");
-                (0..cfg.vocab)
-                    .map(|c| {
-                        let mut acc = 0.0f32;
-                        for (r, xv) in xf.row(bi).iter().enumerate() {
-                            acc += xv * head.get(r, c);
-                        }
-                        acc
-                    })
-                    .collect()
-            })
-            .collect()
     }
 }
 
-/// Adds a grouped kernel's output to the rows of `y` whose variant has a
-/// group: `kernel` gets those rows of `x`, in batch order, and each row's
-/// group index (`group_of[idx[row]]`).
-fn add_grouped(
-    y: &mut Matrix,
-    x: &Matrix,
-    idx: &[usize],
-    group_of: &[Option<usize>],
-    kernel: impl FnOnce(&Matrix, &[usize]) -> Matrix,
-) {
-    let (rows, groups): (Vec<usize>, Vec<usize>) = idx
-        .iter()
-        .enumerate()
-        .filter_map(|(bi, &v)| group_of[v].map(|g| (bi, g)))
-        .unzip();
-    if rows.is_empty() {
-        return;
+/// Row-wise LayerNorm of `x` into `out`, each row with its variant's norm.
+fn norm(x: &Matrix, out: &mut Matrix, norms: &[Norm<'_>], rows: &[Row]) {
+    out.reset(x.rows(), x.cols());
+    for (i, row) in rows.iter().enumerate() {
+        let (g, b) = norms[row.variant];
+        layer_norm_row(x.row(i), g, b, out.row_mut(i));
     }
-    let mut xg = Matrix::zeros(rows.len(), x.cols());
-    for (gi, &bi) in rows.iter().enumerate() {
-        xg.row_mut(gi).copy_from_slice(x.row(bi));
-    }
-    let yg = kernel(&xg, &groups);
-    for (gi, &bi) in rows.iter().enumerate() {
-        for (yv, &d) in y.row_mut(bi).iter_mut().zip(yg.row(gi)) {
-            *yv += d;
+}
+
+/// Decoupled projection `y = x·W` plus bias, for a step whose rows are
+/// grouped by variant, in the order the module docs give.
+fn linear(proj: &Proj<'_>, x: &Matrix, y: &mut Matrix, groups: &Groups, g: &mut Gather) {
+    x.matmul_into(proj.base, y);
+    for (variant, run) in &groups.runs {
+        let rows = &groups.order[run.clone()];
+        let (product, bias) = &proj.by_variant[*variant];
+        match product {
+            Product::Packed(cm) => {
+                g.gather(x, rows);
+                quant_gemm_into(&g.xg, cm, &mut g.yg, &mut g.quant);
+                g.scatter_add(y, rows);
+            }
+            Product::Adapter(w) => {
+                g.gather(x, rows);
+                w.product_into(&g.xg, &mut g.yg, &mut g.xa);
+                g.scatter_add(y, rows);
+            }
+            Product::Dense(delta) => {
+                for &r in rows {
+                    let yr = y.row_mut(r);
+                    for (k, &xv) in x.row(r).iter().enumerate() {
+                        if xv == 0.0 {
+                            continue;
+                        }
+                        for (yv, &dv) in yr.iter_mut().zip(delta.row(k)) {
+                            *yv += xv * dv;
+                        }
+                    }
+                }
+            }
+            Product::None => {}
+        }
+        for &r in rows {
+            for (v, &bv) in y.row_mut(r).iter_mut().zip(bias.data()) {
+                *v += bv;
+            }
         }
     }
+}
+
+/// One row of a step: a token of `slot` at position `pos`.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    slot: usize,
+    variant: usize,
+    token: usize,
+    pos: usize,
+}
+
+/// A step's rows grouped by variant: `order` holds row indices sorted by
+/// variant (ascending row order within one), `runs` each variant's range
+/// of `order`.
+#[derive(Debug, Default)]
+struct Groups {
+    order: Vec<usize>,
+    runs: Vec<(usize, Range<usize>)>,
+}
+
+impl Groups {
+    fn build(&mut self, rows: &[Row]) {
+        self.order.clear();
+        self.order.extend(0..rows.len());
+        self.order.sort_unstable_by_key(|&r| (rows[r].variant, r));
+        self.runs.clear();
+        let mut start = 0;
+        for (i, &r) in self.order.iter().enumerate() {
+            let v = rows[r].variant;
+            if i + 1 == self.order.len() || rows[self.order[i + 1]].variant != v {
+                self.runs.push((v, start..i + 1));
+                start = i + 1;
+            }
+        }
+    }
+}
+
+/// One variant's rows gathered for a grouped product, and the product's
+/// buffers.
+#[derive(Debug, Default)]
+struct Gather {
+    xg: Matrix,
+    yg: Matrix,
+    /// An adapter's down projection.
+    xa: Matrix,
+    quant: QuantScratch,
+}
+
+impl Gather {
+    /// Copies `rows` of `x` into `xg`.
+    fn gather(&mut self, x: &Matrix, rows: &[usize]) {
+        self.xg.reset(rows.len(), x.cols());
+        for (gi, &r) in rows.iter().enumerate() {
+            self.xg.row_mut(gi).copy_from_slice(x.row(r));
+        }
+    }
+
+    /// Adds row `i` of `yg` to row `rows[i]` of `y`.
+    fn scatter_add(&self, y: &mut Matrix, rows: &[usize]) {
+        for (gi, &r) in rows.iter().enumerate() {
+            for (v, &p) in y.row_mut(r).iter_mut().zip(self.yg.row(gi)) {
+                *v += p;
+            }
+        }
+    }
+}
+
+/// Buffers a step reuses across calls; each is reshaped per step.
+#[derive(Debug, Default)]
+struct Buffers {
+    rows: Vec<Row>,
+    groups: Groups,
+    gather: Gather,
+    /// Residual stream.
+    x: Matrix,
+    /// A norm's output (the final norm's, one row at a time).
+    h: Matrix,
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    attn: Matrix,
+    /// The output projection's and the MLP's output.
+    y: Matrix,
+    /// The MLP's hidden activations.
+    up: Matrix,
+    logits: Vec<f32>,
 }
 
 /// A request being decoded by a batch runner.
@@ -326,20 +527,10 @@ struct Slot {
     variant: usize,
     /// Per-request KV cache.
     cache: KvCache,
-    /// Last token fed (next decode input).
+    /// Prompt tokens not fed yet, in position order (all but the last).
+    pending: Vec<usize>,
+    /// Last token fed or to feed (next decode input).
     last_token: usize,
     /// Tokens generated so far.
     generated: Vec<usize>,
-}
-
-impl Slot {
-    /// Fresh slot for `variant` starting at `last_token`.
-    fn new(variant: usize, n_layers: usize, last_token: usize) -> Self {
-        Slot {
-            variant,
-            cache: KvCache::new(n_layers),
-            last_token,
-            generated: Vec::new(),
-        }
-    }
 }

@@ -7,9 +7,10 @@
 //! sparse term for RoSA. An adapter joins the crate's one batch runner,
 //! [`crate::BatchRunner`], as [`crate::Variant::adapter`] over an
 //! [`AdapterView`]; its non-projection parameters (embeddings, norms,
-//! biases, head) come from the shared base.
+//! biases, head) come from the shared base. The runner groups a step's
+//! rows by adapter and applies [`AdapterWeights::product_into`] to each
+//! adapter's gathered rows, mirroring the SBMM reorder (§5.2).
 
-use crate::qgemm::dense_gemm;
 use dz_model::lora::LoraAdapter;
 use dz_model::rosa::RosaAdapter;
 use dz_tensor::Matrix;
@@ -137,61 +138,28 @@ impl<'a> AdapterView<'a> {
         AdapterView { by_name }
     }
 
-    /// The adapter weights for a projection, if it is adapted.
-    pub fn get(&self, name: &str) -> Option<&AdapterWeights<'a>> {
-        self.by_name.get(name)
+    /// Moves out the adapter weights for a projection, if it is adapted.
+    pub(crate) fn take(&mut self, name: &str) -> Option<AdapterWeights<'a>> {
+        self.by_name.remove(name)
     }
 }
 
-/// Grouped adapter product: for each request row `i`,
-/// `y[i] = scale_j (x[i] A_j) B_j + x[i] S_j` with `j = adapter_idx[i]`;
-/// rows whose adapter does not adapt this projection contribute zero.
-///
-/// Requests are bucketed per adapter so each group's two skinny matmuls
-/// run on a contiguous gather, mirroring the SBMM reorder (§5.2).
-///
-/// # Panics
-///
-/// Panics if `adapter_idx` is out of range or lengths mismatch.
-pub fn sgmv_grouped(
-    x: &Matrix,
-    adapter_idx: &[usize],
-    adapters: &[Option<&AdapterWeights<'_>>],
-    d_out: usize,
-) -> Matrix {
-    assert_eq!(x.rows(), adapter_idx.len(), "assignment length mismatch");
-    let mut y = Matrix::zeros(x.rows(), d_out);
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); adapters.len()];
-    for (i, &ai) in adapter_idx.iter().enumerate() {
-        assert!(ai < adapters.len(), "adapter index {ai} out of range");
-        buckets[ai].push(i);
-    }
-    for (ai, rows) in buckets.iter().enumerate() {
-        let Some(w) = adapters[ai] else { continue };
-        if rows.is_empty() {
-            continue;
-        }
-        let mut xg = Matrix::zeros(rows.len(), x.cols());
-        for (gr, &i) in rows.iter().enumerate() {
-            xg.row_mut(gr).copy_from_slice(x.row(i));
-        }
-        // Two skinny GEMMs: (g, d_in)(d_in, r) then (g, r)(r, d_out).
-        let xa = dense_gemm(&xg, w.a);
-        let mut yg = dense_gemm(&xa, w.b);
-        yg.scale_assign(w.scale);
-        if let Some(sparse) = &w.sparse {
-            for gr in 0..rows.len() {
-                sparse.accumulate_row(xg.row(gr), yg.row_mut(gr));
-            }
-        }
-        for (gr, &i) in rows.iter().enumerate() {
-            for (c, v) in yg.row(gr).iter().enumerate() {
-                let cur = y.get(i, c);
-                y.set(i, c, cur + v);
+impl AdapterWeights<'_> {
+    /// The adapter product for a group of rows sharing this adapter:
+    /// `y = scale · (x A) B + x S`, two skinny GEMMs `(g, d_in)(d_in, r)`
+    /// then `(g, r)(r, d_out)` plus the sparse term. `y` and `xa` (the
+    /// down projection) are reshaped and overwritten; their allocations
+    /// are reused. Each row's result depends only on that row.
+    pub fn product_into(&self, x: &Matrix, y: &mut Matrix, xa: &mut Matrix) {
+        x.matmul_into(self.a, xa);
+        xa.matmul_into(self.b, y);
+        y.scale_assign(self.scale);
+        if let Some(sparse) = &self.sparse {
+            for r in 0..x.rows() {
+                sparse.accumulate_row(x.row(r), y.row_mut(r));
             }
         }
     }
-    y
 }
 
 #[cfg(test)]
@@ -256,21 +224,26 @@ mod tests {
         let mut rng = Rng::seeded(4);
         let a1 = dz_model::lora::LoraAdapter::init(&p, LoraConfig::rank(2), &mut rng);
         let a2 = dz_model::lora::LoraAdapter::init(&p, LoraConfig::rank(4), &mut rng);
-        let v1 = AdapterView::from_lora(&a1);
-        let v2 = AdapterView::from_lora(&a2);
+        let mut v1 = AdapterView::from_lora(&a1);
+        let mut v2 = AdapterView::from_lora(&a2);
         let name = "layer0.wq";
         let w = p.get(name).unwrap();
         let x = Matrix::randn(5, w.rows(), 1.0, &mut rng);
         let idx = [0usize, 1, 0, 1, 1];
-        let views = [v1.get(name), v2.get(name)];
-        let y = sgmv_grouped(&x, &idx, &views, w.cols());
-        for (i, &ai) in idx.iter().enumerate() {
-            let adapter = if ai == 0 { &a1 } else { &a2 };
+        let weights = [v1.take(name).unwrap(), v2.take(name).unwrap()];
+        let (mut y, mut xa) = (Matrix::default(), Matrix::default());
+        for (ai, adapter) in [&a1, &a2].into_iter().enumerate() {
+            // The adapter's rows, gathered as the runner does.
+            let rows: Vec<usize> = (0..idx.len()).filter(|&i| idx[i] == ai).collect();
+            let xg = Matrix::from_rows(&rows.iter().map(|&i| x.row(i)).collect::<Vec<_>>());
+            weights[ai].product_into(&xg, &mut y, &mut xa);
             let pair = adapter.pairs.iter().find(|pr| pr.name == name).unwrap();
-            let xi = x.submatrix(i, 0, 1, x.cols());
-            let want = xi.matmul(&pair.a).matmul(&pair.b).scale(adapter.scale());
-            for c in 0..w.cols() {
-                assert!((y.get(i, c) - want.get(0, c)).abs() < 1e-4);
+            for (gi, &i) in rows.iter().enumerate() {
+                let xi = x.submatrix(i, 0, 1, x.cols());
+                let want = xi.matmul(&pair.a).matmul(&pair.b).scale(adapter.scale());
+                for c in 0..w.cols() {
+                    assert!((y.get(gi, c) - want.get(0, c)).abs() < 1e-4);
+                }
             }
         }
     }

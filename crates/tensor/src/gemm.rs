@@ -21,23 +21,22 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != other.rows()`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols(),
-            other.rows(),
-            "matmul shape mismatch: {:?} x {:?}",
-            self.shape(),
-            other.shape()
-        );
-        let (m, k) = self.shape();
-        let n = other.cols();
-        let mut out = Matrix::zeros(m, n);
-        let flops = m * n * k;
-        if flops >= PARALLEL_FLOP_THRESHOLD && m >= 2 {
-            matmul_parallel(self, other, &mut out);
-        } else {
-            matmul_block(self.data(), other.data(), out.data_mut(), m, k, n);
-        }
+        let mut out = Matrix::zeros(self.rows(), other.cols());
+        matmul_zeroed(self, other, &mut out);
         out
+    }
+
+    /// [`Matrix::matmul`] into `out`, which is reshaped and overwritten;
+    /// its allocation is reused. Each output element sums over the shared
+    /// dimension in the same order whatever the row count, so a row's
+    /// result does not depend on the rows computed beside it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != other.rows()`.
+    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) {
+        out.reset(self.rows(), other.cols());
+        matmul_zeroed(self, other, out);
     }
 
     /// Matrix product with the second operand transposed: `self * other^T`.
@@ -128,6 +127,24 @@ impl Matrix {
             *o = acc;
         }
         out
+    }
+}
+
+/// `out = a * b` into a zeroed `out` of the product's shape.
+fn matmul_zeroed(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    assert_eq!(
+        a.cols(),
+        b.rows(),
+        "matmul shape mismatch: {:?} x {:?}",
+        a.shape(),
+        b.shape()
+    );
+    let (m, k) = a.shape();
+    let n = b.cols();
+    if m * n * k >= PARALLEL_FLOP_THRESHOLD && m >= 2 {
+        matmul_parallel(a, b, out);
+    } else {
+        matmul_block(a.data(), b.data(), out.data_mut(), m, k, n);
     }
 }
 

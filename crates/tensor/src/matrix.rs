@@ -7,7 +7,7 @@ use crate::rng::Rng;
 /// The element at row `r`, column `c` lives at index `r * cols + c` of the
 /// backing vector. All operations panic on shape mismatch: shape errors in
 /// this codebase are programming bugs, not recoverable conditions.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -67,6 +67,15 @@ impl Matrix {
             cols
         );
         Self { rows, cols, data }
+    }
+
+    /// Reshapes to `rows x cols` and fills with zeros, keeping the
+    /// allocation, so a buffer reused across calls allocates only to grow.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Creates a matrix from row slices.
