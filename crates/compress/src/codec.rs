@@ -230,8 +230,7 @@ impl LowRankBand {
     /// The band's contribution in `(d_in, d_out)` weight orientation.
     pub fn dequantize(&self) -> Matrix {
         // p.dequantize() -> (d_in, rank) = P; q.dequantize() -> (d_out, rank)
-        // = Q. The blocked GEMM against Qᵀ sums each element over the rank
-        // in order from +0.0, the same bits as the plain P·Qᵀ loop.
+        // = Q; the band is P·Qᵀ, each element summed over the rank in order.
         self.p.dequantize().matmul(&self.q.dequantize().transpose())
     }
 }

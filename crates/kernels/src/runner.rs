@@ -459,12 +459,13 @@ impl Groups {
         self.order.sort_unstable_by_key(|&r| (rows[r].variant, r));
         self.runs.clear();
         let mut start = 0;
-        for (i, &r) in self.order.iter().enumerate() {
-            let v = rows[r].variant;
-            if i + 1 == self.order.len() || rows[self.order[i + 1]].variant != v {
-                self.runs.push((v, start..i + 1));
-                start = i + 1;
-            }
+        for run in self
+            .order
+            .chunk_by(|&a, &b| rows[a].variant == rows[b].variant)
+        {
+            self.runs
+                .push((rows[run[0]].variant, start..start + run.len()));
+            start += run.len();
         }
     }
 }
