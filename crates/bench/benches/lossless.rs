@@ -1,10 +1,9 @@
 //! Criterion benches for the GDeflate-substitute codec (Step 4 trade-off).
 //!
-//! The decode benches compare the retained serial tree-walk reference
-//! against the LUT fast path (single-threaded) and the page-parallel
-//! decoder, on both a packed-delta-like (repetitive) corpus and an
-//! incompressible one — the acceptance gate for the fast-path pipeline is
-//! ≥3× single-thread decode throughput over the reference on both.
+//! The decode benches compare the retained tree-walk reference against
+//! the LUT fast path, on both a packed-delta-like (repetitive) corpus and
+//! an incompressible one — the acceptance gate for the fast-path pipeline
+//! is ≥3× decode throughput over the reference on both.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 // One corpus definition shared with the `bench-lossless` experiment, so
@@ -41,12 +40,7 @@ fn bench_decode_paths(c: &mut Criterion) {
             &compressed,
             |b, d| b.iter(|| dz_lossless::decompress_reference(d).unwrap()),
         );
-        group.bench_with_input(
-            BenchmarkId::new("lut-1-thread", corpus),
-            &compressed,
-            |b, d| b.iter(|| dz_lossless::decompress_with_threads(d, 1).unwrap()),
-        );
-        group.bench_with_input(BenchmarkId::new("parallel", corpus), &compressed, |b, d| {
+        group.bench_with_input(BenchmarkId::new("lut", corpus), &compressed, |b, d| {
             b.iter(|| dz_lossless::decompress(d).unwrap())
         });
     }

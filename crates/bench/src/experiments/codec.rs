@@ -1,8 +1,7 @@
 //! Codec throughput experiment: the decode fast path measured end to end.
 //!
-//! `bench-lossless` times the three decode paths (serial tree-walk
-//! reference, single-threaded LUT, page-parallel) on a packed-delta-like
-//! corpus and an incompressible one, then drives a real `.dza` artifact
+//! `bench-lossless` times the two decode paths (tree-walk reference and
+//! LUT fast path) on a packed-delta-like corpus and an incompressible one, then drives a real `.dza` artifact
 //! through [`dz_store::TieredDeltaStore::fetch_decoded`] so the measured
 //! store-level decode throughput — the number the serving cost model now
 //! consumes — appears in the same report. Alongside the rendered markdown
@@ -74,7 +73,7 @@ pub fn bench_lossless(scale: Scale, out_dir: &Path) -> io::Result<Report> {
     let mut measurements: Vec<(&str, &str, f64, f64)> = Vec::new();
     for (corpus, data) in &corpora {
         let compressed = dz_lossless::compress(data);
-        let paths: [(&'static str, DecodeFn<'_>); 3] = [
+        let paths: [(&'static str, DecodeFn<'_>); 2] = [
             (
                 "reference",
                 Box::new(|| {
@@ -82,15 +81,9 @@ pub fn bench_lossless(scale: Scale, out_dir: &Path) -> io::Result<Report> {
                 }),
             ),
             (
-                "lut-1-thread",
+                "lut",
                 Box::new(|| {
-                    dz_lossless::decompress_with_threads(&compressed, 1).expect("lut");
-                }),
-            ),
-            (
-                "parallel",
-                Box::new(|| {
-                    dz_lossless::decompress(&compressed).expect("parallel");
+                    dz_lossless::decompress(&compressed).expect("lut");
                 }),
             ),
         ];
@@ -135,7 +128,7 @@ pub fn bench_lossless(scale: Scale, out_dir: &Path) -> io::Result<Report> {
     body.push_str(&format!("json: {json}\n"));
     Ok(Report {
         id: "bench-lossless",
-        title: "Decode pipeline throughput (LUT + parallel pages + store reads in runs)",
+        title: "Decode pipeline throughput (LUT fast path + store reads in runs)",
         body,
     })
 }

@@ -3,9 +3,9 @@
 //! `bench-smoke` measures one representative number from each
 //! performance-critical subsystem:
 //!
-//! * `decode_mb_s` — single-threaded LUT decode throughput on the shared
-//!   packed-delta corpus (wall-clock; the baseline bound is generous to
-//!   absorb runner variance),
+//! * `decode_mb_s` — LUT decode throughput on the shared packed-delta
+//!   corpus (wall-clock; the baseline bound is generous to absorb runner
+//!   variance),
 //! * `cluster_p99_e2e_s` — placement-aware cluster p99 on a fixed-seed
 //!   trace (simulated time: bit-for-bit deterministic),
 //! * `swap_overlap_frac`, `swap_warm_ttft_p99_s`, `swap_stall_ratio` —
@@ -88,14 +88,13 @@ fn synthetic_pair() -> (Params, Params) {
 /// (the instrumentation is a no-op on the metrics path — pinned by a test
 /// in `dz-serve`).
 fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
-    // 1. Decode throughput: 2 MiB packed-delta corpus, LUT single-thread,
-    //    best of 3.
+    // 1. Decode throughput: 2 MiB packed-delta corpus, LUT, best of 3.
     let corpus = packed_delta_like(2 << 20, 7);
     let compressed = dz_lossless::compress(&corpus);
     let mut best = f64::MAX;
     for _ in 0..3 {
         let t0 = Instant::now();
-        dz_lossless::decompress_with_threads(&compressed, 1).expect("decode");
+        dz_lossless::decompress(&compressed).expect("decode");
         best = best.min(t0.elapsed().as_secs_f64());
     }
     let decode_mb_s = corpus.len() as f64 / best / 1e6;

@@ -11,7 +11,7 @@
 //! | `hash-iter` | iterating `HashMap` / `HashSet` | sim-state crates (serve, store, gpusim, workload, trace) |
 //! | `float-eq` | `==` / `!=` against float literals | sim-state crates |
 //! | `unwrap-budget` | `.unwrap()` / `.expect()` / `panic!` growth | all library code, vs `ci/unwrap-budget.json` |
-//! | `thread-spawn` | `thread::spawn` / `thread::scope` | everywhere except the decode modules |
+//! | `thread-spawn` | `thread::spawn` / `thread::scope` | all library code |
 //! | `bench-provenance` | writing `BENCH_*.json` without `json_provenance` | all library code |
 //! | `dead-pub` | `pub` items no non-test code names outside `use` lines | library `crates/*/src` (whole-workspace pass) |
 //!
@@ -45,9 +45,6 @@ pub const SIM_STATE_CRATES: &[&str] = &["serve", "store", "gpusim", "workload", 
 /// The one crate allowed to read wall clocks freely: the bench harness
 /// measures real time by design.
 pub const WALL_CLOCK_CRATES: &[&str] = &["bench"];
-
-/// Decode modules allowed to spawn threads (scoped page fan-out).
-pub const THREAD_FILES: &[&str] = &["crates/lossless/src/page.rs"];
 
 /// Where a file sits in the workspace, for rule scoping.
 #[derive(Debug, Clone)]
@@ -96,7 +93,7 @@ pub fn check_file(lexed: &LexedFile, meta: &FileMeta) -> (Vec<RawFinding>, Vec<U
     wall_clock(lexed, meta, &exempt, &mut findings);
     hash_iter(lexed, meta, &exempt, &mut findings);
     float_eq(lexed, meta, &exempt, &mut findings);
-    thread_spawn(lexed, meta, &exempt, &mut findings);
+    thread_spawn(lexed, &exempt, &mut findings);
     bench_provenance(lexed, meta, &exempt, &mut findings);
     unwrap_sites(lexed, &exempt, &mut unwraps);
     (findings, unwraps)
@@ -463,15 +460,7 @@ fn float_eq(
 // thread-spawn
 // ---------------------------------------------------------------------------
 
-fn thread_spawn(
-    lexed: &LexedFile,
-    meta: &FileMeta,
-    exempt: &dyn Fn(usize) -> bool,
-    out: &mut Vec<RawFinding>,
-) {
-    if THREAD_FILES.contains(&meta.rel_path.as_str()) {
-        return;
-    }
+fn thread_spawn(lexed: &LexedFile, exempt: &dyn Fn(usize) -> bool, out: &mut Vec<RawFinding>) {
     let code = &lexed.code;
     let bytes = code.as_bytes();
     for i in word_positions(code, "thread") {
@@ -493,9 +482,9 @@ fn thread_spawn(
                 rule: "thread-spawn",
                 line,
                 message: format!(
-                    "`thread::{which}` outside the allowlisted decode modules \
-                     ({}) — thread scheduling must never touch simulation state",
-                    THREAD_FILES.join(", ")
+                    "`thread::{which}` in library code — library code runs on the \
+                     calling thread, and thread scheduling must never touch \
+                     simulation state"
                 ),
             });
         }

@@ -149,15 +149,12 @@ fn thread_spawn_positive() {
     assert_eq!(rules_of(&f), ["thread-spawn"]);
     let (f, _) = serve("pub fn f() { std::thread::scope(|_s| {}); }");
     assert_eq!(rules_of(&f), ["thread-spawn"]);
-}
-
-#[test]
-fn thread_spawn_allowlisted_file_is_fine() {
+    // No library file is exempt, the page decoder included.
     let (f, _) = lint_source(
         "pub fn f() { std::thread::scope(|_s| {}); }",
         &meta("crates/lossless/src/page.rs", "lossless"),
     );
-    assert!(f.is_empty(), "{f:?}");
+    assert_eq!(rules_of(&f), ["thread-spawn"]);
 }
 
 #[test]

@@ -14,7 +14,8 @@
 //!   package-merge algorithm,
 //! * [`bitio`] — LSB-first bit reader/writer,
 //! * [`page`] — the paged container: each page compresses independently and
-//!   records its compressed size, so pages can be decoded in parallel.
+//!   records its compressed size and carries its own Huffman tables, as
+//!   GDeflate's pages do so a GPU can decode them in parallel.
 //!
 //! The container format is custom (simpler than RFC 1951 — code lengths are
 //! stored verbatim rather than RLE-encoded) but the algorithmic content is
@@ -23,11 +24,10 @@
 //! Decoding is built for throughput: a word-filling bit reader
 //! (`peek`/`consume`, no per-bit branching), a two-level lookup-table
 //! Huffman decoder ([`huffman::LutDecoder`]; single probe for codes up to
-//! [`huffman::LUT_BITS`] bits), slicing-by-16 CRC32, and [`decompress`]
-//! fans independent pages out across scoped threads once the stream is
-//! large enough to amortize spawns. The original serial tree-walk path is
-//! retained as [`decompress_reference`] and property-tested against the
-//! fast path.
+//! [`huffman::LUT_BITS`] bits), and slicing-by-16 CRC32. [`decompress`]
+//! decodes the pages one after another on the calling thread. The original
+//! tree-walk path is retained as [`decompress_reference`] and
+//! property-tested against the fast path.
 //!
 //! # Examples
 //!
@@ -47,5 +47,5 @@ pub mod page;
 
 pub use page::{
     compress, compress_with_page_size, declared_len_and_crc, decompress, decompress_reference,
-    decompress_with_threads, CodecError, DEFAULT_PAGE_SIZE,
+    CodecError, DEFAULT_PAGE_SIZE,
 };

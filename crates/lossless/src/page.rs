@@ -17,8 +17,8 @@
 //! that barely shrinks costs far more to read than the bytes it saves.
 //! Quantized delta records are mostly literals and land on the stored side.
 //! Independent pages are what makes GDeflate GPU-friendly: a decompression
-//! engine assigns one page per thread block. Here they let `decompress` be
-//! trivially parallelizable and bound the memory of the matcher.
+//! engine assigns one page per thread block. Here they bound the memory of
+//! the matcher and let each page carry its own Huffman tables.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{code_lengths, DecodeError, Decoder, Encoder, LutDecoder, MAX_CODE_LEN};
@@ -26,14 +26,6 @@ use crate::lz77::{tokenize, Token, MAX_MATCH, MIN_MATCH};
 
 /// Default page size (64 KiB, as GDeflate uses).
 pub const DEFAULT_PAGE_SIZE: usize = 64 * 1024;
-
-/// Minimum raw bytes before page decoding goes multi-threaded; below this
-/// the thread spawn cost outweighs the decode work (same reasoning as the
-/// FLOP threshold in `dz-tensor`'s parallel GEMM).
-const PARALLEL_BYTE_THRESHOLD: usize = 256 * 1024;
-
-/// Maximum number of worker threads used by the parallel decode path.
-const MAX_DECODE_THREADS: usize = 8;
 
 const MAGIC: &[u8; 4] = b"DZLC";
 const VERSION: u8 = 2;
@@ -534,73 +526,15 @@ pub fn declared_len_and_crc(stream: &[u8]) -> Result<(u64, u32), CodecError> {
 
 /// Decompresses a stream produced by [`compress`].
 ///
-/// This is the fast path: LUT Huffman decoding per page, and pages fanned
-/// out across scoped threads once the stream is large enough to amortize
-/// spawn costs (pages carry independent Huffman tables, so decoding them
-/// concurrently is exactly the parallelism the page format was designed
-/// for).
+/// This is the fast path: LUT Huffman decoding, one page after another
+/// into the output buffer.
 pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
-    decompress_with_threads(stream, MAX_DECODE_THREADS)
-}
-
-/// Decompresses with an explicit worker-thread cap (`1` forces the
-/// single-threaded LUT path; the cap is further limited by the page count
-/// and the machine's available parallelism).
-pub fn decompress_with_threads(stream: &[u8], max_threads: usize) -> Result<Vec<u8>, CodecError> {
     let parsed = parse_stream(stream)?;
     let mut out = vec![0u8; parsed.raw_len];
-    let threads = if parsed.raw_len >= PARALLEL_BYTE_THRESHOLD {
-        max_threads
-            .max(1)
-            .min(parsed.pages.len())
-            .min(std::thread::available_parallelism().map_or(1, |p| p.get()))
-    } else {
-        1
-    };
-    if threads <= 1 {
-        if parsed.raw_len > 0 {
-            for ((payload, mode), chunk) in parsed
-                .pages
-                .iter()
-                .zip(out.chunks_mut(parsed.page_size.max(1)))
-            {
-                decompress_page_into(payload, *mode, chunk)?;
-            }
-        }
-    } else {
-        // One decode job per page: payload, mode, destination chunk.
-        type PageJob<'p, 'o> = (&'p [u8], u8, &'o mut [u8]);
-        let mut jobs: Vec<PageJob<'_, '_>> = parsed
-            .pages
-            .iter()
-            .zip(out.chunks_mut(parsed.page_size))
-            .map(|(&(payload, mode), chunk)| (payload, mode, chunk))
-            .collect();
-        let per_thread = jobs.len().div_ceil(threads);
-        let mut groups: Vec<Vec<PageJob<'_, '_>>> = Vec::with_capacity(threads);
-        while !jobs.is_empty() {
-            let n = per_thread.min(jobs.len());
-            groups.push(jobs.drain(..n).collect());
-        }
-        std::thread::scope(|scope| -> Result<(), CodecError> {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| {
-                    scope.spawn(move || -> Result<(), CodecError> {
-                        for (payload, mode, chunk) in group {
-                            decompress_page_into(payload, mode, chunk)?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            // First failing group (lowest page range) wins, matching the
-            // serial path's error order.
-            for h in handles {
-                h.join().expect("page decode worker panicked")?;
-            }
-            Ok(())
-        })?;
+    // An empty stream may declare a zero page size; it has no pages.
+    let page_size = parsed.page_size.max(1);
+    for ((payload, mode), chunk) in parsed.pages.iter().zip(out.chunks_mut(page_size)) {
+        decompress_page_into(payload, *mode, chunk)?;
     }
     if crate::crc::crc32(&out) != parsed.stored_crc {
         return Err(CodecError::ChecksumMismatch);
@@ -801,27 +735,32 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decode_crosses_thread_threshold() {
-        // Enough pages and raw bytes to actually fan out, with mixed
-        // Huffman and stored pages.
-        let mut data = b"multi page parallel decode ".repeat(40_000);
+    fn large_mixed_multi_page_stream_matches_reference() {
+        // Many pages, Huffman-coded and stored, decoded one after another
+        // through the fast path and through the reference.
+        let mut data = b"multi page decode ".repeat(60_000);
         let mut x = 0x2545_F491_4F6C_DD1Du64;
-        data.extend((0..PARALLEL_BYTE_THRESHOLD).map(|_| {
+        data.extend((0..4 * DEFAULT_PAGE_SIZE + 123).map(|_| {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
             (x >> 32) as u8
         }));
-        assert!(data.len() > PARALLEL_BYTE_THRESHOLD * 2);
         let c = compress(&data);
+        let modes: Vec<u8> = parse_stream(&c)
+            .expect("parse")
+            .pages
+            .iter()
+            .map(|p| p.1)
+            .collect();
+        assert!(modes.len() > 16, "{} pages", modes.len());
+        assert!(modes.contains(&MODE_HUFFMAN) && modes.contains(&MODE_STORED));
         assert_eq!(decompress(&c).unwrap(), data);
-        assert_eq!(decompress_with_threads(&c, 1).unwrap(), data);
-        assert_eq!(decompress_with_threads(&c, 3).unwrap(), data);
         assert_eq!(decompress_reference(&c).unwrap(), data);
     }
 
     #[test]
-    fn parallel_decode_rejects_corruption_like_serial() {
+    fn fast_decode_rejects_corruption_like_reference() {
         let data = b"corruption must never pass ".repeat(40_000);
         let c = compress(&data);
         for pos in [8, c.len() / 2, c.len() - 3] {

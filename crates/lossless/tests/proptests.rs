@@ -1,5 +1,5 @@
 //! Property-based tests: the codec must be the identity on arbitrary bytes,
-//! and the fast decode pipeline (LUT Huffman, parallel pages) must be
+//! and the fast decode pipeline (LUT Huffman, word-filling bit reader) must be
 //! indistinguishable from the retained serial reference path.
 
 use dz_lossless::bitio::{BitReader, BitWriter};
@@ -57,15 +57,14 @@ proptest! {
     }
 
     #[test]
-    fn parallel_decode_is_byte_identical_to_serial_reference(
+    fn fast_decode_is_byte_identical_to_reference(
         data in proptest::collection::vec(any::<u8>(), 0..60_000),
         page in 1usize..2_048,
-        threads in 1usize..6,
     ) {
-        // The fast path (LUT decoder, optional page fan-out) and the
-        // retained tree-walk reference must agree byte for byte.
+        // The fast path (LUT decoder) and the retained tree-walk reference
+        // must agree byte for byte.
         let c = dz_lossless::compress_with_page_size(&data, page);
-        let fast = dz_lossless::decompress_with_threads(&c, threads).unwrap();
+        let fast = dz_lossless::decompress(&c).unwrap();
         let slow = dz_lossless::decompress_reference(&c).unwrap();
         prop_assert_eq!(&fast, &slow);
         prop_assert_eq!(fast, data);

@@ -532,11 +532,10 @@ impl<R: Read + Seek> ArtifactReader<R> {
     /// Reassembles the whole [`CompressedDelta`], reporting measured decode
     /// throughput.
     ///
-    /// Tensors are read and decoded one at a time in file order, so the
-    /// read holds one compressed page besides its output; the page codec
-    /// fans the pages of one large tensor out itself. The first corrupt
-    /// tensor in file order fails the read, and the output is
-    /// byte-identical to the per-tensor reads.
+    /// Tensors are read and decoded one at a time in file order, on the
+    /// calling thread, so the read holds one compressed page besides its
+    /// output. The first corrupt tensor in file order fails the read, and
+    /// the output is byte-identical to the per-tensor reads.
     pub fn read_delta_with_stats(&mut self) -> Result<(CompressedDelta, DecodeStats), StoreError> {
         // dz-lint: allow(wall-clock, "decode wall time IS the measured quantity, reported as DecodeStats")
         let t_start = Instant::now();

@@ -1,18 +1,10 @@
-//! Blocked and multi-threaded matrix multiplication.
+//! Blocked matrix multiplication.
 //!
 //! The inner kernel is a cache-blocked `i-k-j` loop over row-major data,
-//! which vectorizes well with the default compiler settings. For larger
-//! problems [`Matrix::matmul`] splits the output rows across a scoped
-//! thread pool; the split threshold was chosen so tiny (test-sized)
-//! matrices do not pay thread spawn costs.
+//! which vectorizes well with the default compiler settings. It runs on
+//! the calling thread.
 
 use crate::matrix::Matrix;
-
-/// Minimum number of output FLOPs before GEMM goes multi-threaded.
-const PARALLEL_FLOP_THRESHOLD: usize = 1 << 22;
-
-/// Maximum number of worker threads used by the parallel path.
-const MAX_THREADS: usize = 8;
 
 impl Matrix {
     /// Matrix product `self * other`.
@@ -140,12 +132,7 @@ fn matmul_zeroed(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         b.shape()
     );
     let (m, k) = a.shape();
-    let n = b.cols();
-    if m * n * k >= PARALLEL_FLOP_THRESHOLD && m >= 2 {
-        matmul_parallel(a, b, out);
-    } else {
-        matmul_block(a.data(), b.data(), out.data_mut(), m, k, n);
-    }
+    matmul_block(a.data(), b.data(), out.data_mut(), m, k, b.cols());
 }
 
 /// Cache-blocked single-threaded GEMM on raw row-major slices.
@@ -178,37 +165,6 @@ pub fn matmul_block(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: 
             }
         }
     }
-}
-
-fn matmul_parallel(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let threads = MAX_THREADS
-        .min(m)
-        .min(std::thread::available_parallelism().map_or(1, |p| p.get()));
-    if threads <= 1 {
-        matmul_block(a.data(), b.data(), out.data_mut(), m, k, n);
-        return;
-    }
-    let rows_per = m.div_ceil(threads);
-    let b_data = b.data();
-    let a_data = a.data();
-    let chunks: Vec<(usize, &mut [f32])> = out
-        .data_mut()
-        .chunks_mut(rows_per * n)
-        .enumerate()
-        .collect();
-    // dz-lint: allow(thread-spawn, "data-parallel GEMM over disjoint row chunks; output is order-independent")
-    std::thread::scope(|scope| {
-        for (idx, c_chunk) in chunks {
-            let r0 = idx * rows_per;
-            let rows_here = c_chunk.len() / n;
-            let a_chunk = &a_data[r0 * k..(r0 + rows_here) * k];
-            scope.spawn(move || {
-                matmul_block(a_chunk, b_data, c_chunk, rows_here, k, n);
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -256,6 +212,7 @@ mod tests {
             (17, 31, 13),
             (64, 64, 64),
             (65, 129, 67),
+            (128, 192, 256),
         ] {
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 1.0, &mut rng);
@@ -263,17 +220,6 @@ mod tests {
             let r = naive_matmul(&a, &b);
             assert!(c.max_abs_diff(&r) < 1e-3, "mismatch at {m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn parallel_path_matches_naive() {
-        let mut rng = Rng::seeded(3);
-        // Big enough to cross PARALLEL_FLOP_THRESHOLD (2^22 flops).
-        let a = Matrix::randn(128, 192, 1.0, &mut rng);
-        let b = Matrix::randn(192, 256, 1.0, &mut rng);
-        let c = a.matmul(&b);
-        let r = naive_matmul(&a, &b);
-        assert!(c.max_abs_diff(&r) < 1e-2);
     }
 
     #[test]

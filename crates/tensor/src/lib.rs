@@ -3,7 +3,7 @@
 //! Every higher-level crate (the transformer substrate, the compression
 //! pipeline, the CPU reference kernels) builds on the [`Matrix`] type defined
 //! here. The crate deliberately stays small and dependency-free: row-major
-//! dense storage, a blocked and optionally multi-threaded GEMM, the little
+//! dense storage, a blocked single-threaded GEMM, the little
 //! bit of linear algebra the OBS solver needs (Cholesky factorization and
 //! positive-definite inversion), and summary statistics used by the
 //! experiment harness.
