@@ -70,7 +70,7 @@ pub fn perplexity(params: &Params, seqs: &[Vec<usize>]) -> f64 {
 pub fn greedy_generate(params: &Params, prompt: &[usize], max_new: usize) -> Vec<usize> {
     assert!(!prompt.is_empty(), "prompt must be non-empty");
     let mut cache = KvCache::new(params.config.n_layers);
-    let mut logits = forward_infer(params, prompt, &mut cache, None);
+    let mut logits = forward_infer(params, prompt, &mut cache);
     let mut out = Vec::with_capacity(max_new);
     for _ in 0..max_new {
         if cache.len() >= params.config.max_seq {
@@ -81,7 +81,7 @@ pub fn greedy_generate(params: &Params, prompt: &[usize], max_new: usize) -> Vec
         if cache.len() == params.config.max_seq {
             break;
         }
-        logits = forward_infer(params, &[next], &mut cache, None);
+        logits = forward_infer(params, &[next], &mut cache);
     }
     out
 }

@@ -508,6 +508,8 @@ pub fn forward_graph(
 #[derive(Debug, Clone)]
 pub struct KvCache {
     layers: Vec<LayerKv>,
+    /// One query row's attention scores, reused from row to row.
+    scores: Vec<f32>,
 }
 
 /// One layer's cached keys and values, each row-major `(rows, d)`.
@@ -523,6 +525,7 @@ impl KvCache {
     pub fn new(n_layers: usize) -> Self {
         KvCache {
             layers: vec![LayerKv::default(); n_layers],
+            scores: Vec::new(),
         }
     }
 
@@ -554,11 +557,13 @@ impl KvCache {
         let d = q.len();
         let dh = d / heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        let layer = &mut self.layers[li];
+        let KvCache { layers, scores } = self;
+        let layer = &mut layers[li];
         layer.k.extend_from_slice(k);
         layer.v.extend_from_slice(v);
         layer.rows += 1;
-        let mut scores = vec![0.0f32; layer.rows];
+        scores.clear();
+        scores.resize(layer.rows, 0.0);
         for hi in 0..heads {
             let cols = hi * dh..(hi + 1) * dh;
             let qh = &q[cols.clone()];
@@ -638,22 +643,14 @@ pub type Recorder<'a> = dyn FnMut(&str, &Matrix) + 'a;
 /// of every new position (`new_ids.len() x vocab`): [`embed`], one
 /// [`layer_infer`] per block, then the final LayerNorm and head.
 ///
-/// With a `record` callback the pass also hands over the input activation
-/// of every linear projection, as [`layer_infer`] describes.
-///
 /// # Panics
 ///
 /// Panics if `new_ids` is empty or the total sequence would exceed
 /// `max_seq`.
-pub fn forward_infer(
-    params: &Params,
-    new_ids: &[usize],
-    cache: &mut KvCache,
-    mut record: Option<&mut Recorder>,
-) -> Matrix {
+pub fn forward_infer(params: &Params, new_ids: &[usize], cache: &mut KvCache) -> Matrix {
     let mut x = embed(params, new_ids, cache.len());
     for li in 0..params.layers.len() {
-        layer_infer(params, li, &mut x, cache, record.as_deref_mut());
+        layer_infer(params, li, &mut x, cache, None);
     }
     layer_norm(&x, &params.lnf_g, &params.lnf_b).matmul(&params.head)
 }
@@ -824,10 +821,10 @@ mod tests {
         let full = forward_full(&p, &ids);
         // Incremental: feed the prompt, then one token at a time.
         let mut cache = KvCache::new(cfg.n_layers);
-        let prompt = forward_infer(&p, &ids[..3], &mut cache, None);
+        let prompt = forward_infer(&p, &ids[..3], &mut cache);
         let mut diffs = vec![full.submatrix(0, 0, 3, cfg.vocab).max_abs_diff(&prompt)];
         for t in 3..ids.len() {
-            let last = forward_infer(&p, &ids[t..t + 1], &mut cache, None);
+            let last = forward_infer(&p, &ids[t..t + 1], &mut cache);
             diffs.push(full.submatrix(t, 0, 1, cfg.vocab).max_abs_diff(&last));
         }
         for (i, d) in diffs.iter().enumerate() {
@@ -891,17 +888,22 @@ mod tests {
 
     #[test]
     fn recorded_inputs_feed_each_projection() {
-        // Recording must not change the logits, and each recorded input
-        // must be what its projection multiplies.
+        // Recording must not change the hidden rows, and each recorded
+        // input must be what its projection multiplies.
         let cfg = test_config();
         let p = Params::init(cfg, &mut Rng::seeded(8));
         let ids = [1usize, 10, 11, 2];
         let mut seen = Vec::new();
         let mut record = |name: &str, x: &Matrix| seen.push((name.to_string(), x.clone()));
+        let mut recorded = embed(&p, &ids, 0);
+        let mut plain = recorded.clone();
         let mut cache = KvCache::new(cfg.n_layers);
-        let logits = forward_infer(&p, &ids, &mut cache, Some(&mut record));
-        let plain = forward_infer(&p, &ids, &mut KvCache::new(cfg.n_layers), None);
-        assert_eq!(logits, plain);
+        let mut plain_cache = KvCache::new(cfg.n_layers);
+        for li in 0..cfg.n_layers {
+            layer_infer(&p, li, &mut recorded, &mut cache, Some(&mut record));
+            layer_infer(&p, li, &mut plain, &mut plain_cache, None);
+        }
+        assert_eq!(recorded, plain);
         let names: Vec<&str> = seen.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, p.linear_layer_names());
         for (name, x) in &seen {

@@ -27,9 +27,9 @@ proptest! {
         let split = split.min(ids.len());
         let full = forward_full(&params, &ids);
         let mut cache = KvCache::new(cfg.n_layers);
-        let mut logits = forward_infer(&params, &ids[..split], &mut cache, None);
+        let mut logits = forward_infer(&params, &ids[..split], &mut cache);
         for t in split..ids.len() {
-            logits = forward_infer(&params, &ids[t..t + 1], &mut cache, None);
+            logits = forward_infer(&params, &ids[t..t + 1], &mut cache);
         }
         let last = logits.submatrix(logits.rows() - 1, 0, 1, cfg.vocab);
         let reference = full.submatrix(ids.len() - 1, 0, 1, cfg.vocab);
