@@ -2,9 +2,9 @@
 //! quality / ratio / serving-cost cells.
 //!
 //! `bench-compress` trains one model-zoo family (base + FMT mixture),
-//! compresses the delta with every codec in
-//! [`dz_compress::codec::codec_zoo`] (each at two bit budgets), and
-//! measures per cell:
+//! compresses the delta with every codec in the method zoo (SparseGPT★,
+//! BitDelta and Delta-CoMe, each at two bit budgets, lossless stage on),
+//! and measures per cell:
 //!
 //! * mean task accuracy on the family's three tasks and the drop vs the
 //!   FP16 fine-tune, plus perplexity on the shared corpus,

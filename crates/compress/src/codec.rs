@@ -680,20 +680,6 @@ impl DeltaCodec for DeltaComeCodec {
     }
 }
 
-/// The default method zoo swept by `exp bench-compress`: every codec at
-/// two bit budgets.
-// dz-lint: allow(dead-pub, "the canonical six-codec method zoo; its unit test pins the ids and budgets")
-pub fn codec_zoo() -> Vec<Box<dyn DeltaCodec>> {
-    vec![
-        Box::new(SparseGptCodec::starred(4)),
-        Box::new(SparseGptCodec::starred(2)),
-        Box::new(BitDeltaCodec::per_matrix()),
-        Box::new(BitDeltaCodec::per_row()),
-        Box::new(DeltaComeCodec::low_budget()),
-        Box::new(DeltaComeCodec::high_budget()),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -819,20 +805,5 @@ mod tests {
             assert!(layer.as_quant().is_none());
             assert!(!layer.to_bytes().is_empty());
         }
-    }
-
-    #[test]
-    fn codec_zoo_has_three_codecs_at_two_budgets() {
-        let zoo = codec_zoo();
-        assert_eq!(zoo.len(), 6);
-        let mut by_id: BTreeMap<CodecId, usize> = BTreeMap::new();
-        for codec in &zoo {
-            *by_id.entry(codec.id()).or_default() += 1;
-        }
-        assert_eq!(by_id.len(), 3, "three distinct codecs");
-        assert!(by_id.values().all(|&n| n >= 2), "two budgets each");
-        // Labels are unique (they encode the budget).
-        let labels: std::collections::BTreeSet<String> = zoo.iter().map(|c| c.label()).collect();
-        assert_eq!(labels.len(), zoo.len());
     }
 }

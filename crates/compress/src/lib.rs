@@ -33,8 +33,8 @@ pub mod quant;
 pub mod wire;
 
 pub use codec::{
-    codec_zoo, BitDeltaCodec, CodecId, DeltaCodec, DeltaComeCodec, LowRankMatrix, PackedLayer,
-    SignMatrix, SignScope, SparseGptCodec,
+    BitDeltaCodec, CodecId, DeltaCodec, DeltaComeCodec, LowRankMatrix, PackedLayer, SignMatrix,
+    SignScope, SparseGptCodec,
 };
 pub use pack::{CompressedMatrix, MatrixFormat};
 pub use pipeline::{CompressedDelta, DeltaCompressConfig, SizeReport};

@@ -52,9 +52,7 @@
 pub mod manager;
 
 use dz_compress::calib::calibration_set;
-pub use dz_compress::codec::{
-    codec_zoo, BitDeltaCodec, CodecId, DeltaCodec, DeltaComeCodec, SparseGptCodec,
-};
+pub use dz_compress::codec::{BitDeltaCodec, CodecId, DeltaCodec, DeltaComeCodec, SparseGptCodec};
 use dz_compress::pipeline::{delta_compress, DeltaCompressConfig, SizeReport};
 use dz_kernels::{AdapterView, BatchRunner, Variant};
 use dz_model::lora::LoraAdapter;
@@ -345,22 +343,6 @@ impl DeltaZip {
             .register_variant_from_artifact(base, registry, id)
     }
 
-    /// Replays a trace across a multi-replica cluster behind a pluggable
-    /// routing policy (round-robin, least-loaded, or placement-aware) —
-    /// the fleet-scale serving path. See
-    /// [`dz_serve::cluster`] for routers, placement plans, and SLO-aware
-    /// admission control.
-    // dz-lint: allow(dead-pub, "facade entry for the cluster simulator, exercised by its own unit test")
-    pub fn simulate_cluster(
-        &self,
-        trace: &Trace,
-        costs: Vec<CostModel>,
-        config: ClusterConfig,
-        router: Box<dyn Router>,
-    ) -> ClusterReport {
-        ClusterSim::new(costs, config, router).run(trace)
-    }
-
     /// Replays a trace with the engine bound to a tiered artifact store:
     /// per-request load waits reflect each artifact's real compressed
     /// bytes (host hit → PCIe only; miss → disk + PCIe). Returns the
@@ -379,51 +361,6 @@ impl DeltaZip {
         let metrics = engine.run(trace);
         let binding = engine.delta_store.take().expect("binding attached above");
         (metrics, binding)
-    }
-
-    /// Replays a trace through the unified toppings engine: each model's
-    /// [`VariantKind`] (base, LoRA, delta, or stacked delta+LoRA) comes
-    /// from the catalog, and one continuous batch serves all four kinds
-    /// subject to the scheduler's `max_toppings_per_batch` cap — delta
-    /// requests dispatch through SBMM, adapters through SGMV.
-    ///
-    /// ```
-    /// use deltazip::{CostModel, DeltaZip, DeltaZipConfig, VariantCatalog};
-    /// use dz_gpusim::shapes::ModelShape;
-    /// use dz_gpusim::spec::NodeSpec;
-    /// use dz_workload::{PopularityDist, Trace, TraceSpec};
-    ///
-    /// let dz = DeltaZip::new();
-    /// let trace = Trace::generate(TraceSpec {
-    ///     n_models: 6,
-    ///     arrival_rate: 1.0,
-    ///     duration_s: 10.0,
-    ///     popularity: PopularityDist::Zipf { alpha: 1.5 },
-    ///     seed: 7,
-    /// });
-    /// let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-    /// let metrics = dz.simulate_toppings(
-    ///     &trace,
-    ///     cost,
-    ///     DeltaZipConfig::default(),
-    ///     VariantCatalog::interleaved(6, 16),
-    /// );
-    /// assert_eq!(metrics.len(), trace.len());
-    /// assert_eq!(metrics.toppings.total_reqs(), trace.len());
-    /// ```
-    // dz-lint: allow(dead-pub, "facade entry for the toppings engine, exercised by its doc example")
-    pub fn simulate_toppings(
-        &self,
-        trace: &Trace,
-        cost: CostModel,
-        config: DeltaZipConfig,
-        catalog: VariantCatalog,
-    ) -> Metrics {
-        EngineBuilder::new(cost)
-            .scheduler(config)
-            .catalog(catalog)
-            .build()
-            .run(trace)
     }
 }
 
@@ -445,32 +382,6 @@ mod tests {
         let mut tuned = base.clone();
         finetune_fmt(&mut tuned, &SentimentTask, TrainConfig::finetune(30));
         (base, tuned)
-    }
-
-    #[test]
-    fn simulate_cluster_through_facade() {
-        use dz_gpusim::shapes::ModelShape;
-        use dz_gpusim::spec::NodeSpec;
-        use dz_workload::{PopularityDist, TraceSpec};
-
-        let dz = DeltaZip::new();
-        let trace = Trace::generate(TraceSpec {
-            n_models: 6,
-            arrival_rate: 1.0,
-            duration_s: 20.0,
-            popularity: PopularityDist::Zipf { alpha: 1.5 },
-            seed: 5,
-        });
-        let costs = vec![CostModel::new(NodeSpec::a800_node(2), ModelShape::llama13b()); 2];
-        let plan = PlacementPlan::from_popularity(trace.spec.popularity, 6, 2);
-        let report = dz.simulate_cluster(
-            &trace,
-            costs,
-            ClusterConfig::replicas(2),
-            Box::new(PlacementAwareRouter::new(plan)),
-        );
-        assert_eq!(report.merged.len(), trace.len());
-        assert_eq!(report.goodput(), 1.0);
     }
 
     #[test]

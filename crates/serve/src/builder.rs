@@ -19,17 +19,32 @@ use dz_trace::{TraceConfig, Tracer};
 
 /// Builder for serving engines over one [`CostModel`].
 ///
+/// A catalog of base, LoRA, delta and stacked models served by one
+/// continuous batch: delta requests dispatch through SBMM, adapters
+/// through SGMV.
+///
 /// ```
 /// use dz_gpusim::shapes::ModelShape;
 /// use dz_gpusim::spec::NodeSpec;
-/// use dz_serve::{CostModel, EngineBuilder, VariantCatalog};
+/// use dz_serve::{CostModel, Engine, EngineBuilder, VariantCatalog};
+/// use dz_workload::{PopularityDist, Trace, TraceSpec};
 ///
 /// let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-/// let engine = EngineBuilder::new(cost)
+/// let mut engine = EngineBuilder::new(cost)
 ///     .catalog(VariantCatalog::interleaved(6, 16))
 ///     .max_toppings_per_batch(4)
 ///     .build();
 /// assert!(engine.catalog.is_some());
+/// let trace = Trace::generate(TraceSpec {
+///     n_models: 6,
+///     arrival_rate: 1.0,
+///     duration_s: 10.0,
+///     popularity: PopularityDist::Zipf { alpha: 1.5 },
+///     seed: 7,
+/// });
+/// let metrics = engine.run(&trace);
+/// assert_eq!(metrics.len(), trace.len());
+/// assert_eq!(metrics.toppings.total_reqs(), trace.len());
 /// ```
 pub struct EngineBuilder {
     cost: CostModel,

@@ -104,20 +104,6 @@ impl CostModel {
         self.shape.fp16_bytes()
     }
 
-    /// Resident bytes of one rank-`rank` adapter: FP16 A/B factors for
-    /// every adapted projection across all layers. Megabytes against the
-    /// gigabytes of [`delta_bytes`](Self::delta_bytes) — the warmth
-    /// asymmetry that makes adapters near-free to replicate.
-    pub fn adapter_bytes(&self, rank: usize) -> f64 {
-        let per_layer: usize = self
-            .shape
-            .layer_linears()
-            .iter()
-            .map(|&(k, n)| (k * rank + rank * n) * 2)
-            .sum();
-        (per_layer * self.shape.n_layers) as f64
-    }
-
     /// Time for one decode iteration of the DeltaZip engine.
     ///
     /// `reqs_per_delta[d]` is the number of running requests per resident
@@ -133,7 +119,10 @@ impl CostModel {
     /// sub-batch, and SGMV over the adapter-backed sub-batch (stacked
     /// requests appear in both). With no adapters this is float-for-float
     /// the legacy delta-only iteration — the all-delta differential test
-    /// pins that bit-identity.
+    /// pins that bit-identity. With no deltas it is the LoRA iteration
+    /// (Punica-style SGMV: base GEMM plus a rank-`rank` adapter product
+    /// whose weight traffic is negligible) that
+    /// [`rosa_decode_iter`](Self::rosa_decode_iter) builds on.
     ///
     /// `batch` is the total running batch (base requests contribute to
     /// the shared GEMM even though they appear in neither slice).
@@ -174,7 +163,8 @@ impl CostModel {
             );
             t += s;
             sbmm_s += s;
-            // Adapter SGMV, same pricing as `lora_decode_iter`.
+            // Adapter SGMV: x A then (xA) B for each adapter; tiny k x r
+            // and r x n.
             if adapter_batch > 0 {
                 let distinct = reqs_per_adapter.iter().filter(|&&r| r > 0).count();
                 let adapter_bytes = (k * rank + rank * n / tp) as f64 * 2.0;
@@ -237,54 +227,23 @@ impl CostModel {
         t
     }
 
-    /// Decode iteration for LoRA serving (Punica-style SGMV): base GEMM plus
-    /// a rank-`r` adapter product whose weight traffic is negligible.
-    pub fn lora_decode_iter(&self, reqs_per_adapter: &[usize], rank: usize) -> f64 {
-        let batch: usize = reqs_per_adapter.iter().sum();
-        if batch == 0 {
-            return 0.0;
-        }
-        let tp = self.node.n_gpus.max(1);
-        let mut t = 0.0;
-        for (k, n) in self.shape.layer_linears() {
-            let base = MatmulDesc {
-                m: batch,
-                k,
-                n: n / tp,
-                format: WeightFormat::Fp16,
-            };
-            t += matmul_time(&self.node.gpu, &base);
-            // SGMV: x A then (xA) B for each adapter; tiny k x r and r x n.
-            let distinct = reqs_per_adapter.iter().filter(|&&r| r > 0).count();
-            let adapter_bytes = (k * rank + rank * n / tp) as f64 * 2.0;
-            let adapter_flops = 2.0 * batch as f64 * (k * rank + rank * n / tp) as f64;
-            let bw = self.node.gpu.hbm_bw_gbps * 1e9;
-            let peak = self.node.gpu.fp16_tflops * 1e12 * self.node.gpu.efficiency;
-            t += (adapter_flops / peak).max(adapter_bytes * distinct as f64 / bw)
-                + 2.0 * self.node.gpu.kernel_launch_us * 1e-6;
-        }
-        t *= self.shape.n_layers as f64;
-        t += self.head_and_kv_time(batch);
-        t += self.allreduce_per_iter(batch);
-        t
-    }
-
     /// Decode iteration for RoSA-style adapters (low-rank pair plus an
     /// unstructured sparse component of the given `density`).
     ///
-    /// The low-rank part prices like Punica SGMV; the sparse part adds, per
-    /// distinct adapter, the traffic of its non-zeros (value + coordinate)
-    /// and a gather-SpMM that runs far below dense peak — unstructured
-    /// sparsity has no tensor-core support, which is exactly why the paper
-    /// compresses *deltas* with structured 2:4 instead (§4.1).
+    /// The low-rank part is an adapter-only
+    /// [`toppings_decode_iter`](Self::toppings_decode_iter); the sparse
+    /// part adds, per distinct adapter, the traffic of its non-zeros
+    /// (value + coordinate) and a gather-SpMM that runs far below dense
+    /// peak — unstructured sparsity has no tensor-core support, which is
+    /// exactly why the paper compresses *deltas* with structured 2:4
+    /// instead (§4.1).
     pub fn rosa_decode_iter(&self, reqs_per_adapter: &[usize], rank: usize, density: f64) -> f64 {
-        let mut t = self.lora_decode_iter(reqs_per_adapter, rank);
-        if density <= 0.0 {
-            return t;
-        }
         let batch: usize = reqs_per_adapter.iter().sum();
-        if batch == 0 {
-            return 0.0;
+        let mut t = self
+            .toppings_decode_iter(batch, &[], reqs_per_adapter, rank, BatchedImpl::SbmmPlus)
+            .total_s;
+        if density <= 0.0 || batch == 0 {
+            return t;
         }
         let tp = self.node.n_gpus.max(1);
         let distinct = reqs_per_adapter.iter().filter(|&&r| r > 0).count();
@@ -545,11 +504,18 @@ mod tests {
         assert!(dz > vllm * 0.9 && dz < vllm * 1.6, "dz {dz} vllm {vllm}");
     }
 
+    /// One plain LoRA decode iteration: an adapter-only toppings batch.
+    fn lora_iter(cm: &CostModel, reqs_per_adapter: &[usize], rank: usize) -> f64 {
+        let batch = reqs_per_adapter.iter().sum();
+        cm.toppings_decode_iter(batch, &[], reqs_per_adapter, rank, BatchedImpl::SbmmPlus)
+            .total_s
+    }
+
     #[test]
     fn lora_iter_is_cheapest() {
         let cm = model();
         let reqs = vec![1usize; 8];
-        let lora = cm.lora_decode_iter(&reqs, 16);
+        let lora = lora_iter(&cm, &reqs, 16);
         let dz = cm.deltazip_decode_iter(&reqs, BatchedImpl::SbmmPlus);
         assert!(lora < dz, "lora {lora} vs dz {dz}");
     }
@@ -596,17 +562,6 @@ mod tests {
             mixed.total_s,
             all_delta.total_s
         );
-    }
-
-    #[test]
-    fn adapter_bytes_are_megabytes_not_gigabytes() {
-        let cm = model();
-        let a = cm.adapter_bytes(16);
-        assert!(a > 1e6, "rank-16 adapter {a} bytes");
-        // ~45x lighter than the packed delta (rank-16 over every linear
-        // of the 13B model is ~125 MB vs the ~5.6 GB delta).
-        assert!(a < cm.delta_bytes() / 20.0, "adapters must be near-free");
-        assert!(cm.adapter_bytes(32) > a);
     }
 
     #[test]
@@ -782,7 +737,7 @@ mod tests {
     fn rosa_sits_between_lora_and_delta() {
         let cm = model();
         let reqs = vec![1usize; 8];
-        let lora = cm.lora_decode_iter(&reqs, 16);
+        let lora = lora_iter(&cm, &reqs, 16);
         let rosa = cm.rosa_decode_iter(&reqs, 16, 0.01);
         let dz = cm.deltazip_decode_iter(&reqs, BatchedImpl::SbmmPlus);
         assert!(
@@ -798,11 +753,13 @@ mod tests {
     #[test]
     fn rosa_with_zero_density_is_lora() {
         let cm = model();
-        let reqs = vec![2usize; 4];
-        assert_eq!(
-            cm.rosa_decode_iter(&reqs, 16, 0.0),
-            cm.lora_decode_iter(&reqs, 16)
-        );
+        for reqs in [vec![2usize; 4], vec![0, 3, 0, 1], vec![]] {
+            assert_eq!(
+                cm.rosa_decode_iter(&reqs, 16, 0.0).to_bits(),
+                lora_iter(&cm, &reqs, 16).to_bits()
+            );
+        }
+        assert_eq!(cm.rosa_decode_iter(&[], 16, 0.01), 0.0);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! timeline, prefetchers, placement-aware routing) see both through one
 //! interface — [`VariantKind::needs_delta`] gates the expensive machinery.
 
-use crate::cost::CostModel;
 use dz_trace::ToppingKind;
 use serde::Serialize;
 
@@ -212,32 +211,11 @@ impl VariantCatalog {
             .max()
             .unwrap_or(0)
     }
-
-    /// GPU-resident bytes model `model` needs beyond the base: the full
-    /// compressed delta for delta-backed kinds, the (near-free) adapter
-    /// factors for `Lora`, both for `Stacked`, nothing for `Base`. This
-    /// is the warmth asymmetry in one number — placement and swap
-    /// decisions only matter for kinds where it is GBs, not MBs.
-    // dz-lint: allow(dead-pub, "per-kind residency cost, pinned by the warmth-asymmetry unit test")
-    pub fn residency_bytes(&self, model: usize, cost: &CostModel) -> f64 {
-        let kind = self.kind_of(model);
-        let delta = if kind.needs_delta() {
-            cost.delta_bytes()
-        } else {
-            0.0
-        };
-        let adapter = kind
-            .adapter_rank()
-            .map_or(0.0, |rank| cost.adapter_bytes(rank));
-        delta + adapter
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dz_gpusim::shapes::ModelShape;
-    use dz_gpusim::spec::NodeSpec;
 
     #[test]
     fn kind_predicates() {
@@ -270,19 +248,5 @@ mod tests {
         assert_eq!(cat.kind_of(3), VariantKind::Stacked { rank: 16 });
         assert_eq!(cat.kind_of(4), VariantKind::Lora { rank: 16 });
         assert_eq!(cat.max_adapter_rank(), 16);
-    }
-
-    #[test]
-    fn residency_bytes_reflect_warmth_asymmetry() {
-        let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-        let cat = VariantCatalog::interleaved(7, 16);
-        let base = cat.residency_bytes(0, &cost);
-        let lora = cat.residency_bytes(1, &cost);
-        let delta = cat.residency_bytes(2, &cost);
-        let stacked = cat.residency_bytes(3, &cost);
-        assert_eq!(base, 0.0);
-        // Adapters are tens-of-MBs; deltas are GBs (~45x apart here).
-        assert!(lora > 0.0 && lora < delta / 20.0, "{lora} vs {delta}");
-        assert!(stacked > delta && stacked - delta == lora);
     }
 }
