@@ -32,7 +32,7 @@ pub fn is_idle(load_s: f64) -> bool {
     load_s == 0.0
 }
 
-/// thread-spawn outside the decode allowlist.
+/// thread-spawn: a thread spawned in library code.
 pub fn fan_out() {
     std::thread::spawn(|| {});
 }
