@@ -16,7 +16,9 @@ use dz_model::transformer::{test_config, Params};
 use dz_serve::predictor::LengthEstimator;
 use dz_serve::slo::SloPolicy;
 use dz_serve::tuning::{DynamicN, DynamicNConfig};
-use dz_serve::{CostModel, DeltaZipConfig, DeltaZipEngine, Engine, PreemptionPolicy};
+use dz_serve::{
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, PreemptionPolicy,
+};
 use dz_tensor::Rng;
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 
@@ -40,28 +42,29 @@ fn bench_policy_replay(c: &mut Criterion) {
     });
     group.bench_function("length_aware", |b| {
         b.iter(|| {
-            DeltaZipEngine::new(
-                cost,
-                DeltaZipConfig {
+            EngineBuilder::new(cost)
+                .scheduler(DeltaZipConfig {
                     preemption: PreemptionPolicy::LengthAware { spare_tokens: 16 },
                     ..DeltaZipConfig::default()
-                },
-            )
-            .with_estimator(LengthEstimator::quantile(0.75))
-            .run(&tr)
+                })
+                .estimator(LengthEstimator::quantile(0.75))
+                .build()
+                .run(&tr)
         })
     });
     group.bench_function("slo_priority", |b| {
         b.iter(|| {
-            DeltaZipEngine::new(cost, DeltaZipConfig::default())
-                .with_slo_policy(SloPolicy::tiered(24, 4))
+            EngineBuilder::new(cost)
+                .slo(SloPolicy::tiered(24, 4))
+                .build()
                 .run(&tr)
         })
     });
     group.bench_function("dynamic_n", |b| {
         b.iter(|| {
-            DeltaZipEngine::new(cost, DeltaZipConfig::default())
-                .with_dynamic_n(DynamicN::new(DynamicNConfig::default(), 4))
+            EngineBuilder::new(cost)
+                .dynamic_n(DynamicN::new(DynamicNConfig::default(), 4))
+                .build()
                 .run(&tr)
         })
     });

@@ -20,7 +20,8 @@ use dz_serve::predictor::LengthEstimator;
 use dz_serve::slo::SloPolicy;
 use dz_serve::tuning::{DynamicN, DynamicNConfig};
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, Metrics, PreemptionPolicy, ResumePolicy,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, Metrics, PreemptionPolicy,
+    ResumePolicy,
 };
 use dz_tensor::Rng;
 use dz_workload::{PopularityDist, Trace, TraceSpec};
@@ -283,16 +284,15 @@ pub fn ablation_length_aware() -> Report {
         ("never", PreemptionPolicy::Never, LengthEstimator::default()),
     ];
     for (name, preemption, estimator) in runs {
-        let mut e = DeltaZipEngine::new(
-            cost,
-            DeltaZipConfig {
+        let mut e = EngineBuilder::new(cost)
+            .scheduler(DeltaZipConfig {
                 max_concurrent_deltas: 3,
                 max_batch: 32,
                 preemption,
                 ..DeltaZipConfig::default()
-            },
-        )
-        .with_estimator(estimator);
+            })
+            .estimator(estimator)
+            .build();
         let m = e.run(&trace);
         let preemptions: usize = m.records.iter().map(|r| r.preemptions).sum();
         rows.push(vec![
@@ -333,16 +333,15 @@ pub fn ablation_slo() -> Report {
         },
     )
     .run(&trace);
-    let prioritized = DeltaZipEngine::new(
-        cost,
-        DeltaZipConfig {
+    let prioritized = EngineBuilder::new(cost)
+        .scheduler(DeltaZipConfig {
             max_concurrent_deltas: 4,
             max_batch: 32,
             ..DeltaZipConfig::default()
-        },
-    )
-    .with_slo_policy(policy.clone())
-    .run(&trace);
+        })
+        .slo(policy.clone())
+        .build()
+        .run(&trace);
     let mut rows = Vec::new();
     for (engine, m) in [("FCFS", &plain), ("SLO-priority", &prioritized)] {
         for (class, sub) in policy.split_metrics(m) {
@@ -423,15 +422,14 @@ pub fn ablation_dynamic_n() -> Report {
         },
         4,
     );
-    let dynamic = DeltaZipEngine::new(
-        cost,
-        DeltaZipConfig {
+    let dynamic = EngineBuilder::new(cost)
+        .scheduler(DeltaZipConfig {
             max_concurrent_deltas: 4,
             ..DeltaZipConfig::default()
-        },
-    )
-    .with_dynamic_n(ctl)
-    .run(&trace);
+        })
+        .dynamic_n(ctl)
+        .build()
+        .run(&trace);
     describe("dynamic N (2..12)", &dynamic, &mut rows);
     Report {
         id: "ablation-dynamic-n",

@@ -4,8 +4,8 @@ use super::{md_table, Report};
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, LoraEngine,
-    LoraServingConfig, Metrics, PreemptionPolicy, VllmScbConfig, VllmScbEngine,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, Metrics, PreemptionPolicy,
+    VariantCatalog, VariantSpec, VllmScbConfig, VllmScbEngine,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 
@@ -13,9 +13,12 @@ fn a800_13b() -> CostModel {
     CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b())
 }
 
+/// Variants behind the 13B node.
+const N_MODELS_13B: usize = 32;
+
 fn trace_13b(rate: f64, pop: PopularityDist, seed: u64) -> Trace {
     Trace::generate(TraceSpec {
-        n_models: 32,
+        n_models: N_MODELS_13B,
         arrival_rate: rate,
         duration_s: 300.0,
         popularity: pop,
@@ -33,10 +36,12 @@ fn dz_engine(cost: CostModel, n: usize) -> DeltaZipEngine {
     )
 }
 
-fn lora_engine(cost: CostModel, config: LoraServingConfig) -> LoraEngine {
+/// Adapter serving: every 13B variant is a rank-`rank` LoRA adapter.
+fn lora_engine(cost: CostModel, rank: usize) -> DeltaZipEngine {
+    let specs = vec![VariantSpec::lora(rank); N_MODELS_13B];
     EngineBuilder::new(cost)
-        .adapters(config)
-        .build_adapter_only()
+        .catalog(VariantCatalog::from_specs(specs))
+        .build()
 }
 
 fn dist_name(pop: PopularityDist) -> &'static str {
@@ -214,7 +219,7 @@ pub fn fig14() -> Report {
     let cost = a800_13b();
     let trace = trace_13b(0.75, PopularityDist::Zipf { alpha: 1.5 }, 0x14);
     // LoRA node: both systems use the Punica path (DeltaZip inherits it).
-    let lora = lora_engine(cost, LoraServingConfig::default()).run(&trace);
+    let lora = lora_engine(cost, 16).run(&trace);
     // FMT node: baseline swaps full models, DeltaZip serves deltas.
     let fmt_vllm = VllmScbEngine::new(cost, VllmScbConfig::default()).run(&trace);
     let fmt_dz = dz_engine(cost, 8).run(&trace);
@@ -258,22 +263,8 @@ pub fn fig15() -> Report {
         let trace = trace_13b(rate, PopularityDist::Uniform, 0x15);
         let dz = dz_engine(cost, 8).run(&trace);
         let full = VllmScbEngine::new(cost, VllmScbConfig::default()).run(&trace);
-        let l16 = lora_engine(
-            cost,
-            LoraServingConfig {
-                rank: 16,
-                ..LoraServingConfig::default()
-            },
-        )
-        .run(&trace);
-        let l64 = lora_engine(
-            cost,
-            LoraServingConfig {
-                rank: 64,
-                ..LoraServingConfig::default()
-            },
-        )
-        .run(&trace);
+        let l16 = lora_engine(cost, 16).run(&trace);
+        let l64 = lora_engine(cost, 64).run(&trace);
         rows.push(vec![
             format!("{rate}"),
             format!("{:.1} / {:.2}", dz.mean_e2e(), dz.mean_ttft()),

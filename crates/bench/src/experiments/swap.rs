@@ -23,7 +23,7 @@ use super::Fmt::{Fix, Pct, Plain};
 use super::{rtx3090_7b, run_modes, BenchJson, Report, Scale, Table};
 use dz_serve::swap::{PopularityPrefetch, QueueLookahead};
 use dz_serve::{
-    DeltaZipConfig, DeltaZipEngine, Engine, Metrics, TraceConfig, TraceLog, TraceTrack, CAUSE_NAMES,
+    DeltaZipConfig, Engine, EngineBuilder, Metrics, TraceConfig, TraceLog, TraceTrack, CAUSE_NAMES,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use serde::Serialize;
@@ -75,20 +75,21 @@ pub fn run_swap_traced(
         overlap_swaps: mode != "serialized",
         ..DeltaZipConfig::default()
     };
-    let mut engine = DeltaZipEngine::new(cost, config);
-    engine = match mode {
-        "overlap+lookahead" => engine.with_prefetcher(Box::new(QueueLookahead::new(4))),
-        "overlap+popularity" => engine.with_prefetcher(Box::new(PopularityPrefetch::new(
+    let mut builder = EngineBuilder::new(cost).scheduler(config);
+    builder = match mode {
+        "overlap+lookahead" => builder.prefetcher(Box::new(QueueLookahead::new(4))),
+        "overlap+popularity" => builder.prefetcher(Box::new(PopularityPrefetch::new(
             trace.spec.popularity,
             N_MODELS,
             4,
         ))),
-        "serialized" | "overlapped" => engine,
+        "serialized" | "overlapped" => builder,
         other => panic!("unknown swap mode {other}"),
     };
     if let Some(cfg) = trace_cfg {
-        engine = engine.with_tracing(cfg);
+        builder = builder.tracing(cfg);
     }
+    let mut engine = builder.build();
     let m = engine.run(&trace);
     let log = engine.tracer.take_log();
     (m, log)

@@ -321,6 +321,9 @@ fn decode_sign_body(r: &mut Reader<'_>) -> Result<SignMatrix, WireError> {
     for _ in 0..n_scales {
         scales.push(r.f32()?);
     }
+    if !scales.iter().all(|s| s.is_finite()) {
+        return Err(WireError::BadField("non-finite scale"));
+    }
     Ok(SignMatrix {
         d_in,
         d_out,
@@ -694,15 +697,19 @@ mod tests {
 
     #[test]
     fn decode_rejects_non_finite_scales() {
-        let cm = dense_fixture(2, 8, 4, 20);
-        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut bytes = matrix_to_bytes(&cm);
-            let end = bytes.len();
-            bytes[end - 4..].copy_from_slice(&bad.to_le_bytes());
-            assert_eq!(
-                matrix_from_bytes(&bytes),
-                Err(WireError::BadField("non-finite scale"))
-            );
+        // Both records end on their last scale.
+        let quant = layer_to_bytes(&PackedLayer::Quant(dense_fixture(2, 8, 4, 20)));
+        let sign = layer_to_bytes(&sign_layer(21, SignScope::PerRow));
+        for record in [quant, sign] {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut bytes = record.clone();
+                let end = bytes.len();
+                bytes[end - 4..].copy_from_slice(&bad.to_le_bytes());
+                assert_eq!(
+                    layer_from_bytes(&bytes),
+                    Err(WireError::BadField("non-finite scale"))
+                );
+            }
         }
     }
 

@@ -5,8 +5,9 @@
 //! `Δ = (alpha/r) A B + S` can capture the high-magnitude, localized weight
 //! changes a purely low-rank update misses on hard tasks. The paper's §8
 //! names RoSA as a method existing LoRA serving systems cannot host but
-//! DeltaZip's decoupled architecture can — the serving side lives in
-//! `dz-serve::lora` (`sparse_density > 0`).
+//! DeltaZip's decoupled architecture can — on the serving side, a
+//! `dz_serve::VariantSpec::rosa(rank, density)` catalog entry on the one
+//! toppings engine.
 //!
 //! Training follows the RoSA recipe at our scale:
 //!

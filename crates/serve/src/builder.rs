@@ -1,15 +1,13 @@
-//! One typed construction surface for every serving engine.
+//! One typed construction surface for the DeltaZip engine.
 //!
 //! [`EngineBuilder`] replaces per-engine `with_*` construction chains:
 //! declare the cost model, the scheduler knobs, the variant catalog, and the
 //! optional store/tracing/prefetch attachments in one place, then
-//! [`build`](EngineBuilder::build) the unified toppings engine — or
-//! [`build_adapter_only`](EngineBuilder::build_adapter_only) the legacy
-//! Punica-style adapter engine for baselines.
+//! [`build`](EngineBuilder::build) the unified toppings engine. An
+//! all-adapter catalog makes it the Punica-style adapter baseline.
 
 use crate::cost::CostModel;
 use crate::deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};
-use crate::lora::{LoraEngine, LoraServingConfig};
 use crate::predictor::LengthEstimator;
 use crate::slo::SloPolicy;
 use crate::swap::{Brownout, Prefetcher};
@@ -49,7 +47,6 @@ use dz_trace::{TraceConfig, Tracer};
 pub struct EngineBuilder {
     cost: CostModel,
     scheduler: DeltaZipConfig,
-    adapters: LoraServingConfig,
     catalog: Option<VariantCatalog>,
     store: Option<DeltaStoreBinding>,
     tracing: Option<TraceConfig>,
@@ -61,12 +58,11 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Starts a builder with default scheduler and adapter settings.
+    /// Starts a builder with the default scheduler settings.
     pub fn new(cost: CostModel) -> Self {
         EngineBuilder {
             cost,
             scheduler: DeltaZipConfig::default(),
-            adapters: LoraServingConfig::default(),
             catalog: None,
             store: None,
             tracing: None,
@@ -82,13 +78,6 @@ impl EngineBuilder {
     /// preemption/resume policies, swap overlap, toppings caps).
     pub fn scheduler(mut self, config: DeltaZipConfig) -> Self {
         self.scheduler = config;
-        self
-    }
-
-    /// Sets the adapter-serving configuration used by
-    /// [`build_adapter_only`](Self::build_adapter_only).
-    pub fn adapters(mut self, config: LoraServingConfig) -> Self {
-        self.adapters = config;
         self
     }
 
@@ -198,15 +187,6 @@ impl EngineBuilder {
         }
         engine
     }
-
-    /// Builds the legacy adapter-only [`LoraEngine`] baseline (ignores
-    /// catalog, store, and every delta-side attachment).
-    pub fn build_adapter_only(self) -> LoraEngine {
-        LoraEngine {
-            cost: self.cost,
-            config: self.adapters,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -241,6 +221,19 @@ mod tests {
     }
 
     #[test]
+    fn rosa_variant_carries_its_density() {
+        let e = EngineBuilder::new(cost())
+            .variant(VariantSpec::lora(16))
+            .variant(VariantSpec::rosa(8, 0.01))
+            .build();
+        let cat = e.catalog.expect("catalog registered");
+        assert_eq!(cat.kind_of(1), VariantKind::Lora { rank: 8 });
+        assert_eq!(cat.sparse_density_of(0), 0.0);
+        assert_eq!(cat.sparse_density_of(1), 0.01);
+        assert_eq!(cat.max_sparse_density(), 0.01);
+    }
+
+    #[test]
     fn toppings_cap_lands_in_scheduler_config() {
         let e = EngineBuilder::new(cost())
             .max_toppings_per_batch(3)
@@ -248,14 +241,5 @@ mod tests {
             .build();
         assert_eq!(e.config.max_toppings_per_batch, Some(3));
         assert!(e.config.segregate_kinds);
-    }
-
-    #[test]
-    fn adapter_only_build_carries_config() {
-        let e = EngineBuilder::new(cost())
-            .adapters(LoraServingConfig::rosa(8, 0.01))
-            .build_adapter_only();
-        assert_eq!(e.config.rank, 8);
-        assert_eq!(e.config.sparse_density, 0.01);
     }
 }

@@ -29,7 +29,8 @@ pub struct ToppingsIterCost {
     pub base_s: f64,
     /// Delta SBMM work over the delta-backed sub-batch (s).
     pub sbmm_s: f64,
-    /// Adapter SGMV work over the adapter-backed sub-batch (s).
+    /// Adapter work over the adapter-backed sub-batch: SGMV plus any
+    /// RoSA sparse term (s).
     pub sgmv_s: f64,
 }
 
@@ -110,7 +111,7 @@ impl CostModel {
     /// delta (zeros allowed); their sum is the shared base batch.
     pub fn deltazip_decode_iter(&self, reqs_per_delta: &[usize], strategy: BatchedImpl) -> f64 {
         let batch: usize = reqs_per_delta.iter().sum();
-        self.toppings_decode_iter(batch, reqs_per_delta, &[], 0, strategy)
+        self.toppings_decode_iter(batch, reqs_per_delta, &[], 0, (&[], 0.0), strategy)
             .total_s
     }
 
@@ -121,17 +122,26 @@ impl CostModel {
     /// the legacy delta-only iteration — the all-delta differential test
     /// pins that bit-identity. With no deltas it is the LoRA iteration
     /// (Punica-style SGMV: base GEMM plus a rank-`rank` adapter product
-    /// whose weight traffic is negligible) that
-    /// [`rosa_decode_iter`](Self::rosa_decode_iter) builds on.
+    /// whose weight traffic is negligible).
     ///
     /// `batch` is the total running batch (base requests contribute to
     /// the shared GEMM even though they appear in neither slice).
+    ///
+    /// `rosa` is `(reqs_per_rosa, density)`: the running requests per
+    /// co-batched RoSA adapter (a subset of `reqs_per_adapter`) and the
+    /// density of their unstructured sparse component. Each distinct RoSA
+    /// adapter adds the traffic of its non-zeros (value + coordinate) and
+    /// a gather-SpMM that runs far below dense peak — unstructured
+    /// sparsity has no tensor-core support, which is exactly why the paper
+    /// compresses *deltas* with structured 2:4 instead (§4.1). The sparse
+    /// term is charged to `sgmv_s`; density 0 adds nothing.
     pub fn toppings_decode_iter(
         &self,
         batch: usize,
         reqs_per_delta: &[usize],
         reqs_per_adapter: &[usize],
         rank: usize,
+        rosa: (&[usize], f64),
         strategy: BatchedImpl,
     ) -> ToppingsIterCost {
         if batch == 0 {
@@ -187,6 +197,25 @@ impl CostModel {
         let ar = self.allreduce_per_iter(batch);
         t += ar;
         base_s += ar;
+        let (reqs_per_rosa, density) = rosa;
+        let rosa_batch: usize = reqs_per_rosa.iter().sum();
+        if density > 0.0 && rosa_batch > 0 {
+            let distinct = reqs_per_rosa.iter().filter(|&&r| r > 0).count();
+            let bw = self.node.gpu.hbm_bw_gbps * 1e9;
+            // Gather-SpMM efficiency relative to dense FP16 peak.
+            let peak = self.node.gpu.fp16_tflops * 1e12 * self.node.gpu.efficiency * 0.1;
+            let mut sparse = 0.0;
+            for (k, n) in self.shape.layer_linears() {
+                let nnz = density * (k * n / tp) as f64;
+                // FP16 value + 32-bit coordinate per non-zero.
+                let bytes = nnz * 6.0 * distinct as f64;
+                let flops = 2.0 * rosa_batch as f64 * nnz;
+                sparse += (flops / peak).max(bytes / bw) + self.node.gpu.kernel_launch_us * 1e-6;
+            }
+            let sparse = sparse * self.shape.n_layers as f64;
+            t += sparse;
+            sgmv_s += sparse;
+        }
         ToppingsIterCost {
             total_s: t,
             base_s,
@@ -224,41 +253,6 @@ impl CostModel {
         t *= self.shape.n_layers as f64;
         t += self.head_and_kv_time(batch_total);
         t += self.allreduce_per_iter(batch_total);
-        t
-    }
-
-    /// Decode iteration for RoSA-style adapters (low-rank pair plus an
-    /// unstructured sparse component of the given `density`).
-    ///
-    /// The low-rank part is an adapter-only
-    /// [`toppings_decode_iter`](Self::toppings_decode_iter); the sparse
-    /// part adds, per distinct adapter, the traffic of its non-zeros
-    /// (value + coordinate) and a gather-SpMM that runs far below dense
-    /// peak — unstructured sparsity has no tensor-core support, which is
-    /// exactly why the paper compresses *deltas* with structured 2:4
-    /// instead (§4.1).
-    pub fn rosa_decode_iter(&self, reqs_per_adapter: &[usize], rank: usize, density: f64) -> f64 {
-        let batch: usize = reqs_per_adapter.iter().sum();
-        let mut t = self
-            .toppings_decode_iter(batch, &[], reqs_per_adapter, rank, BatchedImpl::SbmmPlus)
-            .total_s;
-        if density <= 0.0 || batch == 0 {
-            return t;
-        }
-        let tp = self.node.n_gpus.max(1);
-        let distinct = reqs_per_adapter.iter().filter(|&&r| r > 0).count();
-        let bw = self.node.gpu.hbm_bw_gbps * 1e9;
-        // Gather-SpMM efficiency relative to dense FP16 peak.
-        let peak = self.node.gpu.fp16_tflops * 1e12 * self.node.gpu.efficiency * 0.1;
-        let mut sparse = 0.0;
-        for (k, n) in self.shape.layer_linears() {
-            let nnz = density * (k * n / tp) as f64;
-            // FP16 value + 32-bit coordinate per non-zero.
-            let bytes = nnz * 6.0 * distinct as f64;
-            let flops = 2.0 * batch as f64 * nnz;
-            sparse += (flops / peak).max(bytes / bw) + self.node.gpu.kernel_launch_us * 1e-6;
-        }
-        t += sparse * self.shape.n_layers as f64;
         t
     }
 
@@ -504,11 +498,34 @@ mod tests {
         assert!(dz > vllm * 0.9 && dz < vllm * 1.6, "dz {dz} vllm {vllm}");
     }
 
+    /// One RoSA decode iteration: an adapter-only toppings batch whose
+    /// every adapter carries a sparse part of `density`.
+    fn rosa_iter(cm: &CostModel, reqs_per_adapter: &[usize], rank: usize, density: f64) -> f64 {
+        let batch = reqs_per_adapter.iter().sum();
+        let rosa = (reqs_per_adapter, density);
+        cm.toppings_decode_iter(
+            batch,
+            &[],
+            reqs_per_adapter,
+            rank,
+            rosa,
+            BatchedImpl::SbmmPlus,
+        )
+        .total_s
+    }
+
     /// One plain LoRA decode iteration: an adapter-only toppings batch.
     fn lora_iter(cm: &CostModel, reqs_per_adapter: &[usize], rank: usize) -> f64 {
         let batch = reqs_per_adapter.iter().sum();
-        cm.toppings_decode_iter(batch, &[], reqs_per_adapter, rank, BatchedImpl::SbmmPlus)
-            .total_s
+        cm.toppings_decode_iter(
+            batch,
+            &[],
+            reqs_per_adapter,
+            rank,
+            (&[], 0.0),
+            BatchedImpl::SbmmPlus,
+        )
+        .total_s
     }
 
     #[test]
@@ -527,7 +544,8 @@ mod tests {
         let cm = model();
         for reqs in [vec![4usize], vec![2usize; 8], vec![0, 3, 0, 1]] {
             let batch: usize = reqs.iter().sum();
-            let unified = cm.toppings_decode_iter(batch, &reqs, &[], 0, BatchedImpl::SbmmPlus);
+            let unified =
+                cm.toppings_decode_iter(batch, &reqs, &[], 0, (&[], 0.0), BatchedImpl::SbmmPlus);
             let legacy = cm.deltazip_decode_iter(&reqs, BatchedImpl::SbmmPlus);
             assert_eq!(unified.total_s.to_bits(), legacy.to_bits());
             assert_eq!(unified.sgmv_s, 0.0);
@@ -537,7 +555,8 @@ mod tests {
     #[test]
     fn toppings_components_sum_to_total() {
         let cm = model();
-        let c = cm.toppings_decode_iter(10, &[2, 3], &[1, 4], 16, BatchedImpl::SbmmPlus);
+        let c =
+            cm.toppings_decode_iter(10, &[2, 3], &[1, 4], 16, (&[], 0.0), BatchedImpl::SbmmPlus);
         let sum = c.base_s + c.sbmm_s + c.sgmv_s;
         assert!(
             (sum - c.total_s).abs() < 1e-9 * c.total_s,
@@ -546,16 +565,30 @@ mod tests {
         );
         assert!(c.base_s > 0.0 && c.sbmm_s > 0.0 && c.sgmv_s > 0.0);
         // Mixing adapters in costs more than the delta work alone.
-        let delta_only = cm.toppings_decode_iter(10, &[2, 3], &[], 0, BatchedImpl::SbmmPlus);
+        let delta_only =
+            cm.toppings_decode_iter(10, &[2, 3], &[], 0, (&[], 0.0), BatchedImpl::SbmmPlus);
         assert!(c.total_s > delta_only.total_s);
         // On a single-GPU node (full delta shards per GPU — the
         // bench-toppings 3090/7B cell) serving the adapter sub-batch via
         // SGMV is cheaper than streaming it as two more deltas; at high
         // TP the shards shrink and SGMV's launch overhead can win out.
         let single = CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b());
-        let mixed = single.toppings_decode_iter(10, &[2, 3], &[1, 4], 16, BatchedImpl::SbmmPlus);
-        let all_delta =
-            single.toppings_decode_iter(10, &[2, 3, 1, 4], &[], 0, BatchedImpl::SbmmPlus);
+        let mixed = single.toppings_decode_iter(
+            10,
+            &[2, 3],
+            &[1, 4],
+            16,
+            (&[], 0.0),
+            BatchedImpl::SbmmPlus,
+        );
+        let all_delta = single.toppings_decode_iter(
+            10,
+            &[2, 3, 1, 4],
+            &[],
+            0,
+            (&[], 0.0),
+            BatchedImpl::SbmmPlus,
+        );
         assert!(
             mixed.total_s < all_delta.total_s,
             "mixed {} vs all-delta {}",
@@ -738,7 +771,7 @@ mod tests {
         let cm = model();
         let reqs = vec![1usize; 8];
         let lora = lora_iter(&cm, &reqs, 16);
-        let rosa = cm.rosa_decode_iter(&reqs, 16, 0.01);
+        let rosa = rosa_iter(&cm, &reqs, 16, 0.01);
         let dz = cm.deltazip_decode_iter(&reqs, BatchedImpl::SbmmPlus);
         assert!(
             rosa > lora,
@@ -755,11 +788,18 @@ mod tests {
         let cm = model();
         for reqs in [vec![2usize; 4], vec![0, 3, 0, 1], vec![]] {
             assert_eq!(
-                cm.rosa_decode_iter(&reqs, 16, 0.0).to_bits(),
+                rosa_iter(&cm, &reqs, 16, 0.0).to_bits(),
                 lora_iter(&cm, &reqs, 16).to_bits()
             );
         }
-        assert_eq!(cm.rosa_decode_iter(&[], 16, 0.01), 0.0);
+        assert_eq!(rosa_iter(&cm, &[], 16, 0.01), 0.0);
+        // The sparse term is adapter work: it lands in `sgmv_s`.
+        let mixed = |density| {
+            cm.toppings_decode_iter(6, &[2], &[1, 3], 16, (&[3], density), BatchedImpl::SbmmPlus)
+        };
+        let (lora, rosa) = (mixed(0.0), mixed(0.01));
+        assert!(rosa.sgmv_s > lora.sgmv_s);
+        assert_eq!((rosa.base_s, rosa.sbmm_s), (lora.base_s, lora.sbmm_s));
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::variant::{VariantCatalog, VariantKind};
 use crate::Engine;
 use dz_gpusim::kernel::BatchedImpl;
 use dz_store::{ArtifactId, DecodedFetch, FetchTier, TieredDeltaStore, Warmth};
-use dz_trace::{EvictTier, GaugeSample, TraceConfig, TraceEvent, Tracer};
+use dz_trace::{EvictTier, GaugeSample, TraceEvent, Tracer};
 use dz_workload::Trace;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -259,7 +259,8 @@ pub struct DeltaZipEngine {
     pub brownouts: Vec<crate::swap::Brownout>,
     /// Structured tracing handle. Disabled by default: emission sites
     /// only read simulation state, so tracing-off runs are identical to
-    /// untraced builds. Enable via [`with_tracing`](Self::with_tracing)
+    /// untraced builds. Enable via
+    /// [`EngineBuilder::tracing`](crate::EngineBuilder::tracing)
     /// and harvest the log with `tracer.take_log()` after a run.
     pub tracer: Tracer,
 }
@@ -284,37 +285,6 @@ impl DeltaZipEngine {
             brownouts: Vec::new(),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Enables structured simulation-clock tracing for subsequent runs.
-    pub fn with_tracing(mut self, config: TraceConfig) -> Self {
-        self.tracer = Tracer::enabled(config);
-        self
-    }
-
-    /// Enables predictive disk→host prefetch under the default bandwidth
-    /// budget (tune via the public `prefetch_config` field).
-    pub fn with_prefetcher(mut self, prefetcher: Box<dyn Prefetcher>) -> Self {
-        self.prefetcher = Some(prefetcher);
-        self
-    }
-
-    /// Replaces the length estimator (for the §8 ablations).
-    pub fn with_estimator(mut self, estimator: LengthEstimator) -> Self {
-        self.estimator = estimator;
-        self
-    }
-
-    /// Enables SLO-priority queue scanning.
-    pub fn with_slo_policy(mut self, policy: SloPolicy) -> Self {
-        self.slo_policy = Some(policy);
-        self
-    }
-
-    /// Enables online `N` tuning.
-    pub fn with_dynamic_n(mut self, controller: DynamicN) -> Self {
-        self.dynamic_n = Some(controller);
-        self
     }
 
     /// Queue ids in scheduling order: FCFS, or priority-with-aging when an
@@ -360,6 +330,10 @@ impl Engine for DeltaZipEngine {
         }
         let toppings_cap = cfg.max_toppings_per_batch.unwrap_or(usize::MAX);
         let sgmv_rank = self.catalog.as_ref().map_or(0, |c| c.max_adapter_rank());
+        let rosa_density = self
+            .catalog
+            .as_ref()
+            .map_or(0.0, |c| c.max_sparse_density());
         let mut toppings = ToppingsStats::default();
         // Queue of request ids, FCFS == id order (trace is arrival-sorted).
         let mut queue: BTreeSet<usize> = BTreeSet::new();
@@ -930,11 +904,23 @@ impl Engine for DeltaZipEngine {
                     }
                 }
             }
+            // RoSA adapters also pay the sparse term.
+            let reqs_per_rosa: Vec<usize> = adapter_ids
+                .iter()
+                .zip(&reqs_per_adapter)
+                .filter(|&(&m, _)| {
+                    self.catalog
+                        .as_ref()
+                        .is_some_and(|c| c.sparse_density_of(m) > 0.0)
+                })
+                .map(|(_, &n)| n)
+                .collect();
             let iter_cost = cost.toppings_decode_iter(
                 running.len(),
                 &reqs_per_delta,
                 &reqs_per_adapter,
                 sgmv_rank,
+                (&reqs_per_rosa, rosa_density),
                 cfg.strategy,
             );
             t += iter_cost.total_s;
@@ -1299,6 +1285,7 @@ mod tests {
     use crate::slo::{SloClass, SloPolicy};
     use crate::swap::{PopularityPrefetch, QueueLookahead};
     use crate::tuning::{DynamicN, DynamicNConfig};
+    use crate::EngineBuilder;
     use dz_gpusim::shapes::ModelShape;
     use dz_gpusim::spec::NodeSpec;
     use dz_workload::{PopularityDist, Request, Trace, TraceSpec};
@@ -1313,15 +1300,16 @@ mod tests {
         })
     }
 
-    fn engine(n: usize) -> DeltaZipEngine {
+    fn builder(n: usize) -> EngineBuilder {
         let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-        DeltaZipEngine::new(
-            cost,
-            DeltaZipConfig {
-                max_concurrent_deltas: n,
-                ..DeltaZipConfig::default()
-            },
-        )
+        EngineBuilder::new(cost).scheduler(DeltaZipConfig {
+            max_concurrent_deltas: n,
+            ..DeltaZipConfig::default()
+        })
+    }
+
+    fn engine(n: usize) -> DeltaZipEngine {
+        builder(n).build()
     }
 
     #[test]
@@ -1423,7 +1411,7 @@ mod tests {
         let trace = small_trace(2.5, PopularityDist::Zipf { alpha: 2.0 }, 7);
         let mut strict = engine(3);
         strict.config.max_batch = 24;
-        let mut aware = engine(3).with_estimator(LengthEstimator::Oracle);
+        let mut aware = builder(3).estimator(LengthEstimator::Oracle).build();
         aware.config.max_batch = 24;
         aware.config.preemption = PreemptionPolicy::LengthAware { spare_tokens: 16 };
         let ms = strict.run(&trace);
@@ -1440,7 +1428,7 @@ mod tests {
     #[test]
     fn huge_spare_budget_never_preempts() {
         let trace = small_trace(2.5, PopularityDist::Zipf { alpha: 2.0 }, 8);
-        let mut aware = engine(3).with_estimator(LengthEstimator::Oracle);
+        let mut aware = builder(3).estimator(LengthEstimator::Oracle).build();
         aware.config.preemption = PreemptionPolicy::LengthAware {
             spare_tokens: usize::MAX,
         };
@@ -1507,7 +1495,7 @@ mod tests {
         let trace = small_trace(2.5, PopularityDist::Zipf { alpha: 1.2 }, 12);
         let policy = SloPolicy::tiered(8, 2);
         let plain = engine(3).run(&trace);
-        let prioritized = engine(3).with_slo_policy(policy.clone()).run(&trace);
+        let prioritized = builder(3).slo(policy.clone()).build().run(&trace);
         let inter = |m: &Metrics| {
             m.subset("i".into(), |r| {
                 policy.class_of(r.model) == SloClass::Interactive
@@ -1692,8 +1680,10 @@ mod tests {
             ..DeltaZipConfig::default()
         };
         let base = DeltaZipEngine::new(cost, config).run(&trace);
-        let mut pf =
-            DeltaZipEngine::new(cost, config).with_prefetcher(Box::new(QueueLookahead::new(4)));
+        let mut pf = EngineBuilder::new(cost)
+            .scheduler(config)
+            .prefetcher(Box::new(QueueLookahead::new(4)))
+            .build();
         let mp = pf.run(&trace);
         assert_eq!(mp.len(), trace.len());
         assert!(mp.swap.prefetch_issued > 0, "lookahead must issue prewarms");
@@ -1724,9 +1714,14 @@ mod tests {
             host_capacity_deltas: Some(6),
             ..DeltaZipConfig::default()
         };
-        let mut e = DeltaZipEngine::new(cost, config).with_prefetcher(Box::new(
-            PopularityPrefetch::new(trace.spec.popularity, 16, 4),
-        ));
+        let mut e = EngineBuilder::new(cost)
+            .scheduler(config)
+            .prefetcher(Box::new(PopularityPrefetch::new(
+                trace.spec.popularity,
+                16,
+                4,
+            )))
+            .build();
         let m = e.run(&trace);
         assert_eq!(m.len(), trace.len());
         assert!(m.swap.prefetch_issued > 0);
@@ -1744,7 +1739,7 @@ mod tests {
             },
             4,
         );
-        let mut e = engine(4).with_dynamic_n(ctl);
+        let mut e = builder(4).dynamic_n(ctl).build();
         let m = e.run(&trace);
         assert_eq!(m.len(), trace.len());
         let n = e.dynamic_n.as_ref().expect("controller present").current();

@@ -1,19 +1,19 @@
 //! Serving engines over the GPU performance model.
 //!
-//! Three engines reproduce the paper's comparison points:
+//! Two engines reproduce the paper's comparison points:
 //!
 //! * [`deltazip::DeltaZipEngine`] — the paper's system: base model resident,
 //!   compressed deltas swapped on demand, requests across variants batched
 //!   into shared base GEMMs plus SBMM delta products, iteration-level
 //!   (continuous) batching, FCFS with skip-the-line plus parent-finish
-//!   preemption, and a cap of `N` concurrent deltas,
+//!   preemption, and a cap of `N` concurrent deltas. Over an all-adapter
+//!   [`variant::VariantCatalog`] it is Punica/S-LoRA-style adapter
+//!   serving: adapters are tiny, all resident, everything batches,
 //! * [`vllm_scb::VllmScbEngine`] — the baseline the paper builds (vLLM +
 //!   Swapping, Continuous batching, same-model Batching): full FP16 models
-//!   swapped whole, batching only within one model,
-//! * [`lora::LoraEngine`] — Punica/S-LoRA-style adapter serving: adapters
-//!   are tiny, all resident, everything batches.
+//!   swapped whole, batching only within one model.
 //!
-//! All engines consume the same [`dz_workload::Trace`]s and emit the same
+//! Both engines consume the same [`dz_workload::Trace`]s and emit the same
 //! [`metrics::Metrics`], so every figure is an apples-to-apples sweep.
 //!
 //! Above the single-node engines, [`cluster`] scales the system out:
@@ -23,7 +23,7 @@
 //! popularity-driven delta replication and SLO-aware admission control.
 //!
 //! The unified entry point is [`builder::EngineBuilder`]: register each
-//! model's [`variant::VariantKind`] (base, LoRA, delta, or stacked) in a
+//! model's [`variant::VariantKind`] (base, LoRA or RoSA, delta, or stacked) in a
 //! [`variant::VariantCatalog`] and one [`deltazip::DeltaZipEngine`] serves
 //! the heterogeneous mix in shared "toppings" batches.
 
@@ -35,7 +35,6 @@ pub mod cluster;
 pub mod cost;
 pub mod deltazip;
 pub mod fleet;
-pub mod lora;
 pub mod metrics;
 pub mod policy;
 pub mod predictor;
@@ -59,7 +58,6 @@ pub use cluster::{
 pub use cost::{CostModel, ToppingsIterCost};
 pub use deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};
 pub use fleet::{FetchCounts, FetchTier, FleetConfig, FleetLogEntry, FleetReport, FleetSim};
-pub use lora::{LoraEngine, LoraServingConfig};
 pub use metrics::{Metrics, SloWindow, SwapStats, ToppingsStats};
 pub use policy::{PreemptionPolicy, ResumePolicy};
 pub use predictor::LengthEstimator;

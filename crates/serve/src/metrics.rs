@@ -122,7 +122,7 @@ pub struct ToppingsStats {
     pub base_gemm_s: f64,
     /// Kernel seconds in delta SBMM products.
     pub sbmm_s: f64,
-    /// Kernel seconds in adapter SGMV products.
+    /// Kernel seconds in adapter SGMV products and RoSA sparse terms.
     pub sgmv_s: f64,
 }
 

@@ -31,7 +31,8 @@ use serde::Serialize;
 pub enum VariantKind {
     /// The base model itself: no extra kernel work, no residency cost.
     Base,
-    /// A low-rank adapter of the given rank, served through SGMV.
+    /// A low-rank adapter of the given rank, served through SGMV (LoRA,
+    /// or RoSA when its [`VariantSpec`] carries a sparse density).
     Lora {
         /// Adapter rank (e.g. 16).
         rank: usize,
@@ -97,40 +98,65 @@ impl VariantKind {
 /// ```
 /// use dz_serve::{VariantKind, VariantSpec};
 /// assert_eq!(VariantSpec::lora(8).kind, VariantKind::Lora { rank: 8 });
+/// assert_eq!(VariantSpec::rosa(8, 0.01).kind, VariantKind::Lora { rank: 8 });
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct VariantSpec {
     /// What kind of variant this is.
     pub kind: VariantKind,
+    /// Density of a RoSA adapter's unstructured sparse component
+    /// (fraction of non-zeros per adapted projection); `0.0` for every
+    /// other variant. Private so that only [`rosa`](Self::rosa), which
+    /// checks it, can set it.
+    sparse_density: f64,
 }
 
 impl VariantSpec {
+    fn of(kind: VariantKind) -> Self {
+        VariantSpec {
+            kind,
+            sparse_density: 0.0,
+        }
+    }
+
     /// The base model itself.
     pub fn base() -> Self {
-        VariantSpec {
-            kind: VariantKind::Base,
-        }
+        Self::of(VariantKind::Base)
     }
 
     /// A rank-`rank` LoRA adapter.
     pub fn lora(rank: usize) -> Self {
+        Self::of(VariantKind::Lora { rank })
+    }
+
+    /// A rank-`rank` RoSA adapter (§8): a LoRA pair plus an unstructured
+    /// sparse component of the given density, which LoRA-only systems
+    /// cannot host. It serves through SGMV like LoRA, and the sparse part
+    /// adds weight traffic and a gather-SpMM to every iteration. Density 0
+    /// is plain LoRA.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sparse_density` is not in `[0, 1]`.
+    pub fn rosa(rank: usize, sparse_density: f64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&sparse_density),
+            "RoSA density {sparse_density} must lie in [0, 1]"
+        );
         VariantSpec {
             kind: VariantKind::Lora { rank },
+            sparse_density,
         }
     }
 
     /// A compressed full-model delta.
     pub fn delta() -> Self {
-        VariantSpec {
-            kind: VariantKind::Delta,
-        }
+        Self::of(VariantKind::Delta)
     }
 
     /// A delta with a rank-`rank` adapter stacked on it.
     pub fn stacked(rank: usize) -> Self {
-        VariantSpec {
-            kind: VariantKind::Stacked { rank },
-        }
+        Self::of(VariantKind::Stacked { rank })
     }
 }
 
@@ -146,14 +172,13 @@ impl VariantSpec {
 /// assert_eq!(cat.kind_of(1), VariantKind::Lora { rank: 16 });
 /// assert_eq!(cat.kind_of(99), VariantKind::Delta); // unknown ids stay delta
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct VariantCatalog {
     specs: Vec<VariantSpec>,
 }
 
 impl VariantCatalog {
     /// Builds a catalog from per-model specs (index = trace model id).
-    // dz-lint: allow(dead-pub, "general catalog constructor the VariantCatalog doc example and tests build with")
     pub fn from_specs(specs: Vec<VariantSpec>) -> Self {
         VariantCatalog { specs }
     }
@@ -210,6 +235,22 @@ impl VariantCatalog {
             .filter_map(|s| s.kind.adapter_rank())
             .max()
             .unwrap_or(0)
+    }
+
+    /// Sparse density of trace model `model` (0 for all but RoSA).
+    pub fn sparse_density_of(&self, model: usize) -> f64 {
+        self.specs.get(model).map_or(0.0, |s| s.sparse_density)
+    }
+
+    /// Largest RoSA sparse density in the catalog (0 when no variant
+    /// carries one) — the density the sparse cost term prices mixed
+    /// batches at, as SGMV prices them at
+    /// [`max_adapter_rank`](Self::max_adapter_rank).
+    pub fn max_sparse_density(&self) -> f64 {
+        self.specs
+            .iter()
+            .map(|s| s.sparse_density)
+            .fold(0.0, f64::max)
     }
 }
 

@@ -12,7 +12,7 @@ use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::cluster::{ClusterConfig, ClusterSim, LeastLoadedRouter};
 use dz_serve::swap::{PopularityPrefetch, QueueLookahead};
-use dz_serve::{CostModel, DeltaZipConfig, DeltaZipEngine, Engine, Metrics, TraceConfig};
+use dz_serve::{CostModel, DeltaZipConfig, Engine, EngineBuilder, Metrics, TraceConfig};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use proptest::prelude::*;
 use serde::Serialize;
@@ -31,7 +31,7 @@ fn trace(rate: f64, alpha: f64, seed: u64) -> Trace {
 
 /// Builds the engine for one sampled configuration. `prefetcher`: 0 =
 /// none, 1 = queue-lookahead, 2 = popularity.
-fn engine(overlap: bool, host_cap: Option<usize>, prefetcher: u8, alpha: f64) -> DeltaZipEngine {
+fn builder(overlap: bool, host_cap: Option<usize>, prefetcher: u8, alpha: f64) -> EngineBuilder {
     let cost = CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b());
     let config = DeltaZipConfig {
         max_concurrent_deltas: 2,
@@ -40,15 +40,15 @@ fn engine(overlap: bool, host_cap: Option<usize>, prefetcher: u8, alpha: f64) ->
         overlap_swaps: overlap,
         ..DeltaZipConfig::default()
     };
-    let e = DeltaZipEngine::new(cost, config);
+    let b = EngineBuilder::new(cost).scheduler(config);
     match prefetcher {
-        1 => e.with_prefetcher(Box::new(QueueLookahead::new(4))),
-        2 => e.with_prefetcher(Box::new(PopularityPrefetch::new(
+        1 => b.prefetcher(Box::new(QueueLookahead::new(4))),
+        2 => b.prefetcher(Box::new(PopularityPrefetch::new(
             PopularityDist::Zipf { alpha },
             N_MODELS,
             4,
         ))),
-        _ => e,
+        _ => b,
     }
 }
 
@@ -84,7 +84,7 @@ proptest! {
         // host_cap 0 samples the unbounded host cache.
         let host_cap = (host_cap > 0).then_some(host_cap);
         let t = trace(rate, alpha, seed as u64);
-        let m = engine(overlap, host_cap, prefetcher, alpha).run(&t);
+        let m = builder(overlap, host_cap, prefetcher, alpha).build().run(&t);
         assert_causes_telescope(&m);
     }
 }
@@ -96,9 +96,10 @@ fn tracing_off_and_on_produce_identical_metrics() {
     // serialized metrics tree).
     for overlap in [true, false] {
         let t = trace(1.2, 1.2, 0x7ACE);
-        let plain = engine(overlap, Some(4), 1, 1.2).run(&t);
-        let mut traced_engine =
-            engine(overlap, Some(4), 1, 1.2).with_tracing(TraceConfig::default());
+        let plain = builder(overlap, Some(4), 1, 1.2).build().run(&t);
+        let mut traced_engine = builder(overlap, Some(4), 1, 1.2)
+            .tracing(TraceConfig::default())
+            .build();
         let traced = traced_engine.run(&t);
         assert!(
             traced_engine

@@ -1,18 +1,25 @@
 //! Settings that used to be clamped silently are rejected when the
-//! object is built: a hash ring without virtual nodes and an autoscaler
-//! interval that is not finite and positive.
+//! object is built: a hash ring without virtual nodes, an autoscaler
+//! interval that is not finite and positive, and a RoSA density outside
+//! `[0, 1]`.
 
 use dz_gpusim::{ModelShape, NodeSpec};
 use dz_serve::cluster::PlacementPlan;
 use dz_serve::{
     Autoscaler, ChaosConfig, ClusterConfig, ClusterSim, ConsistentHashRouter, CostModel,
-    FleetConfig, FleetSim, RoundRobinRouter,
+    FleetConfig, FleetSim, RoundRobinRouter, VariantSpec,
 };
 
 #[test]
 #[should_panic(expected = "needs a vnode")]
 fn hash_ring_without_virtual_nodes_is_rejected() {
     ConsistentHashRouter::new(0);
+}
+
+#[test]
+#[should_panic(expected = "RoSA density NaN must lie in [0, 1]")]
+fn rosa_density_outside_unit_interval_is_rejected() {
+    VariantSpec::rosa(16, f64::NAN);
 }
 
 fn scaler_every(interval_s: f64) -> Autoscaler {

@@ -35,8 +35,8 @@ use dz_serve::cluster::{
 use dz_serve::fleet::{FleetConfig, FleetSim};
 use dz_serve::{
     Autoscaler, Brownout, ChaosConfig, CostModel, DeltaStoreBinding, DeltaZipConfig, Engine,
-    EngineBuilder, FaultEvent, FaultKind, FaultPlan, LoraServingConfig, Metrics, PrefetchPolicy,
-    SloPolicy, TraceConfig, TraceEvent, VariantCatalog,
+    EngineBuilder, FaultEvent, FaultKind, FaultPlan, Metrics, PrefetchPolicy, SloPolicy,
+    TraceConfig, TraceEvent, VariantCatalog, VariantSpec,
 };
 use dz_store::{sha256, ArtifactId, Registry, TieredDeltaStore};
 use dz_tensor::{Matrix, Rng};
@@ -255,19 +255,17 @@ fn toppings_run_is_pinned() {
 
 const PIN_ADAPTERS: u64 = 0x812d51545f402841;
 
-/// Adapter serving: plain LoRA r=16 and RoSA(16, 0.01) on one trace, so
-/// the SGMV price and the sparse term of every decode iteration are held.
+/// Adapter serving: plain LoRA r=16 and RoSA(16, 0.01) catalogs on one
+/// trace, so the SGMV price and the sparse term of every decode iteration
+/// are held.
 #[test]
 fn lora_and_rosa_runs_are_pinned() {
     let tr = trace(17, 2.0, 60.0);
     let mut pin = Pin::new();
-    for config in [
-        LoraServingConfig::default(),
-        LoraServingConfig::rosa(16, 0.01),
-    ] {
+    for spec in [VariantSpec::lora(16), VariantSpec::rosa(16, 0.01)] {
         let m = EngineBuilder::new(cost())
-            .adapters(config)
-            .build_adapter_only()
+            .catalog(VariantCatalog::from_specs(vec![spec; N_MODELS]))
+            .build()
             .run(&tr);
         assert_eq!(m.len(), tr.len());
         pin.metrics(&m);

@@ -4,8 +4,8 @@
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, LoraServingConfig,
-    PreemptionPolicy, VllmScbConfig, VllmScbEngine,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, PreemptionPolicy,
+    VariantCatalog, VariantSpec, VllmScbConfig, VllmScbEngine,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use proptest::prelude::*;
@@ -82,8 +82,8 @@ proptest! {
         });
         let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
         let m = EngineBuilder::new(cost)
-            .adapters(LoraServingConfig { rank, ..LoraServingConfig::default() })
-            .build_adapter_only()
+            .catalog(VariantCatalog::from_specs(vec![VariantSpec::lora(rank); 16]))
+            .build()
             .run(&trace);
         check(&trace, &m);
     }
@@ -127,7 +127,7 @@ proptest! {
             seed,
         });
         let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-        let mut engine = DeltaZipEngine::new(cost, DeltaZipConfig {
+        let mut builder = EngineBuilder::new(cost).scheduler(DeltaZipConfig {
             max_concurrent_deltas: 3,
             max_batch: 24,
             preemption,
@@ -136,9 +136,9 @@ proptest! {
             ..DeltaZipConfig::default()
         });
         if oracle {
-            engine = engine.with_estimator(dz_serve::LengthEstimator::Oracle);
+            builder = builder.estimator(dz_serve::LengthEstimator::Oracle);
         }
-        let m = engine.run(&trace);
+        let m = builder.build().run(&trace);
         check(&trace, &m);
     }
 
@@ -162,9 +162,10 @@ proptest! {
             dz_serve::tuning::DynamicNConfig::default(),
             start_n,
         );
-        let m = DeltaZipEngine::new(cost, DeltaZipConfig::default())
-            .with_slo_policy(policy.clone())
-            .with_dynamic_n(controller)
+        let m = EngineBuilder::new(cost)
+            .slo(policy.clone())
+            .dynamic_n(controller)
+            .build()
             .run(&trace);
         check(&trace, &m);
         // Per-class views partition the records.

@@ -20,7 +20,8 @@ use dz_serve::predictor::LengthEstimator;
 use dz_serve::slo::SloPolicy;
 use dz_serve::tuning::{DynamicN, DynamicNConfig};
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, Metrics, PreemptionPolicy, ResumePolicy,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, Metrics, PreemptionPolicy,
+    ResumePolicy,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 
@@ -56,8 +57,10 @@ fn main() {
     let trace = skewed_trace(0x0b1);
     let policy = SloPolicy::tiered(32, 4);
     let plain = DeltaZipEngine::new(cost, base_config).run(&trace);
-    let tiered = DeltaZipEngine::new(cost, base_config)
-        .with_slo_policy(policy.clone())
+    let tiered = EngineBuilder::new(cost)
+        .scheduler(base_config)
+        .slo(policy.clone())
+        .build()
         .run(&trace);
     for (name, metrics) in [("FCFS", &plain), ("SLO-priority", &tiered)] {
         for (class, sub) in policy.split_metrics(metrics) {
@@ -88,14 +91,13 @@ fn main() {
             LengthEstimator::Oracle,
         ),
     ] {
-        let mut engine = DeltaZipEngine::new(
-            cost,
-            DeltaZipConfig {
+        let mut engine = EngineBuilder::new(cost)
+            .scheduler(DeltaZipConfig {
                 preemption,
                 ..base_config
-            },
-        )
-        .with_estimator(estimator);
+            })
+            .estimator(estimator)
+            .build();
         summarize(label, &engine.run(&trace));
     }
 
@@ -150,8 +152,7 @@ fn main() {
         },
         4,
     );
-    let mut dynamic =
-        DeltaZipEngine::new(cost_small, DeltaZipConfig::default()).with_dynamic_n(controller);
+    let mut dynamic = EngineBuilder::new(cost_small).dynamic_n(controller).build();
     let m = dynamic.run(&shift);
     summarize("dynamic N (2..12)", &m);
     let final_n = dynamic

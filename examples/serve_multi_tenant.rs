@@ -1,9 +1,10 @@
 //! Multi-tenant serving scenario: 32 fine-tuned 13B variants behind one
 //! 4-GPU node, bursty Azure-like traffic — the paper's core use case.
 //!
-//! Replays the same trace through DeltaZip, the vLLM+SCB baseline, and the
-//! LoRA/Punica engine on the calibrated GPU performance model, then prints
-//! the comparison.
+//! Replays the same trace through DeltaZip, the vLLM+SCB baseline, and
+//! DeltaZip serving the 32 variants as LoRA adapters (the Punica-style
+//! adapter path) on the calibrated GPU performance model, then prints the
+//! comparison.
 //!
 //! ```text
 //! cargo run --release --example serve_multi_tenant
@@ -12,7 +13,7 @@
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, LoraServingConfig,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, VariantCatalog, VariantSpec,
     VllmScbConfig, VllmScbEngine,
 };
 use dz_workload::stats::{idle_fraction, invocation_matrix, render_heatmap};
@@ -38,37 +39,38 @@ fn main() {
     );
 
     let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-    let mut engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(VllmScbEngine::new(cost, VllmScbConfig::default())),
-        Box::new(DeltaZipEngine::new(
+    let dz = |n| {
+        DeltaZipEngine::new(
             cost,
             DeltaZipConfig {
-                max_concurrent_deltas: 8,
+                max_concurrent_deltas: n,
                 ..DeltaZipConfig::default()
             },
-        )),
-        Box::new(DeltaZipEngine::new(
-            cost,
-            DeltaZipConfig {
-                max_concurrent_deltas: 12,
-                ..DeltaZipConfig::default()
-            },
-        )),
-        Box::new(
-            EngineBuilder::new(cost)
-                .adapters(LoraServingConfig::default())
-                .build_adapter_only(),
+        )
+    };
+    let lora = EngineBuilder::new(cost)
+        .catalog(VariantCatalog::from_specs(vec![VariantSpec::lora(16); 32]))
+        .build();
+    // The adapter row is the DeltaZip engine over an all-LoRA catalog, so
+    // rows carry their own names rather than the engine labels.
+    let mut engines: Vec<(&str, Box<dyn Engine>)> = vec![
+        (
+            "vLLM+SCB",
+            Box::new(VllmScbEngine::new(cost, VllmScbConfig::default())),
         ),
+        ("DeltaZip(N=8)", Box::new(dz(8))),
+        ("DeltaZip(N=12)", Box::new(dz(12))),
+        ("LoRA(r=16)", Box::new(lora)),
     ];
     println!(
         "{:<18} {:>10} {:>10} {:>12} {:>14}",
         "engine", "E2E (s)", "TTFT (s)", "req/s", "SLO@60s E2E"
     );
-    for engine in engines.iter_mut() {
+    for (name, engine) in engines.iter_mut() {
         let m = engine.run(&trace);
         println!(
             "{:<18} {:>10.1} {:>10.2} {:>12.2} {:>13.0}%",
-            m.engine,
+            name,
             m.mean_e2e(),
             m.mean_ttft(),
             m.throughput_rps(),

@@ -16,7 +16,10 @@ use dz_model::vocab;
 use dz_serve::predictor::LengthEstimator;
 use dz_serve::slo::SloPolicy;
 use dz_serve::tuning::{DynamicN, DynamicNConfig};
-use dz_serve::{CostModel, DeltaZipConfig, DeltaZipEngine, Engine, PreemptionPolicy, ResumePolicy};
+use dz_serve::{
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, PreemptionPolicy,
+    ResumePolicy,
+};
 use dz_tensor::Rng;
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 
@@ -139,10 +142,12 @@ fn full_policy_stack_serves_a_bursty_zoo() {
         ..DeltaZipConfig::default()
     };
     let plain = DeltaZipEngine::new(cost, DeltaZipConfig::default()).run(&trace);
-    let full = DeltaZipEngine::new(cost, config)
-        .with_slo_policy(policy.clone())
-        .with_estimator(LengthEstimator::quantile(0.75))
-        .with_dynamic_n(DynamicN::new(DynamicNConfig::default(), 4))
+    let full = EngineBuilder::new(cost)
+        .scheduler(config)
+        .slo(policy.clone())
+        .estimator(LengthEstimator::quantile(0.75))
+        .dynamic_n(DynamicN::new(DynamicNConfig::default(), 4))
+        .build()
         .run(&trace);
 
     assert_eq!(full.len(), trace.len());

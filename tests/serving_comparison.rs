@@ -4,8 +4,8 @@
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::{
-    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, LoraServingConfig, Metrics,
-    VllmScbConfig, VllmScbEngine,
+    CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder, Metrics, VariantCatalog,
+    VariantSpec, VllmScbConfig, VllmScbEngine,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 
@@ -54,8 +54,8 @@ fn all_engines_conserve_requests() {
         Box::new(VllmScbEngine::new(c, VllmScbConfig::default())),
         Box::new(
             EngineBuilder::new(c)
-                .adapters(LoraServingConfig::default())
-                .build_adapter_only(),
+                .catalog(VariantCatalog::from_specs(vec![VariantSpec::lora(16); 32]))
+                .build(),
         ),
     ];
     for mut e in engines {

@@ -9,7 +9,7 @@ use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::cluster::{ClusterConfig, ClusterSim, RoundRobinRouter};
 use dz_serve::{
-    chrome_trace_json, Autoscaler, ChaosConfig, CostModel, DeltaZipConfig, DeltaZipEngine, Engine,
+    chrome_trace_json, Autoscaler, ChaosConfig, CostModel, DeltaZipConfig, Engine, EngineBuilder,
     FaultEvent, FaultKind, FaultPlan, TraceConfig, TraceTrack,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
@@ -38,8 +38,10 @@ fn engine_config() -> DeltaZipConfig {
 /// One engine lane and a cluster's lanes, traced.
 fn traced_tracks() -> Vec<TraceTrack> {
     let cost = CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b());
-    let mut engine =
-        DeltaZipEngine::new(cost, engine_config()).with_tracing(TraceConfig::default());
+    let mut engine = EngineBuilder::new(cost)
+        .scheduler(engine_config())
+        .tracing(TraceConfig::default())
+        .build();
     engine.run(&churn_trace(0x7E57));
     let mut tracks = vec![TraceTrack {
         name: "engine".into(),
