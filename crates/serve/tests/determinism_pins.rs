@@ -33,10 +33,12 @@ use dz_serve::cluster::{
     RoundRobinRouter, Router,
 };
 use dz_serve::fleet::{FleetConfig, FleetSim};
+use dz_serve::tuning::{DynamicN, DynamicNConfig};
 use dz_serve::{
-    Autoscaler, Brownout, ChaosConfig, CostModel, DeltaStoreBinding, DeltaZipConfig, Engine,
-    EngineBuilder, FaultEvent, FaultKind, FaultPlan, Metrics, PrefetchPolicy, SloPolicy,
-    TraceConfig, TraceEvent, VariantCatalog, VariantSpec,
+    Autoscaler, Brownout, ChaosConfig, CostModel, DeltaStoreBinding, DeltaZipConfig,
+    DeltaZipEngine, Engine, EngineBuilder, FaultEvent, FaultKind, FaultPlan, LengthEstimator,
+    Metrics, PopularityPrefetch, PreemptionPolicy, PrefetchPolicy, QueueLookahead, ResumePolicy,
+    SloPolicy, TraceConfig, TraceEvent, VariantCatalog, VariantSpec,
 };
 use dz_store::{sha256, ArtifactId, Registry, TieredDeltaStore};
 use dz_tensor::{Matrix, Rng};
@@ -706,4 +708,180 @@ fn fleet_routers_are_pinned() {
         }
     }
     check("fleet_routers", pin.0, PIN_FLEET_ROUTERS);
+}
+
+// -- Lone-engine scheduler and swap policies --------------------------------
+
+const PIN_ENGINE_POLICIES: u64 = 0x02d14f817bff145a;
+
+/// Folds a lone engine's per-request floats plus every swap counter, so
+/// both the scheduler's choices and the residency bookkeeping are held.
+fn engine_run(pin: &mut Pin, mut engine: DeltaZipEngine, tr: &Trace) -> Metrics {
+    let m = engine.run(tr);
+    assert_eq!(m.len(), tr.len());
+    pin.metrics(&m);
+    let s = &m.swap;
+    for n in [
+        s.demand_loads,
+        s.prefetch_issued,
+        s.prefetch_completed,
+        s.prefetch_hits,
+    ] {
+        pin.word(n as u64);
+    }
+    for v in [
+        s.load_busy_s,
+        s.overlapped_s,
+        s.blocked_s,
+        s.stall_s,
+        s.serialized_stall_s,
+    ] {
+        pin.f64(v);
+    }
+    for r in &m.records {
+        pin.word(r.preemptions as u64);
+    }
+    m
+}
+
+fn preemptions(m: &Metrics) -> usize {
+    m.records.iter().map(|r| r.preemptions).sum()
+}
+
+/// Single `DeltaZipEngine` runs on the synthetic (store-free) path, one per
+/// scheduler or swap policy that no cluster or toppings pin reaches on a
+/// lone engine: the serialized swap model under a host cap, overlapped
+/// runs with each prefetcher and with brownouts, dynamic `N`, SLO
+/// priority, length-aware preemption with the oracle and an online
+/// quantile, recompute-on-resume, plain FCFS and segregated pools.
+#[test]
+fn engine_policies_are_pinned() {
+    let tr = trace(23, 2.5, 60.0);
+    let tight = DeltaZipConfig {
+        max_concurrent_deltas: 3,
+        max_batch: 16,
+        host_capacity_deltas: Some(5),
+        ..DeltaZipConfig::default()
+    };
+    let builder = || EngineBuilder::new(cost()).scheduler(tight);
+    let mut pin = Pin::new();
+
+    let serialized = engine_run(
+        &mut pin,
+        builder()
+            .scheduler(DeltaZipConfig {
+                overlap_swaps: false,
+                ..tight
+            })
+            .build(),
+        &tr,
+    );
+    assert_eq!(serialized.swap.overlapped_s, 0.0);
+
+    let lookahead = engine_run(
+        &mut pin,
+        builder()
+            .prefetcher(Box::new(QueueLookahead::new(4)))
+            .build(),
+        &tr,
+    );
+    assert!(lookahead.swap.prefetch_hits > 0);
+    let popularity = engine_run(
+        &mut pin,
+        builder()
+            .prefetcher(Box::new(PopularityPrefetch::new(
+                tr.spec.popularity,
+                N_MODELS,
+                4,
+            )))
+            .build(),
+        &tr,
+    );
+    assert!(popularity.swap.prefetch_issued > 0);
+    engine_run(
+        &mut pin,
+        builder()
+            .brownouts(vec![
+                Brownout {
+                    start_s: 5.0,
+                    end_s: 25.0,
+                    disk_rate: 0.3,
+                    pcie_rate: 1.0,
+                },
+                Brownout {
+                    start_s: 20.0,
+                    end_s: 40.0,
+                    disk_rate: 1.0,
+                    pcie_rate: 0.5,
+                },
+            ])
+            .prefetcher(Box::new(QueueLookahead::new(2)))
+            .build(),
+        &tr,
+    );
+
+    let controller = DynamicN::new(
+        DynamicNConfig {
+            min_n: 2,
+            max_n: 6,
+            ..DynamicNConfig::default()
+        },
+        3,
+    );
+    engine_run(&mut pin, builder().dynamic_n(controller).build(), &tr);
+    engine_run(
+        &mut pin,
+        builder().slo(SloPolicy::tiered(N_MODELS, 3)).build(),
+        &tr,
+    );
+
+    let parent_finish = engine_run(&mut pin, builder().build(), &tr);
+    assert!(preemptions(&parent_finish) > 0);
+    let length_aware = DeltaZipConfig {
+        preemption: PreemptionPolicy::LengthAware { spare_tokens: 16 },
+        ..tight
+    };
+    for estimator in [LengthEstimator::Oracle, LengthEstimator::quantile(0.9)] {
+        let m = engine_run(
+            &mut pin,
+            builder()
+                .scheduler(length_aware)
+                .estimator(estimator)
+                .build(),
+            &tr,
+        );
+        assert!(preemptions(&m) <= preemptions(&parent_finish));
+    }
+
+    engine_run(
+        &mut pin,
+        builder()
+            .scheduler(DeltaZipConfig {
+                resume: ResumePolicy::Recompute,
+                ..tight
+            })
+            .build(),
+        &tr,
+    );
+    engine_run(
+        &mut pin,
+        builder()
+            .scheduler(DeltaZipConfig {
+                skip_the_line: false,
+                ..tight
+            })
+            .build(),
+        &tr,
+    );
+    let segregated = engine_run(
+        &mut pin,
+        builder()
+            .catalog(VariantCatalog::interleaved(N_MODELS, 16))
+            .segregate_kinds(true)
+            .build(),
+        &tr,
+    );
+    assert_eq!(segregated.toppings.mixed_batches, 0);
+
+    check("engine_policies", pin.0, PIN_ENGINE_POLICIES);
 }
