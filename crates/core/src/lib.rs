@@ -67,9 +67,8 @@ pub use dz_serve::{
 pub use dz_serve::{
     ClusterConfig, ClusterReport, ClusterSim, CostModel, DeltaStoreBinding, DeltaZipConfig,
     EngineBuilder, LeastLoadedRouter, LoadProfile, Metrics, PlacementAwareRouter, PlacementPlan,
-    PopularityPrefetch, PrefetchConfig, PrefetchHint, PrefetchPolicy, Prefetcher, QueueLookahead,
-    RoundRobinRouter, Router, SwapStats, ToppingsStats, TransferTimeline, VariantCatalog,
-    VariantKind, VariantSpec,
+    PopularityPrefetch, PrefetchHint, PrefetchPolicy, Prefetcher, QueueLookahead, RoundRobinRouter,
+    Router, SwapStats, ToppingsStats, TransferTimeline, VariantCatalog, VariantKind, VariantSpec,
 };
 pub use dz_store::{
     ArtifactId, DecodeStats, DecodeThroughput, DecodedFetch, PrefetchOutcome, Registry,
@@ -404,20 +403,22 @@ mod tests {
     fn default_calibrates_like_new() {
         // Default must calibrate like new(): an empty calibration set
         // leaves the OBS solver no Hessian.
-        let (base, tuned) = trained();
-        let artifact_bytes = |mut dz: DeltaZip| {
+        // A plain `fn`, not a closure called twice with a by-value
+        // `DeltaZip`: rustc 1.95 miscompiles that shape at opt-level >= 2.
+        fn artifact_bytes(mut dz: DeltaZip, base: &Params, tuned: &Params) -> Vec<u8> {
             let b = dz.register_base("base", base.clone()).unwrap();
             let v = dz
-                .register_fmt_variant("v", b, &tuned, DeltaCompressConfig::starred(4))
+                .register_fmt_variant("v", b, tuned, DeltaCompressConfig::starred(4))
                 .unwrap();
             match &dz.manager().variant(v).unwrap().artifact {
                 VariantArtifact::Delta(d) => d.to_bytes(),
                 _ => panic!("an FMT variant is a delta"),
             }
-        };
+        }
+        let (base, tuned) = trained();
         assert_eq!(
-            artifact_bytes(DeltaZip::default()),
-            artifact_bytes(DeltaZip::new())
+            artifact_bytes(DeltaZip::default(), &base, &tuned),
+            artifact_bytes(DeltaZip::new(), &base, &tuned)
         );
     }
 

@@ -28,22 +28,29 @@
 //!
 //! `N` itself may be adjusted online by a [`DynamicN`] controller (§5.4's
 //! "dynamic tuning").
+//!
+//! [`Engine::run`] is the planner: steps 1, 2 and 6 plus the iteration
+//! pricing of steps 4 and 5. It sees residency only through read-only
+//! views (is a delta on GPU, which requests are stalled on a load). Steps
+//! 3 and 3b, and every timeline advance with the wake-ups it brings, belong
+//! to the crate-private `swap::Residency`, which owns GPU and host
+//! residency (the synthetic host LRU or the bound [`DeltaStoreBinding`]),
+//! the in-flight loads, the prefetch budget and the
+//! [`SwapStats`](crate::metrics::SwapStats).
 
 use crate::cost::CostModel;
-use crate::metrics::{Metrics, SwapStats, ToppingsStats};
+use crate::metrics::{Metrics, ToppingsStats};
 use crate::policy::{PreemptionPolicy, ResumePolicy};
 use crate::predictor::LengthEstimator;
 use crate::request::{Phase, ReqState};
 use crate::slo::SloPolicy;
-use crate::swap::{
-    Completion, LoadKind, LoadToken, PrefetchConfig, PrefetchContext, Prefetcher, TransferTimeline,
-};
+use crate::swap::{PrefetchContext, Prefetcher, Residency, Window};
 use crate::tuning::DynamicN;
 use crate::variant::{VariantCatalog, VariantKind};
 use crate::Engine;
 use dz_gpusim::kernel::BatchedImpl;
-use dz_store::{ArtifactId, DecodedFetch, FetchTier, TieredDeltaStore, Warmth};
-use dz_trace::{EvictTier, GaugeSample, TraceEvent, Tracer};
+use dz_store::{ArtifactId, DecodedFetch, TieredDeltaStore};
+use dz_trace::{TraceEvent, Tracer};
 use dz_workload::Trace;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -179,14 +186,14 @@ impl DeltaStoreBinding {
     }
 
     /// Compressed byte size of a model's artifact on disk, if bound.
-    fn artifact_bytes(&self, model: usize) -> Option<u64> {
+    pub(crate) fn artifact_bytes(&self, model: usize) -> Option<u64> {
         self.artifact_of(model)
             .and_then(|id| self.store.registry().size_of(id).ok())
     }
 
     /// Prewarms a model's artifact disk→host through the store's
     /// [`TieredDeltaStore::prefetch`] API.
-    fn prefetch_model(&mut self, model: usize) {
+    pub(crate) fn prefetch_model(&mut self, model: usize) {
         if let Some(id) = self.artifacts.get(model).copied() {
             let _ = self.store.prefetch(&[id]);
         }
@@ -194,7 +201,7 @@ impl DeltaStoreBinding {
 
     /// Keeps a model's artifact warm in the host cache while the delta is
     /// consumed from GPU memory (no fetch, no load accounting).
-    fn touch_model(&mut self, model: usize) {
+    pub(crate) fn touch_model(&mut self, model: usize) {
         if let Some(id) = self.artifacts.get(model) {
             self.store.touch(id);
         }
@@ -213,7 +220,7 @@ impl DeltaStoreBinding {
     ///
     /// Panics if the model has no bound artifact or storage fails — a
     /// mis-bound engine cannot produce meaningful metrics.
-    fn fetch_for_model(&mut self, model: usize) -> DecodedFetch {
+    pub(crate) fn fetch_for_model(&mut self, model: usize) -> DecodedFetch {
         let id = self
             .artifacts
             .get(model)
@@ -251,8 +258,6 @@ pub struct DeltaZipEngine {
     /// Optional predictive prefetcher: prewarms deltas disk→host ahead of
     /// demand (only active with [`DeltaZipConfig::overlap_swaps`]).
     pub prefetcher: Option<Box<dyn Prefetcher>>,
-    /// Bandwidth budget for the prefetcher.
-    pub prefetch_config: PrefetchConfig,
     /// Degraded-channel fault schedule (absolute simulation time),
     /// installed on the transfer timeline at the start of each run.
     /// Empty by default; the chaos layer populates it.
@@ -281,7 +286,6 @@ impl DeltaZipEngine {
             delta_store: None,
             catalog: None,
             prefetcher: None,
-            prefetch_config: PrefetchConfig::default(),
             brownouts: Vec::new(),
             tracer: Tracer::disabled(),
         }
@@ -338,35 +342,11 @@ impl Engine for DeltaZipEngine {
         // Queue of request ids, FCFS == id order (trace is arrival-sorted).
         let mut queue: BTreeSet<usize> = BTreeSet::new();
         let mut running: Vec<usize> = Vec::new();
-        // Admitted requests whose delta is still in flight: each holds a
-        // batch slot but stalls only until *its own* load lands
-        // (`blocked_at` marks when the stall began). Only used with
-        // `overlap_swaps`.
-        let mut waiting: Vec<usize> = Vec::new();
-        let mut blocked_at: BTreeMap<usize, f64> = BTreeMap::new();
         let mut next_arrival = 0usize;
         let mut t = 0.0f64;
-        // Delta residency: deltas stay on GPU (LRU) up to the memory
-        // capacity; `N` caps batch concurrency, not residency. `warm` holds
-        // deltas cached in host DRAM with LRU stamps — bounded by
-        // `host_capacity_deltas`, so evicted deltas fall back to disk.
-        let capacity = cost
-            .delta_resident_capacity()
-            .max(cfg.max_concurrent_deltas);
-        let mut on_gpu: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut warm: BTreeMap<usize, f64> = BTreeMap::new();
         // The parent request per selected delta.
         let mut parent_of_delta: BTreeMap<usize, usize> = BTreeMap::new();
-        // The shared-channel transfer timeline and its in-flight index.
-        let mut timeline = TransferTimeline::new();
-        timeline.set_brownouts(self.brownouts.clone());
-        let mut loading: BTreeMap<usize, LoadToken> = BTreeMap::new();
-        let mut load_is_prefetch: BTreeSet<usize> = BTreeSet::new();
-        // Deltas whose host warmth came from a completed prefetch (the
-        // prefetch-hit accounting).
-        let mut prefetched_warm: BTreeSet<usize> = BTreeSet::new();
-        let mut prefetch_bucket = self.prefetch_config.burst_s;
-        let mut swap = SwapStats::default();
+        let mut res = Residency::new(cost, &cfg, self.delta_store.take(), self.brownouts.clone());
         // Detach the tracer so emission closures can borrow engine state.
         let mut tracer = std::mem::take(&mut self.tracer);
 
@@ -382,35 +362,14 @@ impl Engine for DeltaZipEngine {
                 queue.insert(next_arrival);
                 next_arrival += 1;
             }
-            if running.is_empty() && queue.is_empty() && waiting.is_empty() {
+            if running.is_empty() && queue.is_empty() && res.waiting().len() == 0 {
                 if next_arrival >= states.len() {
                     break;
                 }
                 // Idle gap: only prefetches can be in flight; let them
                 // progress to the next arrival.
-                let t_next = states[next_arrival].req.arrival;
-                let adv = timeline.advance_to(t_next);
-                swap.load_busy_s += adv.busy_s;
-                prefetch_bucket = (prefetch_bucket + (t_next - t) * self.prefetch_config.rate)
-                    .min(self.prefetch_config.burst_s);
-                t = t_next;
-                apply_swap_completions(
-                    adv.completions,
-                    &cfg,
-                    &mut states,
-                    &mut waiting,
-                    &mut running,
-                    &mut blocked_at,
-                    &mut on_gpu,
-                    &mut warm,
-                    &mut loading,
-                    &mut load_is_prefetch,
-                    &mut prefetched_warm,
-                    &BTreeSet::new(),
-                    &mut self.delta_store,
-                    &mut swap,
-                    &mut tracer,
-                );
+                t = states[next_arrival].req.arrival;
+                res.advance_to(t, Window::Idle, &mut states, &mut running, &mut tracer);
                 continue;
             }
 
@@ -428,25 +387,23 @@ impl Engine for DeltaZipEngine {
             // (Delta/Stacked) occupy them. `toppings_in_batch` counts every
             // distinct non-base topping (adapters included) against
             // `max_toppings_per_batch`.
-            let mut selected: BTreeSet<usize> = running
+            let claims: Vec<usize> = running.iter().copied().chain(res.waiting()).collect();
+            let mut selected: BTreeSet<usize> = claims
                 .iter()
-                .chain(waiting.iter())
                 .filter(|&&i| states[i].kind.needs_delta())
                 .map(|&i| states[i].req.model)
                 .collect();
-            let mut toppings_in_batch: BTreeSet<usize> = running
+            let mut toppings_in_batch: BTreeSet<usize> = claims
                 .iter()
-                .chain(waiting.iter())
                 .filter(|&&i| states[i].kind.is_topping())
                 .map(|&i| states[i].req.model)
                 .collect();
             let mut has_delta_side = !selected.is_empty();
-            let mut has_adapter_side = running
+            let mut has_adapter_side = claims
                 .iter()
-                .chain(waiting.iter())
                 .any(|&i| matches!(states[i].kind, VariantKind::Lora { .. }));
             parent_of_delta.retain(|d, _| selected.contains(d));
-            let mut batch_size = running.len() + waiting.len();
+            let mut batch_size = claims.len();
             let mut admitted: Vec<usize> = Vec::new();
             for qid in self.scan_order(&queue, &states, t) {
                 if batch_size >= cfg.max_batch {
@@ -524,211 +481,21 @@ impl Engine for DeltaZipEngine {
                 });
                 if cfg.overlap_swaps
                     && states[qid].kind.needs_delta()
-                    && !on_gpu.contains_key(&states[qid].req.model)
+                    && !res.on_gpu(states[qid].req.model)
                 {
                     // Overlapped mode: hold a batch slot but wait for this
                     // delta's own load; the resident sub-batch decodes on.
-                    blocked_at.insert(qid, t);
-                    waiting.push(qid);
+                    res.block(qid, t);
                 } else {
                     running.push(qid);
                 }
             }
 
-            // Step 3: bring selected deltas that are not yet on GPU,
-            // evicting the least-recently-used non-selected deltas under
-            // memory pressure.
-            let needed: Vec<usize> = selected
-                .iter()
-                .copied()
-                .filter(|d| !on_gpu.contains_key(d))
-                .collect();
-            if cfg.overlap_swaps {
-                for d in needed {
-                    if let Some(&tok) = loading.get(&d) {
-                        if load_is_prefetch.contains(&d) {
-                            // A prewarm for this delta is already in
-                            // flight: graft the host→device stages onto it
-                            // instead of paying the disk bytes twice. The
-                            // promoted load needs a GPU slot like any
-                            // demand load (count it *before* clearing the
-                            // prefetch marker so the loop reserves room
-                            // for it).
-                            let demand_inflight = loading.len() - load_is_prefetch.len();
-                            let victims =
-                                evict_gpu_lru(&mut on_gpu, &selected, capacity, demand_inflight);
-                            trace_evicts(&mut tracer, victims, EvictTier::Gpu, t);
-                            load_is_prefetch.remove(&d);
-                            // The prewarm's disk bytes finish into the
-                            // host tier and the demand path fetches from
-                            // there — keep the host-cache bookkeeping in
-                            // sync so a later re-load of this delta is
-                            // warm, and count the (mid-flight) hit.
-                            let extra = match self.delta_store.as_mut() {
-                                Some(binding) => {
-                                    binding.prefetch_model(d);
-                                    let outcome = binding.fetch_for_model(d);
-                                    let gbps = binding.measured_decode_gbps();
-                                    cost.delta_load_profile_measured(outcome.bytes as f64, gbps)
-                                }
-                                None => {
-                                    warm.insert(d, t);
-                                    let victims = enforce_host_cap(&cfg, &mut warm, &selected);
-                                    trace_evicts(&mut tracer, victims, EvictTier::Host, t);
-                                    cost.delta_load_profile_bytes(cost.delta_bytes())
-                                }
-                            };
-                            swap.prefetch_hits += 1;
-                            tracer.emit(|| TraceEvent::PrefetchHit { delta: d, at: t });
-                            tracer.emit(|| TraceEvent::PrefetchPromoted { delta: d, at: t });
-                            tracer.emit(|| TraceEvent::SwapStart {
-                                delta: d,
-                                at: t,
-                                disk_s: extra.disk_s,
-                                pcie_s: extra.pcie_s,
-                                solo_s: extra.solo_s(),
-                            });
-                            timeline.promote(tok, extra);
-                            swap.demand_loads += 1;
-                            swap.serialized_stall_s += extra.solo_s();
-                        }
-                        continue;
-                    }
-                    let demand_inflight = loading.len() - load_is_prefetch.len();
-                    let victims = evict_gpu_lru(&mut on_gpu, &selected, capacity, demand_inflight);
-                    trace_evicts(&mut tracer, victims, EvictTier::Gpu, t);
-                    let was_prefetched = prefetched_warm.remove(&d);
-                    let hits_before = swap.prefetch_hits;
-                    let profile = match self.delta_store.as_mut() {
-                        // Artifact-store path: the store decides the tier
-                        // from its byte-budget LRU, reports real artifact
-                        // bytes, and the stage profile uses the *measured*
-                        // decode throughput.
-                        Some(binding) => {
-                            let outcome = binding.fetch_for_model(d);
-                            let gbps = binding.measured_decode_gbps();
-                            if was_prefetched && outcome.tier == FetchTier::HostHit {
-                                swap.prefetch_hits += 1;
-                            }
-                            match outcome.tier {
-                                // Decode-free hit: the store still held the
-                                // decoded copy, which streams raw over PCIe
-                                // with no decompression stage.
-                                FetchTier::HostHit if outcome.decode.is_none() => {
-                                    cost.decoded_load_profile_bytes(outcome.raw_bytes as f64)
-                                }
-                                FetchTier::HostHit => {
-                                    cost.delta_load_profile_measured(outcome.bytes as f64, gbps)
-                                }
-                                FetchTier::DiskMiss => cost
-                                    .delta_cold_load_profile_measured(outcome.bytes as f64, gbps),
-                            }
-                        }
-                        // Synthetic path: shape-model bytes, warm/cold
-                        // decided by the engine's own host-cache bookkeeping.
-                        None => {
-                            let warm_hit = warm.contains_key(&d);
-                            if warm_hit && was_prefetched {
-                                swap.prefetch_hits += 1;
-                            }
-                            let p = if warm_hit {
-                                cost.delta_load_profile_bytes(cost.delta_bytes())
-                            } else {
-                                cost.delta_cold_load_profile_bytes(cost.delta_bytes())
-                            };
-                            warm.insert(d, t);
-                            let victims = enforce_host_cap(&cfg, &mut warm, &selected);
-                            trace_evicts(&mut tracer, victims, EvictTier::Host, t);
-                            p
-                        }
-                    };
-                    if swap.prefetch_hits > hits_before {
-                        tracer.emit(|| TraceEvent::PrefetchHit { delta: d, at: t });
-                    }
-                    tracer.emit(|| TraceEvent::SwapStart {
-                        delta: d,
-                        at: t,
-                        disk_s: profile.disk_s,
-                        pcie_s: profile.pcie_s,
-                        solo_s: profile.solo_s(),
-                    });
-                    let tok = timeline.start(profile, LoadKind::Demand { delta: d });
-                    loading.insert(d, tok);
-                    swap.demand_loads += 1;
-                    swap.serialized_stall_s += profile.solo_s();
-                }
-            } else {
-                // Legacy serialized path (the `bench-swap` baseline):
-                // charge every load up front and stall the whole batch on
-                // the sum — including requests whose delta was already
-                // resident.
-                let mut load_s = 0.0;
-                for d in needed {
-                    let victims = evict_gpu_lru(&mut on_gpu, &selected, capacity, 0);
-                    trace_evicts(&mut tracer, victims, EvictTier::Gpu, t);
-                    let offset = load_s;
-                    let charge = match self.delta_store.as_mut() {
-                        Some(binding) => {
-                            let outcome = binding.fetch_for_model(d);
-                            let gbps = binding.measured_decode_gbps();
-                            match outcome.tier {
-                                FetchTier::HostHit => cost
-                                    .delta_load_profile_measured(outcome.bytes as f64, gbps)
-                                    .solo_s(),
-                                FetchTier::DiskMiss => cost
-                                    .delta_cold_load_profile_measured(outcome.bytes as f64, gbps)
-                                    .solo_s(),
-                            }
-                        }
-                        None => {
-                            let charge = if warm.contains_key(&d) {
-                                cost.delta_load_time()
-                            } else {
-                                cost.delta_cold_load_time()
-                            };
-                            warm.insert(d, t);
-                            let victims = enforce_host_cap(&cfg, &mut warm, &selected);
-                            trace_evicts(&mut tracer, victims, EvictTier::Host, t);
-                            charge
-                        }
-                    };
-                    // Serialized loads run back to back: reconstruct the
-                    // per-delta span inside the single up-front charge.
-                    tracer.emit(|| TraceEvent::SwapStart {
-                        delta: d,
-                        at: t + offset,
-                        disk_s: 0.0,
-                        pcie_s: 0.0,
-                        solo_s: charge,
-                    });
-                    tracer.emit(|| TraceEvent::SwapLand {
-                        delta: d,
-                        at: t + offset + charge,
-                        waiters: 0,
-                    });
-                    load_s += charge;
-                    swap.demand_loads += 1;
-                    swap.serialized_stall_s += charge;
-                    on_gpu.insert(d, t);
-                }
-                if load_s > 0.0 {
-                    t += load_s;
-                    swap.load_busy_s += load_s;
-                    swap.blocked_s += load_s;
-                    for &rid in &running {
-                        states[rid].load_wait_s += load_s;
-                        swap.stall_s += load_s;
-                        // The whole batch stalls on the serialized sum:
-                        // all of it is "own-delta" style exposure (the
-                        // serialized model has no channel contention).
-                        states[rid].accrue(t, |c, dt| c.stall_own_s += dt);
-                    }
-                }
-            }
-
-            // Step 3b: predictive prefetch under the bandwidth budget.
+            // Step 3: bring the selected deltas in (the serialized model
+            // stalls the whole batch on the sum), then prefetch under the
+            // bandwidth budget.
+            t += res.swap_in(&selected, t, &running, &mut states, &mut tracer);
             if cfg.overlap_swaps && self.prefetcher.is_some() {
-                let pcfg = self.prefetch_config;
                 let queued_models: Vec<usize> = self
                     .scan_order(&queue, &states, t)
                     .into_iter()
@@ -741,63 +508,8 @@ impl Engine for DeltaZipEngine {
                     queued_models: &queued_models,
                     selected: &selected,
                 };
-                let candidates = match self.prefetcher.as_mut() {
-                    Some(pf) => pf.candidates(&ctx),
-                    None => Vec::new(),
-                };
-                for d in candidates {
-                    if timeline.in_flight_prefetches() >= pcfg.max_inflight {
-                        break;
-                    }
-                    if selected.contains(&d) || on_gpu.contains_key(&d) || loading.contains_key(&d)
-                    {
-                        continue;
-                    }
-                    let (already_warm, bytes) = match self.delta_store.as_ref() {
-                        Some(binding) => (
-                            binding.is_model_warm(d),
-                            binding
-                                .artifact_bytes(d)
-                                .map(|b| b as f64)
-                                .unwrap_or_else(|| cost.delta_bytes()),
-                        ),
-                        None => (warm.contains_key(&d), cost.delta_bytes()),
-                    };
-                    if already_warm {
-                        continue;
-                    }
-                    let profile = cost.prefetch_profile_bytes(bytes);
-                    if profile.disk_s > prefetch_bucket {
-                        continue;
-                    }
-                    prefetch_bucket -= profile.disk_s;
-                    tracer.emit(|| TraceEvent::PrefetchIssued {
-                        delta: d,
-                        at: t,
-                        disk_s: profile.disk_s,
-                    });
-                    let tok = timeline.start(profile, LoadKind::Prefetch { delta: d });
-                    loading.insert(d, tok);
-                    load_is_prefetch.insert(d);
-                    swap.prefetch_issued += 1;
-                }
-            }
-
-            // Touch LRU stamps of the deltas used this iteration — both
-            // the engine's own maps and, in store-backed mode, the host
-            // cache (a GPU-resident delta must not rot into the store's
-            // LRU victim while it is still hot).
-            for d in &selected {
-                if let Some(stamp) = on_gpu.get_mut(d) {
-                    *stamp = t;
-                }
-                if let Some(stamp) = warm.get_mut(d) {
-                    *stamp = t;
-                }
-            }
-            if let Some(binding) = self.delta_store.as_mut() {
-                for d in &selected {
-                    binding.touch_model(*d);
+                if let Some(pf) = self.prefetcher.as_mut() {
+                    res.prefetch(pf.candidates(&ctx), t, &mut tracer);
                 }
             }
 
@@ -805,37 +517,14 @@ impl Engine for DeltaZipEngine {
                 // Everything admitted is stalled on its own load: jump to
                 // the earliest in-flight completion (or the next arrival,
                 // whichever lets the engine make progress first).
-                let next_c = timeline
+                let mut target = res
                     .next_completion_at()
                     .expect("waiting requests imply in-flight loads");
-                let mut target = next_c;
                 if next_arrival < states.len() {
                     target = target.min(states[next_arrival].req.arrival);
                 }
-                let target = target.max(t);
-                let adv = timeline.advance_to(target);
-                swap.load_busy_s += adv.busy_s;
-                swap.blocked_s += adv.busy_s;
-                prefetch_bucket = (prefetch_bucket + (target - t) * self.prefetch_config.rate)
-                    .min(self.prefetch_config.burst_s);
-                t = target;
-                apply_swap_completions(
-                    adv.completions,
-                    &cfg,
-                    &mut states,
-                    &mut waiting,
-                    &mut running,
-                    &mut blocked_at,
-                    &mut on_gpu,
-                    &mut warm,
-                    &mut loading,
-                    &mut load_is_prefetch,
-                    &mut prefetched_warm,
-                    &selected,
-                    &mut self.delta_store,
-                    &mut swap,
-                    &mut tracer,
-                );
+                t = target.max(t);
+                res.advance_to(t, Window::Blocked, &mut states, &mut running, &mut tracer);
                 continue;
             }
 
@@ -876,7 +565,7 @@ impl Engine for DeltaZipEngine {
             let delta_ids: Vec<usize> = selected
                 .iter()
                 .copied()
-                .filter(|d| on_gpu.contains_key(d))
+                .filter(|&d| res.on_gpu(d))
                 .collect();
             let mut reqs_per_delta = vec![0usize; delta_ids.len()];
             let mut adapter_ids: Vec<usize> = Vec::new();
@@ -977,72 +666,8 @@ impl Engine for DeltaZipEngine {
             // The iteration consumed wall time: in-flight loads progressed
             // underneath it (the overlap), and any that landed wake their
             // own requests — charged only their own stall.
-            let adv = timeline.advance_to(t);
-            swap.load_busy_s += adv.busy_s;
-            swap.overlapped_s += adv.busy_s;
-            prefetch_bucket = (prefetch_bucket + (t - t_before) * self.prefetch_config.rate)
-                .min(self.prefetch_config.burst_s);
-            apply_swap_completions(
-                adv.completions,
-                &cfg,
-                &mut states,
-                &mut waiting,
-                &mut running,
-                &mut blocked_at,
-                &mut on_gpu,
-                &mut warm,
-                &mut loading,
-                &mut load_is_prefetch,
-                &mut prefetched_warm,
-                &selected,
-                &mut self.delta_store,
-                &mut swap,
-                &mut tracer,
-            );
-
-            // Gauge sample at the iteration boundary: queue/batch
-            // occupancy, residency and warmth composition, channel
-            // in-flight counts.
-            tracer.gauge(|| {
-                let n_models = trace.spec.n_models;
-                let (disk, host, decoded, host_bytes) = match self.delta_store.as_ref() {
-                    Some(binding) => {
-                        let (mut disk, mut host, mut dec) = (0usize, 0usize, 0usize);
-                        for id in binding.artifacts() {
-                            match binding.store().warmth(id) {
-                                Warmth::Disk => disk += 1,
-                                Warmth::Host => host += 1,
-                                Warmth::HostDecoded => dec += 1,
-                            }
-                        }
-                        (disk, host, dec, binding.store().resident_bytes() as f64)
-                    }
-                    None => {
-                        let host = warm.len();
-                        (
-                            n_models.saturating_sub(host),
-                            host,
-                            0,
-                            host as f64 * cost.delta_bytes(),
-                        )
-                    }
-                };
-                GaugeSample {
-                    at: t,
-                    queue_depth: queue.len(),
-                    batch: running.len(),
-                    blocked: waiting.len(),
-                    gpu_resident: on_gpu.len(),
-                    warmth_disk: disk,
-                    warmth_host: host,
-                    warmth_host_decoded: decoded,
-                    gpu_bytes: on_gpu.len() as f64 * cost.delta_bytes(),
-                    host_bytes,
-                    inflight_demand: timeline.in_flight() - timeline.in_flight_prefetches(),
-                    inflight_prefetch: timeline.in_flight_prefetches(),
-                    live_replicas: 0,
-                }
-            });
+            res.advance_to(t, Window::Decode, &mut states, &mut running, &mut tracer);
+            tracer.gauge(|| res.gauge(t, trace.spec.n_models, queue.len(), running.len()));
 
             // Step 6: starvation avoidance — preempt children of finished
             // parents back to their original queue slots. Only kick children
@@ -1115,167 +740,13 @@ impl Engine for DeltaZipEngine {
             }
         }
 
-        // Re-attach the tracer so the caller can harvest the log.
+        // Re-attach the tracer and the store so the caller can harvest them.
         self.tracer = tracer;
+        let (store, swap) = res.finish();
+        self.delta_store = store;
         Metrics::from_states(self.label(), &states, t)
             .with_swap(swap)
             .with_toppings(toppings)
-    }
-}
-
-/// Evicts least-recently-used non-selected deltas from GPU memory until
-/// there is room for one more landing delta (in-flight demand loads also
-/// reserve slots), returning the evicted deltas. Capacity >= N guarantees
-/// progress; if every resident delta is selected the loop stops.
-fn evict_gpu_lru(
-    on_gpu: &mut BTreeMap<usize, f64>,
-    selected: &BTreeSet<usize>,
-    capacity: usize,
-    reserved_inflight: usize,
-) -> Vec<usize> {
-    let mut victims = Vec::new();
-    while on_gpu.len() + reserved_inflight >= capacity {
-        let victim = on_gpu
-            .iter()
-            .filter(|(d, _)| !selected.contains(*d))
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite time"))
-            .map(|(&d, _)| d);
-        match victim {
-            Some(v) => {
-                on_gpu.remove(&v);
-                victims.push(v);
-            }
-            None => break,
-        }
-    }
-    victims
-}
-
-/// Emits one [`TraceEvent::Evict`] per victim (no-op with an empty list
-/// or a disabled tracer).
-fn trace_evicts(tracer: &mut Tracer, victims: Vec<usize>, tier: EvictTier, at: f64) {
-    for v in victims {
-        tracer.emit(|| TraceEvent::Evict { delta: v, tier, at });
-    }
-}
-
-/// Enforces the synthetic host-cache cap: evict LRU warm entries beyond
-/// the (validated) cap. Only deltas selected for the current batch are
-/// exempt — GPU-resident deltas no longer are, so the cap actually binds
-/// (the cap is clamped to `max_concurrent_deltas`, which bounds the
-/// exempt set, so the loop always restores `warm.len() <= cap`).
-fn enforce_host_cap(
-    cfg: &DeltaZipConfig,
-    warm: &mut BTreeMap<usize, f64>,
-    selected: &BTreeSet<usize>,
-) -> Vec<usize> {
-    let mut victims = Vec::new();
-    let Some(host_cap) = cfg.host_capacity_deltas else {
-        return victims;
-    };
-    while warm.len() > host_cap.max(1) {
-        let victim = warm
-            .iter()
-            .filter(|(d, _)| !selected.contains(*d))
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite time"))
-            .map(|(&d, _)| d);
-        match victim {
-            Some(v) => {
-                warm.remove(&v);
-                victims.push(v);
-            }
-            None => break, // Everything cached is selected right now.
-        }
-    }
-    victims
-}
-
-/// Applies a batch of transfer-timeline completions to the engine state:
-/// a finished **demand** load makes its delta GPU-resident and wakes
-/// every request stalled on it (charging each request only its own wait);
-/// a finished **prefetch** makes its delta host-warm.
-#[allow(clippy::too_many_arguments)]
-fn apply_swap_completions(
-    completions: Vec<Completion>,
-    cfg: &DeltaZipConfig,
-    states: &mut [ReqState],
-    waiting: &mut Vec<usize>,
-    running: &mut Vec<usize>,
-    blocked_at: &mut BTreeMap<usize, f64>,
-    on_gpu: &mut BTreeMap<usize, f64>,
-    warm: &mut BTreeMap<usize, f64>,
-    loading: &mut BTreeMap<usize, LoadToken>,
-    load_is_prefetch: &mut BTreeSet<usize>,
-    prefetched_warm: &mut BTreeSet<usize>,
-    protected: &BTreeSet<usize>,
-    delta_store: &mut Option<DeltaStoreBinding>,
-    swap: &mut SwapStats,
-    tracer: &mut Tracer,
-) {
-    for c in completions {
-        let d = c.kind.delta();
-        loading.remove(&d);
-        load_is_prefetch.remove(&d);
-        match c.kind {
-            LoadKind::Demand { .. } => {
-                on_gpu.insert(d, c.at);
-                // Contention attribution: how much of the load's wall
-                // time was inflation over its uncontended duration. The
-                // clamp absorbs promoted loads that *beat* their solo
-                // estimate thanks to a prefetch head start.
-                let wall = (c.at - c.started_at).max(0.0);
-                let contention_frac = if wall > 0.0 {
-                    ((wall - c.solo_s) / wall).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let mut woken = 0usize;
-                let mut i = 0;
-                while i < waiting.len() {
-                    let qid = waiting[i];
-                    if states[qid].req.model == d {
-                        if let Some(b) = blocked_at.remove(&qid) {
-                            let stall = (c.at - b).max(0.0);
-                            states[qid].load_wait_s += stall;
-                            swap.stall_s += stall;
-                        }
-                        // Split the stall (computed as `dt` so the ledger
-                        // telescopes exactly) into own-delta exposure vs
-                        // contention-induced inflation.
-                        states[qid].accrue(c.at, |cs, dt| {
-                            let cont = dt * contention_frac;
-                            cs.stall_contention_s += cont;
-                            cs.stall_own_s += dt - cont;
-                        });
-                        running.push(qid);
-                        waiting.swap_remove(i);
-                        woken += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-                tracer.emit(|| TraceEvent::SwapLand {
-                    delta: d,
-                    at: c.at,
-                    waiters: woken,
-                });
-            }
-            LoadKind::Prefetch { .. } => {
-                swap.prefetch_completed += 1;
-                prefetched_warm.insert(d);
-                tracer.emit(|| TraceEvent::PrefetchLand { delta: d, at: c.at });
-                match delta_store.as_mut() {
-                    // Store-backed: the bytes actually move into the
-                    // store's host cache (budgeted at issue time).
-                    Some(binding) => binding.prefetch_model(d),
-                    None => {
-                        warm.insert(d, c.at);
-                        let victims = enforce_host_cap(cfg, warm, protected);
-                        trace_evicts(tracer, victims, EvictTier::Host, c.at);
-                    }
-                }
-            }
-        }
     }
 }
 

@@ -63,8 +63,7 @@ pub use policy::{PreemptionPolicy, ResumePolicy};
 pub use predictor::LengthEstimator;
 pub use slo::{SloClass, SloPolicy};
 pub use swap::{
-    LoadProfile, PopularityPrefetch, PrefetchConfig, PrefetchPolicy, Prefetcher, QueueLookahead,
-    TransferTimeline,
+    LoadProfile, PopularityPrefetch, PrefetchPolicy, Prefetcher, QueueLookahead, TransferTimeline,
 };
 pub use variant::{VariantCatalog, VariantKind, VariantSpec};
 pub use vllm_scb::{VllmScbConfig, VllmScbEngine};

@@ -22,16 +22,6 @@
 
 use std::collections::BTreeMap;
 
-/// A streaming estimate of output length per model variant.
-pub trait LengthPredictor {
-    /// Records the output length of a finished request of `model`.
-    fn observe(&mut self, model: usize, output_tokens: usize);
-
-    /// Predicted output length (tokens) for a new request of `model`, or
-    /// `None` before any observation relevant to the model exists.
-    fn predict(&self, model: usize) -> Option<f64>;
-}
-
 /// Per-model running mean with a global fallback.
 ///
 /// Cold models (fewer than [`MeanPredictor::MIN_SAMPLES`] observations)
@@ -52,10 +42,9 @@ impl MeanPredictor {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl LengthPredictor for MeanPredictor {
-    fn observe(&mut self, model: usize, output_tokens: usize) {
+    /// Records the output length of a finished request of `model`.
+    pub fn observe(&mut self, model: usize, output_tokens: usize) {
         let entry = self.per_model.entry(model).or_insert((0.0, 0));
         entry.0 += output_tokens as f64;
         entry.1 += 1;
@@ -63,7 +52,9 @@ impl LengthPredictor for MeanPredictor {
         self.global_n += 1;
     }
 
-    fn predict(&self, model: usize) -> Option<f64> {
+    /// Predicted output length (tokens) for a new request of `model`, or
+    /// `None` before any observation relevant to the model exists.
+    pub fn predict(&self, model: usize) -> Option<f64> {
         match self.per_model.get(&model) {
             Some(&(sum, n)) if n >= Self::MIN_SAMPLES => Some(sum / n as f64),
             _ if self.global_n > 0 => Some(self.global_sum / self.global_n as f64),
@@ -240,10 +231,9 @@ impl QuantilePredictor {
             global: P2Quantile::new(q),
         }
     }
-}
 
-impl LengthPredictor for QuantilePredictor {
-    fn observe(&mut self, model: usize, output_tokens: usize) {
+    /// Records the output length of a finished request of `model`.
+    pub fn observe(&mut self, model: usize, output_tokens: usize) {
         self.per_model
             .entry(model)
             .or_insert_with(|| P2Quantile::new(self.q))
@@ -251,7 +241,9 @@ impl LengthPredictor for QuantilePredictor {
         self.global.observe(output_tokens as f64);
     }
 
-    fn predict(&self, model: usize) -> Option<f64> {
+    /// Predicted output length (tokens) for a new request of `model`, or
+    /// `None` before any observation relevant to the model exists.
+    pub fn predict(&self, model: usize) -> Option<f64> {
         match self.per_model.get(&model) {
             Some(est) if est.count() >= Self::MIN_SAMPLES => est.estimate(),
             _ => self.global.estimate(),

@@ -9,8 +9,8 @@
 //!   already prices (latency head, disk-channel work, PCIe-channel work,
 //!   a serial tail, and a pipelined decode floor). An uncontended load
 //!   completes in exactly [`LoadProfile::solo_s`], which the
-//!   [`CostModel`](crate::cost::CostModel) profile constructors calibrate
-//!   to equal the legacy scalar charges.
+//!   [`CostModel`] profile constructors calibrate to equal the legacy
+//!   scalar charges.
 //! * [`TransferTimeline`] — the shared-channel simulator: concurrent
 //!   loads split each channel's bandwidth evenly (processor sharing), so
 //!   `k` cold loads share the disk link instead of being summed serially.
@@ -19,14 +19,25 @@
 //! * [`Prefetcher`] — predictive disk→host prewarming policies:
 //!   [`QueueLookahead`] scans the FCFS queue beyond the selected `N`,
 //!   [`PopularityPrefetch`] prewarms the head of a [`PopularityDist`].
+//! * `Residency` (crate-private) — the engine's delta residency and swap
+//!   pipeline around the timeline: GPU and host residency, in-flight
+//!   loads, the requests stalled on them, the prefetch budget and the
+//!   [`SwapStats`]. It holds the one function that picks a load profile
+//!   and the one method that advances the timeline.
 //!
-//! [`DeltaZipEngine`](crate::deltazip::DeltaZipEngine) drives all three:
-//! step 3 starts loads here instead of blocking, decode iterations call
-//! [`TransferTimeline::advance_to`], and each queued request stalls only
-//! until *its own* delta lands.
+//! [`DeltaZipEngine`](crate::deltazip::DeltaZipEngine)'s planner hands
+//! `Residency` each batch's selected deltas: step 3 starts loads instead
+//! of blocking, decode iterations advance the timeline, and each queued
+//! request stalls only until *its own* delta lands.
 
+use crate::cost::CostModel;
+use crate::deltazip::{DeltaStoreBinding, DeltaZipConfig};
+use crate::metrics::SwapStats;
+use crate::request::ReqState;
+use dz_store::{FetchTier, Warmth};
+use dz_trace::{EvictTier, GaugeSample, TraceEvent, Tracer};
 use dz_workload::PopularityDist;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Absolute-time comparison slack for the timeline's event stepping.
 const EPS: f64 = 1e-12;
@@ -427,8 +438,8 @@ pub struct PrefetchContext<'a> {
 
 /// A predictive prefetch policy: proposes deltas to prewarm disk→host,
 /// highest priority first. The engine filters out deltas that are
-/// already warm, resident, or in flight, and applies the bandwidth
-/// budget ([`PrefetchConfig`]).
+/// already warm, resident, or in flight, and applies a fixed bandwidth
+/// budget: at most half the disk link on average.
 pub trait Prefetcher {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
@@ -538,28 +549,540 @@ impl PrefetchPolicy {
     }
 }
 
-/// Bandwidth budget for predictive prefetch: a token bucket of
-/// disk-channel seconds, so prewarming can never consume more than
-/// `rate` of the disk link on average (demand loads always outrank it).
-#[derive(Debug, Clone, Copy)]
-pub struct PrefetchConfig {
-    /// Maximum concurrent prefetch transfers.
-    pub max_inflight: usize,
-    /// Disk-seconds of prefetch issued per second of simulated time
-    /// (0.5 = prefetch may use at most half the disk link on average).
-    pub rate: f64,
-    /// Token-bucket burst cap, in disk-seconds.
-    pub burst_s: f64,
+/// Prefetch bandwidth budget: a token bucket of disk-channel seconds, so
+/// prewarming uses at most half the disk link on average (demand loads
+/// always outrank it), with at most [`PREFETCH_BURST_S`] banked and at
+/// most [`PREFETCH_MAX_INFLIGHT`] prewarms in flight.
+const PREFETCH_RATE: f64 = 0.5;
+/// Token-bucket burst cap, in disk-seconds.
+const PREFETCH_BURST_S: f64 = 30.0;
+/// Maximum concurrent prefetch transfers.
+const PREFETCH_MAX_INFLIGHT: usize = 2;
+
+/// Where the engine tracks which deltas sit in host DRAM.
+enum HostTier {
+    /// The engine's own LRU (delta -> last-use stamp) over shape-model
+    /// bytes, bounded by `host_capacity_deltas`.
+    Synthetic(BTreeMap<usize, f64>),
+    /// A bound artifact store: its byte-budget LRU decides warmth, and
+    /// loads are priced from real `.dza` bytes and measured decode speed.
+    Store(Box<DeltaStoreBinding>),
 }
 
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        PrefetchConfig {
-            max_inflight: 2,
-            rate: 0.5,
-            burst_s: 30.0,
+/// Which swap counter an advance window's busy time also counts toward.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Window {
+    /// Nothing admitted: only prefetches can be in flight.
+    Idle,
+    /// Every admitted request is stalled on its own delta's load.
+    Blocked,
+    /// A decode iteration ran while the loads progressed underneath it
+    /// (the overlap).
+    Decode,
+}
+
+/// The DeltaZip engine's delta residency and swap pipeline: GPU and host
+/// residency, the shared [`TransferTimeline`] with its in-flight loads, the
+/// requests stalled on them, the prefetch budget and the [`SwapStats`].
+///
+/// The engine's planner decides what to admit and which deltas a batch
+/// needs; this type brings them in (steps 3 and 3b of the engine loop),
+/// advances the timeline, and wakes each stalled request when its own
+/// delta lands.
+pub(crate) struct Residency {
+    cost: CostModel,
+    overlap: bool,
+    host_cap: Option<usize>,
+    /// GPU slots for deltas: `N` caps batch concurrency, not residency.
+    gpu_capacity: usize,
+    /// GPU-resident deltas with LRU stamps.
+    on_gpu: BTreeMap<usize, f64>,
+    host: HostTier,
+    timeline: TransferTimeline,
+    /// In-flight loads by delta, and which of them are still prefetches.
+    loading: BTreeMap<usize, LoadToken>,
+    load_is_prefetch: BTreeSet<usize>,
+    /// Deltas whose host warmth came from a completed prefetch (the
+    /// prefetch-hit accounting).
+    prefetched_warm: BTreeSet<usize>,
+    /// Admitted requests stalled on their own delta's load, with the time
+    /// each stall began (overlapped mode only).
+    waiting: Vec<(usize, f64)>,
+    /// Deltas the current batch claims: never evicted, kept hot.
+    claimed: BTreeSet<usize>,
+    /// Prefetch token bucket (disk-seconds) and when it was last refilled.
+    bucket: f64,
+    refilled_at: f64,
+    stats: SwapStats,
+}
+
+impl Residency {
+    /// Empty GPU and host tiers under a validated config; `store` replaces
+    /// the synthetic host cache when bound.
+    pub(crate) fn new(
+        cost: CostModel,
+        cfg: &DeltaZipConfig,
+        store: Option<DeltaStoreBinding>,
+        brownouts: Vec<Brownout>,
+    ) -> Self {
+        let mut timeline = TransferTimeline::new();
+        timeline.set_brownouts(brownouts);
+        Residency {
+            cost,
+            overlap: cfg.overlap_swaps,
+            host_cap: cfg.host_capacity_deltas,
+            gpu_capacity: cost
+                .delta_resident_capacity()
+                .max(cfg.max_concurrent_deltas),
+            on_gpu: BTreeMap::new(),
+            host: match store {
+                Some(binding) => HostTier::Store(Box::new(binding)),
+                None => HostTier::Synthetic(BTreeMap::new()),
+            },
+            timeline,
+            loading: BTreeMap::new(),
+            load_is_prefetch: BTreeSet::new(),
+            prefetched_warm: BTreeSet::new(),
+            waiting: Vec::new(),
+            claimed: BTreeSet::new(),
+            bucket: PREFETCH_BURST_S,
+            refilled_at: 0.0,
+            stats: SwapStats::default(),
         }
     }
+
+    /// Hands back the store binding (if one was bound) and the run's
+    /// swap counters.
+    pub(crate) fn finish(self) -> (Option<DeltaStoreBinding>, SwapStats) {
+        let store = match self.host {
+            HostTier::Store(binding) => Some(*binding),
+            HostTier::Synthetic(_) => None,
+        };
+        (store, self.stats)
+    }
+
+    /// Whether delta `d` is GPU-resident.
+    pub(crate) fn on_gpu(&self, d: usize) -> bool {
+        self.on_gpu.contains_key(&d)
+    }
+
+    /// Requests admitted but stalled on their own delta's load.
+    pub(crate) fn waiting(&self) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.waiting.iter().map(|&(qid, _)| qid)
+    }
+
+    /// When the earliest in-flight load lands if nothing else starts.
+    pub(crate) fn next_completion_at(&self) -> Option<f64> {
+        self.timeline.next_completion_at()
+    }
+
+    /// Parks an admitted request until its delta lands: it holds a batch
+    /// slot while the resident sub-batch decodes on.
+    pub(crate) fn block(&mut self, qid: usize, t: f64) {
+        self.waiting.push((qid, t));
+    }
+
+    /// Step 3: claims the batch's `selected` deltas and brings those not on
+    /// GPU, evicting LRU unclaimed deltas under memory pressure, then
+    /// stamps every claimed delta as used.
+    ///
+    /// Overlapped, each load starts on the timeline (or is grafted onto
+    /// its in-flight prefetch) and only its own requests stall. Serialized,
+    /// every load is charged up front and the whole `running` batch stalls
+    /// on the sum, which is returned (0 when overlapped).
+    pub(crate) fn swap_in(
+        &mut self,
+        selected: &BTreeSet<usize>,
+        t: f64,
+        running: &[usize],
+        states: &mut [ReqState],
+        tracer: &mut Tracer,
+    ) -> f64 {
+        self.claimed.clone_from(selected);
+        let needed: Vec<usize> = selected
+            .iter()
+            .copied()
+            .filter(|d| !self.on_gpu.contains_key(d))
+            .collect();
+        if self.overlap {
+            for d in needed {
+                let demand_inflight = self.loading.len() - self.load_is_prefetch.len();
+                if let Some(&tok) = self.loading.get(&d) {
+                    if self.load_is_prefetch.remove(&d) {
+                        // A prewarm for this delta is in flight: graft the
+                        // host->device stages onto it instead of paying
+                        // the disk bytes twice. It needs a GPU slot like
+                        // any demand load (counted before the prefetch
+                        // marker is cleared, so room is reserved for it).
+                        self.evict_gpu(demand_inflight, t, tracer);
+                        // The prewarm's bytes finish into the host tier
+                        // and the demand fetch hits there.
+                        self.warm_host(d, t, tracer);
+                        let (extra, _) = self.load_profile(d, t, tracer);
+                        self.stats.prefetch_hits += 1;
+                        tracer.emit(|| TraceEvent::PrefetchHit { delta: d, at: t });
+                        tracer.emit(|| TraceEvent::PrefetchPromoted { delta: d, at: t });
+                        trace_swap_start(tracer, d, t, &extra);
+                        self.timeline.promote(tok, extra);
+                        self.stats.demand_loads += 1;
+                        self.stats.serialized_stall_s += extra.solo_s();
+                    }
+                    continue;
+                }
+                self.evict_gpu(demand_inflight, t, tracer);
+                let was_prefetched = self.prefetched_warm.remove(&d);
+                let (profile, host_hit) = self.load_profile(d, t, tracer);
+                if was_prefetched && host_hit {
+                    self.stats.prefetch_hits += 1;
+                    tracer.emit(|| TraceEvent::PrefetchHit { delta: d, at: t });
+                }
+                trace_swap_start(tracer, d, t, &profile);
+                let tok = self.timeline.start(profile, LoadKind::Demand { delta: d });
+                self.loading.insert(d, tok);
+                self.stats.demand_loads += 1;
+                self.stats.serialized_stall_s += profile.solo_s();
+            }
+            self.touch(t);
+            return 0.0;
+        }
+        // Serialized (the `bench-swap` baseline): loads run back to back,
+        // so each delta's span is reconstructed inside the one charge.
+        let mut load_s = 0.0;
+        for d in needed {
+            self.evict_gpu(0, t, tracer);
+            let offset = load_s;
+            let charge = self.load_profile(d, t, tracer).0.solo_s();
+            tracer.emit(|| TraceEvent::SwapStart {
+                delta: d,
+                at: t + offset,
+                disk_s: 0.0,
+                pcie_s: 0.0,
+                solo_s: charge,
+            });
+            tracer.emit(|| TraceEvent::SwapLand {
+                delta: d,
+                at: t + offset + charge,
+                waiters: 0,
+            });
+            load_s += charge;
+            self.stats.demand_loads += 1;
+            self.stats.serialized_stall_s += charge;
+            self.on_gpu.insert(d, t);
+        }
+        if load_s > 0.0 {
+            let end = t + load_s;
+            self.stats.load_busy_s += load_s;
+            self.stats.blocked_s += load_s;
+            for &rid in running {
+                states[rid].load_wait_s += load_s;
+                self.stats.stall_s += load_s;
+                // The whole batch stalls on the serialized sum: all of it
+                // is own-delta exposure (no channel contention here).
+                states[rid].accrue(end, |c, dt| c.stall_own_s += dt);
+            }
+        }
+        self.touch(t + load_s);
+        load_s
+    }
+
+    /// Step 3b: prewarms `candidates` (in priority order) disk->host under
+    /// the bandwidth budget, skipping deltas that are claimed, resident,
+    /// in flight or already warm.
+    pub(crate) fn prefetch(&mut self, candidates: Vec<usize>, t: f64, tracer: &mut Tracer) {
+        for d in candidates {
+            if self.timeline.in_flight_prefetches() >= PREFETCH_MAX_INFLIGHT {
+                break;
+            }
+            if self.claimed.contains(&d)
+                || self.on_gpu.contains_key(&d)
+                || self.loading.contains_key(&d)
+            {
+                continue;
+            }
+            let bytes = match &self.host {
+                HostTier::Store(binding) if binding.is_model_warm(d) => continue,
+                HostTier::Store(binding) => binding
+                    .artifact_bytes(d)
+                    .map(|b| b as f64)
+                    .unwrap_or_else(|| self.cost.delta_bytes()),
+                HostTier::Synthetic(warm) if warm.contains_key(&d) => continue,
+                HostTier::Synthetic(_) => self.cost.delta_bytes(),
+            };
+            let profile = self.cost.prefetch_profile_bytes(bytes);
+            if profile.disk_s > self.bucket {
+                continue;
+            }
+            self.bucket -= profile.disk_s;
+            tracer.emit(|| TraceEvent::PrefetchIssued {
+                delta: d,
+                at: t,
+                disk_s: profile.disk_s,
+            });
+            let tok = self
+                .timeline
+                .start(profile, LoadKind::Prefetch { delta: d });
+            self.loading.insert(d, tok);
+            self.load_is_prefetch.insert(d);
+            self.stats.prefetch_issued += 1;
+        }
+    }
+
+    /// Stamps the claimed deltas in every LRU, the store's host cache
+    /// included (a GPU-resident delta must not rot into the store's LRU
+    /// victim while it is still hot).
+    fn touch(&mut self, t: f64) {
+        for d in &self.claimed {
+            if let Some(stamp) = self.on_gpu.get_mut(d) {
+                *stamp = t;
+            }
+        }
+        match &mut self.host {
+            HostTier::Synthetic(warm) => {
+                for d in &self.claimed {
+                    if let Some(stamp) = warm.get_mut(d) {
+                        *stamp = t;
+                    }
+                }
+            }
+            HostTier::Store(binding) => {
+                for d in &self.claimed {
+                    binding.touch_model(*d);
+                }
+            }
+        }
+    }
+
+    /// Advances the timeline to `to` and refills the prefetch budget. A
+    /// landed demand load makes its delta GPU-resident and moves every
+    /// request stalled on it to `running`, charging each only its own
+    /// wait; a landed prefetch makes its delta host-warm, evicting only
+    /// unclaimed deltas (an idle engine claims none).
+    pub(crate) fn advance_to(
+        &mut self,
+        to: f64,
+        window: Window,
+        states: &mut [ReqState],
+        running: &mut Vec<usize>,
+        tracer: &mut Tracer,
+    ) {
+        let adv = self.timeline.advance_to(to);
+        self.stats.load_busy_s += adv.busy_s;
+        match window {
+            Window::Idle => self.claimed.clear(),
+            Window::Blocked => self.stats.blocked_s += adv.busy_s,
+            Window::Decode => self.stats.overlapped_s += adv.busy_s,
+        }
+        self.bucket = (self.bucket + (to - self.refilled_at) * PREFETCH_RATE).min(PREFETCH_BURST_S);
+        self.refilled_at = to;
+        for c in adv.completions {
+            let d = c.kind.delta();
+            self.loading.remove(&d);
+            self.load_is_prefetch.remove(&d);
+            if c.kind.is_prefetch() {
+                self.stats.prefetch_completed += 1;
+                self.prefetched_warm.insert(d);
+                tracer.emit(|| TraceEvent::PrefetchLand { delta: d, at: c.at });
+                self.warm_host(d, c.at, tracer);
+                continue;
+            }
+            self.on_gpu.insert(d, c.at);
+            // Contention attribution: how much of the load's wall time was
+            // inflation over its uncontended duration. The clamp absorbs
+            // promoted loads that beat their solo estimate thanks to a
+            // prefetch head start.
+            let wall = (c.at - c.started_at).max(0.0);
+            let contention_frac = if wall > 0.0 {
+                ((wall - c.solo_s) / wall).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            let mut woken = 0usize;
+            let mut i = 0;
+            while i < self.waiting.len() {
+                let (qid, since) = self.waiting[i];
+                if states[qid].req.model != d {
+                    i += 1;
+                    continue;
+                }
+                let stall = (c.at - since).max(0.0);
+                states[qid].load_wait_s += stall;
+                self.stats.stall_s += stall;
+                // Split the stall (computed as `dt` so the ledger
+                // telescopes exactly) into own-delta exposure vs
+                // contention-induced inflation.
+                states[qid].accrue(c.at, |cs, dt| {
+                    let cont = dt * contention_frac;
+                    cs.stall_contention_s += cont;
+                    cs.stall_own_s += dt - cont;
+                });
+                running.push(qid);
+                self.waiting.swap_remove(i);
+                woken += 1;
+            }
+            tracer.emit(|| TraceEvent::SwapLand {
+                delta: d,
+                at: c.at,
+                waiters: woken,
+            });
+        }
+    }
+
+    /// Gauge sample at an iteration boundary: residency and warmth
+    /// composition and channel in-flight counts, next to the planner's
+    /// queue and batch occupancy.
+    pub(crate) fn gauge(
+        &self,
+        at: f64,
+        n_models: usize,
+        queue_depth: usize,
+        batch: usize,
+    ) -> GaugeSample {
+        let (disk, host, decoded, host_bytes) = match &self.host {
+            HostTier::Store(binding) => {
+                let (mut disk, mut host, mut dec) = (0usize, 0usize, 0usize);
+                for id in binding.artifacts() {
+                    match binding.store().warmth(id) {
+                        Warmth::Disk => disk += 1,
+                        Warmth::Host => host += 1,
+                        Warmth::HostDecoded => dec += 1,
+                    }
+                }
+                (disk, host, dec, binding.store().resident_bytes() as f64)
+            }
+            HostTier::Synthetic(warm) => {
+                let host = warm.len();
+                (
+                    n_models.saturating_sub(host),
+                    host,
+                    0,
+                    host as f64 * self.cost.delta_bytes(),
+                )
+            }
+        };
+        GaugeSample {
+            at,
+            queue_depth,
+            batch,
+            blocked: self.waiting.len(),
+            gpu_resident: self.on_gpu.len(),
+            warmth_disk: disk,
+            warmth_host: host,
+            warmth_host_decoded: decoded,
+            gpu_bytes: self.on_gpu.len() as f64 * self.cost.delta_bytes(),
+            host_bytes,
+            inflight_demand: self.timeline.in_flight() - self.timeline.in_flight_prefetches(),
+            inflight_prefetch: self.timeline.in_flight_prefetches(),
+            live_replicas: 0,
+        }
+    }
+
+    /// Fetches delta `d` through the host tier and prices its swap-in: the
+    /// one place a load profile is chosen. Returns the profile and whether
+    /// the fetch hit host DRAM.
+    ///
+    /// The store reports the tier from its byte-budget LRU and the real
+    /// artifact bytes, priced at the measured decode throughput; a
+    /// decode-free hit (the store still held the decoded copy) streams raw
+    /// bytes over PCIe with no decode stage. The synthetic tier prices
+    /// shape-model bytes, warm or cold by the engine's own host LRU.
+    fn load_profile(&mut self, d: usize, t: f64, tracer: &mut Tracer) -> (LoadProfile, bool) {
+        let cost = self.cost;
+        match &mut self.host {
+            HostTier::Store(binding) => {
+                let outcome = binding.fetch_for_model(d);
+                let gbps = binding.measured_decode_gbps();
+                let profile = match outcome.tier {
+                    FetchTier::HostHit if outcome.decode.is_none() => {
+                        cost.decoded_load_profile_bytes(outcome.raw_bytes as f64)
+                    }
+                    FetchTier::HostHit => {
+                        cost.delta_load_profile_measured(outcome.bytes as f64, gbps)
+                    }
+                    FetchTier::DiskMiss => {
+                        cost.delta_cold_load_profile_measured(outcome.bytes as f64, gbps)
+                    }
+                };
+                (profile, outcome.tier == FetchTier::HostHit)
+            }
+            HostTier::Synthetic(warm) => {
+                let host_hit = warm.contains_key(&d);
+                let profile = if host_hit {
+                    cost.delta_load_profile_bytes(cost.delta_bytes())
+                } else {
+                    cost.delta_cold_load_profile_bytes(cost.delta_bytes())
+                };
+                self.warm_host(d, t, tracer);
+                (profile, host_hit)
+            }
+        }
+    }
+
+    /// Lands delta `d` in host DRAM at `at`: through the store's prefetch
+    /// API, or into the synthetic LRU under its cap, evicting unclaimed
+    /// LRU entries (the cap is clamped to `N`, which bounds the claimed
+    /// set, so the cap is restored).
+    fn warm_host(&mut self, d: usize, at: f64, tracer: &mut Tracer) {
+        let warm = match &mut self.host {
+            HostTier::Store(binding) => return binding.prefetch_model(d),
+            HostTier::Synthetic(warm) => warm,
+        };
+        warm.insert(d, at);
+        let Some(cap) = self.host_cap else {
+            return;
+        };
+        while warm.len() > cap.max(1) {
+            match lru_outside(warm, &self.claimed) {
+                Some(v) => {
+                    warm.remove(&v);
+                    tracer.emit(|| TraceEvent::Evict {
+                        delta: v,
+                        tier: EvictTier::Host,
+                        at,
+                    });
+                }
+                None => break, // Everything cached is claimed right now.
+            }
+        }
+    }
+
+    /// Evicts LRU unclaimed deltas from GPU memory until one more landing
+    /// delta fits (in-flight demand loads also reserve slots). A capacity
+    /// of at least `N` guarantees progress; if every resident delta is
+    /// claimed the loop stops.
+    fn evict_gpu(&mut self, reserved_inflight: usize, at: f64, tracer: &mut Tracer) {
+        while self.on_gpu.len() + reserved_inflight >= self.gpu_capacity {
+            match lru_outside(&self.on_gpu, &self.claimed) {
+                Some(v) => {
+                    self.on_gpu.remove(&v);
+                    tracer.emit(|| TraceEvent::Evict {
+                        delta: v,
+                        tier: EvictTier::Gpu,
+                        at,
+                    });
+                }
+                None => break,
+            }
+        }
+    }
+}
+
+/// The least-recently-stamped entry of an LRU map outside `claimed`.
+fn lru_outside(stamps: &BTreeMap<usize, f64>, claimed: &BTreeSet<usize>) -> Option<usize> {
+    stamps
+        .iter()
+        .filter(|(d, _)| !claimed.contains(*d))
+        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite time"))
+        .map(|(&d, _)| d)
+}
+
+fn trace_swap_start(tracer: &mut Tracer, d: usize, at: f64, profile: &LoadProfile) {
+    tracer.emit(|| TraceEvent::SwapStart {
+        delta: d,
+        at,
+        disk_s: profile.disk_s,
+        pcie_s: profile.pcie_s,
+        solo_s: profile.solo_s(),
+    });
 }
 
 #[cfg(test)]

@@ -80,21 +80,6 @@ pub fn profile_best_n(
     }
 }
 
-/// The heuristic fallback the paper describes when profiling is impossible:
-/// few requests per delta -> allow more deltas; many requests per delta ->
-/// fewer to limit memory pressure.
-// dz-lint: allow(dead-pub, "the paper's profiling-free fallback for N, bounded by its unit test")
-pub fn heuristic_n(expected_reqs_per_delta: f64, capacity: usize) -> usize {
-    let n = if expected_reqs_per_delta < 2.0 {
-        12
-    } else if expected_reqs_per_delta < 8.0 {
-        8
-    } else {
-        4
-    };
-    n.min(capacity.max(1))
-}
-
 /// Bounds and cadence of the online `N` controller.
 #[derive(Debug, Clone, Copy)]
 pub struct DynamicNConfig {
@@ -124,10 +109,11 @@ impl Default for DynamicNConfig {
 
 /// Online `N` tuning (§5.4: "Dynamic tuning can also be implemented").
 ///
-/// Applies the paper's heuristic continuously instead of once: every
-/// `period_s` of simulated time the controller inspects the queue's
-/// requests-per-delta ratio and moves `N` one step towards the regime the
-/// heuristic prescribes. Single-step moves plus the period give hysteresis,
+/// Applies the paper's heuristic (few requests per delta: allow more
+/// deltas; many: fewer, to limit memory pressure) continuously instead of
+/// once: every `period_s` of simulated time the controller inspects the
+/// queue's requests-per-delta ratio and moves `N` one step towards the
+/// regime the heuristic prescribes. Single-step moves plus the period give hysteresis,
 /// so a transient burst does not whipsaw the cap.
 #[derive(Debug, Clone)]
 pub struct DynamicN {
@@ -233,14 +219,6 @@ mod tests {
             "profiled N={} degraded: {chosen_time} vs best {best_time}",
             profile.best_n
         );
-    }
-
-    #[test]
-    fn heuristic_bounds() {
-        assert_eq!(heuristic_n(1.0, 100), 12);
-        assert_eq!(heuristic_n(4.0, 100), 8);
-        assert_eq!(heuristic_n(20.0, 100), 4);
-        assert_eq!(heuristic_n(1.0, 3), 3);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use dz_gpusim::spec::NodeSpec;
 use dz_serve::{CostModel, DeltaStoreBinding, DeltaZipConfig, Engine, EngineBuilder};
 use dz_store::{sha256, ArtifactId, FetchTier, Registry, TieredDeltaStore};
 use dz_tensor::{Matrix, Rng};
-use dz_workload::{PopularityDist, Trace, TraceSpec};
+use dz_workload::{PopularityDist, Request, Trace, TraceSpec};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -207,4 +207,64 @@ fn fetch_tiers_follow_store_residency() {
         FetchTier::HostHit
     );
     std::fs::remove_dir_all(store.registry().root()).ok();
+}
+
+#[test]
+fn serialized_decode_free_hit_is_charged_pcie_only() {
+    // One delta at a time on a small GPU: model 0 is loaded, pushed off the
+    // GPU by the next `capacity` models, then requested again. The store
+    // still holds its decoded copy, so the serialized model must charge
+    // the re-load as a raw PCIe transfer, with no decode stage — the same
+    // profile the overlapped model uses for that fetch.
+    let dir = temp_dir("decode-free");
+    let registry = Registry::open(&dir).expect("open");
+    let cost = CostModel::new(NodeSpec::rtx3090_node(1), ModelShape::llama7b());
+    let capacity = cost.delta_resident_capacity().max(1);
+    let artifacts = publish_zoo(&registry, capacity + 1);
+    let store = TieredDeltaStore::new(registry, 1 << 30);
+    let models = (0..=capacity).chain([0]);
+    let requests = models
+        .enumerate()
+        .map(|(id, model)| Request {
+            id,
+            model,
+            arrival: 10.0 * id as f64,
+            prompt_tokens: 16,
+            output_tokens: 4,
+        })
+        .collect::<Vec<_>>();
+    let t = Trace {
+        spec: TraceSpec {
+            n_models: capacity + 1,
+            arrival_rate: 0.1,
+            duration_s: 10.0 * requests.len() as f64,
+            popularity: PopularityDist::Uniform,
+            seed: 0,
+        },
+        requests,
+    };
+    let mut engine = EngineBuilder::new(cost)
+        .scheduler(DeltaZipConfig {
+            max_concurrent_deltas: 1,
+            overlap_swaps: false,
+            ..DeltaZipConfig::default()
+        })
+        .store(DeltaStoreBinding::new(store, artifacts.clone()))
+        .build();
+    let m = engine.run(&t);
+    assert_eq!(m.len(), t.len());
+    let store = engine.delta_store.as_mut().expect("binding").store_mut();
+    assert_eq!(store.total_stats().disk_loads as usize, capacity + 1);
+    assert_eq!(store.total_stats().host_hits, 1);
+    let again = store.fetch_decoded(&artifacts[0]).expect("fetch");
+    assert!(again.decode.is_none(), "the decoded copy stayed resident");
+    let want = cost
+        .decoded_load_profile_bytes(again.raw_bytes as f64)
+        .solo_s();
+    let got = m.records.last().expect("records").load_s;
+    assert!(
+        (got - want).abs() <= 1e-12 * want,
+        "decode-free re-load charged {got} s, PCIe-only profile is {want} s"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
