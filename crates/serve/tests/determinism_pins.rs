@@ -238,6 +238,12 @@ fn fleet_run_is_pinned() {
 /// LRU scans that used to iterate HashMaps).
 #[test]
 fn toppings_run_is_pinned() {
+    let mut pin = Pin::new();
+    pin.metrics(&toppings_run());
+    check("toppings", pin.0, PIN_TOPPINGS);
+}
+
+fn toppings_run() -> Metrics {
     let tr = trace(11, 1.2, 90.0);
     let cfg = DeltaZipConfig {
         max_concurrent_deltas: 3,
@@ -245,14 +251,11 @@ fn toppings_run_is_pinned() {
         max_toppings_per_batch: Some(5),
         ..DeltaZipConfig::default()
     };
-    let m = EngineBuilder::new(cost())
+    EngineBuilder::new(cost())
         .scheduler(cfg)
         .catalog(VariantCatalog::interleaved(N_MODELS, 16))
         .build()
-        .run(&tr);
-    let mut pin = Pin::new();
-    pin.metrics(&m);
-    check("toppings", pin.0, PIN_TOPPINGS);
+        .run(&tr)
 }
 
 const PIN_ADAPTERS: u64 = 0x812d51545f402841;
@@ -716,10 +719,8 @@ const PIN_ENGINE_POLICIES: u64 = 0x02d14f817bff145a;
 
 /// Folds a lone engine's per-request floats plus every swap counter, so
 /// both the scheduler's choices and the residency bookkeeping are held.
-fn engine_run(pin: &mut Pin, mut engine: DeltaZipEngine, tr: &Trace) -> Metrics {
-    let m = engine.run(tr);
-    assert_eq!(m.len(), tr.len());
-    pin.metrics(&m);
+fn engine_fold(pin: &mut Pin, m: &Metrics) {
+    pin.metrics(m);
     let s = &m.swap;
     for n in [
         s.demand_loads,
@@ -741,6 +742,12 @@ fn engine_run(pin: &mut Pin, mut engine: DeltaZipEngine, tr: &Trace) -> Metrics 
     for r in &m.records {
         pin.word(r.preemptions as u64);
     }
+}
+
+fn engine_run(runs: &mut Vec<Metrics>, mut engine: DeltaZipEngine, tr: &Trace) -> Metrics {
+    let m = engine.run(tr);
+    assert_eq!(m.len(), tr.len());
+    runs.push(m.clone());
     m
 }
 
@@ -756,6 +763,16 @@ fn preemptions(m: &Metrics) -> usize {
 /// quantile, recompute-on-resume, plain FCFS and segregated pools.
 #[test]
 fn engine_policies_are_pinned() {
+    let mut pin = Pin::new();
+    for m in &policy_runs() {
+        engine_fold(&mut pin, m);
+    }
+    check("engine_policies", pin.0, PIN_ENGINE_POLICIES);
+}
+
+/// The twelve runs both [`engine_policies_are_pinned`] and
+/// [`engine_causes_are_pinned`] fold.
+fn policy_runs() -> Vec<Metrics> {
     let tr = trace(23, 2.5, 60.0);
     let tight = DeltaZipConfig {
         max_concurrent_deltas: 3,
@@ -764,10 +781,10 @@ fn engine_policies_are_pinned() {
         ..DeltaZipConfig::default()
     };
     let builder = || EngineBuilder::new(cost()).scheduler(tight);
-    let mut pin = Pin::new();
+    let mut runs = Vec::new();
 
     let serialized = engine_run(
-        &mut pin,
+        &mut runs,
         builder()
             .scheduler(DeltaZipConfig {
                 overlap_swaps: false,
@@ -779,7 +796,7 @@ fn engine_policies_are_pinned() {
     assert_eq!(serialized.swap.overlapped_s, 0.0);
 
     let lookahead = engine_run(
-        &mut pin,
+        &mut runs,
         builder()
             .prefetcher(Box::new(QueueLookahead::new(4)))
             .build(),
@@ -787,7 +804,7 @@ fn engine_policies_are_pinned() {
     );
     assert!(lookahead.swap.prefetch_hits > 0);
     let popularity = engine_run(
-        &mut pin,
+        &mut runs,
         builder()
             .prefetcher(Box::new(PopularityPrefetch::new(
                 tr.spec.popularity,
@@ -799,7 +816,7 @@ fn engine_policies_are_pinned() {
     );
     assert!(popularity.swap.prefetch_issued > 0);
     engine_run(
-        &mut pin,
+        &mut runs,
         builder()
             .brownouts(vec![
                 Brownout {
@@ -828,14 +845,14 @@ fn engine_policies_are_pinned() {
         },
         3,
     );
-    engine_run(&mut pin, builder().dynamic_n(controller).build(), &tr);
+    engine_run(&mut runs, builder().dynamic_n(controller).build(), &tr);
     engine_run(
-        &mut pin,
+        &mut runs,
         builder().slo(SloPolicy::tiered(N_MODELS, 3)).build(),
         &tr,
     );
 
-    let parent_finish = engine_run(&mut pin, builder().build(), &tr);
+    let parent_finish = engine_run(&mut runs, builder().build(), &tr);
     assert!(preemptions(&parent_finish) > 0);
     let length_aware = DeltaZipConfig {
         preemption: PreemptionPolicy::LengthAware { spare_tokens: 16 },
@@ -843,7 +860,7 @@ fn engine_policies_are_pinned() {
     };
     for estimator in [LengthEstimator::Oracle, LengthEstimator::quantile(0.9)] {
         let m = engine_run(
-            &mut pin,
+            &mut runs,
             builder()
                 .scheduler(length_aware)
                 .estimator(estimator)
@@ -854,7 +871,7 @@ fn engine_policies_are_pinned() {
     }
 
     engine_run(
-        &mut pin,
+        &mut runs,
         builder()
             .scheduler(DeltaZipConfig {
                 resume: ResumePolicy::Recompute,
@@ -864,7 +881,7 @@ fn engine_policies_are_pinned() {
         &tr,
     );
     engine_run(
-        &mut pin,
+        &mut runs,
         builder()
             .scheduler(DeltaZipConfig {
                 skip_the_line: false,
@@ -874,7 +891,7 @@ fn engine_policies_are_pinned() {
         &tr,
     );
     let segregated = engine_run(
-        &mut pin,
+        &mut runs,
         builder()
             .catalog(VariantCatalog::interleaved(N_MODELS, 16))
             .segregate_kinds(true)
@@ -882,6 +899,28 @@ fn engine_policies_are_pinned() {
         &tr,
     );
     assert_eq!(segregated.toppings.mixed_batches, 0);
+    runs
+}
 
-    check("engine_policies", pin.0, PIN_ENGINE_POLICIES);
+const PIN_ENGINE_CAUSES: u64 = 0xf53e7f93069f37a5;
+
+/// Every per-request cause ledger of the twelve policy runs plus the
+/// toppings run. The scheduler splits a request's waiting time between
+/// first admission (`queue_s`) and re-admission after a preemption
+/// (`preempt_s`); the other pins fold only the totals, so only this one
+/// holds that split.
+#[test]
+fn engine_causes_are_pinned() {
+    let mut pin = Pin::new();
+    let toppings = toppings_run();
+    for m in policy_runs().iter().chain([&toppings]) {
+        pin.word(m.len() as u64);
+        for r in &m.records {
+            pin.word(r.id as u64);
+            for v in r.causes.as_array() {
+                pin.f64(v);
+            }
+        }
+    }
+    check("engine_causes", pin.0, PIN_ENGINE_CAUSES);
 }
