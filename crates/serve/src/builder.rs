@@ -12,7 +12,7 @@ use crate::predictor::LengthEstimator;
 use crate::slo::SloPolicy;
 use crate::swap::{Brownout, Prefetcher};
 use crate::tuning::DynamicN;
-use crate::variant::{VariantCatalog, VariantSpec};
+use crate::variant::VariantCatalog;
 use dz_trace::{TraceConfig, Tracer};
 
 /// Builder for serving engines over one [`CostModel`].
@@ -24,13 +24,16 @@ use dz_trace::{TraceConfig, Tracer};
 /// ```
 /// use dz_gpusim::shapes::ModelShape;
 /// use dz_gpusim::spec::NodeSpec;
-/// use dz_serve::{CostModel, Engine, EngineBuilder, VariantCatalog};
+/// use dz_serve::{CostModel, DeltaZipConfig, Engine, EngineBuilder, VariantCatalog};
 /// use dz_workload::{PopularityDist, Trace, TraceSpec};
 ///
 /// let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
 /// let mut engine = EngineBuilder::new(cost)
+///     .scheduler(DeltaZipConfig {
+///         max_toppings_per_batch: Some(4),
+///         ..DeltaZipConfig::default()
+///     })
 ///     .catalog(VariantCatalog::interleaved(6, 16))
-///     .max_toppings_per_batch(4)
 ///     .build();
 /// assert!(engine.catalog.is_some());
 /// let trace = Trace::generate(TraceSpec {
@@ -81,47 +84,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Registers one model's variant spec, appending to the catalog in
-    /// model-id order (the n-th call describes model `n`).
-    ///
-    /// ```
-    /// use dz_gpusim::shapes::ModelShape;
-    /// use dz_gpusim::spec::NodeSpec;
-    /// use dz_serve::{CostModel, EngineBuilder, VariantKind, VariantSpec};
-    ///
-    /// let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-    /// let engine = EngineBuilder::new(cost)
-    ///     .variant(VariantSpec::base())
-    ///     .variant(VariantSpec::lora(16))
-    ///     .variant(VariantSpec::delta())
-    ///     .build();
-    /// let catalog = engine.catalog.as_ref().unwrap();
-    /// assert_eq!(catalog.kind_of(1), VariantKind::Lora { rank: 16 });
-    /// ```
-    pub fn variant(mut self, spec: VariantSpec) -> Self {
-        self.catalog
-            .get_or_insert_with(VariantCatalog::default)
-            .push(spec);
-        self
-    }
-
-    /// Installs a whole variant catalog at once (replacing any specs
-    /// registered via [`variant`](Self::variant)).
+    /// Installs the variant catalog: model id `i` is served as the
+    /// catalog's `i`-th spec.
     pub fn catalog(mut self, catalog: VariantCatalog) -> Self {
         self.catalog = Some(catalog);
-        self
-    }
-
-    /// Caps the distinct non-base toppings co-batched per iteration.
-    pub fn max_toppings_per_batch(mut self, cap: usize) -> Self {
-        self.scheduler.max_toppings_per_batch = Some(cap);
-        self
-    }
-
-    /// Forbids mixing delta-backed and pure-LoRA toppings in one batch
-    /// (the segregated-pool baseline of `exp bench-toppings`).
-    pub fn segregate_kinds(mut self, segregate: bool) -> Self {
-        self.scheduler.segregate_kinds = segregate;
         self
     }
 
@@ -192,7 +158,7 @@ impl EngineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::variant::VariantKind;
+    use crate::variant::{VariantKind, VariantSpec};
     use dz_gpusim::shapes::ModelShape;
     use dz_gpusim::spec::NodeSpec;
 
@@ -210,21 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn variant_calls_accumulate_in_model_order() {
-        let e = EngineBuilder::new(cost())
-            .variant(VariantSpec::base())
-            .variant(VariantSpec::stacked(8))
-            .build();
-        let cat = e.catalog.expect("catalog registered");
-        assert_eq!(cat.kind_of(0), VariantKind::Base);
-        assert_eq!(cat.kind_of(1), VariantKind::Stacked { rank: 8 });
-    }
-
-    #[test]
     fn rosa_variant_carries_its_density() {
         let e = EngineBuilder::new(cost())
-            .variant(VariantSpec::lora(16))
-            .variant(VariantSpec::rosa(8, 0.01))
+            .catalog(VariantCatalog::from_specs(vec![
+                VariantSpec::lora(16),
+                VariantSpec::rosa(8, 0.01),
+            ]))
             .build();
         let cat = e.catalog.expect("catalog registered");
         assert_eq!(cat.kind_of(1), VariantKind::Lora { rank: 8 });
@@ -236,8 +193,11 @@ mod tests {
     #[test]
     fn toppings_cap_lands_in_scheduler_config() {
         let e = EngineBuilder::new(cost())
-            .max_toppings_per_batch(3)
-            .segregate_kinds(true)
+            .scheduler(DeltaZipConfig {
+                max_toppings_per_batch: Some(3),
+                segregate_kinds: true,
+                ..DeltaZipConfig::default()
+            })
             .build();
         assert_eq!(e.config.max_toppings_per_batch, Some(3));
         assert!(e.config.segregate_kinds);

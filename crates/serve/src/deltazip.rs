@@ -29,17 +29,20 @@
 //! `N` itself may be adjusted online by a [`DynamicN`] controller (§5.4's
 //! "dynamic tuning").
 //!
-//! [`Engine::run`] is the planner: steps 1, 2 and 6 plus the iteration
-//! pricing of steps 4 and 5. It sees residency only through read-only
-//! views (is a delta on GPU, which requests are stalled on a load). Steps
-//! 3 and 3b, and every timeline advance with the wake-ups it brings, belong
-//! to the crate-private `swap::Residency`, which owns GPU and host
-//! residency (the synthetic host LRU or the bound [`DeltaStoreBinding`]),
-//! the in-flight loads, the prefetch budget and the
+//! [`Engine::run`] drives the loop and prices it (steps 4 and 5). It
+//! decides nothing itself: the crate-private `planner::Planner` makes the
+//! scheduling decisions of steps 2 and 6 (queue scan order, `N` and the
+//! toppings cap, skip-the-line, starvation preemption) from the request
+//! states alone, and `run` applies them. Steps 3 and 3b, and every
+//! timeline advance with the wake-ups it brings, belong to the
+//! crate-private `swap::Residency`, which owns GPU and host residency (the
+//! synthetic host LRU or the bound [`DeltaStoreBinding`]), the in-flight
+//! loads, the prefetch budget and the
 //! [`SwapStats`](crate::metrics::SwapStats).
 
 use crate::cost::CostModel;
 use crate::metrics::{Metrics, ToppingsStats};
+use crate::planner::Planner;
 use crate::policy::{PreemptionPolicy, ResumePolicy};
 use crate::predictor::LengthEstimator;
 use crate::request::{Phase, ReqState};
@@ -52,7 +55,7 @@ use dz_gpusim::kernel::BatchedImpl;
 use dz_store::{ArtifactId, DecodedFetch, TieredDeltaStore};
 use dz_trace::{TraceEvent, Tracer};
 use dz_workload::Trace;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 /// Tunables of the DeltaZip engine.
 #[derive(Debug, Clone, Copy)]
@@ -290,28 +293,6 @@ impl DeltaZipEngine {
             tracer: Tracer::disabled(),
         }
     }
-
-    /// Queue ids in scheduling order: FCFS, or priority-with-aging when an
-    /// SLO policy is set.
-    fn scan_order(&self, queue: &BTreeSet<usize>, states: &[ReqState], now: f64) -> Vec<usize> {
-        let mut ids: Vec<usize> = queue.iter().copied().collect();
-        if let Some(policy) = &self.slo_policy {
-            let mut keyed: Vec<(f64, usize)> = ids
-                .into_iter()
-                .map(|qid| {
-                    let wait = (now - states[qid].req.arrival).max(0.0);
-                    (policy.score(states[qid].req.model, wait), qid)
-                })
-                .collect();
-            keyed.sort_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("finite scores")
-                    .then(a.1.cmp(&b.1))
-            });
-            ids = keyed.into_iter().map(|(_, qid)| qid).collect();
-        }
-        ids
-    }
 }
 
 impl Engine for DeltaZipEngine {
@@ -332,7 +313,6 @@ impl Engine for DeltaZipEngine {
                 s.kind = cat.kind_of(s.req.model);
             }
         }
-        let toppings_cap = cfg.max_toppings_per_batch.unwrap_or(usize::MAX);
         let sgmv_rank = self.catalog.as_ref().map_or(0, |c| c.max_adapter_rank());
         let rosa_density = self
             .catalog
@@ -344,8 +324,7 @@ impl Engine for DeltaZipEngine {
         let mut running: Vec<usize> = Vec::new();
         let mut next_arrival = 0usize;
         let mut t = 0.0f64;
-        // The parent request per selected delta.
-        let mut parent_of_delta: BTreeMap<usize, usize> = BTreeMap::new();
+        let mut planner = Planner::detach(self, cfg);
         let mut res = Residency::new(cost, &cfg, self.delta_store.take(), self.brownouts.clone());
         // Detach the tracer so emission closures can borrow engine state.
         let mut tracer = std::mem::take(&mut self.tracer);
@@ -375,95 +354,13 @@ impl Engine for DeltaZipEngine {
 
             // Step 2: scheduling. Running and waiting requests keep their
             // delta claims.
-            let n_cap = match self.dynamic_n.as_mut() {
-                Some(ctl) => {
-                    let distinct: HashSet<usize> =
-                        queue.iter().map(|&qid| states[qid].req.model).collect();
-                    ctl.update(t, queue.len(), distinct.len())
-                }
-                None => cfg.max_concurrent_deltas,
-            };
-            // `selected` claims GPU delta slots — only delta-backed kinds
-            // (Delta/Stacked) occupy them. `toppings_in_batch` counts every
-            // distinct non-base topping (adapters included) against
-            // `max_toppings_per_batch`.
             let claims: Vec<usize> = running.iter().copied().chain(res.waiting()).collect();
-            let mut selected: BTreeSet<usize> = claims
-                .iter()
-                .filter(|&&i| states[i].kind.needs_delta())
-                .map(|&i| states[i].req.model)
-                .collect();
-            let mut toppings_in_batch: BTreeSet<usize> = claims
-                .iter()
-                .filter(|&&i| states[i].kind.is_topping())
-                .map(|&i| states[i].req.model)
-                .collect();
-            let mut has_delta_side = !selected.is_empty();
-            let mut has_adapter_side = claims
-                .iter()
-                .any(|&i| matches!(states[i].kind, VariantKind::Lora { .. }));
-            parent_of_delta.retain(|d, _| selected.contains(d));
-            let mut batch_size = claims.len();
-            let mut admitted: Vec<usize> = Vec::new();
-            for qid in self.scan_order(&queue, &states, t) {
-                if batch_size >= cfg.max_batch {
-                    break;
-                }
-                let delta = states[qid].req.model;
-                let kind = states[qid].kind;
-                if cfg.segregate_kinds {
-                    // Segregated-pool baseline: delta-backed and pure-LoRA
-                    // toppings never share a batch (base rides anywhere).
-                    let joins_adapter = matches!(kind, VariantKind::Lora { .. });
-                    if (kind.needs_delta() && has_adapter_side) || (joins_adapter && has_delta_side)
-                    {
-                        continue;
-                    }
-                }
-                let admit_now = if kind.needs_delta() {
-                    if selected.contains(&delta) {
-                        if !cfg.skip_the_line && parent_of_delta.get(&delta) != Some(&qid) {
-                            // Pure FCFS ablation: only the queue head enters.
-                            continue;
-                        }
-                        true
-                    } else if selected.len() < n_cap
-                        && (toppings_in_batch.contains(&delta)
-                            || toppings_in_batch.len() < toppings_cap)
-                    {
-                        selected.insert(delta);
-                        parent_of_delta.insert(delta, qid);
-                        true
-                    } else {
-                        false
-                    }
-                } else if kind.is_topping() {
-                    // Pure LoRA: adapters are GPU-cheap (no delta slot,
-                    // no swap-in) — only the toppings cap binds.
-                    toppings_in_batch.contains(&delta) || toppings_in_batch.len() < toppings_cap
-                } else {
-                    // Base model: shares the batch GEMM, no topping state.
-                    true
-                };
-                if admit_now {
-                    if kind.is_topping() {
-                        toppings_in_batch.insert(delta);
-                    }
-                    has_delta_side |= kind.needs_delta();
-                    has_adapter_side |= matches!(kind, VariantKind::Lora { .. });
-                    admitted.push(qid);
-                    batch_size += 1;
-                }
-            }
-            for &qid in &admitted {
+            let admission = planner.admit(&queue, &states, &claims, t);
+            for &(qid, parent) in &admission.admitted {
                 queue.remove(&qid);
-                let parent = parent_of_delta
-                    .get(&states[qid].req.model)
-                    .copied()
-                    .filter(|&p| p != qid);
                 states[qid].parent = parent;
                 // Attribute the wait that ends here: initial queueing for
-                // a first admission, preemption exile for a re-admission.
+                // a first admission, exile after a preempt for a re-admission.
                 let first_admit = states[qid].first_admitted_at.is_none();
                 states[qid].accrue(t, |c, dt| {
                     if first_admit {
@@ -494,9 +391,10 @@ impl Engine for DeltaZipEngine {
             // Step 3: bring the selected deltas in (the serialized model
             // stalls the whole batch on the sum), then prefetch under the
             // bandwidth budget.
-            t += res.swap_in(&selected, t, &running, &mut states, &mut tracer);
+            let selected = &admission.selected;
+            t += res.swap_in(selected, t, &running, &mut states, &mut tracer);
             if cfg.overlap_swaps && self.prefetcher.is_some() {
-                let queued_models: Vec<usize> = self
+                let queued_models: Vec<usize> = planner
                     .scan_order(&queue, &states, t)
                     .into_iter()
                     // Only delta-backed variants are placement-critical
@@ -506,7 +404,7 @@ impl Engine for DeltaZipEngine {
                     .collect();
                 let ctx = PrefetchContext {
                     queued_models: &queued_models,
-                    selected: &selected,
+                    selected,
                 };
                 if let Some(pf) = self.prefetcher.as_mut() {
                     res.prefetch(pf.candidates(&ctx), t, &mut tracer);
@@ -617,8 +515,9 @@ impl Engine for DeltaZipEngine {
             toppings.base_gemm_s += iter_cost.base_s;
             toppings.sbmm_s += iter_cost.sbmm_s;
             toppings.sgmv_s += iter_cost.sgmv_s;
-            toppings.max_toppings_in_batch =
-                toppings.max_toppings_in_batch.max(toppings_in_batch.len());
+            toppings.max_toppings_in_batch = toppings
+                .max_toppings_in_batch
+                .max(admission.toppings_in_batch.len());
             // "Mixed" means pools actually mixed: a delta-backed request
             // (Delta/Stacked) co-batched with a pure-LoRA one. A lone
             // stacked variant drives both kernels but is one pool.
@@ -632,7 +531,7 @@ impl Engine for DeltaZipEngine {
                 deltas: delta_ids.len(),
                 loras: adapter_ids.len(),
             });
-            let mut finished_parents: Vec<usize> = Vec::new();
+            let mut finished: Vec<usize> = Vec::new();
             for &rid in &running {
                 states[rid].tokens_done += 1;
                 if states[rid].first_token_at.is_none() {
@@ -652,16 +551,12 @@ impl Engine for DeltaZipEngine {
                     states[rid].finish(t);
                     let id = states[rid].req.id;
                     tracer.emit(|| TraceEvent::RequestFinished { id, at: t });
-                    finished_parents.push(rid);
+                    finished.push(rid);
                     false
                 } else {
                     true
                 }
             });
-            for &rid in &finished_parents {
-                self.estimator
-                    .observe(states[rid].req.model, states[rid].req.output_tokens);
-            }
 
             // The iteration consumed wall time: in-flight loads progressed
             // underneath it (the overlap), and any that landed wake their
@@ -670,63 +565,18 @@ impl Engine for DeltaZipEngine {
             tracer.gauge(|| res.gauge(t, trace.spec.n_models, queue.len(), running.len()));
 
             // Step 6: starvation avoidance — preempt children of finished
-            // parents back to their original queue slots. Only kick children
-            // when someone is actually starving: a queued request whose
-            // delta is not in the selected set.
-            // Base requests never starve on a topping slot; adapters starve
-            // only when the toppings cap shuts them out; delta-backed kinds
-            // starve when their delta is not selected (the legacy rule).
-            let someone_starving = queue.iter().any(|&qid| {
-                let m = states[qid].req.model;
-                match states[qid].kind {
-                    VariantKind::Base => false,
-                    VariantKind::Lora { .. } => {
-                        !toppings_in_batch.contains(&m) && toppings_in_batch.len() >= toppings_cap
-                    }
-                    VariantKind::Delta | VariantKind::Stacked { .. } => !selected.contains(&m),
-                }
-            });
-            if cfg.preemption.enabled() && someone_starving {
-                let finished: HashSet<usize> = finished_parents.iter().copied().collect();
-                let mut preempted = Vec::new();
-                let mut spared = Vec::new();
-                running.retain(|&rid| {
-                    if !states[rid].parent.is_some_and(|p| finished.contains(&p)) {
-                        return true;
-                    }
-                    if let PreemptionPolicy::LengthAware { spare_tokens } = cfg.preemption {
-                        let remaining = self.estimator.remaining(
-                            states[rid].req.model,
-                            states[rid].tokens_done,
-                            states[rid].req.output_tokens,
-                        );
-                        if remaining.is_some_and(|r| r <= spare_tokens as f64) {
-                            spared.push(rid);
-                            return true;
-                        }
-                    }
-                    preempted.push(rid);
-                    false
+            // parents back to their original queue slots.
+            let preempted = planner.preempt(&finished, &queue, &running, &states, &admission);
+            running.retain(|rid| !preempted.contains(rid));
+            for rid in preempted {
+                states[rid].preemptions += 1;
+                states[rid].parent = None;
+                states[rid].phase = Phase::Queued;
+                tracer.emit(|| TraceEvent::RequestPreempted {
+                    id: states[rid].req.id,
+                    at: t,
                 });
-                for rid in preempted {
-                    states[rid].preemptions += 1;
-                    states[rid].parent = None;
-                    states[rid].phase = Phase::Queued;
-                    tracer.emit(|| TraceEvent::RequestPreempted {
-                        id: states[rid].req.id,
-                        at: t,
-                    });
-                    queue.insert(rid);
-                }
-                // A spared child rides to completion; nothing may preempt
-                // it again through the (gone) parent link.
-                for rid in spared {
-                    states[rid].parent = None;
-                }
-            }
-            // Promote a child to parent when its parent finished.
-            for fp in finished_parents {
-                parent_of_delta.retain(|_, p| *p != fp);
+                queue.insert(rid);
             }
         }
 
@@ -740,8 +590,10 @@ impl Engine for DeltaZipEngine {
             }
         }
 
-        // Re-attach the tracer and the store so the caller can harvest them.
+        // Re-attach the tracer, the store and the scheduling policies so
+        // the caller can harvest them.
         self.tracer = tracer;
+        planner.reattach(self);
         let (store, swap) = res.finish();
         self.delta_store = store;
         Metrics::from_states(self.label(), &states, t)

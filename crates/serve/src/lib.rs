@@ -36,6 +36,7 @@ pub mod cost;
 pub mod deltazip;
 pub mod fleet;
 pub mod metrics;
+mod planner;
 pub mod policy;
 pub mod predictor;
 pub mod request;

@@ -202,26 +202,6 @@ impl VariantCatalog {
         VariantCatalog { specs }
     }
 
-    /// Appends one spec (its model id is the previous length).
-    pub fn push(&mut self, spec: VariantSpec) {
-        self.specs.push(spec);
-    }
-
-    /// Number of registered variants.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Whether no variants are registered.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// Registered specs, indexed by model id.
-    pub fn specs(&self) -> &[VariantSpec] {
-        &self.specs
-    }
-
     /// Kind of trace model `model`; ids beyond the catalog are deltas.
     pub fn kind_of(&self, model: usize) -> VariantKind {
         self.specs.get(model).map_or(VariantKind::Delta, |s| s.kind)

@@ -96,11 +96,13 @@ impl Engine for VllmScbEngine {
                     // At most one swap per scheduling round, and only by
                     // evicting an idle model (or using free capacity).
                     if resident.len() >= capacity {
-                        // Find the least-recently-used idle model.
+                        // Find the least-recently-used idle model. Stamps
+                        // are simulation times >= +0.0, so `total_cmp`
+                        // orders them as `partial_cmp` would.
                         let victim = resident
                             .iter()
                             .filter(|(m, _)| !busy.contains(m))
-                            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite time"))
+                            .min_by(|a, b| a.1.total_cmp(&b.1))
                             .map(|&(m, _)| m);
                         match victim {
                             Some(v) => resident.retain(|&(m, _)| m != v),

@@ -893,8 +893,11 @@ fn policy_runs() -> Vec<Metrics> {
     let segregated = engine_run(
         &mut runs,
         builder()
+            .scheduler(DeltaZipConfig {
+                segregate_kinds: true,
+                ..tight
+            })
             .catalog(VariantCatalog::interleaved(N_MODELS, 16))
-            .segregate_kinds(true)
             .build(),
         &tr,
     );
