@@ -89,21 +89,6 @@ impl<'a> Reader<'a> {
         self.pos == self.bytes.len()
     }
 
-    /// Bytes left to consume.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Rejects a declared element count whose payload cannot fit in the
-    /// remaining input — the guard that keeps hostile length fields from
-    /// driving huge allocations before the (inevitable) Truncated error.
-    pub fn check_payload(&self, elems: usize, elem_size: usize) -> Result<(), WireError> {
-        match elems.checked_mul(elem_size) {
-            Some(bytes) if bytes <= self.remaining() => Ok(()),
-            _ => Err(WireError::Truncated),
-        }
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).ok_or(WireError::Truncated)?;
         if end > self.bytes.len() {
@@ -200,6 +185,28 @@ fn words<const N: usize, T>(
     Ok(s.parse(r.take(s.bytes())?, from_le))
 }
 
+/// Reads `n` little-endian elements of `N` bytes in one bounds check,
+/// made before anything is allocated, so a hostile count fails as
+/// `Truncated` instead of driving a huge allocation.
+fn elems<const N: usize, T>(
+    r: &mut Reader<'_>,
+    n: usize,
+    from_le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>, WireError> {
+    let bytes = r.take(n.checked_mul(N).ok_or(WireError::Truncated)?)?;
+    let (chunks, _) = bytes.as_chunks::<N>();
+    Ok(chunks.iter().map(|&b| from_le(b)).collect())
+}
+
+/// Reads `n` f32 scales, refusing any that is not finite.
+fn finite_scales(r: &mut Reader<'_>, n: usize) -> Result<Vec<f32>, WireError> {
+    let scales = elems(r, n, f32::from_le_bytes)?;
+    if !scales.iter().all(|s| s.is_finite()) {
+        return Err(WireError::BadField("non-finite scale"));
+    }
+    Ok(scales)
+}
+
 /// Decodes one packed matrix, consuming its bytes from the reader.
 pub fn decode_matrix(r: &mut Reader<'_>) -> Result<CompressedMatrix, WireError> {
     let format = match r.u8()? {
@@ -246,14 +253,7 @@ fn decode_matrix_body(
     if n_scales != d_out * d_in.div_ceil(group_size) {
         return Err(WireError::LengthMismatch("scales"));
     }
-    let scales: Vec<f32> = r
-        .take(4 * n_scales)?
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect();
-    if !scales.iter().all(|s| s.is_finite()) {
-        return Err(WireError::BadField("non-finite scale"));
-    }
+    let scales = finite_scales(r, n_scales)?;
     let cm = CompressedMatrix {
         d_in,
         d_out,
@@ -303,11 +303,7 @@ fn decode_sign_body(r: &mut Reader<'_>) -> Result<SignMatrix, WireError> {
     if n_words != want_words {
         return Err(WireError::LengthMismatch("sign words"));
     }
-    r.check_payload(n_words, 4)?;
-    let mut signs = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        signs.push(r.u32()?);
-    }
+    let signs = elems(r, n_words, u32::from_le_bytes)?;
     let n_scales = r.len_u64()?;
     let want_scales = match scope {
         SignScope::PerMatrix => 1,
@@ -316,14 +312,7 @@ fn decode_sign_body(r: &mut Reader<'_>) -> Result<SignMatrix, WireError> {
     if n_scales != want_scales {
         return Err(WireError::LengthMismatch("sign scales"));
     }
-    r.check_payload(n_scales, 4)?;
-    let mut scales = Vec::with_capacity(n_scales);
-    for _ in 0..n_scales {
-        scales.push(r.f32()?);
-    }
-    if !scales.iter().all(|s| s.is_finite()) {
-        return Err(WireError::BadField("non-finite scale"));
-    }
+    let scales = finite_scales(r, n_scales)?;
     Ok(SignMatrix {
         d_in,
         d_out,
@@ -418,11 +407,7 @@ pub fn decode_dense(r: &mut Reader<'_>) -> Result<Matrix, WireError> {
     let n = rows
         .checked_mul(cols)
         .ok_or(WireError::LengthMismatch("dense matrix size"))?;
-    r.check_payload(n, 4)?;
-    let mut data = Vec::with_capacity(n);
-    for _ in 0..n {
-        data.push(r.f32()?);
-    }
+    let data = elems(r, n, f32::from_le_bytes)?;
     Ok(Matrix::from_vec(rows, cols, data))
 }
 

@@ -312,14 +312,15 @@ impl<'a> BatchRunner<'a> {
             let p = &self.outer[row.variant];
             b.h.reset(1, self.config.d_model);
             layer_norm_row(b.x.row(i), p.lnf.0, p.lnf.1, b.h.row_mut(0));
+            // Row-major over the head: each logit still sums `h[r]·w[r]`
+            // from 0.0 in `r` order.
             b.logits.clear();
-            b.logits.extend((0..self.config.vocab).map(|c| {
-                let mut acc = 0.0f32;
-                for (r, xv) in b.h.row(0).iter().enumerate() {
-                    acc += xv * p.head.get(r, c);
+            b.logits.resize(self.config.vocab, 0.0);
+            for (r, &hv) in b.h.row(0).iter().enumerate() {
+                for (l, &w) in b.logits.iter_mut().zip(p.head.row(r)) {
+                    *l += hv * w;
                 }
-                acc
-            }));
+            }
             let next = argmax(&b.logits);
             let s = &mut self.slots[row.slot];
             s.pending.clear();
