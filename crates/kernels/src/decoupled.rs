@@ -41,7 +41,7 @@ mod tests {
     use dz_model::tasks::{Corpus, SentimentTask};
     use dz_model::train::{finetune_fmt, pretrain, TrainConfig};
     use dz_model::transformer::test_config;
-    use dz_tensor::Rng;
+    use dz_tensor::{Matrix, Rng};
 
     fn setup() -> (Params, CompressedDelta, Params) {
         let cfg = test_config();
@@ -168,6 +168,20 @@ mod tests {
         }
         assert_eq!(batch.generated(s1), &solo(&short, 5)[..]);
         assert_eq!(batch.generated(s2), &solo(&long, 3)[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "delta layer layer0.w1 does not match its base weight's shape")]
+    fn mis_shaped_delta_layer_is_refused_at_construction() {
+        use dz_compress::codec::{PackedLayer, SignMatrix, SignScope};
+
+        let (base, mut cd, _) = setup();
+        // A sign layer one output short of its base weight.
+        let (d_in, d_out) = base.get("layer0.w1").expect("param exists").shape();
+        let short = SignMatrix::from_delta(&Matrix::zeros(d_in, d_out - 1), SignScope::PerRow);
+        cd.layers
+            .insert("layer0.w1".into(), PackedLayer::Sign(short));
+        let _ = DecoupledBatch::new(&base, vec![&cd]);
     }
 
     #[test]

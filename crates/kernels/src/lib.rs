@@ -41,6 +41,7 @@ pub mod qgemm;
 mod runner;
 pub mod sbmm;
 pub mod sgmv;
+mod sign;
 
 pub use qgemm::{dense_gemm, quant_gemm};
 pub use runner::{BatchRunner, Variant};

@@ -65,12 +65,12 @@
 
 use crate::qgemm::{quant_gemm_into, QuantScratch};
 use crate::sgmv::{AdapterView, AdapterWeights};
-use dz_compress::codec::PackedLayer;
+use crate::sign::sign_gemm_acc;
+use dz_compress::codec::{PackedLayer, SignMatrix};
 use dz_compress::pack::CompressedMatrix;
 use dz_compress::pipeline::CompressedDelta;
 use dz_model::transformer::{argmax, gelu, layer_norm_row, KvCache, ModelConfig, Params};
 use dz_tensor::Matrix;
-use std::collections::BTreeMap;
 use std::ops::Range;
 
 /// One variant a [`BatchRunner`] serves; its constructors pick the kind.
@@ -78,38 +78,17 @@ pub struct Variant<'a>(Kind<'a>);
 
 /// The closed set of variant kinds.
 enum Kind<'a> {
-    /// A delta whose layers are all group-quantized: served through SBMM.
-    Packed(&'a CompressedDelta),
-    /// A delta in a format with no SBMM kernel (BitDelta, Delta-CoMe),
-    /// with its layers dequantized once, keyed by layer name.
-    Dense(&'a CompressedDelta, BTreeMap<String, Matrix>),
+    /// A compressed delta, each layer served from its packed format.
+    Delta(&'a CompressedDelta),
     /// A LoRA or RoSA adapter: served through SGMV.
     Adapter(AdapterView<'a>),
 }
 
-impl<'a> Kind<'a> {
-    /// The delta behind a delta kind.
-    fn delta(&self) -> Option<&'a CompressedDelta> {
-        match *self {
-            Kind::Packed(d) | Kind::Dense(d, _) => Some(d),
-            Kind::Adapter(_) => None,
-        }
-    }
-}
-
 impl<'a> Variant<'a> {
-    /// A compressed delta: served through SBMM when every layer is
-    /// quantized, else through the dense fallback (dequantizing it here).
+    /// A compressed delta of any codec: each layer's product follows its
+    /// [`PackedLayer`] format.
     pub fn delta(delta: &'a CompressedDelta) -> Self {
-        if delta.layers.values().all(|l| l.as_quant().is_some()) {
-            return Variant(Kind::Packed(delta));
-        }
-        let dense = delta
-            .layers
-            .iter()
-            .map(|(name, l)| (name.clone(), l.dequantize()))
-            .collect();
-        Variant(Kind::Dense(delta, dense))
+        Variant(Kind::Delta(delta))
     }
 
     /// A LoRA or RoSA adapter, served through SGMV.
@@ -120,8 +99,10 @@ impl<'a> Variant<'a> {
 
 /// A variant's product for one projection.
 enum Product<'a> {
-    /// A packed delta layer, through SBMM.
-    Packed(&'a CompressedMatrix),
+    /// A group-quantized delta layer, through SBMM.
+    Quant(&'a CompressedMatrix),
+    /// A BitDelta layer, through the sign GEMM onto the base output.
+    Sign(&'a SignMatrix),
     /// A dequantized delta layer, accumulated in place.
     Dense(Matrix),
     /// An adapter's weights, through SGMV.
@@ -181,9 +162,11 @@ impl<'a> BatchRunner<'a> {
         // A non-projection parameter: a delta's `rest` entry, falling back
         // to the base (adapters always use the base).
         let param = |kind: &Kind<'a>, name: &str| -> &'a Matrix {
-            kind.delta()
-                .and_then(|d| d.rest.get(name))
-                .unwrap_or_else(|| base_param(name))
+            match kind {
+                Kind::Delta(d) => d.rest.get(name),
+                Kind::Adapter(_) => None,
+            }
+            .unwrap_or_else(|| base_param(name))
         };
         let norms = |kinds: &[Kind<'a>], prefix: &str| -> Vec<Norm<'a>> {
             let (g, b) = (format!("{prefix}_g"), format!("{prefix}_b"));
@@ -192,18 +175,25 @@ impl<'a> BatchRunner<'a> {
         let proj = |kinds: &mut [Kind<'a>], li: usize, field: &str, bias: &str| -> Proj<'a> {
             let name = format!("layer{li}.{field}");
             let bias = format!("layer{li}.{bias}");
+            let base = base_param(&name);
             let by_variant = kinds
                 .iter_mut()
                 .map(|kind| {
                     let b = param(kind, &bias);
                     let product = match kind {
-                        Kind::Packed(d) => {
+                        Kind::Delta(d) => {
                             let d: &'a CompressedDelta = d;
-                            let layer = d.layers.get(&name).and_then(PackedLayer::as_quant);
-                            Product::Packed(layer.expect("packed delta has a quantized layer"))
-                        }
-                        Kind::Dense(_, layers) => {
-                            Product::Dense(layers.remove(&name).expect("delta layer exists"))
+                            let layer = d.layers.get(&name).expect("delta has every projection");
+                            assert_eq!(
+                                (layer.d_in(), layer.d_out()),
+                                base.shape(),
+                                "delta layer {name} does not match its base weight's shape"
+                            );
+                            match layer {
+                                PackedLayer::Quant(cm) => Product::Quant(cm),
+                                PackedLayer::Sign(sm) => Product::Sign(sm),
+                                PackedLayer::LowRank(lr) => Product::Dense(lr.dequantize()),
+                            }
                         }
                         Kind::Adapter(view) => {
                             view.take(&name).map_or(Product::None, Product::Adapter)
@@ -212,10 +202,7 @@ impl<'a> BatchRunner<'a> {
                     (product, b)
                 })
                 .collect();
-            Proj {
-                base: base_param(&name),
-                by_variant,
-            }
+            Proj { base, by_variant }
         };
         let blocks = (0..base.config.n_layers)
             .map(|li| Block {
@@ -402,10 +389,19 @@ fn linear(proj: &Proj<'_>, x: &Matrix, y: &mut Matrix, groups: &Groups, g: &mut 
         let rows = &groups.order[run.clone()];
         let (product, bias) = &proj.by_variant[*variant];
         match product {
-            Product::Packed(cm) => {
+            Product::Quant(cm) => {
                 g.gather(x, rows);
                 quant_gemm_into(&g.xg, cm, &mut g.yg, &mut g.quant);
                 g.scatter_add(y, rows);
+            }
+            Product::Sign(sm) => {
+                // Accumulates straight onto the rows' base outputs.
+                g.gather(x, rows);
+                copy_rows(y, rows, &mut g.yg);
+                sign_gemm_acc(&g.xg, sm, &mut g.yg);
+                for (gi, &r) in rows.iter().enumerate() {
+                    y.row_mut(r).copy_from_slice(g.yg.row(gi));
+                }
             }
             Product::Adapter(w) => {
                 g.gather(x, rows);
@@ -485,10 +481,7 @@ struct Gather {
 impl Gather {
     /// Copies `rows` of `x` into `xg`.
     fn gather(&mut self, x: &Matrix, rows: &[usize]) {
-        self.xg.reset(rows.len(), x.cols());
-        for (gi, &r) in rows.iter().enumerate() {
-            self.xg.row_mut(gi).copy_from_slice(x.row(r));
-        }
+        copy_rows(x, rows, &mut self.xg);
     }
 
     /// Adds row `i` of `yg` to row `rows[i]` of `y`.
@@ -498,6 +491,14 @@ impl Gather {
                 *v += p;
             }
         }
+    }
+}
+
+/// Copies `rows` of `src` into `dst`, in order.
+fn copy_rows(src: &Matrix, rows: &[usize], dst: &mut Matrix) {
+    dst.reset(rows.len(), src.cols());
+    for (gi, &r) in rows.iter().enumerate() {
+        dst.row_mut(gi).copy_from_slice(src.row(r));
     }
 }
 
