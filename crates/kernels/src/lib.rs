@@ -37,6 +37,7 @@
 //! adapters enter it as [`Variant::adapter`].
 
 pub mod decoupled;
+mod lowrank;
 pub mod qgemm;
 mod runner;
 pub mod sbmm;
