@@ -17,6 +17,7 @@
 //! dequantized matrix sums over the directions first.
 
 use dz_compress::codec::{LowRankBand, LowRankMatrix};
+use dz_compress::pack::{BlockScratch, CompressedMatrix, MatrixFormat, BLOCK_ROWS};
 use dz_tensor::Matrix;
 
 /// A Delta-CoMe layer's factors, dequantized once for serving.
@@ -28,17 +29,24 @@ pub(crate) struct LowRankFactors {
 }
 
 impl LowRankFactors {
-    /// Dequantizes the factors of every band of `lr`.
-    pub(crate) fn new(lr: &LowRankMatrix) -> Self {
-        let rank = lr.bands.iter().map(LowRankBand::rank).sum();
-        let mut p = Matrix::zeros(lr.d_in, rank);
-        let mut qt = Matrix::zeros(rank, lr.d_out);
+    /// Dequantizes the factors of every band of `lr`, decoding through
+    /// `blk`.
+    pub(crate) fn new(lr: &LowRankMatrix, blk: &mut BlockScratch) -> Self {
+        let r = lr.bands.iter().map(LowRankBand::rank).sum();
+        let mut p = Matrix::zeros(lr.d_in, r);
+        let mut qt = Matrix::zeros(r, lr.d_out);
+        let mut dirs = Matrix::zeros(0, 0);
         let mut at = 0;
         for band in &lr.bands {
-            // The factors' stored rows are the band's directions, so `P_b`
-            // dequantizes as `d_in × rank_b` and `Q_b` as `d_out × rank_b`.
-            p.set_submatrix(0, at, &band.p.dequantize());
-            qt.set_submatrix(at, 0, &band.q.dequantize().transpose());
+            // A factor's stored rows are the band's directions.
+            stored_rows(&band.p, blk, &mut dirs);
+            for (c, pc) in p.data_mut().chunks_exact_mut(r).enumerate() {
+                for (j, v) in pc[at..at + band.rank()].iter_mut().enumerate() {
+                    *v = dirs.get(j, c);
+                }
+            }
+            stored_rows(&band.q, blk, &mut dirs);
+            qt.set_submatrix(at, 0, &dirs);
             at += band.rank();
         }
         LowRankFactors { p, qt }
@@ -53,17 +61,43 @@ impl LowRankFactors {
     }
 }
 
+/// Decodes `cm` into `out` in its stored orientation: `d_out × d_in`,
+/// one stored row per matrix row, zero where 2:4 keeps no value.
+fn stored_rows(cm: &CompressedMatrix, blk: &mut BlockScratch, out: &mut Matrix) {
+    out.reset(cm.d_out, cm.d_in);
+    for block in 0..cm.d_out.div_ceil(BLOCK_ROWS) {
+        cm.decode_block(block, blk);
+        let rows = out.data_mut()[block * BLOCK_ROWS * cm.d_in..].chunks_exact_mut(cm.d_in.max(1));
+        for (j, row) in rows.take(BLOCK_ROWS).enumerate() {
+            match cm.format {
+                MatrixFormat::QuantDense => {
+                    for (v, lanes) in row.iter_mut().zip(&blk.weights) {
+                        *v = lanes[j];
+                    }
+                }
+                MatrixFormat::QuantSparse24 => {
+                    for (k, lanes) in blk.weights.iter().enumerate() {
+                        let pair = blk.positions[k / 2] >> (2 * (k % 2) + 4 * j);
+                        row[k / 2 * 4 + (pair & 0b11) as usize] = lanes[j];
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dz_compress::quant::QuantSpec;
     use dz_tensor::Rng;
 
     #[test]
     fn product_matches_x_times_the_dequantized_matrix() {
         // The low and high Delta-CoMe budgets, and a shape with a partial
         // row block whose last band is clamped to the spectrum (16 > 12).
-        let cases: [(usize, usize, &[(u32, usize)]); 3] = [
-            (96, 96, &[(8, 2), (3, 4), (2, 8)]),
+        let cases = [
+            (96, 96, &[(8, 2), (3, 4), (2, 8)][..]),
             (96, 192, &[(8, 4), (3, 8), (2, 16)]),
             (20, 12, &[(8, 2), (2, 16)]),
         ];
@@ -71,7 +105,10 @@ mod tests {
         let (mut y, mut xp) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
         for (d_in, d_out, bands) in cases {
             let lr = LowRankMatrix::from_delta(&Matrix::randn(d_in, d_out, 0.02, &mut rng), bands);
-            let (dense, factors) = (lr.dequantize(), LowRankFactors::new(&lr));
+            let (dense, factors) = (
+                lr.dequantize(),
+                LowRankFactors::new(&lr, &mut BlockScratch::default()),
+            );
             for b in 1..=9 {
                 let x = Matrix::randn(b, d_in, 1.0, &mut rng);
                 factors.product_into(&x, &mut y, &mut xp);
@@ -86,11 +123,45 @@ mod tests {
     }
 
     #[test]
+    fn sparse_factors_match_x_times_the_dequantized_matrix() {
+        // The codec stores dense factors, but a wire record may carry 2:4
+        // ones: every factor here keeps two of each four columns.
+        let mut rng = Rng::seeded(47);
+        let spec = QuantSpec::new(4, 8);
+        let mut factor = |rank: usize, cols: usize| {
+            let levels: Vec<i32> = (0..rank * cols).map(|_| rng.below(15) as i32 - 7).collect();
+            let mask: Vec<bool> = (0..rank * cols).map(|i| (i + i / 4) % 4 < 2).collect();
+            let scales = (0..rank * cols / 8)
+                .map(|_| 0.01 + 0.01 * rng.normal().abs())
+                .collect();
+            CompressedMatrix::from_sparse24(rank, cols, &levels, &mask, scales, spec)
+        };
+        let (d_in, d_out) = (24, 16);
+        let bands = vec![
+            LowRankBand {
+                p: factor(2, d_in),
+                q: factor(2, d_out),
+            },
+            LowRankBand {
+                p: factor(9, d_in),
+                q: factor(9, d_out),
+            },
+        ];
+        let lr = LowRankMatrix { d_in, d_out, bands };
+        let factors = LowRankFactors::new(&lr, &mut BlockScratch::default());
+        let x = Matrix::randn(3, d_in, 1.0, &mut rng);
+        let (mut y, mut xp) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+        factors.product_into(&x, &mut y, &mut xp);
+        let want = x.matmul(&lr.dequantize());
+        assert!(y.max_abs_diff(&want) <= 1e-5 * want.max_abs().max(1.0));
+    }
+
+    #[test]
     fn rows_are_bit_equal_to_one_row_calls() {
         let mut rng = Rng::seeded(43);
         let lr =
             LowRankMatrix::from_delta(&Matrix::randn(36, 20, 0.02, &mut rng), &[(8, 2), (3, 4)]);
-        let factors = LowRankFactors::new(&lr);
+        let factors = LowRankFactors::new(&lr, &mut BlockScratch::default());
         let (mut y, mut one, mut xp) = (
             Matrix::zeros(0, 0),
             Matrix::zeros(0, 0),

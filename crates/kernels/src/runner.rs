@@ -63,11 +63,12 @@
 //! to the linears' rounding. [`crate::decoupled::DecoupledBatch`] builds a
 //! runner over deltas alone.
 
+use crate::lowrank::LowRankFactors;
 use crate::qgemm::{quant_gemm_into, QuantScratch};
 use crate::sgmv::{AdapterView, AdapterWeights};
 use crate::sign::sign_gemm_acc;
 use dz_compress::codec::{PackedLayer, SignMatrix};
-use dz_compress::pack::CompressedMatrix;
+use dz_compress::pack::{BlockScratch, CompressedMatrix};
 use dz_compress::pipeline::CompressedDelta;
 use dz_model::transformer::{argmax, gelu, layer_norm_row, KvCache, ModelConfig, Params};
 use dz_tensor::Matrix;
@@ -103,8 +104,8 @@ enum Product<'a> {
     Quant(&'a CompressedMatrix),
     /// A BitDelta layer, through the sign GEMM onto the base output.
     Sign(&'a SignMatrix),
-    /// A dequantized delta layer, accumulated in place.
-    Dense(Matrix),
+    /// A Delta-CoMe layer, through its low-rank factors.
+    LowRank(LowRankFactors),
     /// An adapter's weights, through SGMV.
     Adapter(AdapterWeights<'a>),
     /// An adapter that does not adapt this projection.
@@ -172,7 +173,9 @@ impl<'a> BatchRunner<'a> {
             let (g, b) = (format!("{prefix}_g"), format!("{prefix}_b"));
             kinds.iter().map(|k| (param(k, &g), param(k, &b))).collect()
         };
-        let proj = |kinds: &mut [Kind<'a>], li: usize, field: &str, bias: &str| -> Proj<'a> {
+        // Decode scratch for low-rank factors.
+        let mut blk = BlockScratch::default();
+        let mut proj = |kinds: &mut [Kind<'a>], li: usize, field: &str, bias: &str| -> Proj<'a> {
             let name = format!("layer{li}.{field}");
             let bias = format!("layer{li}.{bias}");
             let base = base_param(&name);
@@ -192,7 +195,9 @@ impl<'a> BatchRunner<'a> {
                             match layer {
                                 PackedLayer::Quant(cm) => Product::Quant(cm),
                                 PackedLayer::Sign(sm) => Product::Sign(sm),
-                                PackedLayer::LowRank(lr) => Product::Dense(lr.dequantize()),
+                                PackedLayer::LowRank(lr) => {
+                                    Product::LowRank(LowRankFactors::new(lr, &mut blk))
+                                }
                             }
                         }
                         Kind::Adapter(view) => {
@@ -403,23 +408,15 @@ fn linear(proj: &Proj<'_>, x: &Matrix, y: &mut Matrix, groups: &Groups, g: &mut 
                     y.row_mut(r).copy_from_slice(g.yg.row(gi));
                 }
             }
+            Product::LowRank(f) => {
+                g.gather(x, rows);
+                f.product_into(&g.xg, &mut g.yg, &mut g.xa);
+                g.scatter_add(y, rows);
+            }
             Product::Adapter(w) => {
                 g.gather(x, rows);
                 w.product_into(&g.xg, &mut g.yg, &mut g.xa);
                 g.scatter_add(y, rows);
-            }
-            Product::Dense(delta) => {
-                for &r in rows {
-                    let yr = y.row_mut(r);
-                    for (k, &xv) in x.row(r).iter().enumerate() {
-                        if xv == 0.0 {
-                            continue;
-                        }
-                        for (yv, &dv) in yr.iter_mut().zip(delta.row(k)) {
-                            *yv += xv * dv;
-                        }
-                    }
-                }
             }
             Product::None => {}
         }
@@ -473,7 +470,7 @@ impl Groups {
 struct Gather {
     xg: Matrix,
     yg: Matrix,
-    /// An adapter's down projection.
+    /// An adapter's down projection, or a low-rank delta's coordinates.
     xa: Matrix,
     quant: QuantScratch,
 }
