@@ -1,9 +1,11 @@
 //! Criterion benches for the §8 policy extensions: replay cost of the
 //! scheduler policies and decode throughput of the CPU SGMV adapter path
-//! versus the decoupled delta path.
+//! versus the decoupled delta path, the latter for a SparseGPT★, a
+//! BitDelta and a Delta-CoMe delta.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dz_compress::calib::calibration_set;
+use dz_compress::codec::{BitDeltaCodec, DeltaCodec, DeltaComeCodec};
 use dz_compress::pipeline::{delta_compress, DeltaCompressConfig};
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
@@ -78,12 +80,22 @@ fn bench_cpu_decode_paths(c: &mut Criterion) {
     let mut rng = Rng::seeded(1);
     let base = Params::init(cfg, &mut rng);
 
-    // Delta path: two untrained-but-packed variants.
+    // Delta path: an untrained-but-packed variant, plus a seeded
+    // perturbation of the base in BitDelta and Delta-CoMe form (a noisy
+    // delta keeps every low-rank band).
     let corpus = Corpus::new(cfg.max_seq);
     let calib = calibration_set(&corpus, 4, 2);
     let mut tuned = base.clone();
     tuned.for_each_mut(|_, m| m.map_assign(|v| v + 0.01));
     let (cd, _) = delta_compress(&base, &tuned, &calib, DeltaCompressConfig::starred(4));
+    let (mut noisy, mut noise) = (base.clone(), Rng::seeded(2));
+    noisy.for_each_mut(|_, m| {
+        for v in m.data_mut() {
+            *v += 0.01 * noise.normal();
+        }
+    });
+    let (bit, _) = BitDeltaCodec::per_row().compress(&base, &noisy, &calib);
+    let (come, _) = DeltaComeCodec::low_budget().compress(&base, &noisy, &calib);
 
     // Adapter path: one LoRA and one RoSA adapter.
     let lora = LoraAdapter::init(&base, LoraConfig::rank(8), &mut rng);
@@ -98,12 +110,14 @@ fn bench_cpu_decode_paths(c: &mut Criterion) {
 
     for batch_size in [2usize, 8] {
         let prompt = vec![1usize, 5, 9, 3];
-        group.bench_with_input(
-            BenchmarkId::new("delta_sbmm", batch_size),
-            &batch_size,
-            |b, &n| {
+        for (name, delta) in [
+            ("delta_sbmm", &cd),
+            ("delta_bitdelta", &bit),
+            ("delta_deltacome", &come),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, batch_size), &batch_size, |b, &n| {
                 b.iter(|| {
-                    let mut batch = DecoupledBatch::new(&base, vec![&cd]);
+                    let mut batch = DecoupledBatch::new(&base, vec![delta]);
                     for _ in 0..n {
                         batch.admit(0, &prompt);
                     }
@@ -111,8 +125,8 @@ fn bench_cpu_decode_paths(c: &mut Criterion) {
                         batch.decode_step();
                     }
                 })
-            },
-        );
+            });
+        }
         group.bench_with_input(
             BenchmarkId::new("adapter_sgmv", batch_size),
             &batch_size,

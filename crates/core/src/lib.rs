@@ -231,9 +231,10 @@ impl DeltaZip {
     ///
     /// Every request runs through one [`BatchRunner`]: a shared base GEMM
     /// per projection plus each variant's product (Eq. 2). Delta variants
-    /// add SBMM over their packed layers (or a dense product for codecs
-    /// without an SBMM kernel); LoRA/RoSA variants add SGMV. Deltas and
-    /// adapters may share one batch.
+    /// add a product over each packed layer: SBMM for group-quantized
+    /// layers, a sign GEMM for BitDelta, the low-rank factors for
+    /// Delta-CoMe; LoRA/RoSA variants add SGMV. Deltas and adapters may
+    /// share one batch.
     pub fn generate_batch(
         &self,
         requests: &[(VariantId, Vec<usize>)],

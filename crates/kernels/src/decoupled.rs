@@ -12,10 +12,11 @@
 //! [`BatchRunner`], over compressed deltas. It decodes a batch of requests
 //! for different variants in lock-step, with per-request KV caches and
 //! per-variant uncompressed parameters (biases, norms, embeddings) taken
-//! from each variant's delta artifact. Deltas in a format with no SBMM
-//! kernel (BitDelta, Delta-CoMe) are dequantized once at construction and
-//! applied as dense per-request products. Norms, attention and GELU are
-//! dz-model's inference primitives, shared with the reference forward.
+//! from each variant's delta artifact. Every codec's layers stay packed:
+//! BitDelta layers go through a sign GEMM over their sign words, and
+//! Delta-CoMe layers through `(x·P)·Qᵀ` over their low-rank factors,
+//! grouped per delta like SBMM. Norms, attention and GELU are dz-model's
+//! inference primitives, shared with the reference forward.
 
 use crate::runner::{BatchRunner, Variant};
 use dz_compress::pipeline::CompressedDelta;
@@ -102,7 +103,7 @@ mod tests {
     }
 
     #[test]
-    fn non_quant_codec_variants_serve_through_dense_fallback() {
+    fn non_quant_codec_variants_serve_beside_a_quantized_one() {
         use dz_compress::codec::{BitDeltaCodec, DeltaCodec};
 
         let (base, cd_quant, _) = setup();
@@ -115,9 +116,9 @@ mod tests {
             TrainConfig::finetune(40),
         );
         let calib = calibration_set(&corpus, 4, 9);
-        // A BitDelta (sign/scale) variant has no SBMM kernel: the batch
-        // must fall back to dense delta products and still match the
-        // reconstructed model exactly — even mixed with a quantized one.
+        // A BitDelta (sign/scale) variant goes through the sign GEMM and
+        // must still match the reconstructed model exactly, even mixed
+        // with a quantized one.
         let (cd_sign, rec_sign) = BitDeltaCodec::per_row().compress(&base, &tuned2, &calib);
         let p1 = vec![1usize, 20, 21, 2];
         let p2 = vec![1usize, 25, 2, 30, 4];

@@ -22,14 +22,21 @@
 //! to every batch row; it never bit-unpacks and builds nothing on first
 //! use. See [`qgemm`] for the tiling and the bit-exactness contract.
 //!
+//! The other codecs are served from their packed form too. BitDelta's
+//! sign GEMM decodes 32 sign bits per output at a time inside its tile and
+//! keeps the bits of a dense product over the dequantized signs.
+//! Delta-CoMe's product is `(x·P)·Qᵀ` over its bands' factors, which are
+//! dequantized once per runner, and never builds the `d_in × d_out` delta.
+//! Both are crate-private; the runner picks them per layer.
+//!
 //! The adapter side (Punica-style SGMV, extended with RoSA's sparse
 //! component per §8) lives in [`sgmv`].
 //!
 //! One batched decode runner, [`BatchRunner`], serves every variant kind
-//! through the same transformer step: packed deltas through SBMM,
-//! BitDelta/Delta-CoMe deltas through a dense fallback, and LoRA/RoSA
-//! adapters through SGMV, each on top of one shared base GEMM per
-//! projection. The runner holds only what decoupling changes: the
+//! through the same transformer step: a delta of any codec, each layer
+//! through the product its packed format has (SBMM, the sign GEMM or the
+//! low-rank product), and LoRA/RoSA adapters through SGMV, each on top of
+//! one shared base GEMM per projection. The runner holds only what decoupling changes: the
 //! per-variant parameters and these linears. LayerNorm, cached attention,
 //! GELU and the greedy argmax are `dz_model::transformer`'s, the same
 //! functions its reference `forward_infer` calls.

@@ -4,8 +4,18 @@
 //! one base in lock-step, with a KV cache per request. Every linear layer
 //! is decoupled as in Eq. 2 of the paper: one dense GEMM against the shared
 //! base weight for the whole batch, plus each request's variant product,
-//! merged before the next non-linearity (§5.1). Adapters ride the same
-//! path with an SGMV product in place of SBMM (§8).
+//! merged before the next non-linearity (§5.1). A delta's product follows
+//! each layer's packed format, and nothing is dequantized into a dense
+//! `d_in × d_out` matrix:
+//!
+//! * a group-quantized layer (the starred pipeline, AWQ, SparseGPT) goes
+//!   through SBMM, [`quant_gemm_into`] over its packed levels (§5.2);
+//! * a BitDelta layer goes through a sign GEMM over its packed sign words
+//!   (the crate's `sign` module);
+//! * a Delta-CoMe layer goes through its low-rank factors, `(x·P)·Qᵀ`
+//!   over every band at once (the crate's `lowrank` module).
+//!
+//! Adapters ride the same path with an SGMV product in place of SBMM (§8).
 //!
 //! # Deferred prefill
 //!
@@ -33,25 +43,37 @@
 //!   the input dimension in one fixed order, whatever the row count;
 //! * [`quant_gemm_into`] follows the tile contract of [`crate::qgemm`]:
 //!   every tile shape sums each accumulator in the same order;
-//! * the adapter product is two such GEMMs and a per-row sparse term;
-//! * embedding, LayerNorm, attention, GELU, the dense fallback, the bias
-//!   and the head are computed row by row.
+//! * the sign GEMM adds each output's products in input order, in passes
+//!   whose shape changes only which accumulators run side by side;
+//! * the low-rank and the adapter products are two [`Matrix::matmul_into`]
+//!   GEMMs each, plus a per-row sparse term for RoSA;
+//! * embedding, LayerNorm, attention, GELU, the bias and the head are
+//!   computed row by row.
 //!
 //! Within a projection each row gets, in this order:
 //!
 //! 1. the shared base GEMM;
-//! 2. its variant's product: a packed delta through one [`quant_gemm_into`]
-//!    per distinct delta in the step (SBMM, §5.2), an adapter through its
-//!    [`AdapterWeights::product_into`] (SGMV), or a dense-fallback delta
-//!    accumulating `x·Δ` in place;
+//! 2. its variant's product, once per distinct variant in the step over
+//!    that variant's rows: a quantized layer's [`quant_gemm_into`] (SBMM),
+//!    a Delta-CoMe layer's low-rank product or an adapter's
+//!    [`AdapterWeights::product_into`] (SGMV), each added onto the base
+//!    output, or a BitDelta layer's sign GEMM, which accumulates straight
+//!    onto the base output;
 //! 3. its variant's bias.
+//!
+//! The sign GEMM's output has the bits of adding `x[c]·Δ[c][·]` over the
+//! dequantized signs onto the base output one input at a time. The
+//! low-rank product sums over the bands' directions instead of over a
+//! dequantized matrix, so it agrees with `x·Δ` to rounding.
 //!
 //! # Tables and buffers
 //!
 //! [`BatchRunner::new`] resolves everything the step reads: per variant
 //! its embeddings, norms, biases and head (a delta's `rest` with base
 //! fallback, the base for adapters), and per projection the base weight
-//! and every variant's product. The step looks nothing up by name. It
+//! and every variant's product: a packed layer by reference, a Delta-CoMe
+//! layer as its factors dequantized once (`R·(d_in + d_out)` values for
+//! `R` directions). The step looks nothing up by name. It
 //! groups its rows by variant once and keeps its activations, gathers and
 //! kernel scratch in buffers reused from step to step, so a step
 //! allocates only when a buffer has to grow.
@@ -157,6 +179,12 @@ pub struct BatchRunner<'a> {
 impl<'a> BatchRunner<'a> {
     /// Creates a runner over `base` and the given variants, resolving
     /// every parameter and product the step reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a delta lacks a projection layer, or if a layer's
+    /// `(d_in, d_out)` differs from its base weight's shape; the message
+    /// names the layer.
     pub fn new(base: &'a Params, variants: Vec<Variant<'a>>) -> Self {
         let mut kinds: Vec<Kind<'a>> = variants.into_iter().map(|v| v.0).collect();
         let base_param = |name: &str| base.get(name).expect("param exists");

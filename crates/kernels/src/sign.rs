@@ -118,8 +118,9 @@ mod tests {
     use dz_compress::codec::SignScope;
     use dz_tensor::Rng;
 
-    /// The runner's former dense fallback: `y += x·Δ` over the dequantized
-    /// matrix, one input at a time in input order, skipping zero inputs.
+    /// The oracle: `y += x·Δ` over the dequantized matrix, one input at a
+    /// time in input order, skipping zero inputs, as the runner computed
+    /// BitDelta products before the sign GEMM.
     fn fallback(x: &Matrix, sm: &SignMatrix, y: &mut Matrix) {
         let delta = sm.dequantize();
         for r in 0..x.rows() {
