@@ -40,7 +40,7 @@ impl LowRankFactors {
         for band in &lr.bands {
             // A factor's stored rows are the band's directions.
             stored_rows(&band.p, blk, &mut dirs);
-            for (c, pc) in p.data_mut().chunks_exact_mut(r).enumerate() {
+            for (c, pc) in p.data_mut().chunks_exact_mut(r.max(1)).enumerate() {
                 for (j, v) in pc[at..at + band.rank()].iter_mut().enumerate() {
                     *v = dirs.get(j, c);
                 }
@@ -154,6 +154,29 @@ mod tests {
         factors.product_into(&x, &mut y, &mut xp);
         let want = x.matmul(&lr.dequantize());
         assert!(y.max_abs_diff(&want) <= 1e-5 * want.max_abs().max(1.0));
+    }
+
+    #[test]
+    fn a_layer_without_directions_adds_nothing() {
+        // No bands (a zero delta), and a rank-0 band as a wire record may
+        // declare one.
+        let spec = QuantSpec::new(4, 8);
+        let empty = |cols| CompressedMatrix::from_dense(0, cols, &[], Vec::new(), spec);
+        let rank0 = LowRankBand {
+            p: empty(6),
+            q: empty(5),
+        };
+        for bands in [Vec::new(), vec![rank0]] {
+            let lr = LowRankMatrix {
+                d_in: 6,
+                d_out: 5,
+                bands,
+            };
+            let factors = LowRankFactors::new(&lr, &mut BlockScratch::default());
+            let (mut y, mut xp) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+            factors.product_into(&Matrix::full(2, 6, 1.0), &mut y, &mut xp);
+            assert_eq!(y, Matrix::zeros(2, 5));
+        }
     }
 
     #[test]
