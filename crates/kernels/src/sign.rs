@@ -9,14 +9,17 @@
 //!
 //! # Decode in the tile
 //!
-//! A pass covers `P` outputs × `L` batch rows, `P · L = 32`: 32 outputs of
-//! one row at batch 1, 16 × 2 at batches 2 and 3, 8 × 4 from batch 4 on
-//! (in chunks of four rows). It reads 32 sign bits of each of its outputs
-//! at a time, one `u32` per output. For each of those 32 inputs one shift
-//! moves every output's bit into the `f32` sign position, and XOR-ing it
-//! into the outputs' negated scales gives the input's `P` weights, which
-//! the pass's `L` rows then share. Nothing is decoded ahead of the tile
-//! and nothing is built per matrix.
+//! A pass covers `P` outputs × `L` batch rows, `P · L = 32`: 8 × 4 while
+//! four or more rows are left, 16 × 2 for two or three, 32 × 1 for the
+//! last one. It reads 32 sign bits of each of its outputs at a time, one
+//! `u32` per output. For each of those 32 inputs one shift moves every
+//! output's bit into the `f32` sign position, and XOR-ing it into the
+//! outputs' negated scales gives the input's `P` weights, which the
+//! pass's `L` rows then share. Nothing is decoded ahead of the tile and
+//! nothing is built per matrix. (Decoding each block once into a buffer
+//! shared by every row of a call, as [`crate::qgemm`] does, measured
+//! slower at batches 1 and 4: a separate pass stores and reloads every
+//! weight, and a tile of eight accumulators waits on its adds.)
 //!
 //! # Bit-exactness contract
 //!
