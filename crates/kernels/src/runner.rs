@@ -428,7 +428,8 @@ fn linear(proj: &Proj<'_>, x: &Matrix, y: &mut Matrix, groups: &Groups, g: &mut 
                 g.scatter_add(y, rows);
             }
             Product::Sign(sm) => {
-                // Accumulates straight onto the rows' base outputs.
+                // Adds onto the rows' base outputs one input at a time,
+                // which its bit contract needs, so no separate sum.
                 g.gather(x, rows);
                 copy_rows(y, rows, &mut g.yg);
                 sign_gemm_acc(&g.xg, sm, &mut g.yg);
