@@ -352,8 +352,8 @@ fn decode_lowrank_body(r: &mut Reader<'_>) -> Result<LowRankMatrix, WireError> {
     }
     let mut bands = Vec::with_capacity(n_bands);
     for _ in 0..n_bands {
-        let p = decode_matrix(r)?;
-        let q = decode_matrix(r)?;
+        let p = decode_factor(r)?;
+        let q = decode_factor(r)?;
         // Factor rows are singular directions: p is (rank x d_in), q is
         // (rank x d_out) in stored orientation.
         if p.d_in != d_in || q.d_in != d_out || p.d_out != q.d_out {
@@ -362,6 +362,17 @@ fn decode_lowrank_body(r: &mut Reader<'_>) -> Result<LowRankMatrix, WireError> {
         bands.push(LowRankBand { p, q });
     }
     Ok(LowRankMatrix { d_in, d_out, bands })
+}
+
+/// Decodes one low-rank factor. Factors are always dense:
+/// [`LowRankMatrix::from_delta`] never writes a 2:4 one, so a record that
+/// carries one is refused rather than served.
+fn decode_factor(r: &mut Reader<'_>) -> Result<CompressedMatrix, WireError> {
+    match r.u8()? {
+        FORMAT_DENSE => decode_matrix_body(r, MatrixFormat::QuantDense),
+        FORMAT_SPARSE24 => Err(WireError::BadField("2:4 low-rank factor")),
+        t => Err(WireError::BadTag(t)),
+    }
 }
 
 /// Appends the wire form of one packed layer (any method-zoo format).
@@ -787,6 +798,25 @@ mod tests {
             layer_from_bytes(&bytes),
             Err(WireError::LengthMismatch("low-rank band dims"))
         );
+    }
+
+    #[test]
+    fn lowrank_rejects_sparse_factors() {
+        // A 2:4 factor in either position of any band is refused.
+        for (band, left) in [(0, true), (0, false), (1, true), (1, false)] {
+            let PackedLayer::LowRank(mut lr) = lowrank_layer(45) else {
+                unreachable!()
+            };
+            let slot = &mut lr.bands[band];
+            let factor = if left { &mut slot.p } else { &mut slot.q };
+            *factor = sparse_fixture(factor.d_out, factor.d_in, 4, 46);
+            let bytes = layer_to_bytes(&PackedLayer::LowRank(lr));
+            assert_eq!(
+                layer_from_bytes(&bytes),
+                Err(WireError::BadField("2:4 low-rank factor")),
+                "band {band}, left factor {left}"
+            );
+        }
     }
 
     #[test]

@@ -67,8 +67,8 @@ pub use dz_serve::{
 pub use dz_serve::{
     ClusterConfig, ClusterReport, ClusterSim, CostModel, DeltaStoreBinding, DeltaZipConfig,
     EngineBuilder, LeastLoadedRouter, LoadProfile, Metrics, PlacementAwareRouter, PlacementPlan,
-    PopularityPrefetch, PrefetchHint, PrefetchPolicy, Prefetcher, QueueLookahead, RoundRobinRouter,
-    Router, SwapStats, ToppingsStats, TransferTimeline, VariantCatalog, VariantKind, VariantSpec,
+    PopularityPrefetch, PrefetchHint, Prefetcher, QueueLookahead, RoundRobinRouter, Router,
+    SwapStats, ToppingsStats, TransferTimeline, VariantCatalog, VariantKind, VariantSpec,
 };
 pub use dz_store::{
     ArtifactId, DecodeStats, DecodeThroughput, DecodedFetch, PrefetchOutcome, Registry,

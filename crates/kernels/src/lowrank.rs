@@ -61,26 +61,18 @@ impl LowRankFactors {
     }
 }
 
-/// Decodes `cm` into `out` in its stored orientation: `d_out × d_in`,
-/// one stored row per matrix row, zero where 2:4 keeps no value.
+/// Decodes the dense factor `cm` into `out` in its stored orientation:
+/// `d_out × d_in`, one stored row per matrix row. Factors are never 2:4:
+/// the codec writes dense ones and the wire decoder refuses others.
 fn stored_rows(cm: &CompressedMatrix, blk: &mut BlockScratch, out: &mut Matrix) {
+    debug_assert_eq!(cm.format, MatrixFormat::QuantDense, "2:4 low-rank factor");
     out.reset(cm.d_out, cm.d_in);
     for block in 0..cm.d_out.div_ceil(BLOCK_ROWS) {
         cm.decode_block(block, blk);
         let rows = out.data_mut()[block * BLOCK_ROWS * cm.d_in..].chunks_exact_mut(cm.d_in.max(1));
         for (j, row) in rows.take(BLOCK_ROWS).enumerate() {
-            match cm.format {
-                MatrixFormat::QuantDense => {
-                    for (v, lanes) in row.iter_mut().zip(&blk.weights) {
-                        *v = lanes[j];
-                    }
-                }
-                MatrixFormat::QuantSparse24 => {
-                    for (k, lanes) in blk.weights.iter().enumerate() {
-                        let pair = blk.positions[k / 2] >> (2 * (k % 2) + 4 * j);
-                        row[k / 2 * 4 + (pair & 0b11) as usize] = lanes[j];
-                    }
-                }
+            for (v, lanes) in row.iter_mut().zip(&blk.weights) {
+                *v = lanes[j];
             }
         }
     }
@@ -120,40 +112,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn sparse_factors_match_x_times_the_dequantized_matrix() {
-        // The codec stores dense factors, but a wire record may carry 2:4
-        // ones: every factor here keeps two of each four columns.
-        let mut rng = Rng::seeded(47);
-        let spec = QuantSpec::new(4, 8);
-        let mut factor = |rank: usize, cols: usize| {
-            let levels: Vec<i32> = (0..rank * cols).map(|_| rng.below(15) as i32 - 7).collect();
-            let mask: Vec<bool> = (0..rank * cols).map(|i| (i + i / 4) % 4 < 2).collect();
-            let scales = (0..rank * cols / 8)
-                .map(|_| 0.01 + 0.01 * rng.normal().abs())
-                .collect();
-            CompressedMatrix::from_sparse24(rank, cols, &levels, &mask, scales, spec)
-        };
-        let (d_in, d_out) = (24, 16);
-        let bands = vec![
-            LowRankBand {
-                p: factor(2, d_in),
-                q: factor(2, d_out),
-            },
-            LowRankBand {
-                p: factor(9, d_in),
-                q: factor(9, d_out),
-            },
-        ];
-        let lr = LowRankMatrix { d_in, d_out, bands };
-        let factors = LowRankFactors::new(&lr, &mut BlockScratch::default());
-        let x = Matrix::randn(3, d_in, 1.0, &mut rng);
-        let (mut y, mut xp) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
-        factors.product_into(&x, &mut y, &mut xp);
-        let want = x.matmul(&lr.dequantize());
-        assert!(y.max_abs_diff(&want) <= 1e-5 * want.max_abs().max(1.0));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Model quality evaluation: task accuracy, perplexity, greedy generation.
 
 use crate::tasks::Task;
-use crate::transformer::{argmax, forward_full, forward_infer, KvCache, Params};
+use crate::transformer::{argmax, forward_infer, KvCache, Params};
 use dz_tensor::Rng;
 
 /// Teacher-forced accuracy on `n` fresh samples of a task.
@@ -23,7 +23,7 @@ pub fn task_accuracy(params: &Params, task: &dyn Task, n: usize, rng: &mut Rng) 
 pub fn example_correct(params: &Params, tokens: &[usize], answer_len: usize) -> bool {
     let t = tokens.len();
     debug_assert!(answer_len >= 1 && answer_len < t);
-    let logits = forward_full(params, &tokens[..t - 1]);
+    let logits = teacher_forced_logits(params, &tokens[..t - 1]);
     for k in 0..answer_len {
         let pos = t - 1 - answer_len + k; // Logit row predicting tokens[pos + 1].
         if argmax(logits.row(pos)) != tokens[pos + 1] {
@@ -41,7 +41,7 @@ pub fn mean_nll(params: &Params, seqs: &[Vec<usize>]) -> f64 {
         if seq.len() < 2 {
             continue;
         }
-        let logits = forward_full(params, &seq[..seq.len() - 1]);
+        let logits = teacher_forced_logits(params, &seq[..seq.len() - 1]);
         for (row, &target) in (0..logits.rows()).zip(seq[1..].iter()) {
             let r = logits.row(row);
             let max = r.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -55,6 +55,13 @@ pub fn mean_nll(params: &Params, seqs: &[Vec<usize>]) -> f64 {
     } else {
         total / count as f64
     }
+}
+
+/// Logits of every position of `ids` (`T x vocab`) from one inference
+/// pass over a fresh cache: no autograd tape, and bit-equal to
+/// [`forward_full`](crate::transformer::forward_full).
+fn teacher_forced_logits(params: &Params, ids: &[usize]) -> dz_tensor::Matrix {
+    forward_infer(params, ids, &mut KvCache::new(params.config.n_layers))
 }
 
 /// Perplexity (`exp` of [`mean_nll`]).

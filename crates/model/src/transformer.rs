@@ -740,7 +740,9 @@ fn affine(x: &Matrix, w: &Matrix, b: &Matrix) -> Matrix {
     y
 }
 
-/// Teacher-forced logits for a whole sequence (`T x vocab`), no cache.
+/// Teacher-forced logits for a whole sequence (`T x vocab`), no cache,
+/// built on the autograd tape that training differentiates.
+// dz-lint: allow(dead-pub, "tape reference the inference-path and calibration tests compare against")
 pub fn forward_full(params: &Params, ids: &[usize]) -> Matrix {
     let mut tape = Tape::new();
     let nodes = ParamNodes::register(&mut tape, params);
@@ -831,6 +833,30 @@ mod tests {
             assert!(*d < 1e-3, "position {i}: diff {d}");
         }
         assert_eq!(cache.len(), ids.len());
+    }
+
+    #[test]
+    fn whole_sequence_infer_is_bit_equal_to_the_tape_forward() {
+        // Evaluation scores logits from `forward_infer` on a fresh cache;
+        // they must be the tape's logits bit for bit, not just to rounding.
+        for preset in crate::zoo::presets() {
+            let cfg = preset.config;
+            for seed in 0..4u64 {
+                let mut rng = Rng::seeded(100 + seed);
+                let p = Params::init(cfg, &mut rng);
+                let len = cfg.max_seq - seed as usize * 5;
+                let ids: Vec<usize> = (0..len).map(|_| rng.below(cfg.vocab)).collect();
+                let full = forward_full(&p, &ids);
+                let infer = forward_infer(&p, &ids, &mut KvCache::new(cfg.n_layers));
+                assert_eq!(full.shape(), infer.shape());
+                let same = full
+                    .data()
+                    .iter()
+                    .zip(infer.data())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{} seed {seed}: logits differ", preset.name);
+            }
+        }
     }
 
     #[test]

@@ -6,11 +6,9 @@
 //! that layer:
 //!
 //! * [`ClusterSim`] owns `R` replicas — each an independent
-//!   [`DeltaZipEngine`](crate::DeltaZipEngine) with its own cost model,
-//!   its own warm set, and
-//!   (optionally) its own [`TieredDeltaStore`](dz_store::TieredDeltaStore)
-//!   budget via a [`DeltaStoreBinding`] — and replays a trace through a
-//!   front-end router,
+//!   [`DeltaZipEngine`](crate::DeltaZipEngine) with its own cost model
+//!   and its own warm set — and replays a trace through a front-end
+//!   router,
 //! * [`Router`] is the pluggable routing policy, shared with
 //!   [`FleetSim`](crate::fleet::FleetSim): [`RoundRobinRouter`]
 //!   (baseline), [`LeastLoadedRouter`] (queue-depth only),
@@ -38,10 +36,10 @@
 
 use crate::chaos::{ChaosConfig, ChaosStats, FaultKind, MemberEvent, Membership, Scale};
 use crate::cost::CostModel;
-use crate::deltazip::{DeltaStoreBinding, DeltaZipConfig};
+use crate::deltazip::DeltaZipConfig;
 use crate::metrics::{Metrics, RequestRecord, SwapStats};
 use crate::slo::{SloClass, SloPolicy};
-use crate::swap::{Brownout, PrefetchPolicy};
+use crate::swap::{Brownout, TransferTimeline};
 use crate::Engine;
 use dz_gpusim::{EventClass, EventQueue};
 use dz_tensor::Rng;
@@ -762,18 +760,8 @@ pub struct ClusterConfig {
     pub admission: Option<AdmissionConfig>,
     /// Routing-time prefetch: when set, up to two of the router's
     /// [`PrefetchHint`]s per decision are applied to the target
-    /// replicas' (predicted and, when store-bound, real) host caches.
+    /// replicas' predicted host caches.
     pub prefetch: bool,
-    /// Per-replica engine-level predictive prefetch policy (built per
-    /// replica from the trace's popularity for
-    /// [`PrefetchPolicy::Popularity`]). `None` disables it.
-    pub prefetch_policy: Option<PrefetchPolicy>,
-    /// Optional variant catalog shared by every replica: requests whose
-    /// model is not delta-backed (base or pure LoRA) are placement-free —
-    /// adapters are ~MB, replicated everywhere, and always routed as warm;
-    /// routing-time prefetch hints are only spent on delta-backed models.
-    /// `None` keeps the legacy all-delta behavior.
-    pub catalog: Option<crate::variant::VariantCatalog>,
 }
 
 impl Default for ClusterConfig {
@@ -783,8 +771,6 @@ impl Default for ClusterConfig {
             engine: DeltaZipConfig::default(),
             admission: None,
             prefetch: false,
-            prefetch_policy: None,
-            catalog: None,
         }
     }
 }
@@ -853,11 +839,6 @@ pub struct ClusterReport {
     pub shed: Vec<ShedRecord>,
     /// Router-side accounting.
     pub routing: RoutingStats,
-    /// Per-replica artifact-store load stats for **this run only** when
-    /// replicas are store-bound (`None` in synthetic mode). The stores
-    /// themselves keep cumulative totals across runs — query the
-    /// bindings via [`ClusterSim::bindings`] for those.
-    pub store_stats: Option<Vec<dz_store::LoadStats>>,
     /// What the chaos machinery did, when the run was configured with
     /// [`ClusterSim::with_chaos`] (`None` on healthy runs).
     pub chaos: Option<ChaosStats>,
@@ -1072,13 +1053,6 @@ pub struct ClusterSim {
     costs: Vec<CostModel>,
     config: ClusterConfig,
     router: Box<dyn Router>,
-    /// Per-replica artifact stores (store-bound mode); retrieved back into
-    /// place after every run so warm state carries across runs.
-    bindings: Option<Vec<DeltaStoreBinding>>,
-    /// Router warm-set capacities derived from the store budgets, computed
-    /// once at [`with_stores`](Self::with_stores) time (the sizes need a
-    /// disk stat per artifact).
-    store_warm_caps: Vec<usize>,
     /// When set, the front-end and every replica engine record trace
     /// events during [`run`](Self::run).
     trace_config: Option<TraceConfig>,
@@ -1103,8 +1077,6 @@ impl ClusterSim {
             costs,
             config,
             router,
-            bindings: None,
-            store_warm_caps: Vec::new(),
             trace_config: None,
             trace_tracks: Vec::new(),
             chaos: None,
@@ -1152,90 +1124,22 @@ impl ClusterSim {
         std::mem::take(&mut self.trace_tracks)
     }
 
-    /// Binds one [`TieredDeltaStore`](dz_store::TieredDeltaStore) per
-    /// replica: each replica's engine charges loads by real artifact
-    /// bytes from its own host-cache budget, and the router's predicted
-    /// warm sets are seeded from (and sized by) the stores.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the binding count differs from the replica count.
-    // dz-lint: allow(dead-pub, "entry point of the store-bound golden pin PIN_LOCKSTEP_STORE")
-    pub fn with_stores(mut self, bindings: Vec<DeltaStoreBinding>) -> Self {
-        assert_eq!(
-            bindings.len(),
-            self.config.n_replicas,
-            "one store binding per replica"
-        );
-        // Derive each replica's router warm-set capacity from its store's
-        // byte budget and mean artifact size, once — sizing needs a disk
-        // stat per artifact and the bindings are fixed from here on.
-        self.store_warm_caps = bindings
-            .iter()
-            .map(|binding| {
-                let sizes: Vec<u64> = binding
-                    .artifacts()
-                    .iter()
-                    .filter_map(|id| binding.store().registry().size_of(id).ok())
-                    .collect();
-                if sizes.is_empty() {
-                    usize::MAX
-                } else {
-                    let mean = (sizes.iter().sum::<u64>() / sizes.len() as u64).max(1);
-                    ((binding.store().budget_bytes() / mean) as usize).max(1)
-                }
-            })
-            .collect();
-        self.bindings = Some(bindings);
-        self
-    }
-
     /// The router (e.g. to read a [`PlacementAwareRouter`]'s migration
     /// count after a run).
     pub fn router(&self) -> &dyn Router {
         self.router.as_ref()
     }
 
-    /// Per-replica store bindings, when store-bound.
-    pub fn bindings(&self) -> Option<&[DeltaStoreBinding]> {
-        self.bindings.as_deref()
-    }
-
-    /// Router warm-set capacity (in deltas) for replica `r`: the
-    /// engine's `host_capacity_deltas`, or for a store-bound replica the
-    /// count its store's byte budget holds.
-    fn warm_capacity(&self, r: usize) -> usize {
-        if let Some(&cap) = self.store_warm_caps.get(r) {
-            if cap != usize::MAX {
-                return cap;
-            }
-        }
-        self.config
-            .engine
-            .host_capacity_deltas
-            .unwrap_or(usize::MAX)
-    }
-
-    /// Whether a model's variant is delta-backed and therefore
-    /// placement-critical. Catalog-free clusters treat every model as a
-    /// delta (the legacy behavior). Base and pure-LoRA variants are ~free
-    /// to replicate, so every replica counts as warm for them and no
-    /// prefetch-hint budget is spent on their behalf.
-    fn model_needs_delta(&self, model: usize) -> bool {
-        self.config
-            .catalog
-            .as_ref()
-            .is_none_or(|c| c.kind_of(model).needs_delta())
-    }
-
     /// Builds the per-replica front-end states (predicted warm sets,
     /// amortized service rates) for [`run`](Self::run).
-    fn build_states(&self, trace: &Trace) -> Vec<ReplicaFrontendState> {
+    fn build_states(&self) -> Vec<ReplicaFrontendState> {
+        // The predicted warm set holds what the engine's host cache does.
+        let warm_capacity = self.config.engine.host_capacity_deltas;
         (0..self.config.n_replicas)
             .map(|r| {
                 let cost = &self.costs[r];
-                let mut state = ReplicaFrontendState {
-                    warm: WarmSet::new(self.warm_capacity(r)),
+                ReplicaFrontendState {
+                    warm: WarmSet::new(warm_capacity.unwrap_or(usize::MAX)),
                     decoded: BTreeSet::new(),
                     prefetched: BTreeSet::new(),
                     busy_until: 0.0,
@@ -1255,21 +1159,7 @@ impl ClusterSim {
                     },
                     cold_load_s: cost.delta_cold_load_time(),
                     warm_load_s: cost.delta_load_time(),
-                };
-                // Seed the predicted warm (and decoded) sets from real
-                // store residency.
-                if let Some(bindings) = &self.bindings {
-                    for model in 0..trace.spec.n_models {
-                        if bindings[r].is_model_warm(model) {
-                            if bindings[r].is_model_decoded(model) {
-                                state.touch_used(model);
-                            } else {
-                                state.touch_warm(model);
-                            }
-                        }
-                    }
                 }
-                state
             })
             .collect()
     }
@@ -1284,10 +1174,10 @@ impl ClusterSim {
     /// is O(events) heap operations.
     ///
     /// `crates/serve/tests/determinism_pins.rs` holds golden checksums of
-    /// the full [`ClusterReport`] on six small fleets (plain, admission +
-    /// prefetch, chaos with and without tracing, engine prefetch,
-    /// store-bound), taken from the lockstep front end this loop
-    /// replaced; any change to event ordering shows up there.
+    /// the full [`ClusterReport`] on four small fleets (plain, admission +
+    /// prefetch, chaos with and without tracing), taken from the lockstep
+    /// front end this loop replaced; any change to event ordering shows
+    /// up there.
     pub fn run(&mut self, trace: &Trace) -> ClusterReport {
         const CLASS_CHAOS: EventClass = 0;
         const CLASS_ARRIVAL: EventClass = 1;
@@ -1302,7 +1192,7 @@ impl ClusterSim {
         let autoscaler = chaos.as_ref().and_then(|c| c.autoscaler);
         let initial_live = chaos.as_ref().and_then(|c| c.initial_replicas).unwrap_or(n);
         let mut members = Membership::new(n, initial_live);
-        let mut states = self.build_states(trace);
+        let mut states = self.build_states();
 
         let mut events: EventQueue<FrontEvent> = EventQueue::new();
         // Arrivals still pending (deferred/parked re-entries included):
@@ -1502,30 +1392,20 @@ impl ClusterSim {
             for state in &mut states {
                 state.prune(now);
             }
-            let mut views: Vec<ReplicaView> = states
+            let views: Vec<ReplicaView> = states
                 .iter()
                 .enumerate()
                 .map(|(r, s)| {
                     let mut v = s.view(r, now, p.req.model, members.is_alive(r));
                     // A browned-out channel inflates the router's load
                     // estimates: cold loads ride disk, decode rides PCIe.
-                    let (disk_rate, pcie_rate) = brownout_rates(&replica_brownouts[r], now);
+                    let (disk_rate, pcie_rate) =
+                        TransferTimeline::channel_rates_at(&replica_brownouts[r], now);
                     v.cold_load_s /= disk_rate;
                     v.warm_load_s /= pcie_rate;
                     v
                 })
                 .collect();
-            if !self.model_needs_delta(p.req.model) {
-                // Non-delta variants (base weights, MB-scale adapters) are
-                // resident on every live replica: the router sees them as
-                // warm everywhere and charges no swap-in.
-                for v in &mut views {
-                    v.warm = true;
-                    v.decoded = true;
-                    v.cold_load_s = 0.0;
-                    v.warm_load_s = 0.0;
-                }
-            }
 
             // SLO-aware admission: Batch requests defer, then shed, when
             // even the least-loaded *live* replica is saturated (a fleet
@@ -1662,7 +1542,7 @@ impl ClusterSim {
             }
             routing.per_replica_requests[r] += 1;
             // Apply the router's prefetch hints: prewarm the predicted
-            // caches and, when store-bound, the real ones.
+            // caches.
             if self.config.prefetch {
                 for hint in self
                     .router
@@ -1673,13 +1553,8 @@ impl ClusterSim {
                     if hint.replica >= n {
                         continue;
                     }
-                    // Hint budget is for GB-scale deltas only; adapters
-                    // and base weights need no placement.
-                    if !self.model_needs_delta(hint.model) {
-                        continue;
-                    }
                     // A hint aimed at a dead replica is dropped, not
-                    // leaked into its predicted (or real) cache.
+                    // leaked into its predicted cache.
                     if !views[hint.replica].alive {
                         stats.dropped_hints += 1;
                         continue;
@@ -1687,12 +1562,6 @@ impl ClusterSim {
                     routing.prefetch_hints += 1;
                     if states[hint.replica].prefetch_warm(hint.model) {
                         routing.prefetch_issued += 1;
-                        if let Some(bindings) = self.bindings.as_mut() {
-                            let binding = &mut bindings[hint.replica];
-                            if let Some(id) = binding.artifact_of(hint.model).copied() {
-                                let _ = binding.store_mut().prefetch(&[id]);
-                            }
-                        }
                     }
                 }
             }
@@ -1700,11 +1569,7 @@ impl ClusterSim {
             let est = self.costs[r].prefill_time(p.req.prompt_tokens)
                 + p.req.output_tokens as f64 * state.per_token_s
                 + if warm { 0.0 } else { views[r].cold_load_s };
-            if self.model_needs_delta(p.req.model) {
-                // Adapter/base models must not occupy predicted
-                // delta-warm-set capacity.
-                state.touch_used(p.req.model);
-            }
+            state.touch_used(p.req.model);
             state.charge(now, est);
             let est_finish = state.busy_until;
             let mut admitted = p.req.clone();
@@ -1755,15 +1620,10 @@ impl ClusterSim {
         let mut per_replica: Vec<Metrics> = Vec::with_capacity(n);
         let mut records: Vec<RequestRecord> = Vec::new();
         let mut makespan = 0.0f64;
-        let mut store_stats: Option<Vec<dz_store::LoadStats>> =
-            self.bindings.as_ref().map(|_| Vec::new());
-        let mut bindings = self.bindings.take();
         for (r, state) in states.iter_mut().enumerate() {
             // Epochs sealed by crashes/scale cycles, then the live tail.
-            // Each epoch replays on a *fresh* engine — a restarted
-            // replica's GPU and host caches start empty — and, when
-            // store-bound, the real store's warm set is invalidated
-            // between epochs too.
+            // Each epoch replays on a *fresh* engine: a restarted
+            // replica's GPU and host caches start empty.
             let mut epochs: Vec<Vec<(Request, usize, f64, f64)>> =
                 std::mem::take(&mut state.sealed);
             epochs.push(std::mem::take(&mut state.assigned));
@@ -1771,16 +1631,9 @@ impl ClusterSim {
             if epochs.is_empty() {
                 epochs.push(Vec::new());
             }
-            let mut binding = bindings
-                .as_mut()
-                .and_then(|b| (!b.is_empty()).then(|| b.remove(0)));
-            // Snapshot the store's cumulative counters so the report
-            // carries this run's loads only (bindings persist across
-            // runs to keep the caches warm).
-            let stats_before = binding.as_ref().map(|b| b.store().total_stats());
             let mut replica_metrics: Option<Metrics> = None;
             let mut replica_log: Option<dz_trace::TraceLog> = None;
-            for (e_idx, epoch) in epochs.into_iter().enumerate() {
+            for epoch in epochs {
                 let mut ids = Vec::with_capacity(epoch.len());
                 let mut delays = Vec::with_capacity(epoch.len());
                 let mut requests = Vec::with_capacity(epoch.len());
@@ -1798,29 +1651,14 @@ impl ClusterSim {
                 };
                 let mut builder =
                     crate::builder::EngineBuilder::new(self.costs[r]).scheduler(self.config.engine);
-                if let Some(cat) = &self.config.catalog {
-                    builder = builder.catalog(cat.clone());
-                }
                 if let Some(cfg) = self.trace_config {
                     builder = builder.tracing(cfg);
                 }
                 if let Some(adm) = &self.config.admission {
                     builder = builder.slo(adm.slo.clone());
                 }
-                if let Some(policy) = self.config.prefetch_policy {
-                    builder = builder
-                        .prefetcher(policy.build(trace.spec.popularity, trace.spec.n_models));
-                }
                 if !replica_brownouts[r].is_empty() {
                     builder = builder.brownouts(replica_brownouts[r].clone());
-                }
-                if let Some(mut b) = binding.take() {
-                    if e_idx > 0 {
-                        // The crash that sealed the previous epoch wiped
-                        // the real host cache as well.
-                        b.store_mut().invalidate_resident();
-                    }
-                    builder = builder.store(b);
                 }
                 let mut engine = builder.build();
                 let mut m = engine.run(&sub);
@@ -1864,7 +1702,6 @@ impl ClusterSim {
                     }
                     None => replica_metrics = Some(m),
                 }
-                binding = engine.delta_store.take();
             }
             if let Some(log) = replica_log {
                 trace_tracks.push(TraceTrack {
@@ -1875,13 +1712,6 @@ impl ClusterSim {
             let mut rm = replica_metrics.expect("at least one epoch per replica");
             rm.records.sort_by_key(|rec| rec.id);
             per_replica.push(rm);
-            if let Some(b) = binding {
-                if let Some(stats) = store_stats.as_mut() {
-                    let before = stats_before.unwrap_or_default();
-                    stats.push(b.store().total_stats().since(&before));
-                }
-                self.bindings.get_or_insert_with(Vec::new).push(b);
-            }
         }
         records.sort_by_key(|r| r.id);
         let mut cluster_swap = SwapStats::default();
@@ -1905,25 +1735,9 @@ impl ClusterSim {
             per_replica,
             shed,
             routing,
-            store_stats,
             chaos: chaos_stats,
         }
     }
-}
-
-/// Effective (disk, PCIe) rate factors at `now` under a brownout
-/// schedule; overlapping windows compound via `min`. Mirrors
-/// [`TransferTimeline`](crate::swap::TransferTimeline)'s own clamping.
-fn brownout_rates(schedule: &[Brownout], now: f64) -> (f64, f64) {
-    let mut disk = 1.0f64;
-    let mut pcie = 1.0f64;
-    for b in schedule {
-        if now >= b.start_s && now < b.end_s {
-            disk = disk.min(b.disk_rate.clamp(1e-3, 1.0));
-            pcie = pcie.min(b.pcie_rate.clamp(1e-3, 1.0));
-        }
-    }
-    (disk, pcie)
 }
 
 #[cfg(test)]
@@ -2073,41 +1887,6 @@ mod tests {
             report.routing.warm_fraction(),
             base.routing.warm_fraction()
         );
-    }
-
-    #[test]
-    fn engine_prefetch_policy_reaches_replicas() {
-        // A cluster-configured engine-level prefetch policy must show up
-        // in the merged swap stats.
-        let tr = Trace::generate(TraceSpec {
-            n_models: 16,
-            arrival_rate: 2.0,
-            duration_s: 40.0,
-            popularity: PopularityDist::Zipf { alpha: 1.2 },
-            seed: 37,
-        });
-        let config = ClusterConfig {
-            n_replicas: 2,
-            engine: DeltaZipConfig {
-                max_concurrent_deltas: 2,
-                host_capacity_deltas: Some(4),
-                ..DeltaZipConfig::default()
-            },
-            prefetch_policy: Some(crate::swap::PrefetchPolicy::QueueLookahead { depth: 4 }),
-            ..ClusterConfig::default()
-        };
-        let small = CostModel::new(
-            dz_gpusim::spec::NodeSpec::rtx3090_node(1),
-            ModelShape::llama7b(),
-        );
-        let mut sim = ClusterSim::new(vec![small; 2], config, Box::new(LeastLoadedRouter::new()));
-        let report = sim.run(&tr);
-        assert_eq!(report.merged.len(), tr.len());
-        assert!(
-            report.merged.swap.prefetch_issued > 0,
-            "replica engines must prefetch"
-        );
-        assert!(report.merged.swap.demand_loads > 0);
     }
 
     #[test]
@@ -2439,7 +2218,6 @@ mod tests {
         let report = sim.run(&tr);
         assert!(report.merged.is_empty());
         assert_eq!(report.goodput(), 1.0);
-        assert!(report.store_stats.is_none());
     }
 
     #[test]

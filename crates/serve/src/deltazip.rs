@@ -155,9 +155,9 @@ impl DeltaStoreBinding {
         &self.store
     }
 
-    /// Mutable access to the underlying store, so callers (e.g. a
-    /// [`ClusterSim`](crate::cluster::ClusterSim) replica) can record
-    /// loads, evict, or pre-warm artifacts.
+    /// Mutable access to the underlying store, so callers can fetch,
+    /// evict or pre-warm artifacts between runs.
+    // dz-lint: allow(dead-pub, "the store-backed tests re-fetch through a served binding to check what stayed resident")
     pub fn store_mut(&mut self) -> &mut TieredDeltaStore {
         &mut self.store
     }
@@ -177,15 +177,6 @@ impl DeltaStoreBinding {
     pub fn is_model_warm(&self, model: usize) -> bool {
         self.artifact_of(model)
             .is_some_and(|id| self.store.is_resident(id))
-    }
-
-    /// Whether a model's **decoded** delta is host-resident — a fetch
-    /// would be a decode-free hit ([`dz_store::Warmth::HostDecoded`]),
-    /// the signal that lets a placement router distinguish a replica that
-    /// can swap the delta in without running the decode pipeline.
-    pub fn is_model_decoded(&self, model: usize) -> bool {
-        self.artifact_of(model)
-            .is_some_and(|id| self.store.is_decoded_resident(id))
     }
 
     /// Compressed byte size of a model's artifact on disk, if bound.

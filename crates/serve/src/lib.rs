@@ -63,9 +63,7 @@ pub use metrics::{Metrics, SloWindow, SwapStats, ToppingsStats};
 pub use policy::{PreemptionPolicy, ResumePolicy};
 pub use predictor::LengthEstimator;
 pub use slo::{SloClass, SloPolicy};
-pub use swap::{
-    LoadProfile, PopularityPrefetch, PrefetchPolicy, Prefetcher, QueueLookahead, TransferTimeline,
-};
+pub use swap::{LoadProfile, PopularityPrefetch, Prefetcher, QueueLookahead, TransferTimeline};
 pub use variant::{VariantCatalog, VariantKind, VariantSpec};
 pub use vllm_scb::{VllmScbConfig, VllmScbEngine};
 // Tracing surface: re-exported so engine users configure/consume traces

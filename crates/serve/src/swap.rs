@@ -49,7 +49,7 @@ const MIN_CHANNEL_RATE: f64 = 1e-3;
 /// A degraded-channel fault: while `[start_s, end_s)` is active, the
 /// disk and/or PCIe channels run at a fraction of their healthy
 /// bandwidth. Injected by the chaos layer
-/// ([`FaultKind::Brownout`](crate::chaos::FaultKind)) and honored by
+/// ([`FaultKind::Degrade`](crate::chaos::FaultKind::Degrade)) and honored by
 /// [`TransferTimeline::advance_to`]; overlapping intervals compound by
 /// taking the slowest rate per channel.
 ///
@@ -230,11 +230,14 @@ impl TransferTimeline {
         self.brownouts = schedule;
     }
 
-    /// Channel rates in effect at absolute time `t`.
-    fn channel_rates_at(&self, t: f64) -> (f64, f64) {
+    /// (disk, PCIe) channel rates in effect at absolute time `t` under a
+    /// brownout schedule: overlapping windows compound by taking the
+    /// slowest rate per channel. [`ClusterSim`](crate::cluster::ClusterSim)
+    /// scales its router's load estimates by the same rates.
+    pub(crate) fn channel_rates_at(schedule: &[Brownout], t: f64) -> (f64, f64) {
         let mut disk = 1.0f64;
         let mut pcie = 1.0f64;
-        for b in &self.brownouts {
+        for b in schedule {
             if t >= b.start_s - EPS && t < b.end_s - EPS {
                 disk = disk.min(b.disk_rate);
                 pcie = pcie.min(b.pcie_rate);
@@ -370,7 +373,7 @@ impl TransferTimeline {
                 .count()
                 .max(1);
             // Channel rates (brownouts) are constant between boundaries.
-            let (disk_rate, pcie_rate) = self.channel_rates_at(self.now);
+            let (disk_rate, pcie_rate) = Self::channel_rates_at(&self.brownouts, self.now);
             // Earliest event: a stage draining, a floor passing, a
             // brownout boundary, or `t`.
             let mut dt = if t.is_finite() {
@@ -517,35 +520,6 @@ impl Prefetcher for PopularityPrefetch {
             .filter(|m| !ctx.selected.contains(m))
             .take(self.top_k)
             .collect()
-    }
-}
-
-/// A copyable prefetch-policy spec, buildable per replica (the boxed
-/// [`Prefetcher`] itself is stateful and not clonable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrefetchPolicy {
-    /// [`QueueLookahead`] with the given depth.
-    QueueLookahead {
-        /// Maximum distinct deltas proposed per iteration.
-        depth: usize,
-    },
-    /// [`PopularityPrefetch`] with the given head size.
-    Popularity {
-        /// Maximum distinct deltas proposed per iteration.
-        top_k: usize,
-    },
-}
-
-impl PrefetchPolicy {
-    /// Instantiates the policy for a workload of `n_models` models drawn
-    /// from `dist`.
-    pub fn build(self, dist: PopularityDist, n_models: usize) -> Box<dyn Prefetcher> {
-        match self {
-            PrefetchPolicy::QueueLookahead { depth } => Box::new(QueueLookahead::new(depth)),
-            PrefetchPolicy::Popularity { top_k } => {
-                Box::new(PopularityPrefetch::new(dist, n_models, top_k))
-            }
-        }
     }
 }
 
@@ -1360,13 +1334,5 @@ mod tests {
         };
         // Model 0 is selected; the next-hottest models follow in rank order.
         assert_eq!(p.candidates(&ctx), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn policy_builds_both_prefetchers() {
-        let lk = PrefetchPolicy::QueueLookahead { depth: 4 }.build(PopularityDist::Uniform, 8);
-        assert_eq!(lk.name(), "queue-lookahead");
-        let pop = PrefetchPolicy::Popularity { top_k: 4 }.build(PopularityDist::Uniform, 8);
-        assert_eq!(pop.name(), "popularity");
     }
 }

@@ -8,10 +8,9 @@
 //!
 //! The `PIN_LOCKSTEP_*` constants are golden outputs of the retired
 //! lockstep cluster front end (the two-queue loop that preceded the
-//! event heap) on the six small-fleet fixtures it was differentially
-//! tested against:
-//! plain, admission + prefetch, chaos with and without tracing,
-//! engine-level prefetch, and store-bound replicas. Each folds every
+//! event heap) on four of the small-fleet fixtures it was differentially
+//! tested against: plain, admission + prefetch, and chaos with and
+//! without tracing. Each folds every
 //! field of the [`ClusterReport`] that the old differential suite
 //! compared, so the event-driven `ClusterSim::run` is held to exactly
 //! the oracle's output on those inputs.
@@ -21,29 +20,22 @@
 //! `DZ_PRINT_PINS=1 cargo test -p dz-serve --test determinism_pins -- --nocapture`
 //! and paste the printed hashes.
 
-use dz_compress::codec::{CodecId, PackedLayer};
-use dz_compress::pack::CompressedMatrix;
-use dz_compress::pipeline::{CompressedDelta, DeltaCompressConfig, SizeReport};
-use dz_compress::quant::{quantize_slice, QuantSpec};
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
 use dz_serve::cluster::{
     AdmissionConfig, ClusterConfig, ClusterReport, ClusterSim, ConsistentHashRouter,
-    LeastCostRouter, LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, PowerOfTwoRouter,
-    RoundRobinRouter, Router,
+    LeastCostRouter, PlacementAwareRouter, PlacementPlan, PowerOfTwoRouter, RoundRobinRouter,
+    Router,
 };
 use dz_serve::fleet::{FleetConfig, FleetSim};
 use dz_serve::tuning::{DynamicN, DynamicNConfig};
 use dz_serve::{
-    Autoscaler, Brownout, ChaosConfig, CostModel, DeltaStoreBinding, DeltaZipConfig,
-    DeltaZipEngine, Engine, EngineBuilder, FaultEvent, FaultKind, FaultPlan, LengthEstimator,
-    Metrics, PopularityPrefetch, PreemptionPolicy, PrefetchPolicy, QueueLookahead, ResumePolicy,
-    SloPolicy, TraceConfig, TraceEvent, VariantCatalog, VariantSpec,
+    Autoscaler, Brownout, ChaosConfig, CostModel, DeltaZipConfig, DeltaZipEngine, Engine,
+    EngineBuilder, FaultEvent, FaultKind, FaultPlan, LengthEstimator, Metrics, PopularityPrefetch,
+    PreemptionPolicy, QueueLookahead, ResumePolicy, SloPolicy, TraceConfig, TraceEvent,
+    VariantCatalog, VariantSpec,
 };
-use dz_store::{sha256, ArtifactId, Registry, TieredDeltaStore};
-use dz_tensor::{Matrix, Rng};
 use dz_workload::{PopularityDist, Trace, TraceSpec};
-use std::collections::BTreeMap;
 
 const N_MODELS: usize = 16;
 
@@ -84,7 +76,7 @@ impl Pin {
     /// Folds every report field the retired lockstep differential suite
     /// compared: per-record id, model, arrival, e2e, ttft, queue, load,
     /// tokens and preemptions; per-replica lengths and e2e sums; shed
-    /// records; the routing counters; store stats; and chaos stats.
+    /// records; the routing counters; and chaos stats.
     fn cluster_report(&mut self, rep: &ClusterReport) {
         self.word(rep.merged.len() as u64);
         self.e2e_sum(&rep.merged);
@@ -128,31 +120,9 @@ impl Pin {
         ] {
             self.word(n as u64);
         }
-        match &rep.store_stats {
-            None => self.word(0),
-            Some(stats) => {
-                self.word(1);
-                self.word(stats.len() as u64);
-                for s in stats {
-                    for n in [
-                        s.host_hits,
-                        s.disk_loads,
-                        s.host_bytes,
-                        s.disk_bytes,
-                        s.prefetch_loads,
-                        s.prefetch_bytes,
-                        s.prefetch_hits,
-                        // Two words the store once carried for an
-                        // object-store tier no binding ever enabled; they
-                        // were always zero, and the pin keeps folding them.
-                        0,
-                        0,
-                    ] {
-                        self.word(n);
-                    }
-                }
-            }
-        }
+        // The fold of a report without store stats: keeping the word
+        // keeps every pinned hash.
+        self.word(0);
         match &rep.chaos {
             None => self.word(0),
             Some(c) => {
@@ -304,8 +274,6 @@ const PIN_LOCKSTEP_RR: u64 = 0xcf3435bc69860017;
 const PIN_LOCKSTEP_ADMISSION: u64 = 0xe0110c869f6a93a7;
 const PIN_LOCKSTEP_CHAOS: u64 = 0xda4c5cd31868b3bb;
 const PIN_LOCKSTEP_CHAOS_TRACED: u64 = 0x2d0ea6ddf266cf71;
-const PIN_LOCKSTEP_ENGINE_PREFETCH: u64 = 0x42bcd5c6b68cb3ac;
-const PIN_LOCKSTEP_STORE: u64 = 0x77be2329e2fb481b;
 
 /// Runs `sim` on `tr` and checks the report against a lockstep pin.
 fn check_cluster(tag: &str, mut sim: ClusterSim, tr: &Trace, pinned: u64) {
@@ -351,7 +319,6 @@ fn placement_prefetch_admission_is_pinned() {
                 ..AdmissionConfig::new(SloPolicy::tiered(N_MODELS, 4))
             }),
             prefetch: true,
-            ..ClusterConfig::default()
         },
         Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
             PopularityDist::Zipf { alpha: 1.3 },
@@ -419,108 +386,6 @@ fn chaos_with_tracing_is_pinned() {
     .with_chaos(chaos_config(2))
     .with_tracing(TraceConfig::default());
     check_cluster("lockstep_chaos_traced", sim, &tr, PIN_LOCKSTEP_CHAOS_TRACED);
-}
-
-#[test]
-fn engine_prefetch_policy_is_pinned() {
-    let tr = trace(47, 3.0, 40.0);
-    let sim = ClusterSim::new(
-        vec![cost(); 2],
-        ClusterConfig {
-            n_replicas: 2,
-            prefetch_policy: Some(PrefetchPolicy::Popularity { top_k: 4 }),
-            ..ClusterConfig::default()
-        },
-        Box::new(LeastLoadedRouter::new()),
-    );
-    check_cluster(
-        "lockstep_engine_prefetch",
-        sim,
-        &tr,
-        PIN_LOCKSTEP_ENGINE_PREFETCH,
-    );
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dz-pins-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn tiny_delta(seed: u64, d: usize) -> CompressedDelta {
-    let mut rng = Rng::seeded(seed);
-    let spec = QuantSpec::new(4, 8);
-    let wt = Matrix::randn(d, d, 0.05, &mut rng);
-    let mut levels = Vec::new();
-    let mut scales = Vec::new();
-    for r in 0..d {
-        let (l, s) = quantize_slice(wt.row(r), spec);
-        levels.extend(l);
-        scales.extend(s);
-    }
-    let cm = CompressedMatrix::from_dense(d, d, &levels, scales, spec);
-    let packed = cm.packed_bytes();
-    let mut layers = BTreeMap::new();
-    layers.insert("w".to_string(), PackedLayer::Quant(cm));
-    CompressedDelta {
-        layers,
-        rest: BTreeMap::new(),
-        codec: CodecId::SparseGptStar,
-        config: DeltaCompressConfig::starred(4),
-        report: SizeReport {
-            compressed_linear_bytes: packed,
-            uncompressed_rest_bytes: 0,
-            full_fp16_bytes: d * d * 2,
-            lossless_linear_bytes: None,
-        },
-    }
-}
-
-fn publish_zoo(registry: &Registry, n: usize) -> Vec<ArtifactId> {
-    (0..n)
-        .map(|i| {
-            registry
-                .publish_delta(
-                    &format!("variant-{i}"),
-                    sha256(b"base"),
-                    &tiny_delta(900 + i as u64, 16),
-                )
-                .expect("publish")
-        })
-        .collect()
-}
-
-/// Store-bound replicas charge real artifact bytes through a few-delta
-/// host budget: evictions, disk misses and store-side prefetch.
-#[test]
-fn store_bound_is_pinned() {
-    let tr = trace(53, 3.0, 30.0);
-    let dir = temp_dir("store");
-    let registry = Registry::open(&dir).expect("registry");
-    let artifacts = publish_zoo(&registry, N_MODELS);
-    let bindings: Vec<DeltaStoreBinding> = (0..2)
-        .map(|_| {
-            let store = TieredDeltaStore::new(Registry::open(&dir).expect("registry"), 64 << 10);
-            DeltaStoreBinding::new(store, artifacts.clone())
-        })
-        .collect();
-    let sim = ClusterSim::new(
-        vec![cost(); 2],
-        ClusterConfig {
-            n_replicas: 2,
-            prefetch: true,
-            ..ClusterConfig::default()
-        },
-        Box::new(PlacementAwareRouter::new(PlacementPlan::from_popularity(
-            PopularityDist::Zipf { alpha: 1.3 },
-            N_MODELS,
-            2,
-        ))),
-    )
-    .with_stores(bindings);
-    check_cluster("lockstep_store", sim, &tr, PIN_LOCKSTEP_STORE);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // -- Elastic membership: crashes, restarts and autoscaling together -------

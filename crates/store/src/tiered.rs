@@ -93,21 +93,6 @@ pub struct LoadStats {
 }
 
 impl LoadStats {
-    /// The accounting accumulated since an `earlier` snapshot of the same
-    /// counters (field-wise saturating difference) — turns the store's
-    /// cumulative totals into per-interval stats.
-    pub fn since(&self, earlier: &LoadStats) -> LoadStats {
-        LoadStats {
-            host_hits: self.host_hits.saturating_sub(earlier.host_hits),
-            disk_loads: self.disk_loads.saturating_sub(earlier.disk_loads),
-            host_bytes: self.host_bytes.saturating_sub(earlier.host_bytes),
-            disk_bytes: self.disk_bytes.saturating_sub(earlier.disk_bytes),
-            prefetch_loads: self.prefetch_loads.saturating_sub(earlier.prefetch_loads),
-            prefetch_bytes: self.prefetch_bytes.saturating_sub(earlier.prefetch_bytes),
-            prefetch_hits: self.prefetch_hits.saturating_sub(earlier.prefetch_hits),
-        }
-    }
-
     fn record(&mut self, tier: FetchTier, bytes: u64) {
         match tier {
             FetchTier::HostHit => {
@@ -421,18 +406,6 @@ impl TieredDeltaStore {
             self.resident_bytes -= r.footprint();
             self.prefetched.remove(id);
         }
-    }
-
-    /// Drops the *entire* host cache — the warm-set loss a replica crash
-    /// inflicts. Artifacts stay on disk and load accounting is kept (the
-    /// re-warming fetches after the restart are exactly the cost a crash
-    /// is supposed to charge). Returns how many artifacts were dropped.
-    pub fn invalidate_resident(&mut self) -> usize {
-        let n = self.resident.len();
-        self.resident.clear();
-        self.prefetched.clear();
-        self.resident_bytes = 0;
-        n
     }
 
     /// Load accounting for one artifact.

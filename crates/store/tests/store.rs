@@ -238,36 +238,6 @@ fn registry_publishes_content_addressed_and_deduplicates() {
 }
 
 #[test]
-fn invalidate_resident_models_a_crash() {
-    let dir = temp_dir("crash");
-    let registry = Registry::open(&dir).expect("open");
-    let ids: Vec<_> = (0..3)
-        .map(|i| {
-            registry
-                .publish_delta(&format!("c{i}"), sha256(b"base"), &fixture_delta(70 + i))
-                .expect("publish")
-        })
-        .collect();
-    let mut store = TieredDeltaStore::new(registry, u64::MAX);
-    for id in &ids {
-        store.fetch(id).expect("fetch");
-    }
-    assert!(ids.iter().all(|id| store.is_resident(id)));
-    let before = store.total_stats();
-    // Crash: the whole host warm set is lost, disk copies survive, and
-    // the accounting keeps counting across the restart.
-    assert_eq!(store.invalidate_resident(), 3);
-    assert_eq!(store.resident_bytes(), 0);
-    for id in &ids {
-        assert!(!store.is_resident(id));
-        store.fetch(id).expect("re-warm after crash");
-    }
-    let after = store.total_stats();
-    assert_eq!(after.disk_loads, before.disk_loads * 2, "re-warm pays disk");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn concurrent_publishes_do_not_collide() {
     let dir = temp_dir("concurrent");
     let registry = Registry::open(&dir).expect("open");
@@ -446,11 +416,6 @@ fn prefetch_prewarm_respects_budget_and_counts_hits() {
     assert_eq!(store.total_stats().prefetch_hits, 1);
     assert_eq!(store.fetch(&ids[0]).expect("hit2").tier, FetchTier::HostHit);
     assert_eq!(store.total_stats().prefetch_hits, 1, "hit counts once");
-
-    // `since` carries the prefetch counters.
-    let delta = store.total_stats().since(&stats);
-    assert_eq!(delta.prefetch_hits, 1);
-    assert_eq!(delta.host_hits, 2);
     std::fs::remove_dir_all(store.registry().root()).ok();
 }
 

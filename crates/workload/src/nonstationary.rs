@@ -15,8 +15,7 @@
 //! The shape is `Copy + Serialize`, like `TraceSpec` itself, so experiment
 //! configs can embed it and provenance stamps can record it.
 
-use crate::lengths::LengthModel;
-use crate::trace::{Request, Trace, TraceSpec};
+use crate::trace::{Trace, TraceSpec};
 use dz_tensor::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -190,24 +189,9 @@ impl Trace {
         let mut rng = Rng::seeded(spec.seed);
         let arrivals = shaped_arrivals(spec.arrival_rate, spec.duration_s, shape, &mut rng);
         let base = spec.popularity.weights(spec.n_models);
-        let lengths = LengthModel::lmsys_like();
-        let requests = arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(id, arrival)| {
-                let w = shape.weights_at(&base, arrival);
-                let model = rng.weighted(&w);
-                let (prompt_tokens, output_tokens) = lengths.sample(&mut rng);
-                Request {
-                    id,
-                    model,
-                    arrival,
-                    prompt_tokens,
-                    output_tokens,
-                }
-            })
-            .collect();
-        Trace { spec, requests }
+        Trace::assemble(spec, arrivals, &mut rng, |arrival, rng| {
+            rng.weighted(&shape.weights_at(&base, arrival))
+        })
     }
 }
 
@@ -215,6 +199,7 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::popularity::PopularityDist;
+    use crate::trace::Request;
 
     fn spec(rate: f64, duration_s: f64, pop: PopularityDist) -> TraceSpec {
         TraceSpec {

@@ -53,23 +53,9 @@ impl Trace {
         let model_picker = spec
             .popularity
             .sampler(spec.n_models, spec.duration_s, &mut rng);
-        let lengths = LengthModel::lmsys_like();
-        let requests = arrivals
-            .into_iter()
-            .enumerate()
-            .map(|(id, arrival)| {
-                let model = model_picker.pick(arrival, &mut rng);
-                let (prompt_tokens, output_tokens) = lengths.sample(&mut rng);
-                Request {
-                    id,
-                    model,
-                    arrival,
-                    prompt_tokens,
-                    output_tokens,
-                }
-            })
-            .collect();
-        Trace { spec, requests }
+        Trace::assemble(spec, arrivals, &mut rng, |arrival, rng| {
+            model_picker.pick(arrival, rng)
+        })
     }
 
     /// Generates a trace through the O(log n)-per-pick
@@ -91,13 +77,25 @@ impl Trace {
         let arrivals = poisson_arrivals(spec.arrival_rate, spec.duration_s, &mut rng);
         let sampler =
             crate::popularity::CumulativeSampler::new(&spec.popularity.weights(spec.n_models));
+        Trace::assemble(spec, arrivals, &mut rng, |_, rng| sampler.sample(rng))
+    }
+
+    /// Builds the requests over sorted `arrivals`: each takes its model
+    /// from `pick(arrival, rng)`, then its lengths from `rng`. Every
+    /// generator shares this draw order, so a seed keeps its trace.
+    pub(crate) fn assemble(
+        spec: TraceSpec,
+        arrivals: Vec<f64>,
+        rng: &mut Rng,
+        mut pick: impl FnMut(f64, &mut Rng) -> usize,
+    ) -> Trace {
         let lengths = LengthModel::lmsys_like();
         let requests = arrivals
             .into_iter()
             .enumerate()
             .map(|(id, arrival)| {
-                let model = sampler.sample(&mut rng);
-                let (prompt_tokens, output_tokens) = lengths.sample(&mut rng);
+                let model = pick(arrival, rng);
+                let (prompt_tokens, output_tokens) = lengths.sample(rng);
                 Request {
                     id,
                     model,
