@@ -192,29 +192,34 @@ impl Svd {
     }
 }
 
-/// Thin SVD of a tall-or-square matrix (`m >= n`) via one-sided Jacobi:
-/// column pairs of a working copy are rotated until mutually orthogonal;
-/// column norms become the singular values and the accumulated rotations
-/// form `V`. Deterministic, `O(n^2 m)` per sweep — ample for the layer
-/// widths in this reproduction.
+/// Thin SVD of a tall-or-square matrix (`m >= n`) via one-sided Jacobi.
+///
+/// The working copy `W` of `a` and the accumulated rotations `V` are
+/// held column-major, as plain slices: column `j` of `W` is
+/// `w[j * m..][..m]` and column `j` of `V` is `v[j * n..][..n]`, so each
+/// Gram sum and each rotation walks two contiguous columns. Column pairs
+/// of `W` are rotated until mutually orthogonal; its column norms become
+/// the singular values, its normalized columns `U`, and `V` the right
+/// singular vectors. Deterministic, `O(n^2 m)` per sweep — ample for the
+/// layer widths in this reproduction.
 fn svd_tall(a: &Matrix) -> Svd {
     let (m, n) = a.shape();
     debug_assert!(m >= n);
-    let mut w = a.clone(); // Columns will be orthogonalized in place.
-    let mut v = Matrix::identity(n);
+    let mut w = a.transpose().data().to_vec(); // Columns orthogonalized in place.
+    let mut v = Matrix::identity(n).data().to_vec(); // Symmetric: already column-major.
     let eps = 1e-7f64;
     for _sweep in 0..60 {
         let mut off = 0.0f64;
         for p in 0..n {
             for q in (p + 1)..n {
+                let (wp, wq) = column_pair(&mut w, m, p, q);
                 // Gram entries of columns p and q, in f64 for stability.
                 let (mut alpha, mut beta, mut gamma) = (0.0f64, 0.0f64, 0.0f64);
-                for i in 0..m {
-                    let wp = w.get(i, p) as f64;
-                    let wq = w.get(i, q) as f64;
-                    alpha += wp * wp;
-                    beta += wq * wq;
-                    gamma += wp * wq;
+                for (&xp, &xq) in wp.iter().zip(wq.iter()) {
+                    let (xp, xq) = (xp as f64, xq as f64);
+                    alpha += xp * xp;
+                    beta += xq * xq;
+                    gamma += xp * xq;
                 }
                 let scale = (alpha * beta).sqrt();
                 if scale == 0.0 || gamma.abs() <= eps * scale {
@@ -226,38 +231,24 @@ fn svd_tall(a: &Matrix) -> Svd {
                 let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
                 let c = 1.0 / (1.0 + t * t).sqrt();
                 let s = c * t;
-                for i in 0..m {
-                    let wp = w.get(i, p) as f64;
-                    let wq = w.get(i, q) as f64;
-                    w.set(i, p, (c * wp - s * wq) as f32);
-                    w.set(i, q, (s * wp + c * wq) as f32);
-                }
-                for i in 0..n {
-                    let vp = v.get(i, p) as f64;
-                    let vq = v.get(i, q) as f64;
-                    v.set(i, p, (c * vp - s * vq) as f32);
-                    v.set(i, q, (s * vp + c * vq) as f32);
-                }
+                rotate(wp, wq, c, s);
+                let (vp, vq) = column_pair(&mut v, n, p, q);
+                rotate(vp, vq, c, s);
             }
         }
         if off < eps {
             break;
         }
     }
-    // Column norms are the singular values; sort descending.
-    let mut order: Vec<usize> = (0..n).collect();
-    let norms: Vec<f64> = (0..n)
-        .map(|j| {
-            (0..m)
-                .map(|i| {
-                    let x = w.get(i, j) as f64;
-                    x * x
-                })
-                .sum::<f64>()
-                .sqrt()
-        })
+    // Column norms are the singular values; sort descending. Norms are
+    // square roots of non-negative sums, never `-0.0`, so `total_cmp`
+    // orders them as the numeric comparison does.
+    let norms: Vec<f64> = w
+        .chunks_exact(m.max(1))
+        .map(|col| col.iter().map(|&x| x as f64 * x as f64).sum::<f64>().sqrt())
         .collect();
-    order.sort_by(|&a, &b| norms[b].partial_cmp(&norms[a]).expect("finite norms"));
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| norms[b].total_cmp(&norms[a]));
     let mut u = Matrix::zeros(m, n);
     let mut s = Vec::with_capacity(n);
     let mut vt = Matrix::zeros(n, n);
@@ -265,15 +256,29 @@ fn svd_tall(a: &Matrix) -> Svd {
         let sigma = norms[j];
         s.push(sigma as f32);
         if sigma > 0.0 {
-            for i in 0..m {
-                u.set(i, out_j, (w.get(i, j) as f64 / sigma) as f32);
+            for (i, &x) in w[j * m..][..m].iter().enumerate() {
+                u.set(i, out_j, (x as f64 / sigma) as f32);
             }
         }
-        for i in 0..n {
-            vt.set(out_j, i, v.get(i, j));
-        }
+        vt.row_mut(out_j).copy_from_slice(&v[j * n..][..n]);
     }
     Svd { u, s, vt }
+}
+
+/// Columns `p < q` of a column-major buffer with columns of length `len`.
+fn column_pair(buf: &mut [f32], len: usize, p: usize, q: usize) -> (&mut [f32], &mut [f32]) {
+    let (head, tail) = buf.split_at_mut(q * len);
+    (&mut head[p * len..][..len], &mut tail[..len])
+}
+
+/// Applies the rotation `(c, s)` to a column pair in f64:
+/// `x_p ← c·x_p − s·x_q`, `x_q ← s·x_p + c·x_q`.
+fn rotate(xp: &mut [f32], xq: &mut [f32], c: f64, s: f64) {
+    for (a, b) in xp.iter_mut().zip(xq.iter_mut()) {
+        let (pa, qb) = (*a as f64, *b as f64);
+        *a = (c * pa - s * qb) as f32;
+        *b = (s * pa + c * qb) as f32;
+    }
 }
 
 /// Thin SVD of any matrix (see [`Svd`] for shapes).
