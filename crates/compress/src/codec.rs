@@ -26,7 +26,7 @@ use crate::pack::CompressedMatrix;
 use crate::pipeline::{delta_compress, CompressedDelta, DeltaCompressConfig};
 use crate::quant::{quantize_slice, QuantSpec};
 use dz_model::transformer::Params;
-use dz_tensor::linalg::svd_thin;
+use dz_tensor::linalg::{svd_thin, Svd};
 use dz_tensor::Matrix;
 use std::collections::BTreeMap;
 
@@ -270,6 +270,16 @@ impl LowRankMatrix {
     /// Panics if any band's bits are outside `2..=8` or more than
     /// [`MAX_BANDS`] bands are requested.
     pub fn from_delta(delta: &Matrix, bands: &[(u32, usize)]) -> Self {
+        Self::fit_bands(delta, bands, |residual, _rank| svd_thin(residual))
+    }
+
+    /// The band fit behind [`from_delta`](Self::from_delta), taking each
+    /// band's decomposition of the residual from `svd(residual, rank)`.
+    fn fit_bands(
+        delta: &Matrix,
+        bands: &[(u32, usize)],
+        svd: impl Fn(&Matrix, usize) -> Svd,
+    ) -> Self {
         assert!(
             bands.len() <= MAX_BANDS,
             "at most {MAX_BANDS} low-rank bands per layer"
@@ -279,7 +289,7 @@ impl LowRankMatrix {
         let mut fitted = Vec::new();
         for &(bits, rank) in bands {
             let spec = QuantSpec::new(bits, BAND_GROUP);
-            let svd = svd_thin(&residual);
+            let svd = svd(&residual, rank);
             let r = rank.min(svd.rank());
             if r == 0 {
                 continue;
@@ -786,6 +796,70 @@ mod tests {
         // residual, so nothing is stored.
         assert!(lr.bands.is_empty());
         assert_eq!(lr.packed_bytes(), 0);
+    }
+
+    /// One fit of every layer: the relative Frobenius error of each
+    /// layer and of the whole delta, and each layer's band ranks and
+    /// packed bytes.
+    struct FitReport {
+        per_layer: Vec<f64>,
+        whole: f64,
+        shape: Vec<(Vec<usize>, usize)>,
+    }
+
+    fn fit_report(deltas: &[Matrix], fit: impl Fn(&Matrix) -> LowRankMatrix) -> FitReport {
+        let (mut err2, mut norm2) = (0.0f64, 0.0f64);
+        let mut per_layer = Vec::new();
+        let mut shape = Vec::new();
+        for delta in deltas {
+            let lr = fit(delta);
+            let e = delta.sub(&lr.dequantize()).frob_norm() as f64;
+            let d = delta.frob_norm() as f64;
+            per_layer.push(e / d);
+            err2 += e * e;
+            norm2 += d * d;
+            let ranks = lr.bands.iter().map(LowRankBand::rank).collect();
+            shape.push((ranks, lr.packed_bytes()));
+        }
+        FitReport {
+            per_layer,
+            whole: (err2 / norm2).sqrt(),
+            shape,
+        }
+    }
+
+    #[test]
+    fn fit_is_within_tolerance_of_the_exact_svd_on_llama_tiny_l() {
+        // Every linear delta of the llama-tiny-l shape under a seeded
+        // N(0, 0.005) bump, as the serving benchmark deploys it.
+        let config = dz_model::zoo::preset("llama-tiny-l").unwrap().config;
+        let mut rng = Rng::seeded(0xDE17A);
+        let base = Params::init(config, &mut rng);
+        let deltas: Vec<Matrix> = base
+            .linear_layer_names()
+            .iter()
+            .map(|name| {
+                let w = base.get(name).unwrap();
+                let tuned = w.add(&Matrix::randn(w.rows(), w.cols(), 0.005, &mut rng));
+                tuned.sub(w)
+            })
+            .collect();
+        assert_eq!(deltas.len(), 30);
+        let exact = |residual: &Matrix, _rank: usize| svd_thin(residual);
+        for codec in [DeltaComeCodec::low_budget(), DeltaComeCodec::high_budget()] {
+            let bands = &codec.bands;
+            let want = fit_report(&deltas, |d| LowRankMatrix::fit_bands(d, bands, exact));
+            let got = fit_report(&deltas, |d| LowRankMatrix::from_delta(d, bands));
+            let (g, w) = (got.whole, want.whole);
+            assert!(g <= w * 1.01, "{bands:?}: whole delta {g} vs exact {w}");
+            for (i, (g, w)) in got.per_layer.iter().zip(&want.per_layer).enumerate() {
+                assert!(*g <= w * 1.03, "{bands:?} layer {i}: {g} vs exact {w}");
+            }
+            assert_eq!(
+                got.shape, want.shape,
+                "{bands:?}: band ranks or packed bytes"
+            );
+        }
     }
 
     #[test]
