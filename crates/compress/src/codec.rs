@@ -26,7 +26,7 @@ use crate::pack::CompressedMatrix;
 use crate::pipeline::{delta_compress, CompressedDelta, DeltaCompressConfig};
 use crate::quant::{quantize_slice, QuantSpec};
 use dz_model::transformer::Params;
-use dz_tensor::linalg::{svd_thin, Svd};
+use dz_tensor::linalg::{svd_leading, Svd};
 use dz_tensor::Matrix;
 use std::collections::BTreeMap;
 
@@ -260,17 +260,19 @@ impl LowRankMatrix {
     /// Packs a delta given in `(d_in, d_out)` weight orientation.
     ///
     /// `bands` lists `(bits, rank)` pairs, e.g. `[(8, 2), (3, 4), (2, 8)]`.
-    /// Ranks are clamped to the delta's spectrum; a band whose quantized
-    /// fit would *increase* the residual Frobenius norm is dropped, which
-    /// makes reconstruction error monotone non-increasing in the band
-    /// budget by construction.
+    /// Each band quantizes the `rank` leading singular directions of the
+    /// residual, as [`svd_leading`] finds them (exactly on matrices too
+    /// small for its subspace iteration). Ranks are clamped to the
+    /// delta's spectrum; a band whose quantized fit would *increase* the
+    /// residual Frobenius norm is dropped, which makes reconstruction
+    /// error monotone non-increasing in the band budget by construction.
     ///
     /// # Panics
     ///
     /// Panics if any band's bits are outside `2..=8` or more than
     /// [`MAX_BANDS`] bands are requested.
     pub fn from_delta(delta: &Matrix, bands: &[(u32, usize)]) -> Self {
-        Self::fit_bands(delta, bands, |residual, _rank| svd_thin(residual))
+        Self::fit_bands(delta, bands, svd_leading)
     }
 
     /// The band fit behind [`from_delta`](Self::from_delta), taking each
@@ -845,7 +847,9 @@ mod tests {
             })
             .collect();
         assert_eq!(deltas.len(), 30);
-        let exact = |residual: &Matrix, _rank: usize| svd_thin(residual);
+        // Asking for every direction takes svd_leading's exact rule.
+        let exact =
+            |residual: &Matrix, _rank| svd_leading(residual, residual.rows().min(residual.cols()));
         for codec in [DeltaComeCodec::low_budget(), DeltaComeCodec::high_budget()] {
             let bands = &codec.bands;
             let want = fit_report(&deltas, |d| LowRankMatrix::fit_bands(d, bands, exact));

@@ -7,6 +7,7 @@
 //! matrix sizes used here (up to a few thousand).
 
 use crate::matrix::Matrix;
+use crate::rng::Rng;
 
 /// Error type for factorizations that can fail on bad input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,12 +142,13 @@ pub fn cholesky_inverse_upper(a: &Matrix) -> Result<Matrix, LinalgError> {
     Ok(l.transpose())
 }
 
-/// A thin singular value decomposition `A = U diag(S) V^T`.
+/// The `k` leading singular triplets of an `(m, n)` matrix `A`, so that
+/// `U diag(S) V^T` is its best rank-`k` approximation ([`svd_leading`]
+/// returns `k <= min(m, n)` of them).
 ///
-/// For an `(m, n)` input with `k = min(m, n)`: `u` is `(m, k)`, `s` holds
-/// `k` non-negative singular values in descending order, and `vt` is
-/// `(k, n)`. Columns of `u` belonging to (numerically) zero singular
-/// values are zero.
+/// `u` is `(m, k)`, `s` holds `k` non-negative singular values in
+/// descending order, and `vt` is `(k, n)`. Columns of `u` belonging to
+/// (numerically) zero singular values are zero.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Svd {
     /// Left singular vectors, `(m, k)`.
@@ -158,7 +160,7 @@ pub struct Svd {
 }
 
 impl Svd {
-    /// Rank of the decomposition (`min(m, n)`).
+    /// Number of triplets held (`k`).
     pub fn rank(&self) -> usize {
         self.s.len()
     }
@@ -285,7 +287,7 @@ fn rotate(xp: &mut [f32], xq: &mut [f32], c: f64, s: f64) {
 ///
 /// Wide inputs are handled by decomposing the transpose and swapping the
 /// factors: `A^T = U' S V'^T  =>  A = V' S U'^T`.
-pub fn svd_thin(a: &Matrix) -> Svd {
+fn svd_thin(a: &Matrix) -> Svd {
     let (m, n) = a.shape();
     if m >= n {
         svd_tall(a)
@@ -299,10 +301,144 @@ pub fn svd_thin(a: &Matrix) -> Svd {
     }
 }
 
+/// Columns [`svd_leading`] carries beyond the requested rank.
+const OVERSAMPLE: usize = 8;
+/// Power iterations [`svd_leading`] runs on its subspace.
+const POWER_ITERS: usize = 4;
+/// Seed of [`svd_leading`]'s Gaussian starting block.
+const LEADING_SEED: u64 = 0x5EED_1EAD;
+
+/// The `r` leading singular triplets of `a` (`r` clamped to
+/// `min(m, n)`): `u` is `(m, r)`, `s` holds `r` values in descending
+/// order, and `vt` is `(r, n)`.
+///
+/// A seeded block subspace iteration (Halko, Martinsson & Tropp 2011,
+/// Algorithm 4.4): a Gaussian block of `l = r + 8` columns is multiplied
+/// by `A`, then by `A^T` and `A` again for 4 power iterations, with the
+/// block re-orthonormalised in f64 after every multiply. The exact
+/// Jacobi SVD of the small projection `Q^T A` (`l × n`) then gives the
+/// triplets, its left vectors mapped back through `Q`. The seed is fixed,
+/// so equal inputs give equal bits.
+///
+/// When `2·l > min(m, n)` the block would span much of the matrix, and
+/// the exact thin SVD is both cheaper and exact: its first `r` triplets
+/// are returned as they are.
+pub fn svd_leading(a: &Matrix, r: usize) -> Svd {
+    let (m, n) = a.shape();
+    let r = r.min(m.min(n));
+    let l = r + OVERSAMPLE;
+    if 2 * l > m.min(n) {
+        return svd_thin(a).truncated(r);
+    }
+    let mut rng = Rng::seeded(LEADING_SEED);
+    let omega: Vec<f64> = (0..n * l).map(|_| f64::from(rng.normal())).collect();
+    let mut q = times(a, &omega, l);
+    orthonormalize(&mut q, m);
+    for _ in 0..POWER_ITERS {
+        let mut z = transpose_times(a, &q, l);
+        orthonormalize(&mut z, n);
+        q = times(a, &z, l);
+        orthonormalize(&mut q, m);
+    }
+    // Column j of A^T Q is row j of the projection B = Q^T A.
+    let b = transpose_times(a, &q, l);
+    let small = svd_thin(&Matrix::from_vec(
+        l,
+        n,
+        b.iter().map(|&x| x as f32).collect(),
+    ));
+    // U = Q · Ũ over the kept columns, summed over the block in order.
+    let mut u = Matrix::zeros(m, r);
+    for (i, row) in u.data_mut().chunks_exact_mut(r.max(1)).enumerate() {
+        for (j, out) in row.iter_mut().enumerate() {
+            let sum: f64 = (0..l)
+                .map(|t| q[t * m + i] * f64::from(small.u.get(t, j)))
+                .sum();
+            *out = sum as f32;
+        }
+    }
+    Svd {
+        u,
+        s: small.s[..r].to_vec(),
+        vt: small.vt.submatrix(0, 0, r, n),
+    }
+}
+
+impl Svd {
+    /// The first `r` triplets (`r <= rank`).
+    fn truncated(self, r: usize) -> Svd {
+        Svd {
+            u: self.u.submatrix(0, 0, self.u.rows(), r),
+            s: self.s[..r].to_vec(),
+            vt: self.vt.submatrix(0, 0, r, self.vt.cols()),
+        }
+    }
+}
+
+/// `A · Z` for a column-major `(n, l)` block `z`, as a column-major
+/// `(m, l)` block: each entry one dot product over the row, in f64.
+fn times(a: &Matrix, z: &[f64], l: usize) -> Vec<f64> {
+    let (m, n) = a.shape();
+    let mut y = vec![0.0f64; m * l];
+    for (i, row) in a.data().chunks_exact(n.max(1)).enumerate() {
+        for (j, zc) in z.chunks_exact(n.max(1)).enumerate() {
+            y[j * m + i] = row.iter().zip(zc).map(|(&x, &w)| f64::from(x) * w).sum();
+        }
+    }
+    y
+}
+
+/// `A^T · Q` for a column-major `(m, l)` block `q`, as a column-major
+/// `(n, l)` block, accumulated row by row of `A` in f64.
+fn transpose_times(a: &Matrix, q: &[f64], l: usize) -> Vec<f64> {
+    let (m, n) = a.shape();
+    let mut z = vec![0.0f64; n * l];
+    for (zc, qc) in z.chunks_exact_mut(n).zip(q.chunks_exact(m)) {
+        for (row, &qi) in a.data().chunks_exact(n).zip(qc) {
+            for (out, &x) in zc.iter_mut().zip(row) {
+                *out += f64::from(x) * qi;
+            }
+        }
+    }
+    z
+}
+
+/// Orthonormalises the columns (each `len` long) of a column-major block
+/// in place by modified Gram–Schmidt, run twice so that orthogonality
+/// holds to f64 rounding. A column with nothing left outside the earlier
+/// ones (a rank-deficient block) becomes zero.
+fn orthonormalize(block: &mut [f64], len: usize) {
+    let cols = block.len() / len;
+    for j in 0..cols {
+        let (done, rest) = block.split_at_mut(j * len);
+        let col = &mut rest[..len];
+        let before = norm(col);
+        for _pass in 0..2 {
+            for prev in done.chunks_exact(len) {
+                let dot: f64 = prev.iter().zip(col.iter()).map(|(p, c)| p * c).sum();
+                for (c, p) in col.iter_mut().zip(prev) {
+                    *c -= dot * p;
+                }
+            }
+        }
+        let after = norm(col);
+        let scale = if after > 1e-10 * before {
+            1.0 / after
+        } else {
+            0.0
+        };
+        col.iter_mut().for_each(|c| *c *= scale);
+    }
+}
+
+/// Euclidean norm of a slice, in f64.
+fn norm(x: &[f64]) -> f64 {
+    x.iter().map(|v| v * v).sum::<f64>().sqrt()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Rng;
 
     fn random_spd(n: usize, seed: u64) -> Matrix {
         let mut rng = Rng::seeded(seed);
@@ -450,6 +586,81 @@ mod tests {
         assert!(svd.s[2] < 1e-3, "third sv should vanish: {:?}", svd.s);
         let rec = svd.reconstruct_rank(2);
         assert!(a.max_abs_diff(&rec) < 1e-3);
+    }
+
+    /// Every f32 of a decomposition, as bits.
+    fn svd_bits(svd: &Svd) -> Vec<u32> {
+        let all = svd.u.data().iter().chain(&svd.s).chain(svd.vt.data());
+        all.map(|x| x.to_bits()).collect()
+    }
+
+    /// `max |X X^T - I|` over the rows of `x`.
+    fn rows_off_orthonormal(x: &Matrix) -> f32 {
+        x.matmul_nt(x).max_abs_diff(&Matrix::identity(x.rows()))
+    }
+
+    #[test]
+    fn leading_factors_are_orthonormal() {
+        for (m, n) in [(64usize, 48usize), (40, 72)] {
+            let a = Matrix::randn(m, n, 1.0, &mut Rng::seeded(7));
+            let svd = svd_leading(&a, 4);
+            assert_eq!(svd.u.shape(), (m, 4));
+            assert_eq!(svd.s.len(), 4);
+            assert_eq!(svd.vt.shape(), (4, n));
+            assert!(
+                rows_off_orthonormal(&svd.u.transpose()) < 1e-5,
+                "{m}x{n}: U"
+            );
+            assert!(rows_off_orthonormal(&svd.vt) < 1e-5, "{m}x{n}: V");
+        }
+    }
+
+    #[test]
+    fn leading_values_of_a_planted_spectrum_are_recovered() {
+        // A = U0 diag(planted) V0^T: four leading values over a flat
+        // tail two orders of magnitude below.
+        let (m, n) = (80, 60);
+        let u0 = svd_thin(&Matrix::randn(m, n, 1.0, &mut Rng::seeded(8))).u;
+        let v0t = svd_thin(&Matrix::randn(n, n, 1.0, &mut Rng::seeded(9))).vt;
+        let lead = [10.0f32, 7.0, 5.0, 3.0];
+        let mut us = u0.clone();
+        for row in 0..m {
+            for (j, v) in us.row_mut(row).iter_mut().enumerate() {
+                *v *= lead.get(j).copied().unwrap_or(0.03);
+            }
+        }
+        let svd = svd_leading(&us.matmul(&v0t), 4);
+        for (got, want) in svd.s.iter().zip(lead) {
+            assert!((got - want).abs() <= 1e-4 * want, "{:?}", svd.s);
+        }
+    }
+
+    #[test]
+    fn leading_svd_is_deterministic() {
+        let a = Matrix::randn(48, 64, 1.0, &mut Rng::seeded(10));
+        assert_eq!(svd_bits(&svd_leading(&a, 8)), svd_bits(&svd_leading(&a, 8)));
+    }
+
+    #[test]
+    fn leading_svd_below_the_size_rule_is_the_exact_one() {
+        // 2 * (2 + 8) > 18: the exact SVD, its first two triplets.
+        let a = Matrix::randn(18, 30, 1.0, &mut Rng::seeded(11));
+        let exact = svd_thin(&a);
+        let want = Svd {
+            u: exact.u.submatrix(0, 0, 18, 2),
+            s: exact.s[..2].to_vec(),
+            vt: exact.vt.submatrix(0, 0, 2, 30),
+        };
+        assert_eq!(svd_bits(&svd_leading(&a, 2)), svd_bits(&want));
+    }
+
+    #[test]
+    fn leading_svd_of_zero_matrix_is_all_zero() {
+        let a = Matrix::zeros(40, 32);
+        let svd = svd_leading(&a, 4);
+        assert!(svd.s.iter().all(|&v| v == 0.0));
+        assert!(svd.u.data().iter().all(|&v| v == 0.0));
+        assert_eq!(svd.reconstruct_rank(4), a);
     }
 
     #[test]
