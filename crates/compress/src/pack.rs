@@ -225,6 +225,26 @@ fn level_words(l: &Layout, d_out: usize, biased: &[u8]) -> Vec<u64> {
     words
 }
 
+/// Unpacks level words holding `N` values per byte lane (`8 / N`-bit
+/// lanes) into one byte lane per value: one shift and one mask per value.
+/// `N` is a constant, so each word's values unroll.
+fn unpack_lanes<const N: usize>(levels: &mut [[u8; BLOCK_ROWS]], words: &[u64]) {
+    let width = (8 / N) as u32;
+    let lane_mask = BYTES * ((1u64 << width) - 1);
+    let unpack = |lanes: &mut [[u8; BLOCK_ROWS]], w: u64| {
+        for (h, l) in lanes.iter_mut().enumerate() {
+            *l = ((w >> (h as u32 * width)) & lane_mask).to_le_bytes();
+        }
+    };
+    let (full, rest) = levels.as_chunks_mut::<N>();
+    for (lanes, &w) in full.iter_mut().zip(words) {
+        unpack(lanes, w);
+    }
+    if let Some(&w) = words.get(full.len()) {
+        unpack(rest, w);
+    }
+}
+
 /// Whether a `width`-bit field of `words` exceeds `top`. Even and odd
 /// fields are taken apart, so each sits in a slot twice its width; adding
 /// `2^width - 1 - top` to every slot then carries into bit `width` of just
@@ -472,14 +492,12 @@ impl CompressedMatrix {
         };
         let gpr = self.groups_per_row();
         // Unpack the block's level words into byte lanes.
-        let width = layout.width;
-        let lane_mask = BYTES * ((1u64 << width) - 1);
         let words = &self.levels[block * layout.words_per_block..][..layout.words_per_block];
         out.levels.resize(per_row, [0; BLOCK_ROWS]);
-        for (lanes, &w) in out.levels.chunks_mut(layout.per_word()).zip(words) {
-            for (h, l) in lanes.iter_mut().enumerate() {
-                *l = ((w >> (h as u32 * width)) & lane_mask).to_le_bytes();
-            }
+        match layout.per_word() {
+            1 => unpack_lanes::<1>(&mut out.levels, words),
+            2 => unpack_lanes::<2>(&mut out.levels, words),
+            _ => unpack_lanes::<4>(&mut out.levels, words),
         }
         // Each stored value's scales, one lane per row (0.0 for padding
         // rows): first per group, then repeated over the group's values.
