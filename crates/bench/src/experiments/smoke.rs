@@ -27,7 +27,11 @@
 //!   (simulated: deterministic),
 //! * `*_packed_ratio` — delta-only packed compression ratio of each
 //!   method-zoo codec on a fixed-seed synthetic model pair (pure
-//!   arithmetic: deterministic).
+//!   arithmetic: deterministic),
+//! * `deltacome_compress_ratio` — Delta-CoMe low-budget compression wall
+//!   time over SparseGPT-2★'s, best of 3 each, on a fixed-seed
+//!   `llama-tiny-l` pair (wall-clock, but a ratio of two runs on the
+//!   same host; max-only).
 //!
 //! It emits `BENCH_smoke.json`, and `exp bench-smoke --check
 //! ci/perf-baseline.json` compares the fresh numbers against the
@@ -42,7 +46,8 @@ use super::Fmt::{Fix, Plain};
 use super::{push_lanes, BenchJson, Report, Table, BENCH_SCHEMA_VERSION};
 use dz_compress::codec::{BitDeltaCodec, DeltaCodec, DeltaComeCodec, SparseGptCodec};
 use dz_model::tasks::Corpus;
-use dz_model::transformer::{test_config, Params};
+use dz_model::transformer::{test_config, ModelConfig, Params};
+use dz_model::zoo::preset;
 use dz_serve::{TraceConfig, TraceTrack};
 use dz_tensor::{Matrix, Rng};
 use serde::value::Value;
@@ -71,7 +76,12 @@ impl SmokeMetrics {
 /// ratio metrics depend only on tensor shapes and value distributions, so
 /// this keeps the smoke run fast and bit-deterministic.
 fn synthetic_pair() -> (Params, Params) {
-    let cfg = test_config();
+    seeded_pair(test_config())
+}
+
+/// [`synthetic_pair`]'s construction for any shape: an initialized
+/// transformer plus a seeded N(0, 0.005) bump on every tensor.
+fn seeded_pair(cfg: ModelConfig) -> (Params, Params) {
     let mut rng = Rng::seeded(0x50_0E);
     let base = Params::init(cfg, &mut rng);
     let mut tuned = base.clone();
@@ -80,6 +90,25 @@ fn synthetic_pair() -> (Params, Params) {
         m.add_assign(&bump);
     }
     (base, tuned)
+}
+
+/// Delta-CoMe low-budget compression wall time over SparseGPT-2★'s, best
+/// of 3 each, on [`seeded_pair`] of `cfg`. On `test_config`'s 16-wide
+/// matrices Delta-CoMe would take `svd_leading`'s exact rule; the
+/// `llama-tiny-l` shape takes its subspace iteration, as served.
+fn compress_cost_ratio(cfg: ModelConfig) -> f64 {
+    let (base, tuned) = seeded_pair(cfg);
+    let calib = dz_compress::calib::calibration_set(&Corpus::new(cfg.max_seq), 4, 0xCA11B);
+    let best_of_3 = |codec: &dyn DeltaCodec| -> f64 {
+        (0..3)
+            .map(|_| {
+                let t0 = Instant::now();
+                codec.compress(&base, &tuned, &calib);
+                t0.elapsed().as_secs_f64()
+            })
+            .fold(f64::MAX, f64::min)
+    };
+    best_of_3(&DeltaComeCodec::low_budget()) / best_of_3(&SparseGptCodec::starred(2))
 }
 
 /// Runs the smoke measurements. When `trace` is given, the cluster
@@ -155,6 +184,12 @@ fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
     let bitdelta = ratio_of(&BitDeltaCodec::per_row());
     let deltacome = ratio_of(&DeltaComeCodec::low_budget());
 
+    // 8. Delta-CoMe's compression cost against SparseGPT-2★'s on the
+    //    llama-tiny-l shape. A missing preset reads as an infinite ratio,
+    //    which the gate refuses.
+    let deltacome_compress_ratio =
+        preset("llama-tiny-l").map_or(f64::INFINITY, |p| compress_cost_ratio(p.config));
+
     SmokeMetrics {
         entries: vec![
             ("decode_mb_s", decode_mb_s),
@@ -171,6 +206,7 @@ fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
             ("sparsegpt4_packed_ratio", sgpt4),
             ("bitdelta_packed_ratio", bitdelta),
             ("deltacome_packed_ratio", deltacome),
+            ("deltacome_compress_ratio", deltacome_compress_ratio),
         ],
     }
 }
