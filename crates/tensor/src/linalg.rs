@@ -380,8 +380,8 @@ impl Svd {
 fn times(a: &Matrix, z: &[f64], l: usize) -> Vec<f64> {
     let (m, n) = a.shape();
     let mut y = vec![0.0f64; m * l];
-    for (i, row) in a.data().chunks_exact(n.max(1)).enumerate() {
-        for (j, zc) in z.chunks_exact(n.max(1)).enumerate() {
+    for (i, row) in a.data().chunks_exact(n).enumerate() {
+        for (j, zc) in z.chunks_exact(n).enumerate() {
             y[j * m + i] = row.iter().zip(zc).map(|(&x, &w)| f64::from(x) * w).sum();
         }
     }
