@@ -71,17 +71,12 @@ impl SmokeMetrics {
     }
 }
 
-/// Fixed-seed synthetic `(base, finetuned)` pair: an initialized tiny
-/// transformer plus a small delta-like perturbation. No training — the
-/// ratio metrics depend only on tensor shapes and value distributions, so
-/// this keeps the smoke run fast and bit-deterministic.
-fn synthetic_pair() -> (Params, Params) {
-    seeded_pair(test_config())
-}
-
-/// [`synthetic_pair`]'s construction for any shape: an initialized
-/// transformer plus a seeded N(0, 0.005) bump on every tensor.
-fn seeded_pair(cfg: ModelConfig) -> (Params, Params) {
+/// Fixed-seed synthetic `(base, finetuned)` pair of shape `cfg`: an
+/// initialized transformer plus a seeded N(0, 0.005) bump on every
+/// tensor. No training — the ratio metrics depend only on tensor shapes
+/// and value distributions, so this keeps the smoke run fast and
+/// bit-deterministic.
+fn synthetic_pair(cfg: ModelConfig) -> (Params, Params) {
     let mut rng = Rng::seeded(0x50_0E);
     let base = Params::init(cfg, &mut rng);
     let mut tuned = base.clone();
@@ -93,11 +88,11 @@ fn seeded_pair(cfg: ModelConfig) -> (Params, Params) {
 }
 
 /// Delta-CoMe low-budget compression wall time over SparseGPT-2★'s, best
-/// of 3 each, on [`seeded_pair`] of `cfg`. On `test_config`'s 16-wide
+/// of 3 each, on [`synthetic_pair`] of `cfg`. On `test_config`'s 16-wide
 /// matrices Delta-CoMe would take `svd_leading`'s exact rule; the
 /// `llama-tiny-l` shape takes its subspace iteration, as served.
 fn compress_cost_ratio(cfg: ModelConfig) -> f64 {
-    let (base, tuned) = seeded_pair(cfg);
+    let (base, tuned) = synthetic_pair(cfg);
     let calib = dz_compress::calib::calibration_set(&Corpus::new(cfg.max_seq), 4, 0xCA11B);
     let best_of_3 = |codec: &dyn DeltaCodec| -> f64 {
         (0..3)
@@ -174,7 +169,7 @@ fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
     let (fleet_wall_s, fleet_p2c_p99) = super::fleet::smoke_fleet_metrics();
 
     // 7. Codec packed ratios on the synthetic pair.
-    let (base, tuned) = synthetic_pair();
+    let (base, tuned) = synthetic_pair(test_config());
     let calib = dz_compress::calib::calibration_set(&Corpus::new(base.config.max_seq), 4, 0xCA11B);
     let ratio_of = |codec: &dyn DeltaCodec| -> f64 {
         let (cd, _) = codec.compress(&base, &tuned, &calib);
@@ -394,7 +389,7 @@ mod tests {
     }
 
     fn measure_ratios_only() -> Vec<f64> {
-        let (base, tuned) = synthetic_pair();
+        let (base, tuned) = synthetic_pair(test_config());
         let calib =
             dz_compress::calib::calibration_set(&Corpus::new(base.config.max_seq), 4, 0xCA11B);
         [

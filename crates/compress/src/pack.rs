@@ -226,8 +226,9 @@ fn level_words(l: &Layout, d_out: usize, biased: &[u8]) -> Vec<u64> {
 }
 
 /// Unpacks level words holding `N` values per byte lane (`8 / N`-bit
-/// lanes) into one byte lane per value: one shift and one mask per value.
-/// `N` is a constant, so each word's values unroll.
+/// lanes) into one byte lane per value: one shift and one mask give a
+/// value of all eight rows. `N` is a constant, so each word's values
+/// unroll.
 fn unpack_lanes<const N: usize>(levels: &mut [[u8; BLOCK_ROWS]], words: &[u64]) {
     let width = (8 / N) as u32;
     let lane_mask = BYTES * ((1u64 << width) - 1);
