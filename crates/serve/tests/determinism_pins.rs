@@ -30,8 +30,8 @@ use dz_serve::cluster::{
 use dz_serve::fleet::{FleetConfig, FleetSim};
 use dz_serve::tuning::{DynamicN, DynamicNConfig};
 use dz_serve::{
-    Autoscaler, Brownout, ChaosConfig, CostModel, DeltaZipConfig, DeltaZipEngine, Engine,
-    EngineBuilder, FaultEvent, FaultKind, FaultPlan, LengthEstimator, Metrics, PopularityPrefetch,
+    Autoscaler, ChaosConfig, CostModel, DeltaZipConfig, DeltaZipEngine, Engine, EngineBuilder,
+    FaultEvent, FaultKind, FaultPlan, LengthEstimator, Metrics, PopularityPrefetch,
     PreemptionPolicy, QueueLookahead, ResumePolicy, SloPolicy, TraceConfig, TraceEvent,
     VariantCatalog, VariantSpec,
 };
@@ -177,7 +177,7 @@ const PIN_FLEET: u64 = 0x12c99df2cbd0593c;
 const PIN_TOPPINGS: u64 = 0x01e21a5090efc51a;
 const PIN_CLUSTER: u64 = 0xafbf0b924db84839;
 
-/// The p2c seed both fleet pins ran with: `FleetConfig`'s old default
+/// The p2c seed the fleet pin ran with: `FleetConfig`'s old default
 /// routing seed, in effect before the router owned its seed.
 const FLEET_P2C_SEED: u64 = 0x0F1E_E7F1;
 
@@ -390,8 +390,7 @@ fn chaos_with_tracing_is_pinned() {
 
 // -- Elastic membership: crashes, restarts and autoscaling together -------
 
-const PIN_CLUSTER_ELASTIC: u64 = 0x5d40f98c01a9c8d9;
-const PIN_FLEET_CHAOS: u64 = 0xb05fbdc14a92fcbb;
+const PIN_CLUSTER_ELASTIC: u64 = 0x0b56d6f634ab623f;
 
 fn crash(at: f64, replica: usize, restart_after_s: Option<f64>) -> FaultEvent {
     FaultEvent {
@@ -404,27 +403,12 @@ fn crash(at: f64, replica: usize, restart_after_s: Option<f64>) -> FaultEvent {
 }
 
 /// One cold spare activated at a time and drained again once idle,
-/// around a crash that restarts, a crash that does not, and a
-/// brownout: every membership rule of the cluster front end at once.
+/// around a crash that restarts and a crash that does not: every
+/// membership rule of the cluster front end at once.
 #[test]
 fn cluster_elastic_run_is_pinned() {
     let tr = trace(59, 3.0, 60.0);
-    let plan = FaultPlan::scripted(vec![
-        crash(12.0, 0, Some(6.0)),
-        crash(30.0, 1, None),
-        FaultEvent {
-            at: 20.0,
-            kind: FaultKind::Degrade {
-                replica: 2,
-                brownout: Brownout {
-                    start_s: 20.0,
-                    end_s: 32.0,
-                    disk_rate: 0.25,
-                    pcie_rate: 0.5,
-                },
-            },
-        },
-    ]);
+    let plan = FaultPlan::scripted(vec![crash(12.0, 0, Some(6.0)), crash(30.0, 1, None)]);
     let chaos = ChaosConfig {
         autoscaler: Some(Autoscaler {
             up_backlog_s: 4.0,
@@ -452,7 +436,7 @@ fn cluster_elastic_run_is_pinned() {
     .with_tracing(TraceConfig::default());
     let report = sim.run(&tr);
     let stats = report.chaos.clone().expect("chaos stats");
-    assert_eq!((stats.crashes, stats.brownouts), (2, 1), "{stats:?}");
+    assert_eq!(stats.crashes, 2, "{stats:?}");
     assert!(stats.restarts >= 1, "{stats:?}");
     assert!(stats.scale_ups > 0 && stats.scale_downs > 0, "{stats:?}");
     let mut pin = Pin::new();
@@ -478,63 +462,18 @@ fn cluster_elastic_run_is_pinned() {
     check("cluster_elastic", pin.0, PIN_CLUSTER_ELASTIC);
 }
 
-/// Compact-replica chaos: p2c on the elastic fleet. The whole event log
-/// is folded.
-#[test]
-fn fleet_chaos_run_is_pinned() {
-    let tr = trace(61, 30.0, 40.0);
-    let weights = PopularityDist::Zipf { alpha: 1.3 }.weights(N_MODELS);
-    let plan = PlacementPlan::from_weights(&weights, 6);
-    let router = Box::new(PowerOfTwoRouter::new(FLEET_P2C_SEED));
-    let report = FleetSim::new(elastic_fleet(), plan, router).run(&tr);
-    let mut pin = Pin::new();
-    for e in report.event_log.as_deref().expect("recording enabled") {
-        pin.f64(e.at);
-        pin.word(e.class as u64);
-        pin.word(e.key);
-    }
-    for n in [report.served, report.shed, report.peak_live, report.events] {
-        pin.word(n as u64);
-    }
-    pin.word(report.warm_hits);
-    for q in [
-        report.mean_e2e_s,
-        report.p50_e2e_s,
-        report.p99_e2e_s,
-        report.max_e2e_s,
-    ] {
-        pin.f64(q);
-    }
-    check("fleet_chaos", pin.0, PIN_FLEET_CHAOS);
-}
-
-/// Six replicas with a crash that restarts, one that does not, a repeat
-/// crash on the replica already down, and an autoscaler that drains and
-/// reactivates, recording the event log.
-fn elastic_fleet() -> FleetConfig {
+/// Six replicas with a four-delta warm cache, recording the event log.
+fn recorded_fleet() -> FleetConfig {
     let mut cfg = FleetConfig::new(6);
     cfg.warm_capacity = 4;
     cfg.record_events = true;
-    cfg.faults = FaultPlan::scripted(vec![
-        crash(5.0, 1, Some(4.0)),
-        crash(11.5, 2, None),
-        crash(11.75, 2, Some(3.0)),
-    ]);
-    cfg.autoscale = Some(Autoscaler {
-        min_replicas: 2,
-        max_replicas: 6,
-        up_backlog_s: 0.3,
-        down_backlog_s: 0.05,
-        interval_s: 1.0,
-        cooldown_s: 2.0,
-    });
     cfg
 }
 
-const PIN_FLEET_ROUTERS: u64 = 0x2df16a07004e7cb4;
+const PIN_FLEET_ROUTERS: u64 = 0xc68d6a258e2e41c2;
 
-/// Round-robin, the hash ring and the global scan on the elastic fleet:
-/// every crash, restart and scale event rebuilds the ring.
+/// Round-robin, the hash ring and the global scan on a small fleet,
+/// with the whole event log folded.
 #[test]
 fn fleet_routers_are_pinned() {
     let tr = trace(61, 30.0, 40.0);
@@ -547,7 +486,7 @@ fn fleet_routers_are_pinned() {
     ];
     for router in routers {
         let plan = PlacementPlan::from_weights(&weights, 6);
-        let report = FleetSim::new(elastic_fleet(), plan, router).run(&tr);
+        let report = FleetSim::new(recorded_fleet(), plan, router).run(&tr);
         assert_eq!(report.served + report.shed, tr.len(), "{}", report.router);
         for e in report.event_log.as_deref().expect("recording enabled") {
             pin.f64(e.at);
@@ -580,7 +519,7 @@ fn fleet_routers_are_pinned() {
 
 // -- Lone-engine scheduler and swap policies --------------------------------
 
-const PIN_ENGINE_POLICIES: u64 = 0x02d14f817bff145a;
+const PIN_ENGINE_POLICIES: u64 = 0x0c5bdb4e99c83484;
 
 /// Folds a lone engine's per-request floats plus every swap counter, so
 /// both the scheduler's choices and the residency bookkeeping are held.
@@ -623,7 +562,7 @@ fn preemptions(m: &Metrics) -> usize {
 /// Single `DeltaZipEngine` runs on the synthetic (store-free) path, one per
 /// scheduler or swap policy that no cluster or toppings pin reaches on a
 /// lone engine: the serialized swap model under a host cap, overlapped
-/// runs with each prefetcher and with brownouts, dynamic `N`, SLO
+/// runs with each prefetcher, dynamic `N`, SLO
 /// priority, length-aware preemption with the oracle and an online
 /// quantile, recompute-on-resume, plain FCFS and segregated pools.
 #[test]
@@ -683,20 +622,6 @@ fn policy_runs() -> Vec<Metrics> {
     engine_run(
         &mut runs,
         builder()
-            .brownouts(vec![
-                Brownout {
-                    start_s: 5.0,
-                    end_s: 25.0,
-                    disk_rate: 0.3,
-                    pcie_rate: 1.0,
-                },
-                Brownout {
-                    start_s: 20.0,
-                    end_s: 40.0,
-                    disk_rate: 1.0,
-                    pcie_rate: 0.5,
-                },
-            ])
             .prefetcher(Box::new(QueueLookahead::new(2)))
             .build(),
         &tr,
@@ -770,7 +695,7 @@ fn policy_runs() -> Vec<Metrics> {
     runs
 }
 
-const PIN_ENGINE_CAUSES: u64 = 0xf53e7f93069f37a5;
+const PIN_ENGINE_CAUSES: u64 = 0x3071433f88f8ce9c;
 
 /// Every per-request cause ledger of the twelve policy runs plus the
 /// toppings run. The scheduler splits a request's waiting time between
