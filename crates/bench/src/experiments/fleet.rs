@@ -129,9 +129,7 @@ pub fn bench_fleet(
         .col("replicas", Plain, "n_replicas", Plain, |(r, _)| {
             r.n_replicas
         })
-        .col("requests", Plain, "requests", Plain, |(r, _)| {
-            r.served + r.shed
-        })
+        .col("requests", Plain, "requests", Plain, |(r, _)| r.served)
         .col("wall (s)", Fix(2), "wall_s", Fix(4), |(_, wall_s)| *wall_s)
         .col("p50 E2E (s)", Fix(3), "p50_e2e_s", Fix(4), |(r, _)| {
             r.p50_e2e_s
@@ -217,7 +215,7 @@ mod tests {
         assert_eq!(a.p50_e2e_s.to_bits(), b.p50_e2e_s.to_bits());
         assert_eq!(a.p99_e2e_s.to_bits(), b.p99_e2e_s.to_bits());
         assert_eq!(a.events, b.events);
-        assert_eq!(a.served + a.shed, tr.len());
+        assert_eq!(a.served, tr.len());
     }
 
     #[test]

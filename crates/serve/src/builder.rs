@@ -10,7 +10,7 @@ use crate::cost::CostModel;
 use crate::deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};
 use crate::predictor::LengthEstimator;
 use crate::slo::SloPolicy;
-use crate::swap::{Brownout, Prefetcher};
+use crate::swap::Prefetcher;
 use crate::tuning::DynamicN;
 use crate::variant::VariantCatalog;
 use dz_trace::{TraceConfig, Tracer};
@@ -57,7 +57,6 @@ pub struct EngineBuilder {
     slo: Option<SloPolicy>,
     estimator: Option<LengthEstimator>,
     dynamic_n: Option<DynamicN>,
-    brownouts: Vec<Brownout>,
 }
 
 impl EngineBuilder {
@@ -73,7 +72,6 @@ impl EngineBuilder {
             slo: None,
             estimator: None,
             dynamic_n: None,
-            brownouts: Vec::new(),
         }
     }
 
@@ -128,12 +126,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Installs a degraded-channel fault schedule.
-    pub fn brownouts(mut self, schedule: Vec<Brownout>) -> Self {
-        self.brownouts = schedule;
-        self
-    }
-
     /// Builds the unified toppings engine: one [`DeltaZipEngine`] serving
     /// base, LoRA, delta, and stacked variants per the catalog (no catalog
     /// means every model is a delta — the legacy behavior).
@@ -144,7 +136,6 @@ impl EngineBuilder {
         engine.prefetcher = self.prefetcher;
         engine.slo_policy = self.slo;
         engine.dynamic_n = self.dynamic_n;
-        engine.brownouts = self.brownouts;
         if let Some(estimator) = self.estimator {
             engine.estimator = estimator;
         }

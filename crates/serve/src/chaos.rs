@@ -2,16 +2,12 @@
 //! rollouts for the cluster simulator.
 //!
 //! A fleet that only ever sees healthy replicas is a fleet nobody has
-//! operated. This module scripts the unhappy paths against
-//! [`ClusterSim`](crate::cluster::ClusterSim) and, for crashes and
-//! autoscaling, against the compact [`FleetSim`](crate::fleet::FleetSim):
+//! operated. This module scripts the unhappy paths against the
+//! [`ClusterSim`](crate::cluster::ClusterSim) front end:
 //!
 //! * [`FaultPlan`] — a deterministic, seeded schedule of
 //!   [`FaultEvent`]s: replica crashes (warm sets and in-flight requests
-//!   lost, placement re-replicates around the hole) and channel
-//!   *brownouts* (disk/PCIe bandwidth degradation flowing through the
-//!   replica engines' [`TransferTimeline`](crate::swap::TransferTimeline)
-//!   via [`Brownout`] windows),
+//!   lost, placement re-replicates around the hole),
 //! * [`Autoscaler`] — an SLO-pressure control loop that activates cold
 //!   spare replicas when the live fleet's backlog climbs and drains the
 //!   emptiest replica when it falls (new replicas start *cold*:
@@ -20,17 +16,14 @@
 //!   increasing fraction of one model's traffic is remapped to its v2
 //!   delta.
 //!
-//! Both simulators apply crashes, restarts and autoscaler ticks through
-//! one crate-private `Membership`, so they share one set of rules: a
-//! crash of a down replica does nothing, a restart revives only a down
-//! replica, and scale-up never activates a replica whose restart is
-//! pending. Each event loop adds only its own side effects.
+//! The front end applies crashes, restarts and autoscaler ticks through
+//! the crate-private `Membership`, which holds the rules: a crash of a
+//! down replica does nothing, a restart revives only a down replica, and
+//! scale-up never activates a replica whose restart is pending.
 //!
 //! Everything is driven by **one recorded seed** ([`ChaosConfig::seed`])
 //! so a chaos run is exactly reproducible: the rollout coin flips, and
 //! nothing else, consume randomness.
-
-pub use crate::swap::Brownout;
 
 // ---------------------------------------------------------------------------
 // Faults.
@@ -49,16 +42,6 @@ pub enum FaultKind {
         replica: usize,
         /// Seconds until the replica restarts (cold); `None` = never.
         restart_after_s: Option<f64>,
-    },
-    /// A bandwidth brownout on the replica's load channels: disk and/or
-    /// PCIe rates are scaled down for the window. The window is carried
-    /// by the [`Brownout`] itself (`at` of the surrounding
-    /// [`FaultEvent`] should match `brownout.start_s`).
-    Degrade {
-        /// Replica whose channels degrade.
-        replica: usize,
-        /// The brownout window and rate factors.
-        brownout: Brownout,
     },
 }
 
@@ -79,11 +62,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// No faults at all (the healthy baseline).
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
     /// A scripted schedule; events are sorted by fire time.
     pub fn scripted(mut events: Vec<FaultEvent>) -> Self {
         events.sort_by(|a, b| a.at.total_cmp(&b.at));
@@ -102,25 +80,25 @@ impl FaultPlan {
 
     /// The plan's crashes as membership events, with their fire times.
     pub(crate) fn crashes(&self) -> impl Iterator<Item = (f64, MemberEvent)> + '_ {
-        self.events.iter().filter_map(|ev| match ev.kind {
-            FaultKind::Crash {
+        self.events.iter().map(|ev| {
+            let FaultKind::Crash {
                 replica,
                 restart_after_s,
-            } => Some((
+            } = ev.kind;
+            (
                 ev.at.max(0.0),
                 MemberEvent::Crash {
                     replica,
                     restart_after_s,
                 },
-            )),
-            FaultKind::Degrade { .. } => None,
+            )
         })
     }
 
     /// Panics if an event names a replica `>= n_replicas`.
     pub(crate) fn assert_replicas_below(&self, n_replicas: usize) {
         for ev in &self.events {
-            let (FaultKind::Crash { replica, .. } | FaultKind::Degrade { replica, .. }) = ev.kind;
+            let FaultKind::Crash { replica, .. } = ev.kind;
             assert!(
                 replica < n_replicas,
                 "fault at {}s names replica {replica} of {n_replicas}",
@@ -403,7 +381,7 @@ impl Rollout {
 /// [`ClusterSim::with_chaos`](crate::cluster::ClusterSim::with_chaos).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosConfig {
-    /// The fault schedule (crashes + brownouts).
+    /// The fault schedule.
     pub plan: FaultPlan,
     /// Elastic scaling, if enabled.
     pub autoscaler: Option<Autoscaler>,
@@ -436,8 +414,6 @@ pub struct ChaosStats {
     pub crashes: usize,
     /// Cold restarts completed.
     pub restarts: usize,
-    /// Brownout windows applied.
-    pub brownouts: usize,
     /// In-flight requests lost to crashes and re-queued at the front
     /// end.
     pub lost_in_flight: usize,

@@ -34,12 +34,11 @@
 //! engine, so reported latencies include the true cold/warm load charges
 //! their routed request mix produced.
 
-use crate::chaos::{ChaosConfig, ChaosStats, FaultKind, MemberEvent, Membership, Scale};
+use crate::chaos::{ChaosConfig, ChaosStats, MemberEvent, Membership, Scale};
 use crate::cost::CostModel;
 use crate::deltazip::DeltaZipConfig;
 use crate::metrics::{Metrics, RequestRecord, SwapStats};
 use crate::slo::{SloClass, SloPolicy};
-use crate::swap::{Brownout, TransferTimeline};
 use crate::Engine;
 use dz_gpusim::{EventClass, EventQueue};
 use dz_tensor::Rng;
@@ -878,10 +877,6 @@ impl WarmSet {
         self.stamps.contains_key(&model)
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.stamps.len()
-    }
-
     pub(crate) fn clear(&mut self) {
         self.stamps.clear();
     }
@@ -1220,18 +1215,9 @@ impl ClusterSim {
 
         // Reported only for chaos runs.
         let mut stats = ChaosStats::default();
-        let mut replica_brownouts: Vec<Vec<Brownout>> = vec![Vec::new(); n];
         if let Some(c) = &chaos {
             for (at, ev) in c.plan.crashes() {
                 events.push_class(at, CLASS_CHAOS, FrontEvent::Member(ev));
-            }
-            // A brownout needs no event: the router's estimates and the
-            // replay engines read the window directly.
-            for ev in c.plan.events() {
-                if let FaultKind::Degrade { replica, brownout } = ev.kind {
-                    replica_brownouts[replica].push(brownout);
-                    stats.brownouts += 1;
-                }
             }
             if let Some(scaler) = autoscaler {
                 events.push_class(
@@ -1395,16 +1381,7 @@ impl ClusterSim {
             let views: Vec<ReplicaView> = states
                 .iter()
                 .enumerate()
-                .map(|(r, s)| {
-                    let mut v = s.view(r, now, p.req.model, members.is_alive(r));
-                    // A browned-out channel inflates the router's load
-                    // estimates: cold loads ride disk, decode rides PCIe.
-                    let (disk_rate, pcie_rate) =
-                        TransferTimeline::channel_rates_at(&replica_brownouts[r], now);
-                    v.cold_load_s /= disk_rate;
-                    v.warm_load_s /= pcie_rate;
-                    v
-                })
+                .map(|(r, s)| s.view(r, now, p.req.model, members.is_alive(r)))
                 .collect();
 
             // SLO-aware admission: Batch requests defer, then shed, when
@@ -1584,21 +1561,12 @@ impl ClusterSim {
             max_live: members.max_live,
             ..stats
         });
-        self.replay_and_report(
-            trace,
-            states,
-            routing,
-            shed,
-            chaos_stats,
-            frontend_tracer,
-            &replica_brownouts,
-        )
+        self.replay_and_report(trace, states, routing, shed, chaos_stats, frontend_tracer)
     }
 
     /// Replays each replica's assignments on its own engine(s) and
     /// assembles the [`ClusterReport`] — the deterministic back half of
     /// [`run`](Self::run).
-    #[allow(clippy::too_many_arguments)]
     fn replay_and_report(
         &mut self,
         trace: &Trace,
@@ -1607,7 +1575,6 @@ impl ClusterSim {
         shed: Vec<ShedRecord>,
         chaos_stats: Option<ChaosStats>,
         mut frontend_tracer: Tracer,
-        replica_brownouts: &[Vec<Brownout>],
     ) -> ClusterReport {
         let n = self.config.n_replicas;
         let mut trace_tracks: Vec<TraceTrack> = Vec::new();
@@ -1656,9 +1623,6 @@ impl ClusterSim {
                 }
                 if let Some(adm) = &self.config.admission {
                     builder = builder.slo(adm.slo.clone());
-                }
-                if !replica_brownouts[r].is_empty() {
-                    builder = builder.brownouts(replica_brownouts[r].clone());
                 }
                 let mut engine = builder.build();
                 let mut m = engine.run(&sub);

@@ -252,10 +252,6 @@ pub struct DeltaZipEngine {
     /// Optional predictive prefetcher: prewarms deltas disk→host ahead of
     /// demand (only active with [`DeltaZipConfig::overlap_swaps`]).
     pub prefetcher: Option<Box<dyn Prefetcher>>,
-    /// Degraded-channel fault schedule (absolute simulation time),
-    /// installed on the transfer timeline at the start of each run.
-    /// Empty by default; the chaos layer populates it.
-    pub brownouts: Vec<crate::swap::Brownout>,
     /// Structured tracing handle. Disabled by default: emission sites
     /// only read simulation state, so tracing-off runs are identical to
     /// untraced builds. Enable via
@@ -280,7 +276,6 @@ impl DeltaZipEngine {
             delta_store: None,
             catalog: None,
             prefetcher: None,
-            brownouts: Vec::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -316,7 +311,7 @@ impl Engine for DeltaZipEngine {
         let mut next_arrival = 0usize;
         let mut t = 0.0f64;
         let mut planner = Planner::detach(self, cfg);
-        let mut res = Residency::new(cost, &cfg, self.delta_store.take(), self.brownouts.clone());
+        let mut res = Residency::new(cost, &cfg, self.delta_store.take());
         // Detach the tracer so emission closures can borrow engine state.
         let mut tracer = std::mem::take(&mut self.tracer);
 

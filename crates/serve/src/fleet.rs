@@ -5,9 +5,9 @@
 //! full [`DeltaZipEngine`](crate::deltazip::DeltaZipEngine) — faithful, but
 //! the per-replica engines make thousand-replica sweeps infeasible.
 //! [`FleetSim`] is the scale-out counterpart: replicas are compact event
-//! handlers (arrival, departure, swap-land, prefetch-land, fault, autoscale
-//! tick) on a single monotone [`EventQueue`], so a million-request trace
-//! over 1000 replicas runs in seconds of wall clock.
+//! handlers (arrival, departure, swap-land, prefetch-land) on a single
+//! monotone [`EventQueue`], so a million-request trace over 1000 replicas
+//! runs in seconds of wall clock.
 //!
 //! What it keeps from the paper's serving story:
 //!
@@ -22,24 +22,20 @@
 //!   [`ReplicaViews`]: p2c and consistent hashing route without touching
 //!   all `R` replicas; the O(R) global least-cost scan is the baseline
 //!   that stops scaling.
-//! * **Chaos on the shared vocabulary**: crashes come from a
-//!   [`FaultPlan`] and elasticity from an [`Autoscaler`], the same types
-//!   [`ClusterSim`](crate::cluster::ClusterSim) takes, applied by the
-//!   same crate-private `chaos::Membership` (see [`crate::chaos`]). Brownouts
-//!   ([`FaultKind::Degrade`]) are rejected: compact replicas have no
-//!   load channels to slow.
+//! * **A healthy fleet**: every replica is live for the whole run.
+//!   Crashes, restarts and autoscaling are scripted against
+//!   [`ClusterSim`](crate::cluster::ClusterSim) (see [`crate::chaos`]).
 //! * **Determinism**: same seed → identical event sequence. The optional
 //!   event log ([`FleetReport::event_log`]) exists so tests can replay a
 //!   run and compare logs bit-for-bit.
 //!
-//! Event ordering at equal timestamps is by event *class* (faults before
-//! lands before departures before arrivals before ticks), then by
-//! insertion sequence — see [`EventQueue`] for the `(at, class, seq)` key.
+//! Event ordering at equal timestamps is by event *class* (lands before
+//! departures before arrivals), then by insertion sequence — see
+//! [`EventQueue`] for the `(at, class, seq)` key.
 
-use crate::chaos::{Autoscaler, FaultKind, FaultPlan, MemberEvent, Membership, Scale};
 use crate::cluster::{PlacementPlan, ReplicaView, ReplicaViews, Router, WarmSet};
 use dz_gpusim::{EventClass, EventQueue};
-use dz_trace::{GaugeSample, StreamingQuantiles, TraceConfig, TraceEvent, TraceTrack, Tracer};
+use dz_trace::{StreamingQuantiles, TraceConfig, TraceEvent, TraceTrack, Tracer};
 use dz_workload::Trace;
 use std::collections::HashMap;
 
@@ -147,14 +143,6 @@ pub struct FleetConfig {
     pub n_replicas: usize,
     /// Deltas each replica keeps warm (host cache) before LRU eviction.
     pub warm_capacity: usize,
-    /// Injected crashes, applied on the event clock. A crashed replica
-    /// loses its warm set but keeps its disk, and restarts cold after
-    /// its own `restart_after_s` (`None`: stays down until the
-    /// autoscaler activates it). Only [`FaultKind::Crash`] is allowed.
-    pub faults: FaultPlan,
-    /// Optional autoscaler, sampled every `interval_s` over the live
-    /// replicas' mean backlog.
-    pub autoscale: Option<Autoscaler>,
     /// Record the `(time, class, key)` event log for replay tests.
     pub record_events: bool,
     /// Emit simulation-clock trace events (Chrome-trace exportable).
@@ -168,8 +156,6 @@ impl FleetConfig {
         FleetConfig {
             n_replicas,
             warm_capacity: 12,
-            faults: FaultPlan::none(),
-            autoscale: None,
             record_events: false,
             trace: None,
         }
@@ -224,8 +210,6 @@ pub struct FleetReport {
     pub n_replicas: usize,
     /// Requests served to completion.
     pub served: usize,
-    /// Requests shed because no replica was live at arrival.
-    pub shed: usize,
     /// Warm (host-cache) routing hits.
     pub warm_hits: u64,
     /// Per-tier miss fetch counts.
@@ -242,8 +226,6 @@ pub struct FleetReport {
     pub makespan_s: f64,
     /// Total events popped from the global heap.
     pub events: usize,
-    /// Peak live-replica count observed (autoscale headroom used).
-    pub peak_live: usize,
     /// Deterministic event log, when recording was enabled.
     pub event_log: Option<Vec<FleetLogEntry>>,
     /// Chrome-trace tracks, when tracing was enabled.
@@ -254,14 +236,12 @@ pub struct FleetReport {
 // The simulator.
 // ---------------------------------------------------------------------------
 
-/// Equal-time pops drain faults first (membership changes are visible to
-/// everything else at that instant), then landed transfers, then
-/// departures (freed capacity is visible), then arrivals, then ticks.
-const CLASS_FAULT: EventClass = 0;
+/// Equal-time pops drain landed transfers first, then departures (freed
+/// capacity is visible), then arrivals. The values are part of every
+/// recorded [`FleetLogEntry`], so they stay fixed.
 const CLASS_LAND: EventClass = 1;
 const CLASS_DEPART: EventClass = 2;
 const CLASS_ARRIVAL: EventClass = 3;
-const CLASS_TICK: EventClass = 4;
 
 enum FleetEvent {
     /// Next trace request (index into `trace.requests`); arrivals are
@@ -273,8 +253,6 @@ enum FleetEvent {
     SwapLand { replica: usize, model: usize },
     /// An edge-replication prefetch landed on a replica's disk.
     PrefetchLand { replica: usize, model: usize },
-    /// A crash, restart or autoscale tick.
-    Member(MemberEvent),
 }
 
 #[derive(Debug, Clone)]
@@ -286,19 +264,10 @@ struct FleetReplica {
     warm: WarmSet,
 }
 
-impl FleetReplica {
-    /// Brings the replica (back) up at `t` with an empty queue.
-    fn revive(&mut self, t: f64) {
-        self.busy_until = t;
-        self.queue_depth = 0;
-    }
-}
-
 /// The router's view of the fleet for one request: built per replica on
 /// demand, so p2c and the hash ring never touch all `R` replicas.
 struct FleetViews<'a> {
     replicas: &'a [FleetReplica],
-    members: &'a Membership,
     on_disk: &'a [Vec<bool>],
     model: usize,
     now: f64,
@@ -328,12 +297,13 @@ impl ReplicaViews for FleetViews<'_> {
                 self.object_store_s
             },
             warm_load_s: 0.0,
-            alive: self.members.is_alive(r),
+            alive: true,
         }
     }
 
+    /// The live set never changes.
     fn epoch(&self) -> u64 {
-        self.members.epoch()
+        0
     }
 }
 
@@ -350,24 +320,9 @@ impl FleetSim {
     ///
     /// # Panics
     ///
-    /// Panics if `n_replicas` is zero, a fault names a replica
-    /// `>= n_replicas`, or the fault plan holds a [`FaultKind::Degrade`]
-    /// (compact replicas have no load channels). Panics if the
-    /// autoscaler's `interval_s` is not finite and positive.
+    /// Panics if `n_replicas` is zero.
     pub fn new(config: FleetConfig, plan: PlacementPlan, router: Box<dyn Router>) -> Self {
         assert!(config.n_replicas > 0, "fleet needs at least one replica");
-        if let Some(scaler) = &config.autoscale {
-            scaler.assert_interval();
-        }
-        config.faults.assert_replicas_below(config.n_replicas);
-        assert!(
-            config
-                .faults
-                .events()
-                .iter()
-                .all(|e| matches!(e.kind, FaultKind::Crash { .. })),
-            "fleet replicas have no load channels: Degrade faults are unsupported"
-        );
         FleetSim {
             config,
             plan,
@@ -381,8 +336,7 @@ impl FleetSim {
         let n = cfg.n_replicas;
         let n_models = trace.spec.n_models.max(1);
 
-        // Replica state. Everyone starts live and idle.
-        let mut members = Membership::new(n, n);
+        // Replica state. Everyone starts idle.
         let mut replicas = vec![
             FleetReplica {
                 busy_until: 0.0,
@@ -411,25 +365,10 @@ impl FleetSim {
         let mut inflight: HashMap<(usize, usize), f64> = HashMap::new();
 
         let mut events: EventQueue<FleetEvent> = EventQueue::new();
-        // Arrivals, departures, and transfer lands still in the heap —
-        // when this hits zero only faults/ticks remain, so the
-        // autoscaler stops rescheduling itself and the run drains.
-        let mut work_events = 0usize;
         if !trace.requests.is_empty() {
             events.push_class(trace.requests[0].arrival.max(0.0), CLASS_ARRIVAL, {
                 FleetEvent::Arrival(0)
             });
-            work_events += 1;
-        }
-        for (at, ev) in cfg.faults.crashes() {
-            events.push_class(at, CLASS_FAULT, FleetEvent::Member(ev));
-        }
-        if let Some(scaler) = cfg.autoscale {
-            events.push_class(
-                scaler.interval_s,
-                CLASS_TICK,
-                FleetEvent::Member(MemberEvent::Tick),
-            );
         }
 
         let local_disk_s = fetch_time_s(FetchTier::LocalDisk, DELTA_BYTES);
@@ -438,7 +377,6 @@ impl FleetSim {
         let mut warm_hits = 0u64;
         let mut fetches = FetchCounts::default();
         let mut served = 0usize;
-        let mut shed = 0usize;
         let mut makespan = 0.0f64;
         let mut popped = 0usize;
         let mut log: Option<Vec<FleetLogEntry>> = cfg.record_events.then(Vec::new);
@@ -449,9 +387,6 @@ impl FleetSim {
 
         while let Some((t, class, event)) = events.pop_classed() {
             popped += 1;
-            if !matches!(event, FleetEvent::Member(_)) {
-                work_events -= 1;
-            }
             if let Some(log) = log.as_mut() {
                 let key = match &event {
                     FleetEvent::Arrival(i) => *i as u64,
@@ -460,36 +395,10 @@ impl FleetSim {
                     | FleetEvent::PrefetchLand { replica, model } => {
                         ((*replica as u64) << 32) | *model as u64
                     }
-                    FleetEvent::Member(
-                        MemberEvent::Crash { replica, .. } | MemberEvent::Restart { replica },
-                    ) => *replica as u64,
-                    FleetEvent::Member(MemberEvent::Tick) => 0,
                 };
                 log.push(FleetLogEntry { at: t, class, key });
             }
             match event {
-                // The warm cache dies with the process; the disk (and its
-                // holder entries) survives.
-                FleetEvent::Member(MemberEvent::Crash {
-                    replica,
-                    restart_after_s,
-                }) => {
-                    if let Some(restart_at) = members.crash(replica, t, restart_after_s) {
-                        replicas[replica].warm.clear();
-                        if let Some(at) = restart_at {
-                            events.push_class(
-                                at,
-                                CLASS_FAULT,
-                                FleetEvent::Member(MemberEvent::Restart { replica }),
-                            );
-                        }
-                    }
-                }
-                FleetEvent::Member(MemberEvent::Restart { replica }) => {
-                    if members.restart(replica) {
-                        replicas[replica].revive(t);
-                    }
-                }
                 FleetEvent::SwapLand { replica, model } => {
                     inflight.remove(&(replica, model));
                     tracer.emit(|| TraceEvent::SwapLand {
@@ -515,37 +424,6 @@ impl FleetSim {
                     r.queue_depth = r.queue_depth.saturating_sub(1);
                     makespan = makespan.max(t);
                 }
-                FleetEvent::Member(MemberEvent::Tick) => {
-                    let Some(scaler) = cfg.autoscale else {
-                        continue;
-                    };
-                    let scale = members.autoscale(t, &scaler, |r| replicas[r].busy_until);
-                    match scale {
-                        Some(Scale::Up(i)) => replicas[i].revive(t),
-                        // A drained replica's in-flight work still departs.
-                        Some(Scale::Down(i)) => replicas[i].warm.clear(),
-                        None => {}
-                    }
-                    tracer.gauge(|| GaugeSample {
-                        at: t,
-                        queue_depth: replicas.iter().map(|r| r.queue_depth).sum(),
-                        warmth_host: replicas.iter().map(|r| r.warm.len()).sum(),
-                        inflight_demand: inflight.len(),
-                        live_replicas: members.live(),
-                        ..GaugeSample::default()
-                    });
-                    // Keep ticking while serving work remains; a heap
-                    // holding only faults/ticks must not keep the run
-                    // alive (a far-future restart would otherwise tick
-                    // the clock forever).
-                    if work_events > 0 {
-                        events.push_class(
-                            t + scaler.interval_s,
-                            CLASS_TICK,
-                            FleetEvent::Member(MemberEvent::Tick),
-                        );
-                    }
-                }
                 FleetEvent::Arrival(idx) => {
                     // Stream the next arrival before handling this one so
                     // the heap holds O(replicas + in-flight) entries, not
@@ -556,16 +434,10 @@ impl FleetSim {
                             CLASS_ARRIVAL,
                             FleetEvent::Arrival(idx + 1),
                         );
-                        work_events += 1;
                     }
                     let req = &trace.requests[idx];
-                    if members.live() == 0 {
-                        shed += 1;
-                        continue;
-                    }
                     let views = FleetViews {
                         replicas: &replicas,
-                        members: &members,
                         on_disk: &on_disk,
                         model: req.model,
                         now: t,
@@ -573,10 +445,6 @@ impl FleetSim {
                         object_store_s,
                     };
                     let target = self.router.route(req, &views);
-                    assert!(
-                        members.is_alive(target),
-                        "router selected dead replica {target}"
-                    );
                     let r = &mut replicas[target];
                     let start = r.busy_until.max(t);
                     // Miss cost: nearest holder wins; an in-flight fetch
@@ -606,7 +474,6 @@ impl FleetSim {
                                 model: req.model,
                             },
                         );
-                        work_events += 1;
                         tracer.emit(|| TraceEvent::SwapStart {
                             delta: req.model,
                             at: start,
@@ -639,7 +506,6 @@ impl FleetSim {
                                         model: req.model,
                                     },
                                 );
-                                work_events += 1;
                             }
                         }
                     }
@@ -660,7 +526,6 @@ impl FleetSim {
                             id: req.id,
                         },
                     );
-                    work_events += 1;
                     tracer.emit(|| TraceEvent::RequestQueued {
                         id: req.id,
                         model: req.model,
@@ -686,7 +551,6 @@ impl FleetSim {
             router: self.router.name().to_string(),
             n_replicas: n,
             served,
-            shed,
             warm_hits,
             fetches,
             mean_e2e_s: e2e.mean().unwrap_or(0.0),
@@ -695,7 +559,6 @@ impl FleetSim {
             max_e2e_s: e2e.quantile(1.0).unwrap_or(0.0),
             makespan_s: makespan,
             events: popped,
-            peak_live: members.max_live,
             event_log: log,
             tracks,
         }
@@ -722,31 +585,10 @@ impl FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{Brownout, FaultEvent};
     use crate::cluster::{
         ConsistentHashRouter, LeastCostRouter, PowerOfTwoRouter, RoundRobinRouter,
     };
     use dz_workload::{PopularityDist, TraceSpec};
-
-    fn crash(at: f64, replica: usize, restart_after_s: Option<f64>) -> FaultEvent {
-        FaultEvent {
-            at,
-            kind: FaultKind::Crash {
-                replica,
-                restart_after_s,
-            },
-        }
-    }
-
-    fn fault_times(rep: &FleetReport) -> Vec<f64> {
-        rep.event_log
-            .as_ref()
-            .expect("recording enabled")
-            .iter()
-            .filter(|e| e.class == CLASS_FAULT)
-            .map(|e| e.at)
-            .collect()
-    }
 
     fn small_trace(seed: u64) -> Trace {
         Trace::generate_fast(TraceSpec {
@@ -806,8 +648,7 @@ mod tests {
             };
             let a = run();
             let b = run();
-            assert_eq!(a.served + a.shed, tr.len(), "{}", a.router);
-            assert_eq!(a.shed, 0);
+            assert_eq!(a.served, tr.len(), "{}", a.router);
             assert!(a.p99_e2e_s >= a.p50_e2e_s && a.p50_e2e_s > 0.0);
             assert_eq!(
                 a.event_log.as_deref(),
@@ -835,112 +676,6 @@ mod tests {
         // edge-replicates to the local disk.
         assert!(rep.fetches.object_store as usize <= tr.spec.n_models);
         assert!(rep.warm_hits + rep.fetches.local_disk > 0);
-    }
-
-    #[test]
-    fn faults_lose_warmth_but_not_disk() {
-        let tr = small_trace(13);
-        let mut cfg = FleetConfig::new(4);
-        // Two crashes on one replica, each with its own restart delay.
-        cfg.faults = FaultPlan::scripted(vec![crash(5.0, 0, Some(3.0)), crash(20.0, 0, Some(7.0))]);
-        cfg.record_events = true;
-        let plan = plan_for(&tr, 4);
-        let rep = FleetSim::new(cfg, plan, Box::new(PowerOfTwoRouter::new(3))).run(&tr);
-        assert_eq!(rep.served + rep.shed, tr.len());
-        assert_eq!(rep.shed, 0, "three live replicas remain during the outage");
-        // Kills and restarts all appear, in order, at the right times.
-        assert_eq!(fault_times(&rep), [5.0, 8.0, 20.0, 27.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "Degrade faults are unsupported")]
-    fn degrade_faults_are_rejected() {
-        let mut cfg = FleetConfig::new(2);
-        // One brownout, no crashes.
-        cfg.faults = FaultPlan::scripted(vec![FaultEvent {
-            at: 2.0,
-            kind: FaultKind::Degrade {
-                replica: 1,
-                brownout: Brownout {
-                    start_s: 2.0,
-                    end_s: 22.0,
-                    disk_rate: 0.25,
-                    pcie_rate: 0.25,
-                },
-            },
-        }]);
-        let _ = FleetSim::new(
-            cfg,
-            PlacementPlan::from_weights(&[], 2),
-            Box::new(RoundRobinRouter::new()),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "names replica 2 of 2")]
-    fn faults_beyond_the_fleet_are_rejected() {
-        let mut cfg = FleetConfig::new(2);
-        cfg.faults = FaultPlan::scripted(vec![crash(1.0, 2, None)]);
-        let _ = FleetSim::new(
-            cfg,
-            PlacementPlan::from_weights(&[], 2),
-            Box::new(RoundRobinRouter::new()),
-        );
-    }
-
-    /// Eight replicas, 4..8 crashed at t=0 with `restart` as their
-    /// restart delay, at 40 rps under `autoscale`.
-    fn half_crashed_fleet(restart: Option<f64>, autoscale: Option<Autoscaler>) -> FleetReport {
-        let tr = Trace::generate_fast(TraceSpec {
-            n_models: 16,
-            arrival_rate: 40.0,
-            duration_s: 30.0,
-            popularity: PopularityDist::Zipf { alpha: 1.2 },
-            seed: 17,
-        });
-        let mut cfg = FleetConfig::new(8);
-        cfg.autoscale = autoscale;
-        cfg.faults = FaultPlan::scripted((4..8).map(|r| crash(0.0, r, restart)).collect());
-        cfg.record_events = true;
-        let plan = plan_for(&tr, 8);
-        let rep = FleetSim::new(cfg, plan, Box::new(PowerOfTwoRouter::new(5))).run(&tr);
-        assert_eq!(rep.served + rep.shed, tr.len());
-        rep
-    }
-
-    /// Scales up past 0.5 s of mean backlog, every 1 s, no cooldown.
-    fn eager_scaler(down_backlog_s: f64) -> Autoscaler {
-        Autoscaler {
-            min_replicas: 2,
-            max_replicas: 8,
-            up_backlog_s: 0.5,
-            down_backlog_s,
-            interval_s: 1.0,
-            cooldown_s: 0.0,
-        }
-    }
-
-    #[test]
-    fn autoscaler_activates_dormant_capacity_under_load() {
-        // No restarts: high load must activate the dormant replicas, and
-        // never count one twice.
-        let rep = half_crashed_fleet(None, Some(eager_scaler(0.01)));
-        assert!(rep.peak_live > 4, "autoscaler must add capacity");
-        assert!(rep.peak_live <= 8, "peak_live {} > 8", rep.peak_live);
-    }
-
-    #[test]
-    fn autoscaler_leaves_pending_restarts_to_their_restart() {
-        // The crashed half restarts at t=10 on its own. Scale-up may not
-        // activate it early, and with scale-down disabled the autoscaler
-        // has nothing left to do: the run must equal one without it.
-        let scaled = half_crashed_fleet(Some(10.0), Some(eager_scaler(0.0)));
-        let fixed = half_crashed_fleet(Some(10.0), None);
-        assert_eq!(scaled.peak_live, 8);
-        assert_eq!(fault_times(&scaled), [vec![0.0; 4], vec![10.0; 4]].concat());
-        assert_eq!(scaled.mean_e2e_s.to_bits(), fixed.mean_e2e_s.to_bits());
-        assert_eq!(scaled.warm_hits, fixed.warm_hits);
-        assert_eq!(scaled.fetches.total(), fixed.fetches.total());
     }
 
     #[test]

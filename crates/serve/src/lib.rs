@@ -47,9 +47,7 @@ pub mod variant;
 pub mod vllm_scb;
 
 pub use builder::EngineBuilder;
-pub use chaos::{
-    Autoscaler, Brownout, ChaosConfig, ChaosStats, FaultEvent, FaultKind, FaultPlan, Rollout,
-};
+pub use chaos::{Autoscaler, ChaosConfig, ChaosStats, FaultEvent, FaultKind, FaultPlan, Rollout};
 pub use cluster::{
     AdmissionConfig, ClusterConfig, ClusterReport, ClusterSim, ConsistentHashRouter,
     LeastCostRouter, LeastLoadedRouter, PlacementAwareRouter, PlacementPlan, PowerOfTwoRouter,

@@ -42,36 +42,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Absolute-time comparison slack for the timeline's event stepping.
 const EPS: f64 = 1e-12;
 
-/// Floor on a browned-out channel's rate: a brownout slows a channel, it
-/// never parks it forever (a zero rate would wedge `advance_to(INF)`).
-const MIN_CHANNEL_RATE: f64 = 1e-3;
-
-/// A degraded-channel fault: while `[start_s, end_s)` is active, the
-/// disk and/or PCIe channels run at a fraction of their healthy
-/// bandwidth. Injected by the chaos layer
-/// ([`FaultKind::Degrade`](crate::chaos::FaultKind::Degrade)) and honored by
-/// [`TransferTimeline::advance_to`]; overlapping intervals compound by
-/// taking the slowest rate per channel.
-///
-/// Serial latency stages (`head_s`, `tail_s`) and the pipelined floor
-/// are unaffected — a brownout is a bandwidth fault, not a latency one.
-/// The extra wall time a load spends under a brownout lands in the
-/// contention side of the stall attribution (the load took longer than
-/// its healthy-channel `solo_s`), so "where did the p99 go" answers
-/// "the disk browned out" as channel contention, which is what it is.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Brownout {
-    /// Fault start (absolute simulation seconds, inclusive).
-    pub start_s: f64,
-    /// Fault end (absolute simulation seconds, exclusive).
-    pub end_s: f64,
-    /// Disk channel rate while active (fraction of healthy bandwidth,
-    /// clamped to `[1e-3, 1.0]`).
-    pub disk_rate: f64,
-    /// PCIe channel rate while active (same clamping).
-    pub pcie_rate: f64,
-}
-
 /// One load decomposed into stages. All stage fields are *solo seconds*:
 /// the time the stage takes when the load has a channel to itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -200,7 +170,6 @@ pub struct TransferTimeline {
     now: f64,
     seq: u64,
     active: Vec<Active>,
-    brownouts: Vec<Brownout>,
 }
 
 impl TransferTimeline {
@@ -222,43 +191,6 @@ impl TransferTimeline {
     /// Number of in-flight prefetch loads.
     pub fn in_flight_prefetches(&self) -> usize {
         self.active.iter().filter(|a| a.kind.is_prefetch()).count()
-    }
-
-    /// Installs a degraded-channel fault schedule. Intervals may overlap
-    /// (the slowest rate per channel wins) and need not be sorted.
-    pub fn set_brownouts(&mut self, schedule: Vec<Brownout>) {
-        self.brownouts = schedule;
-    }
-
-    /// (disk, PCIe) channel rates in effect at absolute time `t` under a
-    /// brownout schedule: overlapping windows compound by taking the
-    /// slowest rate per channel. [`ClusterSim`](crate::cluster::ClusterSim)
-    /// scales its router's load estimates by the same rates.
-    pub(crate) fn channel_rates_at(schedule: &[Brownout], t: f64) -> (f64, f64) {
-        let mut disk = 1.0f64;
-        let mut pcie = 1.0f64;
-        for b in schedule {
-            if t >= b.start_s - EPS && t < b.end_s - EPS {
-                disk = disk.min(b.disk_rate);
-                pcie = pcie.min(b.pcie_rate);
-            }
-        }
-        (
-            disk.clamp(MIN_CHANNEL_RATE, 1.0),
-            pcie.clamp(MIN_CHANNEL_RATE, 1.0),
-        )
-    }
-
-    /// The earliest brownout boundary strictly after `t`, if any: rates
-    /// are constant between boundaries, so `advance_to` steps to them.
-    fn next_rate_boundary_after(&self, t: f64) -> Option<f64> {
-        self.brownouts
-            .iter()
-            .flat_map(|b| [b.start_s, b.end_s])
-            .filter(|&x| x > t + EPS)
-            .fold(None, |acc: Option<f64>, x| {
-                Some(acc.map_or(x, |a| a.min(x)))
-            })
     }
 
     /// Starts a load at the current clock.
@@ -317,7 +249,6 @@ impl TransferTimeline {
             now: self.now,
             seq: self.seq,
             active: self.active.clone(),
-            brownouts: self.brownouts.clone(),
         };
         let adv = probe.advance_to(f64::INFINITY);
         adv.completions.first().map(|c| c.at)
@@ -372,10 +303,7 @@ impl TransferTimeline {
                 .filter(|a| a.head_left <= EPS && a.pcie_left > EPS)
                 .count()
                 .max(1);
-            // Channel rates (brownouts) are constant between boundaries.
-            let (disk_rate, pcie_rate) = Self::channel_rates_at(&self.brownouts, self.now);
-            // Earliest event: a stage draining, a floor passing, a
-            // brownout boundary, or `t`.
+            // Earliest event: a stage draining, a floor passing, or `t`.
             let mut dt = if t.is_finite() {
                 t - self.now
             } else {
@@ -386,19 +314,16 @@ impl TransferTimeline {
                     dt = dt.min(a.head_left);
                 } else if a.disk_left > EPS || a.pcie_left > EPS {
                     if a.disk_left > EPS {
-                        dt = dt.min(a.disk_left * disk_users as f64 / disk_rate);
+                        dt = dt.min(a.disk_left * disk_users as f64);
                     }
                     if a.pcie_left > EPS {
-                        dt = dt.min(a.pcie_left * pcie_users as f64 / pcie_rate);
+                        dt = dt.min(a.pcie_left * pcie_users as f64);
                     }
                 } else if a.tail_left > EPS {
                     dt = dt.min(a.tail_left);
                 } else {
                     dt = dt.min((a.min_finish_at - self.now).max(0.0));
                 }
-            }
-            if let Some(boundary) = self.next_rate_boundary_after(self.now) {
-                dt = dt.min(boundary - self.now);
             }
             let dt = dt.max(0.0);
             if dt <= EPS {
@@ -410,10 +335,10 @@ impl TransferTimeline {
                     a.head_left = (a.head_left - dt).max(0.0);
                 } else if a.disk_left > EPS || a.pcie_left > EPS {
                     if a.disk_left > EPS {
-                        a.disk_left = (a.disk_left - dt * disk_rate / disk_users as f64).max(0.0);
+                        a.disk_left = (a.disk_left - dt / disk_users as f64).max(0.0);
                     }
                     if a.pcie_left > EPS {
-                        a.pcie_left = (a.pcie_left - dt * pcie_rate / pcie_users as f64).max(0.0);
+                        a.pcie_left = (a.pcie_left - dt / pcie_users as f64).max(0.0);
                     }
                 } else if a.tail_left > EPS {
                     a.tail_left = (a.tail_left - dt).max(0.0);
@@ -597,10 +522,7 @@ impl Residency {
         cost: CostModel,
         cfg: &DeltaZipConfig,
         store: Option<DeltaStoreBinding>,
-        brownouts: Vec<Brownout>,
     ) -> Self {
-        let mut timeline = TransferTimeline::new();
-        timeline.set_brownouts(brownouts);
         Residency {
             cost,
             overlap: cfg.overlap_swaps,
@@ -613,7 +535,7 @@ impl Residency {
                 Some(binding) => HostTier::Store(Box::new(binding)),
                 None => HostTier::Synthetic(BTreeMap::new()),
             },
-            timeline,
+            timeline: TransferTimeline::new(),
             loading: BTreeMap::new(),
             load_is_prefetch: BTreeSet::new(),
             prefetched_warm: BTreeSet::new(),
@@ -1232,84 +1154,6 @@ mod tests {
         let c = &adv.completions[0];
         assert_eq!(c.started_at, 1.0);
         assert!((c.solo_s - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn brownout_halves_disk_bandwidth_while_active() {
-        let mut tl = TransferTimeline::new();
-        tl.set_brownouts(vec![Brownout {
-            start_s: 0.0,
-            end_s: 10.0,
-            disk_rate: 0.5,
-            pcie_rate: 1.0,
-        }]);
-        tl.start(
-            profile(0.0, 1.0, 0.0, 0.0, 0.0),
-            LoadKind::Demand { delta: 0 },
-        );
-        let adv = tl.advance_to(f64::INFINITY);
-        assert!((adv.completions[0].at - 2.0).abs() < 1e-9);
-        // solo_s still reports the healthy-channel duration: the extra
-        // second is attributed to contention, i.e. the brownout.
-        assert!((adv.completions[0].solo_s - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn brownout_boundary_splits_the_drain() {
-        // Brownout covers only the first second: 0.5 solo-seconds drain
-        // during it, the rest at full rate -> finish at 1.5.
-        let mut tl = TransferTimeline::new();
-        tl.set_brownouts(vec![Brownout {
-            start_s: 0.0,
-            end_s: 1.0,
-            disk_rate: 0.5,
-            pcie_rate: 1.0,
-        }]);
-        tl.start(
-            profile(0.0, 1.0, 0.0, 0.0, 0.0),
-            LoadKind::Demand { delta: 0 },
-        );
-        let adv = tl.advance_to(f64::INFINITY);
-        assert!(
-            (adv.completions[0].at - 1.5).abs() < 1e-9,
-            "{}",
-            adv.completions[0].at
-        );
-    }
-
-    #[test]
-    fn brownout_leaves_other_channel_untouched() {
-        let mut tl = TransferTimeline::new();
-        tl.set_brownouts(vec![Brownout {
-            start_s: 0.0,
-            end_s: 10.0,
-            disk_rate: 0.25,
-            pcie_rate: 1.0,
-        }]);
-        tl.start(
-            profile(0.0, 0.0, 1.0, 0.0, 0.0),
-            LoadKind::Demand { delta: 0 },
-        );
-        let adv = tl.advance_to(f64::INFINITY);
-        assert!((adv.completions[0].at - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn probe_accounts_for_brownouts() {
-        let mut tl = TransferTimeline::new();
-        tl.set_brownouts(vec![Brownout {
-            start_s: 0.0,
-            end_s: 10.0,
-            disk_rate: 0.5,
-            pcie_rate: 1.0,
-        }]);
-        tl.start(
-            profile(0.0, 1.0, 0.0, 0.0, 0.0),
-            LoadKind::Demand { delta: 0 },
-        );
-        let predicted = tl.next_completion_at().expect("load in flight");
-        let adv = tl.advance_to(f64::INFINITY);
-        assert!((adv.completions[0].at - predicted).abs() < 1e-9);
     }
 
     #[test]

@@ -4,10 +4,9 @@
 //! `[0, 1]`.
 
 use dz_gpusim::{ModelShape, NodeSpec};
-use dz_serve::cluster::PlacementPlan;
 use dz_serve::{
     Autoscaler, ChaosConfig, ClusterConfig, ClusterSim, ConsistentHashRouter, CostModel,
-    FleetConfig, FleetSim, RoundRobinRouter, VariantSpec,
+    RoundRobinRouter, VariantSpec,
 };
 
 #[test]
@@ -42,15 +41,4 @@ fn cluster_zero_autoscaler_interval_is_rejected() {
         autoscaler: Some(scaler_every(0.0)),
         ..ChaosConfig::default()
     });
-}
-
-#[test]
-#[should_panic(expected = "autoscaler interval_s NaN must be finite and positive")]
-fn fleet_non_finite_autoscaler_interval_is_rejected() {
-    let cfg = FleetConfig {
-        autoscale: Some(scaler_every(f64::NAN)),
-        ..FleetConfig::new(2)
-    };
-    let plan = PlacementPlan::from_weights(&[], 2);
-    FleetSim::new(cfg, plan, Box::new(RoundRobinRouter::new()));
 }

@@ -1,6 +1,6 @@
 //! Chaos & elasticity: replica crashes, zero-capacity degradation,
-//! autoscaling, brownouts, and rolling rollouts against the cluster
-//! simulator — plus the liveness contracts the routers must honor.
+//! autoscaling, and rolling rollouts against the cluster simulator —
+//! plus the liveness contracts the routers must honor.
 
 use dz_gpusim::shapes::ModelShape;
 use dz_gpusim::spec::NodeSpec;
@@ -10,8 +10,8 @@ use dz_serve::cluster::{
     ReplicaViews, RoundRobinRouter, Router, ViewSlice,
 };
 use dz_serve::{
-    Autoscaler, ChaosConfig, CostModel, DeltaZipConfig, FaultEvent, FaultKind, FaultPlan,
-    FleetConfig, FleetSim, Rollout, SloClass, SloPolicy, TraceConfig,
+    Autoscaler, ChaosConfig, CostModel, DeltaZipConfig, FaultEvent, FaultKind, FaultPlan, Rollout,
+    SloClass, SloPolicy, TraceConfig,
 };
 use dz_workload::{PopularityDist, Request, Trace, TraceSpec};
 
@@ -310,24 +310,6 @@ fn no_router_ever_selects_a_dead_replica() {
 }
 
 #[test]
-#[should_panic(expected = "router selected dead replica 0")]
-fn fleet_refuses_a_route_to_a_dead_replica() {
-    struct AlwaysZero;
-    impl Router for AlwaysZero {
-        fn name(&self) -> String {
-            "always-zero".into()
-        }
-        fn route(&mut self, _req: &Request, _views: &dyn ReplicaViews) -> usize {
-            0
-        }
-    }
-    let mut cfg = FleetConfig::new(2);
-    cfg.faults = FaultPlan::scripted(vec![crash(0.0, 0, None)]);
-    let plan = PlacementPlan::from_weights(&[], 2);
-    FleetSim::new(cfg, plan, Box::new(AlwaysZero)).run(&trace(3, 2.0, 5.0));
-}
-
-#[test]
 fn hash_ring_is_rebuilt_only_when_the_epoch_moves() {
     let mut router = ConsistentHashRouter::new(4);
     let mut views: Vec<ReplicaView> = (0..4).map(|id| live_view(id, true, false)).collect();
@@ -600,50 +582,6 @@ fn rollout_is_reproducible_from_the_seed() {
                 .zip(&a.merged.records)
                 .any(|(x, y)| x.model != y.model),
         "a different seed should flip at least one coin differently"
-    );
-}
-
-// -- brownouts ------------------------------------------------------------
-
-#[test]
-fn disk_brownout_inflates_latency_on_the_degraded_replica() {
-    let tr = trace(43, 2.0, 60.0);
-    let run = |plan: FaultPlan| {
-        let mut sim = ClusterSim::new(
-            vec![cost(); 1],
-            ClusterConfig {
-                n_replicas: 1,
-                engine: DeltaZipConfig {
-                    host_capacity_deltas: Some(3),
-                    ..DeltaZipConfig::default()
-                },
-                ..ClusterConfig::default()
-            },
-            Box::new(RoundRobinRouter::new()),
-        )
-        .with_chaos(ChaosConfig::faults(plan, 0));
-        sim.run(&tr)
-    };
-    let healthy = run(FaultPlan::none());
-    let browned = run(FaultPlan::scripted(vec![FaultEvent {
-        at: 10.0,
-        kind: FaultKind::Degrade {
-            replica: 0,
-            brownout: dz_serve::Brownout {
-                start_s: 10.0,
-                end_s: 50.0,
-                disk_rate: 0.05,
-                pcie_rate: 0.5,
-            },
-        },
-    }]));
-    assert_eq!(browned.chaos.as_ref().unwrap().brownouts, 1);
-    assert_eq!(browned.merged.len(), tr.len());
-    assert!(
-        browned.merged.mean_e2e() > healthy.merged.mean_e2e(),
-        "a 20x disk brownout must hurt: {} vs {}",
-        browned.merged.mean_e2e(),
-        healthy.merged.mean_e2e()
     );
 }
 

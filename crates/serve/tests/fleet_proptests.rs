@@ -6,8 +6,8 @@
 use dz_gpusim::EventQueue;
 use dz_serve::cluster::PlacementPlan;
 use dz_serve::{
-    Autoscaler, ConsistentHashRouter, FaultEvent, FaultKind, FaultPlan, FleetConfig, FleetSim,
-    LeastCostRouter, PowerOfTwoRouter, RoundRobinRouter, Router,
+    ConsistentHashRouter, FleetConfig, FleetSim, LeastCostRouter, PowerOfTwoRouter,
+    RoundRobinRouter, Router,
 };
 use dz_workload::{PopularityDist, Trace, TraceSpec};
 use proptest::prelude::*;
@@ -31,22 +31,6 @@ fn router((kind, vnodes): (u8, usize), seed: u64) -> Box<dyn Router> {
         2 => Box::new(PowerOfTwoRouter::new(seed)),
         _ => Box::new(LeastCostRouter::default()),
     }
-}
-
-fn arb_faults(n_replicas: usize) -> impl Strategy<Value = FaultPlan> {
-    proptest::collection::vec(
-        (0.0f64..40.0, 0..n_replicas as u32, 1.0f64..30.0).prop_map(|(at, replica, down_s)| {
-            FaultEvent {
-                at,
-                kind: FaultKind::Crash {
-                    replica: replica as usize,
-                    restart_after_s: Some(down_s),
-                },
-            }
-        }),
-        0..4,
-    )
-    .prop_map(FaultPlan::scripted)
 }
 
 proptest! {
@@ -108,16 +92,14 @@ proptest! {
         prop_assert_eq!(marked, vec![0, 1]);
     }
 
-    /// Replaying a [`FleetSim`] with the same seed, trace, faults, and
-    /// router yields a bit-identical event log and tail.
+    /// Replaying a [`FleetSim`] with the same seed, trace and router
+    /// yields a bit-identical event log and tail.
     #[test]
     fn same_seed_fleet_replay_is_bit_identical(
         seed in any::<u64>(),
         n_replicas in 2usize..8,
         rate in 1.0f64..8.0,
         choice in arb_router(),
-        faults in arb_faults(8),
-        autoscale in any::<bool>(),
     ) {
         let trace = Trace::generate_fast(TraceSpec {
             n_models: 32,
@@ -127,29 +109,9 @@ proptest! {
             seed,
         });
         let weights = PopularityDist::Zipf { alpha: 1.2 }.weights(32);
-        // The fleet rejects faults on replicas it does not have.
-        let faults = FaultPlan::scripted(
-            faults
-                .events()
-                .iter()
-                .copied()
-                .filter(|e| matches!(e.kind, FaultKind::Crash { replica, .. } if replica < n_replicas))
-                .collect(),
-        );
         let run = || {
             let mut cfg = FleetConfig::new(n_replicas);
-            cfg.faults = faults.clone();
             cfg.record_events = true;
-            if autoscale {
-                cfg.autoscale = Some(Autoscaler {
-                    min_replicas: 1,
-                    max_replicas: n_replicas,
-                    up_backlog_s: 1.0,
-                    down_backlog_s: 0.1,
-                    interval_s: 5.0,
-                    cooldown_s: 0.0,
-                });
-            }
             let plan = PlacementPlan::from_weights(&weights, n_replicas);
             FleetSim::new(cfg, plan, router(choice, seed)).run(&trace)
         };
@@ -164,7 +126,6 @@ proptest! {
             prop_assert_eq!(ea.key, eb.key);
         }
         prop_assert_eq!(a.served, b.served);
-        prop_assert_eq!(a.shed, b.shed);
         prop_assert_eq!(a.p99_e2e_s.to_bits(), b.p99_e2e_s.to_bits());
         // And the log itself is time-monotone: the heap's clock contract
         // holds end-to-end through every handler.
