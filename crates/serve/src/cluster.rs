@@ -385,20 +385,21 @@ impl PlacementPlan {
 ///
 /// Score of a replica = estimated backlog seconds + the cold-load penalty
 /// if the delta is not warm there, so "host-cache hit beats disk miss"
-/// and queue depth both count. With `rebalance_every = Some(k)`, the plan
-/// is re-derived from observed traffic every `k` routed requests —
-/// popularity drift migrates deltas to new homes.
+/// and queue depth both count. The plan is re-derived from observed
+/// traffic every 512 routed requests, so popularity drift migrates deltas
+/// to new homes; [`pinned`](Self::pinned) keeps the initial plan.
 #[derive(Debug)]
 pub struct PlacementAwareRouter {
     plan: PlacementPlan,
     /// Extra backlog (s) a home replica may carry before the router
     /// spills the request to the globally cheapest replica.
-    pub spill_margin_s: f64,
+    spill_margin_s: f64,
     /// Re-derive the plan from observed counts every this many requests;
     /// `None` keeps the initial plan for the whole run.
-    pub rebalance_every: Option<usize>,
-    /// Delta migrations (home-set changes) rebalancing has triggered.
-    pub migrations: usize,
+    rebalance_every: Option<usize>,
+    /// Delta migrations (home-set changes) rebalancing has triggered,
+    /// read through [`Router::migrations`].
+    migrations: usize,
     counts: Vec<u64>,
     routed: usize,
     /// Live mask observed at the last routing decision; a change (crash,
