@@ -274,6 +274,7 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dz_tensor::Rng;
     use dz_workload::Request;
 
     fn planner(config: DeltaZipConfig) -> Planner {
@@ -427,5 +428,159 @@ mod tests {
         assert_eq!(a.admitted, vec![(2, None)]);
         // and with request 3 starving, the dead link still never matches.
         assert!(p.preempt(&[2], &queue(&[3]), &[1], &st, &a).is_empty());
+    }
+
+    /// A planner and a request pool drawn from `rng`: up to eight models,
+    /// each served as one kind, up to 24 requests with short outputs, and
+    /// random caps and policies.
+    fn random_case(rng: &mut Rng) -> (Planner, Vec<ReqState>) {
+        let n_models = 1 + rng.below(8);
+        let kinds: Vec<VariantKind> = (0..n_models)
+            .map(|_| match rng.below(4) {
+                0 => VariantKind::Base,
+                1 => VariantKind::Lora { rank: 8 },
+                2 => VariantKind::Delta,
+                _ => VariantKind::Stacked { rank: 8 },
+            })
+            .collect();
+        let pool: Vec<(usize, VariantKind)> = (0..1 + rng.below(24))
+            .map(|_| {
+                let model = rng.below(n_models);
+                (model, kinds[model])
+            })
+            .collect();
+        let mut st = states(&pool);
+        for s in &mut st {
+            s.req.output_tokens = 1 + rng.below(8);
+        }
+        let config = DeltaZipConfig {
+            max_concurrent_deltas: 1 + rng.below(4),
+            max_batch: 1 + rng.below(12),
+            max_toppings_per_batch: (rng.below(2) == 0).then(|| 1 + rng.below(4)),
+            segregate_kinds: rng.below(2) == 0,
+            skip_the_line: rng.below(4) != 0,
+            preemption: match rng.below(3) {
+                0 => PreemptionPolicy::Never,
+                1 => PreemptionPolicy::ParentFinish,
+                _ => PreemptionPolicy::LengthAware {
+                    spare_tokens: rng.below(4),
+                },
+            },
+            ..DeltaZipConfig::default()
+        };
+        (planner(config), st)
+    }
+
+    /// Drives one seeded case the way the engine drives the planner: a few
+    /// arrivals, admit, one decode token for every running request,
+    /// finish, preempt. Every admission and preemption is checked against
+    /// the planner's rules, restated here from the batch itself.
+    fn check_case(seed: u64) {
+        let mut rng = Rng::seeded(seed);
+        let (mut p, mut st) = random_case(&mut rng);
+        let cfg = p.config;
+        let toppings_cap = cfg.max_toppings_per_batch.unwrap_or(usize::MAX);
+        let mut queue = BTreeSet::new();
+        let mut running: Vec<usize> = Vec::new();
+        let mut arrived = 0;
+        for t in 0..64 {
+            let next = (arrived + rng.below(4)).min(st.len());
+            queue.extend(arrived..next);
+            arrived = next;
+
+            let a = p.admit(&queue, &st, &running, t as f64);
+            let batch: Vec<usize> = running
+                .iter()
+                .copied()
+                .chain(a.admitted.iter().map(|&(qid, _)| qid))
+                .collect();
+            let models_where = |keep: fn(VariantKind) -> bool| -> BTreeSet<usize> {
+                batch
+                    .iter()
+                    .filter(|&&i| keep(st[i].kind))
+                    .map(|&i| st[i].req.model)
+                    .collect()
+            };
+            // At most `N` deltas, and they are exactly the batch's.
+            let deltas = models_where(VariantKind::needs_delta);
+            assert_eq!(a.selected, deltas, "seed {seed}, t {t}");
+            assert!(
+                deltas.len() <= cfg.max_concurrent_deltas,
+                "seed {seed}, t {t}: {} deltas under N = {}",
+                deltas.len(),
+                cfg.max_concurrent_deltas
+            );
+            // The toppings and batch caps, and segregated pools.
+            let toppings = models_where(VariantKind::is_topping);
+            assert_eq!(a.toppings_in_batch, toppings, "seed {seed}, t {t}");
+            assert!(toppings.len() <= toppings_cap, "seed {seed}, t {t}");
+            assert!(batch.len() <= cfg.max_batch, "seed {seed}, t {t}");
+            if cfg.segregate_kinds {
+                let adapters = models_where(|k| matches!(k, VariantKind::Lora { .. }));
+                assert!(
+                    deltas.is_empty() || adapters.is_empty(),
+                    "seed {seed}, t {t}: deltas {deltas:?} share a batch with adapters {adapters:?}"
+                );
+            }
+
+            for &(qid, parent) in &a.admitted {
+                queue.remove(&qid);
+                st[qid].parent = parent;
+                running.push(qid);
+            }
+            for &i in &running {
+                st[i].tokens_done += 1;
+            }
+            let finished: Vec<usize> = running
+                .iter()
+                .copied()
+                .filter(|&i| st[i].tokens_done >= st[i].req.output_tokens)
+                .collect();
+            running.retain(|i| !finished.contains(i));
+
+            let preempted = p.preempt(&finished, &queue, &running, &st, &a);
+            // Preemption only when a queued request was shut out of this
+            // iteration: its delta is not selected, or its adapter is not
+            // in a batch already at the toppings cap.
+            let starving = queue.iter().any(|&q| {
+                let m = st[q].req.model;
+                match st[q].kind {
+                    VariantKind::Base => false,
+                    VariantKind::Lora { .. } => {
+                        !toppings.contains(&m) && toppings.len() >= toppings_cap
+                    }
+                    VariantKind::Delta | VariantKind::Stacked { .. } => !deltas.contains(&m),
+                }
+            });
+            assert!(
+                preempted.is_empty() || (starving && cfg.preemption.enabled()),
+                "seed {seed}, t {t}: {preempted:?} preempted while nobody starves"
+            );
+            // And only a running child whose own parent just finished.
+            for &rid in &preempted {
+                assert!(running.contains(&rid), "seed {seed}, t {t}: {rid}");
+                let parent = st[rid].parent;
+                assert!(
+                    parent.is_some_and(|p| finished.contains(&p)),
+                    "seed {seed}, t {t}: {rid} preempted under parent {parent:?}, finished {finished:?}"
+                );
+            }
+
+            running.retain(|i| !preempted.contains(i));
+            for rid in preempted {
+                st[rid].parent = None;
+                queue.insert(rid);
+            }
+            if arrived == st.len() && queue.is_empty() && running.is_empty() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn planner_rules_hold_over_seeded_queues() {
+        for seed in 0..1024 {
+            check_case(seed);
+        }
     }
 }
