@@ -3,8 +3,7 @@
 //! `bench-lossless` times the two decode paths (tree-walk reference and
 //! LUT fast path) on a packed-delta-like corpus and an incompressible one, then drives a real `.dza` artifact
 //! through [`dz_store::TieredDeltaStore::fetch_decoded`] so the measured
-//! store-level decode throughput — the number the serving cost model now
-//! consumes — appears in the same report. Alongside the rendered markdown
+//! store-level decode throughput appears in the same report. Alongside the rendered markdown
 //! it emits a machine-readable `BENCH_lossless.json` next to the other
 //! experiment artifacts.
 

@@ -10,9 +10,11 @@
 //!   compression metadata ([`manager`]),
 //! * the **Serving Engine** — [`DeltaZip::generate_batch`] actually decodes
 //!   batched requests for *different* variants through the decoupled
-//!   base-plus-SBMM (or SGMV, for adapters) path on CPU, and
-//!   [`DeltaZip::simulate_with_store`] replays traces on the calibrated
-//!   GPU performance model for the paper's end-to-end serving experiments.
+//!   base-plus-SBMM (or SGMV, for adapters) path on CPU, and an
+//!   [`EngineBuilder`] engine replays traces on the calibrated GPU
+//!   performance model for the paper's end-to-end serving experiments
+//!   (a stored artifact's size enters it through
+//!   [`CostModel::with_delta_bytes`]).
 //!
 //! # Examples
 //!
@@ -59,22 +61,19 @@ use dz_model::lora::LoraAdapter;
 use dz_model::rosa::RosaAdapter;
 use dz_model::tasks::Corpus;
 use dz_model::transformer::Params;
-use dz_serve::Engine;
 pub use dz_serve::{
     chrome_trace_json, write_chrome_trace, AttributedRequest, CauseBreakdown, Causes, ToppingKind,
     TraceConfig, TraceEvent, TraceLog, TraceTrack, Tracer, CAUSE_NAMES,
 };
 pub use dz_serve::{
-    ClusterConfig, ClusterReport, ClusterSim, CostModel, DeltaStoreBinding, DeltaZipConfig,
-    EngineBuilder, LeastLoadedRouter, LoadProfile, Metrics, PlacementAwareRouter, PlacementPlan,
+    ClusterConfig, ClusterReport, ClusterSim, CostModel, DeltaZipConfig, EngineBuilder,
+    LeastLoadedRouter, LoadProfile, Metrics, PlacementAwareRouter, PlacementPlan,
     PopularityPrefetch, PrefetchHint, Prefetcher, QueueLookahead, RoundRobinRouter, Router,
     SwapStats, ToppingsStats, TransferTimeline, VariantCatalog, VariantKind, VariantSpec,
 };
 pub use dz_store::{
-    ArtifactId, DecodeStats, DecodeThroughput, DecodedFetch, PrefetchOutcome, Registry,
-    TieredDeltaStore, Warmth,
+    ArtifactId, DecodeStats, DecodeThroughput, DecodedFetch, Registry, TieredDeltaStore,
 };
-use dz_workload::Trace;
 pub use manager::{params_hash, BaseId, ModelManager, VariantArtifact, VariantId, VariantInfo};
 
 /// Errors surfaced by the public API.
@@ -341,26 +340,6 @@ impl DeltaZip {
     ) -> Result<VariantId, DzError> {
         self.manager
             .register_variant_from_artifact(base, registry, id)
-    }
-
-    /// Replays a trace with the engine bound to a tiered artifact store:
-    /// per-request load waits reflect each artifact's real compressed
-    /// bytes (host hit → PCIe only; miss → disk + PCIe). Returns the
-    /// binding so callers can inspect the store's load accounting.
-    pub fn simulate_with_store(
-        &self,
-        trace: &Trace,
-        cost: CostModel,
-        config: DeltaZipConfig,
-        binding: DeltaStoreBinding,
-    ) -> (Metrics, DeltaStoreBinding) {
-        let mut engine = EngineBuilder::new(cost)
-            .scheduler(config)
-            .store(binding)
-            .build();
-        let metrics = engine.run(trace);
-        let binding = engine.delta_store.take().expect("binding attached above");
-        (metrics, binding)
     }
 }
 

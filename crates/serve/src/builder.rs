@@ -2,12 +2,12 @@
 //!
 //! [`EngineBuilder`] replaces per-engine `with_*` construction chains:
 //! declare the cost model, the scheduler knobs, the variant catalog, and the
-//! optional store/tracing/prefetch attachments in one place, then
+//! optional tracing/prefetch/policy attachments in one place, then
 //! [`build`](EngineBuilder::build) the unified toppings engine. An
 //! all-adapter catalog makes it the Punica-style adapter baseline.
 
 use crate::cost::CostModel;
-use crate::deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};
+use crate::deltazip::{DeltaZipConfig, DeltaZipEngine};
 use crate::predictor::LengthEstimator;
 use crate::slo::SloPolicy;
 use crate::swap::Prefetcher;
@@ -51,7 +51,6 @@ pub struct EngineBuilder {
     cost: CostModel,
     scheduler: DeltaZipConfig,
     catalog: Option<VariantCatalog>,
-    store: Option<DeltaStoreBinding>,
     tracing: Option<TraceConfig>,
     prefetcher: Option<Box<dyn Prefetcher>>,
     slo: Option<SloPolicy>,
@@ -66,7 +65,6 @@ impl EngineBuilder {
             cost,
             scheduler: DeltaZipConfig::default(),
             catalog: None,
-            store: None,
             tracing: None,
             prefetcher: None,
             slo: None,
@@ -86,13 +84,6 @@ impl EngineBuilder {
     /// catalog's `i`-th spec.
     pub fn catalog(mut self, catalog: VariantCatalog) -> Self {
         self.catalog = Some(catalog);
-        self
-    }
-
-    /// Attaches an artifact store binding: delta loads are charged by the
-    /// bound artifacts' real compressed byte sizes.
-    pub fn store(mut self, binding: DeltaStoreBinding) -> Self {
-        self.store = Some(binding);
         self
     }
 
@@ -132,7 +123,6 @@ impl EngineBuilder {
     pub fn build(self) -> DeltaZipEngine {
         let mut engine = DeltaZipEngine::new(self.cost, self.scheduler);
         engine.catalog = self.catalog;
-        engine.delta_store = self.store;
         engine.prefetcher = self.prefetcher;
         engine.slo_policy = self.slo;
         engine.dynamic_n = self.dynamic_n;
@@ -163,7 +153,6 @@ mod tests {
         let legacy = DeltaZipEngine::new(cost(), DeltaZipConfig::default());
         assert_eq!(built.config.max_batch, legacy.config.max_batch);
         assert!(built.catalog.is_none());
-        assert!(built.delta_store.is_none());
     }
 
     #[test]

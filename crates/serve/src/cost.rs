@@ -48,16 +48,15 @@ pub struct CostModel {
     /// Effective end-to-end model/delta load bandwidth, GB/s. Real systems
     /// are deserialization-bound well below raw PCIe (vLLM loads a 13B
     /// checkpoint in tens of seconds; cf. Figure 16's loading segments).
-    /// With a bound artifact store this static constant is only the
-    /// fallback before the first measured decode; see
-    /// [`delta_load_profile_measured`](Self::delta_load_profile_measured).
+    /// A simulation reads no measured decode speed: this constant prices
+    /// every load's deserialization stage.
     pub effective_load_gbps: f64,
     /// Optional measured artifact size overriding the shape-model delta
-    /// estimate. This is how the delta-compression method zoo couples into
-    /// serving cost without a bound store: `exp bench-compress` measures a
-    /// codec's packed ratio at zoo scale, projects it to this node's model
-    /// shape, and sets the override — every swap-in charge then scales
-    /// with the codec's real bytes.
+    /// estimate, set by [`with_delta_bytes`](Self::with_delta_bytes): the
+    /// one way artifact bytes reach a simulation. `exp bench-compress`
+    /// measures a codec's packed ratio at zoo scale, projects it to this
+    /// node's model shape, and sets the override — every swap-in charge
+    /// then scales with the codec's real bytes.
     pub delta_bytes_override: Option<f64>,
 }
 
@@ -347,10 +346,9 @@ impl CostModel {
         xfer::pcie_channel_s(&self.node, self.per_gpu_bytes(bytes))
     }
 
-    /// Profile of a synthetic host-tier load of `bytes`: the PCIe hop
-    /// pipelined against the static deserialization stage, so `solo_s` is
-    /// the slower of the two. This is the synthetic model, used when no
-    /// artifact store is bound.
+    /// Profile of a host-tier load of `bytes`: the PCIe hop pipelined
+    /// against the static deserialization stage, so `solo_s` is the slower
+    /// of the two.
     pub fn delta_load_profile_bytes(&self, bytes: f64) -> LoadProfile {
         LoadProfile {
             head_s: 20e-6,
@@ -361,7 +359,7 @@ impl CostModel {
         }
     }
 
-    /// Profile of a synthetic cold (disk) load: disk and PCIe stages
+    /// Profile of a cold (disk) load: disk and PCIe stages
     /// pipelined at the slower link, then the serial deserialization tail
     /// (the read cannot fully overlap deserialization).
     pub fn delta_cold_load_profile_bytes(&self, bytes: f64) -> LoadProfile {
@@ -370,56 +368,6 @@ impl CostModel {
             disk_s: self.disk_stage_s(bytes),
             pcie_s: self.pcie_stage_s(bytes),
             tail_s: bytes / (self.effective_load_gbps * 1e9),
-            floor_s: 0.0,
-        }
-    }
-
-    /// Profile of a host-tier load under a *measured* decode throughput
-    /// (compressed GB/s from the artifact store's whole-delta reads): the
-    /// PCIe hop overlapped with decompression, with the static constant
-    /// only as a fallback before the first measurement.
-    pub fn delta_load_profile_measured(&self, bytes: f64, decode_gbps: Option<f64>) -> LoadProfile {
-        let gbps = decode_gbps
-            .filter(|g| g.is_finite() && *g > 0.0)
-            .unwrap_or(self.effective_load_gbps);
-        LoadProfile {
-            head_s: 20e-6,
-            disk_s: 0.0,
-            pcie_s: self.pcie_stage_s(bytes),
-            tail_s: 0.0,
-            floor_s: bytes / (gbps * 1e9),
-        }
-    }
-
-    /// Profile of a measured cold (disk) load: the store-backed loader
-    /// overlaps disk reads with decode, so disk, PCIe and decode are all
-    /// pipelined and `solo_s` is `max(disk + PCIe, decode)`.
-    pub fn delta_cold_load_profile_measured(
-        &self,
-        bytes: f64,
-        decode_gbps: Option<f64>,
-    ) -> LoadProfile {
-        let gbps = decode_gbps
-            .filter(|g| g.is_finite() && *g > 0.0)
-            .unwrap_or(self.effective_load_gbps);
-        LoadProfile {
-            head_s: self.node.storage.latency_s() + 20e-6,
-            disk_s: self.disk_stage_s(bytes),
-            pcie_s: self.pcie_stage_s(bytes),
-            tail_s: 0.0,
-            floor_s: bytes / (gbps * 1e9),
-        }
-    }
-
-    /// Profile of a decode-free swap-in of a host-resident **decoded**
-    /// copy of `raw_bytes`: a pure PCIe transfer, with no decode stage
-    /// (the store's cached decoded copy skips the pipeline).
-    pub fn decoded_load_profile_bytes(&self, raw_bytes: f64) -> LoadProfile {
-        LoadProfile {
-            head_s: 20e-6,
-            disk_s: 0.0,
-            pcie_s: self.pcie_stage_s(raw_bytes),
-            tail_s: 0.0,
             floor_s: 0.0,
         }
     }
@@ -460,14 +408,6 @@ mod tests {
 
     fn cold(cm: &CostModel, bytes: f64) -> f64 {
         cm.delta_cold_load_profile_bytes(bytes).solo_s()
-    }
-
-    fn host_measured(cm: &CostModel, bytes: f64, gbps: Option<f64>) -> f64 {
-        cm.delta_load_profile_measured(bytes, gbps).solo_s()
-    }
-
-    fn cold_measured(cm: &CostModel, bytes: f64, gbps: Option<f64>) -> f64 {
-        cm.delta_cold_load_profile_measured(bytes, gbps).solo_s()
     }
 
     fn model() -> CostModel {
@@ -626,45 +566,11 @@ mod tests {
     }
 
     #[test]
-    fn measured_loads_pipeline_disk_and_decode() {
-        let cm = model();
-        let bytes = 2e8;
-        // A fast measured decoder collapses the cold charge to the physical
-        // path: strictly below the synthetic disk+deserialize sum.
-        let fast = cold_measured(&cm, bytes, Some(1e6));
-        assert!(
-            fast < cold(&cm, bytes),
-            "pipelined cold load must beat the read-then-deserialize sum"
-        );
-        // A slow measured decoder dominates both tiers equally (decode is
-        // the bottleneck on the shared pipeline).
-        let slow_cold = cold_measured(&cm, bytes, Some(0.1));
-        let slow_host = host_measured(&cm, bytes, Some(0.1));
-        assert!(slow_cold >= bytes / (0.1 * 1e9) * 0.999);
-        assert!(slow_host >= bytes / (0.1 * 1e9) * 0.999);
-        // Cold still costs at least as much as a host hit.
-        for gbps in [0.05, 0.5, 5.0, 500.0] {
-            assert!(
-                cold_measured(&cm, bytes, Some(gbps)) >= host_measured(&cm, bytes, Some(gbps)),
-                "cold >= warm at {gbps} GB/s"
-            );
-        }
-        // No measurement yet: falls back to the static constant under the
-        // max() pipeline model.
-        let fallback = host_measured(&cm, bytes, None);
-        assert_eq!(fallback, host(&cm, bytes));
-        // Degenerate measurements are ignored, not divided by.
-        assert!(host_measured(&cm, bytes, Some(0.0)).is_finite());
-        assert!(host_measured(&cm, bytes, Some(f64::NAN)).is_finite());
-    }
-
-    #[test]
     fn load_profiles_solo_times_match_the_scalar_charges() {
         // An uncontended load completes in exactly the closed-form charge
-        // of its path, for every charge flavor: the synthetic pipeline
-        // (host: slower of PCIe and deserialization; cold: the staged disk
-        // copy plus deserialization), the measured one (slower of the
-        // physical path and decode) and the decode-free copy (PCIe only).
+        // of its path: a host hit is the slower of PCIe and
+        // deserialization, a cold load the staged disk copy plus
+        // deserialization.
         for node in [NodeSpec::a800_node(4), NodeSpec::rtx3090_node(1)] {
             let cm = CostModel::new(node, ModelShape::llama7b());
             let physical = |tier, bytes: f64| {
@@ -680,24 +586,6 @@ mod tests {
                     cold(&cm, bytes),
                     physical(xfer::Tier::Disk, bytes) + pipeline
                 );
-                for gbps in [None, Some(0.1), Some(5.0), Some(f64::NAN)] {
-                    let g = gbps
-                        .filter(|g| g.is_finite())
-                        .unwrap_or(cm.effective_load_gbps);
-                    let decode = bytes / (g * 1e9);
-                    assert_eq!(
-                        host_measured(&cm, bytes, gbps),
-                        physical(xfer::Tier::Host, bytes).max(decode)
-                    );
-                    assert_eq!(
-                        cold_measured(&cm, bytes, gbps),
-                        physical(xfer::Tier::Disk, bytes).max(decode)
-                    );
-                }
-                assert_eq!(
-                    cm.decoded_load_profile_bytes(bytes).solo_s(),
-                    physical(xfer::Tier::Host, bytes)
-                );
             }
         }
     }
@@ -712,15 +600,6 @@ mod tests {
         assert_eq!(p.floor_s, 0.0);
         // Prewarming costs strictly less than the full cold demand load.
         assert!(p.solo_s() < cold(&cm, 1e8));
-    }
-
-    #[test]
-    fn decoded_swap_in_skips_the_decode_stage() {
-        // At equal byte counts a decode-free swap-in is pure PCIe, which
-        // beats the deserialization-bound host-hit charge.
-        let cm = model();
-        let bytes = 1e9;
-        assert!(cm.decoded_load_profile_bytes(bytes).solo_s() < host(&cm, bytes));
     }
 
     #[test]

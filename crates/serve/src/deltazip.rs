@@ -35,10 +35,13 @@
 //! toppings cap, skip-the-line, starvation preemption) from the request
 //! states alone, and `run` applies them. Steps 3 and 3b, and every
 //! timeline advance with the wake-ups it brings, belong to the
-//! crate-private `swap::Residency`, which owns GPU and host residency (the
-//! synthetic host LRU or the bound [`DeltaStoreBinding`]), the in-flight
-//! loads, the prefetch budget and the
+//! crate-private `swap::Residency`, which owns GPU and host residency (one
+//! LRU per tier), the in-flight loads, the prefetch budget and the
 //! [`SwapStats`](crate::metrics::SwapStats).
+//!
+//! A run reads nothing but its cost model, config and trace: no real I/O
+//! and no wall clock. Artifact sizes enter through
+//! [`CostModel::with_delta_bytes`].
 
 use crate::cost::CostModel;
 use crate::metrics::{Metrics, ToppingsStats};
@@ -52,7 +55,6 @@ use crate::tuning::DynamicN;
 use crate::variant::{VariantCatalog, VariantKind};
 use crate::Engine;
 use dz_gpusim::kernel::BatchedImpl;
-use dz_store::{ArtifactId, DecodedFetch, TieredDeltaStore};
 use dz_trace::{TraceEvent, Tracer};
 use dz_workload::Trace;
 use std::collections::BTreeSet;
@@ -135,96 +137,6 @@ impl DeltaZipConfig {
     }
 }
 
-/// Binds trace model ids to real artifacts in a [`TieredDeltaStore`], so
-/// the engine charges loads by each artifact's actual compressed bytes
-/// instead of a shape-model estimate.
-pub struct DeltaStoreBinding {
-    store: TieredDeltaStore,
-    /// `artifacts[model_id]` is the artifact serving that trace model.
-    artifacts: Vec<ArtifactId>,
-}
-
-impl DeltaStoreBinding {
-    /// Binds a store and the per-model artifact mapping.
-    pub fn new(store: TieredDeltaStore, artifacts: Vec<ArtifactId>) -> Self {
-        DeltaStoreBinding { store, artifacts }
-    }
-
-    /// The underlying store (load accounting lives here).
-    pub fn store(&self) -> &TieredDeltaStore {
-        &self.store
-    }
-
-    /// Mutable access to the underlying store, so callers can fetch,
-    /// evict or pre-warm artifacts between runs.
-    // dz-lint: allow(dead-pub, "the store-backed tests re-fetch through a served binding to check what stayed resident")
-    pub fn store_mut(&mut self) -> &mut TieredDeltaStore {
-        &mut self.store
-    }
-
-    /// The per-model artifact mapping (`artifacts[model_id]`).
-    pub fn artifacts(&self) -> &[ArtifactId] {
-        &self.artifacts
-    }
-
-    /// The artifact backing a trace model id, if the model is bound.
-    pub fn artifact_of(&self, model: usize) -> Option<&ArtifactId> {
-        self.artifacts.get(model)
-    }
-
-    /// Whether a model's artifact is currently warm (host-resident) in
-    /// the store — the per-replica warmth signal cluster routers score.
-    pub fn is_model_warm(&self, model: usize) -> bool {
-        self.artifact_of(model)
-            .is_some_and(|id| self.store.is_resident(id))
-    }
-
-    /// Compressed byte size of a model's artifact on disk, if bound.
-    pub(crate) fn artifact_bytes(&self, model: usize) -> Option<u64> {
-        self.artifact_of(model)
-            .and_then(|id| self.store.registry().size_of(id).ok())
-    }
-
-    /// Prewarms a model's artifact disk→host through the store's
-    /// [`TieredDeltaStore::prefetch`] API.
-    pub(crate) fn prefetch_model(&mut self, model: usize) {
-        if let Some(id) = self.artifacts.get(model).copied() {
-            let _ = self.store.prefetch(&[id]);
-        }
-    }
-
-    /// Keeps a model's artifact warm in the host cache while the delta is
-    /// consumed from GPU memory (no fetch, no load accounting).
-    pub(crate) fn touch_model(&mut self, model: usize) {
-        if let Some(id) = self.artifacts.get(model) {
-            self.store.touch(id);
-        }
-    }
-
-    /// Measured decode throughput (compressed GB/s) across every load the
-    /// store's whole-delta reads have timed; `None` before the first decode.
-    pub fn measured_decode_gbps(&self) -> Option<f64> {
-        self.store.decode_throughput().effective_gbps()
-    }
-
-    /// Fetches **and decodes** the artifact backing a trace model id,
-    /// updating the store's measured decode throughput.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model has no bound artifact or storage fails — a
-    /// mis-bound engine cannot produce meaningful metrics.
-    pub(crate) fn fetch_for_model(&mut self, model: usize) -> DecodedFetch {
-        let id = self
-            .artifacts
-            .get(model)
-            .unwrap_or_else(|| panic!("model {model} has no bound artifact"));
-        self.store
-            .fetch_decoded(id)
-            .unwrap_or_else(|e| panic!("artifact fetch for model {model} failed: {e}"))
-    }
-}
-
 /// The engine.
 pub struct DeltaZipEngine {
     /// Cost model (hardware + model shape + delta format).
@@ -239,10 +151,6 @@ pub struct DeltaZipEngine {
     /// Optional online `N` controller; overrides `max_concurrent_deltas`
     /// while set.
     pub dynamic_n: Option<DynamicN>,
-    /// Optional artifact-store binding. When set, delta load charges come
-    /// from real `.dza` byte sizes and the store's own disk→host tiering
-    /// replaces the synthetic `host_capacity_deltas` model.
-    pub delta_store: Option<DeltaStoreBinding>,
     /// Optional variant catalog. When set, each request is served per its
     /// model's registered [`VariantKind`] — base requests ride the shared
     /// GEMM for free, LoRA adapters dispatch through SGMV, deltas through
@@ -273,7 +181,6 @@ impl DeltaZipEngine {
             estimator: LengthEstimator::default(),
             slo_policy: None,
             dynamic_n: None,
-            delta_store: None,
             catalog: None,
             prefetcher: None,
             tracer: Tracer::disabled(),
@@ -311,7 +218,7 @@ impl Engine for DeltaZipEngine {
         let mut next_arrival = 0usize;
         let mut t = 0.0f64;
         let mut planner = Planner::detach(self, cfg);
-        let mut res = Residency::new(cost, &cfg, self.delta_store.take());
+        let mut res = Residency::new(cost, &cfg);
         // Detach the tracer so emission closures can borrow engine state.
         let mut tracer = std::mem::take(&mut self.tracer);
 
@@ -576,14 +483,12 @@ impl Engine for DeltaZipEngine {
             }
         }
 
-        // Re-attach the tracer, the store and the scheduling policies so
-        // the caller can harvest them.
+        // Re-attach the tracer and the scheduling policies so the caller
+        // can harvest them.
         self.tracer = tracer;
         planner.reattach(self);
-        let (store, swap) = res.finish();
-        self.delta_store = store;
         Metrics::from_states(self.label(), &states, t)
-            .with_swap(swap)
+            .with_swap(res.finish())
             .with_toppings(toppings)
     }
 }

@@ -55,7 +55,7 @@ pub use cluster::{
     ViewSlice,
 };
 pub use cost::{CostModel, ToppingsIterCost};
-pub use deltazip::{DeltaStoreBinding, DeltaZipConfig, DeltaZipEngine};
+pub use deltazip::{DeltaZipConfig, DeltaZipEngine};
 pub use fleet::{FetchCounts, FetchTier, FleetConfig, FleetLogEntry, FleetReport, FleetSim};
 pub use metrics::{Metrics, SloWindow, SwapStats, ToppingsStats};
 pub use policy::{PreemptionPolicy, ResumePolicy};

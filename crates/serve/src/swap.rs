@@ -20,10 +20,12 @@
 //!   [`QueueLookahead`] scans the FCFS queue beyond the selected `N`,
 //!   [`PopularityPrefetch`] prewarms the head of a [`PopularityDist`].
 //! * `Residency` (crate-private) — the engine's delta residency and swap
-//!   pipeline around the timeline: GPU and host residency, in-flight
-//!   loads, the requests stalled on them, the prefetch budget and the
-//!   [`SwapStats`]. It holds the one function that picks a load profile
-//!   and the one method that advances the timeline.
+//!   pipeline around the timeline: GPU and host residency (one LRU each;
+//!   the host tier is bounded by `host_capacity_deltas` and prices the
+//!   cost model's delta bytes, so no file is read), in-flight loads, the
+//!   requests stalled on them, the prefetch budget and the [`SwapStats`].
+//!   It holds the one function that picks a load profile and the one
+//!   method that advances the timeline.
 //!
 //! [`DeltaZipEngine`](crate::deltazip::DeltaZipEngine)'s planner hands
 //! `Residency` each batch's selected deltas: step 3 starts loads instead
@@ -31,10 +33,9 @@
 //! request stalls only until *its own* delta lands.
 
 use crate::cost::CostModel;
-use crate::deltazip::{DeltaStoreBinding, DeltaZipConfig};
+use crate::deltazip::DeltaZipConfig;
 use crate::metrics::SwapStats;
 use crate::request::ReqState;
-use dz_store::{FetchTier, Warmth};
 use dz_trace::{EvictTier, GaugeSample, TraceEvent, Tracer};
 use dz_workload::PopularityDist;
 use std::collections::{BTreeMap, BTreeSet};
@@ -53,12 +54,12 @@ pub struct LoadProfile {
     pub disk_s: f64,
     /// Work on the shared PCIe channel.
     pub pcie_s: f64,
-    /// Serial tail after the channel work (the synthetic model's
-    /// deserialization stage, which does **not** pipeline with the read).
+    /// Serial tail after the channel work (a cold load's deserialization
+    /// stage, which does **not** pipeline with the read).
     pub tail_s: f64,
     /// Pipelined floor: the load cannot finish earlier than this many
-    /// seconds after it started, however fast the channels drain (the
-    /// measured decode stage, which overlaps the transfer).
+    /// seconds after it started, however fast the channels drain (a host
+    /// hit's deserialization stage, which overlaps the PCIe hop).
     pub floor_s: f64,
 }
 
@@ -458,16 +459,6 @@ const PREFETCH_BURST_S: f64 = 30.0;
 /// Maximum concurrent prefetch transfers.
 const PREFETCH_MAX_INFLIGHT: usize = 2;
 
-/// Where the engine tracks which deltas sit in host DRAM.
-enum HostTier {
-    /// The engine's own LRU (delta -> last-use stamp) over shape-model
-    /// bytes, bounded by `host_capacity_deltas`.
-    Synthetic(BTreeMap<usize, f64>),
-    /// A bound artifact store: its byte-budget LRU decides warmth, and
-    /// loads are priced from real `.dza` bytes and measured decode speed.
-    Store(Box<DeltaStoreBinding>),
-}
-
 /// Which swap counter an advance window's busy time also counts toward.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Window {
@@ -496,7 +487,9 @@ pub(crate) struct Residency {
     gpu_capacity: usize,
     /// GPU-resident deltas with LRU stamps.
     on_gpu: BTreeMap<usize, f64>,
-    host: HostTier,
+    /// Host-DRAM-warm deltas with LRU stamps, bounded by
+    /// `host_capacity_deltas`.
+    host: BTreeMap<usize, f64>,
     timeline: TransferTimeline,
     /// In-flight loads by delta, and which of them are still prefetches.
     loading: BTreeMap<usize, LoadToken>,
@@ -516,13 +509,8 @@ pub(crate) struct Residency {
 }
 
 impl Residency {
-    /// Empty GPU and host tiers under a validated config; `store` replaces
-    /// the synthetic host cache when bound.
-    pub(crate) fn new(
-        cost: CostModel,
-        cfg: &DeltaZipConfig,
-        store: Option<DeltaStoreBinding>,
-    ) -> Self {
+    /// Empty GPU and host tiers under a validated config.
+    pub(crate) fn new(cost: CostModel, cfg: &DeltaZipConfig) -> Self {
         Residency {
             cost,
             overlap: cfg.overlap_swaps,
@@ -531,10 +519,7 @@ impl Residency {
                 .delta_resident_capacity()
                 .max(cfg.max_concurrent_deltas),
             on_gpu: BTreeMap::new(),
-            host: match store {
-                Some(binding) => HostTier::Store(Box::new(binding)),
-                None => HostTier::Synthetic(BTreeMap::new()),
-            },
+            host: BTreeMap::new(),
             timeline: TransferTimeline::new(),
             loading: BTreeMap::new(),
             load_is_prefetch: BTreeSet::new(),
@@ -547,14 +532,9 @@ impl Residency {
         }
     }
 
-    /// Hands back the store binding (if one was bound) and the run's
-    /// swap counters.
-    pub(crate) fn finish(self) -> (Option<DeltaStoreBinding>, SwapStats) {
-        let store = match self.host {
-            HostTier::Store(binding) => Some(*binding),
-            HostTier::Synthetic(_) => None,
-        };
-        (store, self.stats)
+    /// Hands back the run's swap counters.
+    pub(crate) fn finish(self) -> SwapStats {
+        self.stats
     }
 
     /// Whether delta `d` is GPU-resident.
@@ -692,19 +672,11 @@ impl Residency {
             if self.claimed.contains(&d)
                 || self.on_gpu.contains_key(&d)
                 || self.loading.contains_key(&d)
+                || self.host.contains_key(&d)
             {
                 continue;
             }
-            let bytes = match &self.host {
-                HostTier::Store(binding) if binding.is_model_warm(d) => continue,
-                HostTier::Store(binding) => binding
-                    .artifact_bytes(d)
-                    .map(|b| b as f64)
-                    .unwrap_or_else(|| self.cost.delta_bytes()),
-                HostTier::Synthetic(warm) if warm.contains_key(&d) => continue,
-                HostTier::Synthetic(_) => self.cost.delta_bytes(),
-            };
-            let profile = self.cost.prefetch_profile_bytes(bytes);
+            let profile = self.cost.prefetch_profile_bytes(self.cost.delta_bytes());
             if profile.disk_s > self.bucket {
                 continue;
             }
@@ -723,27 +695,15 @@ impl Residency {
         }
     }
 
-    /// Stamps the claimed deltas in every LRU, the store's host cache
-    /// included (a GPU-resident delta must not rot into the store's LRU
-    /// victim while it is still hot).
+    /// Stamps the claimed deltas in both LRUs (a GPU-resident delta must
+    /// not rot into the host LRU's victim while it is still hot).
     fn touch(&mut self, t: f64) {
         for d in &self.claimed {
             if let Some(stamp) = self.on_gpu.get_mut(d) {
                 *stamp = t;
             }
-        }
-        match &mut self.host {
-            HostTier::Synthetic(warm) => {
-                for d in &self.claimed {
-                    if let Some(stamp) = warm.get_mut(d) {
-                        *stamp = t;
-                    }
-                }
-            }
-            HostTier::Store(binding) => {
-                for d in &self.claimed {
-                    binding.touch_model(*d);
-                }
+            if let Some(stamp) = self.host.get_mut(d) {
+                *stamp = t;
             }
         }
     }
@@ -833,39 +793,17 @@ impl Residency {
         queue_depth: usize,
         batch: usize,
     ) -> GaugeSample {
-        let (disk, host, decoded, host_bytes) = match &self.host {
-            HostTier::Store(binding) => {
-                let (mut disk, mut host, mut dec) = (0usize, 0usize, 0usize);
-                for id in binding.artifacts() {
-                    match binding.store().warmth(id) {
-                        Warmth::Disk => disk += 1,
-                        Warmth::Host => host += 1,
-                        Warmth::HostDecoded => dec += 1,
-                    }
-                }
-                (disk, host, dec, binding.store().resident_bytes() as f64)
-            }
-            HostTier::Synthetic(warm) => {
-                let host = warm.len();
-                (
-                    n_models.saturating_sub(host),
-                    host,
-                    0,
-                    host as f64 * self.cost.delta_bytes(),
-                )
-            }
-        };
+        let host = self.host.len();
         GaugeSample {
             at,
             queue_depth,
             batch,
             blocked: self.waiting.len(),
             gpu_resident: self.on_gpu.len(),
-            warmth_disk: disk,
+            warmth_disk: n_models.saturating_sub(host),
             warmth_host: host,
-            warmth_host_decoded: decoded,
             gpu_bytes: self.on_gpu.len() as f64 * self.cost.delta_bytes(),
-            host_bytes,
+            host_bytes: host as f64 * self.cost.delta_bytes(),
             inflight_demand: self.timeline.in_flight() - self.timeline.in_flight_prefetches(),
             inflight_prefetch: self.timeline.in_flight_prefetches(),
             live_replicas: 0,
@@ -874,62 +812,32 @@ impl Residency {
 
     /// Fetches delta `d` through the host tier and prices its swap-in: the
     /// one place a load profile is chosen. Returns the profile and whether
-    /// the fetch hit host DRAM.
-    ///
-    /// The store reports the tier from its byte-budget LRU and the real
-    /// artifact bytes, priced at the measured decode throughput; a
-    /// decode-free hit (the store still held the decoded copy) streams raw
-    /// bytes over PCIe with no decode stage. The synthetic tier prices
-    /// shape-model bytes, warm or cold by the engine's own host LRU.
+    /// the fetch hit host DRAM. Both profiles price the cost model's delta
+    /// bytes, warm or cold by the host LRU.
     fn load_profile(&mut self, d: usize, t: f64, tracer: &mut Tracer) -> (LoadProfile, bool) {
         let cost = self.cost;
-        match &mut self.host {
-            HostTier::Store(binding) => {
-                let outcome = binding.fetch_for_model(d);
-                let gbps = binding.measured_decode_gbps();
-                let profile = match outcome.tier {
-                    FetchTier::HostHit if outcome.decode.is_none() => {
-                        cost.decoded_load_profile_bytes(outcome.raw_bytes as f64)
-                    }
-                    FetchTier::HostHit => {
-                        cost.delta_load_profile_measured(outcome.bytes as f64, gbps)
-                    }
-                    FetchTier::DiskMiss => {
-                        cost.delta_cold_load_profile_measured(outcome.bytes as f64, gbps)
-                    }
-                };
-                (profile, outcome.tier == FetchTier::HostHit)
-            }
-            HostTier::Synthetic(warm) => {
-                let host_hit = warm.contains_key(&d);
-                let profile = if host_hit {
-                    cost.delta_load_profile_bytes(cost.delta_bytes())
-                } else {
-                    cost.delta_cold_load_profile_bytes(cost.delta_bytes())
-                };
-                self.warm_host(d, t, tracer);
-                (profile, host_hit)
-            }
-        }
+        let host_hit = self.host.contains_key(&d);
+        let profile = if host_hit {
+            cost.delta_load_profile_bytes(cost.delta_bytes())
+        } else {
+            cost.delta_cold_load_profile_bytes(cost.delta_bytes())
+        };
+        self.warm_host(d, t, tracer);
+        (profile, host_hit)
     }
 
-    /// Lands delta `d` in host DRAM at `at`: through the store's prefetch
-    /// API, or into the synthetic LRU under its cap, evicting unclaimed
-    /// LRU entries (the cap is clamped to `N`, which bounds the claimed
-    /// set, so the cap is restored).
+    /// Lands delta `d` in the host LRU at `at` under its cap, evicting
+    /// unclaimed LRU entries (the cap is clamped to `N`, which bounds the
+    /// claimed set, so the cap is restored).
     fn warm_host(&mut self, d: usize, at: f64, tracer: &mut Tracer) {
-        let warm = match &mut self.host {
-            HostTier::Store(binding) => return binding.prefetch_model(d),
-            HostTier::Synthetic(warm) => warm,
-        };
-        warm.insert(d, at);
+        self.host.insert(d, at);
         let Some(cap) = self.host_cap else {
             return;
         };
-        while warm.len() > cap.max(1) {
-            match lru_outside(warm, &self.claimed) {
+        while self.host.len() > cap.max(1) {
+            match lru_outside(&self.host, &self.claimed) {
                 Some(v) => {
-                    warm.remove(&v);
+                    self.host.remove(&v);
                     tracer.emit(|| TraceEvent::Evict {
                         delta: v,
                         tier: EvictTier::Host,

@@ -338,9 +338,9 @@ pub fn write_delta<W: Write>(
 ///
 /// `wall_s` spans the whole read and decode, so
 /// [`effective_gbps`](Self::effective_gbps) is the end-to-end rate at
-/// which compressed artifact bytes became usable tensors — the number the
-/// serving cost model consumes in place of its static deserialization
-/// constant.
+/// which compressed artifact bytes became usable tensors. dzbench and
+/// `exp bench-lossless` report it; no simulation reads it (the serving
+/// cost model prices deserialization with its own static constant).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DecodeStats {
     /// Tensors decoded.

@@ -16,8 +16,9 @@
 //!   `<root>/<sha256>.dza`, identical deltas deduplicate, named refs map
 //!   variant names to hashes, and any file can be integrity-audited.
 //! * [`tiered`] — [`TieredDeltaStore`]: a byte-budget LRU host cache over
-//!   the registry with per-artifact load accounting, so serving engines
-//!   charge real transfer bytes for host hits vs disk misses.
+//!   the registry with per-artifact load accounting of the real transfer
+//!   bytes of host hits vs disk misses, and a decode-free hit once a
+//!   delta's decoded copy is cached.
 //! * [`hash`] — SHA-256 (from the FIPS 180-4 spec) for content addresses
 //!   and base-model lineage.
 //!
@@ -49,6 +50,5 @@ pub use error::StoreError;
 pub use hash::{sha256, Digest, Sha256};
 pub use registry::{ArtifactId, Registry};
 pub use tiered::{
-    DecodeThroughput, DecodedFetch, FetchOutcome, FetchTier, LoadStats, PrefetchOutcome,
-    TieredDeltaStore, Warmth,
+    DecodeThroughput, DecodedFetch, FetchOutcome, FetchTier, LoadStats, TieredDeltaStore,
 };

@@ -4,14 +4,14 @@
 //! deltas in host DRAM and spills cold ones to disk. [`TieredDeltaStore`]
 //! models exactly that: artifact bytes are fetched from the
 //! content-addressed [`Registry`] on a miss and cached in memory under a
-//! least-recently-used byte budget, with per-artifact load accounting so
-//! the serving engine can charge real transfer sizes.
+//! least-recently-used byte budget, with per-artifact load accounting of
+//! the real transfer sizes of host hits and disk misses.
 
 use crate::dza::{ArtifactReader, DecodeStats};
 use crate::error::StoreError;
 use crate::registry::{ArtifactId, Registry};
 use dz_compress::pipeline::CompressedDelta;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::Cursor;
 use std::sync::Arc;
 
@@ -22,43 +22,6 @@ pub enum FetchTier {
     HostHit,
     /// Read from disk (and now cached): disk + host→device hops.
     DiskMiss,
-}
-
-/// How warm an artifact currently is — the three-level residency signal a
-/// cluster router scores. Unlike [`FetchTier`] (which tier *served* a
-/// fetch) this distinguishes a host hit whose **decoded** copy is also
-/// resident (a decode-free swap-in) from one that still has to run the
-/// decode pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Warmth {
-    /// Not host-resident: a fetch would read disk.
-    Disk,
-    /// Compressed bytes are host-resident; a fetch decodes them.
-    Host,
-    /// Compressed bytes *and* the decoded delta are host-resident: a
-    /// decode-free hit.
-    HostDecoded,
-}
-
-impl Warmth {
-    /// The tier a fetch would be served from at this warmth level.
-    pub fn tier(self) -> FetchTier {
-        match self {
-            Warmth::Disk => FetchTier::DiskMiss,
-            Warmth::Host | Warmth::HostDecoded => FetchTier::HostHit,
-        }
-    }
-}
-
-/// The result of one [`TieredDeltaStore::prefetch`] call.
-#[derive(Debug, Clone, Default)]
-pub struct PrefetchOutcome {
-    /// Artifacts actually read from disk and admitted, in request order.
-    pub fetched: Vec<ArtifactId>,
-    /// Total bytes prefetched (sums the `fetched` artifact sizes).
-    pub bytes: u64,
-    /// Ids skipped because they were already host-resident.
-    pub skipped_resident: usize,
 }
 
 /// The result of one fetch.
@@ -83,13 +46,6 @@ pub struct LoadStats {
     pub host_bytes: u64,
     /// Total bytes read from disk.
     pub disk_bytes: u64,
-    /// Artifacts prewarmed disk→host by [`TieredDeltaStore::prefetch`].
-    pub prefetch_loads: u64,
-    /// Total bytes prewarmed disk→host by prefetch.
-    pub prefetch_bytes: u64,
-    /// Host hits whose residency was established by a prefetch (each
-    /// prefetched artifact counts at most once, on its first demand hit).
-    pub prefetch_hits: u64,
 }
 
 impl LoadStats {
@@ -127,8 +83,7 @@ pub struct DecodedFetch {
 }
 
 /// Cumulative measured decode throughput across every load that ran the
-/// pipeline. This is what replaces the serving cost model's static
-/// bytes-per-second deserialization constant.
+/// pipeline.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecodeThroughput {
     /// Loads that ran the decode pipeline.
@@ -169,17 +124,18 @@ impl Resident {
 /// # Examples
 ///
 /// ```no_run
-/// use dz_store::{FetchTier, Registry, TieredDeltaStore, Warmth};
+/// use dz_store::{FetchTier, Registry, TieredDeltaStore};
 /// # fn demo() -> Result<(), dz_store::StoreError> {
 /// let registry = Registry::open("zoo")?;
 /// let id = registry.resolve("my-variant")?;
 /// let mut store = TieredDeltaStore::new(registry, 512 << 20);
-/// assert_eq!(store.warmth(&id), Warmth::Disk); // nothing cached yet
-/// let first = store.fetch(&id)?; // reads disk, admits into the host cache
+/// assert!(!store.is_resident(&id)); // nothing cached yet
+/// let first = store.fetch_decoded(&id)?; // reads disk, decodes, caches both
 /// assert_eq!(first.tier, FetchTier::DiskMiss);
-/// assert_eq!(store.warmth(&id), Warmth::Host); // compressed bytes resident
-/// let _ = store.fetch_decoded(&id)?; // decodes and caches the delta
-/// assert_eq!(store.warmth(&id), Warmth::HostDecoded); // decode-free hit
+/// assert!(first.decode.is_some());
+/// let again = store.fetch_decoded(&id)?; // decode-free host hit
+/// assert_eq!(again.tier, FetchTier::HostHit);
+/// assert!(again.decode.is_none());
 /// assert!(store.resident_bytes() > 0);
 /// # Ok(()) }
 /// ```
@@ -192,11 +148,6 @@ pub struct TieredDeltaStore {
     per_artifact: BTreeMap<ArtifactId, LoadStats>,
     total: LoadStats,
     decode: DecodeThroughput,
-    /// Artifacts whose host residency came from [`prefetch`]
-    /// (cleared on the first demand hit, which counts as a prefetch hit).
-    ///
-    /// [`prefetch`]: Self::prefetch
-    prefetched: BTreeSet<ArtifactId>,
 }
 
 impl TieredDeltaStore {
@@ -211,7 +162,6 @@ impl TieredDeltaStore {
             per_artifact: BTreeMap::new(),
             total: LoadStats::default(),
             decode: DecodeThroughput::default(),
-            prefetched: BTreeSet::new(),
         }
     }
 
@@ -236,27 +186,6 @@ impl TieredDeltaStore {
         self.resident.contains_key(id)
     }
 
-    /// How warm `id` is *right now* — the three-level signal a cluster
-    /// router uses to score replicas ([`Warmth::HostDecoded`] beats
-    /// [`Warmth::Host`] beats [`Warmth::Disk`]). Unlike
-    /// [`fetch`](Self::fetch) this neither moves bytes nor touches LRU
-    /// stamps or load accounting.
-    pub fn warmth(&self, id: &ArtifactId) -> Warmth {
-        if self.is_decoded_resident(id) {
-            Warmth::HostDecoded
-        } else if self.is_resident(id) {
-            Warmth::Host
-        } else {
-            Warmth::Disk
-        }
-    }
-
-    /// Whether the artifact's **decoded** delta is host-resident (a fetch
-    /// would be a decode-free hit).
-    pub fn is_decoded_resident(&self, id: &ArtifactId) -> bool {
-        self.resident.get(id).is_some_and(|r| r.decoded.is_some())
-    }
-
     /// Fetches an artifact's bytes, reading disk only on a host miss.
     pub fn fetch(&mut self, id: &ArtifactId) -> Result<FetchOutcome, StoreError> {
         self.clock += 1;
@@ -268,10 +197,6 @@ impl TieredDeltaStore {
                 data: Arc::clone(&r.data),
             };
             self.record(id, FetchTier::HostHit, outcome.bytes);
-            if self.prefetched.remove(id) {
-                self.per_artifact.entry(*id).or_default().prefetch_hits += 1;
-                self.total.prefetch_hits += 1;
-            }
             return Ok(outcome);
         }
         let data = Arc::new(self.registry.read_bytes(id)?);
@@ -346,65 +271,15 @@ impl TieredDeltaStore {
         })
     }
 
-    /// Prewarms artifacts disk→host without touching demand-load
-    /// accounting: each non-resident id is read from disk and admitted
-    /// into the host cache (compressed bytes only — the decode still runs
-    /// at swap-in). Ids are taken in order, so callers pass them
-    /// highest-priority first; an id larger than the whole host cache is
-    /// skipped, since admission would refuse it. Prefetched artifacts are
-    /// tracked, and their first demand hit counts as a
-    /// [`LoadStats::prefetch_hits`].
-    pub fn prefetch(&mut self, ids: &[ArtifactId]) -> Result<PrefetchOutcome, StoreError> {
-        let mut outcome = PrefetchOutcome::default();
-        for id in ids {
-            if self.is_resident(id) {
-                outcome.skipped_resident += 1;
-                continue;
-            }
-            if self.registry.size_of(id)? > self.budget_bytes {
-                continue;
-            }
-            self.clock += 1;
-            let data = Arc::new(self.registry.read_bytes(id)?);
-            let bytes = data.len() as u64;
-            self.admit(*id, data);
-            let per = self.per_artifact.entry(*id).or_default();
-            per.prefetch_loads += 1;
-            per.prefetch_bytes += bytes;
-            self.total.prefetch_loads += 1;
-            self.total.prefetch_bytes += bytes;
-            self.prefetched.insert(*id);
-            outcome.bytes += bytes;
-            outcome.fetched.push(*id);
-        }
-        Ok(outcome)
-    }
-
     /// Cumulative measured decode throughput across decoded loads.
     pub fn decode_throughput(&self) -> DecodeThroughput {
         self.decode
-    }
-
-    /// Refreshes an artifact's LRU stamp without fetching (used when the
-    /// artifact is consumed from a copy further up the hierarchy, e.g.
-    /// GPU-resident, and should stay warm in host memory too). Returns
-    /// whether the artifact was host-resident.
-    pub fn touch(&mut self, id: &ArtifactId) -> bool {
-        self.clock += 1;
-        match self.resident.get_mut(id) {
-            Some(r) => {
-                r.stamp = self.clock;
-                true
-            }
-            None => false,
-        }
     }
 
     /// Drops one artifact from the host cache (it stays on disk).
     pub fn evict(&mut self, id: &ArtifactId) {
         if let Some(r) = self.resident.remove(id) {
             self.resident_bytes -= r.footprint();
-            self.prefetched.remove(id);
         }
     }
 

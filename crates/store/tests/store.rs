@@ -366,100 +366,6 @@ fn tiered_store_evicts_lru_under_byte_budget() {
     std::fs::remove_dir_all(store.registry().root()).ok();
 }
 
-#[test]
-fn prefetch_prewarm_respects_budget_and_counts_hits() {
-    let dir = temp_dir("prefetch");
-    let registry = Registry::open(&dir).expect("open");
-    let ids: Vec<_> = (0..3)
-        .map(|i| {
-            registry
-                .publish_delta(&format!("p{i}"), sha256(b"base"), &fixture_delta(30 + i))
-                .expect("publish")
-        })
-        .collect();
-    let sizes: Vec<u64> = ids
-        .iter()
-        .map(|id| registry.size_of(id).expect("size"))
-        .collect();
-    let mut store = TieredDeltaStore::new(registry, 100 * sizes.iter().max().unwrap());
-
-    let outcome = store.prefetch(&ids[..1]).expect("prefetch");
-    assert_eq!(outcome.fetched, vec![ids[0]]);
-    assert_eq!(outcome.bytes, sizes[0]);
-    assert_eq!(outcome.skipped_resident, 0);
-    assert!(store.is_resident(&ids[0]));
-    assert!(!store.is_resident(&ids[1]));
-
-    // An artifact larger than the whole host cache is skipped, since
-    // admission would refuse it.
-    let mut tiny = TieredDeltaStore::new(Registry::open(&dir).expect("reopen"), sizes[1] - 1);
-    let skipped = tiny.prefetch(&ids[1..2]).expect("oversized prefetch");
-    assert!(skipped.fetched.is_empty());
-    assert_eq!(skipped.bytes, 0);
-    assert!(!tiny.is_resident(&ids[1]));
-
-    // Prefetch accounting is separate from demand-load accounting.
-    let stats = store.total_stats();
-    assert_eq!(stats.prefetch_loads, 1);
-    assert_eq!(stats.prefetch_bytes, sizes[0]);
-    assert_eq!(stats.disk_loads, 0);
-    assert_eq!(stats.host_hits, 0);
-
-    // Re-prefetching a resident artifact is a no-op.
-    let again = store.prefetch(&ids[..1]).expect("noop prefetch");
-    assert!(again.fetched.is_empty());
-    assert_eq!(again.skipped_resident, 1);
-
-    // The first demand fetch of the prewarmed artifact is a host hit and
-    // counts exactly one prefetch hit.
-    assert_eq!(store.fetch(&ids[0]).expect("hit").tier, FetchTier::HostHit);
-    assert_eq!(store.total_stats().prefetch_hits, 1);
-    assert_eq!(store.fetch(&ids[0]).expect("hit2").tier, FetchTier::HostHit);
-    assert_eq!(store.total_stats().prefetch_hits, 1, "hit counts once");
-    std::fs::remove_dir_all(store.registry().root()).ok();
-}
-
-#[test]
-fn warmth_distinguishes_decoded_resident_copies() {
-    let dir = temp_dir("warmth");
-    let registry = Registry::open(&dir).expect("open");
-    let id = registry
-        .publish_delta("w", sha256(b"base"), &fixture_delta(40))
-        .expect("publish");
-    let size = registry.size_of(&id).expect("size");
-    let mut store = TieredDeltaStore::new(registry, 1000 * size);
-    assert_eq!(store.warmth(&id), dz_store::Warmth::Disk);
-    assert_eq!(store.warmth(&id).tier(), FetchTier::DiskMiss);
-    assert!(!store.is_decoded_resident(&id));
-
-    // A byte fetch (or a prefetch) makes it Host — compressed only.
-    store.fetch(&id).expect("fetch bytes");
-    assert_eq!(store.warmth(&id), dz_store::Warmth::Host);
-    assert_eq!(store.warmth(&id).tier(), FetchTier::HostHit);
-    assert!(!store.is_decoded_resident(&id));
-
-    // A decoded fetch caches the decoded copy beside the bytes.
-    let decoded = store.fetch_decoded(&id).expect("decode");
-    assert!(decoded.decode.is_some());
-    assert!(decoded.raw_bytes > 0);
-    assert_eq!(store.warmth(&id), dz_store::Warmth::HostDecoded);
-    assert!(store.is_decoded_resident(&id));
-
-    // The decode-free re-fetch reports the same raw size.
-    let again = store.fetch_decoded(&id).expect("decode-free");
-    assert!(again.decode.is_none());
-    assert_eq!(again.raw_bytes, decoded.raw_bytes);
-
-    // Warmth levels order Disk < Host < HostDecoded.
-    assert!(dz_store::Warmth::Disk < dz_store::Warmth::Host);
-    assert!(dz_store::Warmth::Host < dz_store::Warmth::HostDecoded);
-
-    // Eviction drops both copies.
-    store.evict(&id);
-    assert_eq!(store.warmth(&id), dz_store::Warmth::Disk);
-    std::fs::remove_dir_all(store.registry().root()).ok();
-}
-
 /// A wide delta: many packed tensors and one dense rest tensor.
 fn wide_delta() -> CompressedDelta {
     let mut layers = BTreeMap::new();

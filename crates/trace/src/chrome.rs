@@ -457,8 +457,8 @@ fn counters(lines: &mut Vec<(f64, usize, String)>, seq: &mut usize, pid: usize, 
         (
             "residency",
             format!(
-                r#"{{"gpu":{},"host_decoded":{},"host":{},"disk":{}}}"#,
-                g.gpu_resident, g.warmth_host_decoded, g.warmth_host, g.warmth_disk
+                r#"{{"gpu":{},"host":{},"disk":{}}}"#,
+                g.gpu_resident, g.warmth_host, g.warmth_disk
             ),
         ),
         (

@@ -294,12 +294,11 @@ pub struct GaugeSample {
     pub blocked: usize,
     /// Deltas resident in GPU HBM.
     pub gpu_resident: usize,
-    /// Deltas whose warmth is `Disk` (cold).
+    /// Deltas that are cold: a swap-in would read disk.
     pub warmth_disk: usize,
-    /// Deltas whose warmth is `Host` (compressed bytes host-resident).
+    /// Deltas whose compressed bytes sit in the host cache: a swap-in
+    /// skips the disk read.
     pub warmth_host: usize,
-    /// Deltas whose warmth is `HostDecoded` (decode-free hit).
-    pub warmth_host_decoded: usize,
     /// Bytes resident on the GPU for deltas.
     pub gpu_bytes: f64,
     /// Bytes resident in the host cache.

@@ -1,9 +1,8 @@
 //! Acceptance integration: a compressed delta round-trips through
-//! `ArtifactWriter → registry → TieredDeltaStore → ModelManager`, and the
-//! serving engine's per-request `load_wait_s` reflects the artifact's real
-//! compressed byte size under the measured pipeline model — charges are
-//! max(physical transfer, measured decode), host hits never dearer than
-//! disk misses.
+//! `ArtifactWriter → registry → ModelManager`, a `TieredDeltaStore`
+//! accounts the real `.dza` bytes of each miss and decode-free hit, and a
+//! simulated engine priced with `CostModel::with_delta_bytes` charges a
+//! cold request exactly the load time of its artifact's size.
 
 use deltazip::{DeltaZip, DzError};
 use dz_compress::pipeline::DeltaCompressConfig;
@@ -12,8 +11,8 @@ use dz_gpusim::spec::NodeSpec;
 use dz_model::tasks::{Corpus, NliTask, SentimentTask};
 use dz_model::train::{finetune_fmt, pretrain, TrainConfig};
 use dz_model::transformer::{test_config, Params};
-use dz_serve::{CostModel, DeltaStoreBinding, DeltaZipConfig};
-use dz_store::{Registry, TieredDeltaStore};
+use dz_serve::{CostModel, Engine, EngineBuilder};
+use dz_store::{FetchTier, Registry, TieredDeltaStore};
 use dz_tensor::Rng;
 use dz_workload::{PopularityDist, Request, Trace, TraceSpec};
 use std::path::PathBuf;
@@ -100,101 +99,52 @@ fn full_pipeline_roundtrip_and_byte_accurate_load_waits() {
         Err(DzError::Storage(_))
     ));
 
-    // 4. Serving: the engine bound to a TieredDeltaStore charges loads by
-    // the artifacts' real .dza sizes.
+    // 4. Loading: a TieredDeltaStore fetches the artifacts by their real
+    // .dza sizes — a disk miss runs and measures the decode, a repeat is a
+    // decode-free host hit — and accounts every byte it moved.
     let size_sent = registry.size_of(&id_sent).expect("size");
     let size_nli = registry.size_of(&id_nli).expect("size");
     // 2-bit deltas pack tighter than 4-bit ones on disk too.
     assert!(size_nli < size_sent, "{size_nli} vs {size_sent}");
-
-    let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
-    let store = TieredDeltaStore::new(registry, 1 << 30);
-    let binding = DeltaStoreBinding::new(store, vec![id_sent, id_nli]);
-    let config = DeltaZipConfig::default();
-
-    // Cold request: the single request waits exactly the pipelined charge
-    // for its artifact's real byte size — max(disk + PCIe, decode) at the
-    // decode throughput the store measured while serving this very fetch.
-    let trace_sent = one_request_trace(0, 2);
-    let (m_cold, binding) = dz2.simulate_with_store(&trace_sent, cost, config, binding);
-    assert_eq!(m_cold.len(), 1);
-    let cold_wait = m_cold.records[0].load_s;
-    let gbps_cold = binding.measured_decode_gbps();
-    assert!(
-        gbps_cold.is_some(),
-        "a cold load must leave a measured decode throughput behind"
-    );
-    let want_cold = cost
-        .delta_cold_load_profile_measured(size_sent as f64, gbps_cold)
-        .solo_s();
-    assert!(
-        (cold_wait - want_cold).abs() < 1e-9,
-        "cold wait {cold_wait} must equal the artifact-sized charge {want_cold}"
-    );
-
-    // Warm request for the same variant: the artifact (and its decoded
-    // form) is host-resident — no new decode runs, the measurement is
-    // unchanged, and the charge is the decode-free swap-in: the *raw*
-    // bytes stream over PCIe with no decompression stage, never more
-    // than the cold charge.
-    let (m_warm, mut binding) = dz2.simulate_with_store(&trace_sent, cost, config, binding);
-    let warm_wait = m_warm.records[0].load_s;
-    let gbps_warm = binding.measured_decode_gbps();
-    assert_eq!(
-        gbps_warm, gbps_cold,
-        "a host hit must not re-run the decode pipeline"
-    );
-    let refetch = binding
-        .store_mut()
-        .fetch_decoded(&id_sent)
-        .expect("decode-free refetch");
-    assert!(
-        refetch.decode.is_none(),
-        "the decoded copy must still be resident"
-    );
-    let want_warm = cost
-        .decoded_load_profile_bytes(refetch.raw_bytes as f64)
-        .solo_s();
-    assert!(
-        (warm_wait - want_warm).abs() < 1e-9,
-        "warm wait {warm_wait} must equal the decode-free charge {want_warm}"
-    );
-    assert!(
-        warm_wait <= cold_wait,
-        "host hit {warm_wait} cannot exceed disk miss {cold_wait}"
-    );
-
-    // The smaller 2-bit artifact's cold charge is again byte-exact under
-    // the measurement taken after its own decode, and at equal throughput
-    // fewer bytes always cost less.
-    let trace_nli = one_request_trace(1, 2);
-    let (m_nli, binding) = dz2.simulate_with_store(&trace_nli, cost, config, binding);
-    let nli_cold_wait = m_nli.records[0].load_s;
-    let gbps_nli = binding.measured_decode_gbps();
-    let want_nli = cost
-        .delta_cold_load_profile_measured(size_nli as f64, gbps_nli)
-        .solo_s();
-    assert!(
-        (nli_cold_wait - want_nli).abs() < 1e-9,
-        "nli cold wait {nli_cold_wait} must equal {want_nli}"
-    );
-    assert!(
-        cost.delta_cold_load_profile_measured(size_nli as f64, gbps_nli)
-            .solo_s()
-            < cost
-                .delta_cold_load_profile_measured(size_sent as f64, gbps_nli)
-                .solo_s(),
-        "fewer bytes must cost less at equal measured throughput"
-    );
-
-    // The store accounted every byte that crossed the disk link.
-    let total = binding.store().total_stats();
+    let mut store = TieredDeltaStore::new(registry, 1 << 30);
+    let cold = store.fetch_decoded(&id_sent).expect("cold fetch");
+    assert_eq!(cold.tier, FetchTier::DiskMiss);
+    assert_eq!(cold.bytes, size_sent);
+    assert!(cold.decode.is_some(), "a disk miss runs the decode");
+    let warm = store.fetch_decoded(&id_sent).expect("warm fetch");
+    assert_eq!(warm.tier, FetchTier::HostHit);
+    assert!(warm.decode.is_none(), "the decoded copy stays resident");
+    assert_eq!(warm.raw_bytes, cold.raw_bytes);
+    assert_eq!(*warm.delta, *cold.delta);
+    let nli_cold = store.fetch_decoded(&id_nli).expect("nli fetch");
+    assert_eq!(nli_cold.tier, FetchTier::DiskMiss);
+    assert_eq!(nli_cold.bytes, size_nli);
+    assert_eq!(store.decode_throughput().loads, 2);
+    let total = store.total_stats();
     assert_eq!(total.disk_loads, 2);
     assert_eq!(total.disk_bytes, size_sent + size_nli);
-    // Two host hits: the engine's warm load plus the test's own
-    // decode-free refetch above.
-    assert_eq!(total.host_hits, 2);
-    assert_eq!(total.host_bytes, 2 * size_sent);
+    assert_eq!(total.host_hits, 1);
+    assert_eq!(total.host_bytes, size_sent);
+
+    // 5. Serving: an artifact's real size prices the simulated swap-in.
+    // A lone cold request waits exactly the cold charge for its bytes,
+    // and the smaller 2-bit artifact waits less.
+    let cost = CostModel::new(NodeSpec::a800_node(4), ModelShape::llama13b());
+    let wait = |bytes: u64, model: usize| {
+        let priced = cost.with_delta_bytes(bytes as f64);
+        let m = EngineBuilder::new(priced)
+            .build()
+            .run(&one_request_trace(model, 2));
+        assert_eq!(m.len(), 1);
+        let want = priced.delta_cold_load_time();
+        let got = m.records[0].load_s;
+        assert!(
+            (got - want).abs() < 1e-9,
+            "cold wait {got} must equal the artifact-sized charge {want}"
+        );
+        got
+    };
+    assert!(wait(size_nli, 1) < wait(size_sent, 0));
 
     std::fs::remove_dir_all(&dir).ok();
 }
