@@ -23,6 +23,7 @@
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{code_lengths, DecodeError, Decoder, Encoder, LutDecoder, MAX_CODE_LEN};
 use crate::lz77::{tokenize, Token, MAX_MATCH, MIN_MATCH};
+use std::borrow::Cow;
 
 /// Default page size (64 KiB, as GDeflate uses).
 pub const DEFAULT_PAGE_SIZE: usize = 64 * 1024;
@@ -448,6 +449,19 @@ struct ParsedStream<'a> {
     stored_crc: u32,
     /// `(payload, mode)` per page, in order.
     pages: Vec<(&'a [u8], u8)>,
+    /// Every page payload, back to back: the bytes from the first page's
+    /// start to the last page's end. A stream may carry bytes past its
+    /// last page, so this is not the stream's tail.
+    payloads: &'a [u8],
+}
+
+impl ParsedStream<'_> {
+    /// The raw length each page decodes to: `page_size`, except a shorter
+    /// last page.
+    fn page_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        let page_size = self.page_size.max(1);
+        (0..self.pages.len()).map(move |i| (self.raw_len - i * page_size).min(page_size))
+    }
 }
 
 fn parse_stream(stream: &[u8]) -> Result<ParsedStream<'_>, CodecError> {
@@ -505,6 +519,7 @@ fn parse_stream(stream: &[u8]) -> Result<ParsedStream<'_>, CodecError> {
         ));
     }
     let mut pages = Vec::with_capacity(n_pages);
+    let start = pos;
     for (len, mode) in table {
         pages.push((take(&mut pos, len)?, mode));
     }
@@ -513,6 +528,7 @@ fn parse_stream(stream: &[u8]) -> Result<ParsedStream<'_>, CodecError> {
         raw_len,
         stored_crc,
         pages,
+        payloads: &stream[start..pos],
     })
 }
 
@@ -524,22 +540,49 @@ pub fn declared_len_and_crc(stream: &[u8]) -> Result<(u64, u32), CodecError> {
     parse_stream(stream).map(|p| (p.raw_len as u64, p.stored_crc))
 }
 
-/// Decompresses a stream produced by [`compress`].
+/// Decodes a stream produced by [`compress`], checking the output against
+/// the header's checksum.
 ///
-/// This is the fast path: LUT Huffman decoding, one page after another
-/// into the output buffer.
-pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
+/// When every page is stored, the pages' payloads lie back to back and are
+/// the output, so it is borrowed from `stream` without a copy. Otherwise
+/// the pages decode one after another into a fresh buffer, Huffman pages
+/// through the LUT fast path.
+pub fn decode(stream: &[u8]) -> Result<Cow<'_, [u8]>, CodecError> {
     let parsed = parse_stream(stream)?;
+    let out = if parsed.pages.iter().all(|&(_, mode)| mode == MODE_STORED) {
+        if !parsed
+            .pages
+            .iter()
+            .zip(parsed.page_lens())
+            .all(|(&(payload, _), len)| payload.len() == len)
+        {
+            return Err(CodecError::Corrupt("stored page length mismatch"));
+        }
+        Cow::Borrowed(parsed.payloads)
+    } else {
+        Cow::Owned(decode_pages(&parsed)?)
+    };
+    if crate::crc::crc32(&out) != parsed.stored_crc {
+        return Err(CodecError::ChecksumMismatch);
+    }
+    Ok(out)
+}
+
+/// Decodes every page, one after another, into a fresh buffer.
+fn decode_pages(parsed: &ParsedStream<'_>) -> Result<Vec<u8>, CodecError> {
     let mut out = vec![0u8; parsed.raw_len];
     // An empty stream may declare a zero page size; it has no pages.
     let page_size = parsed.page_size.max(1);
     for ((payload, mode), chunk) in parsed.pages.iter().zip(out.chunks_mut(page_size)) {
         decompress_page_into(payload, *mode, chunk)?;
     }
-    if crate::crc::crc32(&out) != parsed.stored_crc {
-        return Err(CodecError::ChecksumMismatch);
-    }
     Ok(out)
+}
+
+/// Decompresses a stream produced by [`compress`] into an owned buffer:
+/// [`decode`], copied out when it borrowed.
+pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
+    decode(stream).map(Cow::into_owned)
 }
 
 /// Decompresses through the retained serial reference path (bit-at-a-time
@@ -548,15 +591,9 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
 /// erring on every input the fast path rejects.
 pub fn decompress_reference(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
     let parsed = parse_stream(stream)?;
-    let n_pages = parsed.pages.len();
     let mut out = Vec::with_capacity(parsed.raw_len);
-    for (i, (payload, mode)) in parsed.pages.iter().enumerate() {
-        let expected = if i + 1 == n_pages {
-            parsed.raw_len - parsed.page_size * (n_pages - 1)
-        } else {
-            parsed.page_size
-        };
-        out.extend(decompress_page_reference(payload, *mode, expected)?);
+    for (&(payload, mode), expected) in parsed.pages.iter().zip(parsed.page_lens()) {
+        out.extend(decompress_page_reference(payload, mode, expected)?);
     }
     if crate::crc::crc32_bytewise(&out) != parsed.stored_crc {
         return Err(CodecError::ChecksumMismatch);
@@ -645,6 +682,87 @@ mod tests {
         s.extend(0u32.to_le_bytes());
         s.extend(u32::MAX.to_le_bytes());
         assert!(matches!(parse_stream(&s), Err(CodecError::Truncated)));
+    }
+
+    /// A seeded incompressible byte stream: every page of it is stored.
+    fn noise(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    /// Where a stream's page table starts (for a stream with no bytes past
+    /// its last page).
+    fn table_at(stream: &[u8]) -> usize {
+        let parsed = parse_stream(stream).expect("parse");
+        stream.len() - parsed.payloads.len() - 5 * parsed.pages.len()
+    }
+
+    #[test]
+    fn in_place_decode_matches_the_allocating_decode() {
+        let mut mixed = b"stored and coded pages ".repeat(3000);
+        mixed.extend(noise(2 * DEFAULT_PAGE_SIZE + 77, 5));
+        mixed.extend(b"coded again ".repeat(7000));
+        let cases = [
+            ("stored", noise(3 * DEFAULT_PAGE_SIZE + 9, 3), true),
+            ("huffman", b"0123456789abcdef".repeat(9000), false),
+            ("mixed", mixed, false),
+            ("empty", Vec::new(), true),
+        ];
+        for (what, data, borrows) in cases {
+            let c = compress(&data);
+            let fast = decode(&c).expect(what);
+            assert_eq!(matches!(fast, Cow::Borrowed(_)), borrows, "{what}");
+            let parsed = parse_stream(&c).expect("parse");
+            assert_eq!(*fast, decode_pages(&parsed).expect(what)[..], "{what}");
+            assert_eq!(*fast, decompress_reference(&c).expect(what)[..], "{what}");
+            assert_eq!(*fast, data[..], "{what}");
+        }
+    }
+
+    #[test]
+    fn mis_sized_stored_pages_are_refused() {
+        // Two stored pages of 64 and 36 bytes.
+        let data = noise(100, 9);
+        let c = compress_with_page_size(&data, 64);
+        let table = table_at(&c);
+        let parsed = parse_stream(&c).expect("parse");
+        assert!(parsed.pages.iter().all(|p| p.1 == MODE_STORED));
+        assert!(matches!(decode(&c), Ok(Cow::Borrowed(_))));
+
+        // One byte moved from the first page to the second: the payload
+        // bytes are the same and back to back, so they still hash to the
+        // checksum, but each page is mis-sized.
+        let mut moved = c.clone();
+        moved[table..table + 4].copy_from_slice(&63u32.to_le_bytes());
+        moved[table + 5..table + 9].copy_from_slice(&37u32.to_le_bytes());
+        assert_eq!(
+            decode(&moved),
+            Err(CodecError::Corrupt("stored page length mismatch"))
+        );
+        assert!(decompress_reference(&moved).is_err());
+
+        // A last page one byte past the declared raw length.
+        let mut longer = c.clone();
+        longer[table + 5..table + 9].copy_from_slice(&37u32.to_le_bytes());
+        longer.push(0);
+        assert_eq!(
+            decode(&longer),
+            Err(CodecError::Corrupt("stored page length mismatch"))
+        );
+        assert!(decompress_reference(&longer).is_err());
+
+        // Bytes past the last page are not payload: the borrow spans the
+        // pages only.
+        let mut trailing = c.clone();
+        trailing.extend_from_slice(b"tail");
+        assert_eq!(*decode(&trailing).expect("trailing"), data[..]);
     }
 
     #[test]

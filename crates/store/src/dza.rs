@@ -40,9 +40,10 @@
 //! weights.
 //!
 //! A whole-delta read ([`ArtifactReader::read_delta_with_stats`]) reads
-//! and decodes one tensor at a time in file order. Most pages of a served
-//! delta are stored (see `dz_lossless::page`), so decoding one is a CRC
-//! pass and a copy.
+//! every page with one read, then decodes one tensor at a time in file
+//! order. Most pages of a served delta are stored (see
+//! `dz_lossless::page`), so decoding one is a CRC pass over the read
+//! buffer, and the wire decode reads the page in place.
 
 use crate::error::StoreError;
 use crate::hash::Digest;
@@ -52,6 +53,7 @@ use dz_compress::wire::{self, put_name, Reader as WireReader};
 use dz_lossless::crc::crc32;
 use dz_lossless::CodecError;
 use dz_tensor::Matrix;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::time::Instant;
@@ -382,19 +384,20 @@ enum DecodedTensor {
     Dense(Matrix),
 }
 
-/// Decompresses one tensor page and checks it against its manifest entry.
+/// Decodes one tensor page and checks it against its manifest entry.
 ///
 /// The page header must declare the entry's raw length and CRC before any
-/// page decodes, and decompression checks its output against that CRC: both
-/// stored checksums are verified, and the output is hashed once.
-fn decompress_page(entry: &TensorEntry, page: &[u8]) -> Result<Vec<u8>, StoreError> {
+/// page decodes, and the codec checks its output against that CRC: both
+/// stored checksums are verified, and the output is hashed once. A page
+/// whose pages are all stored decodes to a slice of `page` itself.
+fn decompress_page<'a>(entry: &TensorEntry, page: &'a [u8]) -> Result<Cow<'a, [u8]>, StoreError> {
     let mismatch = || StoreError::ChecksumMismatch {
         tensor: Some(entry.name.clone()),
     };
     if dz_lossless::declared_len_and_crc(page)? != (entry.raw_len, entry.crc32) {
         return Err(mismatch());
     }
-    dz_lossless::decompress(page).map_err(|e| match e {
+    dz_lossless::decode(page).map_err(|e| match e {
         CodecError::ChecksumMismatch => mismatch(),
         e => e.into(),
     })
@@ -420,6 +423,8 @@ fn decode_tensor(entry: &TensorEntry, page: &[u8]) -> Result<DecodedTensor, Stor
 pub struct ArtifactReader<R: Read + Seek> {
     source: R,
     manifest: Manifest,
+    /// Where the tensor pages end and the manifest begins.
+    manifest_offset: u64,
 }
 
 impl<R: Read + Seek> ArtifactReader<R> {
@@ -461,16 +466,26 @@ impl<R: Read + Seek> ArtifactReader<R> {
             return Err(StoreError::ChecksumMismatch { tensor: None });
         }
         let manifest = Manifest::decode(&manifest_bytes)?;
+        // The writer puts the pages back to back in manifest order, so
+        // their extents tile the bytes between head and manifest exactly.
+        let mut end = HEAD_LEN;
         for t in &manifest.tensors {
-            let end = t
+            if t.offset != end {
+                return Err(StoreError::Corrupt("tensor pages do not tile the payload"));
+            }
+            end = t
                 .offset
                 .checked_add(t.comp_len)
                 .ok_or(StoreError::Corrupt("tensor extent overflows"))?;
-            if t.offset < HEAD_LEN || end > manifest_offset {
-                return Err(StoreError::Corrupt("tensor extent out of bounds"));
-            }
         }
-        Ok(ArtifactReader { source, manifest })
+        if end != manifest_offset {
+            return Err(StoreError::Corrupt("tensor pages do not tile the payload"));
+        }
+        Ok(ArtifactReader {
+            source,
+            manifest,
+            manifest_offset,
+        })
     }
 
     /// The parsed directory.
@@ -488,7 +503,7 @@ impl<R: Read + Seek> ArtifactReader<R> {
         self.source.seek(SeekFrom::Start(entry.offset))?;
         let mut page = vec![0u8; entry.comp_len as usize];
         self.source.read_exact(&mut page)?;
-        decompress_page(&entry, &page)
+        decompress_page(&entry, &page).map(Cow::into_owned)
     }
 
     /// Reads one packed linear-layer delta (any method-zoo format).
@@ -532,27 +547,32 @@ impl<R: Read + Seek> ArtifactReader<R> {
     /// Reassembles the whole [`CompressedDelta`], reporting measured decode
     /// throughput.
     ///
-    /// Tensors are read and decoded one at a time in file order, on the
-    /// calling thread, so the read holds one compressed page besides its
-    /// output. The first corrupt tensor in file order fails the read, and
-    /// the output is byte-identical to the per-tensor reads.
+    /// One read brings in every tensor page, then the tensors decode one
+    /// at a time in file order on the calling thread. A tensor whose pages
+    /// are all stored is wire-decoded straight from that read buffer, after
+    /// its checksum matches. The first corrupt tensor in file order fails
+    /// the read, and the output is byte-identical to the per-tensor reads.
     pub fn read_delta_with_stats(&mut self) -> Result<(CompressedDelta, DecodeStats), StoreError> {
         // dz-lint: allow(wall-clock, "decode wall time IS the measured quantity, reported as DecodeStats")
         let t_start = Instant::now();
         let entries: &[TensorEntry] = &self.manifest.tensors;
-        let (mut read_s, mut decode_s) = (0.0, 0.0);
+        self.source.seek(SeekFrom::Start(HEAD_LEN))?;
+        let mut payload = vec![0u8; (self.manifest_offset - HEAD_LEN) as usize];
+        self.source.read_exact(&mut payload)?;
+        let read_s = t_start.elapsed().as_secs_f64();
+        let mut decode_s = 0.0;
         let mut layers = BTreeMap::new();
         let mut rest = BTreeMap::new();
+        // `open` checked that the pages tile the payload in this order.
+        let mut pages = payload.as_slice();
         for entry in entries {
-            // dz-lint: allow(wall-clock, "measures real disk-read time for DecodeStats")
-            let t0 = Instant::now();
-            self.source.seek(SeekFrom::Start(entry.offset))?;
-            let mut page = vec![0u8; entry.comp_len as usize];
-            self.source.read_exact(&mut page)?;
-            read_s += t0.elapsed().as_secs_f64();
+            let (page, tail) = pages
+                .split_at_checked(entry.comp_len as usize)
+                .ok_or(StoreError::Truncated)?;
+            pages = tail;
             // dz-lint: allow(wall-clock, "measures real decode time for DecodeStats")
             let t1 = Instant::now();
-            let tensor = decode_tensor(entry, &page)?;
+            let tensor = decode_tensor(entry, page)?;
             decode_s += t1.elapsed().as_secs_f64();
             match tensor {
                 DecodedTensor::Packed(cm) => {
