@@ -36,7 +36,7 @@ pub fn packed_delta_like(n: usize, seed: u64) -> Vec<u8> {
 }
 
 /// Incompressible corpus (uniform random bytes): exercises the stored-page
-/// and CRC path rather than the Huffman decoder.
+/// and checksum path rather than the Huffman decoder.
 pub fn incompressible(n: usize, seed: u64) -> Vec<u8> {
     let mut rng = Rng::seeded(seed);
     (0..n).map(|_| rng.below(256) as u8).collect()

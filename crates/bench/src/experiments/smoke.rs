@@ -6,6 +6,9 @@
 //! * `decode_mb_s` — LUT decode throughput on the shared packed-delta
 //!   corpus (wall-clock; the baseline bound is generous to absorb runner
 //!   variance),
+//! * `stored_page_mb_s` — `dz_lossless::decode` throughput on an
+//!   incompressible corpus, where every page is stored and decoding is the
+//!   checksum pass over the borrowed payload (wall-clock, min-only),
 //! * `cluster_p99_e2e_s` — placement-aware cluster p99 on a fixed-seed
 //!   trace (simulated time: bit-for-bit deterministic),
 //! * `swap_overlap_frac`, `swap_warm_ttft_p99_s`, `swap_stall_ratio` —
@@ -39,7 +42,7 @@
 //! CI perf gate.
 
 use super::cluster::run_cluster_traced;
-use super::codec::packed_delta_like;
+use super::codec::{incompressible, packed_delta_like};
 use super::swap::{run_swap, run_swap_traced, warm_ttft_p99};
 use super::toppings::{goodput, run_toppings_traced};
 use super::Fmt::{Fix, Plain};
@@ -112,16 +115,21 @@ fn compress_cost_ratio(cfg: ModelConfig) -> f64 {
 /// (the instrumentation is a no-op on the metrics path — pinned by a test
 /// in `dz-serve`).
 fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
-    // 1. Decode throughput: 2 MiB packed-delta corpus, LUT, best of 3.
-    let corpus = packed_delta_like(2 << 20, 7);
-    let compressed = dz_lossless::compress(&corpus);
-    let mut best = f64::MAX;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        dz_lossless::decompress(&compressed).expect("decode");
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    let decode_mb_s = corpus.len() as f64 / best / 1e6;
+    // 1. Decode throughput, best of 3 over 2 MiB each: the packed-delta
+    //    corpus through the LUT decoder, and an incompressible corpus whose
+    //    pages are all stored, so its decode is the checksum pass.
+    let decode_mb_s_of = |corpus: &[u8]| -> f64 {
+        let compressed = dz_lossless::compress(corpus);
+        let mut best = f64::MAX;
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            dz_lossless::decode(&compressed).expect("decode");
+            best = best.min(t0.elapsed().as_secs_f64());
+        }
+        corpus.len() as f64 / best / 1e6
+    };
+    let decode_mb_s = decode_mb_s_of(&packed_delta_like(2 << 20, 7));
+    let stored_page_mb_s = decode_mb_s_of(&incompressible(2 << 20, 7));
 
     // 2. Cluster tail latency: one placement-aware cell, fixed seed.
     let trace_cfg = trace.as_ref().map(|_| TraceConfig::default());
@@ -188,6 +196,7 @@ fn measure_traced(mut trace: Option<&mut Vec<TraceTrack>>) -> SmokeMetrics {
     SmokeMetrics {
         entries: vec![
             ("decode_mb_s", decode_mb_s),
+            ("stored_page_mb_s", stored_page_mb_s),
             ("cluster_p99_e2e_s", cluster_p99),
             ("swap_overlap_frac", swap_overlap_frac),
             ("swap_warm_ttft_p99_s", swap_warm_ttft),

@@ -205,7 +205,7 @@ proptest! {
         corrupted[i] ^= flip;
         // Structural fields (tags, dims, lengths) must produce typed
         // errors; flips in payload bits may decode to a *different* valid
-        // layer of the same shape (the .dza CRC layer catches those), but
+        // layer of the same shape (the .dza checksums catch those), but
         // never panic.
         if let Ok(back) = layer_from_bytes(&corrupted) {
             prop_assert_eq!(back.d_in(), layer.d_in());

@@ -15,7 +15,9 @@
 //! * [`bitio`] — LSB-first bit reader/writer,
 //! * [`page`] — the paged container: each page compresses independently and
 //!   records its compressed size and carries its own Huffman tables, as
-//!   GDeflate's pages do so a GPU can decode them in parallel.
+//!   GDeflate's pages do so a GPU can decode them in parallel,
+//! * [`checksum`] — the 64-bit four-lane multiply–rotate hash the container
+//!   (and the `.dza` manifest above it) stores over raw bytes.
 //!
 //! The container format is custom (simpler than RFC 1951 — code lengths are
 //! stored verbatim rather than RLE-encoded) but the algorithmic content is
@@ -23,11 +25,13 @@
 //!
 //! Decoding is built for throughput: a word-filling bit reader
 //! (`peek`/`consume`, no per-bit branching), a two-level lookup-table
-//! Huffman decoder ([`huffman::LutDecoder`]; single probe for codes up to
-//! [`huffman::LUT_BITS`] bits), and slicing-by-16 CRC32. [`decompress`]
-//! decodes the pages one after another on the calling thread. The original
-//! tree-walk path is retained as [`decompress_reference`] and
-//! property-tested against the fast path.
+//! Huffman decoder ([`huffman::LUT_BITS`]; single probe for codes up to
+//! [`huffman::LUT_BITS`] bits), and a checksum that folds 32 bytes per
+//! round. [`decode`] decodes the pages one after another on the calling
+//! thread; when every page is stored it returns the payloads borrowed from
+//! the stream, checked, without a copy. The original tree-walk path is
+//! retained as [`decompress_reference`] and property-tested against the
+//! fast path.
 //!
 //! # Examples
 //!
@@ -40,12 +44,12 @@
 //! ```
 
 pub mod bitio;
-pub mod crc;
+pub mod checksum;
 pub mod huffman;
 pub mod lz77;
 pub mod page;
 
 pub use page::{
-    compress, compress_with_page_size, declared_len_and_crc, decode, decompress,
+    compress, compress_with_page_size, declared_len_and_checksum, decode, decompress,
     decompress_reference, CodecError, DEFAULT_PAGE_SIZE,
 };

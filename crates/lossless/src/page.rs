@@ -3,10 +3,16 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic "DZLC" | version u8 | page_size u32 | raw_len u64 | n_pages u32
-//! page table: n_pages x { comp_len u32, mode u8 }
+//! magic "DZLC" | version u8 | page_size u32 | raw_len u64 | checksum u64
+//! page table: ceil(raw_len / page_size) x { comp_len u32, mode u8 }
 //! page payloads, back to back
 //! ```
+//!
+//! This is version 3, the only one written or read. The checksum is
+//! [`hash64`] of the raw bytes, and every decode checks its output against
+//! it. The page count is not stored: `raw_len` and `page_size` determine
+//! it, so the 25-byte header holds a 64-bit checksum in the space that
+//! version 2 gave a CRC32 and a page count.
 //!
 //! Each page compresses `page_size` raw bytes independently (the last page
 //! may be shorter). A page is entropy-coded (`mode = 0`) only when that
@@ -21,6 +27,7 @@
 //! the matcher and let each page carry its own Huffman tables.
 
 use crate::bitio::{BitReader, BitWriter};
+use crate::checksum::hash64;
 use crate::huffman::{code_lengths, DecodeError, Decoder, Encoder, LutDecoder, MAX_CODE_LEN};
 use crate::lz77::{tokenize, Token, MAX_MATCH, MIN_MATCH};
 use std::borrow::Cow;
@@ -29,7 +36,7 @@ use std::borrow::Cow;
 pub const DEFAULT_PAGE_SIZE: usize = 64 * 1024;
 
 const MAGIC: &[u8; 4] = b"DZLC";
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 const MODE_HUFFMAN: u8 = 0;
 const MODE_STORED: u8 = 1;
 /// A page is entropy-coded only when that saves at least
@@ -430,8 +437,7 @@ pub fn compress_with_page_size(data: &[u8], page_size: usize) -> Vec<u8> {
     out.push(VERSION);
     out.extend_from_slice(&(page_size as u32).to_le_bytes());
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crate::crc::crc32(data).to_le_bytes());
-    out.extend_from_slice(&(n_pages as u32).to_le_bytes());
+    out.extend_from_slice(&hash64(data).to_le_bytes());
     for (mode, payload) in &pages {
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.push(*mode);
@@ -446,7 +452,8 @@ pub fn compress_with_page_size(data: &[u8], page_size: usize) -> Vec<u8> {
 struct ParsedStream<'a> {
     page_size: usize,
     raw_len: usize,
-    stored_crc: u32,
+    /// [`hash64`] of the raw bytes.
+    checksum: u64,
     /// `(payload, mode)` per page, in order.
     pages: Vec<(&'a [u8], u8)>,
     /// Every page payload, back to back: the bytes from the first page's
@@ -464,44 +471,52 @@ impl ParsedStream<'_> {
     }
 }
 
+/// A stream read front to back; every read past its end is `Truncated`.
+struct Bytes<'a>(&'a [u8]);
+
+impl<'a> Bytes<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(CodecError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
+    }
+}
+
 fn parse_stream(stream: &[u8]) -> Result<ParsedStream<'_>, CodecError> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], CodecError> {
-        if *pos + n > stream.len() {
-            return Err(CodecError::Truncated);
-        }
-        let s = &stream[*pos..*pos + n];
-        *pos += n;
-        Ok(s)
-    };
-    if take(&mut pos, 4)? != MAGIC {
+    let mut r = Bytes(stream);
+    if r.array()? != *MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = take(&mut pos, 1)?[0];
+    let [version] = r.array()?;
     if version != VERSION {
         return Err(CodecError::BadVersion(version));
     }
-    let page_size = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-    let raw_len = u64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()) as usize;
-    let stored_crc = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
-    let n_pages = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
+    let page_size = u32::from_le_bytes(r.array()?) as usize;
+    let raw_len = u64::from_le_bytes(r.array()?) as usize;
+    let checksum = u64::from_le_bytes(r.array()?);
     if page_size == 0 && raw_len > 0 {
         return Err(CodecError::Corrupt("zero page size"));
     }
-    if n_pages != raw_len.div_ceil(page_size.max(1)) {
-        return Err(CodecError::Corrupt("page count mismatch"));
-    }
-    // Each table entry is a u32 length and a mode byte: refuse a count the
-    // stream cannot hold before reserving for it.
-    if n_pages > (stream.len() - pos) / 5 {
-        return Err(CodecError::Truncated);
-    }
-    let mut table = Vec::with_capacity(n_pages);
-    for _ in 0..n_pages {
-        let len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mode = take(&mut pos, 1)?[0];
-        table.push((len, mode));
-    }
+    // An empty stream may declare a zero page size; it has no pages.
+    let n_pages = raw_len.div_ceil(page_size.max(1));
+    // Each table entry is a u32 length and a mode byte. The table's bytes
+    // are taken before anything is reserved for it, so a page count the
+    // stream cannot hold fails as `Truncated`.
+    let table_len = n_pages.checked_mul(5).ok_or(CodecError::Truncated)?;
+    let (entries, _) = r.take(table_len)?.as_chunks::<5>();
+    let table: Vec<(usize, u8)> = entries
+        .iter()
+        .map(|&[a, b, c, d, mode]| (u32::from_le_bytes([a, b, c, d]) as usize, mode))
+        .collect();
     // A stored page decodes to exactly its payload; a Huffman page to at
     // most `MAX_MATCH` bytes per payload bit, since every symbol costs at
     // least one bit. The decoders allocate `raw_len` up front, so a larger
@@ -518,26 +533,26 @@ fn parse_stream(stream: &[u8]) -> Result<ParsedStream<'_>, CodecError> {
             "raw length exceeds what the pages decode to",
         ));
     }
+    let start = r.0;
     let mut pages = Vec::with_capacity(n_pages);
-    let start = pos;
     for (len, mode) in table {
-        pages.push((take(&mut pos, len)?, mode));
+        pages.push((r.take(len)?, mode));
     }
     Ok(ParsedStream {
         page_size,
         raw_len,
-        stored_crc,
+        checksum,
         pages,
-        payloads: &stream[start..pos],
+        payloads: &start[..start.len() - r.0.len()],
     })
 }
 
-/// The raw length and CRC32 that a stream's header declares, read without
-/// decoding any page. [`decompress`] checks its output against both, so a
-/// caller that keeps its own record of the payload can compare that record
-/// here instead of hashing the output a second time.
-pub fn declared_len_and_crc(stream: &[u8]) -> Result<(u64, u32), CodecError> {
-    parse_stream(stream).map(|p| (p.raw_len as u64, p.stored_crc))
+/// The raw length and checksum that a stream's header declares, read
+/// without decoding any page. [`decode`] checks its output against both, so
+/// a caller that keeps its own record of the payload can compare that
+/// record here instead of hashing the output a second time.
+pub fn declared_len_and_checksum(stream: &[u8]) -> Result<(u64, u64), CodecError> {
+    parse_stream(stream).map(|p| (p.raw_len as u64, p.checksum))
 }
 
 /// Decodes a stream produced by [`compress`], checking the output against
@@ -562,7 +577,7 @@ pub fn decode(stream: &[u8]) -> Result<Cow<'_, [u8]>, CodecError> {
     } else {
         Cow::Owned(decode_pages(&parsed)?)
     };
-    if crate::crc::crc32(&out) != parsed.stored_crc {
+    if hash64(&out) != parsed.checksum {
         return Err(CodecError::ChecksumMismatch);
     }
     Ok(out)
@@ -595,7 +610,7 @@ pub fn decompress_reference(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
     for (&(payload, mode), expected) in parsed.pages.iter().zip(parsed.page_lens()) {
         out.extend(decompress_page_reference(payload, mode, expected)?);
     }
-    if crate::crc::crc32_bytewise(&out) != parsed.stored_crc {
+    if hash64(&out) != parsed.checksum {
         return Err(CodecError::ChecksumMismatch);
     }
     Ok(out)
@@ -628,7 +643,7 @@ mod tests {
     }
 
     /// A header that declares 32 TiB over 8192 empty Huffman pages of
-    /// `u32::MAX` bytes each, with a consistent page count.
+    /// `u32::MAX` bytes each.
     fn inflated_header_stream() -> Vec<u8> {
         let page_size = u32::MAX;
         let n_pages = 8192u32;
@@ -637,8 +652,7 @@ mod tests {
         s.push(VERSION);
         s.extend(page_size.to_le_bytes());
         s.extend(raw_len.to_le_bytes());
-        s.extend(0u32.to_le_bytes());
-        s.extend(n_pages.to_le_bytes());
+        s.extend(0u64.to_le_bytes());
         for _ in 0..n_pages {
             s.extend(0u32.to_le_bytes());
             s.push(MODE_HUFFMAN);
@@ -653,7 +667,7 @@ mod tests {
         for result in [decompress(&s), decompress_reference(&s)] {
             assert!(matches!(result, Err(CodecError::Corrupt(_))), "{result:?}");
         }
-        assert!(declared_len_and_crc(&s).is_err());
+        assert!(declared_len_and_checksum(&s).is_err());
     }
 
     #[test]
@@ -673,15 +687,17 @@ mod tests {
 
     #[test]
     fn page_count_past_the_stream_is_refused_before_allocating() {
-        // A bare header declaring u32::MAX one-byte pages: reserving the
-        // page table for that count alone would need 64 GiB.
-        let mut s = MAGIC.to_vec();
-        s.push(VERSION);
-        s.extend(1u32.to_le_bytes());
-        s.extend(u64::from(u32::MAX).to_le_bytes());
-        s.extend(0u32.to_le_bytes());
-        s.extend(u32::MAX.to_le_bytes());
-        assert!(matches!(parse_stream(&s), Err(CodecError::Truncated)));
+        // Bare headers declaring u32::MAX and u64::MAX one-byte pages:
+        // reserving the page table for the first count alone would need
+        // 64 GiB, and the second's table length overflows.
+        for raw_len in [u64::from(u32::MAX), u64::MAX] {
+            let mut s = MAGIC.to_vec();
+            s.push(VERSION);
+            s.extend(1u32.to_le_bytes());
+            s.extend(raw_len.to_le_bytes());
+            s.extend(0u64.to_le_bytes());
+            assert!(matches!(parse_stream(&s), Err(CodecError::Truncated)));
+        }
     }
 
     /// A seeded incompressible byte stream: every page of it is stored.

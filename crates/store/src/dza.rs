@@ -5,11 +5,13 @@
 //! it, and every tensor as an independently readable, losslessly compressed
 //! page. All integers are little-endian.
 //!
-//! This is version 3 ([`DZA_VERSION`]), the only version written or read;
+//! This is version 4 ([`DZA_VERSION`]), the only version written or read;
 //! no reader for older containers is kept. A quantized tensor's wire
 //! record holds the byte-lane words the kernels read (see
 //! `dz_compress::pack`), so a decoded layer is served as it is, with no
-//! re-layout step.
+//! re-layout step. Every checksum is `dz_lossless::checksum::hash64`, a
+//! 64-bit four-lane hash that detects any change confined to one 8-byte
+//! word of its input.
 //!
 //! ```text
 //! +--------------------------------------------------------------+
@@ -21,28 +23,31 @@
 //! | manifest: name | base_hash[32] | config | size report        |
 //! |           n_tensors u32                                      |
 //! |           { name | kind u8 | offset u64 | comp_len u64       |
-//! |             raw_len u64 | crc32 u32 } x n_tensors            |
+//! |             raw_len u64 | checksum u64 } x n_tensors         |
 //! +--------------------------------------------------------------+
 //! | footer:  manifest_offset u64 | manifest_len u64              |
-//! |          manifest_crc u32 | magic "DZAE"                     |
+//! |          manifest_checksum u64 | magic "DZAE"                |
 //! +--------------------------------------------------------------+
 //! ```
 //!
 //! The manifest sits *after* the payload (zip-style central directory) so
 //! [`ArtifactWriter`] can stream to any `io::Write` without seeking, while
 //! [`ArtifactReader`] seeks to the fixed-size footer and then random-reads
-//! individual tensors. Every tensor page carries the paged codec's own
-//! CRC32 of the raw bytes in its header, and the manifest records the same
-//! CRC32 and raw length. A read checks that the two records agree before
-//! decoding, then lets the codec check its output against them, so each
-//! tensor is hashed once. Corruption anywhere — header, page, or
+//! individual tensors. The pages lie back to back in manifest order and
+//! fill the bytes between head and manifest exactly. Every tensor page
+//! carries the paged codec's own checksum of the raw bytes in its header,
+//! and the manifest records the same checksum and raw length. The writer
+//! copies the entry's value from the page header it just built, and a
+//! read checks that the two records agree before decoding, then lets the
+//! codec check its output against them, so each tensor is hashed once on
+//! either side. Corruption anywhere — header, page, or
 //! directory — surfaces as a typed [`StoreError`], never as silently wrong
 //! weights.
 //!
 //! A whole-delta read ([`ArtifactReader::read_delta_with_stats`]) reads
 //! every page with one read, then decodes one tensor at a time in file
 //! order. Most pages of a served delta are stored (see
-//! `dz_lossless::page`), so decoding one is a CRC pass over the read
+//! `dz_lossless::page`), so decoding one is a checksum pass over the read
 //! buffer, and the wire decode reads the page in place.
 
 use crate::error::StoreError;
@@ -50,7 +55,7 @@ use crate::hash::Digest;
 use dz_compress::codec::{CodecId, PackedLayer};
 use dz_compress::pipeline::{CompressedDelta, DeltaCompressConfig, SizeReport};
 use dz_compress::wire::{self, put_name, Reader as WireReader};
-use dz_lossless::crc::crc32;
+use dz_lossless::checksum::hash64;
 use dz_lossless::CodecError;
 use dz_tensor::Matrix;
 use std::borrow::Cow;
@@ -61,18 +66,20 @@ use std::time::Instant;
 /// Leading container magic.
 pub const DZA_MAGIC: &[u8; 4] = b"DZA1";
 /// Container format version, the only one [`ArtifactWriter`] writes and
-/// [`ArtifactReader`] opens. Version 3 stores quantized layers in the
-/// byte-lane layout the kernels read (see `dz_compress::wire`); an older
-/// container is refused with [`StoreError::BadVersion`].
-pub const DZA_VERSION: u16 = 3;
+/// [`ArtifactReader`] opens. Version 4 checksums every tensor and the
+/// manifest with the 64-bit `hash64` (version 3 used CRC32) and stores
+/// quantized layers in the byte-lane layout the kernels read (see
+/// `dz_compress::wire`); an older container is refused with
+/// [`StoreError::BadVersion`].
+pub const DZA_VERSION: u16 = 4;
 /// Tensor-header codec byte meaning "no codec" (dense rest tensors).
 const CODEC_NONE: u8 = 0xFF;
 /// Trailing footer magic.
 const FOOTER_MAGIC: &[u8; 4] = b"DZAE";
 /// Head size: magic + version.
 const HEAD_LEN: u64 = 6;
-/// Footer size: manifest offset + length + crc + magic.
-const FOOTER_LEN: u64 = 24;
+/// Footer size: manifest offset + length + checksum + magic.
+const FOOTER_LEN: u64 = 28;
 
 /// What a tensor page decodes to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,8 +107,9 @@ pub struct TensorEntry {
     pub comp_len: u64,
     /// Decompressed (wire record) length in bytes.
     pub raw_len: u64,
-    /// CRC32 of the decompressed wire record.
-    pub crc32: u32,
+    /// `hash64` of the decompressed wire record, the value its page
+    /// header holds.
+    pub checksum: u64,
 }
 
 /// The artifact directory: lineage, quantization recipe, tensor index.
@@ -157,7 +165,7 @@ impl Manifest {
             out.extend_from_slice(&t.offset.to_le_bytes());
             out.extend_from_slice(&t.comp_len.to_le_bytes());
             out.extend_from_slice(&t.raw_len.to_le_bytes());
-            out.extend_from_slice(&t.crc32.to_le_bytes());
+            out.extend_from_slice(&t.checksum.to_le_bytes());
         }
         out
     }
@@ -195,7 +203,7 @@ impl Manifest {
                 offset: r.u64()?,
                 comp_len: r.u64()?,
                 raw_len: r.u64()?,
-                crc32: r.u32()?,
+                checksum: r.u64()?,
             });
         }
         if !r.is_done() {
@@ -265,6 +273,9 @@ impl<W: Write> ArtifactWriter<W> {
             )));
         }
         let page = dz_lossless::compress(raw);
+        // The page header already holds the raw bytes' checksum; the entry
+        // records that value rather than hashing `raw` again.
+        let (raw_len, checksum) = dz_lossless::declared_len_and_checksum(&page)?;
         self.sink.write_all(&page)?;
         self.manifest.tensors.push(TensorEntry {
             name: name.to_string(),
@@ -272,8 +283,8 @@ impl<W: Write> ArtifactWriter<W> {
             codec,
             offset: self.offset,
             comp_len: page.len() as u64,
-            raw_len: raw.len() as u64,
-            crc32: crc32(raw),
+            raw_len,
+            checksum,
         });
         self.offset += page.len() as u64;
         Ok(())
@@ -305,7 +316,8 @@ impl<W: Write> ArtifactWriter<W> {
         self.sink.write_all(&self.offset.to_le_bytes())?;
         self.sink
             .write_all(&(manifest_bytes.len() as u64).to_le_bytes())?;
-        self.sink.write_all(&crc32(&manifest_bytes).to_le_bytes())?;
+        self.sink
+            .write_all(&hash64(&manifest_bytes).to_le_bytes())?;
         self.sink.write_all(FOOTER_MAGIC)?;
         self.sink.flush()?;
         Ok(self.sink)
@@ -386,15 +398,15 @@ enum DecodedTensor {
 
 /// Decodes one tensor page and checks it against its manifest entry.
 ///
-/// The page header must declare the entry's raw length and CRC before any
-/// page decodes, and the codec checks its output against that CRC: both
-/// stored checksums are verified, and the output is hashed once. A page
-/// whose pages are all stored decodes to a slice of `page` itself.
+/// The page header must declare the entry's raw length and checksum before
+/// any page decodes, and the codec checks its output against that checksum:
+/// both stored checksums are verified, and the output is hashed once. A
+/// page whose pages are all stored decodes to a slice of `page` itself.
 fn decompress_page<'a>(entry: &TensorEntry, page: &'a [u8]) -> Result<Cow<'a, [u8]>, StoreError> {
     let mismatch = || StoreError::ChecksumMismatch {
         tensor: Some(entry.name.clone()),
     };
-    if dz_lossless::declared_len_and_crc(page)? != (entry.raw_len, entry.crc32) {
+    if dz_lossless::declared_len_and_checksum(page)? != (entry.raw_len, entry.checksum) {
         return Err(mismatch());
     }
     dz_lossless::decode(page).map_err(|e| match e {
@@ -447,12 +459,16 @@ impl<R: Read + Seek> ArtifactReader<R> {
         source.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
         let mut footer = [0u8; FOOTER_LEN as usize];
         source.read_exact(&mut footer)?;
-        if &footer[20..24] != FOOTER_MAGIC {
+        let (fields, magic) = footer.as_chunks::<8>();
+        let &[manifest_offset, manifest_len, manifest_checksum] = fields else {
+            return Err(StoreError::Truncated);
+        };
+        if magic != FOOTER_MAGIC {
             return Err(StoreError::Truncated);
         }
-        let manifest_offset = u64::from_le_bytes(footer[0..8].try_into().unwrap());
-        let manifest_len = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-        let manifest_crc = u32::from_le_bytes(footer[16..20].try_into().unwrap());
+        let manifest_offset = u64::from_le_bytes(manifest_offset);
+        let manifest_len = u64::from_le_bytes(manifest_len);
+        let manifest_checksum = u64::from_le_bytes(manifest_checksum);
         let manifest_end = manifest_offset
             .checked_add(manifest_len)
             .ok_or(StoreError::Corrupt("manifest extent overflows"))?;
@@ -462,7 +478,7 @@ impl<R: Read + Seek> ArtifactReader<R> {
         source.seek(SeekFrom::Start(manifest_offset))?;
         let mut manifest_bytes = vec![0u8; manifest_len as usize];
         source.read_exact(&mut manifest_bytes)?;
-        if crc32(&manifest_bytes) != manifest_crc {
+        if hash64(&manifest_bytes) != manifest_checksum {
             return Err(StoreError::ChecksumMismatch { tensor: None });
         }
         let manifest = Manifest::decode(&manifest_bytes)?;

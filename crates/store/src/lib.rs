@@ -8,10 +8,11 @@
 //! * [`dza`] — the versioned little-endian `.dza` container: a manifest
 //!   (name, base-model lineage hash, quantization recipe, per-tensor
 //!   index) over per-tensor pages compressed with the `dz-lossless` paged
-//!   codec and double-checksummed (page CRC + manifest CRC of the raw
-//!   bytes). Written streaming, read with random access per tensor; a
-//!   whole delta reads and decodes its tensors in file order and reports
-//!   measured throughput ([`DecodeStats`]).
+//!   codec and double-checksummed (the page header and the manifest entry
+//!   hold one 64-bit checksum of the raw bytes; the manifest has its own).
+//!   Written streaming, read with random access per tensor; a whole delta
+//!   reads its pages with one read, decodes its tensors in file order and
+//!   reports measured throughput ([`DecodeStats`]).
 //! * [`registry`] — a content-addressed on-disk zoo: artifacts live under
 //!   `<root>/<sha256>.dza`, identical deltas deduplicate, named refs map
 //!   variant names to hashes, and any file can be integrity-audited.

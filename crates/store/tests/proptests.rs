@@ -180,7 +180,7 @@ proptest! {
 /// and width.
 fn checksum_le(data: &[u8]) -> Vec<u8> {
     let page = dz_lossless::compress(data);
-    let (_, sum) = dz_lossless::declared_len_and_crc(&page).expect("fresh page parses");
+    let (_, sum) = dz_lossless::declared_len_and_checksum(&page).expect("fresh page parses");
     sum.to_le_bytes().to_vec()
 }
 
@@ -435,8 +435,9 @@ proptest! {
         let i = which.index(parts.tensors.len());
         let width = checksum_le(b"").len();
         // Page header: magic 4 | version 1 | page_size u32 | raw_len u64 |
-        // checksum | n_pages u32 | page table { comp_len u32, mode u8 }.
-        let n_pages_at = 17 + width;
+        // checksum, then one page-table entry { comp_len u32, mode u8 } per
+        // page.
+        let table_at = 17 + width;
         let mutated = match field {
             0 => {
                 let t = &mut parts.tensors[i];
@@ -475,15 +476,19 @@ proptest! {
                 parts.assemble()
             }
             5 => {
+                // The page count, which raw_len and page_size determine:
+                // page_size shrunk so the count grows by one, or to one byte
+                // so the count is raw_len.
                 let t = &mut parts.tensors[i];
-                let v = read_le(&t.page, n_pages_at, 4);
-                write_le(&mut t.page, n_pages_at, 4, inflate(v, 4, pick));
+                let raw_len = read_le(&t.page, 9, 8);
+                let page_size = if pick.is_multiple_of(3) { raw_len - 1 } else { 1 };
+                write_le(&mut t.page, 5, 4, page_size);
                 parts.assemble()
             }
             6 => {
                 // The first page-table length.
                 let t = &mut parts.tensors[i];
-                let at = n_pages_at + 4;
+                let at = table_at;
                 let v = read_le(&t.page, at, 4);
                 write_le(&mut t.page, at, 4, inflate(v, 4, pick));
                 parts.assemble()

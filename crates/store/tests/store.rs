@@ -100,7 +100,7 @@ fn single_tensors_are_randomly_accessible() {
         reader.read_packed("tok_emb"),
         Err(StoreError::Corrupt(_))
     ));
-    // A page that checks out against its own header CRC but not against
+    // A page that checks out against its own header checksum but not against
     // the manifest's is refused, naming the tensor; the others still read.
     let entry = reader.manifest().entry("tok_emb").expect("entry").clone();
     let mut raw = reader.read_tensor_bytes("tok_emb").expect("raw");
@@ -123,6 +123,30 @@ fn single_tensors_are_randomly_accessible() {
         reader.read_dense("nope"),
         Err(StoreError::UnknownTensor(_))
     ));
+}
+
+#[test]
+fn manifest_entries_hold_their_page_headers_checksum() {
+    // The writer copies each entry's raw length and checksum from the page
+    // header it built, so the two records are one value, and that value is
+    // the hash of the tensor's wire record.
+    let delta = fixture_delta(7);
+    let bytes = container_bytes(&delta, "v");
+    let mut reader = ArtifactReader::open(Cursor::new(&bytes)).expect("open");
+    let tensors = reader.manifest().tensors.clone();
+    assert_eq!(tensors.len(), 4);
+    for t in &tensors {
+        let page = &bytes[t.offset as usize..][..t.comp_len as usize];
+        let header = dz_lossless::declared_len_and_checksum(page).expect("page header");
+        assert_eq!(header, (t.raw_len, t.checksum), "`{}`", t.name);
+        let raw = reader.read_tensor_bytes(&t.name).expect("record");
+        assert_eq!(
+            t.checksum,
+            dz_lossless::checksum::hash64(&raw),
+            "`{}`",
+            t.name
+        );
+    }
 }
 
 #[test]
@@ -431,7 +455,7 @@ fn whole_read_reports_the_first_corrupt_tensor_in_file_order() {
     let (first, second) = (&tensors[1], &tensors[tensors.len() - 2]);
     for t in [second, first] {
         // Random 4-bit levels do not shrink, so the page is stored and its
-        // last byte is record data that only the page CRC guards.
+        // last byte is record data that only the page checksum guards.
         assert!(t.comp_len > t.raw_len, "`{}` is entropy-coded", t.name);
         bytes[(t.offset + t.comp_len - 1) as usize] ^= 0x10;
     }
